@@ -3,7 +3,7 @@
 
 .PHONY: all build test check bench tables faults reliability-smoke \
 	verify-fuzz perf-baseline perf-smoke jobs-check journal-smoke \
-	netobs-smoke sim-smoke serve-smoke clean
+	netobs-smoke sim-smoke serve-smoke bench-selftest clean
 
 all: build
 
@@ -143,6 +143,14 @@ serve-smoke: build
 	rm -f serve-cache.json serve-batch.txt serve-run1.txt serve-run2.txt \
 	  serve-dec1.txt serve-dec2.txt serve-j1.txt serve-j4.txt \
 	  serve-pipe.txt serve-oneshot.txt
+
+# End-to-end benchmark self-test (bench/e2e/README.md, ~40 s): builds
+# the benchmark in its own workspace under .bench_build/, then checks
+# that its metric names match BENCHMARK.json, that short runs of every
+# workload finish with no failed operations, and that per-key output
+# digests are deterministic.
+bench-selftest:
+	python3 bench/e2e/run.py selftest
 
 # Kernel-equivalence smoke: the same sim-heavy sweeps (fault grading,
 # Monte-Carlo reliability) under the compiled kernel and the

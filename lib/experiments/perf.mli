@@ -30,7 +30,8 @@ val sleep_hook : string -> unit
 type journal_overhead = {
   guard_ns : float;
       (** measured cost of one disabled emit-site guard
-          ([Obs.Journal.enabled ()] read + branch) *)
+          ([Obs.Journal.enabled ()] read + branch; least of 3 bursts of 3
+          loops, spread between the sweep repeats) *)
   events : int;  (** events a journaled table1 sweep emits *)
   sweep_ns : float;  (** journal-disabled table1 sweep wall time (min of 3) *)
   ratio : float;  (** [guard_ns * events / sweep_ns] — the disabled-path
@@ -46,7 +47,8 @@ val journal_overhead : ?iters:int -> unit -> journal_overhead
 type telemetry_overhead = {
   t_guard_ns : float;
       (** measured cost of one unarmed engine hook (match on a [None]
-          collector) *)
+          collector; least of 3 bursts of 3 loops, spread between the
+          sweep repeats) *)
   t_events : int;
       (** hook sites an armed sweep executes: schedule + process per
           event, plus activations, sends, and settles *)

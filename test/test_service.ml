@@ -219,6 +219,138 @@ let test_canon_relabel_digest () =
     Designs.Library.table1
 
 (* ------------------------------------------------------------------ *)
+(* Canon against the list-based oracle it replaced, and against
+   relabellings that change id order.  Relabelling by an offset keeps
+   id order, so the id-order fallback would pass it too; a random
+   permutation of ids does not. *)
+
+(* 200 seeded random designs of 20–100 inner blocks *)
+let random_designs =
+  lazy
+    (let rng = Prng.create 12 in
+     List.init 200 (fun i ->
+         let r = Prng.split rng in
+         ( Printf.sprintf "random %d" i,
+           Randgen.Generator.generate ~rng:r ~inner:(20 + Prng.int r 81) () )))
+
+(* Colour refinement cannot tell a directed 6-cycle from two directed
+   3-cycles: every node of their disjoint union gets one colour, yet a
+   6-cycle node is not automorphic to a 3-cycle node.  Only the
+   individualization search separates them, so the result must not
+   depend on which member it happens to try first, and it must still
+   equal the oracle's. *)
+let wl_hard () =
+  let g =
+    List.fold_left
+      (fun acc id -> fst (Graph.add ~id acc Eblock.Catalog.not_gate))
+      Graph.empty (List.init 12 Fun.id)
+  in
+  List.fold_left
+    (fun acc (src, dst) -> Graph.connect acc ~src:(src, 0) ~dst:(dst, 0))
+    g
+    [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0);
+      (6, 7); (7, 8); (8, 6); (9, 10); (10, 11); (11, 9) ]
+
+let canon_designs () =
+  List.map
+    (fun d -> (d.Designs.Design.name, d.Designs.Design.network))
+    Designs.Library.table1
+  @ (("WL-hard cycles", wl_hard ()) :: Lazy.force random_designs)
+
+let canon_order c =
+  List.init (Service.Canon.size c) (Service.Canon.id_of c)
+
+let test_canon_matches_oracle () =
+  let compared = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let c = Service.Canon.of_graph g in
+      Alcotest.(check bool) (name ^ " canonises exactly") true
+        (Service.Canon.exact c);
+      let o = Canon_oracle.of_graph g in
+      if Canon_oracle.exact o then begin
+        incr compared;
+        Alcotest.(check string) (name ^ " digest = oracle")
+          (Canon_oracle.digest o) (Service.Canon.digest c);
+        Alcotest.(check (list int)) (name ^ " order = oracle")
+          (List.init (Canon_oracle.size o) (Canon_oracle.id_of o))
+          (canon_order c)
+      end)
+    (canon_designs ());
+  (* the oracle overruns its budget on a few percent at most *)
+  Alcotest.(check bool) "oracle finished on nearly all designs" true
+    (!compared >= 200)
+
+(* The batch-server benchmark corpus: 1024 designs of 20–100 inner
+   blocks from seed 0, one split per design, as netlist text.  The
+   oracle's search overruns its budget on the six listed; Canon must
+   finish on every one. *)
+let serve_corpus () =
+  let rng = Prng.create 0 in
+  Array.init 1024 (fun _ ->
+      let r = Prng.split rng in
+      let g = Randgen.Generator.generate ~rng:r ~inner:(20 + Prng.int r 81) () in
+      snd (Netlist.Textio.of_string (Netlist.Textio.to_string g)))
+
+let oracle_fallbacks = [ 16; 24; 375; 484; 606; 764 ]
+
+let test_canon_exact_on_corpus () =
+  let corpus = serve_corpus () in
+  Array.iteri
+    (fun i g ->
+      Alcotest.(check bool)
+        (Printf.sprintf "corpus design %d canonises exactly" i)
+        true
+        (Service.Canon.exact (Service.Canon.of_graph g)))
+    corpus;
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "oracle falls back on corpus design %d" i)
+        false
+        (Canon_oracle.exact (Canon_oracle.of_graph corpus.(i))))
+    oracle_fallbacks
+
+let permute rng g =
+  let ids = Graph.node_ids g in
+  let image = Hashtbl.create 64 in
+  List.iter2 (Hashtbl.replace image) ids (Prng.shuffle rng ids);
+  let map id = Hashtbl.find image id in
+  let g' =
+    List.fold_left
+      (fun acc id ->
+        fst (Graph.add ~id:(map id) acc (Graph.node g id).Graph.descriptor))
+      Graph.empty ids
+  in
+  List.fold_left
+    (fun acc (e : Graph.edge) ->
+      Graph.connect acc
+        ~src:(map e.src.node, e.src.port)
+        ~dst:(map e.dst.node, e.dst.port))
+    g' (Graph.edges g)
+
+let kinds_in_id_order g =
+  List.map (fun id -> (Graph.descriptor g id).Eblock.Descriptor.name)
+    (Graph.node_ids g)
+
+let test_canon_permutation_digest () =
+  let rng = Prng.create 5 in
+  let moved = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let g' = permute (Prng.split rng) g in
+      let c = Service.Canon.of_graph g and c' = Service.Canon.of_graph g' in
+      if kinds_in_id_order g' <> kinds_in_id_order g then incr moved;
+      Alcotest.(check bool) (name ^ " relabelled canonises exactly") true
+        (Service.Canon.exact c');
+      Alcotest.(check string)
+        (name ^ " digest survives a permutation of ids")
+        (Service.Canon.digest c) (Service.Canon.digest c'))
+    (canon_designs ());
+  (* the permutations really reorder the blocks, so id order is no help *)
+  Alcotest.(check bool) "permutations reorder the blocks" true (!moved >= 200)
+
+(* ------------------------------------------------------------------ *)
 (* Deadline expiry answers that request and nothing else. *)
 
 let test_deadline_expiry_survives () =
@@ -358,6 +490,15 @@ let () =
             test_relabel_hits;
           Alcotest.test_case "canonical digest is label-free on Table 1"
             `Quick test_canon_relabel_digest;
+        ] );
+      ( "canon",
+        [
+          Alcotest.test_case "same digest and order as the oracle" `Quick
+            test_canon_matches_oracle;
+          Alcotest.test_case "exact on the serve corpus" `Quick
+            test_canon_exact_on_corpus;
+          Alcotest.test_case "digest survives random id permutations"
+            `Quick test_canon_permutation_digest;
         ] );
       ( "server",
         [
