@@ -3,7 +3,7 @@
 
 .PHONY: all build test check bench tables faults reliability-smoke \
 	verify-fuzz perf-baseline perf-smoke jobs-check journal-smoke \
-	netobs-smoke sim-smoke serve-smoke bench-selftest clean
+	netobs-smoke serve-smoke bench-selftest clean
 
 all: build
 
@@ -92,13 +92,7 @@ jobs-check:
 	  --faults drop:0.05 --jobs 2 --netobs netobs-jobs.json > observe-j2.txt
 	diff observe-j1.txt observe-j2.txt
 	diff netobs-j1.json netobs-jobs.json
-	PAREDOWN_STABLE_TIMES=1 PAREDOWN_SIM_KERNEL=interpreted \
-	  dune exec bin/paredown.exe -- observe entry_gate \
-	  --faults drop:0.05 --jobs 2 --netobs netobs-jobs.json > observe-ji.txt
-	diff observe-j1.txt observe-ji.txt
-	diff netobs-j1.json netobs-jobs.json
-	rm -f observe-j1.txt observe-j2.txt observe-ji.txt \
-	  netobs-j1.json netobs-jobs.json
+	rm -f observe-j1.txt observe-j2.txt netobs-j1.json netobs-jobs.json
 
 # Batch-server smoke (doc/service.md): drain a 105-request mixed batch
 # (6x Table 1 under PareDown + 1x under aggregation) through `paredown
@@ -151,26 +145,6 @@ serve-smoke: build
 # digests are deterministic.
 bench-selftest:
 	python3 bench/e2e/run.py selftest
-
-# Kernel-equivalence smoke: the same sim-heavy sweeps (fault grading,
-# Monte-Carlo reliability) under the compiled kernel and the
-# interpreted oracle, diffed byte-for-byte.  PAREDOWN_SIM_KERNEL
-# selects the kernel process-wide; PAREDOWN_STABLE_TIMES masks wall
-# clocks, the one legitimately differing output.  Complements the
-# QCheck equivalence properties in test/test_kernel.ml with full
-# CLI-path coverage.
-sim-smoke:
-	PAREDOWN_STABLE_TIMES=1 PAREDOWN_SIM_KERNEL=compiled \
-	  dune exec bin/run_experiments.exe -- faults --trials 3 > sim-kc.txt
-	PAREDOWN_STABLE_TIMES=1 PAREDOWN_SIM_KERNEL=interpreted \
-	  dune exec bin/run_experiments.exe -- faults --trials 3 > sim-ki.txt
-	diff sim-kc.txt sim-ki.txt
-	PAREDOWN_STABLE_TIMES=1 PAREDOWN_SIM_KERNEL=compiled \
-	  dune exec bin/run_experiments.exe -- reliability --trials 8 > sim-rc.txt
-	PAREDOWN_STABLE_TIMES=1 PAREDOWN_SIM_KERNEL=interpreted \
-	  dune exec bin/run_experiments.exe -- reliability --trials 8 > sim-ri.txt
-	diff sim-rc.txt sim-ri.txt
-	rm -f sim-kc.txt sim-ki.txt sim-rc.txt sim-ri.txt
 
 # Network-observatory smoke: `paredown observe` on two Table 1 designs
 # under a seeded drop plan (utilization table + paredown-netobs JSON +

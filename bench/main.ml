@@ -10,7 +10,7 @@
      ablation/*  — PareDown ingredient variants and the aggregation baseline
      codegen/*   — merge + C emission
      sim/*       — simulator settle and VCD export on a library design
-     sim_kernel/* — compiled vs interpreted settle kernels (doc/performance.md)
+     sim_kernel/* — settle of a long pre-scheduled script (doc/performance.md)
      faults/*    — fault-injection hook overhead and degradation grading
      power/*     — the packet-count power proxy
      frontend/*  — behaviour-language parsing
@@ -239,29 +239,23 @@ let sim_tests =
     ]
 
 let sim_kernel_tests =
-  (* Compiled vs interpreted kernels on the perf suite's settle
-     workload (doc/performance.md "Simulator compilation"): the pair's
-     ratio is the measured speedup behind the >=10x target.  A smaller
-     design than lib/experiments/perf.ml keeps bechamel's per-sample
-     cost reasonable; the perf group holds the headline workload. *)
+  (* The perf suite's settle workload (doc/performance.md "Simulator
+     compilation") on a smaller design than lib/experiments/perf.ml, to
+     keep bechamel's per-sample cost reasonable; the perf group holds
+     the headline workload. *)
   let g = random_design ~seed:4 ~inner:60 in
   let script =
     Sim.Stimulus.random ~rng:(Prng.create 41) ~sensors:(Graph.sensors g)
       ~steps:400 ~spacing:5
   in
-  let settle kernel () =
-    let engine = Sim.Engine.create ~kernel g in
+  let settle () =
+    let engine = Sim.Engine.create g in
     Sim.Stimulus.apply engine script;
     Sim.Engine.settle ~limit:10_000_000 engine;
     Sim.Engine.output_values engine
   in
   Test.make_grouped ~name:"sim_kernel"
-    [
-      Test.make ~name:"settle-compiled"
-        (Staged.stage (settle Sim.Engine.Compiled));
-      Test.make ~name:"settle-interpreted"
-        (Staged.stage (settle Sim.Engine.Interpreted));
-    ]
+    [ Test.make ~name:"settle-compiled" (Staged.stage settle) ]
 
 let fault_tests =
   (* The ?faults hook must stay free when absent and near-free when the

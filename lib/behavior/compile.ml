@@ -1,10 +1,12 @@
-(* Closure compiler for behaviour programs.  Semantics are defined by
-   {!Eval}; every deviation the simulator could observe — error
-   messages, flush order of outputs and timers, last-write-wins — is a
-   bug (property-tested against the interpreter in test_kernel.ml). *)
+(* Closure compiler for behaviour programs.  Semantics are pinned by
+   the reference interpreter in test/eval_oracle.ml; every deviation the
+   simulator could observe — error messages, flush order of outputs and
+   timers, last-write-wins — is a bug (property-tested against it in
+   test_behavior.ml, and through whole simulations in test_kernel.ml). *)
 
-let error fmt =
-  Format.kasprintf (fun msg -> raise (Eval.Runtime_error msg)) fmt
+exception Runtime_error of string
+
+let error fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
 
 let as_bool = function
   | Ast.Bool b -> b
@@ -88,8 +90,8 @@ let timer_slot_of ctx raw =
 let build_ctx (p : Ast.program) ~n_outputs =
   (* State variables first, in declaration order (first occurrence keeps
      the slot, later duplicates overwrite the initial value — exactly
-     [Hashtbl.replace] in Eval.init); body-assigned variables after, in
-     sorted order. *)
+     [Hashtbl.replace] in the reference interpreter's [init]);
+     body-assigned variables after, in sorted order. *)
   let var_slot, inits =
     List.fold_left
       (fun (slots, inits) (name, v) ->
@@ -186,40 +188,44 @@ let rec cexpr ctx (e : Ast.expr) : state -> Ast.value =
           | Ast.Bool _ -> error "unary - applied to a boolean"))
   | Binop (op, e1, e2) ->
     let f1 = cexpr ctx e1 and f2 = cexpr ctx e2 in
-    (* Both operands are evaluated before the operator applies, exactly
-       as in Eval.eval_expr (whose [&&]/[||] only short-circuit the
-       boolean *check* of an already-evaluated operand). *)
+    (* Both operands are evaluated before the operator applies, right
+       operand first, exactly as in the reference interpreter's
+       [eval_expr]: its [apply_binop op (eval e1) (eval e2)] evaluates
+       the arguments right to left, and its [&&]/[||] only short-circuit
+       the boolean *check* of an already-evaluated operand.  The order
+       shows only in which error a binop whose two operands both fail
+       reports. *)
     (match op with
-     | And -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | And -> fun st -> let v2 = f2 st in let v1 = f1 st in
          vbool (as_bool v1 && as_bool v2)
-     | Or -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Or -> fun st -> let v2 = f2 st in let v1 = f1 st in
          vbool (as_bool v1 || as_bool v2)
      | Xor ->
        fun st ->
-         let v1 = f1 st in
          let v2 = f2 st in
+         let v1 = f1 st in
          (match v1, v2 with
           | Ast.Bool b1, Ast.Bool b2 -> vbool (Bool.equal b1 b2 |> not)
           | Ast.Int n1, Ast.Int n2 -> Ast.Int (n1 lxor n2)
           | Ast.Bool _, Ast.Int _ | Ast.Int _, Ast.Bool _ ->
             error "^ applied to mixed types")
-     | Add -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Add -> fun st -> let v2 = f2 st in let v1 = f1 st in
          Ast.Int (as_int v1 + as_int v2)
-     | Sub -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Sub -> fun st -> let v2 = f2 st in let v1 = f1 st in
          Ast.Int (as_int v1 - as_int v2)
-     | Mul -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Mul -> fun st -> let v2 = f2 st in let v1 = f1 st in
          Ast.Int (as_int v1 * as_int v2)
-     | Eq -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Eq -> fun st -> let v2 = f2 st in let v1 = f1 st in
          vbool (Ast.equal_value v1 v2)
-     | Ne -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Ne -> fun st -> let v2 = f2 st in let v1 = f1 st in
          vbool (not (Ast.equal_value v1 v2))
-     | Lt -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Lt -> fun st -> let v2 = f2 st in let v1 = f1 st in
          vbool (as_int v1 < as_int v2)
-     | Le -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Le -> fun st -> let v2 = f2 st in let v1 = f1 st in
          vbool (as_int v1 <= as_int v2)
-     | Gt -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Gt -> fun st -> let v2 = f2 st in let v1 = f1 st in
          vbool (as_int v1 > as_int v2)
-     | Ge -> fun st -> let v1 = f1 st in let v2 = f2 st in
+     | Ge -> fun st -> let v2 = f2 st in let v1 = f1 st in
          vbool (as_int v1 >= as_int v2))
   | If_expr (c, t, f) ->
     let fc = cexpr ctx c and ft = cexpr ctx t and ff = cexpr ctx f in
@@ -237,7 +243,7 @@ let rec cstmt ctx (s : Ast.stmt) : state -> unit =
         st.defined.(slot) <- true
   | Output (i, e) ->
     if i < 0 || i >= ctx.c_outputs then
-      (* range failure precedes evaluation of [e], as in Eval *)
+      (* range failure precedes evaluation of [e], as in the reference *)
       fun _ ->
         error "output port %d out of range (block has %d outputs)" i
           ctx.c_outputs
@@ -331,6 +337,19 @@ let fresh_state t =
     out_val = Array.make t.n_outputs vfalse;
     tmr_act = Array.make nt 0;
     tmr_delay = Array.make nt 0;
+  }
+
+let copy_state st =
+  {
+    vars = Array.copy st.vars;
+    defined = Array.copy st.defined;
+    in_k = Array.copy st.in_k;
+    in_n = Array.copy st.in_n;
+    fired = st.fired;
+    out_set = Array.copy st.out_set;
+    out_val = Array.copy st.out_val;
+    tmr_act = Array.copy st.tmr_act;
+    tmr_delay = Array.copy st.tmr_delay;
   }
 
 let reset_state t st =

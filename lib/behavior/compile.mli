@@ -1,27 +1,35 @@
-(** Closure compiler for behaviour programs.
+(** Closure compiler for behaviour programs — the one behaviour
+    evaluator the library ships.  The simulator ([Sim.Engine]) runs
+    every block activation through it, and [Codegen.Verify] steps the
+    merged and member machines of its lockstep proofs with it.
 
-    {!Eval} walks the AST on every activation: each expression node is a
-    match-and-dispatch, every variable read is a string-keyed [Hashtbl]
-    lookup, and every activation allocates an input copy, a timers
-    table, and an outcome record.  That is the right oracle semantics
-    but the wrong inner loop — the simulator activates blocks millions
-    of times per fuzz or Monte-Carlo sweep.
+    A naive evaluator walks the AST on every activation: each
+    expression node is a match-and-dispatch, every variable read is a
+    string-keyed [Hashtbl] lookup, and every activation allocates an
+    input copy, a timers table, and an outcome record.  The simulator
+    activates blocks millions of times per fuzz or Monte-Carlo sweep.
 
     [compile] lowers a program once: variables become slots in a flat
-    [value array] (state variables first, body-assigned ones after),
-    timer indices become compact slots resolved at compile time, and the
-    body becomes one [state -> unit] closure with no AST left to
-    inspect.  One {!activate} then costs a handful of array reads and
-    writes plus the user callbacks.
+    [value array], timer indices become compact slots resolved at
+    compile time, and the body becomes one [state -> unit] closure with
+    no AST left to inspect.  One {!activate} then costs a handful of
+    array reads and writes plus the user callbacks.
 
-    Semantics are defined by {!Eval} and preserved exactly, including
-    the error messages of {!Eval.Runtime_error} (raised lazily, when the
-    offending expression or statement actually executes), last-write-
-    wins output ports flushed in ascending port order, and final
-    per-timer actions flushed in ascending raw-timer-index order — the
-    orders {!Eval.outcome} exposes.  [Sim.Engine]'s compiled kernel is
-    property-tested byte-identical to the interpreter on top of this
-    module (test/test_kernel.ml). *)
+    Variable slots are fixed per program: the distinct state variables
+    first, in order of first declaration (a repeated declaration keeps
+    the first slot; the last one's initial value wins), then the
+    remaining variables of {!Ast.assigned_variables} (the body-assigned
+    ones), in its sorted order.
+
+    Semantics are pinned by the reference tree-walking interpreter in
+    test/eval_oracle.ml and preserved exactly, including the messages of
+    {!Runtime_error} (raised lazily, when the offending expression or
+    statement actually executes), last-write-wins output ports flushed
+    in ascending port order, and final per-timer actions flushed in
+    ascending raw-timer-index order.  test/test_behavior.ml checks
+    random programs against that interpreter directly, and
+    test/test_kernel.ml checks whole simulations against the interpreted
+    engine built on it. *)
 
 type t
 (** Compiled code: immutable and domain-safe, shareable across any
@@ -46,10 +54,16 @@ type state = {
     activation scratch without going through closures: after [run],
     [out_set.(port)] marks a driven port whose last-written value is
     [out_val.(port)], and [tmr_act.(slot)] is [0] (untouched), [1]
-    (set, with delay [tmr_delay.(slot)]) or [2] (cancelled).  Treat
-    every field as read-only between activations; [vars], [defined],
-    [in_k]/[in_n] (the int-encoded input latch, see {!value_tag}) and
-    [fired] are implementation detail of the compiled closures. *)
+    (set, with delay [tmr_delay.(slot)]) or [2] (cancelled).  The
+    store is [vars] by slot (see above); slot [i] holds a value only
+    when [defined.(i)].  Treat every field as read-only between
+    activations; [in_k]/[in_n] (the int-encoded input latch, see
+    {!value_tag}) and [fired] are implementation detail of the compiled
+    closures. *)
+
+exception Runtime_error of string
+(** Raised on unbound variables, type mismatches, out-of-range ports, or
+    a non-positive / non-integer timer delay. *)
 
 val value_tag : Ast.value -> int
 (** Int encoding of a value for the latch arrays: [0]/[1] for
@@ -82,11 +96,18 @@ val timer_id : t -> int -> int
 val fresh_state : t -> state
 (** A new instance store: state variables at their declared initial
     values, body-only variables undefined (reading one before its first
-    assignment raises, as in {!Eval}). *)
+    assignment raises {!Runtime_error}). *)
+
+val copy_state : state -> state
+(** An independent clone sharing no mutable array with the original:
+    running either afterwards leaves the other unchanged.  A latch
+    installed by {!bind_inputs} is copied too, so the clone no longer
+    sees the caller's later writes to it.  Used by the bounded
+    product-state exploration in [Codegen.Verify]. *)
 
 val reset_state : t -> state -> unit
-(** Reinitialize in place — the brownout semantics of
-    [Eval.init], without the allocation. *)
+(** Reinitialize in place to the {!fresh_state} store — the brownout
+    semantics — without the allocation. *)
 
 val bind_inputs : state -> tags:int array -> payloads:int array -> unit
 (** Install a long-lived int-encoded input latch ({!value_tag} tags
@@ -122,6 +143,5 @@ val activate :
     store is updated in place; then [on_output port v] is called for
     each driven port in ascending port order, and one of
     [on_timer_set slot delay] / [on_timer_cancel slot] for each touched
-    timer in ascending slot order — exactly the data and order of
-    {!Eval.outcome}, without building it.  The [inputs] array is only
+    timer in ascending slot order.  The [inputs] array is only
     read during the call; it is not retained. *)

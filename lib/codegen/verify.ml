@@ -1,7 +1,7 @@
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
 module Ast = Behavior.Ast
-module Eval = Behavior.Eval
+module Compile = Behavior.Compile
 
 let m_proven =
   Obs.Metrics.counter "codegen.verify.proven"
@@ -100,17 +100,18 @@ let is_combinational (d : Eblock.Descriptor.t) =
 type member_info = {
   mi_id : Node_id.t;
   mi_desc : Eblock.Descriptor.t;
+  mi_prog : Compile.t;
 }
 
 type composed = {
-  cm_envs : Eval.env array;  (* one store per member, plan order *)
+  cm_states : Compile.state array;  (* one store per member, plan order *)
   cm_ports : (Graph.endpoint, Ast.value) Hashtbl.t;
 }
 
 let init_composed infos =
   let ports = Hashtbl.create 32 in
   Array.iter
-    (fun { mi_id; mi_desc } ->
+    (fun { mi_id; mi_desc; _ } ->
       (* every member output starts at its declared power-on value — an
          output nobody has driven yet must read as [output_init], not as
          an arbitrary [false] *)
@@ -119,17 +120,19 @@ let init_composed infos =
         mi_desc.Eblock.Descriptor.output_init)
     infos;
   {
-    cm_envs =
-      Array.map (fun i -> Eval.init i.mi_desc.Eblock.Descriptor.behavior) infos;
+    cm_states = Array.map (fun i -> Compile.fresh_state i.mi_prog) infos;
     cm_ports = ports;
   }
 
 let copy_composed c =
-  { cm_envs = Array.map Eval.copy c.cm_envs; cm_ports = Hashtbl.copy c.cm_ports }
+  {
+    cm_states = Array.map Compile.copy_state c.cm_states;
+    cm_ports = Hashtbl.copy c.cm_ports;
+  }
 
 let step_composed g member_set ext_of_dst infos c assignment =
   Array.iteri
-    (fun i { mi_id = id; mi_desc = d } ->
+    (fun i { mi_id = id; mi_desc = d; mi_prog } ->
       let open Eblock.Descriptor in
       let inputs =
         Array.init d.n_inputs (fun port ->
@@ -145,43 +148,49 @@ let step_composed g member_set ext_of_dst infos c assignment =
                | Some pin -> Ast.Bool assignment.(pin)
                | None -> assert false))
       in
-      let outcome =
-        Eval.activate d.behavior ~n_outputs:d.n_outputs c.cm_envs.(i)
-          { Eval.inputs; fired = None }
-      in
+      let st = c.cm_states.(i) in
+      Compile.run mi_prog st ~inputs ~fired:(-1);
       Array.iteri
-        (fun port slot ->
-          match slot with
-          | Some v -> Hashtbl.replace c.cm_ports { Graph.node = id; port } v
-          | None -> () (* latched: keep the previous value *))
-        outcome.Eval.outputs)
+        (fun port driven ->
+          (* undriven: latched, keep the previous value *)
+          if driven then
+            Hashtbl.replace c.cm_ports { Graph.node = id; port }
+              st.Compile.out_val.(port))
+        st.Compile.out_set)
     infos
 
 type merged = {
-  mg_env : Eval.env;
+  mg_prog : Compile.t;
+  mg_state : Compile.state;
   mg_latch : Ast.value array;
 }
 
 let init_merged (plan : Plan.t) =
+  let mg_prog =
+    Compile.compile plan.Plan.program
+      ~n_outputs:(Array.length plan.Plan.output_pins)
+  in
   {
-    mg_env = Eval.init plan.Plan.program;
+    mg_prog;
+    mg_state = Compile.fresh_state mg_prog;
     mg_latch = Array.copy plan.Plan.output_init;
   }
 
-let copy_merged m = { mg_env = Eval.copy m.mg_env; mg_latch = Array.copy m.mg_latch }
+let copy_merged m =
+  {
+    m with
+    mg_state = Compile.copy_state m.mg_state;
+    mg_latch = Array.copy m.mg_latch;
+  }
 
-let step_merged (plan : Plan.t) m assignment =
+let step_merged m assignment =
   let inputs = Array.map (fun b -> Ast.Bool b) assignment in
-  let outcome =
-    Eval.activate plan.Plan.program
-      ~n_outputs:(Array.length plan.Plan.output_pins)
-      m.mg_env
-      { Eval.inputs; fired = None }
-  in
+  let st = m.mg_state in
+  Compile.run m.mg_prog st ~inputs ~fired:(-1);
   Array.iteri
-    (fun pin slot ->
-      match slot with Some v -> m.mg_latch.(pin) <- v | None -> ())
-    outcome.Eval.outputs
+    (fun pin driven ->
+      if driven then m.mg_latch.(pin) <- st.Compile.out_val.(pin))
+    st.Compile.out_set
 
 let first_divergence (plan : Plan.t) c m =
   let n = Array.length plan.Plan.output_pins in
@@ -215,14 +224,15 @@ let ext_table g members =
 
 let enumerate g member_set ext_of_dst infos (plan : Plan.t) =
   let n_inputs = Array.length plan.Plan.input_pins in
+  let c0 = init_composed infos and m0 = init_merged plan in
   let rec go index =
     if index >= 1 lsl n_inputs then Proven
     else begin
       let assignment = assignment_of_index n_inputs index in
-      let c = init_composed infos in
-      let m = init_merged plan in
+      (* every assignment starts from power-on *)
+      let c = copy_composed c0 and m = copy_merged m0 in
       step_composed g member_set ext_of_dst infos c assignment;
-      step_merged plan m assignment;
+      step_merged m assignment;
       match first_divergence plan c m with
       | None -> go (index + 1)
       | Some (pin, merged, composed) ->
@@ -235,7 +245,7 @@ let enumerate g member_set ext_of_dst infos (plan : Plan.t) =
 
 let port_order infos =
   Array.to_list infos
-  |> List.concat_map (fun { mi_id; mi_desc } ->
+  |> List.concat_map (fun { mi_id; mi_desc; _ } ->
          List.init mi_desc.Eblock.Descriptor.n_outputs (fun port ->
              { Graph.node = mi_id; port }))
 
@@ -250,22 +260,23 @@ let state_key ports m c =
        Buffer.add_string buf (string_of_int n));
     Buffer.add_char buf ';'
   in
-  let add_env env =
-    List.iter
-      (fun (name, v) ->
-        Buffer.add_string buf name;
-        Buffer.add_char buf '=';
-        add_value v)
-      (Eval.variables env)
+  (* every state of one exploration runs the same programs, so the
+     slot-to-variable mapping is fixed and slot order names each value *)
+  let add_store (st : Compile.state) =
+    Array.iteri
+      (fun slot v ->
+        if st.Compile.defined.(slot) then add_value v
+        else Buffer.add_string buf "u;")
+      st.Compile.vars
   in
-  add_env m.mg_env;
+  add_store m.mg_state;
   Buffer.add_char buf '|';
   Array.iter add_value m.mg_latch;
   Array.iter
-    (fun env ->
+    (fun st ->
       Buffer.add_char buf '|';
-      add_env env)
-    c.cm_envs;
+      add_store st)
+    c.cm_states;
   Buffer.add_char buf '|';
   List.iter
     (fun ep ->
@@ -306,7 +317,7 @@ let explore config g member_set ext_of_dst infos (plan : Plan.t) =
         then raise (Stop Exhausted);
         let assignment = assignment_of_index n_inputs index in
         let m' = copy_merged m and c' = copy_composed c in
-        step_merged plan m' assignment;
+        step_merged m' assignment;
         step_composed g member_set ext_of_dst infos c' assignment;
         (match first_divergence plan c' m' with
          | Some (pin, merged, composed) ->
@@ -397,7 +408,15 @@ let check_partition ?(config = default_config) g members =
   let infos =
     Array.of_list
       (List.map
-         (fun id -> { mi_id = id; mi_desc = Graph.descriptor g id })
+         (fun id ->
+           let d = Graph.descriptor g id in
+           {
+             mi_id = id;
+             mi_desc = d;
+             mi_prog =
+               Compile.compile d.Eblock.Descriptor.behavior
+                 ~n_outputs:d.Eblock.Descriptor.n_outputs;
+           })
          plan.Plan.members)
   in
   let n_inputs = Array.length plan.Plan.input_pins in
@@ -414,9 +433,11 @@ let check_partition ?(config = default_config) g members =
        the lockstep machines cannot model them, so go straight to
        differential co-simulation *)
     cosim_tier config g members plan
-  else if n_inputs > config.max_input_bits then
-    (* 2^n_inputs assignments per product state would blow the budget
-       (and [1 lsl n] overflows for large n); fall back to sampling *)
+  else if n_inputs > min config.max_input_bits (Sys.int_size - 2) then
+    (* 2^n_inputs assignments per product state would blow the budget,
+       and past [Sys.int_size - 2] pins [1 lsl n] is no longer a
+       positive int, so the enumeration would check nothing; fall back
+       to sampling *)
     cosim_tier config g members plan
   else begin
     let ext_of_dst = ext_table g members in

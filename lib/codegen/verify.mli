@@ -66,9 +66,10 @@ val pp_status : Format.formatter -> status -> unit
 
 type config = {
   max_input_bits : int;
-      (** widest pin count enumerated exactly; beyond it (or at 63+,
-          where [1 lsl n] would overflow) tiers 1–2 are skipped in
-          favour of co-simulation *)
+      (** widest pin count enumerated exactly; beyond it, and in any
+          case beyond [Sys.int_size - 2] pins (61 on 64-bit platforms,
+          the widest whose [2{^n}] assignments an [int] can count),
+          tiers 1–2 are skipped in favour of co-simulation *)
   max_states : int;  (** tier-2 product-state budget *)
   max_depth : int;  (** tier-2 input-sequence depth budget *)
   max_transitions : int;  (** tier-2 total transition budget *)

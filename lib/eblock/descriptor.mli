@@ -2,7 +2,7 @@
 
     Descriptors are immutable and shared; a network node references one
     descriptor.  The behaviour program follows the activation semantics of
-    {!Behavior.Eval}: it runs whenever an input packet arrives or one of
+    {!Behavior.Ast}: it runs whenever an input packet arrives or one of
     the block's timers expires, and must be idempotent under re-activation
     with unchanged inputs (all catalogue behaviours are written this
     way). *)

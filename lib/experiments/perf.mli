@@ -9,8 +9,8 @@
 type group = {
   name : string;
       (** bench group this mirrors: kernel, exhaustive, table1, table2,
-          scale, worstcase, ablation, codegen, sim, faults, power,
-          frontend, journal, sim_kernel, sim_kernel_interp, telemetry *)
+          scale, worstcase, ablation, codegen, sim, faults, reliability,
+          power, frontend, journal, sim_kernel, telemetry, service *)
   doc : string;
   run : unit -> unit;
 }
@@ -66,23 +66,6 @@ val telemetry_overhead : ?iters:int -> unit -> telemetry_overhead
     the Table 1 designs (the simulator hosts every hook site; the
     search path has none).  [iters] (default 1e6) is the guard-timing
     loop length. *)
-
-type kernel_throughput = {
-  interpreted_ns : float;
-      (** best-of-[repeats] wall time of the sim_kernel settle workload
-          on the interpreted oracle *)
-  compiled_ns : float;  (** same workload on the compiled kernel *)
-  speedup : float;  (** [interpreted_ns /. compiled_ns] *)
-  k_activations : int;
-      (** block activations per run — identical across kernels by the
-          byte-equivalence contract (asserted) *)
-}
-
-val kernel_throughput : ?repeats:int -> unit -> kernel_throughput
-(** Time the sim_kernel group's settle workload on both kernels
-    (default 3 repeats, min-of-k, after an untimed warmup of each) —
-    the measured speedup behind the ≥10x target in
-    doc/performance.md's "Simulator compilation" section. *)
 
 val record : ?repeats:int -> ?config:(string * string) list -> unit -> Obs.Snapshot.t
 (** Run every group once untimed (warmup; the pass the counters and

@@ -27,10 +27,6 @@ type tie_order =
   | Lifo
   | Shuffled of int
 
-type kernel =
-  | Interpreted
-  | Compiled
-
 exception
   Event_limit_exceeded of {
     clock : int;
@@ -102,341 +98,16 @@ module Tbuf = struct
 end
 
 (* ================================================================== *)
-(* Interpreted kernel — the oracle.  Walks [Behavior.Ast] through
-   [Behavior.Eval] on every activation and orders events with a
-   functional map; kept verbatim-simple so the compiled kernel below
-   can be property-tested byte-identical against it. *)
-
-type runtime = {
-  mutable env : Behavior.Eval.env;
-      (* replaced wholesale on a spurious reset (fault injection) *)
-  input_latch : value array;
-  output_latch : value array;
-  timer_gen : int array;
-      (* per timer index: generation of the latest arming; expiry events
-         from superseded generations are ignored.  Sized from the
-         behaviour's largest timer index, so the common timer-free block
-         carries the shared zero-length array and pays nothing. *)
-}
-
-type event =
-  | Deliver of Graph.edge * value
-  | Timer_expiry of Node_id.t * int * int  (* node, timer index, generation *)
-  | Sensor_change of Node_id.t * bool
-  | Fault_reset of Node_id.t  (* spurious reset from the fault plan *)
-
-module Queue_key = struct
-  type t = int * int * int  (* time, priority, unique counter *)
-
-  let compare = compare
-end
-
-module Event_queue = Map.Make (Queue_key)
-
-type interp = {
-  graph : Graph.t;
-  states : runtime Node_id.Map.t;
-  i_tie_order : tie_order;
-  i_tie_rng : Prng.t option;
-  i_edge_delay : Graph.edge -> int;
-  i_faults : Fault.runtime option;
-      (* None when no plan was armed: the zero-cost path *)
-  i_telemetry : Telemetry.t option;
-      (* same pattern: None means every hook below is one branch *)
-  mutable queue : event Event_queue.t;
-  mutable depth : int;  (* cardinality of [queue], maintained in O(1) *)
-  mutable i_seq : int;
-  mutable i_clock : int;
-  mutable i_activations : int;
-  mutable i_packets : int;
-  mutable i_last_active : Node_id.t option;
-  i_trace : Tbuf.t;
-}
-
-let runtime_of_node g id =
-  let d = Graph.descriptor g id in
-  let open Eblock.Descriptor in
-  let input_latch =
-    Array.init d.n_inputs (fun port ->
-        match Graph.driver g id port with
-        | Some src ->
-          let src_desc = Graph.descriptor g src.Graph.node in
-          src_desc.output_init.(src.Graph.port)
-        | None -> Behavior.Ast.Bool false)
-  in
-  let n_timers = Behavior.Ast.max_timer_index d.behavior + 1 in
-  {
-    env = Behavior.Eval.init d.behavior;
-    input_latch;
-    output_latch = Array.copy d.output_init;
-    timer_gen = (if n_timers = 0 then [||] else Array.make n_timers 0);
-  }
-
-let istate t id =
-  match Node_id.Map.find_opt id t.states with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Engine: unknown node %d" id)
-
-let event_node = function
-  | Deliver (e, _) -> e.Graph.dst.Graph.node
-  | Timer_expiry (id, _, _) | Sensor_change (id, _) | Fault_reset id -> id
-
-let ischedule t ~time event =
-  (* The priority orders same-time events: scheduling order for Fifo,
-     reversed for Lifo, seeded-random for Shuffled.  Perturbing it changes
-     exactly the packet races whose outcome the network does not actually
-     define (see {!tie_order}). *)
-  (match t.i_telemetry with
-   | None -> ()
-   | Some tel -> Telemetry.note_scheduled tel (event_node event));
-  t.i_seq <- t.i_seq + 1;
-  let priority =
-    match t.i_tie_order, t.i_tie_rng with
-    | Fifo, _ | (Lifo | Shuffled _), None -> t.i_seq
-    | Lifo, _ -> -t.i_seq
-    | Shuffled _, Some rng -> Prng.int rng 1_000_000_000
-  in
-  t.queue <- Event_queue.add (time, priority, t.i_seq) event t.queue;
-  t.depth <- t.depth + 1
-
-let current_gen rt timer = rt.timer_gen.(timer)
-
-let bump_gen rt timer =
-  let gen = rt.timer_gen.(timer) + 1 in
-  rt.timer_gen.(timer) <- gen;
-  gen
-
-let icreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
-    ?telemetry g =
-  let order = Graph.topological_order g in
-  let states =
-    List.fold_left
-      (fun acc id -> Node_id.Map.add id (runtime_of_node g id) acc)
-      Node_id.Map.empty (Graph.node_ids g)
-  in
-  let tie_rng =
-    match tie_order with
-    | Shuffled seed -> Some (Prng.create seed)
-    | Fifo | Lifo -> None
-  in
-  let t = {
-    graph = g;
-    states;
-    i_tie_order = tie_order;
-    i_tie_rng = tie_rng;
-    i_edge_delay = edge_delay;
-    i_faults = Option.map Fault.start faults;
-    i_telemetry = telemetry;
-    queue = Event_queue.empty;
-    depth = 0;
-    i_seq = 0;
-    i_clock = 0;
-    i_activations = 0;
-    i_packets = 0;
-    i_last_active = None;
-    i_trace = Tbuf.create ();
-  }
-  in
-  (* Power-on sweep: each block evaluates once so that every output is
-     consistent with the power-on inputs (physical blocks announce their
-     state at power-on).  Performed latch-to-latch in topological order,
-     with no packets and no clock advance; timer requests (e.g. a delay
-     block whose power-on input differs from its reset state) become
-     ordinary timer events counted from time 0. *)
-  let init_node id =
-    let d = Graph.descriptor g id in
-    match d.Eblock.Descriptor.kind with
-    | Eblock.Kind.Sensor | Eblock.Kind.Output -> ()
-    | Eblock.Kind.Compute | Eblock.Kind.Comm | Eblock.Kind.Programmable ->
-      let rt = Node_id.Map.find id states in
-      let act =
-        { Behavior.Eval.inputs = Array.copy rt.input_latch; fired = None }
-      in
-      let outcome =
-        Behavior.Eval.activate d.Eblock.Descriptor.behavior
-          ~n_outputs:d.Eblock.Descriptor.n_outputs rt.env act
-      in
-      Array.iteri
-        (fun port slot ->
-          match slot with
-          | Some v ->
-            rt.output_latch.(port) <- v;
-            Graph.iter_fanout_on g id port
-              (fun e ->
-                let dst_rt = Node_id.Map.find e.Graph.dst.Graph.node states in
-                dst_rt.input_latch.(e.Graph.dst.Graph.port) <- v)
-          | None -> ())
-        outcome.Behavior.Eval.outputs;
-      List.iter
-        (fun (timer, action) ->
-          match action with
-          | Behavior.Eval.Timer_set delay ->
-            let gen = bump_gen rt timer in
-            ischedule t ~time:delay (Timer_expiry (id, timer, gen))
-          | Behavior.Eval.Timer_cancelled -> ignore (bump_gen rt timer))
-        outcome.Behavior.Eval.timers
-  in
-  List.iter init_node order;
-  (* Spurious resets are plan-scheduled events like any other; an empty
-     plan schedules none and the queue stays untouched. *)
-  Option.iter
-    (fun plan ->
-      List.iter
-        (fun (id, time) ->
-          if Graph.mem g id then ischedule t ~time (Fault_reset id))
-        (Fault.resets plan))
-    faults;
-  t
-
-
-(* Present [v] on output [port] of [id]; on change, send a packet down
-   every connection of that port. *)
-let ipresent t ~time id port v =
-  let rt = istate t id in
-  (* A stuck-at output fault overrides the value before change
-     detection: downstream never sees anything else on that port. *)
-  let v =
-    match t.i_faults with
-    | None -> v
-    | Some frt -> Fault.stuck_value frt ~time id ~port v
-  in
-  if not (Behavior.Ast.equal_value rt.output_latch.(port) v) then begin
-    rt.output_latch.(port) <- v;
-    Graph.iter_fanout_on t.graph id port
-      (fun e ->
-        t.i_packets <- t.i_packets + 1;
-        Obs.Metrics.incr m_packets;
-        let deliveries, strike =
-          match t.i_faults with
-          | None -> ([ (0, v) ], Fault.no_strike)
-          | Some frt -> Fault.on_send frt ~time e v
-        in
-        (match t.i_telemetry with
-         | None -> ()
-         | Some tel ->
-           let base = max 1 (t.i_edge_delay e) in
-           Telemetry.note_send tel e ~strike
-             ~latencies:(List.map (fun (extra, _) -> base + extra)
-                           deliveries));
-        List.iter
-          (fun (extra, v') ->
-            ischedule t
-              ~time:(time + max 1 (t.i_edge_delay e) + extra)
-              (Deliver (e, v')))
-          deliveries)
-  end
-
-let iactivate t ~time id ~fired =
-  let d = Graph.descriptor t.graph id in
-  let rt = istate t id in
-  t.i_activations <- t.i_activations + 1;
-  Obs.Metrics.incr m_activations;
-  (match t.i_telemetry with
-   | None -> ()
-   | Some tel -> Telemetry.note_activation tel id);
-  let act =
-    { Behavior.Eval.inputs = Array.copy rt.input_latch; fired }
-  in
-  let outcome =
-    Behavior.Eval.activate d.Eblock.Descriptor.behavior
-      ~n_outputs:d.Eblock.Descriptor.n_outputs rt.env act
-  in
-  Array.iteri
-    (fun port slot ->
-      match slot with
-      | Some v -> ipresent t ~time id port v
-      | None -> ())
-    outcome.Behavior.Eval.outputs;
-  List.iter
-    (fun (timer, action) ->
-      match action with
-      | Behavior.Eval.Timer_set delay ->
-        let gen = bump_gen rt timer in
-        ischedule t ~time:(time + delay) (Timer_expiry (id, timer, gen))
-      | Behavior.Eval.Timer_cancelled -> ignore (bump_gen rt timer))
-    outcome.Behavior.Eval.timers
-
-let iprocess t ~time event =
-  t.i_clock <- max t.i_clock time;
-  t.i_last_active <- Some (event_node event);
-  Obs.Metrics.incr m_events;
-  (match t.i_telemetry with
-   | None -> ()
-   | Some tel ->
-     let kind =
-       match event with
-       | Deliver (e, _) -> Telemetry.Delivered e
-       | Timer_expiry _ -> Telemetry.Timer_fired
-       | Sensor_change _ -> Telemetry.Sensor_set
-       | Fault_reset _ -> Telemetry.Reset
-     in
-     Telemetry.note_event tel ~time (event_node event) kind);
-  match event with
-  | Deliver (e, v) ->
-    Obs.Metrics.incr m_deliveries;
-    let dst = e.Graph.dst.Graph.node in
-    let rt = istate t dst in
-    let port = e.Graph.dst.Graph.port in
-    let changed = not (Behavior.Ast.equal_value rt.input_latch.(port) v) in
-    rt.input_latch.(port) <- v;
-    (match Graph.kind t.graph dst with
-     | Eblock.Kind.Output ->
-       if changed then Tbuf.push t.i_trace ~time dst v
-     | Eblock.Kind.Sensor | Eblock.Kind.Compute | Eblock.Kind.Comm
-     | Eblock.Kind.Programmable -> iactivate t ~time dst ~fired:None)
-  | Timer_expiry (id, timer, gen) ->
-    let rt = istate t id in
-    if current_gen rt timer = gen then iactivate t ~time id ~fired:(Some timer)
-  | Sensor_change (id, b) -> ipresent t ~time id 0 (Behavior.Ast.Bool b)
-  | Fault_reset id ->
-    (* Brownout: the block loses its volatile state — variable store and
-       pending timers — and its outputs snap back to power-on values,
-       announced downstream like a power-on.  Latched inputs survive (the
-       input registers hold), so the block recomputes on its next
-       activation; until then its outputs may disagree with its inputs,
-       which is exactly the degradation {!Degrade} classifies. *)
-    Option.iter Fault.note_reset t.i_faults;
-    let d = Graph.descriptor t.graph id in
-    let rt = istate t id in
-    rt.env <- Behavior.Eval.init d.Eblock.Descriptor.behavior;
-    Array.iteri
-      (fun timer gen -> if gen > 0 then rt.timer_gen.(timer) <- gen + 1)
-      rt.timer_gen;
-    Array.iteri (fun port v -> ipresent t ~time id port v)
-      d.Eblock.Descriptor.output_init
-
-let istep t =
-  match Event_queue.min_binding_opt t.queue with
-  | None -> false
-  | Some (((time, _, _) as key), event) ->
-    t.queue <- Event_queue.remove key t.queue;
-    t.depth <- t.depth - 1;
-    iprocess t ~time event;
-    true
-
-let irun_until t horizon =
-  let rec loop () =
-    match Event_queue.min_binding_opt t.queue with
-    | Some (((time, _, _) as key), event) when time <= horizon ->
-      t.queue <- Event_queue.remove key t.queue;
-      t.depth <- t.depth - 1;
-      iprocess t ~time event;
-      loop ()
-    | Some _ | None -> t.i_clock <- max t.i_clock horizon
-  in
-  loop ()
-
-(* ================================================================== *)
-(* Compiled kernel.  The same discrete-event semantics over compiled
-   data: behaviours are lowered once into closures over flat state
-   ({!Behavior.Compile}), node ids are compacted to [0 .. n-1] so every
-   per-node lookup is an array index, each (node, port) has its fanout
-   edges as a flat index slice, and the event queue is a binary heap of
-   slots in a grow-by-doubling struct-of-arrays store — no per-event
-   boxing, O(1) depth.  Event order is the identical lexicographic
-   (time, priority, seq) total order (seq is unique), so traces, PRNG
-   draw order, fault strikes, and telemetry are byte-identical to the
-   interpreter (test_kernel.ml). *)
+(* The kernel: discrete-event semantics over compiled data.  Behaviours
+   are lowered once into closures over flat state ({!Behavior.Compile}),
+   node ids are compacted to [0 .. n-1] so every per-node lookup is an
+   array index, each (node, port) has its fanout edges as a flat index
+   slice, and pending events live in a timing-wheel calendar over slots
+   of a grow-by-doubling struct-of-arrays store — no per-event boxing,
+   O(1) depth.  Events run in the lexicographic (time, priority, seq)
+   total order (seq is unique), so traces, PRNG draw order, fault
+   strikes, and telemetry are byte-identical to the interpreted oracle
+   in test/sim_oracle.ml (test_kernel.ml). *)
 
 (* Event tags in [ev_tag]. *)
 let tag_deliver = 0
@@ -449,7 +120,7 @@ let tag_reset = 3
 let wheel_w = 256
 let wheel_mask = wheel_w - 1
 
-type comp = {
+type t = {
   c_graph : Graph.t;
   n_nodes : int;
   ids : Node_id.t array;  (* dense index -> node id, ascending *)
@@ -536,7 +207,7 @@ type comp = {
 (* Unsafe indexing for the kernel's inner loop: every index below is an
    engine-maintained invariant (slots < store_len, dense node/edge/port
    indices built at create time, bucket indices masked), so the bounds
-   checks only cost.  The interpreter oracle keeps checked accesses. *)
+   checks only cost. *)
 external ( .%() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .%()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
@@ -712,6 +383,10 @@ let cnext_time t =
 (* --- scheduling ---------------------------------------------------- *)
 
 let cschedule t ~time ~tag ~a ~b ~c ~vk ~vn =
+  (* The priority orders same-time events: scheduling order for Fifo,
+     reversed for Lifo, seeded-random for Shuffled.  Perturbing it changes
+     exactly the packet races whose outcome the network does not actually
+     define (see {!tie_order}). *)
   (match t.c_telemetry with
    | None -> ()
    | Some tel ->
@@ -859,8 +534,12 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
   else if tag = tag_sensor then
     cpresent t ~time ni 0 (Behavior.Compile.value_of_code vk vn)
   else begin
-    (* brownout, as in the interpreter: volatile state and pending
-       timers are lost, outputs snap back to power-on values *)
+    (* Brownout: the block loses its volatile state — variable store and
+       pending timers — and its outputs snap back to power-on values,
+       announced downstream like a power-on.  Latched inputs survive (the
+       input registers hold), so the block recomputes on its next
+       activation; until then its outputs may disagree with its inputs,
+       which is exactly the degradation {!Degrade} classifies. *)
     Option.iter Fault.note_reset t.c_faults;
     Behavior.Compile.reset_state t.progs.%(ni) t.pstates.%(ni);
     let tg = t.tgen.%(ni) in
@@ -1070,9 +749,12 @@ let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
     c_trace = Tbuf.create ();
   }
   in
-  (* Power-on sweep, mirroring the interpreter: latch-to-latch in
-     topological order, no packets, no clock advance; timers scheduled
-     from time 0 (same seq / tie-PRNG draw order). *)
+  (* Power-on sweep: each block evaluates once so that every output is
+     consistent with the power-on inputs (physical blocks announce their
+     state at power-on).  Performed latch-to-latch in topological order,
+     with no packets and no clock advance; timer requests (e.g. a delay
+     block whose power-on input differs from its reset state) become
+     ordinary timer events counted from time 0. *)
   List.iter
     (fun id ->
       let ni = Hashtbl.find idx_of id in
@@ -1109,6 +791,8 @@ let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
             let tg = tgen.(ni) in
             tg.(slot) <- tg.(slot) + 1))
     order;
+  (* Spurious resets are plan-scheduled events like any other; an empty
+     plan schedules none and the calendar stays untouched. *)
   Option.iter
     (fun plan ->
       List.iter
@@ -1132,69 +816,32 @@ let cindex t id =
   | None -> invalid_arg (Printf.sprintf "Engine: unknown node %d" id)
 
 (* ================================================================== *)
-(* The public engine: one of the two kernels behind one API. *)
+(* The public engine. *)
 
-type t =
-  | I of interp
-  | C of comp
+let create = ccreate
 
-let kernel = function I _ -> Interpreted | C _ -> Compiled
+let now t = t.c_clock
 
-let default_kernel () =
-  match Sys.getenv_opt "PAREDOWN_SIM_KERNEL" with
-  | Some ("interpreted" | "interpreter" | "interp") -> Interpreted
-  | Some ("compiled" | "compile") -> Compiled
-  | Some other ->
-    invalid_arg
-      (Printf.sprintf
-         "PAREDOWN_SIM_KERNEL=%s (expected 'compiled' or 'interpreted')"
-         other)
-  | None -> Compiled
+let step t =
+  let stepped = cstep t in
+  cflush_metrics t;
+  stepped
 
-let create ?kernel ?tie_order ?edge_delay ?faults ?telemetry g =
-  let kernel =
-    match kernel with Some k -> k | None -> default_kernel ()
-  in
-  match kernel with
-  | Interpreted -> I (icreate ?tie_order ?edge_delay ?faults ?telemetry g)
-  | Compiled -> C (ccreate ?tie_order ?edge_delay ?faults ?telemetry g)
+let run_until = crun_until
 
-let now = function I t -> t.i_clock | C t -> t.c_clock
+let queue_depth t = t.wheel_count + ovf_count t
 
-let step = function
-  | I t -> istep t
-  | C t ->
-    let stepped = cstep t in
-    cflush_metrics t;
-    stepped
-
-let run_until t horizon =
-  match t with I t -> irun_until t horizon | C t -> crun_until t horizon
-
-let queue_depth = function
-  | I t -> t.depth
-  | C t -> t.wheel_count + ovf_count t
-
-let last_active = function
-  | I t -> t.i_last_active
-  | C t -> if t.c_last < 0 then None else Some t.ids.(t.c_last)
-
-let telemetry_of = function I t -> t.i_telemetry | C t -> t.c_telemetry
+let last_active t = if t.c_last < 0 then None else Some t.ids.(t.c_last)
 
 let settle ?(limit = 100_000) t =
   Obs.Trace.with_span "sim.settle" @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
-  (* drain without the per-event kernel dispatch of [step] *)
+  (* drain without [step]'s per-event metric flush *)
   let drained =
-    match t with
-    | I it ->
-      let rec go n = if n = limit || not (istep it) then n else go (n + 1) in
-      go 0
-    | C ct ->
-      let rec go n = if n = limit || not (cstep ct) then n else go (n + 1) in
-      let n = go 0 in
-      cflush_metrics ct;
-      n
+    let rec go n = if n = limit || not (cstep t) then n else go (n + 1) in
+    let n = go 0 in
+    cflush_metrics t;
+    n
   in
   if drained = limit then begin
     let queue_depth = queue_depth t in
@@ -1212,7 +859,7 @@ let settle ?(limit = 100_000) t =
   else begin
     Obs.Metrics.incr m_settles;
     Obs.Metrics.add m_settle_iterations drained;
-    (match telemetry_of t with
+    (match t.c_telemetry with
      | None -> ()
      | Some tel -> Telemetry.note_settle tel);
     Obs.Histogram.observe h_settle_ns
@@ -1220,10 +867,8 @@ let settle ?(limit = 100_000) t =
     Obs.Histogram.observe_int h_settle_events drained
   end
 
-let graph_of = function I t -> t.graph | C t -> t.c_graph
-
 let require_sensor t id =
-  match Graph.kind (graph_of t) id with
+  match Graph.kind t.c_graph id with
   | Eblock.Kind.Sensor -> ()
   | Eblock.Kind.Output | Eblock.Kind.Compute | Eblock.Kind.Comm
   | Eblock.Kind.Programmable ->
@@ -1232,22 +877,16 @@ let require_sensor t id =
 let set_sensor_at t ~time id b =
   require_sensor t id;
   if time < now t then invalid_arg "Engine.set_sensor_at: time in the past";
-  match t with
-  | I t -> ischedule t ~time (Sensor_change (id, b))
-  | C t ->
-    cschedule t ~time ~tag:tag_sensor ~a:(cindex t id) ~b:0 ~c:0
-      ~vk:(Bool.to_int b) ~vn:0
+  cschedule t ~time ~tag:tag_sensor ~a:(cindex t id) ~b:0 ~c:0
+    ~vk:(Bool.to_int b) ~vn:0
 
 let set_sensor t id b = set_sensor_at t ~time:(now t) id b
 
 let output_value t id =
-  match Graph.kind (graph_of t) id with
+  match Graph.kind t.c_graph id with
   | Eblock.Kind.Output ->
-    (match t with
-     | I t -> (istate t id).input_latch.(0)
-     | C t ->
-       let ni = cindex t id in
-       Behavior.Compile.value_of_code t.cin_k.(ni).(0) t.cin_n.(ni).(0))
+    let ni = cindex t id in
+    Behavior.Compile.value_of_code t.cin_k.(ni).(0) t.cin_n.(ni).(0)
   | Eblock.Kind.Sensor | Eblock.Kind.Compute | Eblock.Kind.Comm
   | Eblock.Kind.Programmable ->
     invalid_arg
@@ -1255,32 +894,19 @@ let output_value t id =
 
 let output_values t =
   List.map (fun id -> (id, output_value t id))
-    (Graph.primary_outputs (graph_of t))
+    (Graph.primary_outputs t.c_graph)
 
 let port_value t id port =
-  match t with
-  | I t ->
-    let latch = (istate t id).output_latch in
-    if port < 0 || port >= Array.length latch then
-      invalid_arg "Engine.port_value: port out of range";
-    latch.(port)
-  | C t ->
-    let ni = cindex t id in
-    let k = t.cout_k.(ni) in
-    if port < 0 || port >= Array.length k then
-      invalid_arg "Engine.port_value: port out of range";
-    Behavior.Compile.value_of_code k.(port) t.cout_n.(ni).(port)
+  let ni = cindex t id in
+  let k = t.cout_k.(ni) in
+  if port < 0 || port >= Array.length k then
+    invalid_arg "Engine.port_value: port out of range";
+  Behavior.Compile.value_of_code k.(port) t.cout_n.(ni).(port)
 
-let trace = function
-  | I t -> Tbuf.to_list t.i_trace
-  | C t -> Tbuf.to_list t.c_trace
+let trace t = Tbuf.to_list t.c_trace
 
-let activation_count = function
-  | I t -> t.i_activations
-  | C t -> t.c_activations
+let activation_count t = t.c_activations
 
-let packet_count = function I t -> t.i_packets | C t -> t.c_packets
+let packet_count t = t.c_packets
 
-let fault_stats = function
-  | I t -> Option.map Fault.stats t.i_faults
-  | C t -> Option.map Fault.stats t.c_faults
+let fault_stats t = Option.map Fault.stats t.c_faults

@@ -9,7 +9,14 @@
 
     A simulation owns mutable per-block state (variable store, latched
     input and output values, armed timers) plus a time-ordered event
-    queue.  Packets take {!wire_delay} ticks to traverse an edge. *)
+    queue.  Packets take {!wire_delay} ticks to traverse an edge.
+
+    Behaviours run through {!Behavior.Compile}, node and edge lookups
+    are dense array indices, and pending events sit in a timing-wheel
+    calendar over a flat preallocated store.  test/test_kernel.ml holds
+    every observable — traces, counters, fault strikes, PRNG draw order,
+    telemetry, error surfaces — byte-identical to a straightforward
+    interpreted kernel kept as an oracle in test/sim_oracle.ml. *)
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
@@ -20,18 +27,6 @@ type tie_order =
   | Fifo  (** same-time events run in scheduling order (the default) *)
   | Lifo  (** same-time events run in reverse scheduling order *)
   | Shuffled of int  (** same-time events run in seeded-random order *)
-
-type kernel =
-  | Interpreted
-      (** the oracle: behaviours interpreted through {!Behavior.Eval},
-          events ordered by a functional map *)
-  | Compiled
-      (** the default: behaviours lowered once to closures
-          ({!Behavior.Compile}), dense node/edge addressing, and a
-          binary-heap event calendar over a flat preallocated store.
-          Byte-identical to [Interpreted] — same traces, counters,
-          fault strikes, PRNG draw order, telemetry — only faster
-          (test/test_kernel.ml holds the two against each other). *)
 
 exception
   Event_limit_exceeded of {
@@ -48,7 +43,7 @@ val wire_delay : int
 (** Ticks a packet needs to traverse one connection (1). *)
 
 val create :
-  ?kernel:kernel -> ?tie_order:tie_order -> ?edge_delay:(Graph.edge -> int) ->
+  ?tie_order:tie_order -> ?edge_delay:(Graph.edge -> int) ->
   ?faults:Fault.plan -> ?telemetry:Telemetry.t -> Graph.t -> t
 (** Initialise a simulation.  Latches start from the descriptors' power-on
     values, then every block evaluates once in topological order (the
@@ -79,16 +74,7 @@ val create :
     high-water marks, delivery latencies).  Same contract as [faults]:
     a collector never changes the simulation's behaviour, and without
     one every hook is a single branch on an immutable [None] — the
-    zero-cost-when-off path.
-
-    [kernel] selects the execution engine; the default is [Compiled],
-    overridable process-wide with [PAREDOWN_SIM_KERNEL=interpreted|compiled]
-    (an unknown value raises [Invalid_argument]).  Every observable —
-    trace, counters, fault stats, telemetry, error messages — is
-    independent of the choice. *)
-
-val kernel : t -> kernel
-(** Which kernel this engine runs on. *)
+    zero-cost-when-off path. *)
 
 val now : t -> int
 

@@ -1,3 +1,15 @@
+(* The library's former tree-walking behaviour interpreter
+   (Behavior.Eval), kept verbatim as the semantic reference for
+   Behavior.Compile: every activation walks the AST, and variables live
+   in a string-keyed Hashtbl.  It raises the library's own
+   Behavior.Compile.Runtime_error, so a differential test compares
+   messages, not exception identities.  Compile must agree with it on
+   driven outputs, timer actions, the variable store and every error
+   message (test_behavior.ml), and Sim_oracle runs whole simulations on
+   it (test_kernel.ml). *)
+
+module Ast = Behavior.Ast
+
 type env = (string, Ast.value) Hashtbl.t
 
 type timer_action =
@@ -14,7 +26,7 @@ type outcome = {
   timers : (int * timer_action) list;
 }
 
-exception Runtime_error of string
+exception Runtime_error = Behavior.Compile.Runtime_error
 
 let error fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
 

@@ -94,13 +94,13 @@ let test_pretty_print () =
 (* --- Evaluation ------------------------------------------------------ *)
 
 let act ?(fired = None) inputs =
-  { Behavior.Eval.inputs = Array.of_list inputs; fired }
+  { Eval_oracle.inputs = Array.of_list inputs; fired }
 
 let test_eval_operators () =
   let e env expr =
-    Behavior.Eval.eval_expr env (act []) expr
+    Eval_oracle.eval_expr env (act []) expr
   in
-  let env = Behavior.Eval.init empty in
+  let env = Eval_oracle.init empty in
   check value "and" (Bool false) (e env (bool_ true &&& bool_ false));
   check value "or" (Bool true) (e env (bool_ true ||| bool_ false));
   check value "xor bool" (Bool true)
@@ -121,43 +121,43 @@ let test_eval_operators () =
     (e env (If_expr (bool_ true, int_ 1, int_ 2)))
 
 let test_eval_errors () =
-  let env = Behavior.Eval.init empty in
+  let env = Eval_oracle.init empty in
   let fails name f =
     match f () with
-    | exception Behavior.Eval.Runtime_error _ -> ()
+    | exception Eval_oracle.Runtime_error _ -> ()
     | _ -> Alcotest.failf "%s did not raise" name
   in
   fails "unbound" (fun () ->
-      Behavior.Eval.eval_expr env (act []) (var "nope"));
+      Eval_oracle.eval_expr env (act []) (var "nope"));
   fails "bool+int" (fun () ->
-      Behavior.Eval.eval_expr env (act []) (Binop (Add, bool_ true, int_ 1)));
+      Eval_oracle.eval_expr env (act []) (Binop (Add, bool_ true, int_ 1)));
   fails "xor mixed" (fun () ->
-      Behavior.Eval.eval_expr env (act []) (Binop (Xor, bool_ true, int_ 1)));
+      Eval_oracle.eval_expr env (act []) (Binop (Xor, bool_ true, int_ 1)));
   fails "not int" (fun () ->
-      Behavior.Eval.eval_expr env (act []) (not_ (int_ 1)));
+      Eval_oracle.eval_expr env (act []) (not_ (int_ 1)));
   fails "input range" (fun () ->
-      Behavior.Eval.eval_expr env (act [ Bool true ]) (input 1));
+      Eval_oracle.eval_expr env (act [ Bool true ]) (input 1));
   fails "output range" (fun () ->
       let p = { state = []; body = [ Output (5, bool_ true) ] } in
-      Behavior.Eval.activate p ~n_outputs:1 (Behavior.Eval.init p) (act []));
+      Eval_oracle.activate p ~n_outputs:1 (Eval_oracle.init p) (act []));
   fails "non-positive timer" (fun () ->
       let p = { state = []; body = [ Set_timer (0, int_ 0) ] } in
-      Behavior.Eval.activate p ~n_outputs:1 (Behavior.Eval.init p) (act []))
+      Eval_oracle.activate p ~n_outputs:1 (Eval_oracle.init p) (act []))
 
 let test_eval_latched_outputs () =
   (* an output not driven during an activation stays None (latched) *)
   let p =
     { state = []; body = [ If (input 0, [ Output (0, bool_ true) ], []) ] }
   in
-  let env = Behavior.Eval.init p in
+  let env = Eval_oracle.init p in
   let out1 =
-    Behavior.Eval.activate p ~n_outputs:1 env (act [ Bool false ])
+    Eval_oracle.activate p ~n_outputs:1 env (act [ Bool false ])
   in
   check (Alcotest.option value) "undriven" None
-    out1.Behavior.Eval.outputs.(0);
-  let out2 = Behavior.Eval.activate p ~n_outputs:1 env (act [ Bool true ]) in
+    out1.Eval_oracle.outputs.(0);
+  let out2 = Eval_oracle.activate p ~n_outputs:1 env (act [ Bool true ]) in
   check (Alcotest.option value) "driven" (Some (Bool true))
-    out2.Behavior.Eval.outputs.(0)
+    out2.Eval_oracle.outputs.(0)
 
 let test_eval_state_persists () =
   let p =
@@ -170,14 +170,14 @@ let test_eval_state_persists () =
         ];
     }
   in
-  let env = Behavior.Eval.init p in
+  let env = Eval_oracle.init p in
   let run () =
-    (Behavior.Eval.activate p ~n_outputs:1 env (act [])).Behavior.Eval.outputs.(0)
+    (Eval_oracle.activate p ~n_outputs:1 env (act [])).Eval_oracle.outputs.(0)
   in
   check (Alcotest.option value) "first" (Some (Int 1)) (run ());
   check (Alcotest.option value) "second" (Some (Int 2)) (run ());
   check (Alcotest.option value) "peek" (Some (Int 2))
-    (Behavior.Eval.lookup env "count")
+    (Eval_oracle.lookup env "count")
 
 let test_eval_timers () =
   let p =
@@ -192,22 +192,22 @@ let test_eval_timers () =
         ];
     }
   in
-  let env = Behavior.Eval.init p in
-  let outcome = Behavior.Eval.activate p ~n_outputs:1 env (act []) in
+  let env = Eval_oracle.init p in
+  let outcome = Eval_oracle.activate p ~n_outputs:1 env (act []) in
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.bool))
     "timer actions (set wins per index, sorted)"
     [ (0, true); (1, false) ]
     (List.map
        (fun (t, a) ->
-         (t, match a with Behavior.Eval.Timer_set _ -> true | _ -> false))
-       outcome.Behavior.Eval.timers);
+         (t, match a with Eval_oracle.Timer_set _ -> true | _ -> false))
+       outcome.Eval_oracle.timers);
   (* timer_fired reflects the activation cause *)
   let fired =
-    Behavior.Eval.activate p ~n_outputs:1 env (act ~fired:(Some 2) [])
+    Eval_oracle.activate p ~n_outputs:1 env (act ~fired:(Some 2) [])
   in
   check (Alcotest.option value) "fired branch" (Some (Bool true))
-    fired.Behavior.Eval.outputs.(0)
+    fired.Eval_oracle.outputs.(0)
 
 (* --- Renaming -------------------------------------------------------- *)
 
@@ -226,11 +226,11 @@ let test_rename_preserves_semantics () =
   let p = Eblock.Catalog.toggle.Eblock.Descriptor.behavior in
   let renamed = Behavior.Rename.with_prefix "x_" p in
   let run p inputs_list =
-    let env = Behavior.Eval.init p in
+    let env = Eval_oracle.init p in
     List.map
       (fun i ->
-        (Behavior.Eval.activate p ~n_outputs:1 env (act [ Bool i ]))
-          .Behavior.Eval.outputs.(0))
+        (Eval_oracle.activate p ~n_outputs:1 env (act [ Bool i ]))
+          .Eval_oracle.outputs.(0))
       inputs_list
   in
   let stimuli = [ true; true; false; true; false; false; true ] in
@@ -276,10 +276,10 @@ let test_merge_serial () =
   let merged = Behavior.Merge.merge serial_nots in
   check (Alcotest.list Alcotest.string) "closed" []
     (free_variables merged);
-  let env = Behavior.Eval.init merged in
+  let env = Eval_oracle.init merged in
   let out b =
-    (Behavior.Eval.activate merged ~n_outputs:1 env (act [ Bool b ]))
-      .Behavior.Eval.outputs.(0)
+    (Eval_oracle.activate merged ~n_outputs:1 env (act [ Bool b ]))
+      .Eval_oracle.outputs.(0)
   in
   check (Alcotest.option value) "double negation true" (Some (Bool true))
     (out true);
@@ -368,8 +368,8 @@ let arbitrary_expr =
   QCheck.make ~print:expr_to_string expr_gen
 
 let eval_bool expr a b =
-  let env = Behavior.Eval.init empty in
-  match Behavior.Eval.eval_expr env (act [ Bool a; Bool b ]) expr with
+  let env = Eval_oracle.init empty in
+  match Eval_oracle.eval_expr env (act [ Bool a; Bool b ]) expr with
   | Bool r -> r
   | Int _ -> Alcotest.fail "expected bool"
 
@@ -397,12 +397,290 @@ let prop_rename_stable =
       List.for_all
         (fun (a, b) ->
           let out p =
-            (Behavior.Eval.activate p ~n_outputs:1 (Behavior.Eval.init p)
+            (Eval_oracle.activate p ~n_outputs:1 (Eval_oracle.init p)
                (act [ Bool a; Bool b ]))
-              .Behavior.Eval.outputs.(0)
+              .Eval_oracle.outputs.(0)
           in
           out p = out renamed)
         [ (false, false); (false, true); (true, false); (true, true) ])
+
+(* --- Compile against the reference interpreter ------------------------ *)
+
+(* Random programs over a tiny variable pool.  Expressions are generated
+   at a wanted type (booleans in [a]/[b], integers in [n]/[m]), so most
+   activations run to completion; about one leaf in twenty is a corner
+   where a closure compiler can drift from a tree walker: the other
+   type's constant, a never-bound name, or an input port one past either
+   end.  Statements add repeated state declarations, body-only
+   variables read before their assignment, out-of-range output ports,
+   non-positive timer delays, and nested [If]s. *)
+
+module Compile = Behavior.Compile
+
+type ty = Tbool | Tint
+
+let vars_of = function Tbool -> [ "a"; "b" ] | Tint -> [ "n"; "m" ]
+
+let value_gen ty =
+  QCheck.Gen.(
+    match ty with
+    | Tbool -> map (fun b -> Bool b) bool
+    | Tint -> map (fun n -> Int n) (int_range (-2) 5))
+
+let ty_gen = QCheck.Gen.oneofl [ Tbool; Tint ]
+
+let rec typed_expr_gen ~n_inputs ty n =
+  let open QCheck.Gen in
+  let other = match ty with Tbool -> Tint | Tint -> Tbool in
+  let corner =
+    oneof
+      [
+        return (Var "unbound");
+        map (fun i -> Input i) (oneofl [ -1; n_inputs ]);
+        map (fun v -> Const v) (value_gen other);
+      ]
+  in
+  let in_range_input = map (fun i -> Input i) (int_bound (n_inputs - 1)) in
+  let leaf =
+    frequency
+      ([
+         (8, map (fun v -> Const v) (value_gen ty));
+         (8, map (fun x -> Var x) (oneofl (vars_of ty)));
+         (1, corner);
+       ]
+      @
+      match ty with
+      | Tbool ->
+        [ (8, in_range_input); (2, map (fun t -> Timer_fired t) (int_bound 2)) ]
+      | Tint -> [ (1, in_range_input) ])
+  in
+  let sub ty m = typed_expr_gen ~n_inputs ty m in
+  let binop ops ty' =
+    map3 (fun op a b -> Binop (op, a, b)) (oneofl ops)
+      (sub ty' (n / 2)) (sub ty' (n / 2))
+  in
+  let if_expr () =
+    map3 (fun c a b -> If_expr (c, a, b))
+      (sub Tbool (n / 3)) (sub ty (n / 3)) (sub ty (n / 3))
+  in
+  if n = 0 then leaf
+  else
+    match ty with
+    | Tbool ->
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun e -> Unop (Not, e)) (sub Tbool (n - 1)));
+          (2, binop [ And; Or; Xor; Eq; Ne ] Tbool);
+          (2, binop [ Eq; Ne; Lt; Le; Gt; Ge ] Tint);
+          (1, if_expr ());
+        ]
+    | Tint ->
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun e -> Unop (Neg, e)) (sub Tint (n - 1)));
+          (3, binop [ Add; Sub; Mul; Xor ] Tint);
+          (1, if_expr ());
+        ]
+
+let expr_of_gen ~n_inputs ty =
+  QCheck.Gen.(sized_size (int_bound 6) (typed_expr_gen ~n_inputs ty))
+
+let rec stmt_gen ~n_inputs ~n_outputs depth =
+  let open QCheck.Gen in
+  let port =
+    frequency [ (8, int_bound (n_outputs - 1)); (1, oneofl [ -1; n_outputs ]) ]
+  in
+  frequency
+    ([
+       ( 3,
+         ty_gen >>= fun ty ->
+         map2 (fun x e -> Assign (x, e)) (oneofl (vars_of ty))
+           (expr_of_gen ~n_inputs ty) );
+       ( 3,
+         ty_gen >>= fun ty ->
+         map2 (fun i e -> Output (i, e)) port (expr_of_gen ~n_inputs ty) );
+       ( 2,
+         map2
+           (fun t e -> Set_timer (t, e))
+           (int_bound 2)
+           (frequency
+              [
+                (6, map (fun n -> Const (Int n)) (int_range 1 6));
+                (1, map (fun n -> Const (Int n)) (int_range (-1) 0));
+                (1, expr_of_gen ~n_inputs Tint);
+              ]) );
+       (1, map (fun t -> Cancel_timer t) (int_bound 2));
+       (1, return Nop);
+     ]
+    @
+    if depth = 0 then []
+    else
+      let block =
+        list_size (int_bound 3) (stmt_gen ~n_inputs ~n_outputs (depth - 1))
+      in
+      [
+        ( 2,
+          map3 (fun c t e -> If (c, t, e)) (expr_of_gen ~n_inputs Tbool) block
+            block );
+      ])
+
+(* Each variable is declared with probability 3/4 (otherwise it is
+   body-only), at its own type six times in seven; then up to two
+   repeated declarations. *)
+let state_gen =
+  let open QCheck.Gen in
+  let decl ty x =
+    map
+      (fun v -> (x, v))
+      (frequency
+         [ (5, value_gen ty); (1, value_gen Tbool); (1, value_gen Tint) ])
+  in
+  let all =
+    List.concat_map
+      (fun ty -> List.map (fun x -> (ty, x)) (vars_of ty))
+      [ Tbool; Tint ]
+  in
+  flatten_l
+    (List.map
+       (fun (ty, x) ->
+         frequency [ (3, map Option.some (decl ty x)); (1, return None) ])
+       all)
+  >>= fun declared ->
+  list_size (int_bound 2) (oneofl all >>= fun (ty, x) -> decl ty x)
+  >|= fun repeats -> List.filter_map Fun.id declared @ repeats
+
+let input_gen =
+  QCheck.Gen.(frequency [ (4, value_gen Tbool); (1, value_gen Tint) ])
+
+(* a program, its port counts, and a run of (inputs, fired timer) steps *)
+let compile_case_gen =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun n_inputs ->
+    int_range 1 3 >>= fun n_outputs ->
+    state_gen >>= fun state ->
+    list_size (int_range 1 5) (stmt_gen ~n_inputs ~n_outputs 2) >>= fun body ->
+    list_size (int_range 1 6)
+      (pair (array_repeat n_inputs input_gen) (opt (int_bound 2)))
+    >|= fun steps -> (n_outputs, { state; body }, steps))
+
+let compile_case_arbitrary =
+  QCheck.make
+    ~print:(fun (n_outputs, p, steps) ->
+      Printf.sprintf "n_outputs=%d, %d step(s)\n%s" n_outputs
+        (List.length steps) (program_to_string p))
+    compile_case_gen
+
+(* Slot [i] of a compiled store names the [i]-th of these (compile.mli) *)
+let slot_names p =
+  let declared =
+    List.fold_left
+      (fun acc (name, _) -> if List.mem name acc then acc else acc @ [ name ])
+      [] p.state
+  in
+  declared
+  @ List.filter (fun n -> not (List.mem n declared)) (assigned_variables p)
+
+(* A deep copy that shares nothing with [st], built without [copy_state]. *)
+let snapshot (st : Compile.state) =
+  ( (Array.to_list st.vars, Array.to_list st.defined, st.fired),
+    (Array.to_list st.out_set, Array.to_list st.out_val),
+    (Array.to_list st.tmr_act, Array.to_list st.tmr_delay),
+    (Array.to_list st.in_k, Array.to_list st.in_n) )
+
+(* One compiled activation, as the reference reports it. *)
+let compiled_outcome prog (st : Compile.state) ~inputs ~fired =
+  match Compile.run prog st ~inputs ~fired with
+  | exception Compile.Runtime_error msg -> Error msg
+  | () ->
+    let outputs =
+      Array.mapi (fun port set -> if set then Some st.out_val.(port) else None)
+        st.out_set
+    in
+    let timers =
+      List.filter_map
+        (fun slot ->
+          let raw = Compile.timer_id prog slot in
+          match st.tmr_act.(slot) with
+          | 1 -> Some (raw, Eval_oracle.Timer_set st.tmr_delay.(slot))
+          | 2 -> Some (raw, Eval_oracle.Timer_cancelled)
+          | _ -> None)
+        (List.init (Compile.n_timers prog) Fun.id)
+    in
+    Ok (outputs, timers)
+
+let show_outcome = function
+  | Error msg -> "error: " ^ msg
+  | Ok (outputs, timers) ->
+    Printf.sprintf "outputs [%s], %d timer action(s)"
+      (String.concat "; "
+         (List.map
+            (function
+              | None -> "-" | Some v -> Format.asprintf "%a" pp_value v)
+            (Array.to_list outputs)))
+      (List.length timers)
+
+let prop_compile_matches_oracle =
+  QCheck.Test.make ~name:"compile: agrees with the reference interpreter"
+    ~count:1000 compile_case_arbitrary (fun (n_outputs, p, steps) ->
+      let prog = Compile.compile p ~n_outputs in
+      let st = Compile.fresh_state prog in
+      let env = Eval_oracle.init p in
+      let names = slot_names p in
+      let check_store () =
+        let lookup slot =
+          if st.defined.(slot) then Some st.vars.(slot) else None
+        in
+        let defined = List.filter Fun.id (Array.to_list st.defined) in
+        if
+          List.length names <> Array.length st.vars
+          || List.length defined <> List.length (Eval_oracle.variables env)
+          || List.mapi (fun slot name -> (name, lookup slot)) names
+             <> List.map (fun name -> (name, Eval_oracle.lookup env name)) names
+        then QCheck.Test.fail_report "variable stores differ"
+      in
+      let slot_of = function
+        | None -> -1
+        | Some raw ->
+          let rec find s =
+            if s >= Compile.n_timers prog then -1
+            else if Compile.timer_id prog s = raw then s
+            else find (s + 1)
+          in
+          find 0
+      in
+      check_store ();
+      List.iter
+        (fun (inputs, fired) ->
+          (* stepping a copy leaves the original untouched, and the copy
+             then behaves exactly like the original *)
+          let before = snapshot st in
+          let clone = Compile.copy_state st in
+          let on_clone =
+            compiled_outcome prog clone ~inputs ~fired:(slot_of fired)
+          in
+          if snapshot st <> before then
+            QCheck.Test.fail_report "stepping a copy changed the original";
+          let compiled =
+            compiled_outcome prog st ~inputs ~fired:(slot_of fired)
+          in
+          if on_clone <> compiled || snapshot clone <> snapshot st then
+            QCheck.Test.fail_report "a copy and its original diverged";
+          let reference =
+            match
+              Eval_oracle.activate p ~n_outputs env
+                { Eval_oracle.inputs = Array.copy inputs; fired }
+            with
+            | exception Eval_oracle.Runtime_error msg -> Error msg
+            | o -> Ok (o.Eval_oracle.outputs, o.Eval_oracle.timers)
+          in
+          if compiled <> reference then
+            QCheck.Test.fail_reportf "compiled %s, reference %s"
+              (show_outcome compiled) (show_outcome reference);
+          check_store ())
+        steps;
+      true)
 
 let () =
   Alcotest.run "behavior"
@@ -443,5 +721,5 @@ let () =
         ] );
       ( "properties",
         Testlib.qtests [ prop_double_negation; prop_de_morgan;
-                         prop_rename_stable ] );
+                         prop_rename_stable; prop_compile_matches_oracle ] );
     ]

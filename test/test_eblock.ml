@@ -102,13 +102,13 @@ let test_catalogue_parameter_validation () =
 (* --- Combinational behaviours, exhaustively over inputs -------------- *)
 
 let activate_once d inputs =
-  let env = Behavior.Eval.init d.D.behavior in
-  let act = { Behavior.Eval.inputs = Array.of_list inputs; fired = None } in
-  Behavior.Eval.activate d.D.behavior ~n_outputs:d.D.n_outputs env act
+  let env = Eval_oracle.init d.D.behavior in
+  let act = { Eval_oracle.inputs = Array.of_list inputs; fired = None } in
+  Eval_oracle.activate d.D.behavior ~n_outputs:d.D.n_outputs env act
 
 let combinational_output d inputs =
   match (activate_once d (List.map (fun b -> Behavior.Ast.Bool b) inputs))
-          .Behavior.Eval.outputs.(0)
+          .Eval_oracle.outputs.(0)
   with
   | Some v -> v
   | None -> Alcotest.failf "%s drove no output" d.D.name
@@ -171,22 +171,22 @@ let test_splitter () =
     activate_once C.splitter2 [ Behavior.Ast.Bool true ]
   in
   check (Alcotest.option value) "port 0" (Some (Bool true))
-    outcome.Behavior.Eval.outputs.(0);
+    outcome.Eval_oracle.outputs.(0);
   check (Alcotest.option value) "port 1" (Some (Bool true))
-    outcome.Behavior.Eval.outputs.(1)
+    outcome.Eval_oracle.outputs.(1)
 
 (* --- Sequential behaviours over activation sequences ----------------- *)
 
 (* Drive a 1-input block with a value sequence; collect driven outputs. *)
 let drive d inputs =
-  let env = Behavior.Eval.init d.D.behavior in
+  let env = Eval_oracle.init d.D.behavior in
   List.map
     (fun b ->
       let act =
-        { Behavior.Eval.inputs = [| Behavior.Ast.Bool b |]; fired = None }
+        { Eval_oracle.inputs = [| Behavior.Ast.Bool b |]; fired = None }
       in
-      (Behavior.Eval.activate d.D.behavior ~n_outputs:1 env act)
-        .Behavior.Eval.outputs.(0))
+      (Eval_oracle.activate d.D.behavior ~n_outputs:1 env act)
+        .Eval_oracle.outputs.(0))
     inputs
 
 let test_toggle () =
@@ -210,17 +210,17 @@ let test_trip_latch () =
     (drive C.trip_latch [ false; true; false ])
 
 let test_trip_reset () =
-  let env = Behavior.Eval.init C.trip_reset.D.behavior in
+  let env = Eval_oracle.init C.trip_reset.D.behavior in
   let step signal reset =
     let act =
       {
-        Behavior.Eval.inputs =
+        Eval_oracle.inputs =
           [| Behavior.Ast.Bool signal; Behavior.Ast.Bool reset |];
         fired = None;
       }
     in
-    (Behavior.Eval.activate C.trip_reset.D.behavior ~n_outputs:1 env act)
-      .Behavior.Eval.outputs.(0)
+    (Eval_oracle.activate C.trip_reset.D.behavior ~n_outputs:1 env act)
+      .Eval_oracle.outputs.(0)
   in
   check (Alcotest.option value) "trips" (Some (Bool true)) (step true false);
   check (Alcotest.option value) "holds" (Some (Bool true)) (step false false);
@@ -230,21 +230,21 @@ let test_trip_reset () =
 
 let test_pulse_gen_timer () =
   let d = C.pulse_gen ~width:7 in
-  let env = Behavior.Eval.init d.D.behavior in
+  let env = Eval_oracle.init d.D.behavior in
   let rising =
-    Behavior.Eval.activate d.D.behavior ~n_outputs:1 env
-      { Behavior.Eval.inputs = [| Bool true |]; fired = None }
+    Eval_oracle.activate d.D.behavior ~n_outputs:1 env
+      { Eval_oracle.inputs = [| Bool true |]; fired = None }
   in
   check (Alcotest.option value) "pulse starts" (Some (Bool true))
-    rising.Behavior.Eval.outputs.(0);
+    rising.Eval_oracle.outputs.(0);
   check Alcotest.bool "timer armed for width" true
-    (rising.Behavior.Eval.timers = [ (0, Behavior.Eval.Timer_set 7) ]);
+    (rising.Eval_oracle.timers = [ (0, Eval_oracle.Timer_set 7) ]);
   let expiry =
-    Behavior.Eval.activate d.D.behavior ~n_outputs:1 env
-      { Behavior.Eval.inputs = [| Bool true |]; fired = Some 0 }
+    Eval_oracle.activate d.D.behavior ~n_outputs:1 env
+      { Eval_oracle.inputs = [| Bool true |]; fired = Some 0 }
   in
   check (Alcotest.option value) "pulse ends" (Some (Bool false))
-    expiry.Behavior.Eval.outputs.(0)
+    expiry.Eval_oracle.outputs.(0)
 
 let test_idempotent_reactivation () =
   (* re-activation with unchanged inputs must not change outputs or state:
@@ -257,18 +257,18 @@ let test_idempotent_reactivation () =
   in
   List.iter
     (fun d ->
-      let env = Behavior.Eval.init d.D.behavior in
+      let env = Eval_oracle.init d.D.behavior in
       let step () =
-        Behavior.Eval.activate d.D.behavior ~n_outputs:1 env
-          { Behavior.Eval.inputs = [| Bool true |]; fired = None }
+        Eval_oracle.activate d.D.behavior ~n_outputs:1 env
+          { Eval_oracle.inputs = [| Bool true |]; fired = None }
       in
-      let (_ : Behavior.Eval.outcome) = step () in
-      let snapshot = Behavior.Eval.variables env in
+      let (_ : Eval_oracle.outcome) = step () in
+      let snapshot = Eval_oracle.variables env in
       let again = step () in
       check Alcotest.bool (d.D.name ^ " state stable") true
-        (Behavior.Eval.variables env = snapshot);
+        (Eval_oracle.variables env = snapshot);
       check Alcotest.bool (d.D.name ^ " no timer on reactivation") true
-        (again.Behavior.Eval.timers = []))
+        (again.Eval_oracle.timers = []))
     blocks
 
 (* --- Costs ------------------------------------------------------------ *)

@@ -1,13 +1,14 @@
-(* Compiled-vs-interpreted kernel equivalence.
+(* Engine-vs-oracle kernel equivalence.
 
-   The compiled kernel (Behavior.Compile closures, dense addressing,
-   binary-heap calendar) claims byte-identical observables to the
-   interpreted oracle.  These properties hold the two against each other
+   Sim.Engine (Behavior.Compile closures, dense addressing, timing-wheel
+   calendar) claims byte-identical observables to the interpreted oracle
+   in sim_oracle.ml.  These properties hold the two against each other
    on random networks × random stimulus × tie orders × edge delays ×
    fault families × seeds, comparing every observable at once: settled
    observations, output traces, final output values, activation and
    packet counts, fault statistics, the clock, and the full rendered
-   telemetry report. *)
+   telemetry report.  A deterministic sweep over the Table 1 designs
+   covers the workloads of the fault and reliability sweeps. *)
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
@@ -18,33 +19,71 @@ module C = Eblock.Catalog
 let check = Alcotest.check
 let value = Testlib.value
 
+(* The engine API both kernels implement. *)
+module type KERNEL = sig
+  type t
+
+  val create :
+    ?tie_order:E.tie_order -> ?edge_delay:(Graph.edge -> int) ->
+    ?faults:F.plan -> ?telemetry:Sim.Telemetry.t -> Graph.t -> t
+
+  val set_sensor : t -> Node_id.t -> bool -> unit
+  val set_sensor_at : t -> time:int -> Node_id.t -> bool -> unit
+  val settle : ?limit:int -> t -> unit
+
+  val settled_outputs :
+    t -> Sim.Stimulus.script ->
+    (int * (Node_id.t * Behavior.Ast.value) list) list
+
+  val trace : t -> (int * Node_id.t * Behavior.Ast.value) list
+  val output_values : t -> (Node_id.t * Behavior.Ast.value) list
+  val activation_count : t -> int
+  val packet_count : t -> int
+  val fault_stats : t -> F.stats option
+  val now : t -> int
+end
+
+module Compiled : KERNEL = struct
+  include E
+
+  let settled_outputs = Sim.Stimulus.settled_outputs
+end
+
+module Interpreted : KERNEL = Sim_oracle
+
 (* Everything one simulation run can show: if any divergence between the
-   kernels is observable at all, it is observable here. *)
-let observe ~kernel ?tie_order ?edge_delay ?faults ?(telemetry = false) g
-    script =
+   kernels is observable at all, it is observable here.  An exhausted
+   event limit is an observable too, context included. *)
+let observe (module K : KERNEL) ?tie_order ?edge_delay ?faults
+    ?(telemetry = false) g script =
   let collector = if telemetry then Some (Sim.Telemetry.create ()) else None in
   let engine =
-    E.create ~kernel ?tie_order ?edge_delay ?faults ?telemetry:collector g
+    K.create ?tie_order ?edge_delay ?faults ?telemetry:collector g
   in
-  let obs = Sim.Stimulus.settled_outputs engine script in
+  let obs =
+    match K.settled_outputs engine script with
+    | obs -> Ok obs
+    | exception E.Event_limit_exceeded { clock; queue_depth; last_node } ->
+      Error (clock, queue_depth, last_node)
+  in
   let report =
     Option.map
       (fun tel -> Obs.Json.to_string (Sim.Telemetry.report_json g tel))
       collector
   in
   ( obs,
-    E.trace engine,
-    E.output_values engine,
-    E.activation_count engine,
-    E.packet_count engine,
-    E.fault_stats engine,
-    E.now engine,
+    K.trace engine,
+    K.output_values engine,
+    K.activation_count engine,
+    K.packet_count engine,
+    K.fault_stats engine,
+    K.now engine,
     report )
 
 let kernels_agree ?tie_order ?edge_delay ?faults ?telemetry g script =
-  observe ~kernel:E.Interpreted ?tie_order ?edge_delay ?faults ?telemetry g
+  observe (module Interpreted) ?tie_order ?edge_delay ?faults ?telemetry g
     script
-  = observe ~kernel:E.Compiled ?tie_order ?edge_delay ?faults ?telemetry g
+  = observe (module Compiled) ?tie_order ?edge_delay ?faults ?telemetry g
       script
 
 (* --- generators ---------------------------------------------------------- *)
@@ -153,14 +192,50 @@ let fanout_index_agrees =
                (List.init ports Fun.id))
         (Graph.node_ids g))
 
-(* --- kernel selection ----------------------------------------------------- *)
+(* --- the Table 1 sweep ---------------------------------------------------- *)
 
-let test_default_kernel () =
-  let g, _, _, _ = Testlib.chain [ C.not_gate ] in
-  check Alcotest.bool "default is compiled" true
-    (E.kernel (E.create g) = E.Compiled);
-  check Alcotest.bool "interpreted on request" true
-    (E.kernel (E.create ~kernel:E.Interpreted g) = E.Interpreted)
+(* The sim-heavy CLI sweeps' workloads, deterministically: every Table 1
+   design, flat and after synthesis, driven by the fault sweep's script
+   (seed 11, 30 flips, spacing 25) with telemetry armed — clean, under
+   the fault sweep's three drop rates, and under three seeds of the
+   reliability estimator's default family. *)
+let test_table1_sweep_agrees () =
+  let plans =
+    [ ("clean", fun _ -> None) ]
+    @ List.map
+        (fun rate ->
+          (Printf.sprintf "drop %.2f" rate, fun _ -> Some (F.drop_all rate)))
+        [ 0.02; 0.05; 0.10 ]
+    @ List.map
+        (fun seed ->
+          ( Printf.sprintf "default family, seed %d" seed,
+            fun g ->
+              Some
+                (Reliability.Family.plan
+                   Reliability.Estimator.default_config.family ~seed g) ))
+        [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (d : Designs.Design.t) ->
+      let flat = d.Designs.Design.network in
+      let synthesized =
+        (fst (Codegen.Replace.synthesize flat)).Codegen.Replace.network
+      in
+      let script =
+        Sim.Stimulus.random ~rng:(Prng.create 11)
+          ~sensors:(Graph.sensors flat) ~steps:30 ~spacing:25
+      in
+      List.iter
+        (fun (net, g) ->
+          List.iter
+            (fun (label, plan) ->
+              if not (kernels_agree ?faults:(plan g) ~telemetry:true g script)
+              then
+                Alcotest.failf "%s (%s), %s: kernels disagree"
+                  d.Designs.Design.name net label)
+            plans)
+        [ ("flat", flat); ("synthesized", synthesized) ])
+    Designs.Library.table1
 
 (* --- pinned regressions --------------------------------------------------- *)
 
@@ -171,18 +246,18 @@ let test_default_kernel () =
    either kernel shows up as a concrete diff, not just a cross-kernel
    mismatch. *)
 let test_timer_supersession_pinned () =
-  let run kernel =
+  let run (module K : KERNEL) =
     let g, sensor, _, led = Testlib.chain [ C.prolong ~ticks:10 ] in
-    let engine = E.create ~kernel g in
+    let engine = K.create g in
     List.iter
-      (fun (time, v) -> E.set_sensor_at engine ~time sensor v)
+      (fun (time, v) -> K.set_sensor_at engine ~time sensor v)
       [ (1, true); (3, false); (5, true); (7, false); (40, true);
         (42, false) ];
-    E.settle engine;
-    (E.trace engine, (led : Node_id.t))
+    K.settle engine;
+    (K.trace engine, (led : Node_id.t))
   in
-  let interp, led = run E.Interpreted in
-  let compiled, _ = run E.Compiled in
+  let interp, led = run (module Interpreted) in
+  let compiled, _ = run (module Compiled) in
   check
     (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int value))
     "kernels agree" interp compiled;
@@ -196,7 +271,7 @@ let test_timer_supersession_pinned () =
 (* A brownout mid-run wipes a toggle's state on both kernels: same
    trace, same reset accounting, pinned. *)
 let test_brownout_reset_pinned () =
-  let run kernel =
+  let run (module K : KERNEL) =
     let g, sensor, inner, led = Testlib.chain [ C.toggle ] in
     let toggle = List.hd inner in
     let faults =
@@ -205,17 +280,17 @@ let test_brownout_reset_pinned () =
           [ (toggle, { F.no_node_fault with reset_at = [ 25 ] }) ];
       }
     in
-    let engine = E.create ~kernel ~faults g in
+    let engine = K.create ~faults g in
     List.iter
-      (fun (time, v) -> E.set_sensor_at engine ~time sensor v)
+      (fun (time, v) -> K.set_sensor_at engine ~time sensor v)
       [ (1, true); (10, false); (30, true); (40, false) ];
-    E.settle engine;
-    ( E.trace engine,
-      (match E.fault_stats engine with Some s -> s.F.resets | None -> -1),
+    K.settle engine;
+    ( K.trace engine,
+      (match K.fault_stats engine with Some s -> s.F.resets | None -> -1),
       (led : Node_id.t) )
   in
-  let i_trace, i_resets, led = run E.Interpreted in
-  let c_trace, c_resets, _ = run E.Compiled in
+  let i_trace, i_resets, led = run (module Interpreted) in
+  let c_trace, c_resets, _ = run (module Compiled) in
   check
     (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int value))
     "kernels agree" i_trace c_trace;
@@ -234,15 +309,15 @@ let test_event_limit_agrees () =
   let g, led = Graph.add g C.led in
   let g = Graph.connect g ~src:(a, 0) ~dst:(blink, 0) in
   let g = Graph.connect g ~src:(blink, 0) ~dst:(led, 0) in
-  let probe kernel =
-    let engine = E.create ~kernel g in
-    E.set_sensor engine a true;
-    match E.settle ~limit:200 engine with
+  let probe (module K : KERNEL) =
+    let engine = K.create g in
+    K.set_sensor engine a true;
+    match K.settle ~limit:200 engine with
     | () -> Alcotest.fail "oscillator settled?"
     | exception E.Event_limit_exceeded { clock; queue_depth; last_node } ->
       (clock, queue_depth, last_node)
   in
-  let i = probe E.Interpreted and c = probe E.Compiled in
+  let i = probe (module Interpreted) and c = probe (module Compiled) in
   check
     (Alcotest.triple Alcotest.int Alcotest.int (Alcotest.option Alcotest.int))
     "limit context agrees" i c
@@ -252,9 +327,11 @@ let () =
     [
       ("equivalence", Testlib.qtests equivalence_properties);
       ("fanout index", Testlib.qtests [ fanout_index_agrees ]);
-      ( "selection",
-        [ Alcotest.test_case "default + override" `Quick test_default_kernel ]
-      );
+      ( "table 1",
+        [
+          Alcotest.test_case "flat and synthesized, faults + telemetry"
+            `Quick test_table1_sweep_agrees;
+        ] );
       ( "pinned",
         [
           Alcotest.test_case "timer supersession" `Quick

@@ -251,12 +251,12 @@ let test_catalog_define () =
       "out[0] = (in[0] && in[1]) || (in[0] && in[2]) || (in[1] && in[2]);"
   in
   check Alcotest.int "arity" 3 majority.Eblock.Descriptor.n_inputs;
-  let env = Behavior.Eval.init majority.Eblock.Descriptor.behavior in
+  let env = Eval_oracle.init majority.Eblock.Descriptor.behavior in
   let out a b c =
-    (Behavior.Eval.activate majority.Eblock.Descriptor.behavior ~n_outputs:1
+    (Eval_oracle.activate majority.Eblock.Descriptor.behavior ~n_outputs:1
        env
-       { Behavior.Eval.inputs = [| Bool a; Bool b; Bool c |]; fired = None })
-      .Behavior.Eval.outputs.(0)
+       { Eval_oracle.inputs = [| Bool a; Bool b; Bool c |]; fired = None })
+      .Eval_oracle.outputs.(0)
   in
   check Alcotest.bool "2 of 3" true (out true true false = Some (Bool true));
   check Alcotest.bool "1 of 3" true (out true false false = Some (Bool false));

@@ -6,7 +6,7 @@ let expected_groups =
   [ "kernel"; "exhaustive"; "table1"; "table2"; "scale"; "worstcase";
     "ablation"; "codegen"; "sim"; "faults"; "reliability"; "power";
     "frontend";
-    "journal"; "sim_kernel"; "sim_kernel_interp"; "telemetry";
+    "journal"; "sim_kernel"; "telemetry";
     "service" ]
 
 let test_group_inventory () =

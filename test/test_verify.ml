@@ -56,6 +56,39 @@ let test_input_width_budget () =
                     got %a"
       Codegen.Verify.pp_status v
 
+let test_wide_partition_not_vacuous () =
+  (* 31 independent and2 gates give a combinational partition of 62 input
+     pins.  Even under a width budget of 100, 2^62 assignments cannot be
+     counted in an int ([1 lsl 62] is negative), so the exhaustive tier
+     would check none of them and "prove" the merge; it must fall back
+     to co-simulation instead. *)
+  let g, gates =
+    List.fold_left
+      (fun (g, gates) _ ->
+        let g, s1 = Graph.add g Catalog.button in
+        let g, s2 = Graph.add g Catalog.button in
+        let g, gate = Graph.add g Catalog.and2 in
+        let g, led = Graph.add g Catalog.led in
+        let g = Graph.connect g ~src:(s1, 0) ~dst:(gate, 0) in
+        let g = Graph.connect g ~src:(s2, 0) ~dst:(gate, 1) in
+        (Graph.connect g ~src:(gate, 0) ~dst:(led, 0), gate :: gates))
+      (Graph.empty, []) (List.init 31 Fun.id)
+  in
+  let config =
+    {
+      Codegen.Verify.default_config with
+      max_input_bits = 100;
+      cosim = { Codegen.Cosim.default_config with scripts = 1 };
+    }
+  in
+  match Codegen.Verify.check_partition ~config g (set gates) with
+  | Codegen.Verify.Proven ->
+    Alcotest.fail "62 input pins reported as proven exhaustively"
+  | Codegen.Verify.Cosim_passed _ | Codegen.Verify.Skipped _ -> ()
+  | v ->
+    Alcotest.failf "expected a sampled verdict, got %a"
+      Codegen.Verify.pp_status v
+
 (* --- tier 3: differential co-simulation and the shrinker ----------------- *)
 
 (* Two networks with identical ids and interface but a different inner
@@ -282,6 +315,8 @@ let () =
             test_exhausted_budget_falls_back;
           Alcotest.test_case "input width budget" `Quick
             test_input_width_budget;
+          Alcotest.test_case "no vacuous proof at 62 pins" `Quick
+            test_wide_partition_not_vacuous;
         ] );
       ( "cosim",
         [
