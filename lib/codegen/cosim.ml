@@ -121,34 +121,80 @@ let script_seed (config : config) i =
   (* one independent stream per script, stable under config.scripts *)
   config.seed + (7919 * i)
 
-let run ?(config = default_config) ~reference candidate =
+(* The flat side of one script, shared by every candidate checked
+   against the same reference: the script, whether the flat design is
+   timing-sensitive on it, and the flat observer holding its baseline
+   and pool runs. *)
+type flat_script = {
+  seed : int;
+  script : Sim.Stimulus.script;
+  flat : Sim.Equiv.Observer.t;
+  skip : bool;
+}
+
+type reference = {
+  config : config;
+  sensors : Netlist.Node_id.t list;
+  net : Sim.Engine.prepared Lazy.t;
+  perturbs : Sim.Equiv.perturbation list;
+  flat_scripts : flat_script Lazy.t array;
+}
+
+let reference ?(config = default_config) g =
+  let net = lazy (Sim.Engine.prepare g) in
+  let sensors = Graph.sensors g in
+  let perturbs = Sim.Equiv.perturbations config.perturbations in
+  let flat_script i =
+    lazy
+      (let seed = script_seed config i in
+       let script =
+         Sim.Stimulus.random ~rng:(Prng.create seed) ~sensors
+           ~steps:config.steps ~spacing:config.spacing
+       in
+       let flat = Sim.Equiv.Observer.create (Lazy.force net) script in
+       (* A script the flat design is timing-sensitive on proves nothing
+          about the merge: the reference behaviour itself is undefined.
+          [sensitive_under] keeps the skip-set aligned with the engine
+          pool ([timing_sensitive] samples its own fixed perturbations,
+          which need not include every pool entry, e.g. lifo+jitter). *)
+       let skip =
+         Sim.Equiv.Observer.timing_sensitive flat
+         || Sim.Equiv.Observer.sensitive_under flat perturbs
+       in
+       { seed; script; flat; skip })
+  in
+  {
+    config;
+    sensors;
+    net;
+    perturbs;
+    flat_scripts = Array.init (max 0 config.scripts) flat_script;
+  }
+
+let run_against ~reference:r candidate =
   Obs.Trace.with_span "codegen.cosim" @@ fun () ->
-  let sensors = Graph.sensors reference in
-  if sensors = [] then Inconclusive "design has no sensors to drive"
+  if r.sensors = [] then Inconclusive "design has no sensors to drive"
   else begin
-    let perturbs = Sim.Equiv.perturbations config.perturbations in
+    let config = r.config and perturbs = r.perturbs in
     let engines = Sim.Equiv.baseline :: perturbs in
+    let cand_net = lazy (Sim.Engine.prepare candidate) in
+    (* a shrinker probe is a new script: observe both sides afresh *)
+    let check_fresh perturbation script =
+      Sim.Equiv.Observer.check ~perturbation
+        ~reference:(Sim.Equiv.Observer.create (Lazy.force r.net) script)
+        ~candidate:(Sim.Equiv.Observer.create (Lazy.force cand_net) script)
+        ()
+    in
     let exception Diverged_on of failure in
     try
       let usable = ref 0 and checks = ref 0 in
-      for i = 0 to config.scripts - 1 do
-        let seed = script_seed config i in
-        let script =
-          Sim.Stimulus.random ~rng:(Prng.create seed) ~sensors
-            ~steps:config.steps ~spacing:config.spacing
-        in
+      for i = 0 to Array.length r.flat_scripts - 1 do
         Obs.Metrics.incr m_scripts;
-        (* A script the flat design is timing-sensitive on proves nothing
-           about the merge: the reference behaviour itself is undefined.
-           [sensitive_under] keeps the skip-set aligned with the engine
-           pool ([timing_sensitive] samples its own fixed perturbations,
-           which need not include every pool entry, e.g. lifo+jitter). *)
-        if
-          Sim.Equiv.timing_sensitive reference script
-          || Sim.Equiv.sensitive_under reference perturbs script
-        then Obs.Metrics.incr m_skipped
+        let { seed; script; flat; skip } = Lazy.force r.flat_scripts.(i) in
+        if skip then Obs.Metrics.incr m_skipped
         else begin
           incr usable;
+          let cand = Sim.Equiv.Observer.create (Lazy.force cand_net) script in
           (* Blame assignment before the differential comparison: when the
              candidate's own settled outputs vary across the pool while
              the flat design's do not, the rewrite's different event
@@ -161,7 +207,7 @@ let run ?(config = default_config) ~reference candidate =
              baseline, any perturbed divergence implies exactly this
              candidate-side sensitivity. *)
           let engines =
-            if Sim.Equiv.sensitive_under candidate perturbs script then begin
+            if Sim.Equiv.Observer.sensitive_under cand perturbs then begin
               Obs.Metrics.incr m_race_limited;
               [ Sim.Equiv.baseline ]
             end
@@ -169,22 +215,21 @@ let run ?(config = default_config) ~reference candidate =
           in
           List.iter
             (fun perturbation ->
-              match Sim.Equiv.check ~perturbation ~reference ~candidate script with
+              match
+                Sim.Equiv.Observer.check ~perturbation ~reference:flat
+                  ~candidate:cand ()
+              with
               | Ok () ->
                 incr checks;
                 Obs.Metrics.incr m_checks
               | Error _ ->
                 let still_fails s =
                   Obs.Metrics.incr m_shrink_rechecks;
-                  s <> []
-                  && Result.is_error
-                       (Sim.Equiv.check ~perturbation ~reference ~candidate s)
+                  s <> [] && Result.is_error (check_fresh perturbation s)
                 in
                 let script = shrink ~seed ~still_fails script in
                 let mismatch =
-                  match
-                    Sim.Equiv.check ~perturbation ~reference ~candidate script
-                  with
+                  match check_fresh perturbation script with
                   | Error m -> m
                   | Ok () -> assert false  (* shrink keeps scripts failing *)
                 in
@@ -208,3 +253,6 @@ let run ?(config = default_config) ~reference candidate =
       else Agreed { scripts = !usable; checks = !checks }
     with Diverged_on f -> Diverged f
   end
+
+let run ?config ~reference:g candidate =
+  run_against ~reference:(reference ?config g) candidate

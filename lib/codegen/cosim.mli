@@ -79,9 +79,42 @@ val shrink :
     originating script's stream, each fixpoint round is journaled as an
     [Obs.Journal.Cosim_shrink] event. *)
 
-val run : ?config:config -> reference:Graph.t -> Graph.t -> outcome
-(** [run ~reference candidate] differentially co-simulates the two
-    networks ([candidate] is the rewritten one).  Both must expose the
+(** {1 The shared flat side}
+
+    Verify checks every partition of a solution against the same flat
+    network with the same scripts, so everything on the flat side — the
+    scripts, each script's skip verdict (is the flat design
+    timing-sensitive on it?) and the flat runs a comparison re-reads —
+    depends on the solution, not on the partition.  A {!reference}
+    computes each of those once, on first use, and every candidate
+    checked against it simulates only itself.
+
+    Per usable script, the flat side costs E+9 distinct runs for a
+    network of E connections (baseline, E single-connection slow-downs,
+    4 fifo jitters, lifo and 3 shuffles; the pool runs are among them),
+    and each candidate costs 5: the baseline and the 4 pool
+    perturbations, which both its race check and its comparisons read.
+    Without sharing, each candidate paid E+30.  Outcomes, counters and
+    journal events are exactly those of checking each candidate alone. *)
+
+type reference
+(** The flat side of co-simulation for one network and config.  Built
+    lazily and mutable: use one value from one domain at a time. *)
+
+val reference : ?config:config -> Graph.t -> reference
+(** The flat side for [g].  Cheap: nothing is simulated until a
+    candidate needs it. *)
+
+val run_against : reference:reference -> Graph.t -> outcome
+(** [run_against ~reference candidate] differentially co-simulates the
+    flat network [reference] was built from and [candidate] (the
+    rewritten one) under the reference's config.  Both must expose the
     same sensor and primary-output ids (guaranteed for rewrites produced
     by {!Replace}); raises [Invalid_argument] otherwise.  Deterministic:
-    equal inputs and config give an equal outcome. *)
+    equal inputs and config give an equal outcome, whatever was checked
+    against the same reference before. *)
+
+val run : ?config:config -> reference:Graph.t -> Graph.t -> outcome
+(** [run ?config ~reference:g candidate] is
+    [run_against ~reference:(reference ?config g) candidate]: one
+    candidate against a fresh flat side. *)

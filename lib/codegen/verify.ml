@@ -349,7 +349,7 @@ let explore config g member_set ext_of_dst infos (plan : Plan.t) =
 
 (* --- tier 3: randomized differential co-simulation -------------------- *)
 
-let cosim_tier config g members (plan : Plan.t) =
+let cosim_tier flat g members (plan : Plan.t) =
   let n_in = Array.length plan.Plan.input_pins in
   let n_out = Array.length plan.Plan.output_pins in
   let shape = Core.Shape.make ~inputs:(max 1 n_in) ~outputs:(max 1 n_out) () in
@@ -362,7 +362,7 @@ let cosim_tier config g members (plan : Plan.t) =
       (Printf.sprintf "could not rewrite the partition for co-simulation: %s"
          msg)
   | { Replace.network = candidate; _ } ->
-    (match Cosim.run ~config:config.cosim ~reference:g candidate with
+    (match Cosim.run_against ~reference:flat candidate with
      | Cosim.Agreed { scripts; checks } -> Cosim_passed { scripts; checks }
      | Cosim.Diverged f -> Failed (Cosim_mismatch f)
      | Cosim.Inconclusive reason -> Skipped reason)
@@ -400,7 +400,9 @@ let record ~members status =
    | _ -> ());
   status
 
-let check_partition ?(config = default_config) g members =
+(* [flat] is the flat side of tier 3 ({!Cosim.reference} of [g] under
+   [config.cosim]), shared by every partition of one solution. *)
+let verify_partition config flat g members =
   Obs.Trace.with_span "codegen.verify"
     ~args:[ ("members", string_of_int (Node_id.Set.cardinal members)) ]
   @@ fun () ->
@@ -432,13 +434,13 @@ let check_partition ?(config = default_config) g members =
     (* timer expiries are engine events, not input-driven transitions:
        the lockstep machines cannot model them, so go straight to
        differential co-simulation *)
-    cosim_tier config g members plan
+    cosim_tier flat g members plan
   else if n_inputs > min config.max_input_bits (Sys.int_size - 2) then
     (* 2^n_inputs assignments per product state would blow the budget,
        and past [Sys.int_size - 2] pins [1 lsl n] is no longer a
        positive int, so the enumeration would check nothing; fall back
        to sampling *)
-    cosim_tier config g members plan
+    cosim_tier flat g members plan
   else begin
     let ext_of_dst = ext_table g members in
     let stateless =
@@ -449,19 +451,23 @@ let check_partition ?(config = default_config) g members =
       match explore config g members ext_of_dst infos plan with
       | Closed { states; depth } -> Bounded_equivalent { states; depth }
       | Diverges cx -> Failed (Mismatch cx)
-      | Exhausted -> cosim_tier config g members plan
+      | Exhausted -> cosim_tier flat g members plan
   end
+
+let check_partition ?(config = default_config) g members =
+  verify_partition config (Cosim.reference ~config:config.cosim g) g members
 
 (* --- whole-solution report -------------------------------------------- *)
 
 type report = { results : (Core.Partition.t * status) list }
 
 let check_solution ?(config = default_config) g solution =
+  let flat = Cosim.reference ~config:config.cosim g in
   {
     results =
       List.map
         (fun (p : Core.Partition.t) ->
-          (p, check_partition ~config g p.Core.Partition.members))
+          (p, verify_partition config flat g p.Core.Partition.members))
         solution.Core.Solution.partitions;
   }
 

@@ -91,6 +91,12 @@ type report = { results : (Core.Partition.t * status) list }
     silently skipped. *)
 
 val check_solution : ?config:config -> Graph.t -> Core.Solution.t -> report
+(** {!check_partition} for every partition of the solution, in order.
+    The partitions share one {!Cosim.reference}: the flat network's
+    scripts, skip verdicts and runs are computed once per solution (and
+    not at all when no partition reaches tier 3), so each co-simulated
+    partition simulates only its own rewrite.  The report is exactly
+    the per-partition {!check_partition} verdicts. *)
 
 val ok : report -> bool
 (** No partition {!Failed}.  ({!Skipped} partitions do not fail the

@@ -78,15 +78,18 @@ let faulty_observations ~settle_limit engine script =
   loop [] ordered
 
 type reference = {
+  ref_net : Engine.prepared;  (* every trial engine starts from it *)
   ref_tie_order : Engine.tie_order;
   ref_outputs : (int * (Node_id.t * Behavior.Ast.value) list) list;
 }
 
 let classify_with ?telemetry ~settle_limit
-    ~reference:{ ref_tie_order; ref_outputs } ~faults g script =
+    ~reference:{ ref_net; ref_tie_order; ref_outputs } ~faults script =
   let reference = ref_outputs in
   Obs.Metrics.incr m_runs;
-  let engine = Engine.create ~tie_order:ref_tie_order ~faults ?telemetry g in
+  let engine =
+    Engine.start ~tie_order:ref_tie_order ~faults ?telemetry ref_net
+  in
   let observed, diverged = faulty_observations ~settle_limit engine script in
   let injected =
     match Engine.fault_stats engine with
@@ -124,25 +127,27 @@ let classify_with ?telemetry ~settle_limit
   }
 
 let reference ?(tie_order = Engine.Fifo) g script =
+  let net = Engine.prepare g in
   {
+    ref_net = net;
     ref_tie_order = tie_order;
     ref_outputs =
-      Stimulus.settled_outputs (Engine.create ~tie_order g) script;
+      Stimulus.settled_outputs (Engine.start ~tie_order net) script;
   }
 
-let classify_against ?(settle_limit = 100_000) ?telemetry ~reference g script
+let classify_against ?(settle_limit = 100_000) ?telemetry ~reference _g script
     ~faults =
-  classify_with ?telemetry ~settle_limit ~reference ~faults g script
+  classify_with ?telemetry ~settle_limit ~reference ~faults script
 
 let classify ?(tie_order = Engine.Fifo) ?(settle_limit = 100_000) ~faults g
     script =
   let reference = reference ~tie_order g script in
-  classify_with ~settle_limit ~reference ~faults g script
+  classify_with ~settle_limit ~reference ~faults script
 
 let sweep ?(tie_order = Engine.Fifo) ?(settle_limit = 100_000) ~plans g
     script =
   let reference = reference ~tie_order g script in
   List.map
     (fun (name, faults) ->
-      (name, classify_with ~settle_limit ~reference ~faults g script))
+      (name, classify_with ~settle_limit ~reference ~faults script))
     plans

@@ -98,10 +98,13 @@ val sweep :
     {!reference} freezes the clean run's settled observations (and the
     tie order they were produced under) so it can be shared across
     {!classify_against} calls — including calls fanned out over
-    worker domains, since a reference is immutable once built. *)
+    worker domains, since a reference is immutable once built.  It also
+    holds the network's {!Engine.prepared} tables, so every faulty
+    trial starts its engine without rebuilding them. *)
 
 type reference
-(** One clean run's settled observations. *)
+(** One clean run's settled observations, plus the prepared network they
+    came from. *)
 
 val reference :
   ?tie_order:Engine.tie_order -> Graph.t -> Stimulus.script -> reference
@@ -119,7 +122,8 @@ val classify_against :
   run
 (** {!classify} against a prebuilt clean reference.  [g] and [script]
     must be the pair the reference was built from; the faulty run
-    reuses the reference's tie order.  [classify g script ~faults] is
+    reuses the reference's tie order and starts from its prepared
+    network.  [classify g script ~faults] is
     [classify_against ~reference:(reference g script) g script ~faults].
     [telemetry] arms a collector on the faulty replay (the clean
     reference is never re-run, so it records the faulty run only) —

@@ -120,11 +120,40 @@ let tag_reset = 3
 let wheel_w = 256
 let wheel_mask = wheel_w - 1
 
+(* The immutable half of an engine: everything [start] reads but never
+   writes, built once per network by [prepare] and shared by every run
+   started from it — including runs on other domains. *)
+type prepared = {
+  p_graph : Graph.t;
+  (* dense ids, behaviours and edges: the fields of [t] below that
+     share their names *)
+  p_ids : Node_id.t array;
+  p_idx_of : (Node_id.t, int) Hashtbl.t;
+  p_kinds : Eblock.Kind.t array;
+  p_descs : Eblock.Descriptor.t array;
+  p_progs : Behavior.Compile.t array;
+  p_sweep : int array;
+      (* the computing blocks (neither sensor nor output), in
+         topological order: the power-on sweep's schedule *)
+  (* power-on latch images, copied by every start *)
+  p_cin_k : int array array;
+  p_cin_n : int array array;
+  p_cout_k : int array array;
+  p_cout_n : int array array;
+  p_n_timers : int array;
+  p_e_rec : Graph.edge array;
+  p_e_dst : int array;
+  p_e_dst_port : int array;
+  p_fo : int array array array;
+  p_unit_delays : int array;  (* [wire_delay] per edge *)
+  p_outputs : int array;  (* dense primary outputs, ascending id *)
+}
+
 type t = {
-  c_graph : Graph.t;
-  n_nodes : int;
+  c_net : prepared;
+      (* the hot path reads the tables below, copied out of [c_net] so
+         that each lookup is one load *)
   ids : Node_id.t array;  (* dense index -> node id, ascending *)
-  idx_of : (Node_id.t, int) Hashtbl.t;
   kinds : Eblock.Kind.t array;
   descs : Eblock.Descriptor.t array;
   progs : Behavior.Compile.t array;
@@ -142,9 +171,9 @@ type t = {
   e_dst : int array;  (* dense destination node *)
   e_dst_port : int array;
   fo : int array array array;  (* node -> port -> edge indices *)
+  e_delay : int array;  (* per-edge packet latency, already clamped >= 1 *)
   c_tie_order : tie_order;
   c_tie_rng : Prng.t option;
-  c_edge_delay : Graph.edge -> int;
   c_faults : Fault.runtime option;
   c_telemetry : Telemetry.t option;
   (* the event calendar: a struct-of-arrays store holding every pending
@@ -162,7 +191,9 @@ type t = {
   mutable ev_vn : int array;  (* Int payload when ev_vk = 2 *)
   mutable store_len : int;
   mutable free_ev : int;  (* free-list head in the store, -1 none *)
-  buckets : int array array;  (* wheel: per-tick slot lists *)
+  buckets : int array array;
+      (* wheel: per-tick slot lists, each allocated on its first append
+         (most runs touch a few dozen of the [wheel_w] ticks) *)
   b_len : int array;
   b_dirty : bool array;
       (* bucket holds an append that broke (priority, seq) order —
@@ -303,7 +334,8 @@ let wheel_append t slot =
     let arr = t.buckets.%(b) in
     if len < Array.length arr then arr
     else begin
-      let arr' = Array.make (2 * len) 0 in
+      (* a bucket starts empty ([||]) and gets 8 slots on first use *)
+      let arr' = Array.make (if len = 0 then 8 else 2 * len) 0 in
       Array.blit arr 0 arr' 0 len;
       t.buckets.%(b) <- arr';
       arr'
@@ -433,30 +465,28 @@ let cpresent t ~time ni port v =
       let ei = edges.%(k) in
       t.c_packets <- t.c_packets + 1;
       t.pm_packets <- t.pm_packets + 1;
-      let e = t.e_rec.%(ei) in
+      let d = t.e_delay.%(ei) in
       match t.c_faults with
       | None ->
         (* fast path: one delivery, no strike, no list *)
-        let d = t.c_edge_delay e in
-        let d = if d < 1 then 1 else d in
         (match t.c_telemetry with
          | None -> ()
          | Some tel ->
-           Telemetry.note_send tel e ~strike:Fault.no_strike ~latencies:[ d ]);
+           Telemetry.note_send tel t.e_rec.%(ei) ~strike:Fault.no_strike
+             ~latencies:[ d ]);
         cschedule t ~time:(time + d) ~tag:tag_deliver ~a:ei ~b:0 ~c:0 ~vk ~vn
       | Some frt ->
+        let e = t.e_rec.%(ei) in
         let deliveries, strike = Fault.on_send frt ~time e v in
         (match t.c_telemetry with
          | None -> ()
          | Some tel ->
-           let base = max 1 (t.c_edge_delay e) in
            Telemetry.note_send tel e ~strike
-             ~latencies:(List.map (fun (extra, _) -> base + extra)
-                           deliveries));
+             ~latencies:(List.map (fun (extra, _) -> d + extra) deliveries));
         List.iter
           (fun (extra, v') ->
             cschedule t
-              ~time:(time + max 1 (t.c_edge_delay e) + extra)
+              ~time:(time + d + extra)
               ~tag:tag_deliver ~a:ei ~b:0 ~c:0
               ~vk:(Behavior.Compile.value_tag v')
               ~vn:(Behavior.Compile.value_payload v'))
@@ -610,8 +640,7 @@ let crun_until t horizon =
 
 (* --- construction -------------------------------------------------- *)
 
-let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
-    ?telemetry g =
+let prepare g =
   let order = Graph.topological_order g in
   let ids = Array.of_list (Graph.node_ids g) in
   let n_nodes = Array.length ids in
@@ -619,13 +648,17 @@ let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
   Array.iteri (fun i id -> Hashtbl.replace idx_of id i) ids;
   let descs = Array.map (fun id -> Graph.descriptor g id) ids in
   let kinds = Array.map (fun d -> d.Eblock.Descriptor.kind) descs in
+  let computes ni =
+    match kinds.(ni) with
+    | Eblock.Kind.Sensor | Eblock.Kind.Output -> false
+    | Eblock.Kind.Compute | Eblock.Kind.Comm | Eblock.Kind.Programmable -> true
+  in
   let progs =
     Array.map
       (fun (d : Eblock.Descriptor.t) ->
         Behavior.Compile.compile d.behavior ~n_outputs:d.n_outputs)
       descs
   in
-  let pstates = Array.map Behavior.Compile.fresh_state progs in
   let in_init i port =
     let id = ids.(i) in
     match Graph.driver g id port with
@@ -634,38 +667,16 @@ let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
       src_desc.Eblock.Descriptor.output_init.(src.Graph.port)
     | None -> dummy_value
   in
-  let cin_k =
+  let in_latch encode =
     Array.mapi
       (fun i (d : Eblock.Descriptor.t) ->
-        Array.init d.n_inputs (fun port ->
-            Behavior.Compile.value_tag (in_init i port)))
+        Array.init d.n_inputs (fun port -> encode (in_init i port)))
       descs
   in
-  let cin_n =
-    Array.mapi
-      (fun i (d : Eblock.Descriptor.t) ->
-        Array.init d.n_inputs (fun port ->
-            Behavior.Compile.value_payload (in_init i port)))
-      descs
-  in
-  let cout_k =
+  let out_latch encode =
     Array.map
-      (fun (d : Eblock.Descriptor.t) ->
-        Array.map Behavior.Compile.value_tag d.output_init)
+      (fun (d : Eblock.Descriptor.t) -> Array.map encode d.output_init)
       descs
-  in
-  let cout_n =
-    Array.map
-      (fun (d : Eblock.Descriptor.t) ->
-        Array.map Behavior.Compile.value_payload d.output_init)
-      descs
-  in
-  let tgen =
-    Array.map
-      (fun p ->
-        let n = Behavior.Compile.n_timers p in
-        if n = 0 then [||] else Array.make n 0)
-      progs
   in
   (* dense edge tables, in (node asc, port asc, fanout order) *)
   let edges = ref [] and n_edges = ref 0 in
@@ -685,22 +696,62 @@ let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
       descs
   in
   let e_rec = Array.of_list (List.rev !edges) in
-  let e_dst =
-    Array.map (fun e -> Hashtbl.find idx_of e.Graph.dst.Graph.node) e_rec
+  {
+    p_graph = g;
+    p_ids = ids;
+    p_idx_of = idx_of;
+    p_kinds = kinds;
+    p_descs = descs;
+    p_progs = progs;
+    p_sweep =
+      Array.of_list
+        (List.filter computes
+           (List.map (fun id -> Hashtbl.find idx_of id) order));
+    p_cin_k = in_latch Behavior.Compile.value_tag;
+    p_cin_n = in_latch Behavior.Compile.value_payload;
+    p_cout_k = out_latch Behavior.Compile.value_tag;
+    p_cout_n = out_latch Behavior.Compile.value_payload;
+    p_n_timers = Array.map Behavior.Compile.n_timers progs;
+    p_e_rec = e_rec;
+    p_e_dst =
+      Array.map (fun e -> Hashtbl.find idx_of e.Graph.dst.Graph.node) e_rec;
+    p_e_dst_port = Array.map (fun e -> e.Graph.dst.Graph.port) e_rec;
+    p_fo = fo;
+    p_unit_delays = Array.make (Array.length e_rec) wire_delay;
+    p_outputs =
+      Array.of_list
+        (List.filter
+           (fun ni -> Eblock.Kind.equal kinds.(ni) Eblock.Kind.Output)
+           (List.init n_nodes Fun.id));
+  }
+
+let prepared_graph p = p.p_graph
+
+let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
+  let progs = p.p_progs in
+  let pstates = Array.map Behavior.Compile.fresh_state progs in
+  let cin_k = Array.map Array.copy p.p_cin_k in
+  let cin_n = Array.map Array.copy p.p_cin_n in
+  let cout_k = Array.map Array.copy p.p_cout_k in
+  let cout_n = Array.map Array.copy p.p_cout_n in
+  let tgen =
+    Array.map (fun n -> if n = 0 then [||] else Array.make n 0) p.p_n_timers
   in
-  let e_dst_port = Array.map (fun e -> e.Graph.dst.Graph.port) e_rec in
+  let e_delay =
+    match edge_delay with
+    | None -> p.p_unit_delays
+    | Some f -> Array.map (fun e -> max 1 (f e)) p.p_e_rec
+  in
   let tie_rng =
     match tie_order with
     | Shuffled seed -> Some (Prng.create seed)
     | Fifo | Lifo -> None
   in
   let t = {
-    c_graph = g;
-    n_nodes;
-    ids;
-    idx_of;
-    kinds;
-    descs;
+    c_net = p;
+    ids = p.p_ids;
+    kinds = p.p_kinds;
+    descs = p.p_descs;
     progs;
     pstates;
     cin_k;
@@ -708,13 +759,13 @@ let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
     cout_k;
     cout_n;
     tgen;
-    e_rec;
-    e_dst;
-    e_dst_port;
-    fo;
+    e_rec = p.p_e_rec;
+    e_dst = p.p_e_dst;
+    e_dst_port = p.p_e_dst_port;
+    fo = p.p_fo;
+    e_delay;
     c_tie_order = tie_order;
     c_tie_rng = tie_rng;
-    c_edge_delay = edge_delay;
     c_faults = Option.map Fault.start faults;
     c_telemetry = telemetry;
     ev_time = Array.make 64 0;
@@ -731,7 +782,7 @@ let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
     ovf = Array.make 64 0;
     ovf_len = 0;
     ovf_head = 0;
-    buckets = Array.init wheel_w (fun _ -> Array.make 8 0);
+    buckets = Array.make wheel_w [||];
     b_len = Array.make wheel_w 0;
     b_dirty = Array.make wheel_w false;
     cursor = 0;
@@ -749,76 +800,76 @@ let ccreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
     c_trace = Tbuf.create ();
   }
   in
+  (* install the long-lived input latches; from here on activations go
+     through [Compile.run_bound] and never touch the latch pointer *)
+  Array.iteri
+    (fun ni st ->
+      Behavior.Compile.bind_inputs st ~tags:cin_k.(ni) ~payloads:cin_n.(ni))
+    pstates;
   (* Power-on sweep: each block evaluates once so that every output is
      consistent with the power-on inputs (physical blocks announce their
      state at power-on).  Performed latch-to-latch in topological order,
      with no packets and no clock advance; timer requests (e.g. a delay
      block whose power-on input differs from its reset state) become
-     ordinary timer events counted from time 0. *)
-  List.iter
-    (fun id ->
-      let ni = Hashtbl.find idx_of id in
-      match kinds.(ni) with
-      | Eblock.Kind.Sensor | Eblock.Kind.Output -> ()
-      | Eblock.Kind.Compute | Eblock.Kind.Comm | Eblock.Kind.Programmable ->
-        let inputs =
-          Array.init
-            (Array.length cin_k.(ni))
-            (fun port ->
-              Behavior.Compile.value_of_code cin_k.(ni).(port)
-                cin_n.(ni).(port))
-        in
-        Behavior.Compile.activate progs.(ni) pstates.(ni) ~inputs
-          ~fired:(-1)
-          ~on_output:(fun port v ->
-            let vk = Behavior.Compile.value_tag v in
-            let vn = Behavior.Compile.value_payload v in
-            cout_k.(ni).(port) <- vk;
-            cout_n.(ni).(port) <- vn;
-            let es = fo.(ni).(port) in
-            for k = 0 to Array.length es - 1 do
-              let ei = es.(k) in
-              cin_k.(t.e_dst.(ei)).(t.e_dst_port.(ei)) <- vk;
-              cin_n.(t.e_dst.(ei)).(t.e_dst_port.(ei)) <- vn
-            done)
-          ~on_timer_set:(fun slot delay ->
-            let tg = tgen.(ni) in
-            let gen = tg.(slot) + 1 in
-            tg.(slot) <- gen;
-            cschedule t ~time:delay ~tag:tag_timer ~a:ni ~b:slot ~c:gen
-              ~vk:0 ~vn:0)
-          ~on_timer_cancel:(fun slot ->
-            let tg = tgen.(ni) in
-            tg.(slot) <- tg.(slot) + 1))
-    order;
+     ordinary timer events counted from time 0.  The scratch flush
+     follows [cactivate]'s order: ascending ports, then ascending timer
+     slots. *)
+  Array.iter
+    (fun ni ->
+      let st = pstates.(ni) in
+      Behavior.Compile.run_bound progs.(ni) st ~fired:(-1);
+      let out_set = st.Behavior.Compile.out_set in
+      for port = 0 to Array.length out_set - 1 do
+        if out_set.(port) then begin
+          let v = st.Behavior.Compile.out_val.(port) in
+          let vk = Behavior.Compile.value_tag v in
+          let vn = Behavior.Compile.value_payload v in
+          cout_k.(ni).(port) <- vk;
+          cout_n.(ni).(port) <- vn;
+          Array.iter
+            (fun ei ->
+              cin_k.(p.p_e_dst.(ei)).(p.p_e_dst_port.(ei)) <- vk;
+              cin_n.(p.p_e_dst.(ei)).(p.p_e_dst_port.(ei)) <- vn)
+            p.p_fo.(ni).(port)
+        end
+      done;
+      let tmr_act = st.Behavior.Compile.tmr_act in
+      let tg = tgen.(ni) in
+      for slot = 0 to Array.length tmr_act - 1 do
+        match tmr_act.(slot) with
+        | 1 ->
+          let gen = tg.(slot) + 1 in
+          tg.(slot) <- gen;
+          cschedule t ~time:st.Behavior.Compile.tmr_delay.(slot) ~tag:tag_timer
+            ~a:ni ~b:slot ~c:gen ~vk:0 ~vn:0
+        | 2 -> tg.(slot) <- tg.(slot) + 1
+        | _ -> ()
+      done)
+    p.p_sweep;
   (* Spurious resets are plan-scheduled events like any other; an empty
      plan schedules none and the calendar stays untouched. *)
   Option.iter
     (fun plan ->
       List.iter
         (fun (id, time) ->
-          if Graph.mem g id then
-            cschedule t ~time ~tag:tag_reset ~a:(Hashtbl.find idx_of id) ~b:0
-              ~c:0 ~vk:0 ~vn:0)
+          match Hashtbl.find_opt p.p_idx_of id with
+          | Some ni ->
+            cschedule t ~time ~tag:tag_reset ~a:ni ~b:0 ~c:0 ~vk:0 ~vn:0
+          | None -> ())
         (Fault.resets plan))
     faults;
-  (* install the long-lived input latches; from here on activations go
-     through [Compile.run_bound] and never touch the latch pointer *)
-  for ni = 0 to n_nodes - 1 do
-    Behavior.Compile.bind_inputs pstates.(ni) ~tags:cin_k.(ni)
-      ~payloads:cin_n.(ni)
-  done;
   t
 
 let cindex t id =
-  match Hashtbl.find_opt t.idx_of id with
+  match Hashtbl.find_opt t.c_net.p_idx_of id with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Engine: unknown node %d" id)
 
 (* ================================================================== *)
 (* The public engine. *)
 
-let create = ccreate
+let create ?tie_order ?edge_delay ?faults ?telemetry g =
+  start ?tie_order ?edge_delay ?faults ?telemetry (prepare g)
 
 let now t = t.c_clock
 
@@ -868,7 +919,7 @@ let settle ?(limit = 100_000) t =
   end
 
 let require_sensor t id =
-  match Graph.kind t.c_graph id with
+  match Graph.kind t.c_net.p_graph id with
   | Eblock.Kind.Sensor -> ()
   | Eblock.Kind.Output | Eblock.Kind.Compute | Eblock.Kind.Comm
   | Eblock.Kind.Programmable ->
@@ -883,7 +934,7 @@ let set_sensor_at t ~time id b =
 let set_sensor t id b = set_sensor_at t ~time:(now t) id b
 
 let output_value t id =
-  match Graph.kind t.c_graph id with
+  match Graph.kind t.c_net.p_graph id with
   | Eblock.Kind.Output ->
     let ni = cindex t id in
     Behavior.Compile.value_of_code t.cin_k.(ni).(0) t.cin_n.(ni).(0)
@@ -893,8 +944,12 @@ let output_value t id =
       (Printf.sprintf "Engine.output_value: node %d is not a primary output" id)
 
 let output_values t =
-  List.map (fun id -> (id, output_value t id))
-    (Graph.primary_outputs t.c_graph)
+  Array.fold_right
+    (fun ni acc ->
+      ( t.ids.(ni),
+        Behavior.Compile.value_of_code t.cin_k.(ni).(0) t.cin_n.(ni).(0) )
+      :: acc)
+    t.c_net.p_outputs []
 
 let port_value t id port =
   let ni = cindex t id in

@@ -42,19 +42,38 @@ exception
 val wire_delay : int
 (** Ticks a packet needs to traverse one connection (1). *)
 
-val create :
+type prepared
+(** The immutable, run-independent half of a simulation of one network:
+    its topological order, dense node and edge ids, compiled behaviours
+    ({!Behavior.Compile}), fanout tables and power-on latch images.
+    Never written after {!prepare}, so one value can start any number of
+    runs, on any number of domains. *)
+
+val prepare : Graph.t -> prepared
+(** Build the run-independent tables of a network.  The graph must be
+    acyclic; raises [Graph.Structural_error] otherwise. *)
+
+val prepared_graph : prepared -> Graph.t
+(** The network a {!prepared} value was built from. *)
+
+val start :
   ?tie_order:tie_order -> ?edge_delay:(Graph.edge -> int) ->
-  ?faults:Fault.plan -> ?telemetry:Telemetry.t -> Graph.t -> t
-(** Initialise a simulation.  Latches start from the descriptors' power-on
-    values, then every block evaluates once in topological order (the
-    power-on sweep: physical blocks announce their state at power-on), so
-    all outputs are consistent with the power-on inputs before any event
-    runs.  The graph must be acyclic; raises [Graph.Structural_error]
-    otherwise.
+  ?faults:Fault.plan -> ?telemetry:Telemetry.t -> prepared -> t
+(** Initialise a simulation of a prepared network: allocate the
+    per-run state (variable stores, latches copied from the power-on
+    images, timer generations, event calendar), then run the power-on
+    sweep.  Latches start from the descriptors' power-on values, then
+    every block evaluates once in topological order (physical blocks
+    announce their state at power-on), so all outputs are consistent
+    with the power-on inputs before any event runs.  The calendar's
+    wheel buckets are allocated on first use, so a start costs a few
+    array copies per block and no compilation or graph traversal.
 
     [tie_order] selects how simultaneous events are ordered, and
     [edge_delay] assigns each connection its packet latency (default
-    {!wire_delay}; values below 1 are clamped to 1).  A network whose
+    {!wire_delay}; values below 1 are clamped to 1).  It is evaluated
+    once per connection when the run starts, so it must be a pure
+    function of the edge.  A network whose
     settled outputs depend on either contains a {e race} or a
     {e path-length hazard} (e.g. a latch whose trigger outruns its reset);
     physical eBlocks resolve those nondeterministically, so such
@@ -75,6 +94,14 @@ val create :
     a collector never changes the simulation's behaviour, and without
     one every hook is a single branch on an immutable [None] — the
     zero-cost-when-off path. *)
+
+val create :
+  ?tie_order:tie_order -> ?edge_delay:(Graph.edge -> int) ->
+  ?faults:Fault.plan -> ?telemetry:Telemetry.t -> Graph.t -> t
+(** [create ?tie_order ?edge_delay ?faults ?telemetry g] is
+    [start ?tie_order ?edge_delay ?faults ?telemetry (prepare g)].
+    Callers that simulate one network many times should {!prepare} it
+    once and {!start} each run. *)
 
 val now : t -> int
 

@@ -46,13 +46,17 @@ val perturbations : int -> perturbation list
     (alternating tie orders and jitter salts, capped at the pool size of
     8).  Deterministic: equal [n] gives equal lists. *)
 
+type observations = (int * (Node_id.t * Behavior.Ast.value) list) list
+(** Settled primary outputs after each script step
+    ({!Stimulus.settled_outputs}). *)
+
 val observe :
   ?perturbation:perturbation ->
   Graph.t ->
   Stimulus.script ->
-  (int * (Node_id.t * Behavior.Ast.value) list) list
+  observations
 (** The settled primary-output observations of one network under one
-    script ({!Stimulus.settled_outputs}) with the perturbation applied. *)
+    script with the perturbation applied. *)
 
 val sensitive_under :
   Graph.t -> perturbation list -> Stimulus.script -> bool
@@ -105,3 +109,49 @@ val timing_sensitive : Graph.t -> Stimulus.script -> bool
     suite). *)
 
 val timing_sensitive_random : Graph.t -> seed:int -> steps:int -> bool
+
+(** {1 Observers: each distinct run simulated once}
+
+    The sensitivity tests and {!check} above each replay one script
+    under several engine configurations, and a verifier asks them about
+    the same (network, script) pair many times: the flat design's
+    timing-sensitivity sweep alone is E+10 runs for E connections, and
+    every perturbed comparison re-reads the baseline and pool runs that
+    sweep already produced.  An observer holds one prepared network and
+    one script and simulates each distinct engine configuration — a tie
+    order plus a delay assignment (unit delays, a salted jitter, or one
+    connection slowed) — at most once.
+
+    It keeps the observations of the {!baseline} and of the 8-entry
+    perturbation pool, which differential comparison re-reads; a kept
+    run that settles exactly as the baseline does shares the baseline's
+    list.  The per-connection slow-down runs and the fifo+jitter4 sample
+    are compared as they are produced and then dropped, and only the
+    {!timing_sensitive} verdict is kept.  Every query runs its
+    configurations in the order the one-shot functions above do, so
+    results and exceptions are exactly theirs.
+
+    An observer is mutable: use it from one domain at a time. *)
+
+module Observer : sig
+  type t
+
+  val create : Engine.prepared -> Stimulus.script -> t
+
+  val sensitive_under : t -> perturbation list -> bool
+  (** {!Equiv.sensitive_under} over the observer's network and script. *)
+
+  val timing_sensitive : t -> bool
+  (** {!Equiv.timing_sensitive} over the observer's network and script;
+      the verdict is cached. *)
+
+  val check :
+    ?perturbation:perturbation ->
+    reference:t ->
+    candidate:t ->
+    unit ->
+    (unit, mismatch) result
+  (** {!Equiv.check} of two observers of the same script.  Raises
+      [Invalid_argument] if their scripts differ, or under {!Equiv.check}'s
+      conditions. *)
+end

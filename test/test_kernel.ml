@@ -134,6 +134,18 @@ let bumpy_delay (e : Graph.edge) =
 let prop name count f =
   QCheck.Test.make ~count ~name case_arbitrary f
 
+(* The compiled kernel, but every run starts from one prepared network:
+   a run that wrote into the shared tables would change the next. *)
+let started_from net : (module KERNEL) =
+  (module struct
+    include E
+
+    let create ?tie_order ?edge_delay ?faults ?telemetry _g =
+      E.start ?tie_order ?edge_delay ?faults ?telemetry net
+
+    let settled_outputs = Sim.Stimulus.settled_outputs
+  end)
+
 let equivalence_properties =
   [
     prop "clean runs byte-identical across tie orders" 80
@@ -162,6 +174,24 @@ let equivalence_properties =
         in
         kernels_agree ~tie_order:(tie_of_pick tie seed) ?faults
           ~telemetry:true g (script_of g script_seed));
+    prop "runs started from one prepared network stay independent" 40
+      (fun (_, seed, g, tie, fam, script_seed) ->
+        let script = script_of g script_seed in
+        let tie_order = tie_of_pick tie seed in
+        let faults =
+          Option.map
+            (fun f -> Reliability.Family.plan f ~seed:script_seed g)
+            (family_of_pick fam)
+        in
+        let shared = started_from (E.prepare g) in
+        List.for_all
+          (fun (edge_delay, faults, telemetry) ->
+            observe (module Interpreted) ~tie_order ?edge_delay ?faults
+              ~telemetry g script
+            = observe shared ~tie_order ?edge_delay ?faults ~telemetry g
+                script)
+          [ (None, None, false); (Some bumpy_delay, faults, true);
+            (None, faults, false); (None, None, false) ]);
   ]
 
 (* The per-(node, port) fanout index is defined as a filter of the full

@@ -293,6 +293,232 @@ let test_report_no_silent_skips () =
           Codegen.Verify.pp_report report)
     Designs.Library.table1
 
+(* --- work pinned in closed form ------------------------------------------ *)
+
+let counter_delta name entries =
+  match List.find_opt (fun e -> e.Obs.Metrics.name = name) entries with
+  | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
+  | Some _ | None -> 0
+
+(* Each simulation settles once per script step.  Per usable script the
+   flat side runs E+9 distinct configurations once per solution and each
+   of the P tier-3 partitions runs 5 (see Codegen.Cosim.reference); a
+   solution with no tier-3 partition never builds the flat side. *)
+let expected_settles g p =
+  let c = Codegen.Cosim.default_config in
+  if p = 0 then 0
+  else
+    c.Codegen.Cosim.steps * c.Codegen.Cosim.scripts
+    * (Graph.edge_count g + 9 + (5 * p))
+
+let test_work_closed_form () =
+  let settles_of d =
+    let g = d.Designs.Design.network in
+    let sol = (Core.Paredown.run g).Core.Paredown.solution in
+    let report, entries =
+      Obs.Metrics.with_scope (fun () -> Codegen.Verify.check_solution g sol)
+    in
+    let p = (Codegen.Verify.tally report).Codegen.Verify.cosim_passed in
+    check Alcotest.int
+      (d.Designs.Design.name ^ ": sim.settles")
+      (expected_settles g p)
+      (counter_delta "sim.settles" entries);
+    counter_delta "sim.settles" entries
+  in
+  List.iter (fun d -> ignore (settles_of d)) Designs.Library.table1;
+  (* E = 40 connections, P = 3 co-simulated partitions *)
+  check Alcotest.int "Timed Passage" 7680
+    (settles_of Designs.Library.timed_passage)
+
+let table1_reports =
+  {|== Ignition Illuminator
+partition 0 {3, 4}: equivalent (proven exhaustively)
+1 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped
+== Night Lamp Controller
+partition 0 {3, 4}: equivalent (proven exhaustively)
+1 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped
+== Entry Gate Detector
+partition 0 {2, 3}: equivalent over the full product state space (3 state(s), input sequences up to length 2)
+0 proven, 1 bounded, 0 cosim-passed, 0 failed, 0 skipped
+== Carpool Alert
+partition 0 {2, 3}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 1 cosim-passed, 0 failed, 0 skipped
+== Cafeteria Food Alert
+partition 0 {3, 4, 5}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 1 cosim-passed, 0 failed, 0 skipped
+== Podium Timer 2
+partition 0 {2, 3, 4}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 1 cosim-passed, 0 failed, 0 skipped
+== Any Window Open Alarm
+0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped
+== Two Button Light
+0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped
+== Doorbell Extender 1
+0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped
+== Doorbell Extender 2
+0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped
+== Podium Timer 3
+partition 0 {2, 3, 4, 5}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {6, 8, 9}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 2 cosim-passed, 0 failed, 0 skipped
+== Noise At Night Detector
+partition 0 {9, 10}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {5, 6}: equivalent (proven exhaustively)
+partition 2 {13, 14}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 3 {11, 12}: differential co-simulation agreed (3 script(s), 15 check(s))
+1 proven, 0 bounded, 3 cosim-passed, 0 failed, 0 skipped
+== Two-Zone Security
+partition 0 {13, 14, 15}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {20, 21, 22, 23}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 2 {26, 27, 28, 29}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 3 cosim-passed, 0 failed, 0 skipped
+== Motion on Property Alert
+0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped
+== Timed Passage
+partition 0 {9, 10, 15, 16}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {21, 22, 23, 24}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 2 {25, 26}: equivalent (proven exhaustively)
+partition 3 {11, 12}: differential co-simulation agreed (3 script(s), 15 check(s))
+1 proven, 0 bounded, 3 cosim-passed, 0 failed, 0 skipped
+|}
+
+let test_report_golden () =
+  let rendered =
+    String.concat ""
+      (List.map
+         (fun d ->
+           let g = d.Designs.Design.network in
+           let sol = (Core.Paredown.run g).Core.Paredown.solution in
+           Format.asprintf "== %s@.%a@." d.Designs.Design.name
+             Codegen.Verify.pp_report
+             (Codegen.Verify.check_solution g sol))
+         Designs.Library.table1)
+  in
+  check Alcotest.string "pp_report of every Table 1 design" table1_reports
+    rendered
+
+(* --- the shared flat side against the per-candidate oracle -------------- *)
+
+(* A deliberately broken rewrite: the merged block additionally drives
+   its first output to the negation of its first input on every
+   activation. *)
+let break_rewrite (rw : Codegen.Replace.t) =
+  let g = rw.Codegen.Replace.network in
+  match rw.Codegen.Replace.programmable_ids with
+  | [] -> None
+  | pid :: _ ->
+    let d = Graph.descriptor g pid in
+    let open Eblock.Descriptor in
+    if d.n_inputs = 0 || d.n_outputs = 0 then None
+    else begin
+      let behavior =
+        {
+          d.behavior with
+          Behavior.Ast.body =
+            d.behavior.Behavior.Ast.body
+            @ [ Behavior.Ast.(Output (0, Unop (Not, Input 0))) ];
+        }
+      in
+      let broken =
+        make ~name:(d.name ^ "-broken") ~kind:d.kind ~n_inputs:d.n_inputs
+          ~n_outputs:d.n_outputs ~behavior ~output_init:d.output_init
+          ~cost:d.cost ()
+      in
+      let edges = Graph.fanin g pid @ Graph.fanout g pid in
+      let g, _ = Graph.add ~id:pid (Graph.remove_node g pid) broken in
+      Some
+        (List.fold_left
+           (fun g (e : Graph.edge) ->
+             Graph.connect g
+               ~src:(e.Graph.src.Graph.node, e.Graph.src.Graph.port)
+               ~dst:(e.Graph.dst.Graph.node, e.Graph.dst.Graph.port))
+           g edges)
+    end
+
+(* Every partition's honest rewrite, each followed by its broken twin. *)
+let candidates g (sol : Core.Solution.t) =
+  List.concat_map
+    (fun p ->
+      match Codegen.Replace.apply g { Core.Solution.partitions = [ p ] } with
+      | exception Codegen.Replace.Replace_error _ -> []
+      | rw -> rw.Codegen.Replace.network :: Option.to_list (break_rewrite rw))
+    sol.Core.Solution.partitions
+
+(* An outcome (or the exception raised instead) rendered with every
+   field of a failure — seed, engine, the shrunk script, the original
+   length, the mismatch — plus the codegen.cosim.* metrics it moved. *)
+let observed_run f =
+  let outcome, entries =
+    Obs.Metrics.with_scope (fun () ->
+        match f () with
+        | Codegen.Cosim.Agreed { scripts; checks } ->
+          Printf.sprintf "agreed (%d scripts, %d checks)" scripts checks
+        | Codegen.Cosim.Diverged f ->
+          Format.asprintf "diverged: %a" Codegen.Cosim.pp_failure f
+        | Codegen.Cosim.Inconclusive reason -> "inconclusive: " ^ reason
+        | exception e -> "raised " ^ Printexc.to_string e)
+  in
+  let metrics =
+    List.filter_map
+      (fun e ->
+        if String.starts_with ~prefix:"codegen.cosim." e.Obs.Metrics.name then
+          Some
+            (Printf.sprintf "%s=%s" e.Obs.Metrics.name
+               (Obs.Metrics.string_of_value e.Obs.Metrics.value))
+        else None)
+      entries
+  in
+  String.concat "\n" (outcome :: List.sort compare metrics)
+
+(* Runs every candidate against one shared flat side, in order, and the
+   oracle against each candidate alone; returns the first disagreement. *)
+let shared_vs_oracle g cands =
+  let flat = Codegen.Cosim.reference g in
+  List.find_map
+    (fun cand ->
+      let shared =
+        observed_run (fun () -> Codegen.Cosim.run_against ~reference:flat cand)
+      in
+      let oracle =
+        observed_run (fun () -> Cosim_oracle.run ~reference:g cand)
+      in
+      if shared = oracle then None else Some (shared, oracle))
+    cands
+
+let prop_shared_flat_side_matches_oracle =
+  QCheck.Test.make
+    ~name:"shared flat side = per-candidate oracle, broken rewrites included"
+    ~count:15
+    (Testlib.network_arbitrary ~max_inner:10 ()) (fun (_, _, g) ->
+      let sol = (Core.Paredown.run g).Core.Paredown.solution in
+      match shared_vs_oracle g (candidates g sol) with
+      | None -> true
+      | Some (shared, oracle) ->
+        QCheck.Test.fail_reportf "shared:@.%s@.oracle:@.%s" shared oracle)
+
+let test_broken_rewrite_matches_oracle () =
+  (* both of Podium Timer 3's partitions are co-simulated; their broken
+     twins must diverge, and shrink, exactly as the oracle's do *)
+  let g = podium in
+  let sol = (Core.Paredown.run g).Core.Paredown.solution in
+  let cands = candidates g sol in
+  check Alcotest.int "two rewrites, two broken twins" 4 (List.length cands);
+  (match shared_vs_oracle g cands with
+   | None -> ()
+   | Some (shared, oracle) ->
+     Alcotest.failf "shared:\n%s\noracle:\n%s" shared oracle);
+  let flat = Codegen.Cosim.reference g in
+  List.iteri
+    (fun i cand ->
+      match Codegen.Cosim.run_against ~reference:flat cand, i mod 2 with
+      | Codegen.Cosim.Agreed _, 0 -> ()
+      | Codegen.Cosim.Diverged f, 1 ->
+        check Alcotest.bool "counterexample shrunk" true
+          (List.length f.Codegen.Cosim.script < f.Codegen.Cosim.original_steps)
+      | _, 0 -> Alcotest.failf "honest rewrite %d did not agree" i
+      | _ -> Alcotest.failf "broken rewrite %d did not diverge" i)
+    cands
+
 let prop_random_solutions_never_fail =
   (* the fuzz experiment at test scale: whatever tier applies, no
      partition of a PareDown solution may produce a counterexample *)
@@ -342,6 +568,21 @@ let () =
         [
           Alcotest.test_case "no silent skips on table 1" `Quick
             test_report_no_silent_skips;
+          Alcotest.test_case "table 1 reports golden" `Quick
+            test_report_golden;
         ] );
-      ("properties", Testlib.qtests [ prop_random_solutions_never_fail ]);
+      ( "work",
+        [
+          Alcotest.test_case "settles in closed form on table 1" `Quick
+            test_work_closed_form;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "broken rewrite matches the oracle" `Quick
+            test_broken_rewrite_matches_oracle;
+        ] );
+      ( "properties",
+        Testlib.qtests
+          [ prop_random_solutions_never_fail;
+            prop_shared_flat_side_matches_oracle ] );
     ]
