@@ -75,7 +75,9 @@ perf-smoke: jobs-check
 # The --jobs determinism gate: a 2-domain sweep must print byte-for-byte
 # what the sequential one prints.  PAREDOWN_STABLE_TIMES masks the wall
 # clock readings — the one legitimately nondeterministic output (see
-# doc/performance.md).
+# doc/performance.md).  The two observe runs cover both halves of the
+# blame vector: link strikes (drops on Entry Gate Detector) and node
+# resets (brownouts on Two-Zone Security).
 jobs-check:
 	PAREDOWN_STABLE_TIMES=1 dune exec bin/run_experiments.exe -- scale --jobs 1 > scale-j1.txt
 	PAREDOWN_STABLE_TIMES=1 dune exec bin/run_experiments.exe -- scale --jobs 2 > scale-j2.txt
@@ -90,6 +92,14 @@ jobs-check:
 	cp netobs-jobs.json netobs-j1.json
 	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe entry_gate \
 	  --faults drop:0.05 --jobs 2 --netobs netobs-jobs.json > observe-j2.txt
+	diff observe-j1.txt observe-j2.txt
+	diff netobs-j1.json netobs-jobs.json
+	rm -f observe-j1.txt observe-j2.txt netobs-j1.json netobs-jobs.json
+	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe "Two-Zone Security" \
+	  --faults brownout:0.3@40,110,180 --jobs 1 --netobs netobs-jobs.json > observe-j1.txt
+	cp netobs-jobs.json netobs-j1.json
+	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe "Two-Zone Security" \
+	  --faults brownout:0.3@40,110,180 --jobs 2 --netobs netobs-jobs.json > observe-j2.txt
 	diff observe-j1.txt observe-j2.txt
 	diff netobs-j1.json netobs-jobs.json
 	rm -f observe-j1.txt observe-j2.txt netobs-j1.json netobs-jobs.json

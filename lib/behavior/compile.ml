@@ -353,8 +353,12 @@ let copy_state st =
   }
 
 let reset_state t st =
-  Array.blit t.var_init 0 st.vars 0 t.n_vars;
-  Array.blit t.defined0 0 st.defined 0 t.n_vars
+  (* inline: a block has a handful of variables, often none, and
+     [Array.blit] is an out-of-line call *)
+  for i = 0 to t.n_vars - 1 do
+    Array.unsafe_set st.vars i (Array.unsafe_get t.var_init i);
+    Array.unsafe_set st.defined i (Array.unsafe_get t.defined0 i)
+  done
 
 let bind_inputs st ~tags ~payloads =
   st.in_k <- tags;

@@ -89,10 +89,21 @@ let tokenize source =
       while !i < n && source.[!i] <> '\n' do advance 1 done
     end
     else if is_digit c then begin
-      let start = !i in
+      let start = !i and start_line = !line and start_column = !column in
       while !i < n && is_digit source.[!i] do advance 1 done;
       let text = String.sub source start (!i - start) in
-      emit (Int_lit (int_of_string text))
+      match int_of_string_opt text with
+      | Some v -> emit (Int_lit v)
+      | None ->
+        raise
+          (Syntax_error
+             {
+               line = start_line;
+               column = start_column;
+               message =
+                 Printf.sprintf "integer literal %s out of range (max %d)"
+                   text max_int;
+             })
     end
     else if is_ident_start c then begin
       let start = !i in

@@ -129,12 +129,7 @@ let observe_network ?(jobs = 1) ?(config = default_config) ~name g =
       wrong = count Sim.Degrade.Wrong_value;
       diverged = count Sim.Degrade.Diverged;
       severity;
-      blame =
-        Estimator.blame_of_trials
-          (List.map
-             (fun (r, tel) ->
-               (Sim.Degrade.score r.Sim.Degrade.outcome, tel))
-             trials_run);
+      blame = Estimator.blame_of_trials (List.map fst trials_run);
     }
 
 let record_timeline ?(config = default_config) g =

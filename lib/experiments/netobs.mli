@@ -6,8 +6,9 @@
     [run_experiments netobs]: it replays the estimator's reproducible
     stimulus script under [trials] seeded fault plans with a
     {!Sim.Telemetry} collector armed per trial, merges the collectors
-    deterministically, and attributes the measured severity to links
-    and nodes via {!Libs.Reliability.Estimator.blame_of_trials}.
+    deterministically for its reports, and attributes the measured
+    severity to links and nodes from each trial's engine strike
+    counters via {!Libs.Reliability.Estimator.blame_of_trials}.
     Everything is byte-identical across [--jobs N] (see
     doc/network-telemetry.md). *)
 

@@ -61,17 +61,18 @@ let blame_total b =
 
 (* Each trial contributes score/n to the mean; that mass is split over
    the sites (links and nodes) in proportion to how many faults struck
-   each during the trial.  A degraded trial with no recorded strike
-   (possible only through fault classes telemetry cannot site, e.g. a
-   static stuck-at) lands in [b_unattributed], so the three components
-   always sum to the mean severity up to float rounding.  Accumulation
-   per site happens in trial order and the output lists are sorted by
-   site identity, so the vector is deterministic and jobs-invariant. *)
-let blame_of_trials trials =
-  match trials with
+   each during the trial, as the trial engine's strike counters
+   recorded them.  A degraded trial with no recorded strike (possible
+   only through fault classes the counters cannot site, e.g. a static
+   stuck-at) lands in [b_unattributed], so the three components always
+   sum to the mean severity up to float rounding.  Accumulation per
+   site happens in trial order and the output lists are sorted by site
+   identity, so the vector is deterministic and jobs-invariant. *)
+let blame_of_trials (runs : Sim.Degrade.run list) =
+  match runs with
   | [] -> empty_blame
   | _ ->
-    let n = float_of_int (List.length trials) in
+    let n = float_of_int (List.length runs) in
     let links = Hashtbl.create 16 in
     let nodes = Hashtbl.create 16 in
     let unattributed = ref 0. in
@@ -81,27 +82,25 @@ let blame_of_trials trials =
       | None -> Hashtbl.add tbl k x
     in
     List.iter
-      (fun (score, tel) ->
-        let mass = score /. n in
+      (fun (r : Sim.Degrade.run) ->
+        let mass = Sim.Degrade.score r.outcome /. n in
         if mass > 0. then begin
-          let link_strikes = Sim.Telemetry.link_strikes tel in
-          let node_resets = Sim.Telemetry.node_resets tel in
           let total =
-            List.fold_left (fun acc (_, k) -> acc + k) 0 link_strikes
-            + List.fold_left (fun acc (_, k) -> acc + k) 0 node_resets
+            List.fold_left (fun acc (_, k) -> acc + k) 0 r.link_strikes
+            + List.fold_left (fun acc (_, k) -> acc + k) 0 r.node_resets
           in
           if total = 0 then unattributed := !unattributed +. mass
           else begin
             let tf = float_of_int total in
             List.iter
               (fun (e, k) -> bump links e (mass *. float_of_int k /. tf))
-              link_strikes;
+              r.link_strikes;
             List.iter
               (fun (id, k) -> bump nodes id (mass *. float_of_int k /. tf))
-              node_resets
+              r.node_resets
           end
         end)
-      trials;
+      runs;
     {
       b_links =
         Hashtbl.fold (fun e x acc -> (e, x) :: acc) links []
@@ -186,6 +185,28 @@ let script config g =
 
 let clamp01 x = Float.max 0. (Float.min 1. x)
 
+(* [k] contiguous runs of [xs] (fewer when [xs] is shorter), their
+   lengths differing by at most one, longest first. *)
+let chunks k xs =
+  let n = List.length xs in
+  let k = min k n in
+  let rec take i xs acc =
+    if i = 0 then (List.rev acc, xs)
+    else
+      match xs with
+      | x :: rest -> take (i - 1) rest (x :: acc)
+      | [] -> (List.rev acc, [])
+  in
+  let rec split c xs acc =
+    if c = k then List.rev acc
+    else begin
+      let size = (n / k) + if c < n mod k then 1 else 0 in
+      let chunk, rest = take size xs [] in
+      split (c + 1) rest (chunk :: acc)
+    end
+  in
+  split 0 xs []
+
 let estimate_network ?(jobs = 1) (config : config) g =
   if config.trials <= 0 then invalid_arg "Estimator: trials must be positive";
   let t0 = Obs.Clock.now_ns () in
@@ -205,22 +226,17 @@ let estimate_network ?(jobs = 1) (config : config) g =
          :: acc)
   in
   let plans = draw config.trials [] in
-  (* Each trial carries its own telemetry collector so severity can be
-     attributed to the links/nodes whose strikes caused it; collectors
-     come back through Parallel.map in input order, keeping the blame
-     fold deterministic and jobs-invariant. *)
-  let trials_run =
-    Parallel.map ~jobs
-      (fun faults ->
-        let telemetry = Sim.Telemetry.create () in
-        let run =
-          Sim.Degrade.classify_against ~settle_limit:config.settle_limit
-            ~telemetry ~reference g script ~faults
-        in
-        (run, telemetry))
-      plans
+  (* One engine per contiguous chunk of plans, one chunk per job,
+     restarted between trials; Parallel.map returns the chunks in input
+     order, so the runs come back in trial order and the tally and the
+     blame fold cannot depend on [jobs]. *)
+  let runs =
+    List.concat
+      (Parallel.map ~jobs
+         (Sim.Degrade.classify_each ~settle_limit:config.settle_limit
+            ~reference)
+         (chunks (max 1 jobs) plans))
   in
-  let runs = List.map fst trials_run in
   let count o =
     List.length (List.filter (fun r -> r.Sim.Degrade.outcome = o) runs)
   in
@@ -257,11 +273,7 @@ let estimate_network ?(jobs = 1) (config : config) g =
     lo = clamp01 (mean -. (1.96 *. stderr));
     hi = clamp01 (mean +. (1.96 *. stderr));
     injected;
-    blame =
-      blame_of_trials
-        (List.map
-           (fun (r, tel) -> (Sim.Degrade.score r.Sim.Degrade.outcome, tel))
-           trials_run);
+    blame = blame_of_trials runs;
   }
 
 (* --- Memoized solution scoring --------------------------------------- *)
@@ -270,6 +282,10 @@ type cache = {
   table : estimate Obs.Lru.t;
   mutable hits : int;
   mutable misses : int;
+  mutable digested : (Graph.t * string) option;
+      (* the last network scored and its digest: a sweep scores one
+         network many times, and graphs are immutable, so physical
+         equality is a sound key *)
 }
 
 (* Generous: a λ sweep over Table 1 touches tens of distinct solutions,
@@ -278,7 +294,7 @@ type cache = {
 let default_capacity = 4096
 
 let cache ?(capacity = default_capacity) () =
-  { table = Obs.Lru.create ~capacity; hits = 0; misses = 0 }
+  { table = Obs.Lru.create ~capacity; hits = 0; misses = 0; digested = None }
 
 type cache_stats = {
   hits : int;
@@ -309,7 +325,12 @@ let canonicalize solution =
         solution.Core.Solution.partitions;
   }
 
-let fingerprint config g solution =
+let network_digest g =
+  Digest.to_hex (Digest.string (Netlist.Textio.to_string g))
+
+(* The cache key of a canonical solution on a network with the given
+   digest. *)
+let key config ~digest solution =
   let partition p =
     Printf.sprintf "{%s}/%s"
       (String.concat ","
@@ -325,10 +346,20 @@ let fingerprint config g solution =
       string_of_int config.steps;
       string_of_int config.spacing;
       string_of_int config.settle_limit;
-      Digest.to_hex (Digest.string (Netlist.Textio.to_string g));
-      String.concat ";"
-        (List.map partition (canonicalize solution).Core.Solution.partitions);
+      digest;
+      String.concat ";" (List.map partition solution.Core.Solution.partitions);
     ]
+
+let fingerprint config g solution =
+  key config ~digest:(network_digest g) (canonicalize solution)
+
+let cached_digest cache g =
+  match cache.digested with
+  | Some (g', digest) when g' == g -> digest
+  | Some _ | None ->
+    let digest = network_digest g in
+    cache.digested <- Some (g, digest);
+    digest
 
 let journal_scored ~partitions ~trials ~severity ~cache_hit =
   if Obs.Journal.enabled () then
@@ -339,7 +370,7 @@ let journal_scored ~partitions ~trials ~severity ~cache_hit =
 let estimate_solution ?(jobs = 1) ~cache config g solution =
   let solution = canonicalize solution in
   let partitions = Core.Solution.programmable_count solution in
-  let key = fingerprint config g solution in
+  let key = key config ~digest:(cached_digest cache g) solution in
   match Obs.Lru.find cache.table key with
   | Some est ->
     cache.hits <- cache.hits + 1;

@@ -4,7 +4,7 @@
     ({!Codegen.Replace.apply}), replaying one reproducible stimulus
     script under [trials] independently seeded instantiations of a
     {!Family.t}, classifying each replay with
-    {!Sim.Degrade.classify_against}, and averaging the per-trial
+    {!Sim.Degrade.classify_each}, and averaging the per-trial
     {!Sim.Degrade.score}s.  The result is the {e expected degradation}
     in [[0, 1]] — 0 when every trial absorbed its faults, 1 when every
     trial livelocked — together with a normal-approximation confidence
@@ -17,7 +17,7 @@
     [--jobs N].
 
     Caching: scoring is the expensive step of reliability-aware search
-    (2 + trials full simulations per candidate), and both the λ sweep
+    (1 + trials full simulations per candidate), and both the λ sweep
     and the weighted searches revisit the same partitionings, so
     {!estimate_solution} memoizes behind {!fingerprint} — a canonical
     rendering of (config, network digest, sorted partitions).  The
@@ -43,13 +43,17 @@ val default_config : config
 
     A scalar severity says {e how much} a partitioning degrades, not
     {e where}: which link's drops, which node's brownouts.  Every
-    estimate therefore carries a {!blame} vector.  Each trial runs with
-    a {!Sim.Telemetry} collector armed, and its score-mass (score /
-    trials) is split over the fault sites in proportion to how many
-    strikes each absorbed during that trial — so the components always
-    sum (±ε) to [mean].  Degraded trials with no site-attributable
-    strike (only static stuck-at faults can cause this) accumulate in
-    [b_unattributed].  See doc/network-telemetry.md. *)
+    estimate therefore carries a {!blame} vector.  A fault-armed trial
+    engine counts the strikes on each link and the brownouts of each
+    node as they happen ({!Sim.Engine.link_strikes},
+    {!Sim.Engine.node_resets}), and each trial's {!Sim.Degrade.run}
+    carries those counts.  The trial's score-mass (score / trials) is
+    split over the fault sites in proportion to how many strikes each
+    absorbed during that trial — so the components always sum (±ε) to
+    [mean].  No per-trial collector is armed.  Degraded trials with no
+    site-attributable strike (only static stuck-at faults can cause
+    this) accumulate in [b_unattributed].  See
+    doc/network-telemetry.md. *)
 
 type blame = {
   b_links : (Graph.edge * float) list;
@@ -66,11 +70,12 @@ val blame_total : blame -> float
 (** Sum of every component — equals the estimate's [mean] up to float
     rounding. *)
 
-val blame_of_trials : (float * Sim.Telemetry.t) list -> blame
-(** Aggregate (per-trial score, per-trial collector) pairs, in trial
-    order.  Deterministic: per-site accumulation follows list order and
-    the output is sorted by site identity, so feeding trials in input
-    order makes the vector jobs-invariant. *)
+val blame_of_trials : Sim.Degrade.run list -> blame
+(** Aggregate trials' runs, in trial order: each run's
+    {!Sim.Degrade.score} mass over its [link_strikes] and
+    [node_resets].  Deterministic: per-site accumulation follows list
+    order and the output is sorted by site identity, so feeding trials
+    in input order makes the vector jobs-invariant. *)
 
 val blame_table : blame -> string
 (** Rendered site table, heaviest site first, with a total row. *)
@@ -104,7 +109,11 @@ val script : config -> Graph.t -> Sim.Stimulus.script
 
 val estimate_network : ?jobs:int -> config -> Graph.t -> estimate
 (** Score a network as-is (no rewriting): one clean reference run, then
-    [trials] faulty replays fanned out over [jobs] domains (default 1). *)
+    [trials] faulty replays.  The trials split into [jobs] contiguous
+    chunks (default 1), each replayed on one engine restarted between
+    trials ({!Sim.Degrade.classify_each}), and the chunks fan out over
+    [jobs] domains.  When no trial diverges, an estimate costs exactly
+    [steps × (trials + 1)] settles. *)
 
 (** {1 The memo cache} *)
 
@@ -144,7 +153,12 @@ val estimate_solution :
   ?jobs:int -> cache:cache -> config -> Graph.t -> Core.Solution.t ->
   estimate
 (** Synthesise [solution] on the flat network and {!estimate_network}
-    the rewritten result, memoized behind {!fingerprint}.  Emits a
+    the rewritten result, memoized behind {!fingerprint}.  The cache
+    remembers the digest of the last network it scored (graphs are
+    immutable, so a physically equal [g] has the same text), so a memo
+    hit renders the partitions and looks up the LRU, and never
+    re-renders the netlist; the key is byte-identical to
+    [fingerprint config g solution].  Emits a
     [Reliability_scored] journal event per call (with [trials = 0] and
     [cache_hit = true] on a memo hit) and maintains the
     [reliability.cache_hits]/[reliability.cache_misses] counters and the

@@ -65,12 +65,28 @@ type inbound =
 
 let default_trials = 8
 let default_seed = 1
+let max_trials = 10_000
 
 let str_field name j = Option.bind (Json.member name j) Json.to_str
 
 let num_field name j = Option.bind (Json.member name j) Json.to_float
 
 let int_field name j = Option.map int_of_float (num_field name j)
+
+(* A weighted request's Monte-Carlo sample size.  A fraction would be
+   truncated silently, a non-positive count only fails once the
+   estimator runs, and an unbounded one lets a single frame occupy the
+   resident server indefinitely: all three are rejected here. *)
+let trials_field j =
+  match num_field "trials" j with
+  | None -> Ok default_trials
+  | Some v when Float.is_integer v && v >= 1. && v <= float_of_int max_trials
+    ->
+    Ok (int_of_float v)
+  | Some v ->
+    Error
+      (Printf.sprintf "trials must be an integer in 1..%d (got %s)" max_trials
+         (Json.to_string (Json.Num v)))
 
 let parse_request json =
   match Json.of_string json with
@@ -99,9 +115,9 @@ let parse_request json =
       let family_name =
         Option.value (str_field "family" j) ~default:"brownout:0.3@40,110,180"
       in
-      match Reliability.Family.of_string family_name with
-      | Error e -> Invalid { id; reason = e }
-      | Ok family ->
+      match Reliability.Family.of_string family_name, trials_field j with
+      | Error e, _ | _, Error e -> Invalid { id; reason = e }
+      | Ok family, Ok trials ->
         Request
           {
             id;
@@ -110,9 +126,7 @@ let parse_request json =
                 {
                   lambda = Option.value (num_field "lambda" j) ~default:1.0;
                   family;
-                  trials =
-                    Option.value (int_field "trials" j)
-                      ~default:default_trials;
+                  trials;
                   seed = Option.value (int_field "seed" j) ~default:default_seed;
                 };
             design = str_field "design" j;

@@ -47,6 +47,11 @@ type inbound =
 val default_trials : int
 val default_seed : int
 
+val max_trials : int
+(** The largest [trials] a [weighted] request may ask for (10_000).  A
+    [trials] value that is not a whole number in [1..max_trials] makes
+    the request {!Invalid}, with a reason naming the bound. *)
+
 val parse_request : string -> inbound
 val render_request : request -> string
 val drain_frame : string

@@ -45,6 +45,8 @@ let pp_outcome ppf o = Format.pp_print_string ppf (outcome_to_string o)
 type run = {
   outcome : outcome;
   injected : Fault.stats;
+  link_strikes : (Graph.edge * int) list;
+  node_resets : (Node_id.t * int) list;
   packets : int;
   mismatched_steps : int;
   steps : int;
@@ -56,98 +58,117 @@ let same_outputs a b =
     (fun (_, va) (_, vb) -> Behavior.Ast.equal_value va vb)
     a b
 
-(* Replay the script on a fault-armed engine, settling after each step
-   as {!Stimulus.settled_outputs} does, but stopping (rather than
-   raising) when a settle exhausts its event limit. *)
-let faulty_observations ~settle_limit engine script =
-  let ordered =
-    List.stable_sort
-      (fun a b -> Int.compare a.Stimulus.time b.Stimulus.time)
-      script
-  in
-  let rec loop acc = function
-    | [] -> (List.rev acc, false)
-    | step :: rest ->
-      let time = max step.Stimulus.time (Engine.now engine) in
-      Engine.set_sensor_at engine ~time step.Stimulus.sensor
-        step.Stimulus.value;
-      (match Engine.settle ~limit:settle_limit engine with
-       | () -> loop (Engine.output_values engine :: acc) rest
-       | exception Engine.Event_limit_exceeded _ -> (List.rev acc, true))
-  in
-  loop [] ordered
-
 type reference = {
   ref_net : Engine.prepared;  (* every trial engine starts from it *)
   ref_tie_order : Engine.tie_order;
-  ref_outputs : (int * (Node_id.t * Behavior.Ast.value) list) list;
+  ref_script : Stimulus.step array;  (* sorted by time, stably *)
+  ref_outputs : (Node_id.t * Behavior.Ast.value) list array;
+      (* the clean run's settled outputs after each step *)
 }
 
-let classify_with ?telemetry ~settle_limit
-    ~reference:{ ref_net; ref_tie_order; ref_outputs } ~faults script =
-  let reference = ref_outputs in
+(* Replay the script on a fault-armed engine, settling after each step
+   as {!Stimulus.settled_outputs} does and comparing the settled
+   outputs with the reference's as each step settles, but stopping
+   (rather than raising) when a settle exhausts its event limit. *)
+let classify_run ~settle_limit ~reference engine =
   Obs.Metrics.incr m_runs;
-  let engine =
-    Engine.start ~tie_order:ref_tie_order ~faults ?telemetry ref_net
+  let steps = Array.length reference.ref_outputs in
+  (* [last_matched] starts true: a run with nothing compared ends
+     matched *)
+  let rec replay i mismatches last_matched =
+    if i = steps then (mismatches, last_matched, false)
+    else begin
+      let step = reference.ref_script.(i) in
+      let time = max step.Stimulus.time (Engine.now engine) in
+      Engine.set_sensor_at engine ~time step.Stimulus.sensor
+        step.Stimulus.value;
+      match Engine.settle ~limit:settle_limit engine with
+      | () ->
+        if same_outputs reference.ref_outputs.(i) (Engine.output_values engine)
+        then replay (i + 1) mismatches true
+        else replay (i + 1) (mismatches + 1) false
+      | exception Engine.Event_limit_exceeded _ ->
+        (* the steps from this one on were never observed *)
+        (mismatches + (steps - i), last_matched, true)
+    end
   in
-  let observed, diverged = faulty_observations ~settle_limit engine script in
+  let mismatched_steps, last_matched, diverged = replay 0 0 true in
   let injected =
     match Engine.fault_stats engine with
     | Some s -> s
-    | None -> assert false  (* the engine above was created with ~faults *)
+    | None -> assert false  (* every trial engine is armed with ~faults *)
   in
-  let steps = List.length reference in
-  let rec compare_points mismatches last_matched refs obs =
-    match refs, obs with
-    | [], _ | _, [] -> (mismatches, last_matched)
-    | (_, r) :: refs, o :: obs ->
-      if same_outputs r o then compare_points mismatches true refs obs
-      else compare_points (mismatches + 1) false refs obs
-  in
-  let compared_mismatches, last_matched =
-    compare_points 0 true reference observed
-  in
-  let unobserved = steps - List.length observed in
   let outcome =
     if diverged then begin
       Obs.Metrics.incr m_diverged;
       Diverged
     end
-    else if compared_mismatches = 0 then Identical
+    else if mismatched_steps = 0 then Identical
     else if last_matched then Glitch_recovered
     else Wrong_value
   in
   {
     outcome;
     injected;
+    link_strikes = Engine.link_strikes engine;
+    node_resets = Engine.node_resets engine;
     packets = Engine.packet_count engine;
-    mismatched_steps = compared_mismatches + max 0 unobserved;
+    mismatched_steps;
     steps;
     settle_limit;
   }
 
 let reference ?(tie_order = Engine.Fifo) g script =
   let net = Engine.prepare g in
+  let ordered =
+    List.stable_sort
+      (fun a b -> Int.compare a.Stimulus.time b.Stimulus.time)
+      script
+  in
   {
     ref_net = net;
     ref_tie_order = tie_order;
+    ref_script = Array.of_list ordered;
     ref_outputs =
-      Stimulus.settled_outputs (Engine.start ~tie_order net) script;
+      Array.of_list
+        (List.map snd
+           (Stimulus.settled_outputs (Engine.start ~tie_order net) ordered));
   }
 
-let classify_against ?(settle_limit = 100_000) ?telemetry ~reference _g script
-    ~faults =
-  classify_with ?telemetry ~settle_limit ~reference ~faults script
+(* One faulty replay on an engine of its own. *)
+let classify_with ?telemetry ~settle_limit ~reference faults =
+  classify_run ~settle_limit ~reference
+    (Engine.start ~tie_order:reference.ref_tie_order ~faults ?telemetry
+       reference.ref_net)
+
+let classify_against ?(settle_limit = 100_000) ?telemetry ~reference _g
+    _script ~faults =
+  classify_with ?telemetry ~settle_limit ~reference faults
+
+let classify_each ?(settle_limit = 100_000) ~reference plans =
+  match plans with
+  | [] -> []
+  | first :: rest ->
+    let engine =
+      Engine.start ~tie_order:reference.ref_tie_order ~faults:first
+        reference.ref_net
+    in
+    let first_run = classify_run ~settle_limit ~reference engine in
+    let rec go acc = function
+      | [] -> List.rev acc
+      | faults :: rest ->
+        Engine.restart ~faults engine;
+        go (classify_run ~settle_limit ~reference engine :: acc) rest
+    in
+    go [ first_run ] rest
 
 let classify ?(tie_order = Engine.Fifo) ?(settle_limit = 100_000) ~faults g
     script =
   let reference = reference ~tie_order g script in
-  classify_with ~settle_limit ~reference ~faults script
+  classify_with ~settle_limit ~reference faults
 
 let sweep ?(tie_order = Engine.Fifo) ?(settle_limit = 100_000) ~plans g
     script =
   let reference = reference ~tie_order g script in
-  List.map
-    (fun (name, faults) ->
-      (name, classify_with ~settle_limit ~reference ~faults script))
-    plans
+  List.combine (List.map fst plans)
+    (classify_each ~settle_limit ~reference (List.map snd plans))

@@ -56,6 +56,12 @@ val pp_outcome : Format.formatter -> outcome -> unit
 type run = {
   outcome : outcome;
   injected : Fault.stats;  (** faults that actually struck *)
+  link_strikes : (Graph.edge * int) list;
+      (** per-connection strike counts of the faulty run
+          ({!Engine.link_strikes}), sorted by {!Graph.compare_edge} *)
+  node_resets : (Netlist.Node_id.t * int) list;
+      (** per-block brownout counts of the faulty run
+          ({!Engine.node_resets}), sorted by id *)
   packets : int;  (** send attempts in the faulty run *)
   mismatched_steps : int;  (** observations differing from the clean run *)
   steps : int;  (** script length compared *)
@@ -87,8 +93,8 @@ val sweep :
   Stimulus.script ->
   (string * run) list
 (** {!classify} under each named plan, sharing one clean reference
-    run.  Each row's [settle_limit] field reports the limit the sweep
-    actually ran under. *)
+    run and one engine ({!classify_each}).  Each row's [settle_limit]
+    field reports the limit the sweep actually ran under. *)
 
 (** {1 Shared references}
 
@@ -100,7 +106,10 @@ val sweep :
     {!classify_against} calls — including calls fanned out over
     worker domains, since a reference is immutable once built.  It also
     holds the network's {!Engine.prepared} tables, so every faulty
-    trial starts its engine without rebuilding them. *)
+    trial starts its engine without rebuilding them, and the script
+    sorted once, so a trial only replays it.  A trial compares each
+    step's settled outputs with the reference's as the step settles;
+    it builds no observation list. *)
 
 type reference
 (** One clean run's settled observations, plus the prepared network they
@@ -126,6 +135,24 @@ val classify_against :
     network.  [classify g script ~faults] is
     [classify_against ~reference:(reference g script) g script ~faults].
     [telemetry] arms a collector on the faulty replay (the clean
-    reference is never re-run, so it records the faulty run only) —
-    this is how the reliability estimator attributes severity to the
-    links and nodes whose strikes caused it. *)
+    reference is never re-run, so it records the faulty run only).
+    The run's strike lists come from the engine's own counters, armed
+    collector or not. *)
+
+(** {1 Many plans, one engine}
+
+    A reliability estimate classifies one (network, script) pair under
+    dozens of plans.  Starting an engine per plan allocates its per-run
+    arrays each time; {!classify_each} allocates them once and
+    {!Engine.restart}s between plans.  Each run's strike lists come from
+    the engine's strike counters ({!Engine.link_strikes}), which exist
+    only on a fault-armed engine: an unarmed run pays nothing for them,
+    and every faulty replay here is armed. *)
+
+val classify_each :
+  ?settle_limit:int -> reference:reference -> Fault.plan list -> run list
+(** [classify_against] under each plan, in list order, on one engine:
+    started for the first plan and {!Engine.restart}ed for each next
+    one.  Equal, run for run, to classifying each plan on a fresh
+    engine — a restart leaves exactly the state a start does — minus
+    the per-trial allocation. *)

@@ -89,6 +89,8 @@ module Tbuf = struct
     b.vals.(b.len) <- v;
     b.len <- b.len + 1
 
+  let clear b = b.len <- 0
+
   let to_list b =
     let rec go i acc =
       if i < 0 then acc
@@ -173,9 +175,13 @@ type t = {
   fo : int array array array;  (* node -> port -> edge indices *)
   e_delay : int array;  (* per-edge packet latency, already clamped >= 1 *)
   c_tie_order : tie_order;
-  c_tie_rng : Prng.t option;
-  c_faults : Fault.runtime option;
-  c_telemetry : Telemetry.t option;
+  mutable c_tie_rng : Prng.t option;
+  mutable c_faults : Fault.runtime option;
+  mutable c_telemetry : Telemetry.t option;
+  (* per-site strike counters of a fault-armed run ([||] when unarmed):
+     faults that struck each dense edge, brownouts of each dense node *)
+  mutable e_strikes : int array;
+  mutable n_resets : int array;
   (* the event calendar: a struct-of-arrays store holding every pending
      event's fields, addressed by slot; a timing wheel (one bucket per
      tick over a [wheel_w]-tick window) for near events; and a
@@ -195,9 +201,10 @@ type t = {
       (* wheel: per-tick slot lists, each allocated on its first append
          (most runs touch a few dozen of the [wheel_w] ticks) *)
   b_len : int array;
-  b_dirty : bool array;
-      (* bucket holds an append that broke (priority, seq) order —
-         sorted lazily when the bucket drains *)
+  b_dirty : Bytes.t;
+      (* per bucket, nonzero: the bucket holds an append that broke
+         (priority, seq) order — sorted lazily when the bucket drains.
+         Bytes, not a bool array: every start allocates and clears it *)
   mutable cursor : int;
       (* wheel window start; also the time of the bucket being drained.
          Every wheel event has time in [cursor, cursor + wheel_w), so
@@ -349,7 +356,8 @@ let wheel_append t slot =
      a migration mixing with direct pushes) marks the bucket for a lazy
      sort at drain time *)
   let start = if time = t.cursor then t.cur_pos else 0 in
-  if len > start && key_lt t slot arr.%(len - 1) then t.b_dirty.%(b) <- true
+  if len > start && key_lt t slot arr.%(len - 1) then
+    Bytes.unsafe_set t.b_dirty b '\001'
 
 (* Insertion sort of the pending suffix — buckets are small and almost
    sorted when this runs at all. *)
@@ -364,7 +372,7 @@ let sort_bucket t b lo =
     done;
     arr.%(!j + 1) <- s
   done;
-  t.b_dirty.%(b) <- false
+  Bytes.unsafe_set t.b_dirty b '\000'
 
 (* Advance the cursor to the earliest pending event's time.  Requires a
    pending event.  Wheel events lie within [cursor, cursor + wheel_w),
@@ -478,6 +486,8 @@ let cpresent t ~time ni port v =
       | Some frt ->
         let e = t.e_rec.%(ei) in
         let deliveries, strike = Fault.on_send frt ~time e v in
+        let k = Fault.strike_total strike in
+        if k > 0 then t.e_strikes.%(ei) <- t.e_strikes.%(ei) + k;
         (match t.c_telemetry with
          | None -> ()
          | Some tel ->
@@ -570,7 +580,11 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
        input registers hold), so the block recomputes on its next
        activation; until then its outputs may disagree with its inputs,
        which is exactly the degradation {!Degrade} classifies. *)
-    Option.iter Fault.note_reset t.c_faults;
+    (match t.c_faults with
+     | Some frt ->
+       Fault.note_reset frt;
+       t.n_resets.%(ni) <- t.n_resets.%(ni) + 1
+     | None -> ());
     Behavior.Compile.reset_state t.progs.%(ni) t.pstates.%(ni);
     let tg = t.tgen.%(ni) in
     for s = 0 to Array.length tg - 1 do
@@ -603,7 +617,7 @@ let cstep t =
   else begin
     calendar_advance t;
     let b = t.cursor land wheel_mask in
-    if t.b_dirty.%(b) then sort_bucket t b t.cur_pos;
+    if Bytes.unsafe_get t.b_dirty b <> '\000' then sort_bucket t b t.cur_pos;
     let slot = t.buckets.%(b).%(t.cur_pos) in
     let pos = t.cur_pos + 1 in
     if pos >= t.b_len.%(b) then begin
@@ -727,47 +741,39 @@ let prepare g =
 
 let prepared_graph p = p.p_graph
 
-let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
-  let progs = p.p_progs in
-  let pstates = Array.map Behavior.Compile.fresh_state progs in
-  let cin_k = Array.map Array.copy p.p_cin_k in
-  let cin_n = Array.map Array.copy p.p_cin_n in
-  let cout_k = Array.map Array.copy p.p_cout_k in
-  let cout_n = Array.map Array.copy p.p_cout_n in
-  let tgen =
-    Array.map (fun n -> if n = 0 then [||] else Array.make n 0) p.p_n_timers
-  in
-  let e_delay =
-    match edge_delay with
-    | None -> p.p_unit_delays
-    | Some f -> Array.map (fun e -> max 1 (f e)) p.p_e_rec
-  in
-  let tie_rng =
-    match tie_order with
-    | Shuffled seed -> Some (Prng.create seed)
-    | Fifo | Lifo -> None
+(* The per-run arrays of an engine, sized for its network.  Their
+   contents are whatever [power_on] writes next. *)
+let alloc ~tie_order ~edge_delay p =
+  let sized images =
+    Array.map (fun a -> Array.make (Array.length a) 0) images
   in
   let t = {
     c_net = p;
     ids = p.p_ids;
     kinds = p.p_kinds;
     descs = p.p_descs;
-    progs;
-    pstates;
-    cin_k;
-    cin_n;
-    cout_k;
-    cout_n;
-    tgen;
+    progs = p.p_progs;
+    pstates = Array.map Behavior.Compile.fresh_state p.p_progs;
+    cin_k = sized p.p_cin_k;
+    cin_n = sized p.p_cin_n;
+    cout_k = sized p.p_cout_k;
+    cout_n = sized p.p_cout_n;
+    tgen =
+      Array.map (fun n -> if n = 0 then [||] else Array.make n 0) p.p_n_timers;
     e_rec = p.p_e_rec;
     e_dst = p.p_e_dst;
     e_dst_port = p.p_e_dst_port;
     fo = p.p_fo;
-    e_delay;
+    e_delay =
+      (match edge_delay with
+       | None -> p.p_unit_delays
+       | Some f -> Array.map (fun e -> max 1 (f e)) p.p_e_rec);
     c_tie_order = tie_order;
-    c_tie_rng = tie_rng;
-    c_faults = Option.map Fault.start faults;
-    c_telemetry = telemetry;
+    c_tie_rng = None;
+    c_faults = None;
+    c_telemetry = None;
+    e_strikes = [||];
+    n_resets = [||];
     ev_time = Array.make 64 0;
     ev_prio = Array.make 64 0;
     ev_seq = Array.make 64 0;
@@ -784,7 +790,7 @@ let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
     ovf_head = 0;
     buckets = Array.make wheel_w [||];
     b_len = Array.make wheel_w 0;
-    b_dirty = Array.make wheel_w false;
+    b_dirty = Bytes.make wheel_w '\000';
     cursor = 0;
     cur_pos = 0;
     wheel_count = 0;
@@ -804,8 +810,76 @@ let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
      through [Compile.run_bound] and never touch the latch pointer *)
   Array.iteri
     (fun ni st ->
-      Behavior.Compile.bind_inputs st ~tags:cin_k.(ni) ~payloads:cin_n.(ni))
-    pstates;
+      Behavior.Compile.bind_inputs st ~tags:t.cin_k.(ni) ~payloads:t.cin_n.(ni))
+    t.pstates;
+  t
+
+(* The one initialisation routine, shared by [start] (on freshly
+   allocated arrays) and [restart] (on the arrays of an earlier run,
+   finished or cut off with events pending), so both leave the engine
+   in the same state. *)
+let power_on t ~faults ~telemetry =
+  let p = t.c_net in
+  (* latches from the power-on images, timer generations and variable
+     stores from scratch.  The loops are inline: each array holds one
+     block's ports or timer slots, and [Array.blit] is an out-of-line
+     call. *)
+  for ni = 0 to Array.length t.ids - 1 do
+    let src = p.p_cin_k.%(ni) and dst = t.cin_k.%(ni) in
+    for i = 0 to Array.length src - 1 do dst.%(i) <- src.%(i) done;
+    let src = p.p_cin_n.%(ni) and dst = t.cin_n.%(ni) in
+    for i = 0 to Array.length src - 1 do dst.%(i) <- src.%(i) done;
+    let src = p.p_cout_k.%(ni) and dst = t.cout_k.%(ni) in
+    for i = 0 to Array.length src - 1 do dst.%(i) <- src.%(i) done;
+    let src = p.p_cout_n.%(ni) and dst = t.cout_n.%(ni) in
+    for i = 0 to Array.length src - 1 do dst.%(i) <- src.%(i) done;
+    let tg = t.tgen.%(ni) in
+    for s = 0 to Array.length tg - 1 do tg.%(s) <- 0 done;
+    Behavior.Compile.reset_state t.progs.%(ni) t.pstates.%(ni)
+  done;
+  (* An empty calendar: no slot in use, every bucket empty and clean,
+     no overflow.  Every calendar write goes through [cschedule], which
+     counts [c_seq] up, so with [c_seq = 0] (a freshly allocated run, or
+     one whose power-on scheduled nothing) the calendar is already
+     empty and the 2 × [wheel_w] sweep is skipped. *)
+  if t.c_seq > 0 then begin
+    t.store_len <- 0;
+    t.free_ev <- -1;
+    Array.fill t.b_len 0 wheel_w 0;
+    Bytes.fill t.b_dirty 0 wheel_w '\000';
+    t.cursor <- 0;
+    t.cur_pos <- 0;
+    t.wheel_count <- 0;
+    t.ovf_len <- 0;
+    t.ovf_head <- 0
+  end;
+  t.c_seq <- 0;
+  t.c_clock <- 0;
+  t.c_activations <- 0;
+  t.c_packets <- 0;
+  t.c_last <- -1;
+  Tbuf.clear t.c_trace;
+  t.c_tie_rng <-
+    (match t.c_tie_order with
+     | Shuffled seed -> Some (Prng.create seed)
+     | Fifo | Lifo -> None);
+  t.c_faults <- Option.map Fault.start faults;
+  t.c_telemetry <- telemetry;
+  (* strike counters exist only on a fault-armed run *)
+  (match faults with
+   | None ->
+     t.e_strikes <- [||];
+     t.n_resets <- [||]
+   | Some _ ->
+     let zeroed a n =
+       if Array.length a = n then begin
+         Array.fill a 0 n 0;
+         a
+       end
+       else Array.make n 0
+     in
+     t.e_strikes <- zeroed t.e_strikes (Array.length t.e_rec);
+     t.n_resets <- zeroed t.n_resets (Array.length t.ids));
   (* Power-on sweep: each block evaluates once so that every output is
      consistent with the power-on inputs (physical blocks announce their
      state at power-on).  Performed latch-to-latch in topological order,
@@ -816,25 +890,25 @@ let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
      slots. *)
   Array.iter
     (fun ni ->
-      let st = pstates.(ni) in
-      Behavior.Compile.run_bound progs.(ni) st ~fired:(-1);
+      let st = t.pstates.(ni) in
+      Behavior.Compile.run_bound t.progs.(ni) st ~fired:(-1);
       let out_set = st.Behavior.Compile.out_set in
       for port = 0 to Array.length out_set - 1 do
         if out_set.(port) then begin
           let v = st.Behavior.Compile.out_val.(port) in
           let vk = Behavior.Compile.value_tag v in
           let vn = Behavior.Compile.value_payload v in
-          cout_k.(ni).(port) <- vk;
-          cout_n.(ni).(port) <- vn;
+          t.cout_k.(ni).(port) <- vk;
+          t.cout_n.(ni).(port) <- vn;
           Array.iter
             (fun ei ->
-              cin_k.(p.p_e_dst.(ei)).(p.p_e_dst_port.(ei)) <- vk;
-              cin_n.(p.p_e_dst.(ei)).(p.p_e_dst_port.(ei)) <- vn)
+              t.cin_k.(p.p_e_dst.(ei)).(p.p_e_dst_port.(ei)) <- vk;
+              t.cin_n.(p.p_e_dst.(ei)).(p.p_e_dst_port.(ei)) <- vn)
             p.p_fo.(ni).(port)
         end
       done;
       let tmr_act = st.Behavior.Compile.tmr_act in
-      let tg = tgen.(ni) in
+      let tg = t.tgen.(ni) in
       for slot = 0 to Array.length tmr_act - 1 do
         match tmr_act.(slot) with
         | 1 ->
@@ -857,8 +931,18 @@ let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
             cschedule t ~time ~tag:tag_reset ~a:ni ~b:0 ~c:0 ~vk:0 ~vn:0
           | None -> ())
         (Fault.resets plan))
-    faults;
+    faults
+
+let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
+  let t = alloc ~tie_order ~edge_delay p in
+  power_on t ~faults ~telemetry;
   t
+
+let restart ?faults t =
+  (* an earlier run aborted by a behaviour error may hold unflushed
+     metric batches: they count toward that run *)
+  cflush_metrics t;
+  power_on t ~faults ~telemetry:None
 
 let cindex t id =
   match Hashtbl.find_opt t.c_net.p_idx_of id with
@@ -965,3 +1049,21 @@ let activation_count t = t.c_activations
 let packet_count t = t.c_packets
 
 let fault_stats t = Option.map Fault.stats t.c_faults
+
+let link_strikes t =
+  let acc = ref [] in
+  for ei = Array.length t.e_strikes - 1 downto 0 do
+    let k = t.e_strikes.(ei) in
+    if k > 0 then acc := (t.e_rec.(ei), k) :: !acc
+  done;
+  (* dense edges run in fanout order within a port, not destination
+     order *)
+  List.sort (fun (a, _) (b, _) -> Graph.compare_edge a b) !acc
+
+let node_resets t =
+  let acc = ref [] in
+  for ni = Array.length t.n_resets - 1 downto 0 do
+    let k = t.n_resets.(ni) in
+    if k > 0 then acc := (t.ids.(ni), k) :: !acc
+  done;
+  !acc

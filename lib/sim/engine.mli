@@ -60,14 +60,15 @@ val start :
   ?tie_order:tie_order -> ?edge_delay:(Graph.edge -> int) ->
   ?faults:Fault.plan -> ?telemetry:Telemetry.t -> prepared -> t
 (** Initialise a simulation of a prepared network: allocate the
-    per-run state (variable stores, latches copied from the power-on
-    images, timer generations, event calendar), then run the power-on
-    sweep.  Latches start from the descriptors' power-on values, then
-    every block evaluates once in topological order (physical blocks
-    announce their state at power-on), so all outputs are consistent
-    with the power-on inputs before any event runs.  The calendar's
-    wheel buckets are allocated on first use, so a start costs a few
-    array copies per block and no compilation or graph traversal.
+    per-run state (variable stores, latches, timer generations, event
+    calendar), then run the one initialisation routine {!restart} runs
+    too — latches from the power-on images, then the power-on sweep.
+    Latches start from the descriptors' power-on values, then every
+    block evaluates once in topological order (physical blocks announce
+    their state at power-on), so all outputs are consistent with the
+    power-on inputs before any event runs.  The calendar's wheel
+    buckets are allocated on first use, so a start costs a few array
+    copies per block and no compilation or graph traversal.
 
     [tie_order] selects how simultaneous events are ordered, and
     [edge_delay] assigns each connection its packet latency (default
@@ -94,6 +95,21 @@ val start :
     a collector never changes the simulation's behaviour, and without
     one every hook is a single branch on an immutable [None] — the
     zero-cost-when-off path. *)
+
+val restart : ?faults:Fault.plan -> t -> unit
+(** Put a run back in exactly the state {!start} leaves a run in, with
+    the same prepared network, tie order and edge delays, the given
+    [faults] and no telemetry collector: latches from the power-on
+    images, fresh variable stores and timer generations, an empty
+    calendar (dirty wheel buckets and the overflow included), zeroed
+    counters, trace and strike counters, a fresh fault runtime (its
+    PRNG reseeded from the plan) and a reseeded {!Shuffled} tie stream
+    — then the power-on sweep.  [start] allocates a run and then runs this same routine, so
+    there is one initialisation path.  The earlier run may have
+    finished or been cut off by {!Event_limit_exceeded} with events
+    pending; nothing of it survives except the capacity of the arrays.
+    A Monte-Carlo loop restarts one engine per trial instead of
+    starting a new one. *)
 
 val create :
   ?tie_order:tie_order -> ?edge_delay:(Graph.edge -> int) ->
@@ -152,3 +168,23 @@ val packet_count : t -> int
 
 val fault_stats : t -> Fault.stats option
 (** Injection counts so far; [None] when no fault plan was armed. *)
+
+(** {1 Strike counters}
+
+    A fault-armed run counts, per connection, the faults that struck
+    its packets ({!Fault.strike_total} of each send), and per block
+    its brownout resets.  The counters are int arrays indexed by dense
+    edge and node; a run without [faults] has none, and its hot path
+    never reaches them — the zero-cost-when-unarmed contract of the
+    fault layer.  Together they sum to {!Fault.total} minus
+    [stuck_overrides] (a stuck-at override strikes a port, not a
+    connection).  They are what the reliability estimator's blame is
+    built from, with no {!Telemetry} collector armed. *)
+
+val link_strikes : t -> (Graph.edge * int) list
+(** Connections struck at least once so far, with their strike counts,
+    sorted by {!Graph.compare_edge}; [[]] without [faults]. *)
+
+val node_resets : t -> (Node_id.t * int) list
+(** Blocks reset at least once so far, with their reset counts, sorted
+    by id; [[]] without [faults]. *)

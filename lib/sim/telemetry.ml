@@ -171,10 +171,6 @@ type node_stats = {
   queue_hwm : int;
 }
 
-let link_strike_count l =
-  l.l_drops + l.l_duplicates + l.l_corruptions + l.l_jittered
-  + l.l_dead_losses
-
 let link_stats_of l =
   {
     sends = l.l_sends;
@@ -205,20 +201,6 @@ let links t =
 
 let nodes t =
   Hashtbl.fold (fun id n acc -> (id, node_stats_of n) :: acc) t.nodes []
-  |> List.sort (fun (a, _) (b, _) -> Node_id.compare a b)
-
-let link_strikes t =
-  Hashtbl.fold
-    (fun e l acc ->
-      let k = link_strike_count l in
-      if k > 0 then (e, k) :: acc else acc)
-    t.links []
-  |> List.sort (fun (a, _) (b, _) -> Graph.compare_edge a b)
-
-let node_resets t =
-  Hashtbl.fold
-    (fun id n acc -> if n.n_resets > 0 then (id, n.n_resets) :: acc else acc)
-    t.nodes []
   |> List.sort (fun (a, _) (b, _) -> Node_id.compare a b)
 
 let events t = t.t_events

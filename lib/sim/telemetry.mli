@@ -86,14 +86,6 @@ val links : t -> (Graph.edge * link_stats) list
 val nodes : t -> (Node_id.t * node_stats) list
 (** Touched nodes, sorted by id. *)
 
-val link_strikes : t -> (Graph.edge * int) list
-(** Links with at least one fault strike (sum over all strike kinds),
-    sorted by {!Graph.compare_edge} — the raw material of the
-    reliability blame vector. *)
-
-val node_resets : t -> (Node_id.t * int) list
-(** Nodes with at least one spurious reset, sorted by id. *)
-
 val events : t -> int
 val settles : t -> int
 val queue_hwm : t -> int

@@ -263,15 +263,29 @@ let test_classify_outcome_spectrum () =
 let test_sweep_shares_reference () =
   let g = Testlib.podium in
   let script = script_for g 5 10 in
-  let results =
-    Sim.Degrade.sweep
-      ~plans:[ ("none", F.none); ("drop", F.drop_all ~seed:4 0.1) ]
-      g script
+  let plans =
+    [ ("none", F.none); ("drop", F.drop_all ~seed:4 0.1);
+      ("chaos", F.degrade_all ~seed:6 ~duplicate:0.3 ~jitter:2 ());
+      ("drop again", F.drop_all ~seed:4 0.1) ]
   in
-  check Alcotest.int "one result per plan" 2 (List.length results);
+  let results = Sim.Degrade.sweep ~plans g script in
+  check Alcotest.int "one result per plan" 4 (List.length results);
   check Alcotest.string "empty plan identical" "identical"
     (Sim.Degrade.outcome_to_string
-       (List.assoc "none" results).Sim.Degrade.outcome)
+       (List.assoc "none" results).Sim.Degrade.outcome);
+  (* the sweep's one restarted engine = a fresh engine per plan, strike
+     lists included, also when the event limit cuts runs off *)
+  List.iter
+    (fun settle_limit ->
+      check Alcotest.bool
+        (Printf.sprintf "sweep = classify per plan (limit %d)" settle_limit)
+        true
+        (Sim.Degrade.sweep ~settle_limit ~plans g script
+         = List.map
+             (fun (name, faults) ->
+               (name, Sim.Degrade.classify ~settle_limit ~faults g script))
+             plans))
+    [ 3; 100_000 ]
 
 (* --- The experiment ------------------------------------------------------- *)
 

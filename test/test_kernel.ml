@@ -7,8 +7,10 @@
    fault families × seeds, comparing every observable at once: settled
    observations, output traces, final output values, activation and
    packet counts, fault statistics, the clock, and the full rendered
-   telemetry report.  A deterministic sweep over the Table 1 designs
-   covers the workloads of the fault and reliability sweeps. *)
+   telemetry report.  An engine restarted after a finished or cut-off
+   run is held against a fresh start and the oracle.  A deterministic
+   sweep over the Table 1 designs covers the workloads of the fault and
+   reliability sweeps. *)
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
@@ -194,6 +196,216 @@ let equivalence_properties =
             (None, faults, false); (None, None, false) ]);
   ]
 
+(* --- restart = fresh start ------------------------------------------------ *)
+
+(* A fault plan of one of the classes the engine resolves at run time,
+   from a pick and a seed.  Brownout ticks reach past the calendar's
+   wheel window (256 ticks), so a run cut off early leaves resets pending
+   in the overflow. *)
+let plan_of_pick g pick seed =
+  let rng = Prng.create seed in
+  let some_of xs = List.filter (fun _ -> Prng.bool rng) xs in
+  let inner = Graph.inner_nodes g in
+  match pick with
+  | 0 -> None
+  | 1 -> Some (F.drop_all ~seed 0.2)
+  | 2 ->
+    Some
+      (F.degrade_all ~seed ~drop:0.05 ~duplicate:0.15 ~corrupt:0.1 ~jitter:3
+         ())
+  | 3 ->
+    Some
+      { (F.drop_all ~seed 0.05) with
+        node_faults =
+          List.map
+            (fun id ->
+              ( id,
+                { F.no_node_fault with
+                  reset_at =
+                    [ 1 + Prng.int rng 60; 100 + Prng.int rng 100;
+                      300 + Prng.int rng 400 ];
+                } ))
+            (some_of inner);
+      }
+  | 4 ->
+    Some
+      { F.none with
+        seed;
+        node_faults =
+          List.map
+            (fun id ->
+              ( id,
+                { F.no_node_fault with
+                  stuck =
+                    [ { F.port = 0; value = Bool (Prng.bool rng);
+                        from = Prng.int rng 80 } ];
+                } ))
+            (some_of inner);
+      }
+  | _ ->
+    Some
+      { (F.drop_all ~seed 0.05) with
+        edge_overrides =
+          List.map
+            (fun e ->
+              (e, { F.no_edge_fault with dies_at = Some (Prng.int rng 120) }))
+            (some_of (Graph.edges g));
+      }
+
+let pick_names = [| "none"; "drop"; "chaos"; "brownout"; "stuck-at"; "dead" |]
+
+(* Event limits: the small ones cut a run off with events still
+   pending, in the wheel and in the overflow. *)
+let limits = [| 3; 12; 40; 100_000 |]
+
+type restart_case = {
+  inner : int;
+  seed : int;
+  g : Graph.t;
+  tie : int;
+  bumpy : bool;
+  pick_a : int;
+  pick_b : int;
+  same_plan : bool;  (* B is A's plan, seed included *)
+  limit_a : int;
+  limit_b : int;
+  script_seed : int;
+}
+
+let restart_arbitrary =
+  let gen =
+    QCheck.Gen.(
+      Testlib.network_gen ~max_inner:12 () >>= fun (inner, seed, g) ->
+      int_range 0 2 >>= fun tie ->
+      bool >>= fun bumpy ->
+      int_range 0 5 >>= fun pick_a ->
+      int_range 0 5 >>= fun pick_b ->
+      int_range 0 3 >>= fun same ->
+      int_range 0 3 >>= fun limit_a ->
+      int_range 0 3 >>= fun limit_b ->
+      int_range 0 1_000_000 >|= fun script_seed ->
+      {
+        inner; seed; g; tie; bumpy; pick_a; pick_b; same_plan = same = 0;
+        limit_a = limits.(limit_a); limit_b = limits.(max 1 limit_b);
+        script_seed;
+      })
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf
+        "inner=%d seed=%d tie=%d bumpy=%b A=%s B=%s same=%b limit A=%d B=%d \
+         script_seed=%d"
+        c.inner c.seed c.tie c.bumpy pick_names.(c.pick_a)
+        pick_names.(c.pick_b) c.same_plan c.limit_a c.limit_b c.script_seed)
+
+(* Per-link strike and per-node reset counts as a collector saw them —
+   the oracle's side of the engine's strike counters. *)
+let collector_strikes tel =
+  ( List.filter_map
+      (fun (e, (l : Sim.Telemetry.link_stats)) ->
+        let k =
+          l.drops + l.duplicates + l.corruptions + l.jittered + l.dead_losses
+        in
+        if k > 0 then Some (e, k) else None)
+      (Sim.Telemetry.links tel),
+    List.filter_map
+      (fun (id, (n : Sim.Telemetry.node_stats)) ->
+        if n.resets > 0 then Some (id, n.resets) else None)
+      (Sim.Telemetry.nodes tel) )
+
+(* A tolerant stepwise replay, as Degrade's faulty run: settle after
+   each step and stop at an exhausted event limit, context recorded. *)
+let replay (type a) (module K : KERNEL with type t = a) (engine : a) script
+    limit =
+  let rec go acc = function
+    | [] -> (List.rev acc, None)
+    | (step : Sim.Stimulus.step) :: rest ->
+      let time = max step.time (K.now engine) in
+      K.set_sensor_at engine ~time step.sensor step.value;
+      (match K.settle ~limit engine with
+       | () -> go (K.output_values engine :: acc) rest
+       | exception E.Event_limit_exceeded { clock; queue_depth; last_node } ->
+         (List.rev acc, Some (clock, queue_depth, last_node)))
+  in
+  let observed = go [] script in
+  ( observed,
+    K.trace engine,
+    K.output_values engine,
+    K.fault_stats engine,
+    K.packet_count engine,
+    K.activation_count engine,
+    K.now engine )
+
+(* [run] under a metrics scope, keeping the sim.* counter deltas. *)
+let sim_deltas run =
+  let result, entries = Obs.Metrics.with_scope run in
+  ( result,
+    List.filter_map
+      (fun (e : Obs.Metrics.entry) ->
+        match e.value with
+        | Obs.Metrics.Count n when String.starts_with ~prefix:"sim." e.name ->
+          Some (e.name, n)
+        | _ -> None)
+      entries )
+
+let compiled_k : (module KERNEL with type t = E.t) =
+  (module struct
+    include E
+
+    let settled_outputs = Sim.Stimulus.settled_outputs
+  end)
+
+let oracle_k : (module KERNEL with type t = Sim_oracle.t) = (module Sim_oracle)
+
+let restart_matches_fresh_start =
+  QCheck.Test.make ~count:250
+    ~name:"restart = fresh start = oracle, after finished and cut-off runs"
+    restart_arbitrary (fun c ->
+      let g = c.g in
+      let tie_order = tie_of_pick c.tie c.seed in
+      let edge_delay = if c.bumpy then Some bumpy_delay else None in
+      let faults_a = plan_of_pick g c.pick_a c.script_seed in
+      let faults_b =
+        if c.same_plan then faults_a
+        else plan_of_pick g c.pick_b (c.script_seed + 1)
+      in
+      (* run A's script is scheduled in one go, reaching past the wheel
+         window; run B's is replayed step by step *)
+      let script_a =
+        Sim.Stimulus.random ~rng:(Prng.create c.script_seed)
+          ~sensors:(Graph.sensors g) ~steps:10 ~spacing:60
+      in
+      let script_b = script_of g (c.script_seed + 2) in
+      let net = E.prepare g in
+      let engine = E.start ~tie_order ?edge_delay ?faults:faults_a net in
+      Sim.Stimulus.apply engine script_a;
+      (try E.settle ~limit:c.limit_a engine
+       with E.Event_limit_exceeded _ -> ());
+      let compiled engine =
+        let observed = replay compiled_k engine script_b c.limit_b in
+        (observed, (E.link_strikes engine, E.node_resets engine))
+      in
+      let restarted =
+        sim_deltas (fun () ->
+            E.restart ?faults:faults_b engine;
+            compiled engine)
+      in
+      let fresh =
+        sim_deltas (fun () ->
+            compiled (E.start ~tie_order ?edge_delay ?faults:faults_b net))
+      in
+      (* the oracle has no strike counters: a collector counts for it *)
+      let oracle =
+        sim_deltas (fun () ->
+            let tel = Sim.Telemetry.create () in
+            let engine =
+              Sim_oracle.create ~tie_order ?edge_delay ?faults:faults_b
+                ~telemetry:tel g
+            in
+            let observed = replay oracle_k engine script_b c.limit_b in
+            (observed, collector_strikes tel))
+      in
+      restarted = fresh && fresh = oracle)
+
 (* The per-(node, port) fanout index is defined as a filter of the full
    fanout list; hold the two against each other on random graphs,
    including one out-of-range probe per node. *)
@@ -356,6 +568,7 @@ let () =
   Alcotest.run "kernel"
     [
       ("equivalence", Testlib.qtests equivalence_properties);
+      ("restart", Testlib.qtests [ restart_matches_fresh_start ]);
       ("fanout index", Testlib.qtests [ fanout_index_agrees ]);
       ( "table 1",
         [

@@ -130,6 +130,50 @@ let test_error_column () =
     check Alcotest.int "column of ';'" 8 column
   | _ -> Alcotest.fail "accepted"
 
+(* An integer literal beyond max_int is a syntax error at the literal,
+   not an escaping [Failure "int_of_string"]. *)
+let test_int_literal_range () =
+  let out_of_range what parse expected_line expected_column =
+    match parse () with
+    | exception Behavior.Parse.Syntax_error { line; column; message } ->
+      check Alcotest.int (what ^ ": line") expected_line line;
+      check Alcotest.int (what ^ ": column") expected_column column;
+      check Alcotest.bool (what ^ ": message") true
+        (Testlib.contains message "out of range")
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  out_of_range "sum"
+    (fun () -> expr "99999999999999999999 + 1")
+    1 1;
+  out_of_range "input index"
+    (fun () ->
+      program "state q = false;\nout[0] = in[99999999999999999999];")
+    2 13;
+  out_of_range "state initialiser"
+    (fun () -> program "state n = -4611686018427387904;")
+    1 12;
+  check Alcotest.bool "max_int itself parses" true
+    (expr (string_of_int max_int) = Const (Int max_int))
+
+(* The same error through a netlist's embedded behaviour: Textio reports
+   its structured parse error on the body's line. *)
+let test_int_literal_range_in_netlist () =
+  match
+    Netlist.Textio.of_string
+      "defblock big compute 1 1 {\n\
+      \  out[0] = in[0] || 99999999999999999999 == 1;\n\
+       }\n\
+       node 1 button\n\
+       node 2 big\n"
+  with
+  | exception Netlist.Textio.Parse_error { line; message } ->
+    check Alcotest.int "line of the literal" 2 line;
+    check Alcotest.bool "names the defblock" true
+      (Testlib.contains message "big");
+    check Alcotest.bool "says out of range" true
+      (Testlib.contains message "out of range")
+  | _ -> Alcotest.fail "netlist accepted"
+
 (* --- Round-tripping ----------------------------------------------------------- *)
 
 let test_catalogue_roundtrip () =
@@ -288,6 +332,10 @@ let () =
         [
           Alcotest.test_case "positions" `Quick test_errors;
           Alcotest.test_case "column" `Quick test_error_column;
+          Alcotest.test_case "integer literal out of range" `Quick
+            test_int_literal_range;
+          Alcotest.test_case "out-of-range literal in a netlist" `Quick
+            test_int_literal_range_in_netlist;
         ] );
       ( "round-trip",
         Testlib.qtests [ prop_print_parse_roundtrip ]

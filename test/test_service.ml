@@ -475,6 +475,60 @@ let test_error_isolated () =
    | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
   Alcotest.(check int) "counted" 1 summary.P.errors
 
+(* A weighted request's [trials] must be a whole number within
+   [P.max_trials]; anything else is rejected with a reason that names
+   the bound, instead of being truncated or run. *)
+let weighted_frame trials =
+  Printf.sprintf
+    {|{"id":"w","op":"weighted","design":"Podium Timer 3","trials":%s}|}
+    trials
+
+let test_trials_bounded () =
+  let bound = string_of_int P.max_trials in
+  List.iter
+    (fun bad ->
+      match P.parse_request (weighted_frame bad) with
+      | P.Invalid { id; reason } ->
+        Alcotest.(check string) (bad ^ ": id kept") "w" id;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: reason %S names the bound" bad reason)
+          true
+          (Testlib.contains reason bound)
+      | P.Request _ | P.Drain -> Alcotest.failf "trials %s accepted" bad)
+    [ "1000000000000"; "-5"; "0"; "2.5"; "10001"; "1e300" ];
+  List.iter
+    (fun (text, expected) ->
+      match P.parse_request text with
+      | P.Request { op = P.Weighted { trials; _ }; _ } ->
+        Alcotest.(check int) text expected trials
+      | P.Request _ | P.Drain | P.Invalid _ ->
+        Alcotest.failf "%s: not a weighted request" text)
+    [
+      (weighted_frame "1", 1);
+      (weighted_frame "16", 16);
+      (weighted_frame "2.0", 2);
+      (weighted_frame bound, P.max_trials);
+      ( {|{"id":"w","op":"weighted","design":"Podium Timer 3"}|},
+        P.default_trials );
+    ]
+
+let test_trials_rejected_by_server () =
+  let frames =
+    [ weighted_frame "1000000000000";
+      partition_request ~id:"good" "Podium Timer 3";
+      P.drain_frame ]
+  in
+  let summary, out = serve frames in
+  (match responses out with
+   | [ bad; good ] ->
+     Alcotest.(check string) "oversized request rejected" "rejected"
+       (status_of bad);
+     Alcotest.(check bool) "reason names the bound" true
+       (Testlib.contains bad.P.output (string_of_int P.max_trials));
+     Alcotest.(check string) "good request unaffected" "ok" (status_of good)
+   | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
+  Alcotest.(check int) "counted as a rejection" 1 summary.P.rejected
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -506,6 +560,10 @@ let () =
             `Quick test_deadline_expiry_survives;
           Alcotest.test_case "bounded queue rejects with reason" `Quick
             test_backpressure;
+          Alcotest.test_case "weighted trials bounded" `Quick
+            test_trials_bounded;
+          Alcotest.test_case "out-of-range trials rejected" `Quick
+            test_trials_rejected_by_server;
           Alcotest.test_case "errors are per-request" `Quick
             test_error_isolated;
         ] );

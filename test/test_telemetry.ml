@@ -75,6 +75,82 @@ let test_strikes_match_fault_stats () =
     (Sim.Engine.packet_count engine)
     (tot (fun l -> l.Sim.Telemetry.deliveries))
 
+(* --- The engine's strike counters = the collector's -------------------- *)
+
+(* One armed run on which every fault class strikes: chaos with jitter
+   on every link, brownouts and a stuck-at port on inner blocks, and a
+   link that dies mid-run. *)
+let test_engine_counters_match_collector () =
+  let g = two_zone in
+  let inner = Graph.inner_nodes g in
+  let faults =
+    {
+      (Sim.Fault.degrade_all ~seed:13 ~drop:0.05 ~duplicate:0.05 ~corrupt:0.05
+         ~jitter:3 ())
+      with
+      node_faults =
+        List.mapi
+          (fun i id ->
+            ( id,
+              if i = 0 then
+                { Sim.Fault.no_node_fault with
+                  stuck =
+                    [ { Sim.Fault.port = 0; value = Bool true; from = 60 } ] }
+              else
+                { Sim.Fault.no_node_fault with
+                  reset_at = [ 40 + (7 * i); 200 + (11 * i) ] } ))
+          (List.filteri (fun i _ -> i mod 3 = 0) inner);
+      edge_overrides =
+        [ ( List.hd (Graph.edges g),
+            { Sim.Fault.no_edge_fault with dies_at = Some 100 } ) ];
+    }
+  in
+  let telemetry = Sim.Telemetry.create () in
+  let engine = Sim.Engine.create ~faults ~telemetry g in
+  ignore (Sim.Stimulus.settled_outputs engine (script g ~seed:21 ~steps:30));
+  let stats =
+    match Sim.Engine.fault_stats engine with
+    | Some s -> s
+    | None -> Alcotest.fail "fault stats missing"
+  in
+  let collector_links =
+    List.filter_map
+      (fun (e, (l : Sim.Telemetry.link_stats)) ->
+        let k =
+          l.drops + l.duplicates + l.corruptions + l.jittered + l.dead_losses
+        in
+        if k > 0 then Some (e, k) else None)
+      (Sim.Telemetry.links telemetry)
+  in
+  let collector_nodes =
+    List.filter_map
+      (fun (id, (n : Sim.Telemetry.node_stats)) ->
+        if n.resets > 0 then Some (id, n.resets) else None)
+      (Sim.Telemetry.nodes telemetry)
+  in
+  let links = Sim.Engine.link_strikes engine in
+  let nodes = Sim.Engine.node_resets engine in
+  check
+    Alcotest.(list (pair string int))
+    "per-link strikes"
+    (List.map (fun (e, k) -> (Graph.edge_to_string e, k)) collector_links)
+    (List.map (fun (e, k) -> (Graph.edge_to_string e, k)) links);
+  check Alcotest.(list (pair int int)) "per-node resets" collector_nodes nodes;
+  (* every class struck, so the sum below covers them all *)
+  List.iter
+    (fun (what, n) -> check Alcotest.bool (what ^ " struck") true (n > 0))
+    [ ("drops", stats.Sim.Fault.drops);
+      ("duplicates", stats.Sim.Fault.duplicates);
+      ("corruptions", stats.Sim.Fault.corruptions);
+      ("jittered", stats.Sim.Fault.jittered);
+      ("dead-link losses", stats.Sim.Fault.dead_link_losses);
+      ("resets", stats.Sim.Fault.resets);
+      ("stuck overrides", stats.Sim.Fault.stuck_overrides) ];
+  let sum l = List.fold_left (fun acc (_, k) -> acc + k) 0 l in
+  check Alcotest.int "counters sum to Fault.total minus stuck overrides"
+    (Sim.Fault.total stats - stats.Sim.Fault.stuck_overrides)
+    (sum links + sum nodes)
+
 (* --- Merge: fold order cannot matter ---------------------------------- *)
 
 let test_merge_is_order_independent () =
@@ -255,6 +331,8 @@ let () =
             test_armed_run_matches_unarmed;
           Alcotest.test_case "strikes match fault stats" `Quick
             test_strikes_match_fault_stats;
+          Alcotest.test_case "engine strike counters = collector" `Quick
+            test_engine_counters_match_collector;
           Alcotest.test_case "merge is order independent" `Quick
             test_merge_is_order_independent;
         ] );
