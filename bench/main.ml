@@ -2,7 +2,7 @@
    then measures the code paths behind each one with Bechamel.
 
    Structure (one Test.make per table / claim):
-     kernel/*    — Dense-view cut/convexity primitives vs the Cut reference
+     kernel/*    — Dense-view cut/convexity primitives
      table1/*    — the 15 library designs (PareDown + exhaustive)
      table2/*    — random designs of the paper's bucket sizes
      scale/*     — the §5.2 465-inner-node claim
@@ -75,8 +75,8 @@ let small_library_networks =
   List.filter (fun g -> Graph.inner_count g <= 8) library_networks
 
 let kernel_tests =
-  (* Dense-view primitives against their Cut reference twins: the gap
-     between each pair is the win the search inner loops inherit. *)
+  (* The Dense-view primitives the search inner loops and the one-shot
+     partition checks run on. *)
   let g = random_design ~seed:100 ~inner:100 in
   let members =
     Graph.partitionable_nodes g
@@ -85,7 +85,6 @@ let kernel_tests =
   in
   let d = Netlist.Dense.of_graph g in
   let s = Netlist.Dense.set_of_ids d members in
-  ignore (Netlist.Dense.is_convex d s) (* force the reachability tables *);
   let some_member = Netlist.Node_id.Set.min_elt members in
   let some_idx = Netlist.Dense.index d some_member in
   Test.make_grouped ~name:"kernel"
@@ -94,12 +93,8 @@ let kernel_tests =
         (Staged.stage (fun () -> Netlist.Dense.of_graph g));
       Test.make ~name:"dense-pins-used"
         (Staged.stage (fun () -> Netlist.Dense.pins_used d s));
-      Test.make ~name:"cut-io-used"
-        (Staged.stage (fun () -> Netlist.Cut.io_used g members));
       Test.make ~name:"dense-is-convex"
         (Staged.stage (fun () -> Netlist.Dense.is_convex d s));
-      Test.make ~name:"cut-is-convex"
-        (Staged.stage (fun () -> Netlist.Cut.is_convex g members));
       Test.make ~name:"dense-removal-delta"
         (Staged.stage (fun () -> Netlist.Dense.removal_delta d s some_idx));
       Test.make ~name:"dense-nets"
@@ -208,12 +203,13 @@ let ablation_tests =
 let codegen_tests =
   let g = Designs.Library.podium_timer_3.Designs.Design.network in
   let members = Netlist.Node_id.set_of_list [ 2; 3; 4; 5 ] in
-  let plan = Codegen.Plan.build g members in
+  let d = Netlist.Dense.of_graph g in
+  let plan = Codegen.Plan.build d members in
   let sol = (Core.Paredown.run g).Core.Paredown.solution in
   Test.make_grouped ~name:"codegen"
     [
       Test.make ~name:"plan-build"
-        (Staged.stage (fun () -> Codegen.Plan.build g members));
+        (Staged.stage (fun () -> Codegen.Plan.build d members));
       Test.make ~name:"c-emit"
         (Staged.stage (fun () ->
              Codegen.C_emit.program ~n_inputs:1 ~n_outputs:2
@@ -434,7 +430,9 @@ let service_tests =
 let parse_tests =
   let source =
     Behavior.Ast.program_to_string
-      (Codegen.Plan.build Designs.Library.podium_timer_3.Designs.Design.network
+      (Codegen.Plan.build
+         (Netlist.Dense.of_graph
+            Designs.Library.podium_timer_3.Designs.Design.network)
          (Netlist.Node_id.set_of_list [ 2; 3; 4; 5 ]))
         .Codegen.Plan.program
   in

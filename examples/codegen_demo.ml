@@ -31,7 +31,8 @@ let () =
 let () = print_endline "\n=== Merged syntax tree ==="
 
 let plan =
-  Codegen.Plan.build network (Node_id.set_of_list [ 6; 8; 9 ])
+  Codegen.Plan.build (Netlist.Dense.of_graph network)
+    (Node_id.set_of_list [ 6; 8; 9 ])
 
 let () =
   Format.printf "%a@." Behavior.Ast.pp_program plan.Codegen.Plan.program;
@@ -56,9 +57,10 @@ let () =
     (fun design ->
       let g = design.Designs.Design.network in
       let sol = (Core.Paredown.run g).Core.Paredown.solution in
+      let d = Netlist.Dense.of_graph g in
       List.iter
         (fun p ->
-          let plan = Codegen.Plan.build g p.Core.Partition.members in
+          let plan = Codegen.Plan.build d p.Core.Partition.members in
           let words = Codegen.Size.estimate_words plan.Codegen.Plan.program in
           worst := max !worst words;
           assert (Codegen.Size.fits_pic16f628 plan.Codegen.Plan.program))

@@ -31,13 +31,14 @@ let () =
    counts alone, but the path between them runs through the radio hops. *)
 let () =
   let g = Designs.Library.doorbell_extender_2.Designs.Design.network in
+  let d = Netlist.Dense.of_graph g in
   let pair = Node_id.set_of_list [ 2; 7 ] in
   Format.printf "@.candidate %a:@." Node_id.pp_set pair;
+  let inputs_used, outputs_used = Core.Partition.pins_used d pair in
   Format.printf "  inputs used: %d, outputs used: %d (both fit a 2x2 block)@."
-    (Core.Partition.inputs_used g pair)
-    (Core.Partition.outputs_used g pair);
+    inputs_used outputs_used;
   let p = Core.Partition.make ~members:pair ~shape:Core.Shape.default in
-  (match Core.Partition.check g p with
+  (match Core.Partition.check d p with
    | Error reason ->
      Format.printf "  but: %a@." Core.Partition.pp_invalidity reason
    | Ok () -> assert false);
@@ -46,7 +47,7 @@ let () =
   let relaxed =
     { Core.Partition.default_config with require_convex = false }
   in
-  assert (Core.Partition.is_valid ~config:relaxed g p);
+  assert (Core.Partition.is_valid ~config:relaxed d p);
   let sol = { Core.Solution.partitions = [ p ] } in
   let rewritten = Codegen.Replace.apply g sol in
   let g' = rewritten.Codegen.Replace.network in

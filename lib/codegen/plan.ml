@@ -1,6 +1,6 @@
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
-module Cut = Netlist.Cut
+module Dense = Netlist.Dense
 
 let m_plans = Obs.Metrics.counter "codegen.plans_built" ~doc:"merge plans built"
 let m_merged =
@@ -10,7 +10,7 @@ let m_merged =
 type t = {
   members : Node_id.t list;
   program : Behavior.Ast.program;
-  input_pins : Graph.endpoint array;
+  input_pins : (Graph.endpoint * Graph.endpoint) array;
   output_pins : (Graph.endpoint * Graph.endpoint) array;
   output_init : Behavior.Ast.value array;
 }
@@ -49,10 +49,11 @@ let index_of_endpoint what table (ep : Graph.endpoint) =
   | None ->
     error "endpoint %d.%d not found among %s" ep.Graph.node ep.Graph.port what
 
-let build g set =
+let build d set =
   Obs.Trace.with_span "codegen.plan_build"
     ~args:[ ("members", string_of_int (Node_id.Set.cardinal set)) ]
   @@ fun () ->
+  let g = Dense.graph d in
   if Node_id.Set.is_empty set then error "empty partition";
   Node_id.Set.iter
     (fun id ->
@@ -61,8 +62,9 @@ let build g set =
         error "node %d is not a partitionable compute block" id)
     set;
   let members = level_order g set in
-  let in_edges = Cut.in_edges g set in
-  let out_edges = Cut.out_edges g set in
+  let s = Dense.set_of_ids d set in
+  let in_edges = Dense.in_edges d s in
+  let out_edges = Dense.out_edges d s in
   let in_edge_dsts = endpoint_table (List.map (fun e -> e.Graph.dst) in_edges) in
   let out_edges_indexed = List.mapi (fun j e -> (j, e)) out_edges in
   let member_of_id id =
@@ -120,7 +122,8 @@ let build g set =
   {
     members;
     program;
-    input_pins = Array.of_list (List.map (fun e -> e.Graph.src) in_edges);
+    input_pins =
+      Array.of_list (List.map (fun e -> (e.Graph.src, e.Graph.dst)) in_edges);
     output_pins =
       Array.of_list (List.map (fun e -> (e.Graph.src, e.Graph.dst)) out_edges);
     output_init;

@@ -15,9 +15,9 @@ type t = {
           tree before any of its input blocks have produced output" *)
   program : Behavior.Ast.program;
       (** the merged syntax tree *)
-  input_pins : Graph.endpoint array;
-      (** pin [j] of the programmable block is driven by this external
-          source endpoint *)
+  input_pins : (Graph.endpoint * Graph.endpoint) array;
+      (** pin [j] of the programmable block is driven by the external
+          source endpoint (fst) and feeds the member input port (snd) *)
   output_pins : (Graph.endpoint * Graph.endpoint) array;
       (** pin [j] carries the value of the internal source endpoint (fst)
           to the external destination endpoint (snd) *)
@@ -27,8 +27,11 @@ type t = {
 
 exception Plan_error of string
 
-val build : Graph.t -> Node_id.Set.t -> t
-(** Raises {!Plan_error} when the set is empty, a member is missing or not
+val build : Netlist.Dense.t -> Node_id.Set.t -> t
+(** Plan the members against a {!Netlist.Dense} view of the network.
+    Pins are numbered in {!Graph.compare_edge} order of the crossing
+    edges ({!Netlist.Dense.in_edges}, {!Netlist.Dense.out_edges}).
+    Raises {!Plan_error} when the set is empty, a member is missing or not
     partitionable, or an in-partition input port is undriven. *)
 
 val level_order : Graph.t -> Node_id.Set.t -> Node_id.t list

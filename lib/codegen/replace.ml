@@ -16,7 +16,7 @@ let error fmt = Format.kasprintf (fun msg -> raise (Replace_error msg)) fmt
 
 let replace_one g index members =
   let plan =
-    try Plan.build g members with
+    try Plan.build (Netlist.Dense.of_graph g) members with
     | Plan.Plan_error msg -> error "partition %d: %s" index msg
   in
   let descriptor = Plan.descriptor plan in
@@ -26,7 +26,7 @@ let replace_one g index members =
   in
   let g =
     Array.to_list plan.Plan.input_pins
-    |> List.mapi (fun pin src -> (pin, src))
+    |> List.mapi (fun pin (src, _) -> (pin, src))
     |> List.fold_left
          (fun g (pin, src) ->
            Graph.connect g

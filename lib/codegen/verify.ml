@@ -213,11 +213,11 @@ let first_divergence (plan : Plan.t) c m =
 let assignment_of_index n index =
   Array.init n (fun bit -> (index lsr bit) land 1 = 1)
 
-let ext_table g members =
+let ext_table (plan : Plan.t) =
   let table = Hashtbl.create 16 in
-  List.iteri
-    (fun pin (e : Graph.edge) -> Hashtbl.replace table e.Graph.dst pin)
-    (Netlist.Cut.in_edges g members);
+  Array.iteri
+    (fun pin (_, dst) -> Hashtbl.replace table dst pin)
+    plan.Plan.input_pins;
   table
 
 (* --- tier 1: exhaustive combinational proof --------------------------- *)
@@ -401,12 +401,14 @@ let record ~members status =
   status
 
 (* [flat] is the flat side of tier 3 ({!Cosim.reference} of [g] under
-   [config.cosim]), shared by every partition of one solution. *)
-let verify_partition config flat g members =
+   [config.cosim]) and [d] the {!Netlist.Dense} view of [g], both shared
+   by every partition of one solution. *)
+let verify_partition config flat d members =
   Obs.Trace.with_span "codegen.verify"
     ~args:[ ("members", string_of_int (Node_id.Set.cardinal members)) ]
   @@ fun () ->
-  let plan = Plan.build g members in
+  let g = Netlist.Dense.graph d in
+  let plan = Plan.build d members in
   let infos =
     Array.of_list
       (List.map
@@ -442,7 +444,7 @@ let verify_partition config flat g members =
        to sampling *)
     cosim_tier flat g members plan
   else begin
-    let ext_of_dst = ext_table g members in
+    let ext_of_dst = ext_table plan in
     let stateless =
       Array.for_all (fun i -> is_combinational i.mi_desc) infos
     in
@@ -455,7 +457,9 @@ let verify_partition config flat g members =
   end
 
 let check_partition ?(config = default_config) g members =
-  verify_partition config (Cosim.reference ~config:config.cosim g) g members
+  verify_partition config
+    (Cosim.reference ~config:config.cosim g)
+    (Netlist.Dense.of_graph g) members
 
 (* --- whole-solution report -------------------------------------------- *)
 
@@ -463,11 +467,14 @@ type report = { results : (Core.Partition.t * status) list }
 
 let check_solution ?(config = default_config) g solution =
   let flat = Cosim.reference ~config:config.cosim g in
+  let d = lazy (Netlist.Dense.of_graph g) in
   {
     results =
       List.map
         (fun (p : Core.Partition.t) ->
-          (p, verify_partition config flat g p.Core.Partition.members))
+          ( p,
+            verify_partition config flat (Lazy.force d)
+              p.Core.Partition.members ))
         solution.Core.Solution.partitions;
   }
 

@@ -11,17 +11,17 @@ let default_config = {
   partition_config = Partition.default_config;
 }
 
-let fits_any ~config g set =
+let fits_any ~config d set =
   List.exists
     (fun shape ->
-      Partition.fits_shape ~config:config.partition_config g shape set)
+      Partition.fits_shape ~config:config.partition_config d shape set)
     config.shapes
 
-let chosen_shape ~config g set =
-  Shape.cheapest_fitting config.shapes
-    ~inputs_used:(Partition.inputs_used ~config:config.partition_config g set)
-    ~outputs_used:
-      (Partition.outputs_used ~config:config.partition_config g set)
+let chosen_shape ~config d set =
+  let inputs_used, outputs_used =
+    Partition.pins_used ~config:config.partition_config d set
+  in
+  Shape.cheapest_fitting config.shapes ~inputs_used ~outputs_used
 
 (* Eligible blocks adjacent to the cluster that are still available. *)
 let frontier g available cluster =
@@ -38,6 +38,7 @@ let frontier g available cluster =
 
 let run ?(config = default_config) g =
   let order = Graph.topological_order g in
+  let d = Netlist.Dense.of_graph g in
   let eligible = Node_id.Set.of_list (Graph.partitionable_nodes g) in
   (* Grow a cluster from [seed], absorbing the first adjacent available
      block (in id order) that keeps the cluster fitting. *)
@@ -46,7 +47,7 @@ let run ?(config = default_config) g =
       let candidates = frontier g available cluster in
       let try_add id =
         let grown = Node_id.Set.add id cluster in
-        if fits_any ~config g grown then Some grown else None
+        if fits_any ~config d grown then Some grown else None
       in
       match
         List.find_map try_add (Node_id.Set.elements candidates)
@@ -61,14 +62,14 @@ let run ?(config = default_config) g =
     | seed :: rest ->
       if not (Node_id.Set.mem seed available) then
         sweep available partitions rest
-      else if not (fits_any ~config g (Node_id.Set.singleton seed)) then
+      else if not (fits_any ~config d (Node_id.Set.singleton seed)) then
         (* cannot host even this block alone; leave it pre-defined *)
         sweep (Node_id.Set.remove seed available) partitions rest
       else begin
         let cluster = grow available seed in
         let available = Node_id.Set.diff available cluster in
         if Node_id.Set.cardinal cluster >= 2 then begin
-          match chosen_shape ~config g cluster with
+          match chosen_shape ~config d cluster with
           | Some shape ->
             let p = Partition.make ~members:cluster ~shape in
             sweep available (p :: partitions) rest

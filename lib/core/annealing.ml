@@ -20,8 +20,6 @@ type config = {
   initial_temperature : float;
   cooling : float;
   seed : int;
-  reliability : (Solution.t -> float) option;
-  lambda : float;
 }
 
 let default_config = {
@@ -31,8 +29,6 @@ let default_config = {
   initial_temperature = 2.0;
   cooling = 0.9995;
   seed = 1;
-  reliability = None;
-  lambda = 0.;
 }
 
 type result = {
@@ -43,30 +39,22 @@ type result = {
 
 (* Re-host a member set on the cheapest fitting shape, if any; full
    validity is then checked with Partition.check. *)
-let partition_of ~config g members =
-  let inputs_used =
-    Partition.inputs_used ~config:config.partition_config g members
-  in
-  let outputs_used =
-    Partition.outputs_used ~config:config.partition_config g members
+let partition_of ~config d members =
+  let inputs_used, outputs_used =
+    Partition.pins_used ~config:config.partition_config d members
   in
   match Shape.cheapest_fitting config.shapes ~inputs_used ~outputs_used with
   | None -> None
   | Some shape ->
     let p = Partition.make ~members ~shape in
-    if Partition.is_valid ~config:config.partition_config g p then Some p
+    if Partition.is_valid ~config:config.partition_config d p then Some p
     else None
 
 (* energy: the paper's objective, with cost as a continuous tie-break so
-   downhill moves are visible to the annealer, plus the optional
-   reliability term *)
-let energy ~config g solution =
+   downhill moves are visible to the annealer *)
+let energy g solution =
   float_of_int (Solution.total_inner_after g solution)
   +. (0.001 *. Solution.total_cost_after g solution)
-  +.
-  match config.reliability with
-  | Some severity -> config.lambda *. severity solution
-  | None -> 0.
 
 type move =
   | Grow       (* add an uncovered neighbour to a partition *)
@@ -116,7 +104,8 @@ let remove_nth list index = List.filteri (fun i _ -> i <> index) list
 (* Propose a new partition list ([None] when the picked move has no
    valid instantiation at this state), returning the move alongside so
    the journal can label the decision. *)
-let propose ~config g rng partitions =
+let propose ~config d rng partitions =
+  let g = Netlist.Dense.graph d in
   let uncovered = uncovered_of g partitions in
   let n = List.length partitions in
   let move = pick_move rng in
@@ -133,7 +122,7 @@ let propose ~config g rng partitions =
     else begin
       let extra = Prng.pick rng candidates in
       match
-        partition_of ~config g (Node_id.Set.add extra p.Partition.members)
+        partition_of ~config d (Node_id.Set.add extra p.Partition.members)
       with
       | Some p' -> Some (replace_nth partitions index p')
       | None -> None
@@ -146,7 +135,7 @@ let propose ~config g rng partitions =
     if Node_id.Set.cardinal remaining < 2 then
       Some (remove_nth partitions index)
     else
-      (match partition_of ~config g remaining with
+      (match partition_of ~config d remaining with
        | Some p' -> Some (replace_nth partitions index p')
        | None -> None)
   | Seed_pair ->
@@ -159,7 +148,7 @@ let propose ~config g rng partitions =
       if partners = [] then None
       else begin
         let b = Prng.pick rng partners in
-        match partition_of ~config g (Node_id.set_of_list [ a; b ]) with
+        match partition_of ~config d (Node_id.set_of_list [ a; b ]) with
         | Some p -> Some (p :: partitions)
         | None -> None
       end
@@ -172,7 +161,7 @@ let propose ~config g rng partitions =
     else begin
       let a = List.nth partitions i and b = List.nth partitions j in
       match
-        partition_of ~config g
+        partition_of ~config d
           (Node_id.Set.union a.Partition.members b.Partition.members)
       with
       | Some fused ->
@@ -193,6 +182,7 @@ let run ?(config = default_config) ?(start = Solution.empty) g =
         ("iterations", string_of_int config.iterations) ]
   @@ fun () ->
   let rng = Prng.create config.seed in
+  let d = Netlist.Dense.of_graph g in
   let journal = Obs.Journal.enabled () in
   if journal then
     Obs.Journal.emit
@@ -208,14 +198,14 @@ let run ?(config = default_config) ?(start = Solution.empty) g =
     else begin
       incr proposed;
       let move, next_state =
-        propose ~config g rng current.Solution.partitions
+        propose ~config d rng current.Solution.partitions
       in
       let current, current_energy, best, best_energy =
         match next_state with
         | None -> (current, current_energy, best, best_energy)
         | Some partitions ->
           let candidate = { Solution.partitions } in
-          let candidate_energy = energy ~config g candidate in
+          let candidate_energy = energy g candidate in
           let accept =
             candidate_energy <= current_energy
             || Prng.float rng 1.0
@@ -242,7 +232,7 @@ let run ?(config = default_config) ?(start = Solution.empty) g =
         best_energy (remaining - 1)
     end
   in
-  let start_energy = energy ~config g start in
+  let start_energy = energy g start in
   let best =
     anneal config.initial_temperature start start_energy start start_energy
       config.iterations

@@ -23,20 +23,10 @@ type config = {
   initial_temperature : float;
   cooling : float;          (** geometric factor per iteration, < 1 *)
   seed : int;
-  reliability : (Solution.t -> float) option;
-      (** expected-degradation scorer (see
-          {!Paredown.weighted_config}); [None] (the default) keeps the
-          paper's block-count energy.  Every proposed state is scored,
-          so pass a memoized scorer — the move set revisits states
-          constantly. *)
-  lambda : float;
-      (** weight of the reliability term in the energy; ignored when
-          [reliability] is [None] *)
 }
 
 val default_config : config
-(** 2x2 shape, 20 000 iterations, T0 = 2.0, cooling 0.9995, seed 1, no
-    reliability term. *)
+(** 2x2 shape, 20 000 iterations, T0 = 2.0, cooling 0.9995, seed 1. *)
 
 type result = {
   solution : Solution.t;

@@ -50,8 +50,7 @@ exception Deadline
    The candidates accepted are exactly those [Partition.is_valid] accepts
    — bin members come from [partitionable_nodes], so eligibility always
    holds and validity reduces to: at least two members, some shape fits,
-   and (when required) convexity.  [Partition.check] remains the
-   reference oracle; tests compare the two. *)
+   and (when required) convexity. *)
 type bin = {
   set : Dense.set;
   mutable card : int;

@@ -105,11 +105,7 @@ type candidate = {
 
 let recount cand =
   let ins, outs =
-    match cand.config.partition_config.Partition.pin_counting with
-    | Partition.Per_edge -> Dense.pins_used cand.d cand.members
-    | Partition.Per_net ->
-      ( Dense.inputs_used_nets cand.d cand.members,
-        Dense.outputs_used_nets cand.d cand.members )
+    Partition.count_pins cand.config.partition_config cand.d cand.members
   in
   cand.inputs_used <- ins;
   cand.outputs_used <- outs

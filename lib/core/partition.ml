@@ -1,6 +1,6 @@
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
-module Cut = Netlist.Cut
+module Dense = Netlist.Dense
 
 type pin_counting =
   | Per_edge
@@ -44,24 +44,19 @@ let pp_invalidity ppf = function
       "a path leaves the partition and re-enters it; replacement would \
        create a loop"
 
-let inputs_used ?(config = default_config) g set =
+let count_pins config d s =
   match config.pin_counting with
-  | Per_edge -> Cut.inputs_used g set
-  | Per_net -> Cut.inputs_used_nets g set
+  | Per_edge -> Dense.pins_used d s
+  | Per_net -> (Dense.inputs_used_nets d s, Dense.outputs_used_nets d s)
 
-let outputs_used ?(config = default_config) g set =
-  match config.pin_counting with
-  | Per_edge -> Cut.outputs_used g set
-  | Per_net -> Cut.outputs_used_nets g set
+let pins_used ?(config = default_config) d set =
+  count_pins config d (Dense.set_of_ids d set)
 
-let io_used ?config g set =
-  inputs_used ?config g set + outputs_used ?config g set
-
-let fits_shape ?(config = default_config) g shape set =
-  Shape.fits shape
-    ~inputs_used:(inputs_used ~config g set)
-    ~outputs_used:(outputs_used ~config g set)
-  && ((not config.require_convex) || Cut.is_convex g set)
+let fits_shape ?(config = default_config) d shape set =
+  let s = Dense.set_of_ids d set in
+  let inputs_used, outputs_used = count_pins config d s in
+  Shape.fits shape ~inputs_used ~outputs_used
+  && ((not config.require_convex) || Dense.is_convex d s)
 
 let members_eligible g set =
   Node_id.Set.fold
@@ -75,27 +70,28 @@ let members_eligible g set =
         else Ok ())
     set (Ok ())
 
-let check ?(config = default_config) g { members; shape } =
-  match members_eligible g members with
+let check ?(config = default_config) d { members; shape } =
+  (* eligibility first: [Dense.set_of_ids] raises on unknown ids *)
+  match members_eligible (Dense.graph d) members with
   | Error _ as e -> e
   | Ok () ->
     let size = Node_id.Set.cardinal members in
     if size < 2 then Error (Too_few_members size)
     else
-      let used_in = inputs_used ~config g members in
-      let used_out = outputs_used ~config g members in
+      let s = Dense.set_of_ids d members in
+      let used_in, used_out = count_pins config d s in
       if used_in > shape.Shape.inputs then
         Error (Too_many_inputs { used = used_in; available = shape.Shape.inputs })
       else if used_out > shape.Shape.outputs then
         Error
           (Too_many_outputs
              { used = used_out; available = shape.Shape.outputs })
-      else if config.require_convex && not (Cut.is_convex g members) then
+      else if config.require_convex && not (Dense.is_convex d s) then
         Error Not_convex
       else Ok ()
 
-let is_valid ?config g p =
-  match check ?config g p with Ok () -> true | Error _ -> false
+let is_valid ?config d p =
+  match check ?config d p with Ok () -> true | Error _ -> false
 
 let pp ppf { members; shape } =
   Format.fprintf ppf "%a on a %a block" Node_id.pp_set members Shape.pp shape

@@ -10,7 +10,7 @@
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
-module Cut = Netlist.Cut
+module Dense = Netlist.Dense
 
 type pin_counting =
   | Per_edge  (** the paper's model: every crossing connection is a pin *)
@@ -42,12 +42,23 @@ type invalidity =
 
 val pp_invalidity : Format.formatter -> invalidity -> unit
 
-val inputs_used : ?config:config -> Graph.t -> Node_id.Set.t -> int
-val outputs_used : ?config:config -> Graph.t -> Node_id.Set.t -> int
-val io_used : ?config:config -> Graph.t -> Node_id.Set.t -> int
+(** {1 Questions about a member set}
+
+    The pin, fit and validity questions take a {!Dense} view of the
+    network, which the caller builds once and reuses across its
+    queries.  Given a {!Node_id.Set.t}, they raise [Not_found] if a
+    member is not a node of the network, except {!check}, which reports
+    it as [Unknown_node]. *)
+
+val count_pins : config -> Dense.t -> Dense.set -> int * int
+(** [(inputs_used, outputs_used)] of a member bitset under the config's
+    pin counting. *)
+
+val pins_used : ?config:config -> Dense.t -> Node_id.Set.t -> int * int
+(** {!count_pins} on a member set. *)
 
 val fits_shape :
-  ?config:config -> Graph.t -> Shape.t -> Node_id.Set.t -> bool
+  ?config:config -> Dense.t -> Shape.t -> Node_id.Set.t -> bool
 (** Pin and (if configured) convexity constraints only — the "fits in a
     programmable block" test of the PareDown inner loop, which is also
     satisfied by singleton and empty sets. *)
@@ -56,9 +67,11 @@ val members_eligible :
   Graph.t -> Node_id.Set.t -> (unit, invalidity) result
 (** Every member exists and is a partitionable compute block. *)
 
-val check : ?config:config -> Graph.t -> t -> (unit, invalidity) result
-(** Full validity: eligibility, size, pins, convexity. *)
+val check : ?config:config -> Dense.t -> t -> (unit, invalidity) result
+(** Full validity, in this order: eligibility (so unknown ids give
+    [Unknown_node]), size, input pins, output pins, convexity.  Never
+    raises, on cyclic networks included. *)
 
-val is_valid : ?config:config -> Graph.t -> t -> bool
+val is_valid : ?config:config -> Dense.t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

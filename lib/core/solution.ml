@@ -51,6 +51,8 @@ let compare_cost g a b =
   | c -> c
 
 let check ?config g t =
+  (* one view for every partition, and none for an empty solution *)
+  let d = lazy (Netlist.Dense.of_graph g) in
   let rec disjoint seen = function
     | [] -> Ok ()
     | p :: rest ->
@@ -63,7 +65,7 @@ let check ?config g t =
   let rec all_valid index = function
     | [] -> disjoint Node_id.Set.empty t.partitions
     | p :: rest ->
-      (match Partition.check ?config g p with
+      (match Partition.check ?config (Lazy.force d) p with
        | Ok () -> all_valid (index + 1) rest
        | Error reason ->
          Error

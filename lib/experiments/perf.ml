@@ -36,7 +36,10 @@ let podium = lazy Designs.Library.podium_timer_3.Designs.Design.network
 let podium_members = Netlist.Node_id.set_of_list [ 2; 3; 4; 5 ]
 
 let podium_plan =
-  lazy (Codegen.Plan.build (Lazy.force podium) podium_members)
+  lazy
+    (Codegen.Plan.build
+       (Netlist.Dense.of_graph (Lazy.force podium))
+       podium_members)
 
 let podium_solution = lazy (paredown_solution (Lazy.force podium))
 
@@ -165,7 +168,7 @@ let groups =
         (fun () ->
           let g = Lazy.force podium in
           let plan = Lazy.force podium_plan in
-          keep (Codegen.Plan.build g podium_members);
+          keep (Codegen.Plan.build (Netlist.Dense.of_graph g) podium_members);
           keep
             (Codegen.C_emit.program ~n_inputs:1 ~n_outputs:2
                plan.Codegen.Plan.program);

@@ -1,30 +1,31 @@
 (* Compiled graph view: compact indices, flat adjacency arrays, Bytes
-   bitsets.  Reference semantics live in Cut; test/test_dense.ml checks
-   agreement property-by-property. *)
+   bitsets.  The reference semantics are test/cut_oracle.ml's;
+   test/test_dense.ml checks agreement property-by-property. *)
 
 type set = Bytes.t
 
 type t = {
-  g : Graph.t;  (* kept for the lazy reachability build *)
+  g : Graph.t;
   n : int;
   n_bytes : int;
   ids : int array;  (* index -> node id, increasing *)
-  idx : (int, int) Hashtbl.t;  (* node id -> index *)
   (* Edge e of node i's fanin lives at positions
-     fanin_off.(i) .. fanin_off.(i+1) - 1 of the flat arrays; the two
+     fanin_off.(i) .. fanin_off.(i+1) - 1 of the flat arrays; the
      parallel arrays give the source node's index and the edge's net id
-     (one net id per distinct (source node, source port) driver). *)
+     (one net id per source output port). *)
   fanin_off : int array;
   fanin_src : int array;
   fanin_net : int array;
   fanout_off : int array;
   fanout_dst : int array;
   fanout_net : int array;
-  (* Scratch for distinct-net counting: net_mark.(net) = net_gen marks
-     "seen in the current query" without ever clearing the array. *)
+  (* Query scratch: net_mark.(net) = gen / node_mark.(i) = gen marks
+     "seen in the current query" without ever clearing the arrays;
+     [stack] holds the convexity walk's frontier. *)
   net_mark : int array;
-  mutable net_gen : int;
-  mutable reach : Bytes.t array option;  (* lazy: forward reachability *)
+  node_mark : int array;
+  stack : int array;
+  mutable gen : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -64,94 +65,78 @@ let iter_members s f =
       done
   done
 
-let intersects a b =
-  let rec go i =
-    i < Bytes.length a
-    && (Char.code (Bytes.unsafe_get a i) land Char.code (Bytes.unsafe_get b i)
-        <> 0
-        || go (i + 1))
-  in
-  go 0
-
-let or_into dst src =
-  for i = 0 to Bytes.length dst - 1 do
-    Bytes.unsafe_set dst i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst i)
-          lor Char.code (Bytes.unsafe_get src i)))
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Compilation *)
+
+(* Position of [id] in the increasing array [ids], or -1. *)
+let search ids id =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = Node_id.compare ids.(mid) id in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length ids)
 
 let of_graph g =
   let ids = Array.of_list (Graph.node_ids g) in
   let n = Array.length ids in
-  let idx = Hashtbl.create (2 * max 1 n) in
-  Array.iteri (fun i id -> Hashtbl.replace idx id i) ids;
-  let index_of id = Hashtbl.find idx id in
-  (* One net id per distinct (source node, source port) pair, assigned
-     in deterministic first-seen order. *)
-  let nets : (int * int, int) Hashtbl.t = Hashtbl.create (2 * max 1 n) in
-  let net_count = ref 0 in
-  let net_of (ep : Graph.endpoint) =
-    let key = (ep.Graph.node, ep.Graph.port) in
-    match Hashtbl.find_opt nets key with
-    | Some net -> net
-    | None ->
-      let net = !net_count in
-      incr net_count;
-      Hashtbl.replace nets key net;
-      net
-  in
-  let offsets degree =
+  (* Output port p of node i is net net_base.(i) + p. *)
+  let net_base = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    net_base.(i + 1) <-
+      net_base.(i) + (Graph.descriptor g ids.(i)).Eblock.Descriptor.n_outputs
+  done;
+  (* No query depends on the order of a node's edges, so the unsorted
+     adjacency lists will do.  The far end of an incoming edge is its
+     driver; an outgoing edge is driven by the node itself. *)
+  let flatten adjacency ~incoming =
+    let lists = Array.map (adjacency g) ids in
     let off = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      off.(i + 1) <- off.(i) + degree ids.(i)
-    done;
-    off
+    Array.iteri (fun i l -> off.(i + 1) <- off.(i) + List.length l) lists;
+    let far = Array.make off.(n) 0 and net = Array.make off.(n) 0 in
+    Array.iteri
+      (fun i l ->
+        List.iteri
+          (fun k (e : Graph.edge) ->
+            let p = off.(i) + k in
+            let j =
+              search ids (if incoming then e.src.node else e.dst.node)
+            in
+            far.(p) <- j;
+            net.(p) <- net_base.(if incoming then j else i) + e.src.port)
+          l)
+      lists;
+    (off, far, net)
   in
-  let fanin_off = offsets (Graph.in_degree g) in
-  let fanout_off = offsets (Graph.out_degree g) in
-  let total_in = fanin_off.(n) and total_out = fanout_off.(n) in
-  let fanin_src = Array.make total_in 0
-  and fanin_net = Array.make total_in 0
-  and fanout_dst = Array.make total_out 0
-  and fanout_net = Array.make total_out 0 in
-  Array.iteri
-    (fun i id ->
-      List.iteri
-        (fun k e ->
-          let p = fanin_off.(i) + k in
-          fanin_src.(p) <- index_of e.Graph.src.Graph.node;
-          fanin_net.(p) <- net_of e.Graph.src)
-        (Graph.fanin g id);
-      List.iteri
-        (fun k e ->
-          let p = fanout_off.(i) + k in
-          fanout_dst.(p) <- index_of e.Graph.dst.Graph.node;
-          fanout_net.(p) <- net_of e.Graph.src)
-        (Graph.fanout g id))
-    ids;
+  let fanin_off, fanin_src, fanin_net =
+    flatten Graph.fanin_unordered ~incoming:true
+  in
+  let fanout_off, fanout_dst, fanout_net =
+    flatten Graph.fanout_unordered ~incoming:false
+  in
   {
     g;
     n;
     n_bytes = (n + 7) / 8;
     ids;
-    idx;
     fanin_off;
     fanin_src;
     fanin_net;
     fanout_off;
     fanout_dst;
     fanout_net;
-    net_mark = Array.make (max 1 !net_count) 0;
-    net_gen = 0;
-    reach = None;
+    net_mark = Array.make net_base.(n) 0;
+    node_mark = Array.make n 0;
+    stack = Array.make n 0;
+    gen = 0;
   }
 
+let graph t = t.g
 let length t = t.n
-let index t id = Hashtbl.find t.idx id
+let index t id =
+  match search t.ids id with -1 -> raise Not_found | i -> i
 let node_id t i = t.ids.(i)
 let in_degree t i = t.fanin_off.(i + 1) - t.fanin_off.(i)
 let out_degree t i = t.fanout_off.(i + 1) - t.fanout_off.(i)
@@ -187,6 +172,22 @@ let pins_used t s =
       done);
   (!ins, !outs)
 
+(* The crossing edges themselves, in Graph.compare_edge order, read
+   from the graph's adjacency lists: only plan building asks for them. *)
+let crossing t s adjacency far_node =
+  let acc = ref [] in
+  iter_members s (fun i ->
+      List.iter
+        (fun e -> if not (mem s (index t (far_node e))) then acc := e :: !acc)
+        (adjacency t.g t.ids.(i)));
+  List.sort Graph.compare_edge !acc
+
+let in_edges t s =
+  crossing t s Graph.fanin_unordered (fun e -> e.Graph.src.node)
+
+let out_edges t s =
+  crossing t s Graph.fanout_unordered (fun e -> e.Graph.dst.node)
+
 let inputs_used t s = fst (pins_used t s)
 let outputs_used t s = snd (pins_used t s)
 
@@ -219,8 +220,8 @@ let addition_delta t s b =
   (!d_in, !d_out)
 
 let fresh_gen t =
-  t.net_gen <- t.net_gen + 1;
-  t.net_gen
+  t.gen <- t.gen + 1;
+  t.gen
 
 let inputs_used_nets t s =
   let gen = fresh_gen t in
@@ -262,36 +263,32 @@ let is_border t s i =
   all_outside t.fanin_off.(i) (t.fanin_off.(i + 1) - 1) t.fanin_src
   || all_outside t.fanout_off.(i) (t.fanout_off.(i + 1) - 1) t.fanout_dst
 
-(* reach.(i) = every node reachable from i by following edges forward
-   (i itself excluded unless it lies on a cycle, which topological_order
-   rules out).  Built once, in reverse topological order:
-   reach(i) = U_{i->j} ({j} U reach(j)). *)
-let reach_of t =
-  match t.reach with
-  | Some r -> r
-  | None ->
-    let r = Array.init t.n (fun _ -> Bytes.make t.n_bytes '\000') in
-    let order = Graph.topological_order t.g in
-    List.iter
-      (fun id ->
-        let i = index t id in
-        for e = t.fanout_off.(i) to t.fanout_off.(i + 1) - 1 do
-          let j = t.fanout_dst.(e) in
-          add r.(i) j;
-          or_into r.(i) r.(j)
-        done)
-      (List.rev order);
-    t.reach <- Some r;
-    r
-
+(* Walk forward from the set's external successors while staying outside
+   the set; convexity fails iff the walk re-enters it.  A node is marked
+   when pushed, so each is pushed at most once: the stack never holds
+   more than [n] entries and the walk ends on cyclic graphs too. *)
 let is_convex t s =
-  let r = reach_of t in
-  let exception Reentrant in
-  try
-    iter_members s (fun i ->
-        for e = t.fanout_off.(i) to t.fanout_off.(i + 1) - 1 do
-          let j = t.fanout_dst.(e) in
-          if (not (mem s j)) && intersects r.(j) s then raise Reentrant
-        done);
-    true
-  with Reentrant -> false
+  let gen = fresh_gen t in
+  let top = ref 0 in
+  let push j =
+    if t.node_mark.(j) <> gen then begin
+      t.node_mark.(j) <- gen;
+      t.stack.(!top) <- j;
+      incr top
+    end
+  in
+  iter_members s (fun i ->
+      for e = t.fanout_off.(i) to t.fanout_off.(i + 1) - 1 do
+        let j = t.fanout_dst.(e) in
+        if not (mem s j) then push j
+      done);
+  let convex = ref true in
+  while !convex && !top > 0 do
+    decr top;
+    let j = t.stack.(!top) in
+    for e = t.fanout_off.(j) to t.fanout_off.(j + 1) - 1 do
+      let k = t.fanout_dst.(e) in
+      if mem s k then convex := false else push k
+    done
+  done;
+  !convex

@@ -1,21 +1,21 @@
-(** Compiled, allocation-free view of a {!Graph} for search inner loops.
+(** Compiled view of a {!Graph}: the library's one cut model.
 
-    {!Cut} answers each pin or convexity query by walking
-    [Set.Make(Int)] sets and building (and sorting) edge lists; that is
-    the right reference semantics but the wrong inner loop — PareDown
-    and the exhaustive search ask the same questions millions of times
-    per sweep.  [Dense.of_graph] compiles the graph once: node ids are
-    compacted to [0 .. length-1] (in increasing id order), fanin/fanout
-    become flat int arrays, member sets become [Bytes] bitsets, and
-    convexity uses precomputed per-node forward-reachability bitsets, so
-    every query is a tight loop over ints with no allocation.
+    Every pin and convexity question about a candidate partition is
+    answered here, by the search inner loops (PareDown, the exhaustive
+    search) and by the one-shot checks alike ([Core.Partition],
+    [Codegen.Plan]).  [Dense.of_graph] compiles the graph once: node
+    ids are compacted to [0 .. length-1] (in increasing id order),
+    fanin/fanout become flat int arrays and member sets become [Bytes]
+    bitsets, so every query is a tight loop over ints.
 
-    Semantics are defined by {!Cut}: for every graph, member set and
-    node, each function here returns exactly what its [Cut] counterpart
-    returns on the corresponding {!Node_id.Set.t} (property-tested in
-    [test/test_dense.ml]).  A view holds small mutable scratch buffers,
-    so a single [t] must not be queried from several domains at once;
-    build one view per domain (they are cheap). *)
+    The semantics are pinned by the set-based reference in
+    [test/cut_oracle.ml]: for every graph, member set and node, each
+    function here returns exactly what its oracle counterpart returns
+    on the corresponding {!Node_id.Set.t} (property-tested in
+    [test/test_dense.ml], on cyclic graphs too).  A view holds small
+    mutable scratch buffers, so a single [t] must not be queried from
+    several domains at once; build one view per domain (they are
+    cheap). *)
 
 type t
 (** The compiled view.  Valid as long as the source graph is not
@@ -28,10 +28,12 @@ type set = Bytes.t
     instead of rebuilding functional sets. *)
 
 val of_graph : Graph.t -> t
-(** Compile a view.  O(nodes + edges).  The forward-reachability tables
-    behind {!is_convex} are built lazily on the first convexity query
-    (they need an acyclic graph; every other query works on any
-    graph). *)
+(** Compile a view.  O((nodes + edges) · log nodes): one map lookup
+    per node and one binary search per edge end; any graph, cyclic or
+    not. *)
+
+val graph : t -> Graph.t
+(** The graph the view was compiled from. *)
 
 val length : t -> int
 (** Number of nodes (all nodes, not just inner ones). *)
@@ -52,6 +54,8 @@ val copy_set : set -> set
 val clear_set : set -> unit
 
 val set_of_ids : t -> Node_id.Set.t -> set
+(** Raises [Not_found] if a member is not a node of the graph. *)
+
 val ids_of_set : t -> set -> Node_id.Set.t
 
 val mem : set -> int -> bool
@@ -68,8 +72,18 @@ val iter_members : set -> (int -> unit) -> unit
 
 val pins_used : t -> set -> int * int
 (** [(inputs_used, outputs_used)] of the cut around [set], counted per
-    crossing edge, in one pass.  Agrees with
-    [Cut.inputs_used]/[Cut.outputs_used]. *)
+    crossing edge, in one pass: every connection crossing the boundary
+    occupies one pin of the programmable block, the counting that
+    reproduces the ranks of the paper's Figure 5 (DESIGN.md §2). *)
+
+val in_edges : t -> set -> Graph.edge list
+(** Edges whose source is outside the set and destination inside,
+    sorted by {!Graph.compare_edge} — the programmable block's input
+    pin order. *)
+
+val out_edges : t -> set -> Graph.edge list
+(** Edges whose source is inside the set and destination outside,
+    sorted by {!Graph.compare_edge} — its output pin order. *)
 
 val inputs_used : t -> set -> int
 val outputs_used : t -> set -> int
@@ -87,23 +101,20 @@ val addition_delta : t -> set -> int -> int * int
 (** {1 Pin accounting (per-net, ablation only)} *)
 
 val inputs_used_nets : t -> set -> int
-(** Distinct external driver ports feeding the set; agrees with
-    [Cut.inputs_used_nets]. *)
+(** Distinct external driver ports feeding the set. *)
 
 val outputs_used_nets : t -> set -> int
-(** Distinct internal driver ports with an external sink; agrees with
-    [Cut.outputs_used_nets]. *)
+(** Distinct internal driver ports with an external sink. *)
 
 (** {1 Structure tests} *)
 
 val is_border : t -> set -> int -> bool
-(** Agrees with [Cut.is_border]: every input or every output of the
-    node connects outside the set. *)
+(** "A block in which every output or every input connects to a block
+    outside of the candidate partition" (§4.2).  A node with no fanin
+    (resp. no fanout) vacuously satisfies the corresponding clause. *)
 
 val is_convex : t -> set -> bool
-(** No directed path leaves the set and re-enters it.  O(crossing
-    edges × n/8) byte operations against the precomputed reachability
-    bitsets — no graph walk.  The first call on a view forces the
-    reachability tables and therefore requires an acyclic graph
-    (raises [Graph.Structural_error] otherwise, like
-    [Graph.topological_order]). *)
+(** No directed path leaves the set and re-enters it — what makes a
+    partition replaceable by a programmable block without introducing
+    a loop.  A forward walk from the set's external successors that
+    stays outside the set: O(edges reached), no setup. *)

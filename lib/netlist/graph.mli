@@ -90,7 +90,7 @@ val fanin_unordered : t -> Node_id.t -> edge list
 val fanout_unordered : t -> Node_id.t -> edge list
 (** Same edges as {!fanin}/{!fanout} in unspecified order, without the
     per-call sort — for counting and membership loops where order does
-    not matter (see {!Cut}). *)
+    not matter. *)
 
 val fanout_on : t -> Node_id.t -> int -> edge list
 (** Edges leaving the given output port, in {!fanout} order — exactly

@@ -46,38 +46,3 @@ let with_span ?(args = []) name f =
 let instant ?(args = []) name =
   let sink = !current in
   if sink != null then sink.instant ~name ~args ~ts_ns:(Clock.now_ns ())
-
-(* ------------------------------------------------------------------ *)
-
-let stderr_sink () =
-  (* indentation tracks this sink's own view of nesting so it stays
-     correct even if installed mid-span *)
-  let level = ref 0 in
-  let starts = ref [] in  (* stack of start timestamps *)
-  let pad () = String.make (2 * !level) ' ' in
-  let pp_args args =
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k v) args)
-  in
-  {
-    start_span =
-      (fun ~name ~args ~ts_ns ->
-        Printf.eprintf "%s> %s%s\n%!" (pad ()) name (pp_args args);
-        starts := ts_ns :: !starts;
-        incr level);
-    end_span =
-      (fun ~name ~ts_ns ->
-        let dur_ms =
-          match !starts with
-          | t0 :: rest ->
-            starts := rest;
-            Int64.to_float (Int64.sub ts_ns t0) /. 1e6
-          | [] -> 0.
-        in
-        if !level > 0 then decr level;
-        Printf.eprintf "%s< %s (%.3fms)\n%!" (pad ()) name dur_ms);
-    instant =
-      (fun ~name ~args ~ts_ns:_ ->
-        Printf.eprintf "%s! %s%s\n%!" (pad ()) name (pp_args args));
-    flush = (fun () -> flush stderr);
-  }

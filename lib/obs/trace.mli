@@ -19,10 +19,6 @@ type sink = {
 val null : sink
 (** Drops everything.  The default. *)
 
-val stderr_sink : unit -> sink
-(** Human-readable, indented, one line per span boundary with
-    durations; for quick looks without leaving the terminal. *)
-
 val set_sink : sink -> unit
 (** Replace the current sink (flushing the old one). *)
 

@@ -1,3 +1,13 @@
+(* The set-based cut metrics that Netlist.Dense replaced, kept verbatim
+   (module paths aside) as the reference for the library's one cut
+   model: every pin count, crossing-edge list, border and convexity
+   answer of Dense must equal this module's on the same member set
+   (test_dense.ml), and test_netlist.ml pins the Figure 5 numbers on
+   it. *)
+
+module Graph = Netlist.Graph
+module Node_id = Netlist.Node_id
+
 let in_edges g set =
   Node_id.Set.fold
     (fun id acc ->

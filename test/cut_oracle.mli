@@ -5,6 +5,9 @@
     is the counting that reproduces the rank values of the paper's
     Figure 5 (see DESIGN.md §2 for the derivation). *)
 
+module Graph = Netlist.Graph
+module Node_id = Netlist.Node_id
+
 val in_edges : Graph.t -> Node_id.Set.t -> Graph.edge list
 (** Edges whose source is outside the set and destination inside,
     sorted by {!Graph.compare_edge}. *)
@@ -24,7 +27,7 @@ val io_used : Graph.t -> Node_id.Set.t -> int
     over the set.
 
     These functions are the {e reference} pin accounting; search inner
-    loops use the compiled {!Dense} view, which is property-tested to
+    loops use the compiled {!Netlist.Dense} view, which is property-tested to
     agree with them. *)
 
 val inputs_used_nets : Graph.t -> Node_id.Set.t -> int

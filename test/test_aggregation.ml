@@ -61,9 +61,9 @@ let test_multi_shape_config () =
 let prop_solutions_valid =
   QCheck.Test.make ~name:"solutions valid on random designs" ~count:120
     (Testlib.network_arbitrary ~max_inner:35 ()) (fun (_, _, g) ->
-      match Core.Solution.check g (Core.Aggregation.run g) with
-      | Ok () -> true
-      | Error _ -> false)
+      let sol = Core.Aggregation.run g in
+      Partition_oracle.valid_solution g sol
+      && Result.is_ok (Core.Solution.check g sol))
 
 let prop_deterministic =
   QCheck.Test.make ~name:"deterministic" ~count:40

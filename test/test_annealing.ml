@@ -70,12 +70,9 @@ let prop_solutions_valid =
       let config =
         { Core.Annealing.default_config with iterations = 2000 }
       in
-      match
-        Core.Solution.check g
-          (Core.Annealing.run ~config g).Core.Annealing.solution
-      with
-      | Ok () -> true
-      | Error _ -> false)
+      let sol = (Core.Annealing.run ~config g).Core.Annealing.solution in
+      Partition_oracle.valid_solution g sol
+      && Result.is_ok (Core.Solution.check g sol))
 
 let prop_never_beats_exhaustive =
   QCheck.Test.make ~name:"never better than the optimum" ~count:20

@@ -7,6 +7,7 @@ module Node_id = Netlist.Node_id
 let check = Alcotest.check
 let set = Testlib.set
 let podium = Testlib.podium
+let build g members = Codegen.Plan.build (Netlist.Dense.of_graph g) members
 
 (* --- Plans ------------------------------------------------------------- *)
 
@@ -19,17 +20,17 @@ let test_level_order () =
 let test_plan_pins_match_cut () =
   List.iter
     (fun members ->
-      let plan = Codegen.Plan.build podium members in
+      let plan = build podium members in
       check Alcotest.int "input pins"
-        (Netlist.Cut.inputs_used podium members)
+        (Cut_oracle.inputs_used podium members)
         (Array.length plan.Codegen.Plan.input_pins);
       check Alcotest.int "output pins"
-        (Netlist.Cut.outputs_used podium members)
+        (Cut_oracle.outputs_used podium members)
         (Array.length plan.Codegen.Plan.output_pins))
     [ set [ 2; 3; 4; 5 ]; set [ 6; 8; 9 ]; set [ 7; 8 ]; set [ 6; 9 ] ]
 
 let test_plan_program_closed () =
-  let plan = Codegen.Plan.build podium (set [ 2; 3; 4; 5 ]) in
+  let plan = build podium (set [ 2; 3; 4; 5 ]) in
   let p = plan.Codegen.Plan.program in
   check (Alcotest.list Alcotest.string) "no free variables" []
     (Behavior.Ast.free_variables p);
@@ -46,14 +47,14 @@ let test_plan_errors () =
     | exception Codegen.Plan.Plan_error _ -> ()
     | _ -> Alcotest.failf "%s did not raise" name
   in
-  fails "empty" (fun () -> Codegen.Plan.build podium Node_id.Set.empty);
-  fails "unknown node" (fun () -> Codegen.Plan.build podium (set [ 99 ]));
-  fails "sensor member" (fun () -> Codegen.Plan.build podium (set [ 1; 2 ]));
+  fails "empty" (fun () -> build podium Node_id.Set.empty);
+  fails "unknown node" (fun () -> build podium (set [ 99 ]));
+  fails "sensor member" (fun () -> build podium (set [ 1; 2 ]));
   let doorbell = Designs.Library.doorbell_extender_1.Designs.Design.network in
-  fails "comm member" (fun () -> Codegen.Plan.build doorbell (set [ 2; 3 ]))
+  fails "comm member" (fun () -> build doorbell (set [ 2; 3 ]))
 
 let test_descriptor_of_plan () =
-  let plan = Codegen.Plan.build podium (set [ 6; 8; 9 ]) in
+  let plan = build podium (set [ 6; 8; 9 ]) in
   let d = Codegen.Plan.descriptor plan in
   check Alcotest.int "inputs" 2 d.Eblock.Descriptor.n_inputs;
   check Alcotest.int "outputs" 2 d.Eblock.Descriptor.n_outputs;
@@ -127,7 +128,7 @@ let test_c_expr () =
     (Codegen.C_emit.expr (If_expr (var "b", int_ 1, int_ 0)))
 
 let test_c_program_structure () =
-  let plan = Codegen.Plan.build podium (set [ 2; 3; 4; 5 ]) in
+  let plan = build podium (set [ 2; 3; 4; 5 ]) in
   let text =
     Codegen.C_emit.program ~block_name:"test" ~n_inputs:1 ~n_outputs:2
       plan.Codegen.Plan.program
@@ -184,7 +185,7 @@ let test_c_compiles () =
         let g = d.Designs.Design.network in
         let sol = (Core.Paredown.run g).Core.Paredown.solution in
         List.iter
-          (fun p -> compile (Codegen.Plan.build g p.Core.Partition.members))
+          (fun p -> compile (build g p.Core.Partition.members))
           sol.Core.Solution.partitions)
       Designs.Library.all;
     check Alcotest.bool "compiled a meaningful number" true (!counter >= 15)
@@ -267,7 +268,7 @@ let test_verdict_rendering () =
 let test_size_estimates () =
   let small = Eblock.Catalog.not_gate.Eblock.Descriptor.behavior in
   let big =
-    (Codegen.Plan.build podium (set [ 2; 3; 4; 5 ])).Codegen.Plan.program
+    (build podium (set [ 2; 3; 4; 5 ])).Codegen.Plan.program
   in
   check Alcotest.bool "bigger program costs more" true
     (Codegen.Size.estimate_words big > Codegen.Size.estimate_words small);
@@ -283,7 +284,7 @@ let test_size_never_binding_on_library () =
       let sol = (Core.Paredown.run g).Core.Paredown.solution in
       List.iter
         (fun p ->
-          let plan = Codegen.Plan.build g p.Core.Partition.members in
+          let plan = build g p.Core.Partition.members in
           check Alcotest.bool
             (Printf.sprintf "%s fits" d.Designs.Design.name)
             true
@@ -349,7 +350,7 @@ let prop_merged_programs_fit =
       List.for_all
         (fun p ->
           Codegen.Size.fits_pic16f628
-            (Codegen.Plan.build g p.Core.Partition.members).Codegen.Plan.program)
+            (build g p.Core.Partition.members).Codegen.Plan.program)
         sol.Core.Solution.partitions)
 
 let () =

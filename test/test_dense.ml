@@ -1,13 +1,14 @@
-(* The Dense view's semantics are defined by Cut; these properties pin
-   the agreement on random graphs and random member subsets, then check
-   that the incremental accounting (deltas, exhaustive bin counts)
-   reproduces the from-scratch numbers and that the dense exhaustive
-   search still returns Table 1's optima. *)
+(* The Dense view's semantics are defined by the set-based Cut_oracle;
+   these properties pin the agreement on random graphs (acyclic, and
+   with one back edge) and random member subsets, then check that the
+   incremental accounting (deltas, exhaustive bin counts) reproduces
+   the from-scratch numbers and that the dense exhaustive search still
+   returns Table 1's optima. *)
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
 module Dense = Netlist.Dense
-module Cut = Netlist.Cut
+module Cut = Cut_oracle
 
 let check = Alcotest.check
 
@@ -62,6 +63,11 @@ let agreement_properties =
         let d = Dense.of_graph g in
         let s = Dense.set_of_ids d members in
         Dense.is_convex d s = Cut.is_convex g members);
+    prop "crossing edges agree with Cut" (fun (_, _, g, members) ->
+        let d = Dense.of_graph g in
+        let s = Dense.set_of_ids d members in
+        Dense.in_edges d s = Cut.in_edges g members
+        && Dense.out_edges d s = Cut.out_edges g members);
     prop "set round-trips through ids" (fun (_, _, g, members) ->
         let d = Dense.of_graph g in
         let s = Dense.set_of_ids d members in
@@ -103,13 +109,138 @@ let agreement_properties =
           (Graph.node_ids g));
   ]
 
+(* --- Cyclic graphs ------------------------------------------------------- *)
+
+(* Graph.connect accepts cycles, and the cut questions take whatever
+   graph they are given, so neither Dense.is_convex nor Partition.check
+   may raise on one.  A random network gets one back edge: the driver of
+   some node's input port is replaced by an output of that node or of
+   one of its descendants. *)
+let with_back_edge g pick =
+  let closing =
+    List.concat_map
+      (fun (e : Graph.edge) ->
+        let x = e.Graph.dst.Graph.node in
+        Graph.reachable g ~from:(Node_id.Set.singleton x)
+        |> Node_id.Set.add x |> Node_id.Set.elements
+        |> List.filter (fun y ->
+               (Graph.descriptor g y).Eblock.Descriptor.n_outputs > 0)
+        |> List.map (fun y -> (e, y)))
+      (Graph.edges g)
+  in
+  match closing with
+  | [] -> g
+  | _ ->
+    let e, y = List.nth closing (pick mod List.length closing) in
+    Graph.connect (Graph.remove_edge g e) ~src:(y, 0)
+      ~dst:(e.Graph.dst.Graph.node, e.Graph.dst.Graph.port)
+
+(* Members are mostly partitionable, so checks get past eligibility to
+   pins and convexity; an optional extra id (possibly a sensor, an
+   output or an id outside the graph) exercises the eligibility
+   errors, which must come before any Dense lookup. *)
+let cyclic_gen =
+  QCheck.Gen.(
+    Testlib.network_gen ~max_inner:20 () >>= fun (inner, seed, g) ->
+    nat >>= fun pick ->
+    let g = with_back_edge g pick in
+    let ids = Array.of_list (Graph.node_ids g) in
+    let eligible = Array.of_list (Graph.partitionable_nodes g) in
+    int_range 0 (Array.length eligible) >>= fun k ->
+    shuffle_a eligible >>= fun () ->
+    opt (int_range 0 (Array.length ids)) >|= fun extra ->
+    let members =
+      Node_id.set_of_list (Array.to_list (Array.sub eligible 0 k))
+    in
+    let members =
+      match extra with
+      | None -> members
+      | Some i when i < Array.length ids -> Node_id.Set.add ids.(i) members
+      | Some _ -> Node_id.Set.add (ids.(Array.length ids - 1) + 1) members
+    in
+    (inner, seed, g, members))
+
+let check_configs =
+  let open Core.Partition in
+  [
+    default_config;
+    { default_config with pin_counting = Per_net };
+    { default_config with require_convex = false };
+  ]
+
+let check_shapes =
+  [ Core.Shape.default; Core.Shape.make ~inputs:8 ~outputs:8 ~cost:2.0 () ]
+
+let cyclic_properties =
+  let arbitrary =
+    QCheck.make
+      ~print:(fun (inner, seed, g, members) ->
+        Format.asprintf "inner=%d seed=%d acyclic=%b members=%a" inner seed
+          (Graph.is_acyclic g) Node_id.pp_set members)
+      cyclic_gen
+  in
+  let prop name f = QCheck.Test.make ~count:300 ~name arbitrary f in
+  [
+    prop "is_convex agrees with Cut on cyclic graphs"
+      (fun (_, _, g, members) ->
+        let known = Node_id.Set.filter (Graph.mem g) members in
+        let d = Dense.of_graph g in
+        Dense.is_convex d (Dense.set_of_ids d known) = Cut.is_convex g known);
+    prop "Partition.check agrees with the set-based check on cyclic graphs"
+      (fun (_, _, g, members) ->
+        let d = Dense.of_graph g in
+        List.for_all
+          (fun config ->
+            List.for_all
+              (fun shape ->
+                let p = Core.Partition.make ~members ~shape in
+                Core.Partition.check ~config d p
+                = Partition_oracle.check ~config g p)
+              check_shapes)
+          check_configs);
+  ]
+
+(* The smallest loop through a candidate: button -> and2 <-> or2 -> led. *)
+let test_two_gate_loop () =
+  let open Eblock.Catalog in
+  let g, button = Graph.add Graph.empty button in
+  let g, and_gate = Graph.add g and2 in
+  let g, or_gate = Graph.add g or2 in
+  let g, lamp = Graph.add g led in
+  let g = Graph.connect g ~src:(button, 0) ~dst:(and_gate, 0) in
+  let g = Graph.connect g ~src:(or_gate, 0) ~dst:(and_gate, 1) in
+  let g = Graph.connect g ~src:(and_gate, 0) ~dst:(or_gate, 0) in
+  let g = Graph.connect g ~src:(or_gate, 0) ~dst:(lamp, 0) in
+  check Alcotest.bool "cyclic" false (Graph.is_acyclic g);
+  let d = Dense.of_graph g in
+  let verdict members =
+    match
+      Core.Partition.check d
+        (Core.Partition.make ~members:(Testlib.set members)
+           ~shape:Core.Shape.default)
+    with
+    | Ok () -> "ok"
+    | Error r -> Format.asprintf "%a" Core.Partition.pp_invalidity r
+  in
+  check Alcotest.string "{and2, or2}" "ok" (verdict [ and_gate; or_gate ]);
+  check Alcotest.string "{and2}"
+    (Format.asprintf "%a" Core.Partition.pp_invalidity
+       (Core.Partition.Too_few_members 1))
+    (verdict [ and_gate ]);
+  let convex members = Dense.is_convex d (Dense.set_of_ids d members) in
+  check Alcotest.bool "{and2, or2} convex" true
+    (convex (Testlib.set [ and_gate; or_gate ]));
+  (* the loop leaves {and2} through or2 and comes back *)
+  check Alcotest.bool "{and2} not convex" false
+    (convex (Testlib.set [ and_gate ]))
+
 (* --- Exhaustive search on the dense kernel ------------------------------- *)
 
 (* Every partition the dense leaf validation accepts must also satisfy
-   the reference oracle, and the search must still find Table 1's
-   optima (the full optima table lives in test_exhaustive.ml; this is
-   the kernel-equivalence angle: oracle-valid bins + pinned work
-   counters). *)
+   the set-based reference check (Partition_oracle), and the search
+   must still find Table 1's optima (the full optima table lives in
+   test_exhaustive.ml; this is the kernel-equivalence angle:
+   oracle-valid bins + pinned work counters). *)
 let test_exhaustive_matches_oracle () =
   List.iter
     (fun d ->
@@ -118,7 +249,7 @@ let test_exhaustive_matches_oracle () =
         let r = Core.Exhaustive.run g in
         List.iter
           (fun p ->
-            match Core.Partition.check g p with
+            match Partition_oracle.check g p with
             | Ok () -> ()
             | Error inv ->
               Alcotest.failf "%s: dense search accepted %a: %a"
@@ -239,6 +370,9 @@ let () =
   Alcotest.run "dense"
     [
       ("cut agreement", Testlib.qtests agreement_properties);
+      ( "cyclic graphs",
+        Testlib.qtests cyclic_properties
+        @ [ Alcotest.test_case "two-gate loop" `Quick test_two_gate_loop ] );
       ( "exhaustive kernel",
         [
           Alcotest.test_case "oracle-valid partitions" `Quick

@@ -113,7 +113,7 @@ let test_two_button_light_blocked () =
       check Alcotest.bool
         (Format.asprintf "%a invalid" Node_id.pp_set (set ids))
         false
-        (Core.Partition.is_valid g p))
+        (Core.Partition.is_valid (Netlist.Dense.of_graph g) p))
     subsets
 
 (* A malformed roster is a caller error, so [make] raises

@@ -204,9 +204,9 @@ let prop_never_worse_than_aggregation =
 let prop_solutions_valid =
   QCheck.Test.make ~name:"solutions valid" ~count:40
     (Testlib.network_arbitrary ~max_inner:8 ()) (fun (_, _, g) ->
-      match Core.Solution.check g (run g).Core.Exhaustive.solution with
-      | Ok () -> true
-      | Error _ -> false)
+      let sol = (run g).Core.Exhaustive.solution in
+      Partition_oracle.valid_solution g sol
+      && Result.is_ok (Core.Solution.check g sol))
 
 let () =
   Alcotest.run "exhaustive"

@@ -4,7 +4,7 @@
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
-module Cut = Netlist.Cut
+module Cut = Cut_oracle
 module C = Eblock.Catalog
 
 let check = Alcotest.check

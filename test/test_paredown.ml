@@ -122,8 +122,12 @@ let test_library_solutions_valid () =
   List.iter
     (fun d ->
       let g = d.Designs.Design.network in
-      Testlib.check_ok d.Designs.Design.name
-        (Core.Solution.check g (solution_of g)))
+      let sol = solution_of g in
+      Testlib.check_ok d.Designs.Design.name (Core.Solution.check g sol);
+      check Alcotest.bool
+        (d.Designs.Design.name ^ " (set-based check)")
+        true
+        (Partition_oracle.valid_solution g sol))
     Designs.Library.all
 
 (* --- Worst case (§4.2) -------------------------------------------------- *)
@@ -247,9 +251,9 @@ let test_tie_break_orders_all_valid () =
 let prop_solution_valid =
   QCheck.Test.make ~name:"solutions valid on random designs" ~count:150
     (Testlib.network_arbitrary ~max_inner:40 ()) (fun (_, _, g) ->
-      match Core.Solution.check g (solution_of g) with
-      | Ok () -> true
-      | Error _ -> false)
+      let sol = solution_of g in
+      Partition_oracle.valid_solution g sol
+      && Result.is_ok (Core.Solution.check g sol))
 
 let prop_deterministic =
   QCheck.Test.make ~name:"deterministic" ~count:50
@@ -292,9 +296,10 @@ let prop_rank_matches_direct_recount =
           Node_id.Set.for_all
             (fun b ->
               let direct =
-                Core.Partition.io_used ~config:partition_config g
+                Partition_oracle.io_used ~config:partition_config g
                   (Node_id.Set.remove b candidate)
-                - Core.Partition.io_used ~config:partition_config g candidate
+                - Partition_oracle.io_used ~config:partition_config g
+                    candidate
               in
               Core.Paredown.rank ~config g candidate b = direct)
             candidate)

@@ -197,7 +197,9 @@ let test_merged_program_roundtrip () =
   (* the big merged trees of synthesis also round-trip *)
   List.iter
     (fun members ->
-      let plan = Codegen.Plan.build Testlib.podium members in
+      let plan =
+        Codegen.Plan.build (Netlist.Dense.of_graph Testlib.podium) members
+      in
       let printed =
         Behavior.Ast.program_to_string plan.Codegen.Plan.program
       in

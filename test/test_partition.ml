@@ -51,10 +51,11 @@ let test_cheapest_fitting () =
 (* --- Partition validity -------------------------------------------------- *)
 
 let shape = Core.Shape.default
+let dense = Netlist.Dense.of_graph
 
 let reason members =
   match
-    Core.Partition.check podium (Core.Partition.make ~members ~shape)
+    Core.Partition.check (dense podium) (Core.Partition.make ~members ~shape)
   with
   | Ok () -> "ok"
   | Error r -> Format.asprintf "%a" Core.Partition.pp_invalidity r
@@ -80,7 +81,7 @@ let test_invalid_partitions () =
      path between pulse (2) and prolong (7) runs through the radio hops *)
   let doorbell = Designs.Library.doorbell_extender_2.Designs.Design.network in
   match
-    Core.Partition.check doorbell
+    Core.Partition.check (dense doorbell)
       (Core.Partition.make ~members:(set [ 2; 7 ]) ~shape)
   with
   | Error Core.Partition.Not_convex -> ()
@@ -90,7 +91,7 @@ let test_invalid_partitions () =
 let test_comm_not_partitionable () =
   let g = Designs.Library.doorbell_extender_1.Designs.Design.network in
   let p = Core.Partition.make ~members:(set [ 3; 4 ]) ~shape in
-  match Core.Partition.check g p with
+  match Core.Partition.check (dense g) p with
   | Error (Core.Partition.Not_partitionable _) -> ()
   | Error r ->
     Alcotest.failf "wrong reason: %a" Core.Partition.pp_invalidity r
@@ -99,7 +100,7 @@ let test_comm_not_partitionable () =
 let test_too_many_inputs_reported () =
   let g = Designs.Library.any_window_open_alarm.Designs.Design.network in
   let p = Core.Partition.make ~members:(set [ 5; 6 ]) ~shape in
-  match Core.Partition.check g p with
+  match Core.Partition.check (dense g) p with
   | Error (Core.Partition.Too_many_inputs { used = 4; available = 2 }) -> ()
   | Error r ->
     Alcotest.failf "wrong reason: %a" Core.Partition.pp_invalidity r
@@ -112,22 +113,22 @@ let test_config_variants () =
     { Core.Partition.default_config with require_convex = false }
   in
   check Alcotest.bool "convexity off accepts {2,7}" true
-    (Core.Partition.is_valid ~config:relaxed doorbell
+    (Core.Partition.is_valid ~config:relaxed (dense doorbell)
        (Core.Partition.make ~members:pair ~shape));
   let nets =
     { Core.Partition.default_config with pin_counting = Core.Partition.Per_net }
   in
   (* {3,4} needs 2 input pins per edge, 1 per net *)
   check Alcotest.int "per-net inputs" 1
-    (Core.Partition.inputs_used ~config:nets podium (set [ 3; 4 ]));
+    (fst (Core.Partition.pins_used ~config:nets (dense podium) (set [ 3; 4 ])));
   check Alcotest.int "per-edge inputs" 2
-    (Core.Partition.inputs_used podium (set [ 3; 4 ]))
+    (fst (Core.Partition.pins_used (dense podium) (set [ 3; 4 ])))
 
 let test_fits_shape_degenerate () =
   check Alcotest.bool "empty set fits" true
-    (Core.Partition.fits_shape podium shape Node_id.Set.empty);
+    (Core.Partition.fits_shape (dense podium) shape Node_id.Set.empty);
   check Alcotest.bool "singleton fits" true
-    (Core.Partition.fits_shape podium shape (set [ 7 ]))
+    (Core.Partition.fits_shape (dense podium) shape (set [ 7 ]))
 
 (* --- Solutions ----------------------------------------------------------- *)
 

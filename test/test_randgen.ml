@@ -63,13 +63,14 @@ let test_worst_case_structure () =
   check Alcotest.int "sensors" 12 (List.length (Graph.sensors g));
   check Alcotest.int "outputs" 6 (List.length (Graph.primary_outputs g));
   let inner = Graph.inner_nodes g in
+  let d = Netlist.Dense.of_graph g in
   (* every block fits alone... *)
   List.iter
     (fun id ->
       check Alcotest.bool
         (Printf.sprintf "%d fits alone" id)
         true
-        (Core.Partition.fits_shape g Core.Shape.default
+        (Core.Partition.fits_shape d Core.Shape.default
            (Node_id.Set.singleton id)))
     inner;
   (* ...but no pair forms a valid partition *)
@@ -81,7 +82,7 @@ let test_worst_case_structure () =
             check Alcotest.bool
               (Printf.sprintf "{%d,%d} invalid" a b)
               false
-              (Core.Partition.is_valid g
+              (Core.Partition.is_valid d
                  (Core.Partition.make
                     ~members:(Testlib.set [ a; b ])
                     ~shape:Core.Shape.default)))

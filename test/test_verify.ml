@@ -247,8 +247,9 @@ let test_plan_counters_pinned () =
      one plan per build, one merged node per member *)
   let (), entries =
     Obs.Metrics.with_scope (fun () ->
-        ignore (Codegen.Plan.build podium (set [ 2; 3; 4; 5 ]));
-        ignore (Codegen.Plan.build podium (set [ 6; 8; 9 ])))
+        let d = Netlist.Dense.of_graph podium in
+        ignore (Codegen.Plan.build d (set [ 2; 3; 4; 5 ]));
+        ignore (Codegen.Plan.build d (set [ 6; 8; 9 ])))
   in
   let count name =
     match
