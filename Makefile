@@ -3,7 +3,7 @@
 
 .PHONY: all build test check bench tables faults reliability-smoke \
 	verify-fuzz perf-baseline perf-smoke jobs-check journal-smoke \
-	netobs-smoke serve-smoke bench-selftest clean
+	netobs-smoke serve-smoke trace-smoke bench-selftest clean
 
 all: build
 
@@ -147,6 +147,35 @@ serve-smoke: build
 	rm -f serve-cache.json serve-batch.txt serve-run1.txt serve-run2.txt \
 	  serve-dec1.txt serve-dec2.txt serve-j1.txt serve-j4.txt \
 	  serve-pipe.txt serve-oneshot.txt
+
+# Span-recording smoke (doc/observability.md): traced runs of synth,
+# a Monte-Carlo observe and a served Table 1 batch, the last two at
+# --jobs 1 and 2.  test/check_trace.py asserts that every file parses,
+# that each tid's B/E events balance and nest, and that both job counts
+# record the same span-name multiset.  Last, a journal to an unwritable
+# path must exit 2 before doing any work (nothing on stdout).  Uses the
+# built binary directly, like serve-smoke.
+PAREDOWN = ./_build/default/bin/paredown.exe
+
+trace-smoke: build
+	$(PAREDOWN) synth "Podium Timer 3" --trace trace-synth.json --metrics > /dev/null
+	python3 test/check_trace.py trace-synth.json
+	for j in 1 2; do \
+	  $(PAREDOWN) observe "Two-Zone Security" --faults drop:0.05 --trials 64 \
+	    --jobs $$j --trace trace-observe-j$$j.json > /dev/null || exit 1; \
+	done
+	python3 test/check_trace.py trace-observe-j1.json trace-observe-j2.json
+	$(PAREDOWN) submit --table1 --repeat 2 > trace-batch.txt
+	for j in 1 2; do \
+	  $(PAREDOWN) serve --jobs $$j --trace trace-serve-j$$j.json \
+	    < trace-batch.txt > /dev/null || exit 1; \
+	done
+	python3 test/check_trace.py trace-serve-j1.json trace-serve-j2.json
+	$(PAREDOWN) partition "Podium Timer 3" --journal trace-batch.txt/j.jsonl \
+	  > trace-bad.txt 2> /dev/null; test $$? -eq 2
+	test ! -s trace-bad.txt
+	rm -f trace-synth.json trace-observe-j1.json trace-observe-j2.json \
+	  trace-batch.txt trace-serve-j1.json trace-serve-j2.json trace-bad.txt
 
 # End-to-end benchmark self-test (bench/e2e/README.md, ~40 s): builds
 # the benchmark in its own workspace under .bench_build/, then checks

@@ -288,23 +288,25 @@ let power_tests =
     ]
 
 let obs_tests =
-  (* The null-sink span and a counter bump are the per-call costs the
-     instrumented hot paths pay when tracing is off; they must stay in
-     the nanoseconds for the <5% table1 regression budget to hold. *)
+  (* A span with recording off and a counter bump are the per-call
+     costs the instrumented hot paths pay when tracing is off; they must
+     stay in the nanoseconds for the <5% table1 regression budget to
+     hold. *)
   let c = Obs.Metrics.counter "bench.obs.scratch" in
   let g20 = random_design ~seed:3 ~inner:20 in
   Test.make_grouped ~name:"obs"
     [
-      Test.make ~name:"span-null-sink"
-        (Staged.stage (fun () -> Obs.Trace.with_span "bench" (fun () -> ())));
+      Test.make ~name:"span-recording-off"
+        (Staged.stage (fun () -> Obs.Journal.with_span "bench" (fun () -> ())));
       Test.make ~name:"counter-incr"
         (Staged.stage (fun () -> Obs.Metrics.incr c));
       Test.make ~name:"paredown-20-chrome-traced"
         (Staged.stage (fun () ->
-             let r = Obs.Chrome.create () in
-             Obs.Trace.set_sink (Obs.Chrome.sink r);
+             Obs.Journal.start_spans ();
              let sol = paredown_solution g20 in
-             Obs.Trace.reset ();
+             ignore
+               (Obs.Chrome.to_string
+                  (Obs.Chrome.of_spans (Obs.Journal.stop_spans ())));
              sol));
     ]
 

@@ -60,60 +60,54 @@ let obs_term =
     $ trace $ metrics $ journal $ flight_record $ journal_ring)
 
 let with_obs ?(metrics_out = stdout) opts f =
-  (* Open the trace file before doing any work so a bad path fails
-     fast, not after a long run. *)
-  let recorder =
-    Option.map
-      (fun path ->
-        let oc =
-          try open_out path with
-          | Sys_error msg ->
-            Printf.eprintf "paredown: cannot write trace file: %s\n" msg;
-            exit 2
-        in
-        let r = Obs.Chrome.create () in
-        Obs.Trace.set_sink (Obs.Chrome.sink r);
-        (path, oc, r))
-      opts.trace_file
-  in
-  (* The sinks must also flush on [Stdlib.exit] — synth --verify and
-     fuzz exit 1 on failure, and [Fun.protect] finalizers do not run
-     then.  Each writer is an idempotent closure registered both behind
-     a named {!Obs.Flush} slot (one process-lifetime at_exit; re-arming
-     swaps the sink instead of accumulating a closure per invocation)
-     and in the finally below, so the normal path and the exit path
-     write exactly once. *)
-  let write_trace =
-    match recorder with
-    | None -> fun () -> ()
-    | Some (path, oc, r) ->
+  (* Open each artifact file before doing any work so a bad path fails
+     fast (exit 2), not after a long run.  Its writer must also run on
+     [Stdlib.exit] — synth --verify and fuzz exit 1 on failure, and
+     [Fun.protect] finalizers do not run then — so it is an idempotent
+     closure registered both behind a named {!Obs.Flush} slot (one
+     process-lifetime at_exit; re-arming swaps the writer instead of
+     accumulating a closure per invocation) and in the finally below:
+     the normal path and the exit path write exactly once.  The flight
+     recorder stays lazy: its bundle must not exist after a clean
+     run. *)
+  let artifact what start = function
+    | None -> ignore
+    | Some path ->
+      let oc =
+        try open_out path with
+        | Sys_error msg ->
+          Printf.eprintf "paredown: cannot write %s: %s\n" what msg;
+          exit 2
+      in
+      let render = start () in
       let written = ref false in
-      fun () ->
+      let write () =
         if not !written then begin
           written := true;
+          let text, events = render () in
           Fun.protect
             ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Obs.Chrome.contents r));
-          Printf.eprintf "trace: %d events written to %s\n"
-            (Obs.Chrome.event_count r) path
+            (fun () -> output_string oc text);
+          Printf.eprintf "%s: %d events written to %s\n" what events path
         end
+      in
+      write
+  in
+  let write_trace =
+    artifact "trace"
+      (fun () ->
+        Obs.Journal.start_spans ();
+        fun () ->
+          let spans = Obs.Journal.stop_spans () in
+          (Obs.Chrome.to_string (Obs.Chrome.of_spans spans), List.length spans))
+      opts.trace_file
   in
   let write_journal =
-    match opts.journal_file with
-    | None -> fun () -> ()
-    | Some path ->
-      let j = Obs.Journal.install () in
-      let written = ref false in
-      fun () ->
-        if not !written then begin
-          written := true;
-          try
-            Obs.Journal.write_file j path;
-            Printf.eprintf "journal: %d events written to %s\n"
-              (Obs.Journal.total j) path
-          with Sys_error msg ->
-            Printf.eprintf "paredown: cannot write journal: %s\n" msg
-        end
+    artifact "journal"
+      (fun () ->
+        let j = Obs.Journal.install () in
+        fun () -> (Obs.Journal.to_jsonl j, Obs.Journal.total j))
+      opts.journal_file
   in
   (match opts.flight_record with
    | Some out ->
@@ -123,7 +117,6 @@ let with_obs ?(metrics_out = stdout) opts f =
   Obs.Flush.arm ~slot:"cli.journal" write_journal;
   Fun.protect
     ~finally:(fun () ->
-      Obs.Trace.reset ();
       write_trace ();
       write_journal ();
       if opts.metrics then begin
@@ -876,9 +869,9 @@ let perf_profile_cmd =
   in
   let run design steps seed top =
     let name, g = load_network design in
-    let profile = Obs.Profile.create () in
-    Obs.Trace.set_sink (Obs.Profile.sink profile);
-    Fun.protect ~finally:Obs.Trace.reset (fun () ->
+    Obs.Journal.start_spans ();
+    Fun.protect ~finally:(fun () -> ignore (Obs.Journal.stop_spans ()))
+      (fun () ->
         (* The full pipeline, once: partition, rewrite, emit C for every
            programmable block, then simulate the synthesised network. *)
         let sol = (Core.Paredown.run g).Core.Paredown.solution in
@@ -898,15 +891,18 @@ let perf_profile_cmd =
           Sim.Stimulus.random ~rng:(Prng.create seed)
             ~sensors:(Graph.sensors g') ~steps ~spacing:20
         in
-        ignore (Sim.Stimulus.settled_outputs engine script));
-    Printf.printf "%s: one synth+simulate run, by span self time\n\n" name;
-    print_string (Obs.Profile.to_table ~top profile)
+        ignore (Sim.Stimulus.settled_outputs engine script);
+        Obs.Journal.stop_spans ())
+    |> Obs.Profile.of_spans
+    |> Obs.Profile.to_table ~top
+    |> Printf.printf "%s: one synth+simulate run, by span self time\n\n%s"
+         name
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Run partition -> rewrite -> C emission -> simulation once \
-             under the aggregating profiler sink and print the per-phase \
-             self-time breakdown.")
+             with spans recorded and print the per-phase self-time \
+             breakdown.")
     Term.(const run $ design_arg $ steps_arg $ seed_arg $ top_arg)
 
 let perf_cmd =

@@ -74,7 +74,7 @@ let c_type_of_value = function
   | Int _ -> "int"
 
 let program ?(block_name = "programmable_eblock") ~n_inputs ~n_outputs p =
-  Obs.Trace.with_span "codegen.emit_c" ~args:[ ("block", block_name) ]
+  Obs.Journal.with_span "codegen.emit_c" ~args:[ ("block", block_name) ]
   @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
   let buf = Buffer.create 2048 in

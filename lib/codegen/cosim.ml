@@ -172,7 +172,7 @@ let reference ?(config = default_config) g =
   }
 
 let run_against ~reference:r candidate =
-  Obs.Trace.with_span "codegen.cosim" @@ fun () ->
+  Obs.Journal.with_span "codegen.cosim" @@ fun () ->
   if r.sensors = [] then Inconclusive "design has no sensors to drive"
   else begin
     let config = r.config and perturbs = r.perturbs in

@@ -50,7 +50,7 @@ let index_of_endpoint what table (ep : Graph.endpoint) =
     error "endpoint %d.%d not found among %s" ep.Graph.node ep.Graph.port what
 
 let build d set =
-  Obs.Trace.with_span "codegen.plan_build"
+  Obs.Journal.with_span "codegen.plan_build"
     ~args:[ ("members", string_of_int (Node_id.Set.cardinal set)) ]
   @@ fun () ->
   let g = Dense.graph d in

@@ -48,7 +48,7 @@ let replace_one g index members =
   (g, prog_id)
 
 let apply g solution =
-  Obs.Trace.with_span "codegen.replace"
+  Obs.Journal.with_span "codegen.replace"
     ~args:
       [ ("partitions",
          string_of_int (List.length solution.Core.Solution.partitions)) ]

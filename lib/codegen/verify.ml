@@ -404,7 +404,7 @@ let record ~members status =
    [config.cosim]) and [d] the {!Netlist.Dense} view of [g], both shared
    by every partition of one solution. *)
 let verify_partition config flat d members =
-  Obs.Trace.with_span "codegen.verify"
+  Obs.Journal.with_span "codegen.verify"
     ~args:[ ("members", string_of_int (Node_id.Set.cardinal members)) ]
   @@ fun () ->
   let g = Netlist.Dense.graph d in

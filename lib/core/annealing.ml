@@ -176,7 +176,7 @@ let propose ~config d rng partitions =
   (move, outcome)
 
 let run ?(config = default_config) ?(start = Solution.empty) g =
-  Obs.Trace.with_span "annealing.run"
+  Obs.Journal.with_span "annealing.run"
     ~args:
       [ ("inner", string_of_int (Graph.inner_count g));
         ("iterations", string_of_int config.iterations) ]

@@ -59,7 +59,7 @@ type bin = {
 }
 
 let run ?(config = default_config) ?deadline_s g =
-  Obs.Trace.with_span "exhaustive.run"
+  Obs.Journal.with_span "exhaustive.run"
     ~args:[ ("inner", string_of_int (Graph.inner_count g)) ]
   @@ fun () ->
   let blocks = Array.of_list (Graph.partitionable_nodes g) in
@@ -233,7 +233,6 @@ let run ?(config = default_config) ?deadline_s g =
    | exception Deadline ->
      timed_out := true;
      Obs.Metrics.incr m_deadline_hits;
-     Obs.Trace.instant "exhaustive.deadline";
      let budget_s = match deadline_s with Some b -> b | None -> 0. in
      if journal then
        Obs.Journal.emit

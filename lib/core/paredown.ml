@@ -247,7 +247,7 @@ let removal_choice ?(config = default_config) g candidate =
 (* The decomposition method (Figure 4).                                *)
 
 let run ?(config = default_config) ?(record_trace = false) g =
-  Obs.Trace.with_span "paredown.run"
+  Obs.Journal.with_span "paredown.run"
     ~args:[ ("inner", string_of_int (Graph.inner_count g)) ]
   @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
@@ -429,7 +429,7 @@ type weighted_result = {
 }
 
 let run_weighted ?config ~weighted g =
-  Obs.Trace.with_span "paredown.run_weighted"
+  Obs.Journal.with_span "paredown.run_weighted"
     ~args:[ ("inner", string_of_int (Graph.inner_count g)) ]
   @@ fun () ->
   let base = run ?config g in

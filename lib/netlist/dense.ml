@@ -138,15 +138,11 @@ let length t = t.n
 let index t id =
   match search t.ids id with -1 -> raise Not_found | i -> i
 let node_id t i = t.ids.(i)
-let in_degree t i = t.fanin_off.(i + 1) - t.fanin_off.(i)
-let out_degree t i = t.fanout_off.(i + 1) - t.fanout_off.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Set conversions *)
 
 let empty_set t = Bytes.make t.n_bytes '\000'
-let copy_set = Bytes.copy
-let clear_set s = Bytes.fill s 0 (Bytes.length s) '\000'
 
 let set_of_ids t ids =
   let s = empty_set t in
@@ -187,13 +183,6 @@ let in_edges t s =
 
 let out_edges t s =
   crossing t s Graph.fanout_unordered (fun e -> e.Graph.dst.node)
-
-let inputs_used t s = fst (pins_used t s)
-let outputs_used t s = snd (pins_used t s)
-
-let io_used t s =
-  let ins, outs = pins_used t s in
-  ins + outs
 
 let removal_delta t s b =
   let d_in = ref 0 and d_out = ref 0 in

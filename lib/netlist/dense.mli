@@ -44,14 +44,9 @@ val index : t -> Node_id.t -> int
 val node_id : t -> int -> Node_id.t
 (** Inverse of {!index}. *)
 
-val in_degree : t -> int -> int
-val out_degree : t -> int -> int
-
 (** {1 Member bitsets} *)
 
 val empty_set : t -> set
-val copy_set : set -> set
-val clear_set : set -> unit
 
 val set_of_ids : t -> Node_id.Set.t -> set
 (** Raises [Not_found] if a member is not a node of the graph. *)
@@ -84,10 +79,6 @@ val in_edges : t -> set -> Graph.edge list
 val out_edges : t -> set -> Graph.edge list
 (** Edges whose source is inside the set and destination outside,
     sorted by {!Graph.compare_edge} — its output pin order. *)
-
-val inputs_used : t -> set -> int
-val outputs_used : t -> set -> int
-val io_used : t -> set -> int
 
 val removal_delta : t -> set -> int -> int * int
 (** [removal_delta t set b] with [b] a member: the

@@ -1,12 +1,12 @@
-type t = {
-  buf : Buffer.t;
-  t0 : int64;
-  mutable events : int;
+type phase = Begin | End | Instant | Thread_name
+
+type event = {
+  ph : phase;
+  name : string;
+  tid : int;
+  ts_us : float;
+  args : (string * string) list;
 }
-
-let create () = { buf = Buffer.create 4096; t0 = Clock.now_ns (); events = 0 }
-
-let event_count t = t.events
 
 (* JSON string escaping, shared with the snapshot writer so the full
    RFC 8259 set (every control character 0x00-0x1f, backslash, quote)
@@ -27,46 +27,42 @@ let add_args buf = function
       args;
     Buffer.add_char buf '}'
 
-(* All events share pid 1; the span sink below lives on tid 1, while
-   the lane-aware entry points take an explicit tid so a recording can
-   dedicate one lane per simulated node (see Sim.Telemetry). *)
-let add_event_at t ~ph ~name ~args ~tid ~ts_us ~extra =
-  if t.events > 0 then Buffer.add_string t.buf ",\n";
-  t.events <- t.events + 1;
-  Buffer.add_string t.buf
+(* All events share pid 1; a thread-name metadata event carries the
+   lane's label as its one argument. *)
+let add_event buf { ph; name; tid; ts_us; args } =
+  let ph, name, args, extra =
+    match ph with
+    | Begin -> ("B", name, args, "")
+    | End -> ("E", name, args, "")
+    | Instant -> ("i", name, args, ",\"s\":\"t\"")
+    | Thread_name -> ("M", "thread_name", [ ("name", name) ], "")
+  in
+  Buffer.add_string buf
     (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"obs\",\"ph\":\"%s\",\
                      \"ts\":%.3f,\"pid\":1,\"tid\":%d%s" (escape name) ph
        ts_us tid extra);
-  add_args t.buf args;
-  Buffer.add_char t.buf '}'
+  add_args buf args;
+  Buffer.add_char buf '}'
 
-let add_event t ~ph ~name ~args ~ts_ns ~extra =
-  let ts_us = Clock.ns_to_us (Int64.sub ts_ns t.t0) in
-  add_event_at t ~ph ~name ~args ~tid:1 ~ts_us ~extra
+let to_string events =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "[\n";
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      add_event buf e)
+    events;
+  Buffer.add_string buf "\n]\n";
+  Buffer.contents buf
 
-let thread_name t ~tid name =
-  add_event_at t ~ph:"M" ~name:"thread_name" ~args:[ ("name", name) ] ~tid
-    ~ts_us:0. ~extra:""
-
-let instant_at t ~tid ~ts_us ?(args = []) name =
-  add_event_at t ~ph:"i" ~name ~args ~tid ~ts_us ~extra:",\"s\":\"t\""
-
-let sink t =
-  {
-    Trace.start_span =
-      (fun ~name ~args ~ts_ns -> add_event t ~ph:"B" ~name ~args ~ts_ns ~extra:"");
-    end_span =
-      (fun ~name ~ts_ns -> add_event t ~ph:"E" ~name ~args:[] ~ts_ns ~extra:"");
-    instant =
-      (fun ~name ~args ~ts_ns ->
-        add_event t ~ph:"i" ~name ~args ~ts_ns ~extra:",\"s\":\"t\"");
-    flush = ignore;
-  }
-
-let contents t = "[\n" ^ Buffer.contents t.buf ^ "\n]\n"
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (contents t))
+let of_spans spans =
+  List.map
+    (fun (s : Journal.span) ->
+      {
+        ph = (if s.begins then Begin else End);
+        name = s.name;
+        tid = s.lane + 1;
+        ts_us = Clock.ns_to_us s.ts_ns;
+        args = s.args;
+      })
+    spans

@@ -1,42 +1,27 @@
-(** Chrome trace-event JSON sink.
+(** Chrome trace-event JSON.
 
-    Produces the JSON-array flavour of the Trace Event Format (duration
-    events ["B"]/["E"] plus instants ["i"]) understood by
-    [chrome://tracing] and {{:https://ui.perfetto.dev}Perfetto}.
-    Timestamps are microseconds relative to the recorder's creation.
+    Renders the JSON-array flavour of the Trace Event Format (duration
+    events ["B"]/["E"], thread-scoped instants ["i"] and thread-name
+    metadata ["M"]) understood by [chrome://tracing] and
+    {{:https://ui.perfetto.dev}Perfetto}.  The one writer behind both
+    [--trace] (a {!Journal} span recording, via {!of_spans}) and
+    [Sim.Telemetry]'s per-node timeline. *)
 
-    Events accumulate in memory (span cardinality in this tool chain is
-    per-run, not per-event, so a recording is small); {!contents} or
-    {!write_file} can be called at any point and always return a
-    complete, well-formed JSON document. *)
+type phase = Begin | End | Instant | Thread_name
 
-type t
+type event = {
+  ph : phase;
+  name : string;  (** for [Thread_name]: the lane's label *)
+  tid : int;  (** the lane *)
+  ts_us : float;  (** microseconds *)
+  args : (string * string) list;
+}
 
-val create : unit -> t
+val to_string : event list -> string
+(** The complete JSON array of [events], in order; always a
+    well-formed document, whatever the names and args contain. *)
 
-val sink : t -> Trace.sink
-(** Install with [Obs.Trace.set_sink (Obs.Chrome.sink recorder)]. *)
-
-val event_count : t -> int
-
-(** {2 Lane-aware recording}
-
-    The {!sink} records everything on one lane (pid 1 / tid 1).  These
-    entry points take an explicit thread id and timestamp instead, so a
-    recording can dedicate one lane per entity — e.g. one lane per
-    simulated node in a [Sim.Telemetry] timeline, with simulated ticks
-    as microseconds. *)
-
-val thread_name : t -> tid:int -> string -> unit
-(** Emit the metadata event naming lane [tid] in trace viewers. *)
-
-val instant_at :
-  t -> tid:int -> ts_us:float -> ?args:(string * string) list -> string ->
-  unit
-(** A thread-scoped instant event on lane [tid] at an explicit
-    timestamp (microseconds). *)
-
-val contents : t -> string
-(** The complete JSON array of events recorded so far. *)
-
-val write_file : t -> string -> unit
+val of_spans : Journal.span list -> event list
+(** A span recording as begin/end events: lane [l] becomes tid
+    [l + 1] (the main domain keeps tid 1), timestamps count from the
+    recording's start. *)

@@ -2,8 +2,6 @@ let now_ns () = Monotonic_clock.now ()
 
 let ns_per_s = 1e9
 
-let now_s () = Int64.to_float (now_ns ()) /. ns_per_s
-
 let elapsed_s t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. ns_per_s
 
 let ns_to_us ns = Int64.to_float ns /. 1e3

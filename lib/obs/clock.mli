@@ -11,9 +11,6 @@ val now_ns : unit -> int64
 (** Nanoseconds since an arbitrary (boot-time) origin.  Only differences
     are meaningful. *)
 
-val now_s : unit -> float
-(** {!now_ns} in seconds. *)
-
 val elapsed_s : int64 -> float
 (** [elapsed_s t0] — seconds since [t0] (a previous {!now_ns}). *)
 

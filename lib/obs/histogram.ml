@@ -67,17 +67,6 @@ let observe t v =
 
 let observe_int t n = observe t (float_of_int n)
 
-let time t f =
-  let t0 = Clock.now_ns () in
-  let finish () =
-    observe t (Int64.to_float (Int64.sub (Clock.now_ns ()) t0))
-  in
-  match f () with
-  | result -> finish (); result
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    finish ();
-    Printexc.raise_with_backtrace e bt
 
 let count t = locked t (fun () -> t.count)
 let sum t = locked t (fun () -> t.sum)
@@ -138,8 +127,6 @@ let summary t =
     s_p99 = percentile_unlocked t 99.;
     s_max = max_value_unlocked t;
   }
-
-let zero_summary = summary (create ())
 
 (* [diff ~before after]: the observations recorded in [after] but not
    in the earlier copy [before].  Bucket counts and sums subtract

@@ -24,10 +24,6 @@ val observe : t -> float -> unit
 
 val observe_int : t -> int -> unit
 
-val time : t -> (unit -> 'a) -> 'a
-(** [time t f] runs [f] and records its wall-clock duration in
-    nanoseconds (also on exception). *)
-
 val clear : t -> unit
 
 val copy : t -> t
@@ -59,8 +55,6 @@ type summary = {
 }
 
 val summary : t -> summary
-
-val zero_summary : summary
 
 val diff : before:t -> t -> t
 (** [diff ~before after] — the observations present in [after] but not

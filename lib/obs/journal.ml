@@ -178,31 +178,49 @@ let total t = t.total
 let dropped t = t.total - t.len
 
 (* ------------------------------------------------------------------ *)
-(* The current journal and per-domain capture buffers.  [current] is
-   set before any worker domain spawns and read-only while they run;
-   worker emissions always land in a capture buffer (Parallel.map wraps
-   every item), so the shared journal is only mutated by the main
-   domain. *)
+(* The current journal, the span recording and per-domain capture
+   buffers.  [current] and [recording] are set before any worker
+   domain spawns and read-only while they run; worker emissions and
+   spans always land in a capture buffer (Parallel.map wraps every item
+   while either is on), so the shared stores are only mutated by the
+   main domain. *)
+
+type span = {
+  lane : int;
+  name : string;
+  args : (string * string) list;
+  ts_ns : int64;
+  begins : bool;
+}
+
+type recording = { t0 : int64; mutable spans : span list (* newest first *) }
+
+type buffer = {
+  buf_lane : int;
+  mutable decisions : event list; (* newest first *)
+  mutable buf_spans : span list; (* newest first *)
+}
 
 let current : t option ref = ref None
+let recording : recording option ref = ref None
 
-let capture_slot : event list ref option ref Domain.DLS.key =
+let capture_slot : buffer option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let enabled () = match !current with Some _ -> true | None -> false
 
+let capturing () = enabled () || Option.is_some !recording
+
 let emit e =
   let slot = Domain.DLS.get capture_slot in
   match !slot with
-  | Some buf -> buf := e :: !buf
+  | Some buf -> buf.decisions <- e :: buf.decisions
   | None -> ( match !current with Some t -> push t e | None -> ())
 
-type buffer = event list ref
-
-let capture f =
+let capture ~lane f =
   let slot = Domain.DLS.get capture_slot in
   let saved = !slot in
-  let buf : buffer = ref [] in
+  let buf = { buf_lane = lane; decisions = []; buf_spans = [] } in
   slot := Some buf;
   Fun.protect
     ~finally:(fun () -> slot := saved)
@@ -210,10 +228,47 @@ let capture f =
       let r = f () in
       (r, buf))
 
-let append (buf : buffer) =
-  match !current with
+let append buf =
+  (match !current with
+   | Some t -> List.iter (push t) (List.rev buf.decisions)
+   | None -> ());
+  match !recording with
+  | Some r -> r.spans <- buf.buf_spans @ r.spans
   | None -> ()
-  | Some t -> List.iter (push t) (List.rev !buf)
+
+let start_spans () = recording := Some { t0 = Clock.now_ns (); spans = [] }
+
+let stop_spans () =
+  match !recording with
+  | None -> []
+  | Some r ->
+    recording := None;
+    List.rev r.spans
+
+let record_span ~begins name args =
+  match !recording with
+  | None -> ()
+  | Some r -> (
+    let ts_ns = Int64.sub (Clock.now_ns ()) r.t0 in
+    match !(Domain.DLS.get capture_slot) with
+    | Some buf ->
+      buf.buf_spans <-
+        { lane = buf.buf_lane; name; args; ts_ns; begins } :: buf.buf_spans
+    | None -> r.spans <- { lane = 0; name; args; ts_ns; begins } :: r.spans)
+
+let with_span ?(args = []) name f =
+  match !recording with
+  | None -> f ()
+  | Some _ -> (
+    record_span ~begins:true name args;
+    match f () with
+    | result ->
+      record_span ~begins:false name [];
+      result
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      record_span ~begins:false name [];
+      Printexc.raise_with_backtrace e bt)
 
 (* ------------------------------------------------------------------ *)
 (* JSONL serialisation *)

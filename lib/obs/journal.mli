@@ -30,8 +30,8 @@
       (journal tail + {!Snapshot.capture} metrics + git rev).
 
     Threading contract: outside {!capture} scopes only the main domain
-    may emit (the tool chain is single-threaded apart from
-    {!Parallel.map}, which always captures). *)
+    may emit or record spans (the tool chain is single-threaded apart
+    from {!Parallel.map}, which captures whenever {!capturing}). *)
 
 (** {1 Events}
 
@@ -139,20 +139,62 @@ val total : t -> int
 val dropped : t -> int
 (** [total - retained]: events the ring overwrote. *)
 
+(** {1 Spans}
+
+    A {e span} is a named, timed, nested region of execution —
+    ["paredown.run"], ["sim.settle"], ["codegen.emit_c"].  Spans are
+    recorded only between {!start_spans} and {!stop_spans} ([--trace],
+    [perf profile]); they ride the same per-domain capture as decision
+    events but never enter the journal, its JSONL or a post-mortem
+    bundle.  [Obs.Chrome] renders a recording as a trace-event file and
+    [Obs.Profile] folds it into a self-time table. *)
+
+type span = {
+  lane : int;
+      (** 0 for the main domain; [i + 1] for work item [i] of a
+          {!Parallel.map} fan-out *)
+  name : string;
+  args : (string * string) list;  (** [[]] on end records *)
+  ts_ns : int64;  (** nanoseconds since {!start_spans} *)
+  begins : bool;  (** a begin record, else the matching end *)
+}
+
+val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** [with_span name f] runs [f] inside a span: a begin record before
+    and an end record after, on normal return and on exception alike.
+    [args] annotate the begin record.  With no recording active it is
+    one load and one branch (the caller still builds [args], so keep
+    them cheap). *)
+
+val start_spans : unit -> unit
+(** Start a fresh span recording (discarding any active one). *)
+
+val stop_spans : unit -> span list
+(** Stop recording and return the records in order: each domain's in
+    the order it made them, fan-out items appended in input order at
+    their join.  [[]] when no recording is active. *)
+
 (** {1 Parallel capture} *)
 
 type buffer
 
-val capture : (unit -> 'a) -> 'a * buffer
-(** [capture f] redirects this domain's {!emit}s into a fresh buffer
-    for the duration of [f] (restored on return and on exception).
-    {!Parallel.map} wraps every work item in a capture and then
-    {!append}s the buffers in input order, which is what keeps
-    [--jobs N] journals byte-identical. *)
+val capturing : unit -> bool
+(** [true] iff a journal is installed or spans are being recorded:
+    the condition under which {!Parallel.map} captures its items. *)
+
+val capture : lane:int -> (unit -> 'a) -> 'a * buffer
+(** [capture ~lane f] redirects this domain's {!emit}s and spans into a
+    fresh buffer for the duration of [f] (restored on return and on
+    exception); its spans are tagged [lane].  {!Parallel.map} wraps
+    every work item in a capture and then {!append}s the buffers in
+    input order on the main domain, which is what keeps [--jobs N]
+    journals byte-identical and gives each item one lane of the span
+    recording.  Fan-outs do not nest: no work item calls
+    {!Parallel.map} with [jobs > 1]. *)
 
 val append : buffer -> unit
-(** Append a captured buffer's events to the current journal (no-op
-    when disabled). *)
+(** Append a captured buffer's events to the current journal and its
+    spans to the recording (each a no-op when off). *)
 
 (** {1 Serialisation (JSONL)} *)
 

@@ -37,8 +37,7 @@ val gauge_value : gauge -> float
 val histogram : ?doc:string -> string -> Histogram.t
 (** [histogram name] registers (idempotently) a log-bucketed histogram.
     Time distributions take a [_ns] suffix by convention — renderers
-    humanise those.  Observe with {!Histogram.observe} /
-    {!Histogram.time}. *)
+    humanise those.  Observe with {!Histogram.observe}. *)
 
 (** {2 Inspection} *)
 

@@ -1,7 +1,8 @@
-type agg = {
-  mutable calls : int;
-  mutable total_ns : float;
-  mutable self_ns : float;
+type row = {
+  name : string;
+  calls : int;
+  total_ns : float;
+  self_ns : float;
 }
 
 type frame = {
@@ -10,65 +11,42 @@ type frame = {
   mutable f_child_ns : float;
 }
 
-type t = {
-  table : (string, agg) Hashtbl.t;
-  mutable stack : frame list;
-}
-
-let create () = { table = Hashtbl.create 16; stack = [] }
-
-let agg_of t name =
-  match Hashtbl.find_opt t.table name with
-  | Some a -> a
-  | None ->
-    let a = { calls = 0; total_ns = 0.; self_ns = 0. } in
-    Hashtbl.add t.table name a;
-    a
-
-let sink t =
-  {
-    Trace.start_span =
-      (fun ~name ~args:_ ~ts_ns ->
-        t.stack <- { f_name = name; f_start = ts_ns; f_child_ns = 0. }
-                   :: t.stack);
-    end_span =
-      (fun ~name:_ ~ts_ns ->
-        match t.stack with
-        | [] -> () (* installed mid-span: ignore the unmatched close *)
+(* One stack per lane: a lane's records nest, whatever the other
+   lanes' records around them do. *)
+let of_spans spans =
+  let table = Hashtbl.create 16 in
+  let stacks = Hashtbl.create 4 in
+  let stack lane = Option.value (Hashtbl.find_opt stacks lane) ~default:[] in
+  List.iter
+    (fun (s : Journal.span) ->
+      if s.begins then
+        Hashtbl.replace stacks s.lane
+          ({ f_name = s.name; f_start = s.ts_ns; f_child_ns = 0. }
+          :: stack s.lane)
+      else
+        match stack s.lane with
+        | [] -> () (* recording started mid-span: ignore the unmatched end *)
         | frame :: rest ->
-          t.stack <- rest;
-          let dur = Int64.to_float (Int64.sub ts_ns frame.f_start) in
-          let a = agg_of t frame.f_name in
-          a.calls <- a.calls + 1;
-          a.total_ns <- a.total_ns +. dur;
-          a.self_ns <- a.self_ns +. (dur -. frame.f_child_ns);
+          Hashtbl.replace stacks s.lane rest;
+          let dur = Int64.to_float (Int64.sub s.ts_ns frame.f_start) in
+          let calls, total_ns, self_ns =
+            Option.value
+              (Hashtbl.find_opt table frame.f_name)
+              ~default:(0, 0., 0.)
+          in
+          Hashtbl.replace table frame.f_name
+            (calls + 1, total_ns +. dur, self_ns +. (dur -. frame.f_child_ns));
           (match rest with
            | parent :: _ -> parent.f_child_ns <- parent.f_child_ns +. dur
-           | [] -> ()));
-    instant =
-      (fun ~name ~args:_ ~ts_ns:_ ->
-        let a = agg_of t ("! " ^ name) in
-        a.calls <- a.calls + 1);
-    flush = ignore;
-  }
-
-type row = {
-  name : string;
-  calls : int;
-  total_ns : float;
-  self_ns : float;
-}
-
-let rows t =
+           | [] -> ()))
+    spans;
   Hashtbl.fold
-    (fun name (a : agg) acc ->
-      { name; calls = a.calls; total_ns = a.total_ns; self_ns = a.self_ns }
-      :: acc)
-    t.table []
+    (fun name (calls, total_ns, self_ns) acc ->
+      { name; calls; total_ns; self_ns } :: acc)
+    table []
   |> List.sort (fun a b -> compare b.self_ns a.self_ns)
 
-let to_table ?(top = 15) t =
-  let rows = rows t in
+let to_table ?(top = 15) rows =
   if rows = [] then "(no spans recorded)\n"
   else begin
     let wall = List.fold_left (fun acc r -> acc +. r.self_ns) 0. rows in

@@ -1,21 +1,10 @@
-(** Aggregating profiler sink: per-span-name call counts, total time,
-    and self time (total minus child spans).
+(** Flat profile of a span recording: per-span-name call counts, total
+    time, and self time (total minus child spans).
 
-    Where {!Chrome} keeps every event for a timeline, this sink folds
-    them into a flat profile as they arrive — the "where did this run
-    spend its time" table behind [paredown perf profile], with no
-    post-processing and O(distinct span names) memory.
-
-    Instants are tallied as call-count-only rows prefixed ["! "].
-    Like the tracer itself, single-threaded by design. *)
-
-type t
-
-val create : unit -> t
-
-val sink : t -> Trace.sink
-(** Install with [Obs.Trace.set_sink (Obs.Profile.sink p)].  An
-    unmatched [end_span] (sink installed mid-span) is ignored. *)
+    Where {!Chrome} renders every record for a timeline, this folds a
+    {!Journal} span recording into the "where did this run spend its
+    time" table behind [paredown perf profile], with one span stack per
+    lane. *)
 
 type row = {
   name : string;
@@ -24,9 +13,10 @@ type row = {
   self_ns : float;
 }
 
-val rows : t -> row list
-(** Sorted by self time, largest first. *)
+val of_spans : Journal.span list -> row list
+(** Sorted by self time, largest first.  An end record with no open
+    span on its lane (recording started mid-span) is ignored. *)
 
-val to_table : ?top:int -> t -> string
+val to_table : ?top:int -> row list -> string
 (** Top-[top] (default 15) rows with humanised times and a self-time
     percentage column. *)

@@ -231,50 +231,6 @@ let read_file path =
   with Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Merge (min-of-k noise reducer) *)
-
-let merge_value a b =
-  match (a, b) with
-  | Int x, Int y -> Int (min x y)
-  | Float x, Float y -> Float (Float.min x y)
-  | Dist x, Dist y ->
-    Dist
-      {
-        Histogram.s_count = min x.Histogram.s_count y.Histogram.s_count;
-        s_sum = Float.min x.Histogram.s_sum y.Histogram.s_sum;
-        s_mean = Float.min x.Histogram.s_mean y.Histogram.s_mean;
-        s_min = Float.min x.Histogram.s_min y.Histogram.s_min;
-        s_p50 = Float.min x.Histogram.s_p50 y.Histogram.s_p50;
-        s_p90 = Float.min x.Histogram.s_p90 y.Histogram.s_p90;
-        s_p99 = Float.min x.Histogram.s_p99 y.Histogram.s_p99;
-        s_max = Float.min x.Histogram.s_max y.Histogram.s_max;
-      }
-  | v, _ -> v (* kind mismatch: keep the first reading *)
-
-let merge_assoc merge a b =
-  let keys =
-    List.sort_uniq compare (List.map fst a @ List.map fst b)
-  in
-  List.map
-    (fun k ->
-      match (List.assoc_opt k a, List.assoc_opt k b) with
-      | Some x, Some y -> (k, merge x y)
-      | Some x, None | None, Some x -> (k, x)
-      | None, None -> assert false)
-    keys
-
-let merge a b =
-  {
-    a with
-    metrics = merge_assoc merge_value a.metrics b.metrics;
-    times_ns = merge_assoc Float.min a.times_ns b.times_ns;
-  }
-
-let merge_all = function
-  | [] -> invalid_arg "Obs.Snapshot.merge_all: empty list"
-  | first :: rest -> List.fold_left merge first rest
-
-(* ------------------------------------------------------------------ *)
 (* Comparison *)
 
 type delta = {

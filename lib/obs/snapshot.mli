@@ -23,7 +23,7 @@
     seeds, same algorithm, same counts on every machine), so they get a
     tight ratio; {e wall times} are noisy, so they get a looser ratio
     plus an absolute floor, and recorders suppress scheduler noise
-    further by taking the min of k runs ({!merge} is field-wise min). *)
+    further by taking the min of k runs. *)
 
 val schema_name : string
 val schema_version : int
@@ -71,16 +71,6 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 val write_file : t -> string -> unit
 val read_file : string -> (t, string) result
-
-(** {2 Noise reduction} *)
-
-val merge : t -> t -> t
-(** Field-wise min of every shared metric and time (union of keys);
-    metadata comes from the first argument.  Minimum-of-k wall times
-    are the standard scheduler-noise floor. *)
-
-val merge_all : t list -> t
-(** Left fold of {!merge}; raises [Invalid_argument] on []. *)
 
 (** {2 Comparison} *)
 

@@ -1,5 +1,3 @@
-let available_jobs () = Domain.recommended_domain_count ()
-
 let run_parallel ~jobs f items n =
   let arr = Array.of_list items in
   let results = Array.make n None in
@@ -34,7 +32,7 @@ let run_parallel ~jobs f items n =
          worker may have claimed a low index before a higher one
          failed; skipping it would let the higher failure win.) *)
       if i < fail_index () then
-        (match f arr.(i) with
+        (match f i arr.(i) with
          | r -> results.(i) <- Some r
          | exception e -> record i e (Printexc.get_raw_backtrace ()));
       worker ()
@@ -54,12 +52,15 @@ let run_parallel ~jobs f items n =
 let map ~jobs f items =
   let n = List.length items in
   if jobs <= 1 || n < 2 then List.map f items
-  else if Obs.Journal.enabled () then
-    (* Worker-domain journal emissions are captured per item and
-       appended in input (seed) order after the join, so a [--jobs N]
-       journal is byte-identical to the sequential one. *)
-    run_parallel ~jobs (fun x -> Obs.Journal.capture (fun () -> f x)) items n
+  else if Obs.Journal.capturing () then
+    (* Worker-domain journal emissions and spans are captured per item
+       and appended in input (seed) order after the join, so a
+       [--jobs N] journal is byte-identical to the sequential one and
+       each item's spans nest on a lane of their own. *)
+    run_parallel ~jobs
+      (fun i x -> Obs.Journal.capture ~lane:(i + 1) (fun () -> f x))
+      items n
     |> List.map (fun (r, buf) ->
            Obs.Journal.append buf;
            r)
-  else run_parallel ~jobs f items n
+  else run_parallel ~jobs (fun _ x -> f x) items n

@@ -19,10 +19,6 @@
     diffing experiment output at [--jobs 2] against [--jobs 1] (with
     wall-clock readings masked; see doc/performance.md). *)
 
-val available_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — a sensible upper bound for
-    [~jobs]. *)
-
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] applies [f] to every item and returns the
     results in input order.  [jobs <= 1] (or fewer than two items) is
@@ -30,7 +26,9 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     spawned, so the sequential path stays the sequential code.
     Otherwise [min jobs (length items) - 1] worker domains are spawned
     (the calling domain works too) and items are handed out by a shared
-    atomic cursor in index order.
+    atomic cursor in index order.  While {!Obs.Journal.capturing}, item
+    [i] runs in an {!Obs.Journal.capture} on lane [i + 1] and the
+    buffers are appended in input order after the join.
 
     If any application raises, the exception of the {e lowest-index}
     failing item — the one [List.map f items] would have raised — is

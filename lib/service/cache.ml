@@ -239,8 +239,6 @@ let find (t : t) key =
     record_miss t;
     None
 
-let peek (t : t) key = Obs.Lru.find t.table key
-
 let insert (t : t) key payload =
   let before = Obs.Lru.evictions t.table in
   Obs.Lru.put t.table key payload;

@@ -79,9 +79,6 @@ val find : t -> string -> Json.t option
     [service.cache_hits]/[service.cache_misses] metrics, and promotes a
     hit to most-recently-used. *)
 
-val peek : t -> string -> Json.t option
-(** Non-counting lookup (still promotes). *)
-
 val insert : t -> string -> Json.t -> unit
 (** Insert, count any eviction on [service.cache_evictions], and flush
     to disk when [flush_every] inserts have accumulated. *)

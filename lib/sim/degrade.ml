@@ -34,14 +34,6 @@ let outcome_to_string = function
   | Wrong_value -> "wrong-value"
   | Diverged -> "diverged"
 
-let outcome_code = function
-  | Identical -> "ok"
-  | Glitch_recovered -> "gl"
-  | Wrong_value -> "wr"
-  | Diverged -> "dv"
-
-let pp_outcome ppf o = Format.pp_print_string ppf (outcome_to_string o)
-
 type run = {
   outcome : outcome;
   injected : Fault.stats;

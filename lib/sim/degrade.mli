@@ -48,11 +48,6 @@ val score : outcome -> float
     wrong/diverged one (see doc/reliability.md). *)
 
 val outcome_to_string : outcome -> string
-val outcome_code : outcome -> string
-(** Two-letter code for dense tables: ok / gl / wr / dv. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
 type run = {
   outcome : outcome;
   injected : Fault.stats;  (** faults that actually struck *)

@@ -969,7 +969,7 @@ let queue_depth t = t.wheel_count + ovf_count t
 let last_active t = if t.c_last < 0 then None else Some t.ids.(t.c_last)
 
 let settle ?(limit = 100_000) t =
-  Obs.Trace.with_span "sim.settle" @@ fun () ->
+  Obs.Journal.with_span "sim.settle" @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
   (* drain without [step]'s per-event metric flush *)
   let drained =

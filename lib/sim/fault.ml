@@ -118,13 +118,6 @@ let total s =
   s.drops + s.duplicates + s.corruptions + s.jittered + s.dead_link_losses
   + s.resets + s.stuck_overrides
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "drops %d, duplicates %d, corruptions %d, jittered %d, dead-link %d, \
-     resets %d, stuck %d"
-    s.drops s.duplicates s.corruptions s.jittered s.dead_link_losses s.resets
-    s.stuck_overrides
-
 type runtime = {
   rng : Prng.t;
   default_edge : edge_fault;

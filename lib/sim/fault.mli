@@ -150,5 +150,3 @@ val merge : stats -> stats -> stats
 
 val total : stats -> int
 (** Sum over every fault class — "how many faults actually struck". *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -392,22 +392,33 @@ let kind_label = function
   | Sensor_set -> "sensor"
   | Reset -> "reset"
 
-let timeline_recording g t =
-  let recorder = Obs.Chrome.create () in
-  List.iter
-    (fun id ->
-      Obs.Chrome.thread_name recorder ~tid:id
-        (Printf.sprintf "%d %s" id (Graph.node g id).Graph.label))
-    (Graph.node_ids g);
-  (match t.timeline with
-   | None -> ()
-   | Some entries ->
-     List.iter
-       (fun { tl_time; tl_node; tl_kind } ->
-         Obs.Chrome.instant_at recorder ~tid:tl_node
-           ~ts_us:(float_of_int tl_time) (kind_label tl_kind))
-       (List.rev entries));
-  recorder
-
 let write_timeline g t path =
-  Obs.Chrome.write_file (timeline_recording g t) path
+  let lanes =
+    List.map
+      (fun id ->
+        {
+          Obs.Chrome.ph = Thread_name;
+          name = Printf.sprintf "%d %s" id (Graph.node g id).Graph.label;
+          tid = id;
+          ts_us = 0.;
+          args = [];
+        })
+      (Graph.node_ids g)
+  in
+  let instants =
+    match t.timeline with
+    | None -> []
+    | Some entries ->
+      List.rev_map
+        (fun { tl_time; tl_node; tl_kind } ->
+          {
+            Obs.Chrome.ph = Instant;
+            name = kind_label tl_kind;
+            tid = tl_node;
+            ts_us = float_of_int tl_time;
+            args = [];
+          })
+        entries
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Obs.Chrome.to_string (lanes @ instants)))

@@ -121,7 +121,7 @@ let script_seed (config : Codegen.Cosim.config) i =
   config.seed + (7919 * i)
 
 let run ?(config = Codegen.Cosim.default_config) ~reference candidate =
-  Obs.Trace.with_span "codegen.cosim" @@ fun () ->
+  Obs.Journal.with_span "codegen.cosim" @@ fun () ->
   let sensors = Graph.sensors reference in
   if sensors = [] then
     Codegen.Cosim.Inconclusive "design has no sensors to drive"

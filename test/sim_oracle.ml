@@ -431,7 +431,7 @@ let queue_depth t = t.depth
 let last_active t = t.i_last_active
 
 let settle ?(limit = 100_000) t =
-  Obs.Trace.with_span "sim.settle" @@ fun () ->
+  Obs.Journal.with_span "sim.settle" @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
   let drained =
     let rec go n = if n = limit || not (istep t) then n else go (n + 1) in

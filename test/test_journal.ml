@@ -226,6 +226,29 @@ let test_disabled_overhead () =
     true
     (o.Experiments.Perf.ratio <= 0.01)
 
+(* --- Loader robustness: mutated journals and bundles never raise ------------ *)
+
+(* An exhaustive + PareDown run on Podium Timer 3, as a JSONL journal and
+   as a post-mortem bundle.  A 128-event ring (what the flight recorder
+   keeps) holds exhaustive's tail and all of PareDown's decisions, and
+   keeps each parse cheap enough for thousands of mutants. *)
+let loader_robustness =
+  Obs.Journal.reset ();
+  let j = Obs.Journal.install ~capacity:128 () in
+  ignore (Core.Exhaustive.run Testlib.podium);
+  ignore (Core.Paredown.run Testlib.podium);
+  Obs.Journal.reset ();
+  let bundle =
+    Obs.Json.to_string ~indent:2
+      (Obs.Journal.post_mortem_json ~reason:"mutation corpus" j)
+  in
+  [
+    Testlib.loader_never_raises ~count:5000 ~seed:20 ~name:"mutated JSONL"
+      (Obs.Journal.to_jsonl j) Obs.Journal.load_string;
+    Testlib.loader_never_raises ~count:2000 ~seed:21
+      ~name:"mutated post-mortem bundle" bundle Obs.Journal.load_string;
+  ]
+
 let () =
   Alcotest.run "journal"
     [
@@ -257,4 +280,5 @@ let () =
           test_case "disabled emit guard is under 1% of a sweep" `Quick
             (isolated test_disabled_overhead);
         ] );
+      ("loaders", loader_robustness);
     ]

@@ -1,4 +1,4 @@
-(* The observability layer: clock, metrics registry, span tracer,
+(* The observability layer: clock, metrics registry, span recording,
    Chrome trace JSON, and the instrumented-pipeline invariants —
    most importantly the §4.2 claim that PareDown performs exactly
    n(n+1)/2 fit checks on the worst-case family, asserted through the
@@ -68,53 +68,173 @@ let test_kind_clash_rejected () =
     (fun () -> ignore (Obs.Metrics.gauge "test.obs.clash"))
 
 (* ------------------------------------------------------------------ *)
-(* Tracer *)
+(* Spans *)
 
-(* A sink that records raw boundary events for structural checks. *)
-let recording_sink log =
-  {
-    Obs.Trace.start_span =
-      (fun ~name ~args:_ ~ts_ns:_ -> log := ("B", name) :: !log);
-    end_span = (fun ~name ~ts_ns:_ -> log := ("E", name) :: !log);
-    instant = (fun ~name ~args:_ ~ts_ns:_ -> log := ("i", name) :: !log);
-    flush = ignore;
-  }
+(* Run [f] with spans recorded and return the recording. *)
+let recorded f =
+  Obs.Journal.start_spans ();
+  Fun.protect
+    ~finally:(fun () -> ignore (Obs.Journal.stop_spans ()))
+    (fun () ->
+      f ();
+      Obs.Journal.stop_spans ())
+
+let boundaries spans =
+  List.map
+    (fun (s : Obs.Journal.span) -> ((if s.begins then "B" else "E"), s.name))
+    spans
 
 let test_span_nesting_and_balance () =
-  let log = ref [] in
-  Obs.Trace.set_sink (recording_sink log);
-  let inner_depth = ref (-1) in
-  Obs.Trace.with_span "outer" (fun () ->
-      Obs.Trace.with_span "inner" (fun () ->
-          inner_depth := Obs.Trace.depth ());
-      Obs.Trace.instant "mark");
-  Obs.Trace.reset ();
-  Alcotest.(check int) "depth inside two spans" 2 !inner_depth;
-  Alcotest.(check int) "depth balanced after" 0 (Obs.Trace.depth ());
+  let spans =
+    recorded (fun () ->
+        Obs.Journal.with_span "outer" ~args:[ ("k", "v") ] (fun () ->
+            Obs.Journal.with_span "inner" (fun () -> ())))
+  in
   Alcotest.(check (list (pair string string)))
-    "events are properly nested"
-    [ ("B", "outer"); ("B", "inner"); ("E", "inner"); ("i", "mark");
-      ("E", "outer") ]
-    (List.rev !log)
+    "records are properly nested"
+    [ ("B", "outer"); ("B", "inner"); ("E", "inner"); ("E", "outer") ]
+    (boundaries spans);
+  Alcotest.(check bool) "all on the main lane" true
+    (List.for_all (fun (s : Obs.Journal.span) -> s.lane = 0) spans);
+  Alcotest.(check (list (list (pair string string))))
+    "args ride the begin record only"
+    [ [ ("k", "v") ]; []; []; [] ]
+    (List.map (fun (s : Obs.Journal.span) -> s.args) spans);
+  let ts = List.map (fun (s : Obs.Journal.span) -> s.ts_ns) spans in
+  Alcotest.(check bool) "timestamps never go backwards" true
+    (ts = List.sort Int64.compare ts)
 
 let test_span_closed_on_exception () =
-  let log = ref [] in
-  Obs.Trace.set_sink (recording_sink log);
-  (try
-     Obs.Trace.with_span "doomed" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Obs.Trace.reset ();
-  Alcotest.(check int) "depth balanced after exception" 0 (Obs.Trace.depth ());
+  let spans =
+    recorded (fun () ->
+        Alcotest.check_raises "the body's exception propagates"
+          (Failure "boom") (fun () ->
+            Obs.Journal.with_span "doomed" (fun () -> failwith "boom")))
+  in
   Alcotest.(check (list (pair string string)))
-    "span still closed" [ ("B", "doomed"); ("E", "doomed") ] (List.rev !log)
+    "span still closed" [ ("B", "doomed"); ("E", "doomed") ]
+    (boundaries spans)
 
-let test_null_sink_is_default_and_cheap () =
-  Obs.Trace.reset ();
-  Alcotest.(check bool) "disabled by default" false (Obs.Trace.enabled ());
+let test_recording_off_by_default () =
+  ignore (Obs.Journal.stop_spans ());
+  Alcotest.(check bool) "nothing captures by default" false
+    (Obs.Journal.capturing ());
   (* spans must still run their body and return its value *)
   Alcotest.(check int) "body runs" 7
-    (Obs.Trace.with_span "off" (fun () -> 7));
-  Alcotest.(check int) "no depth tracked when off" 0 (Obs.Trace.depth ())
+    (Obs.Journal.with_span "off" (fun () -> 7));
+  Alcotest.(check int) "nothing recorded when off" 0
+    (List.length (Obs.Journal.stop_spans ()))
+
+(* Random span shapes run as Parallel.map items: the recording at
+   ~jobs:4 holds the same (name, args) multiset as at ~jobs:1, every
+   lane balances and nests, each item keeps to one lane (its own, i + 1,
+   under the fan-out), and a span whose body raises still closes. *)
+type shape = Span of int * shape list | Boom of int
+
+let rec run_shape item = function
+  | Span (k, kids) ->
+    Obs.Journal.with_span (Printf.sprintf "s%d" k)
+      ~args:[ ("item", string_of_int item) ]
+      (fun () -> List.iter (run_shape item) kids)
+  | Boom k -> (
+    try
+      Obs.Journal.with_span (Printf.sprintf "boom%d" k)
+        ~args:[ ("item", string_of_int item) ]
+        (fun () -> raise Exit)
+    with Exit -> ())
+
+let shape_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 12)
+    @@ fix (fun self n ->
+           if n = 0 then map (fun k -> Boom k) (int_bound 3)
+           else
+             frequency
+               [
+                 (1, map (fun k -> Boom k) (int_bound 3));
+                 ( 4,
+                   map2
+                     (fun k kids -> Span (k, kids))
+                     (int_bound 5)
+                     (list_size (int_bound 3) (self (n / 2))) );
+               ]))
+
+let rec show_shape = function
+  | Span (k, kids) ->
+    Printf.sprintf "s%d[%s]" k (String.concat " " (List.map show_shape kids))
+  | Boom k -> Printf.sprintf "boom%d" k
+
+let rec booms = function
+  | Boom _ -> 1
+  | Span (_, kids) -> List.fold_left (fun n s -> n + booms s) 0 kids
+
+(* Per-lane stacks: every end closes its lane's innermost open span. *)
+let lanes_nest spans =
+  let stacks = Hashtbl.create 8 in
+  let stack l = Option.value (Hashtbl.find_opt stacks l) ~default:[] in
+  List.for_all
+    (fun (s : Obs.Journal.span) ->
+      if s.begins then (
+        Hashtbl.replace stacks s.lane (s.name :: stack s.lane);
+        true)
+      else
+        match stack s.lane with
+        | top :: rest when top = s.name ->
+          Hashtbl.replace stacks s.lane rest;
+          true
+        | _ -> false)
+    spans
+  && Hashtbl.fold (fun _ st ok -> ok && st = []) stacks true
+
+let item_lanes spans =
+  List.filter_map
+    (fun (s : Obs.Journal.span) ->
+      Option.map
+        (fun item -> (int_of_string item, s.lane))
+        (List.assoc_opt "item" s.args))
+    spans
+  |> List.sort_uniq compare
+
+let test_spans_under_domains =
+  let items_arb =
+    QCheck.make
+      ~print:(fun items -> String.concat " | " (List.map show_shape items))
+      QCheck.Gen.(
+        (* one Boom per item guarantees a raising span in every case *)
+        list_size (int_range 2 8)
+          (map (fun s -> Span (0, [ s; Boom 9 ])) shape_gen))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"spans under domains" items_arb
+       (fun items ->
+         let run jobs =
+           recorded (fun () ->
+               ignore
+                 (Parallel.map ~jobs
+                    (fun (i, shape) -> run_shape i shape)
+                    (List.mapi (fun i s -> (i, s)) items)))
+         in
+         let seq = run 1 and par = run 4 in
+         let multiset spans =
+           List.sort compare
+             (List.map
+                (fun (s : Obs.Journal.span) -> (s.name, s.args, s.begins))
+                spans)
+         in
+         let n = List.length items in
+         let booms_recorded spans =
+           List.length
+             (List.filter
+                (fun (s : Obs.Journal.span) ->
+                  String.starts_with ~prefix:"boom" s.name)
+                spans)
+         in
+         multiset seq = multiset par
+         && lanes_nest seq && lanes_nest par
+         && item_lanes seq = List.init n (fun i -> (i, 0))
+         && item_lanes par = List.init n (fun i -> (i, i + 1))
+         && booms_recorded par
+            = 2 * List.fold_left (fun acc s -> acc + booms s) 0 items))
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace JSON *)
@@ -205,41 +325,46 @@ let validate_json s =
   let i = skip_ws (value 0) in
   if skip_ws i <> n then fail i "trailing garbage"
 
+let chrome_of spans = Obs.Chrome.to_string (Obs.Chrome.of_spans spans)
+
 let test_chrome_json_well_formed () =
-  let r = Obs.Chrome.create () in
-  Obs.Trace.set_sink (Obs.Chrome.sink r);
   (* adversarial names/args: quotes, backslashes, newlines, controls *)
-  Obs.Trace.with_span "outer \"quoted\"" ~args:[ ("k\\", "v\n\t\x01") ]
-    (fun () ->
-      Obs.Trace.instant "mark" ~args:[ ("a", "1"); ("b", "{}[]") ];
-      Obs.Trace.with_span "inner" (fun () -> ()));
-  Obs.Trace.reset ();
-  let json = Obs.Chrome.contents r in
+  let spans =
+    recorded (fun () ->
+        Obs.Journal.with_span "outer \"quoted\"" ~args:[ ("k\\", "v\n\t\x01") ]
+          (fun () ->
+            Obs.Journal.with_span "inner" ~args:[ ("a", "1"); ("b", "{}[]") ]
+              (fun () -> ())))
+  in
+  let json = chrome_of spans in
   validate_json json;
-  Alcotest.(check int) "5 events recorded" 5 (Obs.Chrome.event_count r);
+  Alcotest.(check int) "4 events recorded" 4 (List.length spans);
   Alcotest.(check bool) "B/E phases present" true
     (Testlib.contains json "\"ph\":\"B\"" && Testlib.contains json "\"ph\":\"E\"");
-  Alcotest.(check bool) "instant phase present" true
-    (Testlib.contains json "\"ph\":\"i\"")
+  Alcotest.(check bool) "main lane is tid 1" true
+    (Testlib.contains json "\"tid\":1," && not (Testlib.contains json "\"tid\":0"))
 
 let test_chrome_empty_recording_valid () =
-  let r = Obs.Chrome.create () in
-  validate_json (Obs.Chrome.contents r)
+  validate_json (Obs.Chrome.to_string []);
+  validate_json (chrome_of (recorded ignore))
 
 let test_chrome_nested_same_timestamp () =
-  (* Nested spans and instants interleaved at one timestamp: drive the
-     sink directly so every event carries the identical ts, as happens
+  (* Nested spans and instants interleaved at one timestamp, as happens
      when spans close faster than the clock granularity. *)
-  let r = Obs.Chrome.create () in
-  let s = Obs.Chrome.sink r in
-  let ts = Obs.Clock.now_ns () in
-  s.Obs.Trace.start_span ~name:"outer" ~args:[] ~ts_ns:ts;
-  s.Obs.Trace.instant ~name:"mark-1" ~args:[ ("k", "v") ] ~ts_ns:ts;
-  s.Obs.Trace.start_span ~name:"inner" ~args:[] ~ts_ns:ts;
-  s.Obs.Trace.instant ~name:"mark-2" ~args:[] ~ts_ns:ts;
-  s.Obs.Trace.end_span ~name:"inner" ~ts_ns:ts;
-  s.Obs.Trace.end_span ~name:"outer" ~ts_ns:ts;
-  let json = Obs.Chrome.contents r in
+  let ev ph name args =
+    { Obs.Chrome.ph; name; tid = 1; ts_us = 12.5; args }
+  in
+  let json =
+    Obs.Chrome.to_string
+      [
+        ev Begin "outer" [];
+        ev Instant "mark-1" [ ("k", "v") ];
+        ev Begin "inner" [];
+        ev Instant "mark-2" [];
+        ev End "inner" [];
+        ev End "outer" [];
+      ]
+  in
   validate_json json;
   match Obs.Json.of_string json with
   | Error msg -> Alcotest.failf "chrome document does not parse: %s" msg
@@ -267,34 +392,66 @@ let test_chrome_nested_same_timestamp () =
       ts_values
   | Ok _ -> Alcotest.fail "chrome document is not a JSON array"
 
-(* Property: whatever the span names, arg keys, and arg values contain
-   — any byte 0x00-0xff — the emitted document parses. *)
+(* Property: whatever the span names, arg keys, arg values and lane
+   labels contain — any byte 0x00-0xff — the emitted document parses. *)
 let test_chrome_escaping_property =
   let any_string = QCheck.string_gen QCheck.Gen.char in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"chrome JSON parses for any strings"
        QCheck.(triple any_string any_string any_string)
        (fun (name, key, value) ->
-         let r = Obs.Chrome.create () in
-         Obs.Trace.set_sink (Obs.Chrome.sink r);
-         Obs.Trace.with_span name ~args:[ (key, value) ] (fun () ->
-             Obs.Trace.instant value ~args:[ (name, key) ]);
-         Obs.Trace.reset ();
-         let json = Obs.Chrome.contents r in
+         let spans =
+           recorded (fun () ->
+               Obs.Journal.with_span name ~args:[ (key, value) ] ignore)
+         in
+         let json =
+           Obs.Chrome.to_string
+             ({ Obs.Chrome.ph = Thread_name; name = value; tid = 2;
+                ts_us = 0.; args = [] }
+              :: { Obs.Chrome.ph = Instant; name = value; tid = 2;
+                   ts_us = 1.; args = [ (name, key) ] }
+              :: Obs.Chrome.of_spans spans)
+         in
          match Obs.Json.of_string json with
          | Ok _ -> validate_json json; true
          | Error msg ->
            QCheck.Test.fail_reportf "does not parse: %s\n%s" msg json))
 
 let test_paredown_run_traces_spans () =
-  let r = Obs.Chrome.create () in
-  Obs.Trace.set_sink (Obs.Chrome.sink r);
-  ignore (Core.Paredown.run Testlib.podium);
-  Obs.Trace.reset ();
-  let json = Obs.Chrome.contents r in
+  let json =
+    chrome_of (recorded (fun () -> ignore (Core.Paredown.run Testlib.podium)))
+  in
   validate_json json;
   Alcotest.(check bool) "paredown.run span recorded" true
     (Testlib.contains json "\"name\":\"paredown.run\"")
+
+(* The network observatory fans its trials out over Parallel.map, with
+   a sim.settle span per settle on every worker: the traced document
+   must parse, and hold the sequential run's spans. *)
+let test_netobs_trace_under_jobs () =
+  let settles jobs =
+    let json =
+      chrome_of
+        (recorded (fun () ->
+             ignore
+               (Experiments.Netobs.observe_network ~jobs
+                  ~name:"Two-Zone Security"
+                  Designs.Library.two_zone_security.Designs.Design.network)))
+    in
+    match Obs.Json.of_string json with
+    | Error msg -> Alcotest.failf "jobs %d trace does not parse: %s" jobs msg
+    | Ok (Obs.Json.Arr events) ->
+      List.length
+        (List.filter
+           (fun e ->
+             Obs.Json.member "name" e = Some (Obs.Json.Str "sim.settle")
+             && Obs.Json.member "ph" e = Some (Obs.Json.Str "B"))
+           events)
+    | Ok _ -> Alcotest.failf "jobs %d trace is not an array" jobs
+  in
+  let seq = settles 1 in
+  Alcotest.(check bool) "settles traced" true (seq > 0);
+  Alcotest.(check int) "jobs 4 traces the jobs 1 settles" seq (settles 4)
 
 (* ------------------------------------------------------------------ *)
 (* Histograms *)
@@ -357,11 +514,10 @@ let test_histogram_diff () =
   Alcotest.(check int) "diff against empty is a copy" 5
     (Obs.Histogram.count d0)
 
-let test_histogram_time_and_registry () =
+let test_histogram_registry () =
   let h = Obs.Metrics.histogram "test.obs.hist_ns" ~doc:"a latency" in
   let h' = Obs.Metrics.histogram "test.obs.hist_ns" in
-  let x = Obs.Histogram.time h (fun () -> 42) in
-  Alcotest.(check int) "time returns the body's value" 42 x;
+  Obs.Histogram.observe h 42.;
   Alcotest.(check int) "registration is idempotent (same cell)" 1
     (Obs.Histogram.count h');
   (match Obs.Metrics.find "test.obs.hist_ns" with
@@ -665,49 +821,54 @@ let test_snapshot_gate () =
   | rs -> Alcotest.failf "expected 1 counter regression, got %d"
             (List.length rs)
 
-let test_snapshot_merge_is_min () =
-  let a =
-    plain_snapshot
-      ~metrics:[ ("m", Obs.Snapshot.Int 5) ]
-      ~times_ns:[ ("perf.x_ns", 10.); ("perf.only_a_ns", 7.) ]
-      ()
+(* Mutants of a rendered snapshot (a counter, a histogram and a time)
+   load as Ok or Error, never raise. *)
+let test_snapshot_loader_robustness =
+  let doc =
+    Obs.Snapshot.to_string
+      (plain_snapshot
+         ~metrics:
+           [
+             ("core.paredown.fit_checks", Obs.Snapshot.Int 1360);
+             ("codegen.c_bytes", Obs.Snapshot.Float 2.5);
+             ( "sim.settle_ns",
+               Obs.Snapshot.Dist
+                 (Obs.Histogram.summary (histogram_of [ 1.; 20.; 300. ])) );
+           ]
+         ~times_ns:[ ("perf.sim_ns", 1.5e6) ]
+         ())
   in
-  let b =
-    plain_snapshot
-      ~metrics:[ ("m", Obs.Snapshot.Int 9) ]
-      ~times_ns:[ ("perf.x_ns", 6.) ]
-      ()
-  in
-  let m = Obs.Snapshot.merge_all [ a; b ] in
-  Alcotest.(check (option (float 0.))) "times take the min" (Some 6.)
-    (List.assoc_opt "perf.x_ns" m.Obs.Snapshot.times_ns);
-  Alcotest.(check (option (float 0.))) "singletons survive" (Some 7.)
-    (List.assoc_opt "perf.only_a_ns" m.Obs.Snapshot.times_ns);
-  Alcotest.(check bool) "metric takes the min" true
-    (List.assoc_opt "m" m.Obs.Snapshot.metrics = Some (Obs.Snapshot.Int 5))
+  Testlib.loader_never_raises ~count:20_000 ~seed:22 ~name:"mutated snapshot"
+    doc Obs.Snapshot.of_string
 
 (* ------------------------------------------------------------------ *)
-(* Profiler sink *)
+(* Profile *)
 
 let test_profile_self_time () =
-  let p = Obs.Profile.create () in
-  let s = Obs.Profile.sink p in
-  let ts v = Int64.of_int v in
-  s.Obs.Trace.start_span ~name:"outer" ~args:[] ~ts_ns:(ts 0);
-  s.Obs.Trace.start_span ~name:"inner" ~args:[] ~ts_ns:(ts 100);
-  s.Obs.Trace.instant ~name:"tick" ~args:[] ~ts_ns:(ts 150);
-  s.Obs.Trace.end_span ~name:"inner" ~ts_ns:(ts 300);
-  s.Obs.Trace.start_span ~name:"inner" ~args:[] ~ts_ns:(ts 400);
-  s.Obs.Trace.end_span ~name:"inner" ~ts_ns:(ts 500);
-  s.Obs.Trace.end_span ~name:"outer" ~ts_ns:(ts 1000);
+  let span ?(lane = 0) begins name ts =
+    { Obs.Journal.lane; name; args = []; ts_ns = Int64.of_int ts; begins }
+  in
+  (* a worker lane's span interleaves with the main lane's: it is
+     neither a child of "outer" nor charged to it *)
+  let rows =
+    Obs.Profile.of_spans
+      [
+        span true "outer" 0;
+        span ~lane:1 true "worker" 50;
+        span true "inner" 100;
+        span ~lane:1 false "worker" 250;
+        span false "inner" 300;
+        span true "inner" 400;
+        span false "inner" 500;
+        span false "outer" 1000;
+      ]
+  in
   let row name =
-    match
-      List.find_opt (fun r -> r.Obs.Profile.name = name) (Obs.Profile.rows p)
-    with
+    match List.find_opt (fun r -> r.Obs.Profile.name = name) rows with
     | Some r -> r
     | None -> Alcotest.failf "no profile row for %s" name
   in
-  let outer = row "outer" and inner = row "inner" in
+  let outer = row "outer" and inner = row "inner" and worker = row "worker" in
   Alcotest.(check int) "outer calls" 1 outer.Obs.Profile.calls;
   Alcotest.(check int) "inner calls" 2 inner.Obs.Profile.calls;
   Alcotest.(check (float 0.)) "inner total" 300. inner.Obs.Profile.total_ns;
@@ -716,8 +877,9 @@ let test_profile_self_time () =
   Alcotest.(check (float 0.)) "outer total" 1000. outer.Obs.Profile.total_ns;
   Alcotest.(check (float 0.)) "outer self excludes children" 700.
     outer.Obs.Profile.self_ns;
-  Alcotest.(check int) "instant tallied" 1 (row "! tick").Obs.Profile.calls;
-  let table = Obs.Profile.to_table p in
+  Alcotest.(check (float 0.)) "worker lane keeps its own stack" 200.
+    worker.Obs.Profile.self_ns;
+  let table = Obs.Profile.to_table rows in
   Alcotest.(check bool) "table leads with the biggest self time" true
     (Testlib.contains table "outer")
 
@@ -863,8 +1025,9 @@ let () =
             test_span_nesting_and_balance;
           Alcotest.test_case "closed on exception" `Quick
             test_span_closed_on_exception;
-          Alcotest.test_case "null sink default" `Quick
-            test_null_sink_is_default_and_cheap;
+          Alcotest.test_case "off by default" `Quick
+            test_recording_off_by_default;
+          test_spans_under_domains;
         ] );
       ( "chrome",
         [
@@ -877,6 +1040,8 @@ let () =
           test_chrome_escaping_property;
           Alcotest.test_case "paredown spans" `Quick
             test_paredown_run_traces_spans;
+          Alcotest.test_case "netobs spans under --jobs" `Quick
+            test_netobs_trace_under_jobs;
         ] );
       ( "histogram",
         [
@@ -884,8 +1049,7 @@ let () =
           Alcotest.test_case "empty and clear" `Quick
             test_histogram_empty_and_clear;
           Alcotest.test_case "diff" `Quick test_histogram_diff;
-          Alcotest.test_case "time and registry" `Quick
-            test_histogram_time_and_registry;
+          Alcotest.test_case "registry" `Quick test_histogram_registry;
           test_histogram_merge_commutative;
           test_histogram_merge_associative;
           test_histogram_merge_identity;
@@ -925,8 +1089,7 @@ let () =
           Alcotest.test_case "bad documents rejected" `Quick
             test_snapshot_rejects_bad_documents;
           Alcotest.test_case "regression gate" `Quick test_snapshot_gate;
-          Alcotest.test_case "merge is field-wise min" `Quick
-            test_snapshot_merge_is_min;
+          test_snapshot_loader_robustness;
         ] );
       ( "profile",
         [

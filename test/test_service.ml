@@ -530,6 +530,31 @@ let test_trials_rejected_by_server () =
   Alcotest.(check int) "counted as a rejection" 1 summary.P.rejected
 
 (* ------------------------------------------------------------------ *)
+(* Loader robustness: mutants of a saved store (two partition entries,
+   one under each backend) load as Ok or Error, never raise. *)
+
+let test_cache_loader_robustness =
+  let store = Filename.temp_file "svc_cache" ".json" in
+  Sys.remove store;
+  at_exit (fun () -> try Sys.remove store with Sys_error _ -> ());
+  let config =
+    { Service.Server.default_config with cache_path = Some store }
+  in
+  ignore
+    (serve ~config
+       [
+         partition_request ~id:"a" "Noise At Night Detector";
+         partition_request ~backend:Service.Oneshot.Aggregation ~id:"b"
+           "Podium Timer 3";
+         P.drain_frame;
+       ]);
+  let doc = In_channel.with_open_bin store In_channel.input_all in
+  Testlib.loader_never_raises ~count:5000 ~seed:23 ~name:"mutated store" doc
+    (fun text ->
+      Out_channel.with_open_bin store (fun oc -> output_string oc text);
+      snd (Service.Cache.create ~path:store ()))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "service"
@@ -544,6 +569,7 @@ let () =
             test_relabel_hits;
           Alcotest.test_case "canonical digest is label-free on Table 1"
             `Quick test_canon_relabel_digest;
+          test_cache_loader_robustness;
         ] );
       ( "canon",
         [

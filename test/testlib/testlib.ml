@@ -64,3 +64,37 @@ let contains haystack needle =
   let h = String.length haystack and n = String.length needle in
   let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
   n = 0 || at 0
+
+(* Loader robustness: byte-level mutants of a valid document — one to
+   four edits, each a truncation, a flipped byte, or an injected JSON
+   punctuation character or digit. *)
+let mutant_gen doc =
+  let open QCheck.Gen in
+  let injected = "{}[]\",:0123456789" in
+  let edit s =
+    let n = String.length s in
+    if n = 0 then oneofl [ ""; "{"; "0" ]
+    else
+      int_bound (n - 1) >>= fun i ->
+      frequency
+        [
+          (1, return (String.sub s 0 i));
+          ( 3,
+            char >|= fun c ->
+            String.mapi (fun j d -> if j = i then c else d) s );
+          ( 3,
+            int_bound (String.length injected - 1) >|= fun k ->
+            String.sub s 0 i ^ String.make 1 injected.[k]
+            ^ String.sub s i (n - i) );
+        ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  int_range 1 4 >>= fun k -> edits k doc
+
+(* A fixed-seed property: every mutant of [doc] makes [load] return Ok
+   or Error; an exception fails the test with the mutant. *)
+let loader_never_raises ~count ~seed ~name doc load =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+    (QCheck.Test.make ~count ~name
+       (QCheck.make ~print:(Printf.sprintf "%S") (mutant_gen doc))
+       (fun s -> match load s with Ok _ | Error _ -> true))
