@@ -75,9 +75,13 @@ perf-smoke: jobs-check
 # The --jobs determinism gate: a 2-domain sweep must print byte-for-byte
 # what the sequential one prints.  PAREDOWN_STABLE_TIMES masks the wall
 # clock readings — the one legitimately nondeterministic output (see
-# doc/performance.md).  The two observe runs cover both halves of the
-# blame vector: link strikes (drops on Entry Gate Detector) and node
-# resets (brownouts on Two-Zone Security).
+# doc/performance.md).  The observe runs cover both halves of the
+# blame vector: link strikes (drops and the chaos family's duplicate,
+# corrupt and jitter draws on Entry Gate Detector) and node resets
+# (brownouts on Two-Zone Security).  The served batch fails on purpose
+# (every exhaustive search expires at once): the flight recorder's
+# bundle must hold the same journal at every --jobs.
+BUNDLE_FIELDS = python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); print(json.dumps([b[k] for k in ("reason", "total", "dropped", "journal")], indent=1))'
 jobs-check:
 	PAREDOWN_STABLE_TIMES=1 dune exec bin/run_experiments.exe -- scale --jobs 1 > scale-j1.txt
 	PAREDOWN_STABLE_TIMES=1 dune exec bin/run_experiments.exe -- scale --jobs 2 > scale-j2.txt
@@ -103,6 +107,23 @@ jobs-check:
 	diff observe-j1.txt observe-j2.txt
 	diff netobs-j1.json netobs-jobs.json
 	rm -f observe-j1.txt observe-j2.txt netobs-j1.json netobs-jobs.json
+	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe entry_gate \
+	  --faults chaos:0.02,0.01,0.01,2 --jobs 1 --netobs netobs-jobs.json > observe-j1.txt
+	cp netobs-jobs.json netobs-j1.json
+	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe entry_gate \
+	  --faults chaos:0.02,0.01,0.01,2 --jobs 2 --netobs netobs-jobs.json > observe-j2.txt
+	diff observe-j1.txt observe-j2.txt
+	diff netobs-j1.json netobs-jobs.json
+	rm -f observe-j1.txt observe-j2.txt netobs-j1.json netobs-jobs.json
+	dune build bin/paredown.exe
+	for j in 1 2; do \
+	  $(PAREDOWN) submit --table1 -a exhaustive --deadline 0 \
+	  | $(PAREDOWN) serve --jobs $$j --flight-record bundle-j$$j.json \
+	      > /dev/null || exit 1; \
+	  $(BUNDLE_FIELDS) bundle-j$$j.json > bundle-j$$j.txt || exit 1; \
+	done
+	diff bundle-j1.txt bundle-j2.txt
+	rm -f bundle-j1.json bundle-j2.json bundle-j1.txt bundle-j2.txt
 
 # Batch-server smoke (doc/service.md): drain a 105-request mixed batch
 # (6x Table 1 under PareDown + 1x under aggregation) through `paredown
@@ -190,7 +211,8 @@ bench-selftest:
 # Chrome timeline, uploaded as CI artifacts), then the flat-vs-
 # partitioned link-utilization comparison with the disabled-telemetry
 # overhead bound asserted (exits nonzero above 1%%; see
-# doc/network-telemetry.md).
+# doc/network-telemetry.md).  A zero trial count and a negative script
+# length are usage errors: exit 124, nothing on stdout.
 netobs-smoke:
 	dune exec bin/paredown.exe -- observe "Entry Gate Detector" \
 	  --faults drop:0.05 --netobs netobs-entry-gate.json \
@@ -198,6 +220,14 @@ netobs-smoke:
 	dune exec bin/paredown.exe -- observe "Two-Zone Security" \
 	  --faults brownout:0.3@40,110,180 --netobs netobs-two-zone.json
 	dune exec bin/run_experiments.exe -- netobs --trials 3 --overhead
+	dune build bin/paredown.exe
+	for flag in --trials=0 --steps=-1; do \
+	  out=$$($(PAREDOWN) observe entry_gate $$flag 2>/dev/null); \
+	  code=$$?; \
+	  if [ $$code -ne 124 ] || [ -n "$$out" ]; then \
+	    echo "observe $$flag: exit $$code, stdout '$$out' (want 124, empty)"; exit 1; \
+	  fi; \
+	done
 
 # Provenance-journal smoke: journal a library-design partition, then
 # run every explain query over the file (doc/provenance.md).  explain

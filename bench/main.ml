@@ -513,13 +513,12 @@ let check_journal_overhead () =
   end
 
 (* The doc/network-telemetry.md ≤1% claim, same shape: the unarmed
-   engine-hook guard times the hook sites a telemetry-armed simulation
-   sweep executes must stay under 1% of the unarmed sweep's wall
-   time. *)
+   engine's flag check times the counting sites an unarmed simulation
+   sweep passes must stay under 1% of the unarmed sweep's wall time. *)
 let check_telemetry_overhead () =
   let o = Experiments.Perf.telemetry_overhead () in
   Printf.printf
-    "telemetry disabled-path overhead: %.2f ns/guard x %d hook sites = \
+    "telemetry disabled-path overhead: %.2f ns/guard x %d counting sites = \
      %.4f%% of the sim sweep (budget 1%%)\n"
     o.Experiments.Perf.t_guard_ns o.Experiments.Perf.t_events
     (100. *. o.Experiments.Perf.t_ratio);

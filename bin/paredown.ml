@@ -364,9 +364,23 @@ let family_conv =
       fun ppf f -> Format.pp_print_string ppf (Reliability.Family.to_string f)
     )
 
+(* Count flags are checked at the boundary: a bad count is a usage
+   error (exit 124), not an exception or a runaway deep in a sweep. *)
+let count_conv ~min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
+    | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let trials_conv = count_conv ~min:1
+let steps_conv = count_conv ~min:0
+
 let simulate_cmd =
   let steps_arg =
-    Arg.(value & opt int 20
+    Arg.(value & opt steps_conv 20
          & info [ "steps" ] ~doc:"Random sensor flips to apply.")
   in
   let seed_arg =
@@ -443,7 +457,7 @@ let faults_cmd =
                    plan; equal seeds reproduce the table byte for byte.")
   in
   let trials_arg =
-    Arg.(value & opt int 20
+    Arg.(value & opt trials_conv 20
          & info [ "trials" ] ~doc:"Fault-plan seeds per drop rate.")
   in
   let drops_arg =
@@ -452,7 +466,7 @@ let faults_cmd =
              ~doc:"Comma-separated per-packet drop probabilities to sweep.")
   in
   let steps_arg =
-    Arg.(value & opt int 30
+    Arg.(value & opt steps_conv 30
          & info [ "steps" ] ~doc:"Sensor flips in the stimulus script.")
   in
   let csv_arg =
@@ -511,7 +525,7 @@ let reliability_cmd =
                    byte.")
   in
   let trials_arg =
-    Arg.(value & opt int 32
+    Arg.(value & opt trials_conv 32
          & info [ "trials" ] ~doc:"Monte-Carlo trials per scored solution.")
   in
   let family_arg =
@@ -622,11 +636,11 @@ let observe_cmd =
                    equal seeds reproduce every report byte for byte.")
   in
   let trials_arg =
-    Arg.(value & opt int Experiments.Netobs.default_config.trials
+    Arg.(value & opt trials_conv Experiments.Netobs.default_config.trials
          & info [ "trials" ] ~doc:"Monte-Carlo replays to merge.")
   in
   let steps_arg =
-    Arg.(value & opt int Experiments.Netobs.default_config.steps
+    Arg.(value & opt steps_conv Experiments.Netobs.default_config.steps
          & info [ "steps" ] ~doc:"Stimulus script length (sensor flips).")
   in
   let jobs_arg =
@@ -689,7 +703,7 @@ let observe_cmd =
       (Sim.Telemetry.clock tel);
     print_string (Sim.Telemetry.node_table g tel);
     Printf.printf "\nlink utilization (all trials merged):\n";
-    print_string (Sim.Telemetry.utilization_table g tel);
+    print_string (Sim.Telemetry.utilization_table tel);
     Option.iter
       (fun path ->
         Experiments.Netobs.write_report o path;
@@ -857,7 +871,7 @@ let perf_compare_cmd =
 
 let perf_profile_cmd =
   let steps_arg =
-    Arg.(value & opt int 30
+    Arg.(value & opt steps_conv 30
          & info [ "steps" ] ~doc:"Random sensor flips to simulate.")
   in
   let seed_arg =
@@ -1046,7 +1060,7 @@ let submit_cmd =
              ~doc:"Fault-plan family of weighted requests.")
   in
   let trials_arg =
-    Arg.(value & opt int Service.Protocol.default_trials
+    Arg.(value & opt trials_conv Service.Protocol.default_trials
          & info [ "trials" ] ~doc:"Monte-Carlo trials of weighted requests.")
   in
   let seed_arg =

@@ -160,7 +160,7 @@ let run_netobs seed trials family jobs check_overhead csv_out () =
   if check_overhead then begin
     let o = Experiments.Perf.telemetry_overhead () in
     Printf.printf
-      "disabled-telemetry overhead: %.2f ns/guard x %d hook sites / %.0f \
+      "disabled-telemetry overhead: %.2f ns/guard x %d counting sites / %.0f \
        ns sweep = %.4f%%\n"
       o.Experiments.Perf.t_guard_ns o.Experiments.Perf.t_events
       o.Experiments.Perf.t_sweep_ns
@@ -208,6 +208,20 @@ let run_fuzz seed seeds jobs csv_out show_metrics () =
     (fun path -> write_csv path (Experiments.Fuzz.to_csv rows))
     csv_out;
   if Experiments.Fuzz.failed_seeds rows <> [] then exit 1
+
+(* Count flags are checked at the boundary: a bad count is a usage
+   error (exit 124), not an exception or a runaway deep in a sweep. *)
+let count_conv ~min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
+    | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let trials_conv = count_conv ~min:1
+let steps_conv = count_conv ~min:0
 
 let jobs_arg =
   let doc =
@@ -271,7 +285,7 @@ let ablation_cmd =
 
 let power_cmd =
   let steps_arg =
-    Arg.(value & opt int 200
+    Arg.(value & opt steps_conv 200
          & info [ "steps" ] ~doc:"Random sensor changes per design.")
   in
   let term =
@@ -286,7 +300,7 @@ let power_cmd =
 
 let faults_cmd =
   let trials_arg =
-    Arg.(value & opt int 20
+    Arg.(value & opt trials_conv 20
          & info [ "trials" ] ~doc:"Fault-plan seeds per drop rate.")
   in
   let term =
@@ -326,7 +340,7 @@ let fuzz_cmd =
 
 let reliability_cmd =
   let trials_arg =
-    Arg.(value & opt int 32
+    Arg.(value & opt trials_conv 32
          & info [ "trials" ] ~doc:"Monte-Carlo trials per scored solution.")
   in
   let family_arg =
@@ -359,7 +373,7 @@ let reliability_cmd =
 
 let netobs_cmd =
   let trials_arg =
-    Arg.(value & opt int Experiments.Netobs.default_config.trials
+    Arg.(value & opt trials_conv Experiments.Netobs.default_config.trials
          & info [ "trials" ] ~doc:"Monte-Carlo replays per network.")
   in
   let family_arg =

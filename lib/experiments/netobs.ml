@@ -40,26 +40,21 @@ type observation = {
   blame : Estimator.blame;
 }
 
-(* Same derivation as Estimator.script: the stimulus stream is distinct
-   from the trial-seed stream, and sensors keep their ids under
-   synthesis rewriting so one script drives flat and partitioned
+(* The estimator's script and trial plans: sensors keep their ids under
+   synthesis rewriting, so one script drives flat and partitioned
    networks alike. *)
-let script (config : config) g =
-  let rng = Prng.create ((config.seed * 2) + 1) in
-  Sim.Stimulus.random ~rng ~sensors:(Graph.sensors g) ~steps:config.steps
-    ~spacing:config.spacing
+let estimator (config : config) family =
+  {
+    Estimator.seed = config.seed;
+    trials = config.trials;
+    family;
+    steps = config.steps;
+    spacing = config.spacing;
+    settle_limit = config.settle_limit;
+  }
 
-let trial_plans (config : config) family g =
-  let seed_rng = Prng.create config.seed in
-  (* explicit recursion: the seed stream must be consumed in trial
-     order (List.init's application order is unspecified) *)
-  let rec draw n acc =
-    if n = 0 then List.rev acc
-    else
-      draw (n - 1)
-        (Family.plan family ~seed:(Prng.int seed_rng 0x3FFF_FFFF) g :: acc)
-  in
-  draw config.trials []
+let script config g =
+  Estimator.script (estimator config Estimator.default_config.family) g
 
 let observe_network ?(jobs = 1) ?(config = default_config) ~name g =
   let script = script config g in
@@ -86,35 +81,31 @@ let observe_network ?(jobs = 1) ?(config = default_config) ~name g =
   | Some family ->
     if config.trials <= 0 then invalid_arg "Netobs: trials must be positive";
     let reference = Sim.Degrade.reference g script in
-    let plans = trial_plans config family g in
-    (* Plans are pre-drawn in trial order and Parallel.map returns
-       results in input order, so the merged telemetry, tally, and
-       blame below cannot depend on [jobs]. *)
-    let trials_run =
+    let plans = Estimator.plans (estimator config family) g in
+    (* Plans are pre-drawn in trial order and replayed as the estimator
+       replays them: one engine per contiguous chunk, one chunk per job,
+       each chunk gathering its runs into a collector of its own.
+       Parallel.map returns the chunks in input order, so the merged
+       telemetry, tally, and blame below cannot depend on [jobs]. *)
+    let chunks =
       Parallel.map ~jobs
-        (fun faults ->
+        (fun plans ->
           let telemetry = Sim.Telemetry.create () in
-          let run =
-            Sim.Degrade.classify_against ~settle_limit:config.settle_limit
-              ~telemetry ~reference g script ~faults
-          in
-          (run, telemetry))
-        plans
+          ( Sim.Degrade.classify_each ~settle_limit:config.settle_limit
+              ~telemetry ~reference plans,
+            telemetry ))
+        (Parallel.chunks (max 1 jobs) plans)
     in
-    let telemetry =
-      List.fold_left
-        (fun acc (_, tel) -> Sim.Telemetry.merge acc tel)
-        (Sim.Telemetry.create ())
-        trials_run
-    in
+    let runs = List.concat_map fst chunks in
+    let telemetry = Sim.Telemetry.create () in
+    List.iter (fun (_, tel) -> Sim.Telemetry.add ~into:telemetry tel) chunks;
     let count o =
-      List.length
-        (List.filter (fun (r, _) -> r.Sim.Degrade.outcome = o) trials_run)
+      List.length (List.filter (fun r -> r.Sim.Degrade.outcome = o) runs)
     in
     let severity =
       List.fold_left
-        (fun acc (r, _) -> acc +. Sim.Degrade.score r.Sim.Degrade.outcome)
-        0. trials_run
+        (fun acc r -> acc +. Sim.Degrade.score r.Sim.Degrade.outcome)
+        0. runs
       /. float_of_int config.trials
     in
     {
@@ -129,41 +120,23 @@ let observe_network ?(jobs = 1) ?(config = default_config) ~name g =
       wrong = count Sim.Degrade.Wrong_value;
       diverged = count Sim.Degrade.Diverged;
       severity;
-      blame = Estimator.blame_of_trials (List.map fst trials_run);
+      blame = Estimator.blame_of_trials runs;
     }
 
 let record_timeline ?(config = default_config) g =
   let script = script config g in
   let telemetry = Sim.Telemetry.create ~timeline:true () in
+  (* The first trial's plan — the timeline shows the same perturbed run
+     the first Monte-Carlo trial classified — or without a family the
+     clean script under the empty plan. *)
   let faults =
-    (* The first trial's plan — the timeline shows the same perturbed
-       run the first Monte-Carlo trial classified. *)
-    Option.map (fun family -> List.hd (trial_plans config family g))
-      config.family
+    match config.family with
+    | Some family -> List.hd (Estimator.plans (estimator config family) g)
+    | None -> Sim.Fault.none
   in
-  let engine =
-    match faults with
-    | None -> Sim.Engine.create ~telemetry g
-    | Some faults -> Sim.Engine.create ~faults ~telemetry g
-  in
-  let ordered =
-    List.stable_sort
-      (fun a b -> Int.compare a.Sim.Stimulus.time b.Sim.Stimulus.time)
-      script
-  in
-  (* Tolerant replay: a perturbed run that livelocks still yields the
-     timeline up to the event limit (mirrors Degrade's faulty replay). *)
-  let rec loop = function
-    | [] -> ()
-    | step :: rest ->
-      let time = max step.Sim.Stimulus.time (Sim.Engine.now engine) in
-      Sim.Engine.set_sensor_at engine ~time step.Sim.Stimulus.sensor
-        step.Sim.Stimulus.value;
-      (match Sim.Engine.settle ~limit:config.settle_limit engine with
-       | () -> loop rest
-       | exception Sim.Engine.Event_limit_exceeded _ -> ())
-  in
-  loop ordered;
+  ignore
+    (Sim.Degrade.classify_each ~settle_limit:config.settle_limit ~telemetry
+       ~reference:(Sim.Degrade.reference g script) [ faults ]);
   telemetry
 
 let report_json o =

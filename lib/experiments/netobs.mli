@@ -4,9 +4,10 @@
 
     This is the driver behind [paredown observe] and
     [run_experiments netobs]: it replays the estimator's reproducible
-    stimulus script under [trials] seeded fault plans with a
-    {!Sim.Telemetry} collector armed per trial, merges the collectors
-    deterministically for its reports, and attributes the measured
+    stimulus script under [trials] seeded fault plans through
+    {!Sim.Degrade.classify_each} with a {!Sim.Telemetry} collector per
+    chunk of trials, merges the collectors deterministically for its
+    reports, and attributes the measured
     severity to links and nodes from each trial's engine strike
     counters via {!Libs.Reliability.Estimator.blame_of_trials}.
     Everything is byte-identical across [--jobs N] (see
@@ -50,10 +51,11 @@ val observe_network :
   ?jobs:int -> ?config:config -> name:string -> Graph.t -> observation
 
 val record_timeline : ?config:config -> Graph.t -> Sim.Telemetry.t
-(** One extra replay of the first trial's plan (the clean script when
-    [family] is [None]) with timeline recording on, for
-    {!Sim.Telemetry.write_timeline}.  Livelocking replays are truncated
-    at the event budget rather than raised. *)
+(** One extra replay of the first trial's plan (the clean script under
+    the empty plan when [family] is [None]) through
+    {!Sim.Degrade.classify_each}, with timeline recording on, for
+    {!Sim.Telemetry.write_timeline}.  A livelocking faulty replay is
+    truncated at the event budget rather than raised. *)
 
 val report_json : observation -> Obs.Json.t
 (** The [paredown-netobs] report with the observation header spliced in

@@ -46,12 +46,13 @@ val journal_overhead : ?iters:int -> unit -> journal_overhead
 
 type telemetry_overhead = {
   t_guard_ns : float;
-      (** measured cost of one unarmed engine hook (match on a [None]
-          collector; least of 3 bursts of 3 loops, spread between the
-          sweep repeats) *)
+      (** measured cost of one unarmed counting site (a branch on a
+          [false] engine flag; least of 3 bursts of 3 loops, spread
+          between the sweep repeats) *)
   t_events : int;
-      (** hook sites an armed sweep executes: schedule + process per
-          event, plus activations, sends, and settles *)
+      (** counting sites an unarmed sweep passes: schedule + process
+          per event, two per activation, one per sensor event and one
+          per settle *)
   t_sweep_ns : float;
       (** unarmed wall time of settling every Table 1 design under a
           seeded stimulus (min of 3) *)
@@ -63,7 +64,7 @@ type telemetry_overhead = {
 
 val telemetry_overhead : ?iters:int -> unit -> telemetry_overhead
 (** Measure the disabled-telemetry overhead of a simulation sweep over
-    the Table 1 designs (the simulator hosts every hook site; the
+    the Table 1 designs (the simulator hosts every counting site; the
     search path has none).  [iters] (default 1e6) is the guard-timing
     loop length. *)
 

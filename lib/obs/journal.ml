@@ -199,6 +199,8 @@ type buffer = {
   buf_lane : int;
   mutable decisions : event list; (* newest first *)
   mutable buf_spans : span list; (* newest first *)
+  mutable failure : (string * int) option;
+      (* the first failure noted, after how many decisions *)
 }
 
 let current : t option ref = ref None
@@ -220,21 +222,17 @@ let emit e =
 let capture ~lane f =
   let slot = Domain.DLS.get capture_slot in
   let saved = !slot in
-  let buf = { buf_lane = lane; decisions = []; buf_spans = [] } in
+  let buf =
+    { buf_lane = lane; decisions = []; buf_spans = []; failure = None }
+  in
   slot := Some buf;
-  Fun.protect
-    ~finally:(fun () -> slot := saved)
-    (fun () ->
-      let r = f () in
-      (r, buf))
-
-let append buf =
-  (match !current with
-   | Some t -> List.iter (push t) (List.rev buf.decisions)
-   | None -> ());
-  match !recording with
-  | Some r -> r.spans <- buf.buf_spans @ r.spans
-  | None -> ()
+  let r =
+    match f () with
+    | r -> Ok r
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  slot := saved;
+  (r, buf)
 
 let start_spans () = recording := Some { t0 = Clock.now_ns (); spans = [] }
 
@@ -561,11 +559,33 @@ let arm_post_mortem ?(capacity = 4096) ~out () =
 let note_failure reason =
   match !armed_out with
   | None -> ()
-  | Some out ->
-    if not (Atomic.exchange dumped true) then (
-      match !current with
-      | Some t -> ( try write_post_mortem ~reason ~out t with Sys_error _ -> ())
-      | None -> ())
+  | Some out -> (
+    match !(Domain.DLS.get capture_slot) with
+    | Some buf ->
+      (* the journal is not whole yet: [append] dumps it here *)
+      if buf.failure = None then
+        buf.failure <- Some (reason, List.length buf.decisions)
+    | None ->
+      if not (Atomic.exchange dumped true) then (
+        match !current with
+        | Some t -> (
+          try write_post_mortem ~reason ~out t with Sys_error _ -> ())
+        | None -> ()))
+
+let append buf =
+  let fail_at i =
+    match buf.failure with
+    | Some (reason, at) when at = i -> note_failure reason
+    | Some _ | None -> ()
+  in
+  (match !current with
+   | Some t ->
+     List.iteri (fun i e -> fail_at i; push t e) (List.rev buf.decisions);
+     fail_at (List.length buf.decisions)
+   | None -> ());
+  match !recording with
+  | Some r -> r.spans <- buf.buf_spans @ r.spans
+  | None -> ()
 
 let maybe_enable_from_env () =
   (match Sys.getenv_opt "PAREDOWN_JOURNAL" with

@@ -182,19 +182,24 @@ val capturing : unit -> bool
 (** [true] iff a journal is installed or spans are being recorded:
     the condition under which {!Parallel.map} captures its items. *)
 
-val capture : lane:int -> (unit -> 'a) -> 'a * buffer
+val capture :
+  lane:int -> (unit -> 'a) ->
+  ('a, exn * Printexc.raw_backtrace) result * buffer
 (** [capture ~lane f] redirects this domain's {!emit}s and spans into a
-    fresh buffer for the duration of [f] (restored on return and on
-    exception); its spans are tagged [lane].  {!Parallel.map} wraps
-    every work item in a capture and then {!append}s the buffers in
-    input order on the main domain, which is what keeps [--jobs N]
-    journals byte-identical and gives each item one lane of the span
-    recording.  Fan-outs do not nest: no work item calls
-    {!Parallel.map} with [jobs > 1]. *)
+    fresh buffer for the duration of [f]; its spans are tagged [lane].
+    The buffer comes back whether [f] returned or raised.
+    {!Parallel.map} wraps every work item in a capture and then
+    {!append}s the buffers in input order on the main domain, up to and
+    including the lowest failing item's, which keeps [--jobs N]
+    journals byte-identical (failing runs included) and gives each item
+    one lane of the span recording.  Fan-outs do not nest. *)
 
 val append : buffer -> unit
 (** Append a captured buffer's events to the current journal and its
-    spans to the recording (each a no-op when off). *)
+    spans to the recording (each a no-op when off).  A {!note_failure}
+    made inside the capture fires here, after the events that preceded
+    it, so the post-mortem bundle holds what the sequential run's
+    would. *)
 
 (** {1 Serialisation (JSONL)} *)
 
@@ -230,7 +235,13 @@ val note_failure : string -> unit
     [Sim.Engine.Event_limit_exceeded], a [Failed] verification
     verdict, CLI-level exceptions): if the flight recorder is armed,
     write the post-mortem bundle — first failure wins, later calls are
-    no-ops.  Unarmed, this is free. *)
+    no-ops.  Unarmed, this is free.  Inside a {!capture} the failure
+    and its position in the buffer are only noted; {!append} writes the
+    bundle there, in input order, so the first failure in input order
+    wins and the bundle's [reason], [total], [dropped] and [journal] are
+    [--jobs]-invariant.  Its [snapshot] reads the live metrics registry
+    when the bundle is written (after the join, under a fan-out), so it
+    may differ between job counts. *)
 
 val maybe_enable_from_env : unit -> unit
 (** Entry-point hook for the binaries: [PAREDOWN_JOURNAL=FILE]

@@ -1,3 +1,18 @@
+(* [k] contiguous runs of [xs] (fewer when [xs] is shorter), their
+   lengths differing by at most one, longest first. *)
+let chunks k xs =
+  let n = List.length xs in
+  let k = min k n in
+  let start c = (c * (n / k)) + min c (n mod k) in
+  List.init k (fun c ->
+      List.filteri (fun i _ -> start c <= i && i < start (c + 1)) xs)
+
+(* A work item that raised inside a journal capture, with the events it
+   captured before raising. *)
+exception Item_failed of exn * Obs.Journal.buffer
+
+(* Runs [f] over the items on [jobs] domains.  Returns the results by
+   index and the lowest failure, if any: every item below it ran. *)
 let run_parallel ~jobs f items n =
   let arr = Array.of_list items in
   let results = Array.make n None in
@@ -43,24 +58,41 @@ let run_parallel ~jobs f items n =
   in
   worker ();
   List.iter Domain.join domains;
-  match Atomic.get failure with
-  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-  | None ->
-    Array.to_list results
-    |> List.map (function Some r -> r | None -> assert false)
+  (results, Atomic.get failure)
+
+let result = function Some r -> r | None -> assert false
 
 let map ~jobs f items =
   let n = List.length items in
   if jobs <= 1 || n < 2 then List.map f items
-  else if Obs.Journal.capturing () then
-    (* Worker-domain journal emissions and spans are captured per item
-       and appended in input (seed) order after the join, so a
-       [--jobs N] journal is byte-identical to the sequential one and
-       each item's spans nest on a lane of their own. *)
-    run_parallel ~jobs
-      (fun i x -> Obs.Journal.capture ~lane:(i + 1) (fun () -> f x))
-      items n
-    |> List.map (fun (r, buf) ->
-           Obs.Journal.append buf;
-           r)
-  else run_parallel ~jobs (fun _ x -> f x) items n
+  else begin
+    (* While capturing, worker-domain journal emissions and spans are
+       captured per item and appended in input (seed) order after the
+       join, so a [--jobs N] journal is byte-identical to the sequential
+       one and each item's spans nest on a lane of their own.  On a
+       failure the items below it and the failing item's partial
+       capture are appended — what the sequential run had recorded when
+       it raised. *)
+    let capturing = Obs.Journal.capturing () in
+    let results, failure =
+      run_parallel ~jobs
+        (fun i x ->
+          if not capturing then (f x, None)
+          else
+            match Obs.Journal.capture ~lane:(i + 1) (fun () -> f x) with
+            | Ok r, buf -> (r, Some buf)
+            | Error (e, bt), buf ->
+              Printexc.raise_with_backtrace (Item_failed (e, buf)) bt)
+        items n
+    in
+    let upto = match failure with Some (i, _, _) -> i | None -> n in
+    for i = 0 to upto - 1 do
+      Option.iter Obs.Journal.append (snd (result results.(i)))
+    done;
+    match failure with
+    | Some (_, Item_failed (e, buf), bt) ->
+      Obs.Journal.append buf;
+      Printexc.raise_with_backtrace e bt
+    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> Array.to_list (Array.map (fun r -> fst (result r)) results)
+  end

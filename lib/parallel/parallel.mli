@@ -36,3 +36,7 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     Items above the lowest failing index may be abandoned; items below
     it always run, so the reported failure is deterministic and
     jobs-invariant, like everything else. *)
+
+val chunks : int -> 'a list -> 'a list list
+(** [chunks k xs]: [k] contiguous runs of [xs] (fewer when [xs] is
+    shorter), their lengths differing by at most one, longest first. *)

@@ -23,6 +23,14 @@ val bool : t -> bool
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [[0, bound)]. *)
 
+val threshold : float -> int
+(** The integer form of a probability for {!chance}: [0] for [p <= 0]. *)
+
+val chance : t -> int -> bool
+(** [chance t (threshold p)] is [float t 1.0 < p], draw for draw — the
+    same one draw and the same answer — without a float crossing the
+    call, so a hot loop that cannot inline it allocates nothing. *)
+
 val pick : t -> 'a list -> 'a
 (** Uniform choice; the list must be non-empty. *)
 

@@ -185,36 +185,7 @@ let script config g =
 
 let clamp01 x = Float.max 0. (Float.min 1. x)
 
-(* [k] contiguous runs of [xs] (fewer when [xs] is shorter), their
-   lengths differing by at most one, longest first. *)
-let chunks k xs =
-  let n = List.length xs in
-  let k = min k n in
-  let rec take i xs acc =
-    if i = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | x :: rest -> take (i - 1) rest (x :: acc)
-      | [] -> (List.rev acc, [])
-  in
-  let rec split c xs acc =
-    if c = k then List.rev acc
-    else begin
-      let size = (n / k) + if c < n mod k then 1 else 0 in
-      let chunk, rest = take size xs [] in
-      split (c + 1) rest (chunk :: acc)
-    end
-  in
-  split 0 xs []
-
-let estimate_network ?(jobs = 1) (config : config) g =
-  if config.trials <= 0 then invalid_arg "Estimator: trials must be positive";
-  let t0 = Obs.Clock.now_ns () in
-  let script = script config g in
-  let reference = Sim.Degrade.reference g script in
-  (* Seeds are pre-drawn and plans pre-built on this domain, so the
-     fan-out below receives fully determined work items in input order:
-     the estimate cannot depend on [jobs]. *)
+let plans config g =
   let seed_rng = Prng.create config.seed in
   (* explicit recursion: List.init's application order is unspecified,
      and the seed stream must be consumed in trial order *)
@@ -225,7 +196,17 @@ let estimate_network ?(jobs = 1) (config : config) g =
         (Family.plan config.family ~seed:(Prng.int seed_rng 0x3FFF_FFFF) g
          :: acc)
   in
-  let plans = draw config.trials [] in
+  draw config.trials []
+
+let estimate_network ?(jobs = 1) (config : config) g =
+  if config.trials <= 0 then invalid_arg "Estimator: trials must be positive";
+  let t0 = Obs.Clock.now_ns () in
+  let script = script config g in
+  let reference = Sim.Degrade.reference g script in
+  (* Seeds are pre-drawn and plans pre-built on this domain, so the
+     fan-out below receives fully determined work items in input order:
+     the estimate cannot depend on [jobs]. *)
+  let plans = plans config g in
   (* One engine per contiguous chunk of plans, one chunk per job,
      restarted between trials; Parallel.map returns the chunks in input
      order, so the runs come back in trial order and the tally and the
@@ -235,7 +216,7 @@ let estimate_network ?(jobs = 1) (config : config) g =
       (Parallel.map ~jobs
          (Sim.Degrade.classify_each ~settle_limit:config.settle_limit
             ~reference)
-         (chunks (max 1 jobs) plans))
+         (Parallel.chunks (max 1 jobs) plans))
   in
   let count o =
     List.length (List.filter (fun r -> r.Sim.Degrade.outcome = o) runs)

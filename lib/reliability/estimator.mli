@@ -107,6 +107,11 @@ val script : config -> Graph.t -> Sim.Stimulus.script
     their node ids under synthesis rewriting, so the script built from a
     flat design drives its synthesised counterpart unchanged. *)
 
+val plans : config -> Graph.t -> Sim.Fault.plan list
+(** The [trials] seeded plans the estimator replays, in trial order:
+    each seed drawn from a stream rooted at [config.seed], distinct from
+    the script's. *)
+
 val estimate_network : ?jobs:int -> config -> Graph.t -> estimate
 (** Score a network as-is (no rewriting): one clean reference run, then
     [trials] faulty replays.  The trials split into [jobs] contiguous

@@ -127,37 +127,45 @@ let reference ?(tie_order = Engine.Fifo) g script =
            (Stimulus.settled_outputs (Engine.start ~tie_order net) ordered));
   }
 
-(* One faulty replay on an engine of its own. *)
-let classify_with ?telemetry ~settle_limit ~reference faults =
-  classify_run ~settle_limit ~reference
-    (Engine.start ~tie_order:reference.ref_tie_order ~faults ?telemetry
-       reference.ref_net)
-
-let classify_against ?(settle_limit = 100_000) ?telemetry ~reference _g
-    _script ~faults =
-  classify_with ?telemetry ~settle_limit ~reference faults
-
-let classify_each ?(settle_limit = 100_000) ~reference plans =
+(* Every faulty replay runs here: one engine for the list, started for
+   the first plan and restarted for each next one.  A collector gathers
+   every run: each counts on a block of the engine's, added into the
+   collector as the run ends (a restart zeroes the block). *)
+let classify_each ?(settle_limit = 100_000) ?telemetry ~reference plans =
   match plans with
   | [] -> []
   | first :: rest ->
+    let block =
+      Option.map
+        (fun (c : Telemetry.t) ->
+          Telemetry.create ~timeline:c.timeline ~timeline_cap:c.timeline_cap
+            ())
+        telemetry
+    in
     let engine =
       Engine.start ~tie_order:reference.ref_tie_order ~faults:first
-        reference.ref_net
+        ?telemetry:block reference.ref_net
     in
-    let first_run = classify_run ~settle_limit ~reference engine in
+    let classify () =
+      let run = classify_run ~settle_limit ~reference engine in
+      (match telemetry, block with
+       | Some into, Some b -> Telemetry.add ~into b
+       | _ -> ());
+      run
+    in
+    let first_run = classify () in
     let rec go acc = function
       | [] -> List.rev acc
       | faults :: rest ->
         Engine.restart ~faults engine;
-        go (classify_run ~settle_limit ~reference engine :: acc) rest
+        go (classify () :: acc) rest
     in
     go [ first_run ] rest
 
 let classify ?(tie_order = Engine.Fifo) ?(settle_limit = 100_000) ~faults g
     script =
   let reference = reference ~tie_order g script in
-  classify_with ~settle_limit ~reference faults
+  List.hd (classify_each ~settle_limit ~reference [ faults ])
 
 let sweep ?(tie_order = Engine.Fifo) ?(settle_limit = 100_000) ~plans g
     script =

@@ -72,8 +72,9 @@ val classify :
   Graph.t ->
   Stimulus.script ->
   run
-(** Replay [script] clean and under [faults] and classify.  Both runs use
-    the same [tie_order] (default {!Engine.Fifo}).  [settle_limit]
+(** Replay [script] clean and under [faults] and classify
+    ({!classify_each} of one plan against a fresh {!reference}).  Both
+    runs use the same [tie_order] (default {!Engine.Fifo}).  [settle_limit]
     (default 100_000) bounds each per-step settle of the faulty run;
     exceeding it yields {!Diverged} rather than an exception.  The clean
     run is expected to settle: its {!Engine.Event_limit_exceeded}
@@ -91,20 +92,19 @@ val sweep :
     run and one engine ({!classify_each}).  Each row's [settle_limit]
     field reports the limit the sweep actually ran under. *)
 
-(** {1 Shared references}
+(** {1 Shared references and the replay}
 
-    The Monte-Carlo reliability estimator classifies the same
-    (network, script) pair under many seeded plans; replaying the
-    clean run per plan would double its simulation bill.  A
-    {!reference} freezes the clean run's settled observations (and the
-    tie order they were produced under) so it can be shared across
-    {!classify_against} calls — including calls fanned out over
-    worker domains, since a reference is immutable once built.  It also
-    holds the network's {!Engine.prepared} tables, so every faulty
-    trial starts its engine without rebuilding them, and the script
-    sorted once, so a trial only replays it.  A trial compares each
-    step's settled outputs with the reference's as the step settles;
-    it builds no observation list. *)
+    A reliability estimate classifies one (network, script) pair under
+    dozens of seeded plans.  A {!reference} freezes the clean run's
+    settled observations once, with the tie order they were produced
+    under, the network's {!Engine.prepared} tables and the sorted
+    script; it is immutable, so worker domains share it.
+    {!classify_each} is the one faulty replay — {!classify}, {!sweep},
+    the estimator and the network observatory all run through it: one
+    engine per list of plans, {!Engine.restart}ed between them, each
+    step's settled outputs compared with the reference's as the step
+    settles.  Each run's strike lists come from the engine's strike
+    counters ({!Engine.link_strikes}). *)
 
 type reference
 (** One clean run's settled observations, plus the prepared network they
@@ -116,38 +116,17 @@ val reference :
     outputs.  The clean run is expected to settle: its
     {!Engine.Event_limit_exceeded} propagates. *)
 
-val classify_against :
-  ?settle_limit:int ->
-  ?telemetry:Telemetry.t ->
-  reference:reference ->
-  Graph.t ->
-  Stimulus.script ->
-  faults:Fault.plan ->
-  run
-(** {!classify} against a prebuilt clean reference.  [g] and [script]
-    must be the pair the reference was built from; the faulty run
-    reuses the reference's tie order and starts from its prepared
-    network.  [classify g script ~faults] is
-    [classify_against ~reference:(reference g script) g script ~faults].
-    [telemetry] arms a collector on the faulty replay (the clean
-    reference is never re-run, so it records the faulty run only).
-    The run's strike lists come from the engine's own counters, armed
-    collector or not. *)
-
-(** {1 Many plans, one engine}
-
-    A reliability estimate classifies one (network, script) pair under
-    dozens of plans.  Starting an engine per plan allocates its per-run
-    arrays each time; {!classify_each} allocates them once and
-    {!Engine.restart}s between plans.  Each run's strike lists come from
-    the engine's strike counters ({!Engine.link_strikes}), which exist
-    only on a fault-armed engine: an unarmed run pays nothing for them,
-    and every faulty replay here is armed. *)
-
 val classify_each :
-  ?settle_limit:int -> reference:reference -> Fault.plan list -> run list
-(** [classify_against] under each plan, in list order, on one engine:
-    started for the first plan and {!Engine.restart}ed for each next
-    one.  Equal, run for run, to classifying each plan on a fresh
+  ?settle_limit:int -> ?telemetry:Telemetry.t -> reference:reference ->
+  Fault.plan list -> run list
+(** Classify against [reference] under each plan, in list order, on one
+    engine: started for the first plan and {!Engine.restart}ed for each
+    next one.  Equal, run for run, to classifying each plan on a fresh
     engine — a restart leaves exactly the state a start does — minus
-    the per-trial allocation. *)
+    the per-trial allocation.  The faulty runs reuse the reference's tie
+    order and prepared network.  [settle_limit] (default 100_000)
+    bounds each per-step settle; exceeding it yields {!Diverged} and
+    ends that run's replay.  [telemetry] gathers every faulty run into
+    the collector ({!Telemetry.add}; the clean reference is never re-run,
+    so it records the faulty runs only), timeline included when the
+    collector records one. *)

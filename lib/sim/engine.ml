@@ -19,6 +19,16 @@ let h_settle_ns =
   Obs.Metrics.histogram "sim.settle_ns" ~doc:"settle wall time"
 let h_settle_events =
   Obs.Metrics.histogram "sim.settle_events" ~doc:"events drained per settle"
+(* one per fault class, in {!Fault.counts} order *)
+let m_faults =
+  Array.map
+    (fun (name, doc) -> Obs.Metrics.counter ("sim.fault." ^ name) ~doc)
+    [| ("drops", "packets dropped"); ("duplicates", "packets duplicated");
+      ("corruptions", "packet values corrupted");
+      ("jittered", "deliveries jitter-delayed");
+      ("dead_link_losses", "packets lost on a dead link");
+      ("resets", "spurious block resets");
+      ("stuck_overrides", "output presentations overridden by stuck-at") |]
 
 type value = Behavior.Ast.value
 
@@ -176,12 +186,23 @@ type t = {
   e_delay : int array;  (* per-edge packet latency, already clamped >= 1 *)
   c_tie_order : tie_order;
   mutable c_tie_rng : Prng.t option;
-  mutable c_faults : Fault.runtime option;
-  mutable c_telemetry : Telemetry.t option;
-  (* per-site strike counters of a fault-armed run ([||] when unarmed):
-     faults that struck each dense edge, brownouts of each dense node *)
-  mutable e_strikes : int array;
-  mutable n_resets : int array;
+  (* A run is armed by a fault plan, a collector or both.  [c_tel] is the
+     counter block: the collector the engine was started with (kept by
+     [restart]), or else a block of its own for its fault plans. *)
+  c_tel : Telemetry.t;
+  c_observe : bool;  (* a collector counts every event *)
+  mutable c_faulted : bool;
+  mutable c_armed : bool;  (* c_faulted || c_observe *)
+  (* the fault plan resolved per dense edge and node *)
+  mutable c_rng : Prng.t;
+  mutable f_drop : int array;  (* Prng.threshold of each probability *)
+  mutable f_dup : int array;
+  mutable f_corrupt : int array;
+  mutable f_jitter : int array;
+  mutable f_dies : int array;  (* tick the link dies at, max_int: never *)
+  mutable f_stuck : Fault.stuck array array;
+  c_flushed : int array;
+      (* the block's strike totals the sim.fault.* metrics hold *)
   (* the event calendar: a struct-of-arrays store holding every pending
      event's fields, addressed by slot; a timing wheel (one bucket per
      tick over a [wheel_w]-tick window) for near events; and a
@@ -427,11 +448,6 @@ let cschedule t ~time ~tag ~a ~b ~c ~vk ~vn =
      reversed for Lifo, seeded-random for Shuffled.  Perturbing it changes
      exactly the packet races whose outcome the network does not actually
      define (see {!tie_order}). *)
-  (match t.c_telemetry with
-   | None -> ()
-   | Some tel ->
-     let ni = if tag = tag_deliver then t.e_dst.%(a) else a in
-     Telemetry.note_scheduled tel t.ids.%(ni));
   t.c_seq <- t.c_seq + 1;
   let priority =
     match t.c_tie_order, t.c_tie_rng with
@@ -449,18 +465,101 @@ let cschedule t ~time ~tag ~a ~b ~c ~vk ~vn =
   t.ev_c.%(slot) <- c;
   t.ev_vk.%(slot) <- vk;
   t.ev_vn.%(slot) <- vn;
-  if time < t.cursor + wheel_w then wheel_append t slot else ovf_push t slot
+  if time < t.cursor + wheel_w then wheel_append t slot else ovf_push t slot;
+  if t.c_observe then begin
+    let tel = t.c_tel in
+    let ni = if tag = tag_deliver then t.e_dst.%(a) else a in
+    let pending = tel.nodes.%(Telemetry.n_pending) in
+    let hwm = tel.nodes.%(Telemetry.n_hwm) in
+    pending.%(ni) <- pending.%(ni) + 1;
+    if pending.%(ni) > hwm.%(ni) then hwm.%(ni) <- pending.%(ni);
+    let depth = t.wheel_count + ovf_count t in
+    if depth > tel.run_hwm then tel.run_hwm <- depth
+  end
+
+(* --- the armed path: the fault draws and the counters --------------- *)
+
+(* Count one: cell [i] of row [row] of a counter block's rows. *)
+let bump rows row i =
+  let a = rows.%(row) in
+  a.%(i) <- a.%(i) + 1
+
+(* A strike: its strike-row cell and its class total, which
+   {!fault_stats} and the sim.fault.* metrics read. *)
+let count_class t k =
+  let c = t.c_tel.totals in
+  c.%(k) <- c.%(k) + 1
+
+let count_strike t row ei =
+  bump t.c_tel.links row ei;
+  count_class t (row - Telemetry.l_drops)
+
+(* A decision draws from the plan's stream only when its probability is
+   nonzero, so the empty plan perturbs nothing.  Probabilities are
+   {!Prng.threshold}s: no float crosses a call, nothing is allocated. *)
+let strikes t thresholds ei =
+  let k = thresholds.%(ei) in
+  k > 0 && Prng.chance t.c_rng k
+
+let jitter t ei =
+  let j = t.f_jitter.%(ei) in
+  if j <= 0 then 0
+  else begin
+    let extra = Prng.int t.c_rng (j + 1) in
+    if extra > 0 then count_strike t Telemetry.l_jittered ei;
+    extra
+  end
+
+let deliver t ~time ei extra vk vn =
+  let d = t.e_delay.%(ei) + extra in
+  if t.c_observe then Obs.Histogram.observe_int t.c_tel.latency.%(ei) d;
+  cschedule t ~time:(time + d) ~tag:tag_deliver ~a:ei ~b:0 ~c:0 ~vk ~vn
+
+(* One packet send under the run's plan.  The draw order is the replay
+   contract: the drop decision, the corruption decision (and the
+   flipped bit of an integer), the delivery's jitter, the duplicate
+   decision, the duplicate's jitter.  A dead link draws nothing. *)
+let armed_send t ~time ei vk vn =
+  if t.c_observe then bump t.c_tel.links Telemetry.l_sends ei;
+  if time >= t.f_dies.%(ei) then count_strike t Telemetry.l_dead ei
+  else if strikes t t.f_drop ei then count_strike t Telemetry.l_drops ei
+  else begin
+    (* corruption flips a boolean, or one of an integer's low 8 bits *)
+    let corrupted = strikes t t.f_corrupt ei in
+    if corrupted then count_strike t Telemetry.l_corruptions ei;
+    let vn =
+      if corrupted && vk = 2 then vn lxor (1 lsl Prng.int t.c_rng 8) else vn
+    in
+    let vk = if corrupted && vk < 2 then 1 - vk else vk in
+    let j1 = jitter t ei in
+    if strikes t t.f_dup ei then begin
+      count_strike t Telemetry.l_duplicates ei;
+      let j2 = jitter t ei in
+      deliver t ~time ei j1 vk vn;
+      deliver t ~time ei j2 vk vn
+    end
+    else deliver t ~time ei j1 vk vn
+  end
+
+(* The value a block actually presents: the first stuck-at entry of the
+   plan for this port that is active at [time] overrides it. *)
+let rec stuck_override t ~time stucks i port v =
+  if i = Array.length stucks then v
+  else begin
+    let s = stucks.%(i) in
+    if s.Fault.port = port && time >= s.Fault.from then begin
+      if not (Behavior.Ast.equal_value s.Fault.value v) then
+        count_class t Telemetry.k_stuck;
+      s.Fault.value
+    end
+    else stuck_override t ~time stucks (i + 1) port v
+  end
 
 (* --- the hot path -------------------------------------------------- *)
 
-let cpresent t ~time ni port v =
-  let v =
-    match t.c_faults with
-    | None -> v
-    | Some frt -> Fault.stuck_value frt ~time t.ids.%(ni) ~port v
-  in
-  let vk = Behavior.Compile.value_tag v in
-  let vn = Behavior.Compile.value_payload v in
+(* Latch a presented value on output [port] of dense node [ni]; on a
+   change, count a packet for every connection of the port. *)
+let latch_out t ni port vk vn =
   let ok = t.cout_k.%(ni) in
   let changed =
     ok.%(port) <> vk || (vk = 2 && t.cout_n.%(ni).%(port) <> vn)
@@ -468,48 +567,42 @@ let cpresent t ~time ni port v =
   if changed then begin
     ok.%(port) <- vk;
     t.cout_n.%(ni).%(port) <- vn;
+    let n = Array.length t.fo.%(ni).%(port) in
+    t.c_packets <- t.c_packets + n;
+    t.pm_packets <- t.pm_packets + n
+  end;
+  changed
+
+(* Present [v] on an output port and, on a change, send it down every
+   connection: [present] on an unarmed run, [armed_present] (after the
+   stuck-at override) on an armed one, chosen once per activation. *)
+let present t ~time ni port v =
+  let vk = Behavior.Compile.value_tag v in
+  let vn = Behavior.Compile.value_payload v in
+  if latch_out t ni port vk vn then begin
     let edges = t.fo.%(ni).%(port) in
     for k = 0 to Array.length edges - 1 do
       let ei = edges.%(k) in
-      t.c_packets <- t.c_packets + 1;
-      t.pm_packets <- t.pm_packets + 1;
-      let d = t.e_delay.%(ei) in
-      match t.c_faults with
-      | None ->
-        (* fast path: one delivery, no strike, no list *)
-        (match t.c_telemetry with
-         | None -> ()
-         | Some tel ->
-           Telemetry.note_send tel t.e_rec.%(ei) ~strike:Fault.no_strike
-             ~latencies:[ d ]);
-        cschedule t ~time:(time + d) ~tag:tag_deliver ~a:ei ~b:0 ~c:0 ~vk ~vn
-      | Some frt ->
-        let e = t.e_rec.%(ei) in
-        let deliveries, strike = Fault.on_send frt ~time e v in
-        let k = Fault.strike_total strike in
-        if k > 0 then t.e_strikes.%(ei) <- t.e_strikes.%(ei) + k;
-        (match t.c_telemetry with
-         | None -> ()
-         | Some tel ->
-           Telemetry.note_send tel e ~strike
-             ~latencies:(List.map (fun (extra, _) -> d + extra) deliveries));
-        List.iter
-          (fun (extra, v') ->
-            cschedule t
-              ~time:(time + d + extra)
-              ~tag:tag_deliver ~a:ei ~b:0 ~c:0
-              ~vk:(Behavior.Compile.value_tag v')
-              ~vn:(Behavior.Compile.value_payload v'))
-          deliveries
+      cschedule t ~time:(time + t.e_delay.%(ei)) ~tag:tag_deliver ~a:ei ~b:0
+        ~c:0 ~vk ~vn
+    done
+  end
+
+let armed_present t ~time ni port v =
+  let v = stuck_override t ~time t.f_stuck.%(ni) 0 port v in
+  let vk = Behavior.Compile.value_tag v in
+  let vn = Behavior.Compile.value_payload v in
+  if latch_out t ni port vk vn then begin
+    let edges = t.fo.%(ni).%(port) in
+    for k = 0 to Array.length edges - 1 do
+      armed_send t ~time edges.%(k) vk vn
     done
   end
 
 let cactivate t ~time ni ~fired =
   t.c_activations <- t.c_activations + 1;
   t.pm_activations <- t.pm_activations + 1;
-  (match t.c_telemetry with
-   | None -> ()
-   | Some tel -> Telemetry.note_activation tel t.ids.%(ni));
+  if t.c_observe then bump t.c_tel.nodes Telemetry.n_activations ni;
   let st = t.pstates.%(ni) in
   Behavior.Compile.run_bound t.progs.%(ni) st ~fired;
   (* flush the scratch ourselves — ascending ports, then ascending
@@ -517,9 +610,14 @@ let cactivate t ~time ni ~fired =
      activation involves no closure dispatch at all *)
   let out_set = st.Behavior.Compile.out_set in
   let out_val = st.Behavior.Compile.out_val in
-  for port = 0 to Array.length out_set - 1 do
-    if out_set.%(port) then cpresent t ~time ni port out_val.%(port)
-  done;
+  if t.c_armed then
+    for port = 0 to Array.length out_set - 1 do
+      if out_set.%(port) then armed_present t ~time ni port out_val.%(port)
+    done
+  else
+    for port = 0 to Array.length out_set - 1 do
+      if out_set.%(port) then present t ~time ni port out_val.%(port)
+    done;
   let tmr_act = st.Behavior.Compile.tmr_act in
   if Array.length tmr_act > 0 then begin
     let tg = t.tgen.%(ni) in
@@ -541,16 +639,15 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
   let ni = if tag = tag_deliver then t.e_dst.%(a) else a in
   t.c_last <- ni;
   t.pm_events <- t.pm_events + 1;
-  (match t.c_telemetry with
-   | None -> ()
-   | Some tel ->
-     let kind =
-       if tag = tag_deliver then Telemetry.Delivered t.e_rec.%(a)
-       else if tag = tag_timer then Telemetry.Timer_fired
-       else if tag = tag_sensor then Telemetry.Sensor_set
-       else Telemetry.Reset
-     in
-     Telemetry.note_event tel ~time t.ids.%(ni) kind);
+  if t.c_observe then begin
+    let tel = t.c_tel in
+    bump tel.nodes Telemetry.n_events ni;
+    let pending = tel.nodes.%(Telemetry.n_pending) in
+    pending.%(ni) <- pending.%(ni) - 1;
+    if time > tel.clock then tel.clock <- time;
+    if tag = tag_deliver then bump tel.links Telemetry.l_deliveries a;
+    if tel.timeline then Telemetry.timeline_push tel ~time ~tag a
+  end;
   if tag = tag_deliver then begin
     t.pm_deliveries <- t.pm_deliveries + 1;
     let port = t.e_dst_port.%(a) in
@@ -572,7 +669,8 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
     if t.tgen.%(ni).%(b) = c then cactivate t ~time ni ~fired:b
   end
   else if tag = tag_sensor then
-    cpresent t ~time ni 0 (Behavior.Compile.value_of_code vk vn)
+    (if t.c_armed then armed_present else present)
+      t ~time ni 0 (Behavior.Compile.value_of_code vk vn)
   else begin
     (* Brownout: the block loses its volatile state — variable store and
        pending timers — and its outputs snap back to power-on values,
@@ -580,17 +678,14 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
        input registers hold), so the block recomputes on its next
        activation; until then its outputs may disagree with its inputs,
        which is exactly the degradation {!Degrade} classifies. *)
-    (match t.c_faults with
-     | Some frt ->
-       Fault.note_reset frt;
-       t.n_resets.%(ni) <- t.n_resets.%(ni) + 1
-     | None -> ());
+    bump t.c_tel.nodes Telemetry.n_resets ni;
+    count_class t Telemetry.k_resets;
     Behavior.Compile.reset_state t.progs.%(ni) t.pstates.%(ni);
     let tg = t.tgen.%(ni) in
     for s = 0 to Array.length tg - 1 do
       if tg.%(s) > 0 then tg.%(s) <- tg.%(s) + 1
     done;
-    Array.iteri (fun port v -> cpresent t ~time ni port v)
+    Array.iteri (fun port v -> armed_present t ~time ni port v)
       t.descs.%(ni).Eblock.Descriptor.output_init
   end
 
@@ -610,7 +705,15 @@ let cflush_metrics t =
   if t.pm_activations > 0 then begin
     Obs.Metrics.add m_activations t.pm_activations;
     t.pm_activations <- 0
-  end
+  end;
+  if t.c_faulted then
+    for k = 0 to Array.length m_faults - 1 do
+      let total = t.c_tel.totals.%(k) in
+      if total > t.c_flushed.%(k) then begin
+        Obs.Metrics.add m_faults.%(k) (total - t.c_flushed.%(k));
+        t.c_flushed.%(k) <- total
+      end
+    done
 
 let cstep t =
   if t.wheel_count + t.ovf_len - t.ovf_head = 0 then false
@@ -743,7 +846,7 @@ let prepared_graph p = p.p_graph
 
 (* The per-run arrays of an engine, sized for its network.  Their
    contents are whatever [power_on] writes next. *)
-let alloc ~tie_order ~edge_delay p =
+let alloc ~tie_order ~edge_delay ~telemetry p =
   let sized images =
     Array.map (fun a -> Array.make (Array.length a) 0) images
   in
@@ -770,10 +873,18 @@ let alloc ~tie_order ~edge_delay p =
        | Some f -> Array.map (fun e -> max 1 (f e)) p.p_e_rec);
     c_tie_order = tie_order;
     c_tie_rng = None;
-    c_faults = None;
-    c_telemetry = None;
-    e_strikes = [||];
-    n_resets = [||];
+    c_tel = Option.value telemetry ~default:(Telemetry.create ());
+    c_observe = Option.is_some telemetry;
+    c_faulted = false;
+    c_armed = false;
+    c_rng = Prng.create 0;
+    f_drop = [||];
+    f_dup = [||];
+    f_corrupt = [||];
+    f_jitter = [||];
+    f_dies = [||];
+    f_stuck = [||];
+    c_flushed = Array.make 7 0;
     ev_time = Array.make 64 0;
     ev_prio = Array.make 64 0;
     ev_seq = Array.make 64 0;
@@ -814,11 +925,61 @@ let alloc ~tie_order ~edge_delay p =
     t.pstates;
   t
 
+(* Resolve a plan into the per-edge and per-node arrays the armed path
+   reads: the default edge fault everywhere, then the overrides in plan
+   order (a later one for the same connection wins), then the stuck-at
+   lists of the blocks in the network. *)
+let resolve t (plan : Fault.plan) =
+  let p = t.c_net in
+  let ne = Array.length p.p_e_rec and nn = Array.length p.p_ids in
+  let sized a = if Array.length a = ne then a else Array.make ne 0 in
+  t.f_drop <- sized t.f_drop;
+  t.f_dup <- sized t.f_dup;
+  t.f_corrupt <- sized t.f_corrupt;
+  t.f_jitter <- sized t.f_jitter;
+  t.f_dies <- sized t.f_dies;
+  let set ei (f : Fault.edge_fault) =
+    t.f_drop.(ei) <- Prng.threshold f.drop;
+    t.f_dup.(ei) <- Prng.threshold f.duplicate;
+    t.f_corrupt.(ei) <- Prng.threshold f.corrupt;
+    t.f_jitter.(ei) <- f.jitter;
+    t.f_dies.(ei) <- Option.value f.dies_at ~default:max_int
+  in
+  for ei = 0 to ne - 1 do set ei plan.default_edge done;
+  List.iter
+    (fun ((e : Graph.edge), f) ->
+      match Hashtbl.find_opt p.p_idx_of e.src.node with
+      | Some ni when e.src.port >= 0 && e.src.port < Array.length p.p_fo.(ni) ->
+        Array.iter
+          (fun ei -> if Graph.compare_edge p.p_e_rec.(ei) e = 0 then set ei f)
+          p.p_fo.(ni).(e.src.port)
+      | Some _ | None -> ())
+    plan.edge_overrides;
+  t.f_stuck <- Array.make nn [||];
+  List.iter
+    (fun (id, (f : Fault.node_fault)) ->
+      match Hashtbl.find_opt p.p_idx_of id with
+      | Some ni when f.stuck <> [] -> t.f_stuck.(ni) <- Array.of_list f.stuck
+      | Some _ | None -> ())
+    plan.node_faults;
+  t.c_rng <- Prng.create plan.seed
+
+(* Arm a run: zero its counter block and resolve its plan. *)
+let arm t ~faults =
+  t.c_faulted <- Option.is_some faults;
+  t.c_armed <- t.c_faulted || t.c_observe;
+  Array.fill t.c_flushed 0 7 0;
+  if t.c_armed then begin
+    Telemetry.bind t.c_tel ~edges:t.e_rec ~dsts:t.e_dst ~ids:t.ids
+      ~observe:t.c_observe;
+    resolve t (Option.value faults ~default:Fault.none)
+  end
+
 (* The one initialisation routine, shared by [start] (on freshly
    allocated arrays) and [restart] (on the arrays of an earlier run,
    finished or cut off with events pending), so both leave the engine
    in the same state. *)
-let power_on t ~faults ~telemetry =
+let power_on t ~faults =
   let p = t.c_net in
   (* latches from the power-on images, timer generations and variable
      stores from scratch.  The loops are inline: each array holds one
@@ -863,23 +1024,7 @@ let power_on t ~faults ~telemetry =
     (match t.c_tie_order with
      | Shuffled seed -> Some (Prng.create seed)
      | Fifo | Lifo -> None);
-  t.c_faults <- Option.map Fault.start faults;
-  t.c_telemetry <- telemetry;
-  (* strike counters exist only on a fault-armed run *)
-  (match faults with
-   | None ->
-     t.e_strikes <- [||];
-     t.n_resets <- [||]
-   | Some _ ->
-     let zeroed a n =
-       if Array.length a = n then begin
-         Array.fill a 0 n 0;
-         a
-       end
-       else Array.make n 0
-     in
-     t.e_strikes <- zeroed t.e_strikes (Array.length t.e_rec);
-     t.n_resets <- zeroed t.n_resets (Array.length t.ids));
+  arm t ~faults;
   (* Power-on sweep: each block evaluates once so that every output is
      consistent with the power-on inputs (physical blocks announce their
      state at power-on).  Performed latch-to-latch in topological order,
@@ -934,15 +1079,15 @@ let power_on t ~faults ~telemetry =
     faults
 
 let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
-  let t = alloc ~tie_order ~edge_delay p in
-  power_on t ~faults ~telemetry;
+  let t = alloc ~tie_order ~edge_delay ~telemetry p in
+  power_on t ~faults;
   t
 
 let restart ?faults t =
   (* an earlier run aborted by a behaviour error may hold unflushed
      metric batches: they count toward that run *)
   cflush_metrics t;
-  power_on t ~faults ~telemetry:None
+  power_on t ~faults
 
 let cindex t id =
   match Hashtbl.find_opt t.c_net.p_idx_of id with
@@ -994,9 +1139,7 @@ let settle ?(limit = 100_000) t =
   else begin
     Obs.Metrics.incr m_settles;
     Obs.Metrics.add m_settle_iterations drained;
-    (match t.c_telemetry with
-     | None -> ()
-     | Some tel -> Telemetry.note_settle tel);
+    if t.c_observe then t.c_tel.settles <- t.c_tel.settles + 1;
     Obs.Histogram.observe h_settle_ns
       (Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0));
     Obs.Histogram.observe_int h_settle_events drained
@@ -1048,22 +1191,28 @@ let activation_count t = t.c_activations
 
 let packet_count t = t.c_packets
 
-let fault_stats t = Option.map Fault.stats t.c_faults
+let fault_stats t =
+  if t.c_faulted then Some (Telemetry.injected t.c_tel) else None
 
 let link_strikes t =
   let acc = ref [] in
-  for ei = Array.length t.e_strikes - 1 downto 0 do
-    let k = t.e_strikes.(ei) in
-    if k > 0 then acc := (t.e_rec.(ei), k) :: !acc
-  done;
+  if t.c_faulted then
+    for ei = Array.length t.e_rec - 1 downto 0 do
+      let k = ref 0 in
+      for row = Telemetry.l_drops to Telemetry.l_dead do
+        k := !k + t.c_tel.links.(row).(ei)
+      done;
+      if !k > 0 then acc := (t.e_rec.(ei), !k) :: !acc
+    done;
   (* dense edges run in fanout order within a port, not destination
      order *)
   List.sort (fun (a, _) (b, _) -> Graph.compare_edge a b) !acc
 
 let node_resets t =
   let acc = ref [] in
-  for ni = Array.length t.n_resets - 1 downto 0 do
-    let k = t.n_resets.(ni) in
-    if k > 0 then acc := (t.ids.(ni), k) :: !acc
-  done;
+  if t.c_faulted then
+    for ni = Array.length t.ids - 1 downto 0 do
+      let k = t.c_tel.nodes.(Telemetry.n_resets).(ni) in
+      if k > 0 then acc := (t.ids.(ni), k) :: !acc
+    done;
   !acc

@@ -84,32 +84,34 @@ val start :
     [faults] arms a {!Fault.plan}: packets may then be dropped,
     duplicated, corrupted, jittered, or lost to dead links, and blocks
     may spuriously reset or have outputs stuck, all driven by the plan's
-    own seeded PRNG so a run replays exactly.  Without [faults] (or with
-    a plan that is {!Fault.is_trivial}) the engine behaves — traces,
-    packet counts, event order — exactly as if the fault layer did not
-    exist.
+    own seeded PRNG so a run replays exactly.  The plan is resolved into
+    dense per-edge and per-node arrays when the run starts, so the one
+    armed send path does no lookup and allocates nothing.  Without
+    [faults] (or with a plan that is {!Fault.is_trivial}) the engine
+    behaves — traces, packet counts, event order — exactly as if the
+    fault layer did not exist.
 
-    [telemetry] arms a {!Telemetry.t} collector recording per-node and
-    per-link runtime statistics (deliveries, fault strikes, queue
-    high-water marks, delivery latencies).  Same contract as [faults]:
-    a collector never changes the simulation's behaviour, and without
-    one every hook is a single branch on an immutable [None] — the
-    zero-cost-when-off path. *)
+    [telemetry] arms a {!Telemetry.t} collector: the run counts every
+    send, delivery, event, activation, queue depth and fault strike
+    into it in place.  A collector never changes the simulation's
+    behaviour, and with neither armed every counting site is one branch
+    on a [false] flag. *)
 
 val restart : ?faults:Fault.plan -> t -> unit
 (** Put a run back in exactly the state {!start} leaves a run in, with
-    the same prepared network, tie order and edge delays, the given
-    [faults] and no telemetry collector: latches from the power-on
+    the same prepared network, tie order, edge delays and telemetry
+    collector, and the given [faults]: latches from the power-on
     images, fresh variable stores and timer generations, an empty
     calendar (dirty wheel buckets and the overflow included), zeroed
-    counters, trace and strike counters, a fresh fault runtime (its
-    PRNG reseeded from the plan) and a reseeded {!Shuffled} tie stream
-    — then the power-on sweep.  [start] allocates a run and then runs this same routine, so
-    there is one initialisation path.  The earlier run may have
-    finished or been cut off by {!Event_limit_exceeded} with events
-    pending; nothing of it survives except the capacity of the arrays.
-    A Monte-Carlo loop restarts one engine per trial instead of
-    starting a new one. *)
+    counters, trace, strike counters and collector (which then reads
+    the new run; add it elsewhere first to keep the old one), the plan
+    resolved afresh (its PRNG reseeded) and a reseeded {!Shuffled} tie
+    stream — then the power-on sweep.  [start] allocates a run and then
+    runs this same routine, so there is one initialisation path.  The
+    earlier run may have finished or been cut off by
+    {!Event_limit_exceeded} with events pending; nothing of it survives
+    except the capacity of the arrays.  A Monte-Carlo loop restarts one
+    engine per trial instead of starting a new one. *)
 
 val create :
   ?tie_order:tie_order -> ?edge_delay:(Graph.edge -> int) ->
@@ -167,19 +169,20 @@ val packet_count : t -> int
     layer drops was still transmitted by its sender. *)
 
 val fault_stats : t -> Fault.stats option
-(** Injection counts so far; [None] when no fault plan was armed. *)
+(** Injection counts so far, the strike arrays summed per class; [None]
+    when no fault plan was armed. *)
 
 (** {1 Strike counters}
 
-    A fault-armed run counts, per connection, the faults that struck
-    its packets ({!Fault.strike_total} of each send), and per block
-    its brownout resets.  The counters are int arrays indexed by dense
-    edge and node; a run without [faults] has none, and its hot path
-    never reaches them — the zero-cost-when-unarmed contract of the
-    fault layer.  Together they sum to {!Fault.total} minus
-    [stuck_overrides] (a stuck-at override strikes a port, not a
-    connection).  They are what the reliability estimator's blame is
-    built from, with no {!Telemetry} collector armed. *)
+    A fault-armed run counts each strike once, in the rows of its
+    counter block ({!Telemetry.t}): per connection the drops,
+    duplicates, corruptions, jittered deliveries and dead-link losses
+    of its packets, per block its brownout resets.  {!fault_stats}, the
+    readings below, the [sim.fault.*] metrics (flushed whenever control
+    returns to the caller) and an armed collector all read them.  The
+    two readings below sum to {!Fault.total} minus [stuck_overrides] (a
+    stuck-at override strikes a port, not a connection); the
+    reliability estimator's blame is built from them. *)
 
 val link_strikes : t -> (Graph.edge * int) list
 (** Connections struck at least once so far, with their strike counts,

@@ -9,6 +9,10 @@
     and an all-zero plan injects nothing and draws nothing, leaving the
     engine's behaviour bit-identical to an uninstrumented run.
 
+    This module holds the plans and the {!stats} algebra only: the
+    engine resolves a plan into dense arrays when a run starts, draws
+    the faults inline, and counts every strike once ({!Telemetry}).
+
     See [doc/fault-injection.md] for the fault model and the
     graceful-degradation taxonomy built on top ({!Degrade}). *)
 
@@ -79,50 +83,9 @@ val degrade_all :
 (** A plan applying the given models uniformly to every connection
     (each defaults to off). *)
 
-(** {1 Runtime}
-
-    Used by {!Engine}; a runtime holds the injection PRNG and the
-    injection counters for one simulation. *)
-
-type runtime
-
-val start : plan -> runtime
-
 val resets : plan -> (Node_id.t * int) list
 (** All (node, tick) spurious resets the engine must schedule, in plan
     order. *)
-
-type strike = {
-  s_dropped : bool;
-  s_duplicated : bool;
-  s_corrupted : bool;
-  s_jittered : int;  (** deliveries of this send delayed by nonzero jitter *)
-  s_dead : bool;  (** lost to a dead link *)
-}
-(** What struck one packet send — the per-send view of {!stats}, so the
-    engine can attribute faults to the edge they struck on (see
-    {!Telemetry}). *)
-
-val no_strike : strike
-
-val strike_total : strike -> int
-(** How many faults struck this send (each boolean counts 1). *)
-
-val on_send : runtime -> time:int -> Graph.edge -> Behavior.Ast.value ->
-  (int * Behavior.Ast.value) list * strike
-(** The deliveries a single packet send becomes under the plan, plus
-    the faults that struck it.  Each delivery is (extra delay, possibly
-    corrupted value).  [[]] means the packet was dropped (or the link is
-    dead); two elements mean duplication.  A faultless edge returns
-    [([ (0, v) ], no_strike)] without touching the PRNG. *)
-
-val stuck_value : runtime -> time:int -> Node_id.t -> port:int ->
-  Behavior.Ast.value -> Behavior.Ast.value
-(** The value actually presented on an output port, after any stuck-at
-    override active at [time]. *)
-
-val note_reset : runtime -> unit
-(** Counts a spurious reset the engine is about to perform. *)
 
 (** {1 Injection accounting} *)
 
@@ -137,8 +100,6 @@ type stats = {
       (** presentations whose value a stuck-at fault changed *)
 }
 
-val stats : runtime -> stats
-
 val zero : stats
 (** All counts zero — the identity of {!merge}. *)
 
@@ -147,6 +108,9 @@ val merge : stats -> stats -> stats
     across Monte-Carlo seeds: [merge] is associative and commutative
     with [zero] as identity, and
     [total (merge a b) = total a + total b]. *)
+
+val counts : stats -> int list
+(** The seven counts in field order, [drops] first. *)
 
 val total : stats -> int
 (** Sum over every fault class — "how many faults actually struck". *)

@@ -22,6 +22,7 @@ let apply engine script =
     script
 
 let random ~rng ~sensors ~steps ~spacing =
+  if steps < 0 then invalid_arg "Stimulus.random: steps must be nonnegative";
   (* Prng.int needs a positive bound; a spacing of 0 (or less) means
      "as dense as possible", which is one tick between steps. *)
   let spacing = max 1 spacing in

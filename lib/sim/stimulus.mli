@@ -29,7 +29,8 @@ val random :
     is generous by default so networks settle between changes (the blocks
     "deal with human-scale events").  [spacing] is clamped to at least 1
     (the tightest legal step separation); 0 or negative values therefore
-    mean "a flip every tick" rather than an error. *)
+    mean "a flip every tick" rather than an error.  A negative [steps]
+    raises [Invalid_argument]. *)
 
 val settled_outputs :
   Engine.t -> script -> (int * (Node_id.t * Behavior.Ast.value) list) list

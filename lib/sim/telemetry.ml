@@ -1,154 +1,122 @@
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
 
-(* Per-link accounting.  [l_sends] counts attempts (every packet the
-   sender transmitted, struck or not); [l_deliveries] counts Deliver
-   events actually consumed at the sink, so under duplication
-   deliveries can exceed sends and under drops fall short. *)
-type link = {
-  mutable l_sends : int;
-  mutable l_deliveries : int;
-  mutable l_drops : int;
-  mutable l_duplicates : int;
-  mutable l_corruptions : int;
-  mutable l_jittered : int;
-  mutable l_dead_losses : int;
-  mutable l_latency : Obs.Histogram.t;  (* scheduled send->deliver ticks *)
-}
-
-type node = {
-  mutable n_events : int;  (* settle iterations spent on this node *)
-  mutable n_deliveries : int;
-  mutable n_activations : int;
-  mutable n_resets : int;
-  mutable n_pending : int;  (* events currently queued for the node *)
-  mutable n_queue_hwm : int;
-}
-
-type event_kind =
-  | Delivered of Graph.edge
-  | Timer_fired
-  | Sensor_set
-  | Reset
-
-type tl_entry = { tl_time : int; tl_node : Node_id.t; tl_kind : event_kind }
-
+(* The counter block of one engine run: one row of counts per link
+   counter and per node counter, each row indexed by dense edge or node.
+   The engine sizes it at start ([bind]) and writes its cells directly;
+   every reading below is a fold over the rows.  [l_sends] counts
+   attempts (every packet the sender transmitted, struck or not);
+   [l_deliveries] counts Deliver events actually consumed at the sink,
+   so under duplication deliveries can exceed sends and under drops fall
+   short. *)
 type t = {
-  links : (Graph.edge, link) Hashtbl.t;
-  nodes : (Node_id.t, node) Hashtbl.t;
-  mutable t_events : int;
-  mutable t_settles : int;
-  mutable t_pending : int;
-  mutable t_queue_hwm : int;
-  mutable t_clock : int;
-  mutable timeline : tl_entry list option;  (* newest first *)
-  mutable timeline_len : int;
+  timeline : bool;
   timeline_cap : int;
-  mutable timeline_dropped : int;
+  mutable observed : bool;
+  mutable edges : Graph.edge array;
+  mutable dsts : int array;
+  mutable ids : Node_id.t array;
+  mutable links : int array array;
+  mutable nodes : int array array;
+  mutable latency : Obs.Histogram.t array;
+  totals : int array;
+  mutable settles : int;
+  mutable run_hwm : int;
+  mutable clock : int;
+  mutable tl : int array;
+  mutable tl_len : int;
+  mutable tl_dropped : int;
 }
+
+let l_sends = 0
+let l_deliveries = 1
+let l_drops = 2
+let l_duplicates = 3
+let l_corruptions = 4
+let l_jittered = 5
+let l_dead = 6
+let n_events = 0
+let n_activations = 1
+let n_resets = 2
+let n_pending = 3
+let n_hwm = 4
+let k_resets = 5
+let k_stuck = 6
 
 let create ?(timeline = false) ?(timeline_cap = 200_000) () =
   {
-    links = Hashtbl.create 16;
-    nodes = Hashtbl.create 16;
-    t_events = 0;
-    t_settles = 0;
-    t_pending = 0;
-    t_queue_hwm = 0;
-    t_clock = 0;
-    timeline = (if timeline then Some [] else None);
-    timeline_len = 0;
+    timeline;
     timeline_cap;
-    timeline_dropped = 0;
+    observed = false;
+    edges = [||];
+    dsts = [||];
+    ids = [||];
+    links = Array.make 7 [||];
+    nodes = Array.make 5 [||];
+    latency = [||];
+    totals = Array.make 7 0;
+    settles = 0;
+    run_hwm = 0;
+    clock = 0;
+    tl = [||];
+    tl_len = 0;
+    tl_dropped = 0;
   }
 
-let fresh_link () =
+(* Zero every row to length [n], reusing the arrays that have it. *)
+let zero rows n =
+  Array.iteri
+    (fun i a ->
+      if Array.length a = n then Array.fill a 0 n 0
+      else rows.(i) <- Array.make n 0)
+    rows
+
+let bind t ~edges ~dsts ~ids ~observe =
+  let ne = Array.length edges in
+  t.observed <- observe;
+  t.edges <- edges;
+  t.dsts <- dsts;
+  t.ids <- ids;
+  zero t.links ne;
+  zero t.nodes (Array.length ids);
+  if observe then begin
+    if Array.length t.latency = ne then
+      Array.iter Obs.Histogram.clear t.latency
+    else t.latency <- Array.init ne (fun _ -> Obs.Histogram.create ())
+  end;
+  Array.fill t.totals 0 7 0;
+  t.settles <- 0;
+  t.run_hwm <- 0;
+  t.clock <- 0;
+  t.tl_len <- 0;
+  t.tl_dropped <- 0
+
+let timeline_push t ~time ~tag a =
+  if t.tl_len >= t.timeline_cap then t.tl_dropped <- t.tl_dropped + 1
+  else begin
+    let i = 3 * t.tl_len in
+    if i = Array.length t.tl then begin
+      let tl = Array.make (max 48 (2 * i)) 0 in
+      Array.blit t.tl 0 tl 0 i;
+      t.tl <- tl
+    end;
+    t.tl.(i) <- time;
+    t.tl.(i + 1) <- tag;
+    t.tl.(i + 2) <- a;
+    t.tl_len <- t.tl_len + 1
+  end
+
+let injected t =
+  let c = t.totals in
   {
-    l_sends = 0;
-    l_deliveries = 0;
-    l_drops = 0;
-    l_duplicates = 0;
-    l_corruptions = 0;
-    l_jittered = 0;
-    l_dead_losses = 0;
-    l_latency = Obs.Histogram.create ();
+    Fault.drops = c.(0);
+    duplicates = c.(1);
+    corruptions = c.(2);
+    jittered = c.(3);
+    dead_link_losses = c.(4);
+    resets = c.(5);
+    stuck_overrides = c.(6);
   }
-
-let fresh_node () =
-  {
-    n_events = 0;
-    n_deliveries = 0;
-    n_activations = 0;
-    n_resets = 0;
-    n_pending = 0;
-    n_queue_hwm = 0;
-  }
-
-let link_of t e =
-  match Hashtbl.find_opt t.links e with
-  | Some l -> l
-  | None ->
-    let l = fresh_link () in
-    Hashtbl.add t.links e l;
-    l
-
-let node_of t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None ->
-    let n = fresh_node () in
-    Hashtbl.add t.nodes id n;
-    n
-
-(* --- Engine hooks ---------------------------------------------------- *)
-
-let note_scheduled t id =
-  let n = node_of t id in
-  n.n_pending <- n.n_pending + 1;
-  if n.n_pending > n.n_queue_hwm then n.n_queue_hwm <- n.n_pending;
-  t.t_pending <- t.t_pending + 1;
-  if t.t_pending > t.t_queue_hwm then t.t_queue_hwm <- t.t_pending
-
-let note_event t ~time id kind =
-  t.t_events <- t.t_events + 1;
-  if time > t.t_clock then t.t_clock <- time;
-  t.t_pending <- t.t_pending - 1;
-  let n = node_of t id in
-  n.n_events <- n.n_events + 1;
-  n.n_pending <- n.n_pending - 1;
-  (match kind with
-   | Delivered e ->
-     n.n_deliveries <- n.n_deliveries + 1;
-     let l = link_of t e in
-     l.l_deliveries <- l.l_deliveries + 1
-   | Reset -> n.n_resets <- n.n_resets + 1
-   | Timer_fired | Sensor_set -> ());
-  match t.timeline with
-  | None -> ()
-  | Some entries ->
-    if t.timeline_len >= t.timeline_cap then
-      t.timeline_dropped <- t.timeline_dropped + 1
-    else begin
-      t.timeline <-
-        Some ({ tl_time = time; tl_node = id; tl_kind = kind } :: entries);
-      t.timeline_len <- t.timeline_len + 1
-    end
-
-let note_activation t id =
-  let n = node_of t id in
-  n.n_activations <- n.n_activations + 1
-
-let note_send t e ~strike ~latencies =
-  let l = link_of t e in
-  l.l_sends <- l.l_sends + 1;
-  if strike.Fault.s_dropped then l.l_drops <- l.l_drops + 1;
-  if strike.Fault.s_duplicated then l.l_duplicates <- l.l_duplicates + 1;
-  if strike.Fault.s_corrupted then l.l_corruptions <- l.l_corruptions + 1;
-  l.l_jittered <- l.l_jittered + strike.Fault.s_jittered;
-  if strike.Fault.s_dead then l.l_dead_losses <- l.l_dead_losses + 1;
-  List.iter (fun d -> Obs.Histogram.observe_int l.l_latency d) latencies
-
-let note_settle t = t.t_settles <- t.t_settles + 1
 
 (* --- Readings -------------------------------------------------------- *)
 
@@ -171,88 +139,107 @@ type node_stats = {
   queue_hwm : int;
 }
 
-let link_stats_of l =
+let link_stats t ei =
+  let l row = t.links.(row).(ei) in
   {
-    sends = l.l_sends;
-    deliveries = l.l_deliveries;
-    drops = l.l_drops;
-    duplicates = l.l_duplicates;
-    corruptions = l.l_corruptions;
-    jittered = l.l_jittered;
-    dead_losses = l.l_dead_losses;
-    latency = Obs.Histogram.summary l.l_latency;
+    sends = l l_sends;
+    deliveries = l l_deliveries;
+    drops = l l_drops;
+    duplicates = l l_duplicates;
+    corruptions = l l_corruptions;
+    jittered = l l_jittered;
+    dead_losses = l l_dead;
+    latency = Obs.Histogram.summary t.latency.(ei);
   }
 
-let node_stats_of n =
-  {
-    events = n.n_events;
-    packets_in = n.n_deliveries;
-    activations = n.n_activations;
-    resets = n.n_resets;
-    queue_hwm = n.n_queue_hwm;
-  }
+(* Deliveries consumed per dense node: the in-edges' delivery counts. *)
+let packets_in t =
+  let n = Array.make (Array.length t.ids) 0 in
+  Array.iteri (fun ei d -> n.(d) <- n.(d) + t.links.(l_deliveries).(ei)) t.dsts;
+  n
 
-let zero_link_stats = link_stats_of (fresh_link ())
-let zero_node_stats = node_stats_of (fresh_node ())
+let node_stats t =
+  let pin = packets_in t in
+  fun ni ->
+    let n row = t.nodes.(row).(ni) in
+    {
+      events = n n_events;
+      packets_in = pin.(ni);
+      activations = n n_activations;
+      resets = n n_resets;
+      queue_hwm = n n_hwm;
+    }
 
-let links t =
-  Hashtbl.fold (fun e l acc -> (e, link_stats_of l) :: acc) t.links []
-  |> List.sort (fun (a, _) (b, _) -> Graph.compare_edge a b)
+(* Every link in {!Graph.compare_edge} order (dense edges run in fanout
+   order within a port, not destination order) and every node in id
+   order — none for a collector no run was armed with. *)
+let link_rows t =
+  if not t.observed then []
+  else
+    List.sort
+      (fun (a, _) (b, _) -> Graph.compare_edge a b)
+      (List.init (Array.length t.edges) (fun ei ->
+           (t.edges.(ei), link_stats t ei)))
 
-let nodes t =
-  Hashtbl.fold (fun id n acc -> (id, node_stats_of n) :: acc) t.nodes []
-  |> List.sort (fun (a, _) (b, _) -> Node_id.compare a b)
+let node_rows t =
+  if not t.observed then []
+  else
+    let stats = node_stats t in
+    List.init (Array.length t.ids) (fun ni -> (t.ids.(ni), stats ni))
 
-let events t = t.t_events
-let settles t = t.t_settles
-let queue_hwm t = t.t_queue_hwm
-let clock t = t.t_clock
-let timeline_events t = t.timeline_len
-let timeline_dropped t = t.timeline_dropped
+(* A link is touched once a packet entered it; a node once an event was
+   scheduled for it. *)
+let links t = List.filter (fun (_, s) -> s.sends > 0) (link_rows t)
+let nodes t = List.filter (fun (_, s) -> s.queue_hwm > 0) (node_rows t)
+
+let events t =
+  if t.observed then Array.fold_left ( + ) 0 t.nodes.(n_events) else 0
+let settles t = t.settles
+let queue_hwm t = t.run_hwm
+let clock t = t.clock
+let timeline_events t = t.tl_len
+let timeline_dropped t = t.tl_dropped
 
 (* --- Aggregation ----------------------------------------------------- *)
 
-(* Field-wise sums (max for high-water marks and the clock), histogram
+(* Array sums (max for high-water marks and the clock), histogram
    buckets merged exactly.  Every float involved is a sum of small
    integers, so the result is independent of merge order — per-trial
-   collectors folded in any order agree bit-for-bit, which is what makes
-   the --jobs N reports byte-identical.  Timelines do not merge: a
-   merged collector has none. *)
+   blocks folded in any order agree bit-for-bit, which is what makes
+   the --jobs N reports byte-identical. *)
+let add ~into src =
+  if src.observed then begin
+    if not into.observed then
+      bind into ~edges:src.edges ~dsts:src.dsts ~ids:src.ids ~observe:true
+    else if Array.length into.edges <> Array.length src.edges
+         || Array.length into.ids <> Array.length src.ids
+    then invalid_arg "Telemetry.add: collectors of different networks";
+    let combine f dst a = Array.iteri (fun i n -> dst.(i) <- f dst.(i) n) a in
+    Array.iteri (fun row a -> combine ( + ) into.links.(row) a) src.links;
+    Array.iteri
+      (fun row a ->
+        combine (if row = n_hwm then max else ( + )) into.nodes.(row) a)
+      src.nodes;
+    Array.iteri
+      (fun i h -> into.latency.(i) <- Obs.Histogram.merge into.latency.(i) h)
+      src.latency;
+    into.settles <- into.settles + src.settles;
+    into.run_hwm <- max into.run_hwm src.run_hwm;
+    into.clock <- max into.clock src.clock;
+    combine ( + ) into.totals src.totals;
+    if into.timeline then begin
+      for i = 0 to src.tl_len - 1 do
+        timeline_push into ~time:src.tl.(3 * i) ~tag:src.tl.((3 * i) + 1)
+          src.tl.((3 * i) + 2)
+      done;
+      into.tl_dropped <- into.tl_dropped + src.tl_dropped
+    end
+  end
+
 let merge a b =
   let m = create () in
-  let add_links t =
-    Hashtbl.iter
-      (fun e l ->
-        let dst = link_of m e in
-        dst.l_sends <- dst.l_sends + l.l_sends;
-        dst.l_deliveries <- dst.l_deliveries + l.l_deliveries;
-        dst.l_drops <- dst.l_drops + l.l_drops;
-        dst.l_duplicates <- dst.l_duplicates + l.l_duplicates;
-        dst.l_corruptions <- dst.l_corruptions + l.l_corruptions;
-        dst.l_jittered <- dst.l_jittered + l.l_jittered;
-        dst.l_dead_losses <- dst.l_dead_losses + l.l_dead_losses;
-        dst.l_latency <- Obs.Histogram.merge dst.l_latency l.l_latency)
-      t.links
-  in
-  let add_nodes t =
-    Hashtbl.iter
-      (fun id n ->
-        let dst = node_of m id in
-        dst.n_events <- dst.n_events + n.n_events;
-        dst.n_deliveries <- dst.n_deliveries + n.n_deliveries;
-        dst.n_activations <- dst.n_activations + n.n_activations;
-        dst.n_resets <- dst.n_resets + n.n_resets;
-        dst.n_queue_hwm <- max dst.n_queue_hwm n.n_queue_hwm)
-      t.nodes
-  in
-  add_links a;
-  add_links b;
-  add_nodes a;
-  add_nodes b;
-  m.t_events <- a.t_events + b.t_events;
-  m.t_settles <- a.t_settles + b.t_settles;
-  m.t_queue_hwm <- max a.t_queue_hwm b.t_queue_hwm;
-  m.t_clock <- max a.t_clock b.t_clock;
+  add ~into:m a;
+  add ~into:m b;
   m
 
 (* --- Reports --------------------------------------------------------- *)
@@ -275,61 +262,46 @@ let summary_json (s : Obs.Histogram.summary) =
       ("max", Obs.Json.Num s.s_max);
     ]
 
-(* Rows cover every node and every edge of [g] — including untouched
-   ones — in id / compare_edge order, so two reports over the same
-   graph are positionally comparable and the rendering never depends on
-   hash-table iteration order. *)
-let node_rows g t =
-  List.map
-    (fun id ->
-      let stats =
-        match Hashtbl.find_opt t.nodes id with
-        | Some n -> node_stats_of n
-        | None -> zero_node_stats
-      in
-      (id, stats))
-    (Graph.node_ids g)
+(* The count columns of both renderings: table header, JSON key,
+   reading. *)
+let link_columns =
+  [ ("sends", "sends", fun s -> s.sends);
+    ("dlvd", "deliveries", fun s -> s.deliveries);
+    ("drop", "drops", fun s -> s.drops);
+    ("dup", "duplicates", fun s -> s.duplicates);
+    ("corr", "corruptions", fun s -> s.corruptions);
+    ("jit", "jittered", fun s -> s.jittered);
+    ("dead", "dead_losses", fun s -> s.dead_losses) ]
 
-let link_rows g t =
-  List.map
-    (fun e ->
-      let stats =
-        match Hashtbl.find_opt t.links e with
-        | Some l -> link_stats_of l
-        | None -> zero_link_stats
-      in
-      (e, stats))
-    (List.sort Graph.compare_edge (Graph.edges g))
+let node_columns =
+  [ ("events", "events", fun s -> s.events);
+    ("pkts in", "packets_in", fun s -> s.packets_in);
+    ("acts", "activations", fun s -> s.activations);
+    ("resets", "resets", fun s -> s.resets);
+    ("q hwm", "queue_hwm", fun s -> s.queue_hwm) ]
+
+let json_counts columns s =
+  List.map (fun (_, key, read) -> (key, num (read s))) columns
+
+let cells columns s =
+  List.map (fun (_, _, read) -> string_of_int (read s)) columns
+let headers columns = List.map (fun (header, _, _) -> header) columns
 
 let report_json ?name ?(extra = []) g t =
-  let node_json (id, (s : node_stats)) =
+  let node_json (id, s) =
     Obs.Json.Obj
-      [
-        ("id", num id);
-        ("label", Obs.Json.Str (Graph.node g id).Graph.label);
-        ("kind", Obs.Json.Str (Eblock.Kind.to_string (Graph.kind g id)));
-        ("events", num s.events);
-        ("packets_in", num s.packets_in);
-        ("activations", num s.activations);
-        ("resets", num s.resets);
-        ("queue_hwm", num s.queue_hwm);
-      ]
+      ([ ("id", num id);
+         ("label", Obs.Json.Str (Graph.node g id).Graph.label);
+         ("kind", Obs.Json.Str (Eblock.Kind.to_string (Graph.kind g id))) ]
+      @ json_counts node_columns s)
   in
-  let link_json (e, (s : link_stats)) =
+  let link_json (e, s) =
     Obs.Json.Obj
-      [
-        ("link", Obs.Json.Str (Graph.edge_to_string e));
-        ("src", num e.Graph.src.Graph.node);
-        ("dst", num e.Graph.dst.Graph.node);
-        ("sends", num s.sends);
-        ("deliveries", num s.deliveries);
-        ("drops", num s.drops);
-        ("duplicates", num s.duplicates);
-        ("corruptions", num s.corruptions);
-        ("jittered", num s.jittered);
-        ("dead_losses", num s.dead_losses);
-        ("latency_ticks", summary_json s.latency);
-      ]
+      ([ ("link", Obs.Json.Str (Graph.edge_to_string e));
+         ("src", num e.Graph.src.Graph.node);
+         ("dst", num e.Graph.dst.Graph.node) ]
+      @ json_counts link_columns s
+      @ [ ("latency_ticks", summary_json s.latency) ])
   in
   Obs.Json.Obj
     ([ ("schema", Obs.Json.Str schema_name); ("version", num schema_version) ]
@@ -338,59 +310,37 @@ let report_json ?name ?(extra = []) g t =
       | None -> [])
     @ extra
     @ [
-        ("events", num t.t_events);
-        ("settles", num t.t_settles);
-        ("queue_hwm", num t.t_queue_hwm);
-        ("clock", num t.t_clock);
-        ("nodes", Obs.Json.Arr (List.map node_json (node_rows g t)));
-        ("links", Obs.Json.Arr (List.map link_json (link_rows g t)));
+        ("events", num (events t));
+        ("settles", num t.settles);
+        ("queue_hwm", num t.run_hwm);
+        ("clock", num t.clock);
+        ("nodes", Obs.Json.Arr (List.map node_json (node_rows t)));
+        ("links", Obs.Json.Arr (List.map link_json (link_rows t)));
       ])
 
 let tick s = Printf.sprintf "%.1f" s
 
-let utilization_table g t =
-  let header =
-    [ "link"; "sends"; "dlvd"; "drop"; "dup"; "corr"; "jit"; "dead";
-      "p50 tk"; "p99 tk" ]
+let utilization_table t =
+  let row (e, s) =
+    (Graph.edge_to_string e :: cells link_columns s)
+    @ [ tick s.latency.Obs.Histogram.s_p50; tick s.latency.Obs.Histogram.s_p99 ]
   in
-  let row (e, (s : link_stats)) =
-    [
-      Graph.edge_to_string e;
-      string_of_int s.sends;
-      string_of_int s.deliveries;
-      string_of_int s.drops;
-      string_of_int s.duplicates;
-      string_of_int s.corruptions;
-      string_of_int s.jittered;
-      string_of_int s.dead_losses;
-      tick s.latency.Obs.Histogram.s_p50;
-      tick s.latency.Obs.Histogram.s_p99;
-    ]
-  in
-  Obs.Metrics.render_table (header :: List.map row (link_rows g t))
+  Obs.Metrics.render_table
+    ((("link" :: headers link_columns) @ [ "p50 tk"; "p99 tk" ])
+    :: List.map row (link_rows t))
 
 let node_table g t =
-  let header =
-    [ "node"; "label"; "events"; "pkts in"; "acts"; "resets"; "q hwm" ]
+  let row (id, s) =
+    string_of_int id :: (Graph.node g id).Graph.label :: cells node_columns s
   in
-  let row (id, (s : node_stats)) =
-    [
-      string_of_int id;
-      (Graph.node g id).Graph.label;
-      string_of_int s.events;
-      string_of_int s.packets_in;
-      string_of_int s.activations;
-      string_of_int s.resets;
-      string_of_int s.queue_hwm;
-    ]
-  in
-  Obs.Metrics.render_table (header :: List.map row (node_rows g t))
+  Obs.Metrics.render_table
+    (("node" :: "label" :: headers node_columns) :: List.map row (node_rows t))
 
-let kind_label = function
-  | Delivered e -> "deliver " ^ Graph.edge_to_string e
-  | Timer_fired -> "timer"
-  | Sensor_set -> "sensor"
-  | Reset -> "reset"
+(* Timeline entries carry the engine's event tag and index: a delivery
+   names its dense edge, every other event its dense node. *)
+let tag_deliver = 0
+let tag_timer = 1
+let tag_sensor = 2
 
 let write_timeline g t path =
   let lanes =
@@ -405,20 +355,26 @@ let write_timeline g t path =
         })
       (Graph.node_ids g)
   in
-  let instants =
-    match t.timeline with
-    | None -> []
-    | Some entries ->
-      List.rev_map
-        (fun { tl_time; tl_node; tl_kind } ->
-          {
-            Obs.Chrome.ph = Instant;
-            name = kind_label tl_kind;
-            tid = tl_node;
-            ts_us = float_of_int tl_time;
-            args = [];
-          })
-        entries
+  let instant i =
+    let tag = t.tl.((3 * i) + 1) and a = t.tl.((3 * i) + 2) in
+    let name, tid =
+      if tag = tag_deliver then
+        let e = t.edges.(a) in
+        ("deliver " ^ Graph.edge_to_string e, e.Graph.dst.Graph.node)
+      else
+        ( (if tag = tag_timer then "timer"
+           else if tag = tag_sensor then "sensor"
+           else "reset"),
+          t.ids.(a) )
+    in
+    {
+      Obs.Chrome.ph = Instant;
+      name;
+      tid;
+      ts_us = float_of_int t.tl.(3 * i);
+      args = [];
+    }
   in
   Out_channel.with_open_text path (fun oc ->
-      output_string oc (Obs.Chrome.to_string (lanes @ instants)))
+      output_string oc
+        (Obs.Chrome.to_string (lanes @ List.init t.tl_len instant)))

@@ -1,63 +1,99 @@
-(** Per-node / per-link runtime telemetry for the simulated network.
+(** Per-node / per-link runtime telemetry for the simulated network:
+    event deliveries, fault strikes by kind, queue-depth high-water
+    marks, per-link delivery-latency {!Obs.Histogram}s and per-node
+    settle-iteration counts of the {e synthesized network itself}.
 
-    The rest of the observability stack (metrics, journal, flight
-    recorder) watches the {e search tooling}; this module watches the
-    {e synthesized network itself}.  A collector armed via
-    {!Engine.create}[ ?telemetry] records, per node and per directed
-    link: event deliveries, fault strikes by kind (reusing the
-    {!Fault.strike} identity of the plan that struck), queue-depth
-    high-water marks, per-link delivery-latency {!Obs.Histogram}s, and
-    per-node settle-iteration counts.
-
-    Opt-in and zero-cost when off: without a collector every hook site
-    in the engine is a single [match ... with None] on an immutable
-    field, measured below 1% of a Table 1 sweep (see
-    [Experiments.Perf.telemetry_overhead] and doc/network-telemetry.md).
-
-    Collectors from independent trials {!merge} deterministically
-    (field-wise integer sums, exact histogram bucket sums), so
-    Monte-Carlo aggregates are byte-identical across [--jobs N].
-    Readings export as a versioned [paredown-netobs] JSON report,
-    rendered utilization tables, and a Chrome-trace timeline with one
-    lane per node. *)
+    A collector is the counter block of an engine run ({!Engine.create}
+    [?telemetry]): rows indexed by the engine's dense edge and node ids,
+    which the engine writes in place — each count once, fault strikes
+    included (a fault-armed run without a collector counts its strikes
+    on a block of its own, which {!Engine.fault_stats},
+    {!Engine.link_strikes} and the [sim.fault.*] metrics read).  There
+    are no hooks: this module is the block, its readings, {!merge} and
+    the reports.  Without a collector or a fault plan every counting
+    site in the engine is one branch on a [false] flag, measured below
+    1% of a Table 1 sweep ([Experiments.Perf.telemetry_overhead],
+    doc/network-telemetry.md).  Collectors {!merge} by exact array and
+    histogram bucket sums, so Monte-Carlo aggregates are byte-identical
+    across [--jobs N]. *)
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
 
-type t
+type t = {
+  timeline : bool;  (** record one {!timeline_push} per processed event *)
+  timeline_cap : int;
+  mutable observed : bool;  (** bound by a collector-armed run *)
+  mutable edges : Graph.edge array;  (** dense edge -> connection *)
+  mutable dsts : int array;  (** dense edge -> dense destination node *)
+  mutable ids : Node_id.t array;  (** dense node -> id, ascending *)
+  mutable links : int array array;
+      (** one row per link counter ([l_*]), indexed by dense edge *)
+  mutable nodes : int array array;
+      (** one row per node counter ([n_*]), indexed by dense node *)
+  mutable latency : Obs.Histogram.t array;
+      (** per edge: scheduled send-to-delivery ticks *)
+  totals : int array;
+      (** strikes per fault class, in {!Fault.counts} order: the link
+          strike rows' classes, then [k_resets], then [k_stuck]
+          (presentations whose value a stuck-at fault changed) *)
+  mutable settles : int;
+  mutable run_hwm : int;  (** most events queued at once, whole queue *)
+  mutable clock : int;  (** largest event time processed *)
+  mutable tl : int array;
+      (** timeline: (time, event tag, dense edge or node) per entry *)
+  mutable tl_len : int;
+  mutable tl_dropped : int;
+}
+(** The engine writes the fields; everything else reads them through
+    the functions below.  A strike bumps its cell of a strike row
+    ([l_drops] .. [l_dead], [n_resets]) and its class in [totals], on
+    every fault-armed run; the rest is counted only on a run armed with
+    this collector. *)
+
+val l_sends : int
+val l_deliveries : int
+val l_drops : int
+val l_duplicates : int
+val l_corruptions : int
+val l_jittered : int
+val l_dead : int
+(** The link rows: sends, deliveries, then the strike rows [l_drops] to
+    [l_dead] in {!Fault.counts} order — drops, duplicates, corruptions,
+    jittered deliveries (nonzero jitter draws), dead-link losses. *)
+
+val n_events : int
+val n_activations : int
+val n_resets : int
+val n_pending : int
+val n_hwm : int
+(** The node rows: events processed, activations, brownout resets,
+    events queued now, most events queued at once. *)
+
+val k_resets : int
+val k_stuck : int
+(** The [totals] slots past the link strike classes. *)
 
 val create : ?timeline:bool -> ?timeline_cap:int -> unit -> t
-(** A fresh collector.  [timeline] (default false) additionally records
-    one entry per processed event for {!write_timeline}, bounded by
-    [timeline_cap] (default 200_000) — entries past the cap are counted
-    in {!timeline_dropped} instead of recorded. *)
+(** A fresh, unbound collector (every reading zero).  [timeline]
+    (default false) additionally records one entry per processed event
+    for {!write_timeline}, bounded by [timeline_cap] (default 200_000)
+    — entries past the cap are counted in {!timeline_dropped} instead
+    of recorded. *)
 
-(** {1 Engine hooks}
+val bind : t -> edges:Graph.edge array -> dsts:int array ->
+  ids:Node_id.t array -> observe:bool -> unit
+(** Size the block for a network and zero it — what an engine does when
+    a run starts.  [observe] also sizes the latency histograms and makes
+    the readings read the rows. *)
 
-    Called by {!Engine} when a collector is armed; not intended for
-    direct use outside the simulator. *)
+val timeline_push : t -> time:int -> tag:int -> int -> unit
+(** Record one processed event (the engine's tag: 0 delivery, 1 timer,
+    2 sensor, 3 reset; then the dense edge of a delivery or the dense
+    node of anything else), or count it dropped past the cap. *)
 
-type event_kind =
-  | Delivered of Graph.edge
-  | Timer_fired
-  | Sensor_set
-  | Reset
-
-val note_scheduled : t -> Node_id.t -> unit
-(** An event was enqueued for the node (queue-depth tracking). *)
-
-val note_event : t -> time:int -> Node_id.t -> event_kind -> unit
-(** An event was dequeued and processed at the node. *)
-
-val note_activation : t -> Node_id.t -> unit
-
-val note_send : t -> Graph.edge -> strike:Fault.strike -> latencies:int list
-  -> unit
-(** A packet was sent on the edge; [latencies] are the scheduled
-    send-to-delivery delays (in ticks) of each resulting delivery —
-    empty when the packet was dropped or lost. *)
-
-val note_settle : t -> unit
+val injected : t -> Fault.stats
+(** The block's [totals] as a {!Fault.stats}. *)
 
 (** {1 Readings} *)
 
@@ -81,10 +117,11 @@ type node_stats = {
 }
 
 val links : t -> (Graph.edge * link_stats) list
-(** Touched links, sorted by {!Graph.compare_edge}. *)
+(** Links that carried at least one packet, sorted by
+    {!Graph.compare_edge}. *)
 
 val nodes : t -> (Node_id.t * node_stats) list
-(** Touched nodes, sorted by id. *)
+(** Nodes that had at least one event scheduled, sorted by id. *)
 
 val events : t -> int
 val settles : t -> int
@@ -94,11 +131,19 @@ val queue_hwm : t -> int
 val clock : t -> int
 (** Largest simulated time observed. *)
 
+val add : into:t -> t -> unit
+(** Add a collector's readings into another over the same network
+    (array sums; [max] for high-water marks and the clock; exact
+    histogram bucket sums), binding [into] first if it is unbound.
+    [into]'s timeline, if it has one, gains the other's entries up to
+    its cap.  Raises [Invalid_argument] on collectors of different
+    networks. *)
+
 val merge : t -> t -> t
-(** Field-wise aggregation (sums; [max] for high-water marks and the
-    clock; exact histogram bucket sums).  Associative and commutative up
-    to bit-identical readings, so per-trial collectors fold into the
-    same aggregate regardless of order.  The result has no timeline. *)
+(** A fresh collector holding both: {!add} of each into an unbound one.
+    Associative and commutative up to bit-identical readings, so
+    per-trial collectors fold into the same aggregate regardless of
+    order.  The result has no timeline. *)
 
 (** {1 Reports} *)
 
@@ -110,14 +155,15 @@ val schema_version : int
 val report_json :
   ?name:string -> ?extra:(string * Obs.Json.t) list -> Graph.t -> t ->
   Obs.Json.t
-(** The versioned [paredown-netobs] report.  Covers {e every} node and
-    edge of the graph (untouched ones read zero) in id /
-    {!Graph.compare_edge} order, so the rendering is deterministic and
-    two reports over the same graph are positionally comparable.
+(** The versioned [paredown-netobs] report over [g], the network the
+    collector was armed on.  Covers {e every} node and edge (untouched
+    ones read zero) in id / {!Graph.compare_edge} order, so the
+    rendering is deterministic and two reports over the same graph are
+    positionally comparable.
     [extra] fields are spliced into the top-level object after the
     schema header (the observe CLI adds family/seed/severity/blame). *)
 
-val utilization_table : Graph.t -> t -> string
+val utilization_table : t -> string
 (** Per-link utilization rendered with {!Obs.Metrics.render_table}. *)
 
 val node_table : Graph.t -> t -> string

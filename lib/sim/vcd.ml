@@ -51,15 +51,8 @@ let event_limit = 100_000
    tick each strike landed on next to the signals it perturbed
    (doc/fault-injection.md). *)
 let fault_counters =
-  [
-    ("fault_drops", fun s -> s.Fault.drops);
-    ("fault_duplicates", fun s -> s.Fault.duplicates);
-    ("fault_corruptions", fun s -> s.Fault.corruptions);
-    ("fault_jittered", fun s -> s.Fault.jittered);
-    ("fault_dead_losses", fun s -> s.Fault.dead_link_losses);
-    ("fault_resets", fun s -> s.Fault.resets);
-    ("fault_stuck", fun s -> s.Fault.stuck_overrides);
-  ]
+  [ "fault_drops"; "fault_duplicates"; "fault_corruptions"; "fault_jittered";
+    "fault_dead_losses"; "fault_resets"; "fault_stuck" ]
 
 let record ?(extra_probes = []) ?faults g script =
   let probes = output_probes g @ extra_probes in
@@ -69,8 +62,7 @@ let record ?(extra_probes = []) ?faults g script =
     | None -> []
     | Some _ ->
       List.mapi
-        (fun i (label, read) ->
-          (label, read, id_code (List.length probes + i)))
+        (fun i label -> (label, id_code (List.length probes + i)))
         fault_counters
   in
   let engine = Engine.create ?faults g in
@@ -94,16 +86,17 @@ let record ?(extra_probes = []) ?faults g script =
   if markers <> [] then begin
     out "$scope module faults $end\n";
     List.iter
-      (fun (label, _, code) -> out "$var reg 16 %s %s $end\n" code label)
+      (fun (label, code) -> out "$var reg 16 %s %s $end\n" code label)
       markers;
     out "$upscope $end\n"
   end;
   out "$enddefinitions $end\n";
   let current = Hashtbl.create 8 in
-  let marker_value read =
+  (* one cumulative count per marker; no markers without a plan *)
+  let marker_values () =
     match Engine.fault_stats engine with
-    | Some stats -> Behavior.Ast.Int (read stats)
-    | None -> Behavior.Ast.Int 0
+    | Some stats -> List.map (fun n -> Behavior.Ast.Int n) (Fault.counts stats)
+    | None -> []
   in
   out "$dumpvars\n";
   List.iter2
@@ -112,12 +105,11 @@ let record ?(extra_probes = []) ?faults g script =
       Hashtbl.replace current code v;
       out "%s\n" (render_value code v))
     probes codes;
-  List.iter
-    (fun (_, read, code) ->
-      let v = marker_value read in
+  List.iter2
+    (fun (_, code) v ->
       Hashtbl.replace current code v;
       out "%s\n" (render_value code v))
-    markers;
+    markers (marker_values ());
   out "$end\n";
   let last_emitted_time = ref (-1) in
   let emit_change code v =
@@ -136,9 +128,8 @@ let record ?(extra_probes = []) ?faults g script =
     List.iter2
       (fun probe code -> emit_change code (probe_value engine g probe))
       probes codes;
-    List.iter
-      (fun (_, read, code) -> emit_change code (marker_value read))
-      markers
+    List.iter2 (fun (_, code) v -> emit_change code v) markers
+      (marker_values ())
   in
   let rec drain remaining =
     if remaining > 0 && Engine.step engine then begin

@@ -327,6 +327,56 @@ let test_experiment_row_shape () =
        (Experiments.Faults.to_table rows)
        "Podium Timer 3")
 
+(* --- The armed path allocates nothing per send or presentation ------------- *)
+
+(* A plan that draws its drop, corruption and duplicate decisions on
+   every send and scans a stuck-at entry on every presentation, but
+   never strikes, with a collector armed too: its replay allocates
+   exactly what the unarmed replay does, on every Table 1 design. *)
+let test_armed_path_allocation_free () =
+  let never = 1e-300 in
+  List.iter
+    (fun (d : Designs.Design.t) ->
+      let g = d.network in
+      let script =
+        Sim.Stimulus.random ~rng:(Prng.create 5) ~sensors:(Graph.sensors g)
+          ~steps:200 ~spacing:20
+      in
+      let plan =
+        {
+          (F.degrade_all ~seed:3 ~drop:never ~duplicate:never ~corrupt:never
+             ())
+          with
+          node_faults =
+            List.map
+              (fun id ->
+                ( id,
+                  { F.no_node_fault with
+                    stuck = [ { F.port = 0; value = Bool true; from = max_int } ];
+                  } ))
+              (Graph.inner_nodes g);
+        }
+      in
+      let net = Sim.Engine.prepare g in
+      let replay ?faults ?telemetry () =
+        let engine = Sim.Engine.start ?faults ?telemetry net in
+        (* the first pass sizes the calendar's buckets and store *)
+        ignore (Sim.Stimulus.settled_outputs engine script);
+        Sim.Engine.restart ?faults engine;
+        let before = Gc.minor_words () in
+        Sim.Stimulus.apply engine script;
+        Sim.Engine.settle engine;
+        (Gc.minor_words () -. before, Sim.Engine.packet_count engine)
+      in
+      let unarmed_words, unarmed_packets = replay () in
+      let armed_words, armed_packets =
+        replay ~faults:plan ~telemetry:(Sim.Telemetry.create ()) ()
+      in
+      check Alcotest.int (d.name ^ ": same run") unarmed_packets armed_packets;
+      check (Alcotest.float 0.) (d.name ^ ": no allocation when armed")
+        unarmed_words armed_words)
+    Designs.Library.table1
+
 let () =
   Alcotest.run "faults"
     [
@@ -349,6 +399,8 @@ let () =
           Alcotest.test_case "spurious reset" `Quick
             test_spurious_reset_loses_state;
           Alcotest.test_case "reproducible" `Quick test_fault_run_reproducible;
+          Alcotest.test_case "armed path allocates nothing" `Quick
+            test_armed_path_allocation_free;
         ] );
       ( "degradation",
         [

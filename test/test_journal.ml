@@ -213,6 +213,49 @@ let test_post_mortem_bundle () =
       check_contains "summary surfaces the post-mortem reason"
         (Obs.Journal.summary l) "post-mortem reason")
 
+(* A bundle written inside a fan-out item holds what the sequential
+   run's holds: every item's search times out, and the first failure in
+   input order dumps the journal as it stood then. *)
+let bundle_fields ~jobs =
+  Obs.Journal.reset ();
+  let out = Filename.temp_file "paredown-postmortem" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Journal.reset ();
+      try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      Obs.Journal.arm_post_mortem ~capacity:512 ~out ();
+      ignore
+        (Parallel.map ~jobs
+           (fun seed ->
+             let g =
+               Randgen.Generator.generate ~rng:(Prng.create seed) ~inner:12 ()
+             in
+             ignore (Core.Paredown.run g);
+             Core.Exhaustive.run ~deadline_s:0.0 g)
+           [ 3; 4; 5 ]);
+      let bundle =
+        match
+          Obs.Json.of_string
+            (In_channel.with_open_text out In_channel.input_all)
+        with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "bundle does not parse: %s" e
+      in
+      List.map
+        (fun f ->
+          ( f,
+            Option.fold ~none:"-" ~some:Obs.Json.to_string
+              (Obs.Json.member f bundle) ))
+        [ "reason"; "total"; "dropped"; "journal" ])
+
+let test_bundle_jobs_invariant () =
+  let seq = bundle_fields ~jobs:1 in
+  check bool "the sequential bundle holds the search" true
+    (String.length (List.assoc "journal" seq) > 1000);
+  check (list (pair string string)) "jobs 2 bundle = jobs 1 bundle" seq
+    (bundle_fields ~jobs:2)
+
 (* --- Disabled-path overhead ------------------------------------------------- *)
 
 let test_disabled_overhead () =
@@ -274,6 +317,8 @@ let () =
         [
           test_case "deadline expiry writes a loadable bundle" `Quick
             (isolated test_post_mortem_bundle);
+          test_case "a bundle written in a fan-out item is jobs-invariant"
+            `Quick (isolated test_bundle_jobs_invariant);
         ] );
       ( "overhead",
         [

@@ -8,7 +8,8 @@
    observations, output traces, final output values, activation and
    packet counts, fault statistics, the clock, and the full rendered
    telemetry report.  An engine restarted after a finished or cut-off
-   run is held against a fresh start and the oracle.  A deterministic
+   run, with or without a collector it keeps, is held against a fresh
+   start and the oracle.  A deterministic
    sweep over the Table 1 designs covers the workloads of the fault and
    reliability sweeps. *)
 
@@ -21,13 +22,20 @@ module C = Eblock.Catalog
 let check = Alcotest.check
 let value = Testlib.value
 
-(* The engine API both kernels implement. *)
+(* The engine API both kernels implement.  Each has its own telemetry
+   collector — the engine its dense counter block, the oracle the
+   Hashtbl collector the engine used to call hooks on — compared through
+   their rendered reports. *)
 module type KERNEL = sig
   type t
+  type collector
+
+  val collector : unit -> collector
+  val report : Graph.t -> collector -> string
 
   val create :
     ?tie_order:E.tie_order -> ?edge_delay:(Graph.edge -> int) ->
-    ?faults:F.plan -> ?telemetry:Sim.Telemetry.t -> Graph.t -> t
+    ?faults:F.plan -> ?telemetry:collector -> Graph.t -> t
 
   val set_sensor : t -> Node_id.t -> bool -> unit
   val set_sensor_at : t -> time:int -> Node_id.t -> bool -> unit
@@ -45,20 +53,36 @@ module type KERNEL = sig
   val now : t -> int
 end
 
-module Compiled : KERNEL = struct
-  include E
+module Engine_collector = struct
+  type collector = Sim.Telemetry.t
 
+  let collector () = Sim.Telemetry.create ()
+  let report g c = Obs.Json.to_string (Sim.Telemetry.report_json g c)
   let settled_outputs = Sim.Stimulus.settled_outputs
 end
 
-module Interpreted : KERNEL = Sim_oracle
+module Compiled : KERNEL = struct
+  include E
+  include Engine_collector
+end
+
+module Oracle = struct
+  include Sim_oracle
+
+  type collector = Sim_oracle.Telemetry.t
+
+  let collector () = Sim_oracle.Telemetry.create ()
+  let report g c = Obs.Json.to_string (Sim_oracle.Telemetry.report_json g c)
+end
+
+module Interpreted : KERNEL = Oracle
 
 (* Everything one simulation run can show: if any divergence between the
    kernels is observable at all, it is observable here.  An exhausted
    event limit is an observable too, context included. *)
 let observe (module K : KERNEL) ?tie_order ?edge_delay ?faults
     ?(telemetry = false) g script =
-  let collector = if telemetry then Some (Sim.Telemetry.create ()) else None in
+  let collector = if telemetry then Some (K.collector ()) else None in
   let engine =
     K.create ?tie_order ?edge_delay ?faults ?telemetry:collector g
   in
@@ -68,11 +92,7 @@ let observe (module K : KERNEL) ?tie_order ?edge_delay ?faults
     | exception E.Event_limit_exceeded { clock; queue_depth; last_node } ->
       Error (clock, queue_depth, last_node)
   in
-  let report =
-    Option.map
-      (fun tel -> Obs.Json.to_string (Sim.Telemetry.report_json g tel))
-      collector
-  in
+  let report = Option.map (K.report g) collector in
   ( obs,
     K.trace engine,
     K.output_values engine,
@@ -141,11 +161,10 @@ let prop name count f =
 let started_from net : (module KERNEL) =
   (module struct
     include E
+    include Engine_collector
 
     let create ?tie_order ?edge_delay ?faults ?telemetry _g =
       E.start ?tie_order ?edge_delay ?faults ?telemetry net
-
-    let settled_outputs = Sim.Stimulus.settled_outputs
   end)
 
 let equivalence_properties =
@@ -269,6 +288,7 @@ type restart_case = {
   same_plan : bool;  (* B is A's plan, seed included *)
   limit_a : int;
   limit_b : int;
+  collect : bool;  (* a collector armed at start, kept by the restart *)
   script_seed : int;
 }
 
@@ -283,34 +303,36 @@ let restart_arbitrary =
       int_range 0 3 >>= fun same ->
       int_range 0 3 >>= fun limit_a ->
       int_range 0 3 >>= fun limit_b ->
+      bool >>= fun collect ->
       int_range 0 1_000_000 >|= fun script_seed ->
       {
         inner; seed; g; tie; bumpy; pick_a; pick_b; same_plan = same = 0;
         limit_a = limits.(limit_a); limit_b = limits.(max 1 limit_b);
-        script_seed;
+        collect; script_seed;
       })
   in
   QCheck.make gen ~print:(fun c ->
       Printf.sprintf
         "inner=%d seed=%d tie=%d bumpy=%b A=%s B=%s same=%b limit A=%d B=%d \
-         script_seed=%d"
+         collect=%b script_seed=%d"
         c.inner c.seed c.tie c.bumpy pick_names.(c.pick_a)
-        pick_names.(c.pick_b) c.same_plan c.limit_a c.limit_b c.script_seed)
+        pick_names.(c.pick_b) c.same_plan c.limit_a c.limit_b c.collect
+        c.script_seed)
 
 (* Per-link strike and per-node reset counts as a collector saw them —
    the oracle's side of the engine's strike counters. *)
 let collector_strikes tel =
   ( List.filter_map
-      (fun (e, (l : Sim.Telemetry.link_stats)) ->
+      (fun (e, (l : Sim_oracle.Telemetry.link_stats)) ->
         let k =
           l.drops + l.duplicates + l.corruptions + l.jittered + l.dead_losses
         in
         if k > 0 then Some (e, k) else None)
-      (Sim.Telemetry.links tel),
+      (Sim_oracle.Telemetry.links tel),
     List.filter_map
-      (fun (id, (n : Sim.Telemetry.node_stats)) ->
+      (fun (id, (n : Sim_oracle.Telemetry.node_stats)) ->
         if n.resets > 0 then Some (id, n.resets) else None)
-      (Sim.Telemetry.nodes tel) )
+      (Sim_oracle.Telemetry.nodes tel) )
 
 (* A tolerant stepwise replay, as Degrade's faulty run: settle after
    each step and stop at an exhausted event limit, context recorded. *)
@@ -350,11 +372,10 @@ let sim_deltas run =
 let compiled_k : (module KERNEL with type t = E.t) =
   (module struct
     include E
-
-    let settled_outputs = Sim.Stimulus.settled_outputs
+    include Engine_collector
   end)
 
-let oracle_k : (module KERNEL with type t = Sim_oracle.t) = (module Sim_oracle)
+let oracle_k : (module KERNEL with type t = Sim_oracle.t) = (module Oracle)
 
 let restart_matches_fresh_start =
   QCheck.Test.make ~count:250
@@ -376,33 +397,46 @@ let restart_matches_fresh_start =
       in
       let script_b = script_of g (c.script_seed + 2) in
       let net = E.prepare g in
-      let engine = E.start ~tie_order ?edge_delay ?faults:faults_a net in
+      let collector () =
+        if c.collect then Some (Sim.Telemetry.create ()) else None
+      in
+      let telemetry = collector () in
+      let engine =
+        E.start ~tie_order ?edge_delay ?faults:faults_a ?telemetry net
+      in
       Sim.Stimulus.apply engine script_a;
       (try E.settle ~limit:c.limit_a engine
        with E.Event_limit_exceeded _ -> ());
-      let compiled engine =
+      let compiled engine telemetry =
         let observed = replay compiled_k engine script_b c.limit_b in
-        (observed, (E.link_strikes engine, E.node_resets engine))
+        ( observed,
+          (E.link_strikes engine, E.node_resets engine),
+          Option.map (Engine_collector.report g) telemetry )
       in
       let restarted =
         sim_deltas (fun () ->
             E.restart ?faults:faults_b engine;
-            compiled engine)
+            compiled engine telemetry)
       in
       let fresh =
         sim_deltas (fun () ->
-            compiled (E.start ~tie_order ?edge_delay ?faults:faults_b net))
+            let telemetry = collector () in
+            compiled
+              (E.start ~tie_order ?edge_delay ?faults:faults_b ?telemetry net)
+              telemetry)
       in
       (* the oracle has no strike counters: a collector counts for it *)
       let oracle =
         sim_deltas (fun () ->
-            let tel = Sim.Telemetry.create () in
+            let tel = Oracle.collector () in
             let engine =
               Sim_oracle.create ~tie_order ?edge_delay ?faults:faults_b
                 ~telemetry:tel g
             in
             let observed = replay oracle_k engine script_b c.limit_b in
-            (observed, collector_strikes tel))
+            ( observed,
+              collector_strikes tel,
+              if c.collect then Some (Oracle.report g tel) else None ))
       in
       restarted = fresh && fresh = oracle)
 

@@ -236,6 +236,104 @@ let test_spans_under_domains =
          && booms_recorded par
             = 2 * List.fold_left (fun acc s -> acc + booms s) 0 items))
 
+(* A failing fan-out records what the sequential run records: the
+   journal and spans of every item below the failing one, then the
+   failing item's own up to its raise — and the flight recorder's
+   bundle, dumped at the first failure noted in input order (every
+   third item notes one without raising), holds the same journal. *)
+let failing_fanout ~jobs ~fail items =
+  Obs.Journal.reset ();
+  let j = Obs.Journal.install () in
+  let out = Filename.temp_file "paredown-obs" ".json" in
+  Obs.Journal.arm_post_mortem ~out ();
+  let spans =
+    recorded (fun () ->
+        match
+          Parallel.map ~jobs
+            (fun (i, shape) ->
+              Obs.Journal.emit
+                (Obs.Journal.Rejected { node = i; reason = "in" });
+              run_shape i shape;
+              if i mod 3 = 2 then Obs.Journal.note_failure "soft";
+              if i = fail then begin
+                Obs.Journal.note_failure (Printf.sprintf "item %d" i);
+                raise Exit
+              end;
+              Obs.Journal.emit
+                (Obs.Journal.Rejected { node = i; reason = "out" }))
+            (List.mapi (fun i s -> (i, s)) items)
+        with
+        | _ -> Alcotest.fail "the failing item did not raise"
+        | exception Exit -> ())
+  in
+  Obs.Journal.reset ();
+  let bundle =
+    match
+      Obs.Json.of_string (In_channel.with_open_text out In_channel.input_all)
+    with
+    | Ok b ->
+      List.map
+        (fun f -> Option.map Obs.Json.to_string (Obs.Json.member f b))
+        [ "reason"; "total"; "dropped"; "journal" ]
+    | Error e -> Alcotest.failf "bundle: %s" e
+  in
+  Sys.remove out;
+  (Obs.Journal.to_jsonl j, spans, bundle)
+
+(* Item 1 of [0; 1; 2] emits one event inside a span, then raises:
+   items 0 and 1 leave 2 events and 4 span records at every [jobs]. *)
+let test_failing_item_keeps_captures () =
+  List.iter
+    (fun jobs ->
+      Obs.Journal.reset ();
+      let j = Obs.Journal.install () in
+      let spans =
+        recorded (fun () ->
+            try
+              ignore
+                (Parallel.map ~jobs
+                   (fun i ->
+                     Obs.Journal.with_span "item" (fun () ->
+                         Obs.Journal.emit
+                           (Obs.Journal.Rejected
+                              { node = i; reason = "probe" }));
+                     if i = 1 then raise Exit)
+                   [ 0; 1; 2 ])
+            with Exit -> ())
+      in
+      Obs.Journal.reset ();
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "events and span records at ~jobs:%d" jobs)
+        (2, 4)
+        (Obs.Journal.total j, List.length spans))
+    [ 1; 2; 4 ]
+
+let test_failing_fanout_jobs_invariant =
+  let arb =
+    QCheck.make
+      ~print:(fun (items, fail) ->
+        Printf.sprintf "fail=%d: %s" fail
+          (String.concat " | " (List.map show_shape items)))
+      QCheck.Gen.(
+        list_size (int_range 2 8) shape_gen >>= fun items ->
+        int_bound (List.length items - 1) >|= fun fail -> (items, fail))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"failing fan-out under domains" arb
+       (fun (items, fail) ->
+         let multiset spans =
+           List.sort compare
+             (List.map
+                (fun (s : Obs.Journal.span) -> (s.name, s.args))
+                spans)
+         in
+         let jsonl1, seq, bundle1 = failing_fanout ~jobs:1 ~fail items in
+         let jsonl4, par, bundle4 = failing_fanout ~jobs:4 ~fail items in
+         String.equal jsonl1 jsonl4
+         && multiset seq = multiset par
+         && lanes_nest seq && lanes_nest par
+         && bundle1 = bundle4))
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace JSON *)
 
@@ -1028,6 +1126,9 @@ let () =
           Alcotest.test_case "off by default" `Quick
             test_recording_off_by_default;
           test_spans_under_domains;
+          Alcotest.test_case "a failing item keeps its captures" `Quick
+            test_failing_item_keeps_captures;
+          test_failing_fanout_jobs_invariant;
         ] );
       ( "chrome",
         [

@@ -75,6 +75,28 @@ let test_uniformity_rough () =
         Alcotest.failf "bucket %d badly skewed: %d" i count)
     buckets
 
+(* [chance t (threshold p)] answers [float t 1.0 < p] draw for draw:
+   twin generators agree on every answer and stay in step, for random
+   probabilities, the edge values, and probabilities one ulp either
+   side of a drawn value. *)
+let test_chance_is_float_draw () =
+  let agree seed p =
+    let a = Prng.create seed and b = Prng.create seed in
+    let k = Prng.threshold p in
+    for _ = 1 to 200 do
+      if Prng.chance a k <> (Prng.float b 1.0 < p) then
+        Alcotest.failf "seed %d, p %h: answers differ" seed p
+    done;
+    Alcotest.(check int) "in step" (Prng.int a 1_000_000) (Prng.int b 1_000_000)
+  in
+  let rng = Prng.create 42 in
+  for seed = 1 to 200 do
+    let x = Prng.float (Prng.create seed) 1.0 in
+    List.iter (agree seed)
+      [ Prng.float rng 1.0; Prng.float rng 0.01; x; Float.pred x; Float.succ x;
+        0.; -0.5; 1.; 1e-300; 0.05 ]
+  done
+
 let () =
   Alcotest.run "prng"
     [
@@ -88,5 +110,7 @@ let () =
           Alcotest.test_case "shuffle" `Quick test_shuffle_permutation;
           Alcotest.test_case "split" `Quick test_split_independence;
           Alcotest.test_case "rough uniformity" `Quick test_uniformity_rough;
+          Alcotest.test_case "chance = float draw" `Quick
+            test_chance_is_float_draw;
         ] );
     ]

@@ -272,6 +272,15 @@ let test_random_script_toggles () =
      List.for_all2 ( < ) (0 :: times) (times @ [ max_int ])
      |> fun _ -> List.sort compare times = times)
 
+(* A negative script length is an argument error, not an unbounded
+   recursion. *)
+let test_random_script_negative_steps () =
+  Alcotest.check_raises "negative steps"
+    (Invalid_argument "Stimulus.random: steps must be nonnegative") (fun () ->
+      ignore
+        (Sim.Stimulus.random ~rng:(Prng.create 1) ~sensors:[ 1 ] ~steps:(-1)
+           ~spacing:4))
+
 let test_settled_outputs () =
   let g, sensor, _, led = Testlib.chain [ C.not_gate ] in
   let engine = Sim.Engine.create g in
@@ -496,6 +505,8 @@ let () =
             test_random_script_deterministic;
           Alcotest.test_case "toggling steps" `Quick
             test_random_script_toggles;
+          Alcotest.test_case "negative steps rejected" `Quick
+            test_random_script_negative_steps;
           Alcotest.test_case "settled outputs" `Quick test_settled_outputs;
         ] );
       ( "packets",

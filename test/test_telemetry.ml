@@ -315,8 +315,8 @@ let test_disabled_overhead () =
   let o = Experiments.Perf.telemetry_overhead ~iters:200_000 () in
   check Alcotest.bool
     (Printf.sprintf
-       "disabled overhead %.5f of the sim sweep (guard %.2f ns x %d hook \
-        sites) stays under 1%%"
+       "disabled overhead %.5f of the sim sweep (guard %.2f ns x %d \
+        counting sites) stays under 1%%"
        o.Experiments.Perf.t_ratio o.Experiments.Perf.t_guard_ns
        o.Experiments.Perf.t_events)
     true
