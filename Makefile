@@ -23,8 +23,23 @@ tables:
 
 # Small fixed-seed fault-injection sweep: flat vs partitioned Table 1
 # designs under packet drops.  Deterministic — same output every run.
+# A row depends on its own rate only: the 10 % row of a 5 %,10 % sweep
+# must read as it does when 10 % runs alone.  A drop rate outside
+# [0, 1] is a usage error: exit 124, nothing on stdout.
 faults:
 	dune exec bin/run_experiments.exe -- faults --trials 3
+	dune build bin/paredown.exe
+	$(PAREDOWN) faults "Podium Timer 3" --trials 6 --drop 0.05,0.1 \
+	  | grep "10 %" > faults-both.txt
+	$(PAREDOWN) faults "Podium Timer 3" --trials 6 --drop 0.1 \
+	  | grep "10 %" > faults-one.txt
+	diff faults-both.txt faults-one.txt
+	rm -f faults-both.txt faults-one.txt
+	out=$$($(PAREDOWN) faults "Podium Timer 3" --drop=1.5 2>/dev/null); \
+	code=$$?; \
+	if [ $$code -ne 124 ] || [ -n "$$out" ]; then \
+	  echo "faults --drop=1.5: exit $$code, stdout '$$out' (want 124, empty)"; exit 1; \
+	fi
 
 bench:
 	dune exec bench/main.exe

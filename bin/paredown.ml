@@ -3,6 +3,7 @@
    networks, emit C, simulate, and verify equivalence. *)
 
 open Cmdliner
+open Cli
 
 module Graph = Netlist.Graph
 
@@ -353,31 +354,6 @@ let synth_cmd =
 
 (* simulate *)
 
-let family_conv =
-  let parse s =
-    match Reliability.Family.of_string s with
-    | Ok f -> Ok f
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv
-    ( parse,
-      fun ppf f -> Format.pp_print_string ppf (Reliability.Family.to_string f)
-    )
-
-(* Count flags are checked at the boundary: a bad count is a usage
-   error (exit 124), not an exception or a runaway deep in a sweep. *)
-let count_conv ~min =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
-    | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let trials_conv = count_conv ~min:1
-let steps_conv = count_conv ~min:0
-
 let simulate_cmd =
   let steps_arg =
     Arg.(value & opt steps_conv 20
@@ -461,7 +437,7 @@ let faults_cmd =
          & info [ "trials" ] ~doc:"Fault-plan seeds per drop rate.")
   in
   let drops_arg =
-    Arg.(value & opt (list float) [ 0.02; 0.05; 0.10 ]
+    Arg.(value & opt (list rate_conv) [ 0.02; 0.05; 0.10 ]
          & info [ "drop" ] ~docv:"RATES"
              ~doc:"Comma-separated per-packet drop probabilities to sweep.")
   in

@@ -4,6 +4,7 @@
    fuzz, all. *)
 
 open Cmdliner
+open Cli
 
 let out_arg =
   let doc = "Also write the table as CSV to $(docv)." in
@@ -209,20 +210,6 @@ let run_fuzz seed seeds jobs csv_out show_metrics () =
     csv_out;
   if Experiments.Fuzz.failed_seeds rows <> [] then exit 1
 
-(* Count flags are checked at the boundary: a bad count is a usage
-   error (exit 124), not an exception or a runaway deep in a sweep. *)
-let count_conv ~min =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
-    | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let trials_conv = count_conv ~min:1
-let steps_conv = count_conv ~min:0
-
 let jobs_arg =
   let doc =
     "Worker domains for the sweep (default 1 = sequential).  Any value \
@@ -344,16 +331,7 @@ let reliability_cmd =
          & info [ "trials" ] ~doc:"Monte-Carlo trials per scored solution.")
   in
   let family_arg =
-    let family_c =
-      Arg.conv
-        ( (fun s ->
-            match Reliability.Family.of_string s with
-            | Ok f -> Ok f
-            | Error e -> Error (`Msg e)),
-          fun ppf f ->
-            Format.pp_print_string ppf (Reliability.Family.to_string f) )
-    in
-    Arg.(value & opt family_c Reliability.Estimator.default_config.family
+    Arg.(value & opt family_conv Reliability.Estimator.default_config.family
          & info [ "family" ] ~docv:"FAMILY"
              ~doc:"Fault-plan family: $(b,drop:R), \
                    $(b,chaos:DROP,DUP,CORRUPT,JITTER), or \
@@ -377,21 +355,12 @@ let netobs_cmd =
          & info [ "trials" ] ~doc:"Monte-Carlo replays per network.")
   in
   let family_arg =
-    let family_c =
-      Arg.conv
-        ( (fun s ->
-            match Reliability.Family.of_string s with
-            | Ok f -> Ok f
-            | Error e -> Error (`Msg e)),
-          fun ppf f ->
-            Format.pp_print_string ppf (Reliability.Family.to_string f) )
-    in
     let default =
       match Experiments.Netobs.default_config.family with
       | Some f -> f
       | None -> Reliability.Family.Drop { rate = 0.05 }
     in
-    Arg.(value & opt family_c default
+    Arg.(value & opt family_conv default
          & info [ "family" ] ~docv:"FAMILY"
              ~doc:"Fault-plan family: $(b,drop:R), \
                    $(b,chaos:DROP,DUP,CORRUPT,JITTER), or \

@@ -1,5 +1,10 @@
 module Graph = Netlist.Graph
 
+(* Experiments.Reliability shadows the reliability library's name, so it
+   is reached through the dune root module (as in netobs.ml). *)
+module Estimator = Libs.Reliability.Estimator
+module Family = Libs.Reliability.Family
+
 type config = {
   seed : int;
   trials : int;
@@ -19,81 +24,40 @@ let default_config =
     settle_limit = 20_000;
   }
 
-type tally = {
-  identical : int;
-  recovered : int;
-  wrong : int;
-  diverged : int;
-}
-
-let empty_tally = { identical = 0; recovered = 0; wrong = 0; diverged = 0 }
-
-let count outcome t =
-  match outcome with
-  | Sim.Degrade.Identical -> { t with identical = t.identical + 1 }
-  | Sim.Degrade.Glitch_recovered -> { t with recovered = t.recovered + 1 }
-  | Sim.Degrade.Wrong_value -> { t with wrong = t.wrong + 1 }
-  | Sim.Degrade.Diverged -> { t with diverged = t.diverged + 1 }
-
 type row = {
   design : string;
   drop : float;
-  trials : int;
   flat_edges : int;
   part_edges : int;
-  flat : tally;
-  part : tally;
-  flat_injected : int;
-  part_injected : int;
+  flat : Estimator.estimate;
+  part : Estimator.estimate;
 }
 
 let run_network ?(config = default_config) ~name g =
   let result, _ = Codegen.Replace.synthesize g in
   let g' = result.Codegen.Replace.network in
-  let script =
-    Sim.Stimulus.random
-      ~rng:(Prng.create config.seed)
-      ~sensors:(Graph.sensors g) ~steps:config.steps ~spacing:config.spacing
-  in
-  (* One seed stream per network keeps the table stable when a single
-     design or rate is re-run in isolation. *)
-  let seed_rng = Prng.create (Hashtbl.hash (config.seed, name)) in
   List.map
     (fun drop ->
-      let tally_of net =
-        (* Per-trial injection stats aggregate through Fault.merge (the
-           field-wise sum), not ad-hoc int accumulation, so the row can
-           report any fault class later without touching this loop. *)
-        let rec loop t injected remaining =
-          if remaining = 0 then (t, Sim.Fault.total injected)
-          else begin
-            let plan =
-              Sim.Fault.drop_all ~seed:(Prng.int seed_rng 1_000_000_000) drop
-            in
-            let run =
-              Sim.Degrade.classify ~settle_limit:config.settle_limit
-                ~faults:plan net script
-            in
-            loop
-              (count run.Sim.Degrade.outcome t)
-              (Sim.Fault.merge injected run.Sim.Degrade.injected)
-              (remaining - 1)
-          end
-        in
-        loop empty_tally Sim.Fault.zero config.trials
+      (* One estimator config per point: both networks replay its script
+         under its plans (sensors keep their ids under synthesis), and
+         nothing in it depends on the other rates or designs. *)
+      let estimator =
+        {
+          Estimator.seed = config.seed;
+          trials = config.trials;
+          family = Family.Drop { rate = drop };
+          steps = config.steps;
+          spacing = config.spacing;
+          settle_limit = config.settle_limit;
+        }
       in
-      let flat, flat_injected = tally_of g in
-      let part, part_injected = tally_of g' in
       {
         design = name;
         drop;
-        trials = config.trials;
         flat_edges = Graph.edge_count g;
         part_edges = Graph.edge_count g';
-        flat;
-        part;
-        flat_injected;
-        part_injected;
+        flat = Estimator.estimate_network estimator g;
+        part = Estimator.estimate_network estimator g';
       })
     config.drop_rates
 
@@ -109,8 +73,8 @@ let headers =
     "Part ok/gl/wr/dv"; "Inj"; "Inj'";
   ]
 
-let tally_cell t =
-  Printf.sprintf "%d/%d/%d/%d" t.identical t.recovered t.wrong t.diverged
+let tally_cell (e : Estimator.estimate) =
+  Printf.sprintf "%d/%d/%d/%d" e.identical e.recovered e.wrong e.diverged
 
 let row_cells r =
   [
@@ -120,8 +84,8 @@ let row_cells r =
     string_of_int r.part_edges;
     tally_cell r.flat;
     tally_cell r.part;
-    string_of_int r.flat_injected;
-    string_of_int r.part_injected;
+    string_of_int (Sim.Fault.total r.flat.injected);
+    string_of_int (Sim.Fault.total r.part.injected);
   ]
 
 let to_table rows =
@@ -134,7 +98,9 @@ let summary rows =
   let points = List.length rows in
   let no_worse =
     List.length
-      (List.filter (fun r -> r.part.identical >= r.flat.identical) rows)
+      (List.filter
+         (fun r -> r.part.Estimator.identical >= r.flat.Estimator.identical)
+         rows)
   in
   let mean_pct f =
     if points = 0 then 0.
@@ -142,7 +108,7 @@ let summary rows =
       100.
       *. List.fold_left
            (fun acc r ->
-             acc +. (float_of_int (f r) /. float_of_int (max 1 r.trials)))
+             acc +. (float_of_int (f r) /. float_of_int r.flat.trials))
            0. rows
       /. float_of_int points
   in
@@ -150,5 +116,5 @@ let summary rows =
     "partitioned no worse on %d/%d design-rate points (mean clean runs: \
      flat %.0f %%, partitioned %.0f %%)"
     no_worse points
-    (mean_pct (fun r -> r.flat.identical))
-    (mean_pct (fun r -> r.part.identical))
+    (mean_pct (fun r -> r.flat.Estimator.identical))
+    (mean_pct (fun r -> r.part.Estimator.identical))

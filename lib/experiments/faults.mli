@@ -3,17 +3,24 @@
     Collapsing inner blocks onto one programmable block removes physical
     hops, and every hop is a fault site — so partitioning should change
     (usually improve) fault exposure, a claim the paper's cost metrics
-    cannot see.  For each Table 1 design this experiment replays one
-    stimulus script over the original network and its synthesised
-    counterpart under a sweep of seeded packet-drop plans and tallies the
-    {!Sim.Degrade} outcome of every trial.
+    cannot see.  For each Table 1 design and drop rate this experiment
+    estimates the original network and its synthesised counterpart
+    ({!Libs.Reliability.Estimator.estimate_network}) under the
+    [drop:rate] family and tallies the {!Sim.Degrade} outcome of every
+    trial.
 
-    Everything is derived deterministically from [config.seed]; two runs
-    with the same configuration produce identical tables. *)
+    Both estimates of a point use one estimator config, so the two
+    columns face the same stimulus script and the same per-trial plan
+    seeds: a difference in tallies is a difference in exposure, not
+    luck.  Nothing in a point depends on the other rates or designs, so
+    a row reads the same whether its rate runs alone or after others.
+    Everything is derived deterministically from [config.seed]. *)
+
+module Estimator = Libs.Reliability.Estimator
 
 type config = {
-  seed : int;  (** drives the stimulus script and every trial's plan *)
-  trials : int;  (** fault-plan seeds per (design, drop rate) point *)
+  seed : int;  (** the estimator's seed: script and trial plans *)
+  trials : int;  (** Monte-Carlo trials per (design, drop rate) point *)
   drop_rates : float list;
   steps : int;  (** sensor flips in the stimulus script *)
   spacing : int;
@@ -22,23 +29,15 @@ type config = {
 
 val default_config : config
 
-type tally = {
-  identical : int;
-  recovered : int;
-  wrong : int;
-  diverged : int;
-}
-
 type row = {
   design : string;
   drop : float;
-  trials : int;
   flat_edges : int;  (** fault sites in the original network *)
   part_edges : int;  (** fault sites after synthesis *)
-  flat : tally;
-  part : tally;
-  flat_injected : int;  (** faults that struck, summed over trials *)
-  part_injected : int;
+  flat : Estimator.estimate;  (** the original network under [drop:rate] *)
+  part : Estimator.estimate;
+      (** the synthesised network under the same estimator config: the
+          same script and the same plan seeds *)
 }
 
 val run_network :

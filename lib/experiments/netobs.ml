@@ -57,13 +57,12 @@ let script config g =
   Estimator.script (estimator config Estimator.default_config.family) g
 
 let observe_network ?(jobs = 1) ?(config = default_config) ~name g =
-  let script = script config g in
+  let telemetry = Sim.Telemetry.create () in
   match config.family with
   | None ->
     (* Fault-free observation: one clean instrumented replay. *)
-    let telemetry = Sim.Telemetry.create () in
     let engine = Sim.Engine.create ~telemetry g in
-    ignore (Sim.Stimulus.settled_outputs engine script);
+    ignore (Sim.Stimulus.settled_outputs engine (script config g));
     {
       name;
       network = g;
@@ -79,64 +78,42 @@ let observe_network ?(jobs = 1) ?(config = default_config) ~name g =
       blame = Estimator.empty_blame;
     }
   | Some family ->
-    if config.trials <= 0 then invalid_arg "Netobs: trials must be positive";
-    let reference = Sim.Degrade.reference g script in
-    let plans = Estimator.plans (estimator config family) g in
-    (* Plans are pre-drawn in trial order and replayed as the estimator
-       replays them: one engine per contiguous chunk, one chunk per job,
-       each chunk gathering its runs into a collector of its own.
-       Parallel.map returns the chunks in input order, so the merged
-       telemetry, tally, and blame below cannot depend on [jobs]. *)
-    let chunks =
-      Parallel.map ~jobs
-        (fun plans ->
-          let telemetry = Sim.Telemetry.create () in
-          ( Sim.Degrade.classify_each ~settle_limit:config.settle_limit
-              ~telemetry ~reference plans,
-            telemetry ))
-        (Parallel.chunks (max 1 jobs) plans)
-    in
-    let runs = List.concat_map fst chunks in
-    let telemetry = Sim.Telemetry.create () in
-    List.iter (fun (_, tel) -> Sim.Telemetry.add ~into:telemetry tel) chunks;
-    let count o =
-      List.length (List.filter (fun r -> r.Sim.Degrade.outcome = o) runs)
-    in
-    let severity =
-      List.fold_left
-        (fun acc r -> acc +. Sim.Degrade.score r.Sim.Degrade.outcome)
-        0. runs
-      /. float_of_int config.trials
+    let e =
+      Estimator.estimate_network ~jobs ~telemetry (estimator config family) g
     in
     {
       name;
       network = g;
       family = Some family;
       seed = config.seed;
-      trials = config.trials;
+      trials = e.trials;
       telemetry;
-      identical = count Sim.Degrade.Identical;
-      recovered = count Sim.Degrade.Glitch_recovered;
-      wrong = count Sim.Degrade.Wrong_value;
-      diverged = count Sim.Degrade.Diverged;
-      severity;
-      blame = Estimator.blame_of_trials runs;
+      identical = e.identical;
+      recovered = e.recovered;
+      wrong = e.wrong;
+      diverged = e.diverged;
+      severity = e.mean;
+      blame = e.blame;
     }
 
 let record_timeline ?(config = default_config) g =
-  let script = script config g in
   let telemetry = Sim.Telemetry.create ~timeline:true () in
-  (* The first trial's plan — the timeline shows the same perturbed run
-     the first Monte-Carlo trial classified — or without a family the
-     clean script under the empty plan. *)
-  let faults =
-    match config.family with
-    | Some family -> List.hd (Estimator.plans (estimator config family) g)
-    | None -> Sim.Fault.none
-  in
-  ignore
-    (Sim.Degrade.classify_each ~settle_limit:config.settle_limit ~telemetry
-       ~reference:(Sim.Degrade.reference g script) [ faults ]);
+  (match config.family with
+   | Some family ->
+     (* The first trial's plan does not depend on the trial count, so a
+        one-trial estimate replays the very run the first Monte-Carlo
+        trial classified. *)
+     ignore
+       (Estimator.estimate_network ~telemetry
+          { (estimator config family) with trials = 1 }
+          g)
+   | None ->
+     (* Without a family: the clean script under the empty plan. *)
+     ignore
+       (Sim.Degrade.classify_each ~settle_limit:config.settle_limit
+          ~telemetry
+          ~reference:(Sim.Degrade.reference g (script config g))
+          [ Sim.Fault.none ]));
   telemetry
 
 let report_json o =

@@ -3,13 +3,11 @@
     flat-vs-partitioned link-utilization comparison over Table 1.
 
     This is the driver behind [paredown observe] and
-    [run_experiments netobs]: it replays the estimator's reproducible
-    stimulus script under [trials] seeded fault plans through
-    {!Sim.Degrade.classify_each} with a {!Sim.Telemetry} collector per
-    chunk of trials, merges the collectors deterministically for its
-    reports, and attributes the measured
-    severity to links and nodes from each trial's engine strike
-    counters via {!Libs.Reliability.Estimator.blame_of_trials}.
+    [run_experiments netobs].  It runs no trial loop of its own: an
+    observation is {!Libs.Reliability.Estimator.estimate_network} under
+    the same config, with a {!Sim.Telemetry} collector passed as
+    [~telemetry] to gather every trial.  The tally, severity and blame
+    are the estimate's; the merged collector feeds the reports.
     Everything is byte-identical across [--jobs N] (see
     doc/network-telemetry.md). *)
 
@@ -49,13 +47,18 @@ type observation = {
 
 val observe_network :
   ?jobs:int -> ?config:config -> name:string -> Graph.t -> observation
+(** With a family: {!Estimator.estimate_network} on [jobs] domains,
+    gathering every trial into a fresh collector.
+    Without one: one clean instrumented replay of the script. *)
 
 val record_timeline : ?config:config -> Graph.t -> Sim.Telemetry.t
-(** One extra replay of the first trial's plan (the clean script under
-    the empty plan when [family] is [None]) through
-    {!Sim.Degrade.classify_each}, with timeline recording on, for
-    {!Sim.Telemetry.write_timeline}.  A livelocking faulty replay is
-    truncated at the event budget rather than raised. *)
+(** One extra replay of the first trial's plan, with timeline recording
+    on, for {!Sim.Telemetry.write_timeline}: a one-trial estimate, since
+    the first plan does not depend on [trials].  When [family] is
+    [None], the clean script under the empty plan
+    ({!Sim.Degrade.classify_each} of {!Sim.Fault.none}).  A livelocking
+    faulty replay is truncated at the event budget rather than
+    raised. *)
 
 val report_json : observation -> Obs.Json.t
 (** The [paredown-netobs] report with the observation header spliced in

@@ -16,3 +16,13 @@ val elapsed_s : int64 -> float
 
 val ns_to_us : int64 -> float
 (** Nanoseconds to microseconds (the Chrome trace-event unit). *)
+
+val stable_times : unit -> bool
+(** Whether rendered wall-clock readings are masked: the
+    [PAREDOWN_STABLE_TIMES] environment variable is set, non-empty and
+    not ["0"].  Then every humanised time renders as ["--"] (metrics
+    tables, [Report.Timing]) and served responses carry a [null]
+    elapsed time, so two runs of the same experiment diff
+    byte-identically — the CI [--jobs 2] vs [--jobs 1] gates rely on
+    it (doc/performance.md).  Read at each call, so setting the
+    variable after start-up takes effect. *)

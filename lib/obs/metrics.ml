@@ -190,19 +190,9 @@ let is_zero = function
    humanised times; everything else as plain numbers. *)
 let is_time_name name = String.ends_with ~suffix:"_ns" name
 
-(* PAREDOWN_STABLE_TIMES: render every humanised time as "--" so two
-   runs of the same experiment diff byte-identically.  Everything else
-   the pipeline prints is deterministic; wall-clock readings are the
-   one exception, and the CI `--jobs 2` vs `--jobs 1` gate relies on
-   masking them.  (Same convention as {!Report.Timing}.) *)
-let stable_times =
-  match Sys.getenv_opt "PAREDOWN_STABLE_TIMES" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
 let pp_quantity ~time v =
   if not time then Printf.sprintf "%g" v
-  else if stable_times then "--"
+  else if Clock.stable_times () then "--"
   else if v >= 1e9 then Printf.sprintf "%.2fs" (v /. 1e9)
   else if v >= 1e6 then Printf.sprintf "%.2fms" (v /. 1e6)
   else if v >= 1e3 then Printf.sprintf "%.2fus" (v /. 1e3)

@@ -198,7 +198,7 @@ let plans config g =
   in
   draw config.trials []
 
-let estimate_network ?(jobs = 1) (config : config) g =
+let estimate_network ?(jobs = 1) ?telemetry (config : config) g =
   if config.trials <= 0 then invalid_arg "Estimator: trials must be positive";
   let t0 = Obs.Clock.now_ns () in
   let script = script config g in
@@ -208,16 +208,31 @@ let estimate_network ?(jobs = 1) (config : config) g =
      the estimate cannot depend on [jobs]. *)
   let plans = plans config g in
   (* One engine per contiguous chunk of plans, one chunk per job,
-     restarted between trials; Parallel.map returns the chunks in input
-     order, so the runs come back in trial order and the tally and the
-     blame fold cannot depend on [jobs]. *)
-  let runs =
-    List.concat
-      (Parallel.map ~jobs
-         (Sim.Degrade.classify_each ~settle_limit:config.settle_limit
-            ~reference)
-         (Parallel.chunks (max 1 jobs) plans))
+     restarted between trials, each chunk gathering its runs into a
+     collector of its own shaped like [telemetry]; Parallel.map returns
+     the chunks in input order, so the runs come back in trial order
+     and the tally, the blame fold and the merged collector cannot
+     depend on [jobs]. *)
+  let chunks =
+    Parallel.map ~jobs
+      (fun plans ->
+        let collector =
+          Option.map
+            (fun (c : Sim.Telemetry.t) ->
+              Sim.Telemetry.create ~timeline:c.timeline
+                ~timeline_cap:c.timeline_cap ())
+            telemetry
+        in
+        ( Sim.Degrade.classify_each ~settle_limit:config.settle_limit
+            ?telemetry:collector ~reference plans,
+          collector ))
+      (Parallel.chunks (max 1 jobs) plans)
   in
+  Option.iter
+    (fun into ->
+      List.iter (fun (_, c) -> Option.iter (Sim.Telemetry.add ~into) c) chunks)
+    telemetry;
+  let runs = List.concat_map fst chunks in
   let count o =
     List.length (List.filter (fun r -> r.Sim.Degrade.outcome = o) runs)
   in

@@ -50,9 +50,10 @@ val default_config : config
     carries those counts.  The trial's score-mass (score / trials) is
     split over the fault sites in proportion to how many strikes each
     absorbed during that trial — so the components always sum (±ε) to
-    [mean].  No per-trial collector is armed.  Degraded trials with no
-    site-attributable strike (only static stuck-at faults can cause
-    this) accumulate in [b_unattributed].  See
+    [mean].  Blame never reads a {!Sim.Telemetry} collector; the one
+    {!estimate_network} may gather into is for reports only.  Degraded
+    trials with no site-attributable strike (only static stuck-at
+    faults can cause this) accumulate in [b_unattributed].  See
     doc/network-telemetry.md. *)
 
 type blame = {
@@ -69,13 +70,6 @@ val empty_blame : blame
 val blame_total : blame -> float
 (** Sum of every component — equals the estimate's [mean] up to float
     rounding. *)
-
-val blame_of_trials : Sim.Degrade.run list -> blame
-(** Aggregate trials' runs, in trial order: each run's
-    {!Sim.Degrade.score} mass over its [link_strikes] and
-    [node_resets].  Deterministic: per-site accumulation follows list
-    order and the output is sorted by site identity, so feeding trials
-    in input order makes the vector jobs-invariant. *)
 
 val blame_table : blame -> string
 (** Rendered site table, heaviest site first, with a total row. *)
@@ -107,17 +101,25 @@ val script : config -> Graph.t -> Sim.Stimulus.script
     their node ids under synthesis rewriting, so the script built from a
     flat design drives its synthesised counterpart unchanged. *)
 
-val plans : config -> Graph.t -> Sim.Fault.plan list
-(** The [trials] seeded plans the estimator replays, in trial order:
-    each seed drawn from a stream rooted at [config.seed], distinct from
-    the script's. *)
-
-val estimate_network : ?jobs:int -> config -> Graph.t -> estimate
+val estimate_network :
+  ?jobs:int -> ?telemetry:Sim.Telemetry.t -> config -> Graph.t -> estimate
 (** Score a network as-is (no rewriting): one clean reference run, then
-    [trials] faulty replays.  The trials split into [jobs] contiguous
-    chunks (default 1), each replayed on one engine restarted between
-    trials ({!Sim.Degrade.classify_each}), and the chunks fan out over
-    [jobs] domains.  When no trial diverges, an estimate costs exactly
+    [trials] faulty replays, each under the family's plan for a seed
+    drawn from a stream rooted at [config.seed] (distinct from the
+    script's), in trial order — so the first trial's plan does not
+    depend on [trials].  This is the library's one Monte-Carlo trial
+    driver: the reliability sweep, the fault-tolerance experiment and
+    the network observatory all run their trials here.
+
+    The trials split into [jobs] contiguous chunks (default 1), each
+    replayed on one engine restarted between trials
+    ({!Sim.Degrade.classify_each}), and the chunks fan out over [jobs]
+    domains.  [telemetry] gathers every faulty replay: each chunk
+    replays into a collector of its own, shaped like [telemetry]
+    (timeline included), and the chunk collectors are added into
+    [telemetry] in chunk order ({!Sim.Telemetry.add}), so the merged
+    readings cannot depend on [jobs] either.  The clean reference is
+    never gathered.  When no trial diverges, an estimate costs exactly
     [steps × (trials + 1)] settles. *)
 
 (** {1 The memo cache} *)

@@ -15,17 +15,8 @@ let time_best_of ~repeats f =
   let result, elapsed = time f in
   loop result elapsed (repeats - 1)
 
-(* PAREDOWN_STABLE_TIMES masks every rendered time as "--" so two runs
-   of the same experiment (e.g. `--jobs 2` vs `--jobs 1` in CI) diff
-   byte-identically; wall-clock readings are the only nondeterministic
-   output.  Same convention as [Obs.Metrics.pp_quantity]. *)
-let stable_times =
-  match Sys.getenv_opt "PAREDOWN_STABLE_TIMES" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
 let format_seconds s =
-  if stable_times then "--"
+  if Obs.Clock.stable_times () then "--"
   else if s < 0.001 then "<1ms"
   else if s < 1.0 then Printf.sprintf "%.2fms" (s *. 1000.)
   else if s < 60.0 then Printf.sprintf "%.2f s" s

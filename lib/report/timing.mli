@@ -10,8 +10,6 @@ val time_best_of : repeats:int -> (unit -> 'a) -> 'a * float
 
 val format_seconds : float -> string
 (** The paper's Table 1/2 time notation: ["<1ms"], ["6.56ms"],
-    ["4.79 s"], ["3.67 min"].  When the [PAREDOWN_STABLE_TIMES]
-    environment variable is set (non-empty, non-["0"]) every time
-    renders as ["--"] instead, making experiment output byte-stable
-    across runs — the CI determinism gate diffs [--jobs 2] against
-    [--jobs 1] under it (see doc/performance.md). *)
+    ["4.79 s"], ["3.67 min"].  Under {!Obs.Clock.stable_times} every
+    time renders as ["--"] instead, making experiment output
+    byte-stable across runs. *)

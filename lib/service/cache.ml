@@ -3,7 +3,9 @@ module Json = Obs.Json
 let schema = "paredown-solution-cache"
 let version = 1
 let default_capacity = 4096
-let default_flush_every = 32
+
+(* Inserts between store writes, besides the one at batch drain. *)
+let flush_every = 32
 
 let m_hits = Obs.Metrics.counter "service.cache_hits"
 let m_misses = Obs.Metrics.counter "service.cache_misses"
@@ -12,7 +14,6 @@ let m_evictions = Obs.Metrics.counter "service.cache_evictions"
 type t = {
   table : Json.t Obs.Lru.t;
   path : string option;
-  flush_every : int;
   mutable hits : int;
   mutable misses : int;
   mutable unflushed : int;
@@ -102,8 +103,7 @@ let load_into table path =
         | _ -> Error "cache file has no entries array")
   end
 
-let create ?(capacity = default_capacity)
-    ?(flush_every = default_flush_every) ?path () =
+let create ?(capacity = default_capacity) ?path () =
   let table = Obs.Lru.create ~capacity in
   let loaded =
     match path with
@@ -116,7 +116,7 @@ let create ?(capacity = default_capacity)
            start empty, and let the next flush overwrite it. *)
         Error e)
   in
-  ( { table; path; flush_every; hits = 0; misses = 0; unflushed = 0 },
+  ( { table; path; hits = 0; misses = 0; unflushed = 0 },
     loaded )
 
 (* ------------------------------------------------------------------ *)
@@ -246,4 +246,4 @@ let insert (t : t) key payload =
   if evicted > 0 then
     for _ = 1 to evicted do Obs.Metrics.incr m_evictions done;
   t.unflushed <- t.unflushed + 1;
-  if t.unflushed >= t.flush_every then save t
+  if t.unflushed >= flush_every then save t

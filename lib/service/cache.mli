@@ -18,20 +18,18 @@
 
     Persistence: [{"schema": "paredown-solution-cache", "version": 1,
     "entries": [{key, value}, ...]}], entries oldest-first, written
-    atomically (tmp + rename), flushed every [flush_every] inserts and
-    at batch drain.  A missing file starts empty; an unreadable or
-    mismatched file starts empty with a warning (never a crash). *)
+    atomically (tmp + rename), flushed every 32 inserts and at batch
+    drain.  A missing file starts empty; an unreadable or mismatched
+    file starts empty with a warning (never a crash). *)
 
 module Json = Obs.Json
 
 val default_capacity : int
-val default_flush_every : int
 
 type t
 
 val create :
-  ?capacity:int -> ?flush_every:int -> ?path:string -> unit ->
-  t * (int, string) result
+  ?capacity:int -> ?path:string -> unit -> t * (int, string) result
 (** The second component reports the load: [Ok n] entries restored, or
     [Error reason] when the file existed but could not be used (the
     cache still works, starting empty). *)
@@ -81,4 +79,4 @@ val find : t -> string -> Json.t option
 
 val insert : t -> string -> Json.t -> unit
 (** Insert, count any eviction on [service.cache_evictions], and flush
-    to disk when [flush_every] inserts have accumulated. *)
+    to disk when 32 inserts have accumulated. *)

@@ -18,11 +18,6 @@ let default_config =
   { jobs = 1; queue = 256; cache_path = None;
     capacity = Cache.default_capacity; log = ignore }
 
-let stable_times () =
-  match Sys.getenv_opt "PAREDOWN_STABLE_TIMES" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
 (* ------------------------------------------------------------------ *)
 
 type job = {
@@ -154,7 +149,7 @@ let run ?(config = default_config) ic oc =
    | Ok 0 -> ()
    | Ok n -> config.log (Printf.sprintf "cache: restored %d entries" n)
    | Error e -> config.log (Printf.sprintf "cache: starting empty (%s)" e));
-  let stable = stable_times () in
+  let stable = Obs.Clock.stable_times () in
   let elapsed_json ns = if stable then Json.Null else Json.Num ns in
   let summary =
     ref

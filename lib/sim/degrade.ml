@@ -52,7 +52,6 @@ let same_outputs a b =
 
 type reference = {
   ref_net : Engine.prepared;  (* every trial engine starts from it *)
-  ref_tie_order : Engine.tie_order;
   ref_script : Stimulus.step array;  (* sorted by time, stably *)
   ref_outputs : (Node_id.t * Behavior.Ast.value) list array;
       (* the clean run's settled outputs after each step *)
@@ -110,7 +109,7 @@ let classify_run ~settle_limit ~reference engine =
     settle_limit;
   }
 
-let reference ?(tie_order = Engine.Fifo) g script =
+let reference g script =
   let net = Engine.prepare g in
   let ordered =
     List.stable_sort
@@ -119,12 +118,11 @@ let reference ?(tie_order = Engine.Fifo) g script =
   in
   {
     ref_net = net;
-    ref_tie_order = tie_order;
     ref_script = Array.of_list ordered;
     ref_outputs =
       Array.of_list
         (List.map snd
-           (Stimulus.settled_outputs (Engine.start ~tie_order net) ordered));
+           (Stimulus.settled_outputs (Engine.start net) ordered));
   }
 
 (* Every faulty replay runs here: one engine for the list, started for
@@ -143,8 +141,7 @@ let classify_each ?(settle_limit = 100_000) ?telemetry ~reference plans =
         telemetry
     in
     let engine =
-      Engine.start ~tie_order:reference.ref_tie_order ~faults:first
-        ?telemetry:block reference.ref_net
+      Engine.start ~faults:first ?telemetry:block reference.ref_net
     in
     let classify () =
       let run = classify_run ~settle_limit ~reference engine in
@@ -162,13 +159,6 @@ let classify_each ?(settle_limit = 100_000) ?telemetry ~reference plans =
     in
     go [ first_run ] rest
 
-let classify ?(tie_order = Engine.Fifo) ?(settle_limit = 100_000) ~faults g
-    script =
-  let reference = reference ~tie_order g script in
-  List.hd (classify_each ~settle_limit ~reference [ faults ])
-
-let sweep ?(tie_order = Engine.Fifo) ?(settle_limit = 100_000) ~plans g
-    script =
-  let reference = reference ~tie_order g script in
-  List.combine (List.map fst plans)
-    (classify_each ~settle_limit ~reference (List.map snd plans))
+let classify ?(settle_limit = 100_000) ~faults g script =
+  List.hd
+    (classify_each ~settle_limit ~reference:(reference g script) [ faults ])

@@ -66,55 +66,39 @@ type run = {
 }
 
 val classify :
-  ?tie_order:Engine.tie_order ->
-  ?settle_limit:int ->
-  faults:Fault.plan ->
-  Graph.t ->
-  Stimulus.script ->
+  ?settle_limit:int -> faults:Fault.plan -> Graph.t -> Stimulus.script ->
   run
 (** Replay [script] clean and under [faults] and classify
     ({!classify_each} of one plan against a fresh {!reference}).  Both
-    runs use the same [tie_order] (default {!Engine.Fifo}).  [settle_limit]
-    (default 100_000) bounds each per-step settle of the faulty run;
-    exceeding it yields {!Diverged} rather than an exception.  The clean
-    run is expected to settle: its {!Engine.Event_limit_exceeded}
-    propagates, since a design that livelocks without faults cannot be
-    graded. *)
-
-val sweep :
-  ?tie_order:Engine.tie_order ->
-  ?settle_limit:int ->
-  plans:(string * Fault.plan) list ->
-  Graph.t ->
-  Stimulus.script ->
-  (string * run) list
-(** {!classify} under each named plan, sharing one clean reference
-    run and one engine ({!classify_each}).  Each row's [settle_limit]
-    field reports the limit the sweep actually ran under. *)
+    runs use the engine's default tie order.  [settle_limit] (default
+    100_000) bounds each per-step settle of the faulty run; exceeding it
+    yields {!Diverged} rather than an exception.  The clean run is
+    expected to settle: its {!Engine.Event_limit_exceeded} propagates,
+    since a design that livelocks without faults cannot be graded. *)
 
 (** {1 Shared references and the replay}
 
     A reliability estimate classifies one (network, script) pair under
     dozens of seeded plans.  A {!reference} freezes the clean run's
-    settled observations once, with the tie order they were produced
-    under, the network's {!Engine.prepared} tables and the sorted
-    script; it is immutable, so worker domains share it.
-    {!classify_each} is the one faulty replay — {!classify}, {!sweep},
-    the estimator and the network observatory all run through it: one
+    settled observations once, with the network's {!Engine.prepared}
+    tables and the sorted script; it is immutable, so worker domains
+    share it.  {!classify_each} is the one faulty replay — {!classify}
+    and the Monte-Carlo estimator ([Reliability.Estimator], the one
+    trial driver) run through it: one
     engine per list of plans, {!Engine.restart}ed between them, each
     step's settled outputs compared with the reference's as the step
-    settles.  Each run's strike lists come from the engine's strike
-    counters ({!Engine.link_strikes}). *)
+    settles.  Grading many plans against one clean run is one
+    {!reference} and one {!classify_each}.  Each run's strike lists come
+    from the engine's strike counters ({!Engine.link_strikes}). *)
 
 type reference
 (** One clean run's settled observations, plus the prepared network they
     came from. *)
 
-val reference :
-  ?tie_order:Engine.tie_order -> Graph.t -> Stimulus.script -> reference
-(** Replay [script] faultlessly and record the per-step settled
-    outputs.  The clean run is expected to settle: its
-    {!Engine.Event_limit_exceeded} propagates. *)
+val reference : Graph.t -> Stimulus.script -> reference
+(** Replay [script] faultlessly, in the engine's default tie order, and
+    record the per-step settled outputs.  The clean run is expected to
+    settle: its {!Engine.Event_limit_exceeded} propagates. *)
 
 val classify_each :
   ?settle_limit:int -> ?telemetry:Telemetry.t -> reference:reference ->
@@ -123,8 +107,8 @@ val classify_each :
     engine: started for the first plan and {!Engine.restart}ed for each
     next one.  Equal, run for run, to classifying each plan on a fresh
     engine — a restart leaves exactly the state a start does — minus
-    the per-trial allocation.  The faulty runs reuse the reference's tie
-    order and prepared network.  [settle_limit] (default 100_000)
+    the per-trial allocation.  The faulty runs reuse the reference's
+    prepared network.  [settle_limit] (default 100_000)
     bounds each per-step settle; exceeding it yields {!Diverged} and
     ends that run's replay.  [telemetry] gathers every faulty run into
     the collector ({!Telemetry.add}; the clean reference is never re-run,

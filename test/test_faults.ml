@@ -260,30 +260,32 @@ let test_classify_outcome_spectrum () =
        [ Sim.Degrade.Identical; Sim.Degrade.Glitch_recovered;
          Sim.Degrade.Wrong_value; Sim.Degrade.Diverged ])
 
+(* Grading many plans against one clean run: one reference, one
+   restarted engine ({!Sim.Degrade.classify_each}) = a fresh reference
+   and engine per plan ({!Sim.Degrade.classify}), strike lists
+   included, also when the event limit cuts runs off. *)
 let test_sweep_shares_reference () =
   let g = Testlib.podium in
   let script = script_for g 5 10 in
   let plans =
-    [ ("none", F.none); ("drop", F.drop_all ~seed:4 0.1);
-      ("chaos", F.degrade_all ~seed:6 ~duplicate:0.3 ~jitter:2 ());
-      ("drop again", F.drop_all ~seed:4 0.1) ]
+    [ F.none; F.drop_all ~seed:4 0.1;
+      F.degrade_all ~seed:6 ~duplicate:0.3 ~jitter:2 ();
+      F.drop_all ~seed:4 0.1 ]
   in
-  let results = Sim.Degrade.sweep ~plans g script in
+  let reference = Sim.Degrade.reference g script in
+  let results = Sim.Degrade.classify_each ~reference plans in
   check Alcotest.int "one result per plan" 4 (List.length results);
   check Alcotest.string "empty plan identical" "identical"
-    (Sim.Degrade.outcome_to_string
-       (List.assoc "none" results).Sim.Degrade.outcome);
-  (* the sweep's one restarted engine = a fresh engine per plan, strike
-     lists included, also when the event limit cuts runs off *)
+    (Sim.Degrade.outcome_to_string (List.hd results).Sim.Degrade.outcome);
   List.iter
     (fun settle_limit ->
       check Alcotest.bool
-        (Printf.sprintf "sweep = classify per plan (limit %d)" settle_limit)
+        (Printf.sprintf "shared reference = classify per plan (limit %d)"
+           settle_limit)
         true
-        (Sim.Degrade.sweep ~settle_limit ~plans g script
+        (Sim.Degrade.classify_each ~settle_limit ~reference plans
          = List.map
-             (fun (name, faults) ->
-               (name, Sim.Degrade.classify ~settle_limit ~faults g script))
+             (fun faults -> Sim.Degrade.classify ~settle_limit ~faults g script)
              plans))
     [ 3; 100_000 ]
 
@@ -314,9 +316,8 @@ let test_experiment_row_shape () =
   check Alcotest.int "flat edges" 13 r.Experiments.Faults.flat_edges;
   check Alcotest.bool "partitioning removed fault sites" true
     (r.Experiments.Faults.part_edges < r.Experiments.Faults.flat_edges);
-  let total t =
-    Experiments.Faults.(
-      t.identical + t.recovered + t.wrong + t.diverged)
+  let total (e : Reliability.Estimator.estimate) =
+    e.identical + e.recovered + e.wrong + e.diverged
   in
   check Alcotest.int "flat tally covers every trial" small_config.trials
     (total r.Experiments.Faults.flat);
@@ -326,6 +327,53 @@ let test_experiment_row_shape () =
     (Testlib.contains
        (Experiments.Faults.to_table rows)
        "Podium Timer 3")
+
+(* A row is a function of its own rate: running 10 % alone or after
+   5 % gives the same row.  Drawing every rate's plans from one stream
+   would make the 10 % row depend on the rates before it. *)
+let test_experiment_rate_stable () =
+  let config rates =
+    { Experiments.Faults.default_config with trials = 6; drop_rates = rates }
+  in
+  let rows rates =
+    Experiments.Faults.run_design ~config:(config rates)
+      Designs.Library.podium_timer_3
+  in
+  check Alcotest.bool "10 % row alone = after 5 %" true
+    (List.nth (rows [ 0.05; 0.1 ]) 1 = List.hd (rows [ 0.1 ]))
+
+(* Both columns of a point are estimates under its drop:rate config, on
+   the flat and the synthesised network: one script and one plan list
+   for both. *)
+let test_experiment_columns_paired () =
+  let config =
+    { Experiments.Faults.default_config with
+      trials = 6; drop_rates = [ 0.05; 0.1 ] }
+  in
+  let d = Designs.Library.podium_timer_3 in
+  let g = d.network in
+  let g' = (fst (Codegen.Replace.synthesize g)).Codegen.Replace.network in
+  List.iter
+    (fun (r : Experiments.Faults.row) ->
+      let estimator =
+        {
+          Reliability.Estimator.seed = config.seed;
+          trials = config.trials;
+          family = Reliability.Family.Drop { rate = r.drop };
+          steps = config.steps;
+          spacing = config.spacing;
+          settle_limit = config.settle_limit;
+        }
+      in
+      check Alcotest.bool
+        (Printf.sprintf "flat column at %g = estimate_network" r.drop)
+        true
+        (r.flat = Reliability.Estimator.estimate_network estimator g);
+      check Alcotest.bool
+        (Printf.sprintf "partitioned column at %g = estimate_network" r.drop)
+        true
+        (r.part = Reliability.Estimator.estimate_network estimator g'))
+    (Experiments.Faults.run_design ~config d)
 
 (* --- The armed path allocates nothing per send or presentation ------------- *)
 
@@ -419,5 +467,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick
             test_experiment_deterministic;
           Alcotest.test_case "row shape" `Quick test_experiment_row_shape;
+          Alcotest.test_case "rows are rate-stable" `Quick
+            test_experiment_rate_stable;
+          Alcotest.test_case "columns are paired estimates" `Quick
+            test_experiment_columns_paired;
         ] );
     ]

@@ -77,11 +77,12 @@ let test_boundary_pinned_per_seed () =
 
 let test_sweep_reports_settle_limit () =
   let script = podium_script 5 ~steps:10 in
-  let plans = [ ("none", F.none); ("drop", F.drop_all ~seed:4 0.1) ] in
+  let reference = D.reference Testlib.podium script in
+  let plans = [ F.none; F.drop_all ~seed:4 0.1 ] in
   let limits limit =
     List.map
-      (fun (_, r) -> r.D.settle_limit)
-      (D.sweep ?settle_limit:limit ~plans Testlib.podium script)
+      (fun r -> r.D.settle_limit)
+      (D.classify_each ?settle_limit:limit ~reference plans)
   in
   check (Alcotest.list Alcotest.int) "caller's limit reported" [ 123; 123 ]
     (limits (Some 123));
@@ -130,6 +131,31 @@ let test_family_string_round_trip () =
       | Ok _ -> Alcotest.fail (bad ^ " should not parse")
       | Error _ -> ())
     [ ""; "drop"; "drop:1.5"; "brownout:0.3"; "chaos:0.1"; "meteor:1" ]
+
+(* The --drop converter: a rate gets the drop:R family's check, so a
+   value outside [0, 1] (NaN and the infinities included) is a usage
+   error with the family's message, never a row. *)
+let test_drop_rate_converter () =
+  let parse = Cmdliner.Arg.conv_parser Cli.rate_conv in
+  List.iter
+    (fun (s, rate) ->
+      match parse s with
+      | Ok r -> check (Alcotest.float 0.) ("accepts " ^ s) rate r
+      | Error (`Msg e) -> Alcotest.failf "%s rejected: %s" s e)
+    [ ("0", 0.); ("0.05", 0.05); ("1", 1.); ("1e-3", 0.001) ];
+  List.iter
+    (fun (s, message) ->
+      match parse s with
+      | Ok r -> Alcotest.failf "%s accepted as %g" s r
+      | Error (`Msg e) -> check Alcotest.string ("rejects " ^ s) message e)
+    [
+      ("1.5", "drop rate must be in [0, 1]: 1.5");
+      ("-0.1", "drop rate must be in [0, 1]: -0.1");
+      ("nan", "drop rate must be in [0, 1]: nan");
+      ("inf", "drop rate must be in [0, 1]: inf");
+      ("abc", "drop rate is not a number: abc");
+      ("", "drop rate is not a number: ");
+    ]
 
 let test_family_plan_deterministic () =
   let g = Testlib.podium in
@@ -1094,6 +1120,8 @@ let () =
         [
           Alcotest.test_case "string round-trip" `Quick
             test_family_string_round_trip;
+          Alcotest.test_case "drop-rate converter" `Quick
+            test_drop_rate_converter;
           Alcotest.test_case "plan deterministic" `Quick
             test_family_plan_deterministic;
           Alcotest.test_case "brownout targets inner nodes" `Quick

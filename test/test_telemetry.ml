@@ -229,6 +229,58 @@ let test_observation_jobs_invariant () =
   let r1 = report (observe ~jobs:1) and r2 = report (observe ~jobs:2) in
   check Alcotest.string "paredown-netobs report byte-identical" r1 r2
 
+(* The observatory runs its trials through the estimator: at every job
+   count an observation's tally, severity and blame are those of
+   estimate_network on the same config, and its collector reads the
+   same at both job counts. *)
+let test_observation_is_an_estimate () =
+  List.iter
+    (fun (g, family) ->
+      let config =
+        { Experiments.Netobs.default_config with
+          trials = 12; family = Some family }
+      in
+      let e =
+        Reliability.Estimator.estimate_network
+          {
+            Reliability.Estimator.seed = config.seed;
+            trials = config.trials;
+            family;
+            steps = config.steps;
+            spacing = config.spacing;
+            settle_limit = config.settle_limit;
+          }
+          g
+      in
+      let label = Reliability.Family.to_string family in
+      check Alcotest.bool (label ^ ": some trial degrades") true (e.mean > 0.);
+      let reports =
+        List.map
+          (fun jobs ->
+            let o =
+              Experiments.Netobs.observe_network ~jobs ~config ~name:label g
+            in
+            let at what = Printf.sprintf "%s, jobs %d: %s" label jobs what in
+            check
+              (Alcotest.list Alcotest.int)
+              (at "tally")
+              [ e.identical; e.recovered; e.wrong; e.diverged ]
+              [ o.identical; o.recovered; o.wrong; o.diverged ];
+            check (Alcotest.float 0.) (at "severity") e.mean o.severity;
+            check Alcotest.bool (at "blame") true (e.blame = o.blame);
+            Obs.Json.to_string (Sim.Telemetry.report_json g o.telemetry))
+          [ 1; 2 ]
+      in
+      check Alcotest.string (label ^ ": collector jobs-invariant")
+        (List.nth reports 0) (List.nth reports 1))
+    [
+      ( Designs.Library.podium_timer_3.Designs.Design.network,
+        Reliability.Estimator.default_config.family );
+      ( two_zone,
+        Reliability.Family.Chaos
+          { drop = 0.02; duplicate = 0.01; corrupt = 0.01; jitter = 2 } );
+    ]
+
 let test_report_covers_whole_graph () =
   let o = observe ~jobs:1 in
   match Experiments.Netobs.report_json o with
@@ -275,6 +327,25 @@ let test_timeline_records_lanes () =
         (Testlib.contains text "thread_name");
       check Alcotest.bool "instants carry the event kind" true
         (Testlib.contains text "deliver "))
+
+(* The first trial's plan does not depend on the trial count, so the
+   timeline replay (a one-trial estimate) records exactly the run an
+   observation's first trial does. *)
+let test_timeline_replays_first_trial () =
+  let g = two_zone in
+  let config =
+    { Experiments.Netobs.default_config with
+      trials = 5;
+      family = Some (Reliability.Family.Drop { rate = 0.2 }) }
+  in
+  let first =
+    Experiments.Netobs.observe_network ~config:{ config with trials = 1 }
+      ~name:"first" g
+  in
+  let report t = Obs.Json.to_string (Sim.Telemetry.report_json g t) in
+  check Alcotest.string "timeline replay = first trial"
+    (report first.Experiments.Netobs.telemetry)
+    (report (Experiments.Netobs.record_timeline ~config g))
 
 let test_timeline_cap_drops_oldest () =
   let t = Sim.Telemetry.create ~timeline:true ~timeline_cap:3 () in
@@ -349,6 +420,8 @@ let () =
             test_observation_jobs_invariant;
           Alcotest.test_case "covers the whole graph" `Quick
             test_report_covers_whole_graph;
+          Alcotest.test_case "observation is an estimate" `Quick
+            test_observation_is_an_estimate;
         ] );
       ( "timeline",
         [
@@ -356,6 +429,8 @@ let () =
             test_timeline_records_lanes;
           Alcotest.test_case "cap drops oldest" `Quick
             test_timeline_cap_drops_oldest;
+          Alcotest.test_case "replays the first trial" `Quick
+            test_timeline_replays_first_trial;
         ] );
       ( "vcd",
         [
