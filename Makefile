@@ -18,8 +18,9 @@ test:
 check: build test
 	dune exec bin/run_experiments.exe -- scale
 
+# Every table of the paper's evaluation and of our extensions.
 tables:
-	BENCH_TABLES_ONLY=1 dune exec bench/main.exe
+	dune exec bin/run_experiments.exe -- all
 
 # Small fixed-seed fault-injection sweep: flat vs partitioned Table 1
 # designs under packet drops.  Deterministic — same output every run.
@@ -41,8 +42,10 @@ faults:
 	  echo "faults --drop=1.5: exit $$code, stdout '$$out' (want 124, empty)"; exit 1; \
 	fi
 
+# The perf suite (one timed workload per group, min of 3 repeats)
+# written to perf-snapshot.json; `paredown perf compare` diffs two.
 bench:
-	dune exec bench/main.exe
+	dune exec bin/paredown.exe -- perf record
 
 # Small fixed-seed reliability sweep: the λ grid and Pareto front over
 # Table 1 with a reduced trial count (doc/reliability.md).  The flight
@@ -93,7 +96,9 @@ perf-smoke: jobs-check
 # doc/performance.md).  The observe runs cover both halves of the
 # blame vector: link strikes (drops and the chaos family's duplicate,
 # corrupt and jitter draws on Entry Gate Detector) and node resets
-# (brownouts on Two-Zone Security).  The served batch fails on purpose
+# (brownouts on Podium Timer 3, which degrade it to severity 0.625; the
+# --jobs 1 run must print a node blame row, or the diff compares an
+# empty table).  The served batch fails on purpose
 # (every exhaustive search expires at once): the flight recorder's
 # bundle must hold the same journal at every --jobs.
 BUNDLE_FIELDS = python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); print(json.dumps([b[k] for k in ("reason", "total", "dropped", "journal")], indent=1))'
@@ -114,10 +119,12 @@ jobs-check:
 	diff observe-j1.txt observe-j2.txt
 	diff netobs-j1.json netobs-jobs.json
 	rm -f observe-j1.txt observe-j2.txt netobs-j1.json netobs-jobs.json
-	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe "Two-Zone Security" \
+	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe "Podium Timer 3" \
 	  --faults brownout:0.3@40,110,180 --jobs 1 --netobs netobs-jobs.json > observe-j1.txt
+	grep -q '^node [0-9]' observe-j1.txt || \
+	  { echo "jobs-check: the brownout observe printed no node blame row"; exit 1; }
 	cp netobs-jobs.json netobs-j1.json
-	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe "Two-Zone Security" \
+	PAREDOWN_STABLE_TIMES=1 dune exec bin/paredown.exe -- observe "Podium Timer 3" \
 	  --faults brownout:0.3@40,110,180 --jobs 2 --netobs netobs-jobs.json > observe-j2.txt
 	diff observe-j1.txt observe-j2.txt
 	diff netobs-j1.json netobs-jobs.json
@@ -221,19 +228,20 @@ trace-smoke: build
 bench-selftest:
 	python3 bench/e2e/run.py selftest
 
-# Network-observatory smoke: `paredown observe` on two Table 1 designs
-# under a seeded drop plan (utilization table + paredown-netobs JSON +
-# Chrome timeline, uploaded as CI artifacts), then the flat-vs-
-# partitioned link-utilization comparison with the disabled-telemetry
-# overhead bound asserted (exits nonzero above 1%%; see
-# doc/network-telemetry.md).  A zero trial count and a negative script
-# length are usage errors: exit 124, nothing on stdout.
+# Network-observatory smoke: `paredown observe` on two Table 1 designs,
+# Entry Gate Detector under a seeded drop plan and Podium Timer 3 under
+# brownouts, which blame node resets (utilization tables +
+# paredown-netobs JSON + Chrome timeline, uploaded as CI artifacts),
+# then the flat-vs-partitioned link-utilization comparison with the
+# disabled-telemetry overhead bound asserted (exits nonzero above 1%%;
+# see doc/network-telemetry.md).  A zero trial count and a negative
+# script length are usage errors: exit 124, nothing on stdout.
 netobs-smoke:
 	dune exec bin/paredown.exe -- observe "Entry Gate Detector" \
 	  --faults drop:0.05 --netobs netobs-entry-gate.json \
 	  --timeline netobs-entry-gate-timeline.json
-	dune exec bin/paredown.exe -- observe "Two-Zone Security" \
-	  --faults brownout:0.3@40,110,180 --netobs netobs-two-zone.json
+	dune exec bin/paredown.exe -- observe "Podium Timer 3" \
+	  --faults brownout:0.3@40,110,180 --netobs netobs-podium-timer-3.json
 	dune exec bin/run_experiments.exe -- netobs --trials 3 --overhead
 	dune build bin/paredown.exe
 	for flag in --trials=0 --steps=-1; do \

@@ -760,7 +760,7 @@ let perf_record_cmd =
   in
   Cmd.v
     (Cmd.info "record"
-       ~doc:"Run the perf suite (one workload per bench group) and write \
+       ~doc:"Run the perf suite (one workload per group) and write \
              a snapshot JSON: min-of-k wall times plus the full metrics \
              registry.")
     Term.(const run $ out_arg $ repeats_arg)

@@ -37,8 +37,6 @@ let variants : (string * runner) list =
         } );
     ( "aggregation baseline",
       fun g -> Core.Aggregation.run g );
-    ( "simulated annealing",
-      fun g -> (Core.Annealing.run g).Core.Annealing.solution );
     ( "shapes {2x2, 4x4}",
       paredown_with
         {

@@ -9,7 +9,6 @@
     - convexity requirement disabled (a literal reading of the paper);
     - net-based instead of per-edge pin counting;
     - the greedy aggregation baseline of §4.2;
-    - a simulated-annealing partitioner (generic metaheuristic yardstick);
     - multi-shape block libraries (the paper's future-work extension). *)
 
 type variant = {

@@ -56,13 +56,17 @@ let estimator (config : config) family =
 let script config g =
   Estimator.script (estimator config Estimator.default_config.family) g
 
+(* Without a family, an observation and a timeline are both this one
+   run: the clean script, replayed once on an instrumented engine. *)
+let clean_replay config ~telemetry g =
+  let engine = Sim.Engine.create ~telemetry g in
+  ignore (Sim.Stimulus.settled_outputs engine (script config g))
+
 let observe_network ?(jobs = 1) ?(config = default_config) ~name g =
   let telemetry = Sim.Telemetry.create () in
   match config.family with
   | None ->
-    (* Fault-free observation: one clean instrumented replay. *)
-    let engine = Sim.Engine.create ~telemetry g in
-    ignore (Sim.Stimulus.settled_outputs engine (script config g));
+    clean_replay config ~telemetry g;
     {
       name;
       network = g;
@@ -107,13 +111,7 @@ let record_timeline ?(config = default_config) g =
        (Estimator.estimate_network ~telemetry
           { (estimator config family) with trials = 1 }
           g)
-   | None ->
-     (* Without a family: the clean script under the empty plan. *)
-     ignore
-       (Sim.Degrade.classify_each ~settle_limit:config.settle_limit
-          ~telemetry
-          ~reference:(Sim.Degrade.reference g (script config g))
-          [ Sim.Fault.none ]));
+   | None -> clean_replay config ~telemetry g);
   telemetry
 
 let report_json o =

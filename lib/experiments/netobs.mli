@@ -55,10 +55,9 @@ val record_timeline : ?config:config -> Graph.t -> Sim.Telemetry.t
 (** One extra replay of the first trial's plan, with timeline recording
     on, for {!Sim.Telemetry.write_timeline}: a one-trial estimate, since
     the first plan does not depend on [trials].  When [family] is
-    [None], the clean script under the empty plan
-    ({!Sim.Degrade.classify_each} of {!Sim.Fault.none}).  A livelocking
-    faulty replay is truncated at the event budget rather than
-    raised. *)
+    [None], the same one clean instrumented replay that
+    {!observe_network} makes.  A livelocking faulty replay is truncated
+    at the event budget rather than raised. *)
 
 val report_json : observation -> Obs.Json.t
 (** The [paredown-netobs] report with the observation header spliced in

@@ -1,7 +1,6 @@
-(* The perf suite: one small, deterministic workload per bench group,
-   shared by bench/main.ml (BENCH_paredown.json) and the `paredown
-   perf` CLI.  Each group exercises the same code path as the
-   corresponding Bechamel group, sized so a full record stays in the
+(* The perf suite behind `paredown perf record` (and `make bench`):
+   one small, deterministic workload per group, each on the code path
+   of one table or subsystem, sized so a full record stays in the
    seconds. *)
 
 module Graph = Netlist.Graph

@@ -1,14 +1,13 @@
-(** The perf-snapshot suite: one deterministic workload per bench
-    group, timed with min-of-k repeats and frozen into an
-    {!Obs.Snapshot.t}.
+(** The perf-snapshot suite: one deterministic workload per group,
+    timed with min-of-k repeats and frozen into an {!Obs.Snapshot.t}.
 
-    Shared by [bench/main.exe] (which writes [BENCH_paredown.json])
-    and the [paredown perf] CLI, so the recorded and the gated numbers
+    [paredown perf record] writes the snapshot and [paredown perf
+    compare] gates two of them, so the recorded and the gated numbers
     come from exactly the same code paths. *)
 
 type group = {
   name : string;
-      (** bench group this mirrors: kernel, exhaustive, table1, table2,
+      (** the group: kernel, exhaustive, table1, table2,
           scale, worstcase, ablation, codegen, sim, faults, reliability,
           power, frontend, journal, sim_kernel, telemetry, service *)
   doc : string;

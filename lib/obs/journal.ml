@@ -19,12 +19,6 @@ type event =
   | Removed of { node : int; rank : int; d_in : int option; d_out : int option }
   | Accepted of { members : int list; shape : string }
   | Rejected of { node : int; reason : string }
-  | Anneal_move of {
-      move : string;
-      accepted : bool;
-      temperature : float;
-      energy : float;
-    }
   | Pruned of { depth : int; bins_open : int; bound : float; best : float }
   | Exhaustive_best of { total : int; cost : float }
   | Deadline_expired of { phase : string; budget_s : float; nodes : int }
@@ -42,7 +36,6 @@ let phase_of_event = function
   | Run_started { phase; _ } | Deadline_expired { phase; _ } -> phase
   | Candidate_started _ | Fit_check _ | Removed _ | Accepted _ | Rejected _ ->
     "paredown"
-  | Anneal_move _ -> "annealing"
   | Pruned _ | Exhaustive_best _ -> "exhaustive"
   | Verify_tier _ -> "verify"
   | Cosim_shrink _ -> "cosim"
@@ -56,7 +49,6 @@ let kind_of_event = function
   | Removed _ -> "removed"
   | Accepted _ -> "accepted"
   | Rejected _ -> "rejected"
-  | Anneal_move _ -> "anneal_move"
   | Pruned _ -> "pruned"
   | Exhaustive_best _ -> "exhaustive_best"
   | Deadline_expired _ -> "deadline_expired"
@@ -70,7 +62,7 @@ let nodes_of_event = function
   | Removed { node; _ } | Rejected { node; _ } -> [ node ]
   | Accepted { members; _ } | Verify_tier { members; _ } -> members
   | Event_limit { last_node = Some node; _ } -> [ node ]
-  | Run_started _ | Fit_check _ | Anneal_move _ | Pruned _ | Exhaustive_best _
+  | Run_started _ | Fit_check _ | Pruned _ | Exhaustive_best _
   | Deadline_expired _ | Cosim_shrink _ | Event_limit { last_node = None; _ }
   | Reliability_scored _ ->
     []
@@ -104,10 +96,6 @@ let pp_event ppf = function
     Format.fprintf ppf "accepted %a as %s" pp_members members shape
   | Rejected { node; reason } ->
     Format.fprintf ppf "rejected node %d (%s)" node reason
-  | Anneal_move { move; accepted; temperature; energy } ->
-    Format.fprintf ppf "%s move %s at T=%g (energy %g)" move
-      (if accepted then "accepted" else "rejected")
-      temperature energy
   | Pruned { depth; bins_open; bound; best } ->
     Format.fprintf ppf "pruned at depth %d (%d bins open, bound %g vs best %g)"
       depth bins_open bound best
@@ -301,13 +289,6 @@ let fields_of_event = function
     [ ("members", num_list members); ("shape", Json.Str shape) ]
   | Rejected { node; reason } ->
     [ ("node", num node); ("reason", Json.Str reason) ]
-  | Anneal_move { move; accepted; temperature; energy } ->
-    [
-      ("move", Json.Str move);
-      ("accepted", Json.Bool accepted);
-      ("temperature", Json.Num temperature);
-      ("energy", Json.Num energy);
-    ]
   | Pruned { depth; bins_open; bound; best } ->
     [
       ("depth", num depth);
@@ -465,12 +446,6 @@ let event_of_json j =
     let* node = int_field "node" j in
     let* reason = str_field "reason" j in
     Ok (Rejected { node; reason })
-  | "anneal_move" ->
-    let* move = str_field "move" j in
-    let* accepted = bool_field "accepted" j in
-    let* temperature = float_field "temperature" j in
-    let* energy = float_field "energy" j in
-    Ok (Anneal_move { move; accepted; temperature; energy })
   | "pruned" ->
     let* depth = int_field "depth" j in
     let* bins_open = int_field "bins_open" j in

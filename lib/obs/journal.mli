@@ -15,7 +15,7 @@
     - {b Zero cost when disabled.}  Emit sites are guarded with
       [if Journal.enabled () then Journal.emit (...)]; the disabled
       path is one ref read and one branch — no allocation, no event
-      construction (benchmarked in the [journal] bench group and
+      construction (timed by the [journal] perf group and
       asserted ≤1% of a fit check's cost in [test/test_journal.ml]).
     - {b Deterministic across [--jobs].}  Events carry no wall-clock
       timestamps, only logical sequence numbers assigned when they
@@ -61,12 +61,6 @@ type event =
   | Rejected of { node : int; reason : string }
       (** PareDown: block left pre-defined ([left_single]) or set aside
           ([unplaceable]) *)
-  | Anneal_move of {
-      move : string;
-      accepted : bool;
-      temperature : float;
-      energy : float;
-    }  (** Annealing: a proposed move and the Metropolis verdict *)
   | Pruned of { depth : int; bins_open : int; bound : float; best : float }
       (** Exhaustive: subtree cut because [bound] cannot beat [best] *)
   | Exhaustive_best of { total : int; cost : float }
@@ -91,9 +85,9 @@ type event =
           resolved in the memo cache without re-simulating *)
 
 val phase_of_event : event -> string
-(** ["paredown"], ["exhaustive"], ["annealing"], ["verify"], ["cosim"],
-    ["sim"], ["reliability"], or the [Run_started]/[Deadline_expired]
-    payload phase. *)
+(** ["paredown"], ["exhaustive"], ["verify"], ["cosim"], ["sim"],
+    ["reliability"], or the [Run_started]/[Deadline_expired] payload
+    phase. *)
 
 val kind_of_event : event -> string
 (** Stable snake_case tag, e.g. ["fit_check"] — the JSONL [kind] field. *)

@@ -1,17 +1,11 @@
-(* Counters and gauges are [Atomic] and histograms lock internally, so
-   instrumented code running on sweep worker domains ({!Parallel})
-   accumulates exactly: a 2-domain run reports the same totals as a
-   sequential one. *)
+(* Counters are [Atomic] and histograms lock internally, so instrumented
+   code running on sweep worker domains ({!Parallel}) accumulates
+   exactly: a 2-domain run reports the same totals as a sequential
+   one. *)
 type counter = {
   c_name : string;
   c_doc : string;
   count : int Atomic.t;
-}
-
-type gauge = {
-  g_name : string;
-  g_doc : string;
-  level : float Atomic.t;
 }
 
 type histo = {
@@ -22,10 +16,9 @@ type histo = {
 
 type metric =
   | Counter of counter
-  | Gauge of gauge
   | Histo of histo
 
-(* name -> metric; names are unique across all three kinds.  The lock
+(* name -> metric; names are unique across both kinds.  The lock
    guards the table itself (registration, iteration); the metrics are
    individually safe to bump without it. *)
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
@@ -35,7 +28,6 @@ let with_registry f = Mutex.protect registry_lock f
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Histo _ -> "histogram"
 
 let kind_clash fn name m =
@@ -56,19 +48,6 @@ let incr c = Atomic.incr c.count
 let add c n = ignore (Atomic.fetch_and_add c.count n)
 let counter_value c = Atomic.get c.count
 
-let gauge ?(doc = "") name =
-  with_registry @@ fun () ->
-  match Hashtbl.find_opt registry name with
-  | Some (Gauge g) -> g
-  | Some m -> kind_clash "gauge" name m
-  | None ->
-    let g = { g_name = name; g_doc = doc; level = Atomic.make 0. } in
-    Hashtbl.add registry name (Gauge g);
-    g
-
-let set g v = Atomic.set g.level v
-let gauge_value g = Atomic.get g.level
-
 let histogram ?(doc = "") name =
   with_registry @@ fun () ->
   match Hashtbl.find_opt registry name with
@@ -81,7 +60,6 @@ let histogram ?(doc = "") name =
 
 type value =
   | Count of int
-  | Value of float
   | Dist of Histogram.summary
 
 type entry = {
@@ -93,8 +71,6 @@ type entry = {
 let entry_of = function
   | Counter c ->
     { name = c.c_name; doc = c.c_doc; value = Count (Atomic.get c.count) }
-  | Gauge g ->
-    { name = g.g_name; doc = g.g_doc; value = Value (Atomic.get g.level) }
   | Histo h ->
     { name = h.h_name; doc = h.h_doc;
       value = Dist (Histogram.summary h.h_hist) }
@@ -117,7 +93,6 @@ let reset () =
     (fun _ m ->
       match m with
       | Counter c -> Atomic.set c.count 0
-      | Gauge g -> Atomic.set g.level 0.
       | Histo h -> Histogram.clear h.h_hist)
     registry
 
@@ -126,7 +101,6 @@ let reset () =
 
 type baseline =
   | B_count of int
-  | B_level of float
   | B_hist of Histogram.t
 
 let with_scope f =
@@ -138,7 +112,6 @@ let with_scope f =
         let b =
           match m with
           | Counter c -> B_count (Atomic.get c.count)
-          | Gauge g -> B_level (Atomic.get g.level)
           | Histo h -> B_hist (Histogram.copy h.h_hist)
         in
         Hashtbl.replace base name b)
@@ -155,8 +128,6 @@ let with_scope f =
               match (m, Hashtbl.find_opt base name) with
               | Counter c, Some (B_count before) ->
                 { e with value = Count (Atomic.get c.count - before) }
-              | Gauge _, Some (B_level _) ->
-                e (* gauges are instantaneous *)
               | Histo h, Some (B_hist before) ->
                 { e with
                   value = Dist (Histogram.summary
@@ -176,15 +147,13 @@ let with_scope f =
 
 let string_of_value = function
   | Count n -> string_of_int n
-  | Value v -> Printf.sprintf "%g" v
   | Dist s ->
     Printf.sprintf "n=%d p50=%g p99=%g" s.Histogram.s_count
       s.Histogram.s_p50 s.Histogram.s_p99
 
 let is_zero = function
-  | Count 0 | Value 0. -> true
+  | Count n -> n = 0
   | Dist s -> s.Histogram.s_count = 0
-  | Count _ | Value _ -> false
 
 (* Nanosecond quantities (by the [_ns] naming convention) render as
    humanised times; everything else as plain numbers. *)

@@ -1,10 +1,10 @@
-(** Process-wide registry of named counters, gauges, and histograms.
+(** Process-wide registry of named counters and histograms.
 
     Counters are the paper's work quantities made first-class: PareDown
     fit checks (§4.2's [n(n+1)/2] bound), exhaustive search nodes,
-    annealing moves, simulator events, emitted C bytes.  Instrumented
-    code creates its counters once at module initialisation and bumps
-    them unconditionally — an increment is a single unboxed int store,
+    simulator events, emitted C bytes.  Instrumented code creates its
+    counters once at module initialisation and bumps them
+    unconditionally — an increment is a single unboxed int store,
     cheap enough for hot loops.  Histograms ({!Histogram}) carry the
     distributions behind the totals: settle latencies, fit-check batch
     sizes, emitted program sizes.
@@ -14,7 +14,6 @@
     [bin/run_experiments.ml]) or call {!reset} between phases. *)
 
 type counter
-type gauge
 
 val counter : ?doc:string -> string -> counter
 (** [counter name] registers (or retrieves — registration is idempotent
@@ -28,12 +27,6 @@ val add : counter -> int -> unit
 
 val counter_value : counter -> int
 
-val gauge : ?doc:string -> string -> gauge
-(** Last-write-wins instantaneous value (e.g. a temperature). *)
-
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-
 val histogram : ?doc:string -> string -> Histogram.t
 (** [histogram name] registers (idempotently) a log-bucketed histogram.
     Time distributions take a [_ns] suffix by convention — renderers
@@ -43,7 +36,6 @@ val histogram : ?doc:string -> string -> Histogram.t
 
 type value =
   | Count of int
-  | Value of float
   | Dist of Histogram.summary
 
 type entry = {
@@ -59,14 +51,13 @@ val snapshot : ?prefix:string -> unit -> entry list
 val find : string -> entry option
 
 val reset : unit -> unit
-(** Zero every counter, gauge, and histogram (registrations persist). *)
+(** Zero every counter and histogram (registrations persist). *)
 
 val with_scope : (unit -> 'a) -> 'a * entry list
 (** [with_scope f] snapshots the registry, runs [f], and returns its
-    result together with the {e per-scope} readings: counter deltas,
-    histogram diffs ({!Histogram.diff}), and current gauge levels
-    (gauges are instantaneous, so they are reported as-is).  Metrics
-    first registered inside the scope appear with their full value.
+    result together with the {e per-scope} readings: counter deltas
+    and histogram diffs ({!Histogram.diff}).  Metrics first registered
+    inside the scope appear with their full value.
     This is the safe replacement for the reset-then-read pattern on
     the cumulative registry: nothing is zeroed, so concurrent
     whole-process totals stay intact.  If [f] raises, the exception

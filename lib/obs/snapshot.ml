@@ -66,7 +66,6 @@ let git_rev ?(dir = ".") () =
 
 let value_of_metric = function
   | Metrics.Count n -> Int n
-  | Metrics.Value v -> Float v
   | Metrics.Dist s -> Dist s
 
 let make ?git_rev:rev ?(config = []) ?(times_ns = []) ~metrics () =

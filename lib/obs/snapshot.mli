@@ -1,7 +1,7 @@
 (** Versioned, machine-readable perf snapshots with diff/merge and a
     noise-aware regression gate.
 
-    A snapshot freezes the full metrics registry (counters, gauges,
+    A snapshot freezes the full metrics registry (counters and
     histogram summaries) plus named wall-times into a JSON document:
 
     {v
@@ -30,7 +30,7 @@ val schema_version : int
 
 type value =
   | Int of int
-  | Float of float
+  | Float of float  (** a non-integer number read from a document *)
   | Dist of Histogram.summary
 
 type t = {

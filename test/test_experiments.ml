@@ -214,7 +214,7 @@ let test_power_rows () =
 
 let test_ablation_variants () =
   let variants = Experiments.Ablation.run ~seed:1 ~count:10 ~inner:12 () in
-  check Alcotest.int "seven variants" 7 (List.length variants);
+  check Alcotest.int "six variants" 6 (List.length variants);
   let find label =
     List.find
       (fun v -> v.Experiments.Ablation.label = label)

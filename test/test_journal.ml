@@ -58,8 +58,6 @@ let all_kinds =
       Removed { node = 4; rank = -1; d_in = Some 2; d_out = None };
       Accepted { members = [ 2; 3 ]; shape = "2-in/2-out" };
       Rejected { node = 9; reason = "left_single" };
-      Anneal_move
-        { move = "grow"; accepted = false; temperature = 0.5; energy = 12.25 };
       Pruned { depth = 3; bins_open = 2; bound = 7.; best = 6. };
       Exhaustive_best { total = 5; cost = 40.5 };
       Deadline_expired { phase = "exhaustive"; budget_s = 0.25; nodes = 4096 };
@@ -83,6 +81,23 @@ let test_roundtrip () =
     (l.Obs.Journal.l_reason = None);
   check bool "events round-trip exactly" true
     (l.Obs.Journal.l_events = List.mapi (fun i e -> (i, e)) all_kinds)
+
+(* A kind this version no longer writes is an error, not a silent skip:
+   [anneal_move] was the retired simulated-annealing search's event.
+   The journal below is one such event under a one-event header. *)
+let test_retired_kind_rejected () =
+  let j = Obs.Journal.install () in
+  Obs.Journal.emit (Obs.Journal.Rejected { node = 9; reason = "left_single" });
+  ignore (Obs.Journal.uninstall ());
+  let header = List.hd (String.split_on_char '\n' (Obs.Journal.to_jsonl j)) in
+  let anneal_move =
+    {|{"seq":0,"phase":"annealing","kind":"anneal_move","move":"grow",|}
+    ^ {|"accepted":false,"temperature":0.5,"energy":12.25}|}
+  in
+  check (result unit string) "anneal_move is an unknown kind"
+    (Error "unknown event kind \"anneal_move\"")
+    (Result.map ignore
+       (Obs.Journal.load_string (header ^ "\n" ^ anneal_move ^ "\n")))
 
 (* --- Fit-check parity: journal = Paredown stats = metrics ------------------- *)
 
@@ -300,6 +315,8 @@ let () =
           test_case "ring keeps the newest events" `Quick (isolated test_ring);
           test_case "every event kind round-trips through JSONL" `Quick
             (isolated test_roundtrip);
+          test_case "a retired event kind does not load" `Quick
+            (isolated test_retired_kind_rejected);
         ] );
       ( "parity",
         [

@@ -44,16 +44,14 @@ let test_counter_arithmetic () =
   Alcotest.(check int) "registration is idempotent (same cell)"
     (base + 43) (Obs.Metrics.counter_value c)
 
-let test_gauge_and_snapshot () =
-  let g = Obs.Metrics.gauge "test.obs.gauge" ~doc:"a gauge" in
-  Obs.Metrics.set g 1.5;
-  Alcotest.(check (float 0.)) "gauge holds last value" 1.5
-    (Obs.Metrics.gauge_value g);
-  (match Obs.Metrics.find "test.obs.gauge" with
-   | Some { Obs.Metrics.value = Obs.Metrics.Value v; doc; _ } ->
-     Alcotest.(check (float 0.)) "snapshot sees the gauge" 1.5 v;
-     Alcotest.(check string) "doc is kept" "a gauge" doc
-   | Some _ | None -> Alcotest.fail "gauge not found in registry");
+let test_registry_and_snapshot () =
+  let c = Obs.Metrics.counter "test.obs.registered" ~doc:"a counter" in
+  Obs.Metrics.add c 15;
+  (match Obs.Metrics.find "test.obs.registered" with
+   | Some { Obs.Metrics.value = Obs.Metrics.Count n; doc; _ } ->
+     Alcotest.(check int) "find sees the count" 15 n;
+     Alcotest.(check string) "doc is kept" "a counter" doc
+   | Some _ | None -> Alcotest.fail "counter not found in registry");
   let names = List.map (fun e -> e.Obs.Metrics.name)
       (Obs.Metrics.snapshot ~prefix:"test.obs." ()) in
   Alcotest.(check bool) "snapshot is name-sorted" true
@@ -63,9 +61,10 @@ let test_gauge_and_snapshot () =
 
 let test_kind_clash_rejected () =
   let _ = Obs.Metrics.counter "test.obs.clash" in
-  Alcotest.check_raises "counter name cannot become a gauge"
-    (Invalid_argument "Obs.Metrics.gauge: \"test.obs.clash\" is a counter")
-    (fun () -> ignore (Obs.Metrics.gauge "test.obs.clash"))
+  Alcotest.check_raises "counter name cannot become a histogram"
+    (Invalid_argument
+       "Obs.Metrics.histogram: \"test.obs.clash\" is a counter")
+    (fun () -> ignore (Obs.Metrics.histogram "test.obs.clash"))
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
@@ -708,14 +707,12 @@ let test_histogram_merge_identity =
 
 let test_with_scope_deltas () =
   let c = Obs.Metrics.counter "test.obs.scope_counter" in
-  let g = Obs.Metrics.gauge "test.obs.scope_gauge" in
   let h = Obs.Metrics.histogram "test.obs.scope_hist" in
   Obs.Metrics.add c 5;
   Obs.Histogram.observe h 100.;
   let result, entries =
     Obs.Metrics.with_scope (fun () ->
         Obs.Metrics.add c 3;
-        Obs.Metrics.set g 2.5;
         Obs.Histogram.observe h 200.;
         Obs.Histogram.observe h 300.;
         "done")
@@ -730,10 +727,6 @@ let test_with_scope_deltas () =
    | Obs.Metrics.Count n ->
      Alcotest.(check int) "counter delta, not total" 3 n
    | _ -> Alcotest.fail "counter entry has wrong kind");
-  (match entry "test.obs.scope_gauge" with
-   | Obs.Metrics.Value v ->
-     Alcotest.(check (float 0.)) "gauge reports its level" 2.5 v
-   | _ -> Alcotest.fail "gauge entry has wrong kind");
   (match entry "test.obs.scope_hist" with
    | Obs.Metrics.Dist s ->
      Alcotest.(check int) "histogram diff count" 2 s.Obs.Histogram.s_count
@@ -1112,8 +1105,8 @@ let () =
         [
           Alcotest.test_case "counter arithmetic" `Quick
             test_counter_arithmetic;
-          Alcotest.test_case "gauge and snapshot" `Quick
-            test_gauge_and_snapshot;
+          Alcotest.test_case "registry and snapshot" `Quick
+            test_registry_and_snapshot;
           Alcotest.test_case "kind clash rejected" `Quick
             test_kind_clash_rejected;
         ] );

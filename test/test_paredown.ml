@@ -130,6 +130,46 @@ let test_library_solutions_valid () =
         (Partition_oracle.valid_solution g sol))
     Designs.Library.all
 
+(* The best known solutions on the two designs too large for exhaustive
+   search, one block under PareDown's rows above, pinned as literal
+   partitions (EXPERIMENTS.md note (b)).  They show that 10/3 and 14/4
+   are reachable; nothing here proves them optimal. *)
+let witnesses =
+  [
+    ( "Two-Zone Security",
+      [ [ 13; 14; 15; 16 ]; [ 20; 21; 22; 23 ]; [ 26; 27; 28; 29 ] ],
+      (10, 3) );
+    ( "Timed Passage",
+      [ [ 9; 10; 11; 12 ]; [ 15; 16; 17 ]; [ 21; 22; 23; 24 ]; [ 25; 26 ] ],
+      (14, 4) );
+  ]
+
+let test_library_witnesses () =
+  List.iter
+    (fun (name, partitions, want) ->
+      let g =
+        match Designs.Library.find name with
+        | Some d -> d.Designs.Design.network
+        | None -> Alcotest.failf "design %s missing" name
+      in
+      let sol =
+        {
+          Core.Solution.partitions =
+            List.map
+              (fun members ->
+                Core.Partition.make ~members:(set members)
+                  ~shape:Core.Shape.default)
+              partitions;
+        }
+      in
+      Testlib.check_ok name (Core.Solution.check g sol);
+      check Alcotest.bool (name ^ " (set-based check)") true
+        (Partition_oracle.valid_solution g sol);
+      check (Alcotest.pair Alcotest.int Alcotest.int) name want
+        ( Core.Solution.total_inner_after g sol,
+          Core.Solution.programmable_count sol ))
+    witnesses
+
 (* --- Worst case (§4.2) -------------------------------------------------- *)
 
 let test_worst_case_quadratic () =
@@ -330,6 +370,8 @@ let () =
       ( "library",
         [
           Alcotest.test_case "golden results" `Quick test_library_golden;
+          Alcotest.test_case "best known witnesses" `Quick
+            test_library_witnesses;
           Alcotest.test_case "solutions valid" `Quick
             test_library_solutions_valid;
         ] );

@@ -347,6 +347,30 @@ let test_timeline_replays_first_trial () =
     (report first.Experiments.Netobs.telemetry)
     (report (Experiments.Netobs.record_timeline ~config g))
 
+(* Without a family the timeline is the fault-free observation's run:
+   the clean script replayed once, one settle per script step. *)
+let test_clean_timeline_replays_once () =
+  let g = two_zone in
+  let config = { Experiments.Netobs.default_config with family = None } in
+  let recording, entries =
+    Obs.Metrics.with_scope (fun () ->
+        Experiments.Netobs.record_timeline ~config g)
+  in
+  let settles =
+    match List.find_opt (fun e -> e.Obs.Metrics.name = "sim.settles") entries with
+    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
+    | Some _ | None -> 0
+  in
+  check Alcotest.int "one settle per script step"
+    config.Experiments.Netobs.steps settles;
+  let observed =
+    Experiments.Netobs.observe_network ~config ~name:"clean" g
+  in
+  let report t = Obs.Json.to_string (Sim.Telemetry.report_json g t) in
+  check Alcotest.string "timeline replay = fault-free observation"
+    (report observed.Experiments.Netobs.telemetry)
+    (report recording)
+
 let test_timeline_cap_drops_oldest () =
   let t = Sim.Telemetry.create ~timeline:true ~timeline_cap:3 () in
   let g = two_zone in
@@ -431,6 +455,8 @@ let () =
             test_timeline_cap_drops_oldest;
           Alcotest.test_case "replays the first trial" `Quick
             test_timeline_replays_first_trial;
+          Alcotest.test_case "fault-free replays the script once" `Quick
+            test_clean_timeline_replays_once;
         ] );
       ( "vcd",
         [
