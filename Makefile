@@ -3,7 +3,7 @@
 
 .PHONY: all build test check bench tables faults reliability-smoke \
 	verify-fuzz perf-baseline perf-smoke jobs-check journal-smoke \
-	netobs-smoke serve-smoke trace-smoke bench-selftest clean
+	netobs-smoke serve-smoke trace-smoke bench-selftest examples clean
 
 all: build
 
@@ -255,7 +255,10 @@ netobs-smoke:
 # Provenance-journal smoke: journal a library-design partition, then
 # run every explain query over the file (doc/provenance.md).  explain
 # summary must end with the same fit-check total the run's
-# core.paredown.fit_checks counter reports.
+# core.paredown.fit_checks counter reports.  Then Figure 5 from the
+# CLI: partition --explain prints the journal of the run, whose first
+# border ranks are the paper's, while --journal still gets the whole
+# run (five ranked events, one per removal).
 journal-smoke:
 	dune exec bin/paredown.exe -- partition "Podium Timer 3" \
 	  --journal table1-journal.jsonl --metrics
@@ -263,6 +266,21 @@ journal-smoke:
 	dune exec bin/paredown.exe -- explain why 5 table1-journal.jsonl
 	dune exec bin/paredown.exe -- explain diff table1-journal.jsonl table1-journal.jsonl
 	rm -f table1-journal.jsonl
+	dune build bin/paredown.exe
+	$(PAREDOWN) partition "Podium Timer 3" --explain \
+	  --journal explain-journal.jsonl > explain-out.txt
+	grep -qx 'border ranks 2:+1, 8:+1, 9:+0' explain-out.txt
+	$(PAREDOWN) explain summary explain-journal.jsonl \
+	  | grep -Eq '^paredown +ranked +5$$'
+	rm -f explain-journal.jsonl explain-out.txt
+
+# Run every example; each exits nonzero when one of its assertions
+# breaks (podium_timer.exe pins Figure 5 on the journal's events).
+examples:
+	dune build @examples/all
+	for e in _build/default/examples/*.exe; do \
+	  echo "== $$e"; $$e > /dev/null || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -242,24 +242,21 @@ let partition_cmd =
   let explain_arg =
     Arg.(value & flag
          & info [ "explain" ]
-             ~doc:"Print the PareDown decision trace (ranks, removals, \
-                   accepts).  For a timeline of the run itself use the \
+             ~doc:"Print the PareDown run's decision journal (fit \
+                   checks, border ranks, removals, accepts) before the \
+                   solution.  For a timeline of the run itself use the \
                    global $(b,--trace) $(i,FILE).")
   in
   let run obs design algorithm shape explain =
     with_obs obs @@ fun () ->
     let _, g = load_network design in
+    let partition () = partition_network ~algorithm ~shape g in
     if explain && algorithm = `Paredown then begin
-      let config =
-        { Core.Paredown.default_config with shapes = [ shape ] }
-      in
-      let r = Core.Paredown.run ~config ~record_trace:true g in
-      List.iter
-        (fun e -> Format.printf "%a@." Core.Paredown.pp_event e)
-        r.Core.Paredown.trace;
-      print_solution g r.Core.Paredown.solution
+      let sol, events = Obs.Journal.record partition in
+      List.iter (Format.printf "%a@." Obs.Journal.pp_event) events;
+      print_solution g sol
     end
-    else print_solution g (partition_network ~algorithm ~shape g)
+    else print_solution g (partition ())
   in
   Cmd.v
     (Cmd.info "partition"

@@ -163,10 +163,10 @@ let run_netobs seed trials family jobs check_overhead csv_out () =
     Printf.printf
       "disabled-telemetry overhead: %.2f ns/guard x %d counting sites / %.0f \
        ns sweep = %.4f%%\n"
-      o.Experiments.Perf.t_guard_ns o.Experiments.Perf.t_events
-      o.Experiments.Perf.t_sweep_ns
-      (100. *. o.Experiments.Perf.t_ratio);
-    if o.Experiments.Perf.t_ratio > 0.01 then begin
+      o.Experiments.Perf.guard_ns o.Experiments.Perf.sites
+      o.Experiments.Perf.sweep_ns
+      (100. *. o.Experiments.Perf.ratio);
+    if o.Experiments.Perf.ratio > 0.01 then begin
       print_endline
         "FAIL: disabled-telemetry overhead exceeds the 1% budget \
          (doc/network-telemetry.md)";

@@ -1,8 +1,8 @@
 (* Figure 5 walkthrough: PareDown on Podium Timer 3, step by step.
 
-   Prints the decision trace of the decomposition method on the paper's
-   worked example and checks it against the published figure: border
-   ranks (2:+1, 8:+1, 9:0), removal order 9, 8, 7, 6, partitions
+   Prints the decision journal of the decomposition method on the
+   paper's worked example and checks it against the published figure:
+   border ranks (2:+1, 8:+1, 9:0), removal order 9, 8, 7, 6, partitions
    {2,3,4,5} and {6,8,9}, and block 7 left pre-defined.
 
    Run with: dune exec examples/podium_timer.exe *)
@@ -19,13 +19,12 @@ let () =
                   network);
   print_newline ()
 
-let result = Core.Paredown.run ~record_trace:true network
+let result, events =
+  Obs.Journal.record (fun () -> Core.Paredown.run network)
 
 let () =
-  print_endline "PareDown trace (compare with Figure 5 of the paper):";
-  List.iter
-    (fun e -> Format.printf "  %a@." Core.Paredown.pp_event e)
-    result.Core.Paredown.trace
+  print_endline "PareDown decisions (compare with Figure 5 of the paper):";
+  List.iter (fun e -> Format.printf "  %a@." Obs.Journal.pp_event e) events
 
 let () =
   let sol = result.Core.Paredown.solution in
@@ -48,22 +47,25 @@ let () =
     (Core.Solution.total_inner_after network sol)
     (Core.Solution.programmable_count sol)
 
-(* The trace assertions that pin this walkthrough to the paper's figure. *)
+(* The journal assertions that pin this walkthrough to the paper's
+   figure. *)
 let () =
-  let events = result.Core.Paredown.trace in
-  let removals =
-    List.filter_map
-      (function Core.Paredown.Removed (id, _) -> Some id | _ -> None)
-      events
+  let pick f = List.filter_map f events in
+  let ranks = function Obs.Journal.Ranked { ranks } -> Some ranks | _ -> None in
+  assert (List.hd (pick ranks) = [ (2, 1); (8, 1); (9, 0) ]);
+  let removed = function
+    | Obs.Journal.Removed { node; _ } -> Some node
+    | _ -> None
   in
-  assert (removals = [ 9; 8; 7; 6; 7 ]);
-  let accepted =
-    List.filter_map
-      (function
-        | Core.Paredown.Accepted (set, _) ->
-          Some (Netlist.Node_id.Set.elements set)
-        | _ -> None)
-      events
+  assert (pick removed = [ 9; 8; 7; 6; 7 ]);
+  let accepted = function
+    | Obs.Journal.Accepted { members; _ } -> Some members
+    | _ -> None
   in
-  assert (accepted = [ [ 2; 3; 4; 5 ]; [ 6; 8; 9 ] ]);
-  print_endline "\ntrace matches Figure 5 exactly"
+  assert (pick accepted = [ [ 2; 3; 4; 5 ]; [ 6; 8; 9 ] ]);
+  let rejected = function
+    | Obs.Journal.Rejected { node; reason } -> Some (node, reason)
+    | _ -> None
+  in
+  assert (pick rejected = [ (7, "left_single") ]);
+  print_endline "\njournal matches Figure 5 exactly"

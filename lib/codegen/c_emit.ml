@@ -4,8 +4,6 @@ let m_programs =
   Obs.Metrics.counter "codegen.c_programs" ~doc:"C firmware programs emitted"
 let m_bytes =
   Obs.Metrics.counter "codegen.c_bytes" ~doc:"C source bytes emitted"
-let h_emit_ns =
-  Obs.Metrics.histogram "codegen.emit_ns" ~doc:"C emission wall time"
 let h_program_bytes =
   Obs.Metrics.histogram "codegen.c_bytes_per_program"
     ~doc:"emitted C size per program"
@@ -76,7 +74,6 @@ let c_type_of_value = function
 let program ?(block_name = "programmable_eblock") ~n_inputs ~n_outputs p =
   Obs.Journal.with_span "codegen.emit_c" ~args:[ ("block", block_name) ]
   @@ fun () ->
-  let t0 = Obs.Clock.now_ns () in
   let buf = Buffer.create 2048 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out "/* %s: generated eBlock firmware step function.\n" block_name;
@@ -103,8 +100,6 @@ let program ?(block_name = "programmable_eblock") ~n_inputs ~n_outputs p =
   out "}\n";
   Obs.Metrics.incr m_programs;
   Obs.Metrics.add m_bytes (Buffer.length buf);
-  Obs.Histogram.observe h_emit_ns
-    (Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0));
   Obs.Histogram.observe_int h_program_bytes (Buffer.length buf);
   Buffer.contents buf
 

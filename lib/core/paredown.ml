@@ -11,8 +11,6 @@ let m_fit_checks =
     ~doc:"fits-in-a-programmable-block tests (§4.2: at most n(n+1)/2)"
 let m_removals =
   Obs.Metrics.counter "core.paredown.removals" ~doc:"border blocks evicted"
-let h_run_ns =
-  Obs.Metrics.histogram "core.paredown.run_ns" ~doc:"PareDown wall time per run"
 let h_fit_checks =
   Obs.Metrics.histogram "core.paredown.fit_checks_per_run"
     ~doc:"fit-check batch size per run (the §4.2 quantity)"
@@ -47,37 +45,9 @@ type stats = {
   removals : int;
 }
 
-type event =
-  | Candidate_started of Node_id.Set.t
-  | Ranked of (Node_id.t * int) list
-  | Removed of Node_id.t * int
-  | Accepted of Node_id.Set.t * Shape.t
-  | Left_single of Node_id.t
-  | Unplaceable of Node_id.t
-
-let pp_event ppf = function
-  | Candidate_started set ->
-    Format.fprintf ppf "candidate %a" Node_id.pp_set set
-  | Ranked ranks ->
-    let pp_rank ppf (id, r) = Format.fprintf ppf "%d:%+d" id r in
-    Format.fprintf ppf "border ranks %a"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp_rank)
-      ranks
-  | Removed (id, r) -> Format.fprintf ppf "remove %d (rank %+d)" id r
-  | Accepted (set, shape) ->
-    Format.fprintf ppf "accept %a on %a" Node_id.pp_set set Shape.pp shape
-  | Left_single id ->
-    Format.fprintf ppf "leave %d pre-defined (fits but is a single block)"
-      id
-  | Unplaceable id ->
-    Format.fprintf ppf "set aside %d (does not fit any shape alone)" id
-
 type result = {
   solution : Solution.t;
   stats : stats;
-  trace : event list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -246,21 +216,17 @@ let removal_choice ?(config = default_config) g candidate =
 (* ------------------------------------------------------------------ *)
 (* The decomposition method (Figure 4).                                *)
 
-let run ?(config = default_config) ?(record_trace = false) g =
+let run ?(config = default_config) g =
   Obs.Journal.with_span "paredown.run"
     ~args:[ ("inner", string_of_int (Graph.inner_count g)) ]
   @@ fun () ->
-  let t0 = Obs.Clock.now_ns () in
   let levels = Graph.levels g in
   let d = Dense.of_graph g in
   let keys = tie_keys ~config ~levels g d in
-  let trace = ref [] in
-  (* Trace payloads (border ranks in particular) are costly to build, so
-     they are only computed when tracing is on. *)
-  let emit event = if record_trace then trace := event () :: !trace in
   (* The journal cannot be (un)installed mid-run, so the enabled guard is
      read once; every journal emit below allocates nothing when it is
-     off. *)
+     off, and payloads (border ranks in particular) are only built when
+     it is on. *)
   let journal = Obs.Journal.enabled () in
   if journal then
     Obs.Journal.emit
@@ -303,7 +269,6 @@ let run ?(config = default_config) ?(record_trace = false) g =
       | 1 ->
         let members = Dense.ids_of_set d cand.members in
         let id = Node_id.Set.choose members in
-        emit (fun () -> Left_single id);
         if journal then
           Obs.Journal.emit
             (Obs.Journal.Rejected { node = id; reason = "left_single" });
@@ -315,7 +280,6 @@ let run ?(config = default_config) ?(record_trace = false) g =
           | None -> assert false (* candidate_fits just succeeded *)
         in
         let members = Dense.ids_of_set d cand.members in
-        emit (fun () -> Accepted (members, shape));
         if journal then
           Obs.Journal.emit
             (Obs.Journal.Accepted
@@ -327,13 +291,13 @@ let run ?(config = default_config) ?(record_trace = false) g =
         Some (Node_id.Set.diff blocks members, partition :: partitions)
     end
     else begin
-      emit (fun () -> Ranked (border_ranks_of cand));
+      if journal then
+        Obs.Journal.emit (Obs.Journal.Ranked { ranks = border_ranks_of cand });
       match choose_victim ~keys cand with
       | None -> Some (blocks, partitions)  (* defensive; not reachable *)
       | Some (victim, victim_rank) ->
         incr removals;
         let victim_id = Dense.node_id d victim in
-        emit (fun () -> Removed (victim_id, victim_rank));
         if journal then begin
           (* The per-edge delta must be read before the membership flips;
              under per-net counting there is no per-edge decomposition to
@@ -353,7 +317,6 @@ let run ?(config = default_config) ?(record_trace = false) g =
         let blocks =
           if cand.card = 0 then begin
             (* The victim could not fit even alone. *)
-            emit (fun () -> Unplaceable victim_id);
             if journal then
               Obs.Journal.emit
                 (Obs.Journal.Rejected
@@ -369,7 +332,6 @@ let run ?(config = default_config) ?(record_trace = false) g =
     if Node_id.Set.is_empty blocks then partitions
     else begin
       incr outer;
-      emit (fun () -> Candidate_started blocks);
       if journal then
         Obs.Journal.emit
           (Obs.Journal.Candidate_started
@@ -385,8 +347,6 @@ let run ?(config = default_config) ?(record_trace = false) g =
   Obs.Metrics.add m_candidates !outer;
   Obs.Metrics.add m_fit_checks !fit_checks;
   Obs.Metrics.add m_removals !removals;
-  Obs.Histogram.observe h_run_ns
-    (Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0));
   Obs.Histogram.observe_int h_fit_checks !fit_checks;
   {
     solution = { Solution.partitions };
@@ -396,7 +356,6 @@ let run ?(config = default_config) ?(record_trace = false) g =
         fit_checks = !fit_checks;
         removals = !removals;
       };
-    trace = List.rev !trace;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -48,24 +48,9 @@ type stats = {
   removals : int;          (** border blocks removed from candidates *)
 }
 
-type event =
-  | Candidate_started of Node_id.Set.t
-  | Ranked of (Node_id.t * int) list
-      (** border blocks of the current candidate with their ranks *)
-  | Removed of Node_id.t * int  (** block evicted, with its rank *)
-  | Accepted of Node_id.Set.t * Shape.t
-  | Left_single of Node_id.t
-      (** fits alone but single-member partitions are invalid: the block
-          stays pre-defined *)
-  | Unplaceable of Node_id.t
-      (** no shape can host even this block alone *)
-
-val pp_event : Format.formatter -> event -> unit
-
 type result = {
   solution : Solution.t;
   stats : stats;
-  trace : event list;  (** chronological; empty unless requested *)
 }
 
 val rank : ?config:config -> Graph.t -> Node_id.Set.t -> Node_id.t -> int
@@ -77,9 +62,13 @@ val removal_choice :
 (** The border block PareDown would evict from the candidate, or [None]
     on an empty candidate. *)
 
-val run : ?config:config -> ?record_trace:bool -> Graph.t -> result
+val run : ?config:config -> Graph.t -> result
 (** Partition the graph's eligible inner blocks.  The graph must be
-    acyclic (levels are needed for tie-breaking). *)
+    acyclic (levels are needed for tie-breaking).  With a journal
+    installed ({!Obs.Journal}) the run records every decision there:
+    candidates, fit checks, the border ranks before each removal, the
+    removal, accepts and rejections — Figure 5 of the paper, step by
+    step. *)
 
 (** {1 Reliability-weighted mode}
 

@@ -300,13 +300,47 @@ let sleep_hook name =
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* The overhead ratios below divide a guard time by a sweep time, and
-   both must be best-of-k readings: a single-shot guard reading carries
-   any scheduling hiccup straight into the ratio.  The guard loop is
-   far shorter than a sweep, so one preemption can cover several
+(* Disabled-path overhead.  An instrumentation site that is off costs
+   one guard: a load of a [false] flag and a branch (the telemetry
+   sites branch on a flag of the engine record, PareDown's journal
+   sites on the [enabled ()] reading its closures hold).  [overhead]
+   times that guard in a loop of its own, multiplies by the number of
+   sites a sweep passes, and expresses the product as a fraction of the
+   disabled sweep's wall time — the quantity the ≤1% claims in
+   doc/provenance.md and doc/network-telemetry.md are about. *)
+
+type overhead = {
+  guard_ns : float;
+  sites : int;
+  sweep_ns : float;
+  ratio : float;
+}
+
+(* Sixteen guards per loop pass, each the load-and-branch of a site:
+   with one per pass the loop's own counter, exit branch and poll are
+   in every reading, and where that code lands (a compare-and-branch
+   across a 32-byte boundary) moves the reading by a cycle. *)
+let guards_per_pass = 16
+
+let[@inline never] guard_passes (flag : bool ref) passes =
+  let hits = ref 0 in
+  for _ = 1 to passes do
+    if !flag then incr hits; if !flag then incr hits;
+    if !flag then incr hits; if !flag then incr hits;
+    if !flag then incr hits; if !flag then incr hits;
+    if !flag then incr hits; if !flag then incr hits;
+    if !flag then incr hits; if !flag then incr hits;
+    if !flag then incr hits; if !flag then incr hits;
+    if !flag then incr hits; if !flag then incr hits;
+    if !flag then incr hits; if !flag then incr hits
+  done;
+  !hits
+
+(* Both readings must be best-of-k: a single-shot guard reading carries
+   any scheduling hiccup straight into the ratio.  The guard loop is far
+   shorter than a sweep, so one preemption can cover several
    back-to-back guard loops; its repeats therefore run in bursts of
-   [overhead_repeats] before each of the [overhead_repeats] sweeps.
-   Returns the least (guard ns, sweep ns). *)
+   [overhead_repeats] before each of the [overhead_repeats] sweeps. *)
 let overhead_repeats = 3
 
 let time_ns f =
@@ -314,31 +348,26 @@ let time_ns f =
   f ();
   Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0)
 
-let best_interleaved guard sweep =
-  let g = ref infinity and s = ref infinity in
+let overhead ~iters ~sites sweep =
+  let flag = Sys.opaque_identity (ref false) in
+  let passes = max 1 (iters / guards_per_pass) in
+  let hits = ref 0 in
+  let guard_loop_ns = ref infinity and sweep_ns = ref infinity in
   for _ = 1 to overhead_repeats do
     for _ = 1 to overhead_repeats do
-      g := Float.min !g (time_ns guard)
+      guard_loop_ns :=
+        Float.min !guard_loop_ns
+          (time_ns (fun () -> hits := !hits + guard_passes flag passes))
     done;
-    s := Float.min !s (time_ns sweep)
+    sweep_ns := Float.min !sweep_ns (time_ns sweep)
   done;
-  (!g, !s)
+  assert (!hits = 0);
+  let guard_ns = !guard_loop_ns /. float_of_int (passes * guards_per_pass) in
+  { guard_ns; sites; sweep_ns = !sweep_ns;
+    ratio = guard_ns *. float_of_int sites /. !sweep_ns }
 
-(* ------------------------------------------------------------------ *)
-(* Disabled-journal overhead: every emit site costs one [enabled ()]
-   read and a branch when no journal is installed.  [journal_overhead]
-   measures that guard directly, counts how many events a journaled
-   table1 sweep would emit, and expresses the product as a fraction of
-   the disabled sweep's wall time — the quantity the ≤1% claim in
-   doc/provenance.md is about. *)
-
-type journal_overhead = {
-  guard_ns : float;
-  events : int;
-  sweep_ns : float;
-  ratio : float;
-}
-
+(* The journal's sites on the table1 sweep: one guard per event a
+   journaled sweep emits. *)
 let journal_overhead ?(iters = 1_000_000) () =
   ignore (Obs.Journal.uninstall ());
   let sweep () =
@@ -350,40 +379,12 @@ let journal_overhead ?(iters = 1_000_000) () =
   let j = Obs.Journal.install () in
   sweep ();
   ignore (Obs.Journal.uninstall ());
-  let events = Obs.Journal.total j in
-  let hits = ref 0 in
-  let guard_loop_ns, sweep_ns =
-    best_interleaved
-      (fun () ->
-        for _ = 1 to iters do
-          if Obs.Journal.enabled () then incr hits
-        done)
-      sweep
-  in
-  let guard_ns = guard_loop_ns /. float_of_int (max 1 iters) in
-  assert (!hits = 0);
-  { guard_ns; events; sweep_ns;
-    ratio = guard_ns *. float_of_int events /. sweep_ns }
+  overhead ~iters ~sites:(Obs.Journal.total j) sweep
 
-(* ------------------------------------------------------------------ *)
-(* Disabled-telemetry overhead: with neither a collector nor a fault
-   plan armed, every counting site of the engine costs one branch on a
-   [false] flag of the engine record.  Same method as
-   [journal_overhead]: time that guard directly, count how many sites
-   an unarmed sweep passes (read off an armed pass over the same
-   sweep), and express the product as a fraction of the unarmed
-   sweep's wall time — the quantity the ≤1% claim in
-   doc/network-telemetry.md is about.  The sweep settles every Table 1
-   design under a seeded stimulus (the simulator is where the sites
-   live; the search path has none). *)
-
-type telemetry_overhead = {
-  t_guard_ns : float;
-  t_events : int;
-  t_sweep_ns : float;
-  t_ratio : float;
-}
-
+(* The engine's counting sites, with neither a collector nor a fault
+   plan armed, on a sweep that settles every Table 1 design under a
+   seeded stimulus (the simulator hosts every counting site; the search
+   path has none). *)
 let sim_sweep_scripts =
   lazy
     (List.map
@@ -402,14 +403,10 @@ let telemetry_overhead ?(iters = 1_000_000) () =
   in
   (* untimed pass: forces the lazies and warms caches *)
   sweep ();
-  (* Guard cost: the unarmed site loads a flag from a mutable record
-     field and branches on it; [opaque_identity] hides the record from
-     the optimizer so the load-and-branch stays in the loop. *)
-  let flag = Sys.opaque_identity (ref false) in
   (* Site count from an armed pass over the same sweep: schedule and
-     process per event, two per activation (its count and its flush),
-     one per sensor event (its presentation) and one per settle. *)
-  let t_events =
+     process per event, two per activation (its count and its
+     presentation path) and one per sensor event (its presentation). *)
+  let sites =
     List.fold_left
       (fun acc (g, script) ->
         let tel = Sim.Telemetry.create () in
@@ -423,24 +420,11 @@ let telemetry_overhead ?(iters = 1_000_000) () =
               a + (2 * n.activations) + if sensor then n.events else 0)
             0 (Sim.Telemetry.nodes tel)
         in
-        acc + (2 * Sim.Telemetry.events tel) + per_node
-        + Sim.Telemetry.settles tel)
+        acc + (2 * Sim.Telemetry.events tel) + per_node)
       0
       (Lazy.force sim_sweep_scripts)
   in
-  let hits = ref 0 in
-  let guard_loop_ns, t_sweep_ns =
-    best_interleaved
-      (fun () ->
-        for _ = 1 to iters do
-          if !flag then incr hits
-        done)
-      sweep
-  in
-  let t_guard_ns = guard_loop_ns /. float_of_int (max 1 iters) in
-  assert (!hits = 0);
-  { t_guard_ns; t_events; t_sweep_ns;
-    t_ratio = t_guard_ns *. float_of_int t_events /. t_sweep_ns }
+  overhead ~iters ~sites sweep
 
 (* ------------------------------------------------------------------ *)
 

@@ -26,46 +26,30 @@ val sleep_hook : string -> unit
     milliseconds, default 100).  Exists so the regression gate can be
     demonstrated — and tested — without editing code. *)
 
-type journal_overhead = {
+type overhead = {
   guard_ns : float;
-      (** measured cost of one disabled emit-site guard
-          ([Obs.Journal.enabled ()] read + branch; least of 3 bursts of 3
+      (** measured cost of one disabled guard, a load of a [false] flag
+          and a branch (sixteen per loop pass; least of 3 bursts of 3
           loops, spread between the sweep repeats) *)
-  events : int;  (** events a journaled table1 sweep emits *)
-  sweep_ns : float;  (** journal-disabled table1 sweep wall time (min of 3) *)
-  ratio : float;  (** [guard_ns * events / sweep_ns] — the disabled-path
-                      overhead fraction the ≤1% claim is about *)
+  sites : int;  (** guards the sweep passes *)
+  sweep_ns : float;  (** disabled sweep wall time (min of 3) *)
+  ratio : float;
+      (** [guard_ns * sites / sweep_ns] — the disabled-path overhead
+          fraction the ≤1% claims are about *)
 }
 
-val journal_overhead : ?iters:int -> unit -> journal_overhead
-(** Measure the disabled-journal overhead of the table1 sweep.
-    Uninstalls any current journal first (it measures the disabled
-    path) and leaves the journal uninstalled.  [iters] (default 1e6)
-    is the guard-timing loop length. *)
+val journal_overhead : ?iters:int -> unit -> overhead
+(** The disabled-journal overhead of the table1 sweep; [sites] is the
+    number of events a journaled sweep emits.  Uninstalls any current
+    journal first (it measures the disabled path) and leaves the
+    journal uninstalled.  [iters] (default 1e6) is the number of
+    guards a timing loop runs. *)
 
-type telemetry_overhead = {
-  t_guard_ns : float;
-      (** measured cost of one unarmed counting site (a branch on a
-          [false] engine flag; least of 3 bursts of 3 loops, spread
-          between the sweep repeats) *)
-  t_events : int;
-      (** counting sites an unarmed sweep passes: schedule + process
-          per event, two per activation, one per sensor event and one
-          per settle *)
-  t_sweep_ns : float;
-      (** unarmed wall time of settling every Table 1 design under a
-          seeded stimulus (min of 3) *)
-  t_ratio : float;
-      (** [t_guard_ns * t_events / t_sweep_ns] — the disabled-path
-          overhead fraction the ≤1% claim in doc/network-telemetry.md
-          is about *)
-}
-
-val telemetry_overhead : ?iters:int -> unit -> telemetry_overhead
-(** Measure the disabled-telemetry overhead of a simulation sweep over
-    the Table 1 designs (the simulator hosts every counting site; the
-    search path has none).  [iters] (default 1e6) is the guard-timing
-    loop length. *)
+val telemetry_overhead : ?iters:int -> unit -> overhead
+(** The disabled-telemetry overhead of a simulation sweep over the
+    Table 1 designs (the simulator hosts every counting site; the
+    search path has none); [sites] counts schedule and process per
+    event, two per activation and one per sensor event. *)
 
 val record : ?repeats:int -> ?config:(string * string) list -> unit -> Obs.Snapshot.t
 (** Run every group once untimed (warmup; the pass the counters and

@@ -16,6 +16,7 @@ type event =
       convex_ok : bool option;
       fits : bool;
     }
+  | Ranked of { ranks : (int * int) list }
   | Removed of { node : int; rank : int; d_in : int option; d_out : int option }
   | Accepted of { members : int list; shape : string }
   | Rejected of { node : int; reason : string }
@@ -34,7 +35,8 @@ type event =
 
 let phase_of_event = function
   | Run_started { phase; _ } | Deadline_expired { phase; _ } -> phase
-  | Candidate_started _ | Fit_check _ | Removed _ | Accepted _ | Rejected _ ->
+  | Candidate_started _ | Fit_check _ | Ranked _ | Removed _ | Accepted _
+  | Rejected _ ->
     "paredown"
   | Pruned _ | Exhaustive_best _ -> "exhaustive"
   | Verify_tier _ -> "verify"
@@ -46,6 +48,7 @@ let kind_of_event = function
   | Run_started _ -> "run_started"
   | Candidate_started _ -> "candidate_started"
   | Fit_check _ -> "fit_check"
+  | Ranked _ -> "ranked"
   | Removed _ -> "removed"
   | Accepted _ -> "accepted"
   | Rejected _ -> "rejected"
@@ -59,6 +62,7 @@ let kind_of_event = function
 
 let nodes_of_event = function
   | Candidate_started { members } -> members
+  | Ranked { ranks } -> List.map fst ranks
   | Removed { node; _ } | Rejected { node; _ } -> [ node ]
   | Accepted { members; _ } | Verify_tier { members; _ } -> members
   | Event_limit { last_node = Some node; _ } -> [ node ]
@@ -89,6 +93,12 @@ let pp_event ppf = function
       | Some true -> "ok"
       | Some false -> "broken")
       (if fits then "fits" else "does not fit")
+  | Ranked { ranks } ->
+    Format.fprintf ppf "border ranks %s"
+      (String.concat ", "
+         (List.map
+            (fun (node, rank) -> Printf.sprintf "%d:%+d" node rank)
+            ranks))
   | Removed { node; rank; d_in; d_out } ->
     Format.fprintf ppf "removed node %d (rank %d, d_in=%a d_out=%a)" node rank
       pp_opt_int d_in pp_opt_int d_out
@@ -278,6 +288,12 @@ let fields_of_event = function
       ("convex_ok", opt_bool convex_ok);
       ("fits", Json.Bool fits);
     ]
+  | Ranked { ranks } ->
+    [
+      ( "ranks",
+        Json.Arr (List.map (fun (node, rank) -> num_list [ node; rank ]) ranks)
+      );
+    ]
   | Removed { node; rank; d_in; d_out } ->
     [
       ("node", num node);
@@ -432,6 +448,17 @@ let event_of_json j =
     let* convex_ok = opt_bool_field "convex_ok" j in
     let* fits = bool_field "fits" j in
     Ok (Fit_check { inputs_used; outputs_used; pins_ok; convex_ok; fits })
+  | "ranked" ->
+    let* pairs = field "ranks" j in
+    let rec go acc = function
+      | [] -> Ok (Ranked { ranks = List.rev acc })
+      | Json.Arr [ Json.Num node; Json.Num rank ] :: rest ->
+        go ((int_of_float node, int_of_float rank) :: acc) rest
+      | _ -> Error "field \"ranks\": [node, rank] pairs expected"
+    in
+    (match pairs with
+     | Json.Arr items -> go [] items
+     | _ -> Error "field \"ranks\": array expected")
   | "removed" ->
     let* node = int_field "node" j in
     let* rank = int_field "rank" j in
@@ -561,6 +588,16 @@ let append buf =
   match !recording with
   | Some r -> r.spans <- buf.buf_spans @ r.spans
   | None -> ()
+
+let record f =
+  let own = Option.is_none !current in
+  if own then current := Some (create ());
+  let r, buf = capture ~lane:0 f in
+  append buf;
+  if own then current := None;
+  match r with
+  | Ok v -> (v, List.rev buf.decisions)
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let maybe_enable_from_env () =
   (match Sys.getenv_opt "PAREDOWN_JOURNAL" with

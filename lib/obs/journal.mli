@@ -50,6 +50,10 @@ type event =
       convex_ok : bool option;  (** [None]: not evaluated (pins already failed, or convexity not required) *)
       fits : bool;
     }  (** PareDown: one fits-in-a-programmable-block test (the §4.2 quantity) *)
+  | Ranked of { ranks : (int * int) list }
+      (** PareDown: the border blocks of a candidate that does not fit,
+          each with its rank (the io delta of removing it), in id order;
+          the next [Removed] evicts one of them (Figure 5's ranks) *)
   | Removed of {
       node : int;
       rank : int;
@@ -194,6 +198,13 @@ val append : buffer -> unit
     made inside the capture fires here, after the events that preceded
     it, so the post-mortem bundle holds what the sequential run's
     would. *)
+
+val record : (unit -> 'a) -> 'a * event list
+(** [record f] runs [f] with the journal on and returns its result with
+    the events it emitted, in order ([partition --explain]).  An
+    installed journal still receives them, so a [--journal] file holds
+    the whole run; with none installed, one is installed for the call
+    only.  Main domain, outside any fan-out. *)
 
 (** {1 Serialisation (JSONL)} *)
 

@@ -1,5 +1,8 @@
 (** Flat profile of a span recording: per-span-name call counts, total
-    time, and self time (total minus child spans).
+    time, self time (total minus child spans), and the median and 99th
+    percentile of the span's durations.  Spans are the one timer of a
+    region (no region keeps a latency histogram of its own), so this is
+    where a run's per-region latency distributions are read.
 
     Where {!Chrome} renders every record for a timeline, this folds a
     {!Journal} span recording into the "where did this run spend its
@@ -11,6 +14,8 @@ type row = {
   calls : int;
   total_ns : float;
   self_ns : float;
+  p50_ns : float;  (** nearest-rank quantiles of the span's durations *)
+  p99_ns : float;
 }
 
 val of_spans : Journal.span list -> row list

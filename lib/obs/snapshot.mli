@@ -13,9 +13,9 @@
       "times_ns": { "perf.table1_ns": 1234567, ... },
       "metrics": {
         "core.paredown.fit_checks": 1360,
-        "sim.settle_ns": { "count": 90, "sum": ..., "mean": ...,
-                           "min": ..., "p50": ..., "p90": ...,
-                           "p99": ..., "max": ... } } }
+        "sim.settle_events": { "count": 90, "sum": ..., "mean": ...,
+                               "min": ..., "p50": ..., "p90": ...,
+                               "p99": ..., "max": ... } } }
     v}
 
     The gate ({!gate}) distinguishes the two kinds of quantity this

@@ -21,10 +21,6 @@ let m_cache_evictions =
   Obs.Metrics.counter "reliability.cache_evictions"
     ~doc:"memoized estimates dropped by the cache's LRU capacity bound"
 
-let h_score_ns =
-  Obs.Metrics.histogram "reliability.score_ns"
-    ~doc:"wall time per simulated estimate"
-
 type config = {
   seed : int;
   trials : int;
@@ -200,7 +196,7 @@ let plans config g =
 
 let estimate_network ?(jobs = 1) ?telemetry (config : config) g =
   if config.trials <= 0 then invalid_arg "Estimator: trials must be positive";
-  let t0 = Obs.Clock.now_ns () in
+  Obs.Journal.with_span "reliability.estimate" @@ fun () ->
   let script = script config g in
   let reference = Sim.Degrade.reference g script in
   (* Seeds are pre-drawn and plans pre-built on this domain, so the
@@ -256,8 +252,6 @@ let estimate_network ?(jobs = 1) ?telemetry (config : config) g =
   in
   Obs.Metrics.incr m_estimates;
   Obs.Metrics.add m_trials config.trials;
-  Obs.Histogram.observe h_score_ns
-    (Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0));
   {
     trials = config.trials;
     identical = count Sim.Degrade.Identical;

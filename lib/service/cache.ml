@@ -133,8 +133,11 @@ let partition_key ~backend ~shape ~deadline_s canon =
     (match deadline_s with None -> "-" | Some d -> Printf.sprintf "%h" d)
     (Canon.digest canon)
 
+(* "weighted-shaped": answers filed under plain "weighted/" keys were
+   all searched on 2x2 blocks whatever their key's shape said, so they
+   must not replay. *)
 let weighted_key ~lambda ~family ~trials ~seed ~shape g =
-  Printf.sprintf "weighted/%h/%s/%d/%d/%s/%s" lambda
+  Printf.sprintf "weighted-shaped/%h/%s/%d/%d/%s/%s" lambda
     (Reliability.Family.to_string family)
     trials seed (shape_fragment shape)
     (Canon.labels_digest g)

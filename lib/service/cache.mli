@@ -12,9 +12,9 @@
       the report on the request graph (so ids in the output always
       belong to the request, and an exact resubmission round-trips
       byte-identically).
-    - [weighted/...] keys end in {!Canon.labels_digest} — label-sensitive,
-      because fault-plan draws depend on node ids.  Reports replay
-      verbatim.
+    - [weighted-shaped/...] keys end in {!Canon.labels_digest} —
+      label-sensitive, because fault-plan draws depend on node ids.
+      Reports replay verbatim.
 
     Persistence: [{"schema": "paredown-solution-cache", "version": 1,
     "entries": [{key, value}, ...]}], entries oldest-first, written

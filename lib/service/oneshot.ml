@@ -92,7 +92,7 @@ let partition ~backend ~shape ?deadline_s g =
     let solution = Core.Aggregation.run ~config g in
     Done { solution; report = solution_report g solution; work = [] }
 
-let weighted ~lambda ~family ~trials ~seed ~shape:_ g =
+let weighted ~lambda ~family ~trials ~seed ~shape g =
   let estimator =
     { Reliability.Estimator.default_config with seed; trials; family }
   in
@@ -100,6 +100,7 @@ let weighted ~lambda ~family ~trials ~seed ~shape:_ g =
   let severity = Reliability.Estimator.scorer ~cache estimator g in
   let wr =
     Core.Paredown.run_weighted
+      ~config:{ Core.Paredown.default_config with shapes = [ shape ] }
       ~weighted:{ Core.Paredown.lambda; lexicographic = false; severity }
       g
   in

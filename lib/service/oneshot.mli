@@ -54,5 +54,6 @@ val partition :
 val weighted :
   lambda:float -> family:Reliability.Family.t -> trials:int -> seed:int ->
   shape:Core.Shape.t -> Graph.t -> outcome
-(** The reliability-weighted search of [paredown reliability --show]:
-    header line plus {!solution_report}.  Never [Expired]. *)
+(** The reliability-weighted search of [paredown reliability --show]
+    on [shape] blocks: header line plus {!solution_report}.  Never
+    [Expired]. *)

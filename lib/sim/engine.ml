@@ -1,34 +1,25 @@
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
 
-let m_events =
-  Obs.Metrics.counter "sim.events_processed" ~doc:"queue events dispatched"
-let m_activations =
-  Obs.Metrics.counter "sim.activations" ~doc:"block behaviour evaluations"
-let m_packets =
-  Obs.Metrics.counter "sim.packets_sent"
-    ~doc:"packets sent on output change (the power proxy)"
-let m_deliveries =
-  Obs.Metrics.counter "sim.packets_delivered" ~doc:"Deliver events consumed"
-let m_settles =
-  Obs.Metrics.counter "sim.settles" ~doc:"settle calls completed"
-let m_settle_iterations =
-  Obs.Metrics.counter "sim.settle_iterations"
-    ~doc:"events drained across all settles"
-let h_settle_ns =
-  Obs.Metrics.histogram "sim.settle_ns" ~doc:"settle wall time"
+(* one per slot of a counter block's [totals], in slot order *)
+let m_totals =
+  Array.map
+    (fun (name, doc) -> Obs.Metrics.counter ("sim." ^ name) ~doc)
+    [| ("fault.drops", "packets dropped");
+      ("fault.duplicates", "packets duplicated");
+      ("fault.corruptions", "packet values corrupted");
+      ("fault.jittered", "deliveries jitter-delayed");
+      ("fault.dead_link_losses", "packets lost on a dead link");
+      ("fault.resets", "spurious block resets");
+      ("fault.stuck_overrides", "output presentations overridden by stuck-at");
+      ("events_processed", "queue events dispatched");
+      ("packets_delivered", "Deliver events consumed");
+      ("packets_sent", "packets sent on output change (the power proxy)");
+      ("activations", "block behaviour evaluations");
+      ("settles", "settle calls completed");
+      ("settle_iterations", "events drained across all settles") |]
 let h_settle_events =
   Obs.Metrics.histogram "sim.settle_events" ~doc:"events drained per settle"
-(* one per fault class, in {!Fault.counts} order *)
-let m_faults =
-  Array.map
-    (fun (name, doc) -> Obs.Metrics.counter ("sim.fault." ^ name) ~doc)
-    [| ("drops", "packets dropped"); ("duplicates", "packets duplicated");
-      ("corruptions", "packet values corrupted");
-      ("jittered", "deliveries jitter-delayed");
-      ("dead_link_losses", "packets lost on a dead link");
-      ("resets", "spurious block resets");
-      ("stuck_overrides", "output presentations overridden by stuck-at") |]
 
 type value = Behavior.Ast.value
 
@@ -188,8 +179,10 @@ type t = {
   mutable c_tie_rng : Prng.t option;
   (* A run is armed by a fault plan, a collector or both.  [c_tel] is the
      counter block: the collector the engine was started with (kept by
-     [restart]), or else a block of its own for its fault plans. *)
+     [restart]), or else a block of its own.  [c_totals] is its
+     [totals], where every run counts its totals. *)
   c_tel : Telemetry.t;
+  c_totals : int array;
   c_observe : bool;  (* a collector counts every event *)
   mutable c_faulted : bool;
   mutable c_armed : bool;  (* c_faulted || c_observe *)
@@ -202,7 +195,10 @@ type t = {
   mutable f_dies : int array;  (* tick the link dies at, max_int: never *)
   mutable f_stuck : Fault.stuck array array;
   c_flushed : int array;
-      (* the block's strike totals the sim.fault.* metrics hold *)
+      (* the part of each slot of [c_totals] the sim.* metrics hold:
+         the global counters are atomics, so the run counts in plain
+         ints and flushes the deltas whenever control returns to the
+         caller (settle, run_until, public step) *)
   (* the event calendar: a struct-of-arrays store holding every pending
      event's fields, addressed by slot; a timing wheel (one bucket per
      tick over a [wheel_w]-tick window) for near events; and a
@@ -247,16 +243,6 @@ type t = {
   mutable ovf_head : int;
   mutable c_seq : int;
   mutable c_clock : int;
-  mutable c_activations : int;
-  mutable c_packets : int;
-  (* per-event metric increments batched into plain ints — the global
-     counters are atomics, and a lock-prefixed add per event is pure
-     drain-loop overhead; flushed whenever control returns to the
-     caller (drain exit, run_until, public step) *)
-  mutable pm_events : int;
-  mutable pm_deliveries : int;
-  mutable pm_packets : int;
-  mutable pm_activations : int;
   mutable c_last : int;  (* dense index of the last active node, -1 *)
   c_trace : Tbuf.t;
 }
@@ -484,15 +470,18 @@ let bump rows row i =
   let a = rows.%(row) in
   a.%(i) <- a.%(i) + 1
 
-(* A strike: its strike-row cell and its class total, which
-   {!fault_stats} and the sim.fault.* metrics read. *)
-let count_class t k =
-  let c = t.c_tel.totals in
-  c.%(k) <- c.%(k) + 1
+(* One more of a run total: slot [k] of the counter block's [totals],
+   which {!fault_stats}, {!activation_count}, {!packet_count} and the
+   sim.* metrics read. *)
+let count_total t k n =
+  let c = t.c_totals in
+  c.%(k) <- c.%(k) + n
+
+let count_one t k = count_total t k 1
 
 let count_strike t row ei =
   bump t.c_tel.links row ei;
-  count_class t (row - Telemetry.l_drops)
+  count_one t (row - Telemetry.l_drops)
 
 (* A decision draws from the plan's stream only when its probability is
    nonzero, so the empty plan perturbs nothing.  Probabilities are
@@ -549,7 +538,7 @@ let rec stuck_override t ~time stucks i port v =
     let s = stucks.%(i) in
     if s.Fault.port = port && time >= s.Fault.from then begin
       if not (Behavior.Ast.equal_value s.Fault.value v) then
-        count_class t Telemetry.k_stuck;
+        count_one t Telemetry.k_stuck;
       s.Fault.value
     end
     else stuck_override t ~time stucks (i + 1) port v
@@ -567,9 +556,7 @@ let latch_out t ni port vk vn =
   if changed then begin
     ok.%(port) <- vk;
     t.cout_n.%(ni).%(port) <- vn;
-    let n = Array.length t.fo.%(ni).%(port) in
-    t.c_packets <- t.c_packets + n;
-    t.pm_packets <- t.pm_packets + n
+    count_total t Telemetry.k_packets (Array.length t.fo.%(ni).%(port))
   end;
   changed
 
@@ -600,8 +587,7 @@ let armed_present t ~time ni port v =
   end
 
 let cactivate t ~time ni ~fired =
-  t.c_activations <- t.c_activations + 1;
-  t.pm_activations <- t.pm_activations + 1;
+  count_one t Telemetry.k_activations;
   if t.c_observe then bump t.c_tel.nodes Telemetry.n_activations ni;
   let st = t.pstates.%(ni) in
   Behavior.Compile.run_bound t.progs.%(ni) st ~fired;
@@ -638,7 +624,7 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
   if time > t.c_clock then t.c_clock <- time;
   let ni = if tag = tag_deliver then t.e_dst.%(a) else a in
   t.c_last <- ni;
-  t.pm_events <- t.pm_events + 1;
+  count_one t Telemetry.k_events;
   if t.c_observe then begin
     let tel = t.c_tel in
     bump tel.nodes Telemetry.n_events ni;
@@ -649,7 +635,7 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
     if tel.timeline then Telemetry.timeline_push tel ~time ~tag a
   end;
   if tag = tag_deliver then begin
-    t.pm_deliveries <- t.pm_deliveries + 1;
+    count_one t Telemetry.k_deliveries;
     let port = t.e_dst_port.%(a) in
     let ik = t.cin_k.%(ni) in
     let changed =
@@ -679,7 +665,7 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
        activation; until then its outputs may disagree with its inputs,
        which is exactly the degradation {!Degrade} classifies. *)
     bump t.c_tel.nodes Telemetry.n_resets ni;
-    count_class t Telemetry.k_resets;
+    count_one t Telemetry.k_resets;
     Behavior.Compile.reset_state t.progs.%(ni) t.pstates.%(ni);
     let tg = t.tgen.%(ni) in
     for s = 0 to Array.length tg - 1 do
@@ -690,30 +676,13 @@ let cprocess t ~time ~tag ~a ~b ~c ~vk ~vn =
   end
 
 let cflush_metrics t =
-  if t.pm_events > 0 then begin
-    Obs.Metrics.add m_events t.pm_events;
-    t.pm_events <- 0
-  end;
-  if t.pm_deliveries > 0 then begin
-    Obs.Metrics.add m_deliveries t.pm_deliveries;
-    t.pm_deliveries <- 0
-  end;
-  if t.pm_packets > 0 then begin
-    Obs.Metrics.add m_packets t.pm_packets;
-    t.pm_packets <- 0
-  end;
-  if t.pm_activations > 0 then begin
-    Obs.Metrics.add m_activations t.pm_activations;
-    t.pm_activations <- 0
-  end;
-  if t.c_faulted then
-    for k = 0 to Array.length m_faults - 1 do
-      let total = t.c_tel.totals.%(k) in
-      if total > t.c_flushed.%(k) then begin
-        Obs.Metrics.add m_faults.%(k) (total - t.c_flushed.%(k));
-        t.c_flushed.%(k) <- total
-      end
-    done
+  for k = 0 to Telemetry.n_totals - 1 do
+    let total = t.c_totals.%(k) in
+    if total > t.c_flushed.%(k) then begin
+      Obs.Metrics.add m_totals.%(k) (total - t.c_flushed.%(k));
+      t.c_flushed.%(k) <- total
+    end
+  done
 
 let cstep t =
   if t.wheel_count + t.ovf_len - t.ovf_head = 0 then false
@@ -850,6 +819,7 @@ let alloc ~tie_order ~edge_delay ~telemetry p =
   let sized images =
     Array.map (fun a -> Array.make (Array.length a) 0) images
   in
+  let c_tel = Option.value telemetry ~default:(Telemetry.create ()) in
   let t = {
     c_net = p;
     ids = p.p_ids;
@@ -873,7 +843,8 @@ let alloc ~tie_order ~edge_delay ~telemetry p =
        | Some f -> Array.map (fun e -> max 1 (f e)) p.p_e_rec);
     c_tie_order = tie_order;
     c_tie_rng = None;
-    c_tel = Option.value telemetry ~default:(Telemetry.create ());
+    c_tel;
+    c_totals = c_tel.Telemetry.totals;
     c_observe = Option.is_some telemetry;
     c_faulted = false;
     c_armed = false;
@@ -884,7 +855,7 @@ let alloc ~tie_order ~edge_delay ~telemetry p =
     f_jitter = [||];
     f_dies = [||];
     f_stuck = [||];
-    c_flushed = Array.make 7 0;
+    c_flushed = Array.make Telemetry.n_totals 0;
     ev_time = Array.make 64 0;
     ev_prio = Array.make 64 0;
     ev_seq = Array.make 64 0;
@@ -907,12 +878,6 @@ let alloc ~tie_order ~edge_delay ~telemetry p =
     wheel_count = 0;
     c_seq = 0;
     c_clock = 0;
-    c_activations = 0;
-    c_packets = 0;
-    pm_events = 0;
-    pm_deliveries = 0;
-    pm_packets = 0;
-    pm_activations = 0;
     c_last = -1;
     c_trace = Tbuf.create ();
   }
@@ -968,7 +933,8 @@ let resolve t (plan : Fault.plan) =
 let arm t ~faults =
   t.c_faulted <- Option.is_some faults;
   t.c_armed <- t.c_faulted || t.c_observe;
-  Array.fill t.c_flushed 0 7 0;
+  Array.fill t.c_totals 0 Telemetry.n_totals 0;
+  Array.fill t.c_flushed 0 Telemetry.n_totals 0;
   if t.c_armed then begin
     Telemetry.bind t.c_tel ~edges:t.e_rec ~dsts:t.e_dst ~ids:t.ids
       ~observe:t.c_observe;
@@ -1016,8 +982,6 @@ let power_on t ~faults =
   end;
   t.c_seq <- 0;
   t.c_clock <- 0;
-  t.c_activations <- 0;
-  t.c_packets <- 0;
   t.c_last <- -1;
   Tbuf.clear t.c_trace;
   t.c_tie_rng <-
@@ -1085,7 +1049,7 @@ let start ?(tie_order = Fifo) ?edge_delay ?faults ?telemetry p =
 
 let restart ?faults t =
   (* an earlier run aborted by a behaviour error may hold unflushed
-     metric batches: they count toward that run *)
+     totals: they count toward that run *)
   cflush_metrics t;
   power_on t ~faults
 
@@ -1115,15 +1079,11 @@ let last_active t = if t.c_last < 0 then None else Some t.ids.(t.c_last)
 
 let settle ?(limit = 100_000) t =
   Obs.Journal.with_span "sim.settle" @@ fun () ->
-  let t0 = Obs.Clock.now_ns () in
   (* drain without [step]'s per-event metric flush *)
-  let drained =
-    let rec go n = if n = limit || not (cstep t) then n else go (n + 1) in
-    let n = go 0 in
-    cflush_metrics t;
-    n
-  in
+  let rec go n = if n = limit || not (cstep t) then n else go (n + 1) in
+  let drained = go 0 in
   if drained = limit then begin
+    cflush_metrics t;
     let queue_depth = queue_depth t in
     let clock = now t in
     let last_node = last_active t in
@@ -1135,15 +1095,11 @@ let settle ?(limit = 100_000) t =
          "simulation event limit exceeded (clock %d, %d events pending)"
          clock queue_depth);
     raise (Event_limit_exceeded { clock; queue_depth; last_node })
-  end
-  else begin
-    Obs.Metrics.incr m_settles;
-    Obs.Metrics.add m_settle_iterations drained;
-    if t.c_observe then t.c_tel.settles <- t.c_tel.settles + 1;
-    Obs.Histogram.observe h_settle_ns
-      (Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0));
-    Obs.Histogram.observe_int h_settle_events drained
-  end
+  end;
+  count_one t Telemetry.k_settles;
+  count_total t Telemetry.k_settle_iterations drained;
+  cflush_metrics t;
+  Obs.Histogram.observe_int h_settle_events drained
 
 let require_sensor t id =
   match Graph.kind t.c_net.p_graph id with
@@ -1187,9 +1143,9 @@ let port_value t id port =
 
 let trace t = Tbuf.to_list t.c_trace
 
-let activation_count t = t.c_activations
+let activation_count t = t.c_totals.(Telemetry.k_activations)
 
-let packet_count t = t.c_packets
+let packet_count t = t.c_totals.(Telemetry.k_packets)
 
 let fault_stats t =
   if t.c_faulted then Some (Telemetry.injected t.c_tel) else None

@@ -158,7 +158,11 @@ val trace : t -> (int * Node_id.t * Behavior.Ast.value) list
 
 val activation_count : t -> int
 (** Total block activations processed so far (a cheap effort metric used
-    by tests and benches). *)
+    by tests and benches).  This, {!packet_count}, {!fault_stats} and
+    every [sim.*] counter read the run's totals: one slot each of its
+    counter block's [totals] ({!Telemetry.t}), which the [sim.*]
+    counters receive as deltas whenever control returns to the
+    caller. *)
 
 val packet_count : t -> int
 (** Total packets sent over connections so far.  Each packet is a serial
@@ -177,9 +181,9 @@ val fault_stats : t -> Fault.stats option
     A fault-armed run counts each strike once, in the rows of its
     counter block ({!Telemetry.t}): per connection the drops,
     duplicates, corruptions, jittered deliveries and dead-link losses
-    of its packets, per block its brownout resets.  {!fault_stats}, the
-    readings below, the [sim.fault.*] metrics (flushed whenever control
-    returns to the caller) and an armed collector all read them.  The
+    of its packets, per block its brownout resets, and each class once
+    more in [totals].  {!fault_stats}, the readings below, the
+    [sim.fault.*] metrics and an armed collector all read them.  The
     two readings below sum to {!Fault.total} minus [stuck_overrides] (a
     stuck-at override strikes a port, not a connection); the
     reliability estimator's blame is built from them. *)

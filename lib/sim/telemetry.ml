@@ -20,7 +20,6 @@ type t = {
   mutable nodes : int array array;
   mutable latency : Obs.Histogram.t array;
   totals : int array;
-  mutable settles : int;
   mutable run_hwm : int;
   mutable clock : int;
   mutable tl : int array;
@@ -42,6 +41,13 @@ let n_pending = 3
 let n_hwm = 4
 let k_resets = 5
 let k_stuck = 6
+let k_events = 7
+let k_deliveries = 8
+let k_packets = 9
+let k_activations = 10
+let k_settles = 11
+let k_settle_iterations = 12
+let n_totals = 13
 
 let create ?(timeline = false) ?(timeline_cap = 200_000) () =
   {
@@ -54,8 +60,7 @@ let create ?(timeline = false) ?(timeline_cap = 200_000) () =
     links = Array.make 7 [||];
     nodes = Array.make 5 [||];
     latency = [||];
-    totals = Array.make 7 0;
-    settles = 0;
+    totals = Array.make n_totals 0;
     run_hwm = 0;
     clock = 0;
     tl = [||];
@@ -84,8 +89,7 @@ let bind t ~edges ~dsts ~ids ~observe =
       Array.iter Obs.Histogram.clear t.latency
     else t.latency <- Array.init ne (fun _ -> Obs.Histogram.create ())
   end;
-  Array.fill t.totals 0 7 0;
-  t.settles <- 0;
+  Array.fill t.totals 0 n_totals 0;
   t.run_hwm <- 0;
   t.clock <- 0;
   t.tl_len <- 0;
@@ -192,9 +196,8 @@ let node_rows t =
 let links t = List.filter (fun (_, s) -> s.sends > 0) (link_rows t)
 let nodes t = List.filter (fun (_, s) -> s.queue_hwm > 0) (node_rows t)
 
-let events t =
-  if t.observed then Array.fold_left ( + ) 0 t.nodes.(n_events) else 0
-let settles t = t.settles
+let events t = t.totals.(k_events)
+let settles t = t.totals.(k_settles)
 let queue_hwm t = t.run_hwm
 let clock t = t.clock
 let timeline_events t = t.tl_len
@@ -223,7 +226,6 @@ let add ~into src =
     Array.iteri
       (fun i h -> into.latency.(i) <- Obs.Histogram.merge into.latency.(i) h)
       src.latency;
-    into.settles <- into.settles + src.settles;
     into.run_hwm <- max into.run_hwm src.run_hwm;
     into.clock <- max into.clock src.clock;
     combine ( + ) into.totals src.totals;
@@ -311,7 +313,7 @@ let report_json ?name ?(extra = []) g t =
     @ extra
     @ [
         ("events", num (events t));
-        ("settles", num t.settles);
+        ("settles", num (settles t));
         ("queue_hwm", num t.run_hwm);
         ("clock", num t.clock);
         ("nodes", Obs.Json.Arr (List.map node_json (node_rows t)));

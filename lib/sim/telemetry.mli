@@ -34,10 +34,12 @@ type t = {
   mutable latency : Obs.Histogram.t array;
       (** per edge: scheduled send-to-delivery ticks *)
   totals : int array;
-      (** strikes per fault class, in {!Fault.counts} order: the link
-          strike rows' classes, then [k_resets], then [k_stuck]
-          (presentations whose value a stuck-at fault changed) *)
-  mutable settles : int;
+      (** the run's totals, one slot each ([k_*]): strikes per fault
+          class in {!Fault.counts} order (the link strike rows'
+          classes, then [k_resets], then [k_stuck], presentations
+          whose value a stuck-at fault changed), then events,
+          deliveries, packets sent, activations, settles and settle
+          iterations *)
   mutable run_hwm : int;  (** most events queued at once, whole queue *)
   mutable clock : int;  (** largest event time processed *)
   mutable tl : int array;
@@ -46,10 +48,10 @@ type t = {
   mutable tl_dropped : int;
 }
 (** The engine writes the fields; everything else reads them through
-    the functions below.  A strike bumps its cell of a strike row
-    ([l_drops] .. [l_dead], [n_resets]) and its class in [totals], on
-    every fault-armed run; the rest is counted only on a run armed with
-    this collector. *)
+    the functions below.  Every run counts its [totals]; a strike also
+    bumps its cell of a strike row ([l_drops] .. [l_dead], [n_resets])
+    on every fault-armed run; the rest is counted only on a run armed
+    with this collector. *)
 
 val l_sends : int
 val l_deliveries : int
@@ -72,7 +74,16 @@ val n_hwm : int
 
 val k_resets : int
 val k_stuck : int
+val k_events : int
+val k_deliveries : int
+val k_packets : int
+val k_activations : int
+val k_settles : int
+val k_settle_iterations : int
 (** The [totals] slots past the link strike classes. *)
+
+val n_totals : int
+(** Slots in [totals]. *)
 
 val create : ?timeline:bool -> ?timeline_cap:int -> unit -> t
 (** A fresh, unbound collector (every reading zero).  [timeline]

@@ -620,8 +620,6 @@ let m_settles =
 let m_settle_iterations =
   Obs.Metrics.counter "sim.settle_iterations"
     ~doc:"events drained across all settles"
-let h_settle_ns =
-  Obs.Metrics.histogram "sim.settle_ns" ~doc:"settle wall time"
 let h_settle_events =
   Obs.Metrics.histogram "sim.settle_events" ~doc:"events drained per settle"
 
@@ -1025,7 +1023,6 @@ let last_active t = t.i_last_active
 
 let settle ?(limit = 100_000) t =
   Obs.Journal.with_span "sim.settle" @@ fun () ->
-  let t0 = Obs.Clock.now_ns () in
   let drained =
     let rec go n = if n = limit || not (istep t) then n else go (n + 1) in
     go 0
@@ -1049,8 +1046,6 @@ let settle ?(limit = 100_000) t =
     (match t.i_telemetry with
      | None -> ()
      | Some tel -> Telemetry.note_settle tel);
-    Obs.Histogram.observe h_settle_ns
-      (Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0));
     Obs.Histogram.observe_int h_settle_events drained
   end
 

@@ -55,6 +55,8 @@ let all_kinds =
       Fit_check
         { inputs_used = 9; outputs_used = 4; pins_ok = false;
           convex_ok = None; fits = false };
+      Ranked { ranks = [ (2, 1); (8, 1); (9, 0) ] };
+      Ranked { ranks = [ (7, -1) ] };
       Removed { node = 4; rank = -1; d_in = Some 2; d_out = None };
       Accepted { members = [ 2; 3 ]; shape = "2-in/2-out" };
       Rejected { node = 9; reason = "left_single" };
@@ -273,16 +275,60 @@ let test_bundle_jobs_invariant () =
 
 (* --- Disabled-path overhead ------------------------------------------------- *)
 
+(* The site count is pinned: a new emit site on the search path changes
+   it, and must come with a fresh look at the bound.  486 = 372 other
+   decisions + one [ranked] before each of the sweep's 114 removals. *)
 let test_disabled_overhead () =
   let o = Experiments.Perf.journal_overhead ~iters:200_000 () in
+  check int "guarded sites on the table1 sweep" 486 o.Experiments.Perf.sites;
   check bool
     (Printf.sprintf
        "disabled overhead %.5f of the table1 sweep (guard %.2f ns x %d \
         events) stays under 1%%"
        o.Experiments.Perf.ratio o.Experiments.Perf.guard_ns
-       o.Experiments.Perf.events)
+       o.Experiments.Perf.sites)
     true
     (o.Experiments.Perf.ratio <= 0.01)
+
+(* --- Journals written before the [ranked] kind ------------------------------ *)
+
+(* Podium Timer 3's PareDown journal as written before [ranked] events
+   existed (schema version 1 then as now). *)
+let unranked_podium_jsonl =
+  {|{"schema":"paredown-journal","version":1,"total":20,"dropped":0}
+{"seq":0,"phase":"paredown","kind":"run_started","inner":8}
+{"seq":1,"phase":"paredown","kind":"candidate_started","members":[2,3,4,5,6,7,8,9]}
+{"seq":2,"phase":"paredown","kind":"fit_check","inputs_used":1,"outputs_used":3,"pins_ok":false,"convex_ok":null,"fits":false}
+{"seq":3,"phase":"paredown","kind":"removed","node":9,"rank":0,"d_in":0,"d_out":0}
+{"seq":4,"phase":"paredown","kind":"fit_check","inputs_used":1,"outputs_used":3,"pins_ok":false,"convex_ok":null,"fits":false}
+{"seq":5,"phase":"paredown","kind":"removed","node":8,"rank":1,"d_in":0,"d_out":1}
+{"seq":6,"phase":"paredown","kind":"fit_check","inputs_used":1,"outputs_used":4,"pins_ok":false,"convex_ok":null,"fits":false}
+{"seq":7,"phase":"paredown","kind":"removed","node":7,"rank":-1,"d_in":0,"d_out":-1}
+{"seq":8,"phase":"paredown","kind":"fit_check","inputs_used":1,"outputs_used":3,"pins_ok":false,"convex_ok":null,"fits":false}
+{"seq":9,"phase":"paredown","kind":"removed","node":6,"rank":-1,"d_in":0,"d_out":-1}
+{"seq":10,"phase":"paredown","kind":"fit_check","inputs_used":1,"outputs_used":2,"pins_ok":true,"convex_ok":true,"fits":true}
+{"seq":11,"phase":"paredown","kind":"accepted","members":[2,3,4,5],"shape":"2x2"}
+{"seq":12,"phase":"paredown","kind":"candidate_started","members":[6,7,8,9]}
+{"seq":13,"phase":"paredown","kind":"fit_check","inputs_used":2,"outputs_used":3,"pins_ok":false,"convex_ok":null,"fits":false}
+{"seq":14,"phase":"paredown","kind":"removed","node":7,"rank":-1,"d_in":0,"d_out":-1}
+{"seq":15,"phase":"paredown","kind":"fit_check","inputs_used":2,"outputs_used":2,"pins_ok":true,"convex_ok":true,"fits":true}
+{"seq":16,"phase":"paredown","kind":"accepted","members":[6,8,9],"shape":"2x2"}
+{"seq":17,"phase":"paredown","kind":"candidate_started","members":[7]}
+{"seq":18,"phase":"paredown","kind":"fit_check","inputs_used":1,"outputs_used":2,"pins_ok":true,"convex_ok":true,"fits":true}
+{"seq":19,"phase":"paredown","kind":"rejected","node":7,"reason":"left_single"}
+|}
+
+let test_unranked_journal_loads () =
+  let old = load_ok (Obs.Journal.load_string unranked_podium_jsonl) in
+  check int "all 20 decisions" 20 (List.length old.Obs.Journal.l_events);
+  let _, events =
+    Obs.Journal.record (fun () -> Core.Paredown.run Testlib.podium)
+  in
+  check bool "today's run = the old journal plus ranked events" true
+    (List.map snd old.Obs.Journal.l_events
+    = List.filter
+        (function Obs.Journal.Ranked _ -> false | _ -> true)
+        events)
 
 (* --- Loader robustness: mutated journals and bundles never raise ------------ *)
 
@@ -296,6 +342,8 @@ let loader_robustness =
   ignore (Core.Exhaustive.run Testlib.podium);
   ignore (Core.Paredown.run Testlib.podium);
   Obs.Journal.reset ();
+  if not (Testlib.contains (Obs.Journal.to_jsonl j) {|"kind":"ranked"|}) then
+    failwith "the mutation corpus holds no ranked event";
   let bundle =
     Obs.Json.to_string ~indent:2
       (Obs.Journal.post_mortem_json ~reason:"mutation corpus" j)
@@ -317,6 +365,8 @@ let () =
             (isolated test_roundtrip);
           test_case "a retired event kind does not load" `Quick
             (isolated test_retired_kind_rejected);
+          test_case "a journal without ranked events loads" `Quick
+            (isolated test_unranked_journal_loads);
         ] );
       ( "parity",
         [

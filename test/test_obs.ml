@@ -922,7 +922,7 @@ let test_snapshot_loader_robustness =
            [
              ("core.paredown.fit_checks", Obs.Snapshot.Int 1360);
              ("codegen.c_bytes", Obs.Snapshot.Float 2.5);
-             ( "sim.settle_ns",
+             ( "sim.settle_events",
                Obs.Snapshot.Dist
                  (Obs.Histogram.summary (histogram_of [ 1.; 20.; 300. ])) );
            ]
@@ -970,6 +970,26 @@ let test_profile_self_time () =
     outer.Obs.Profile.self_ns;
   Alcotest.(check (float 0.)) "worker lane keeps its own stack" 200.
     worker.Obs.Profile.self_ns;
+  (* nearest-rank quantiles of the durations 200 and 100 *)
+  Alcotest.(check (float 0.)) "inner p50" 100. inner.Obs.Profile.p50_ns;
+  Alcotest.(check (float 0.)) "inner p99" 200. inner.Obs.Profile.p99_ns;
+  Alcotest.(check (float 0.)) "one call: p50 = total" 1000.
+    outer.Obs.Profile.p50_ns;
+  (* a hundred back-to-back spans lasting 1 .. 100 ns, in shuffled order *)
+  let durations = List.init 100 (fun i -> ((i * 37) mod 100) + 1) in
+  let _, many =
+    List.fold_left
+      (fun (ts, acc) d ->
+        (ts + d, span false "tick" (ts + d) :: span true "tick" ts :: acc))
+      (0, []) durations
+  in
+  (match Obs.Profile.of_spans (List.rev many) with
+   | [ tick ] ->
+     Alcotest.(check int) "tick calls" 100 tick.Obs.Profile.calls;
+     Alcotest.(check (float 0.)) "tick p50" 50. tick.Obs.Profile.p50_ns;
+     Alcotest.(check (float 0.)) "tick p99" 99. tick.Obs.Profile.p99_ns
+   | rows ->
+     Alcotest.failf "%d profile rows for one span name" (List.length rows));
   let table = Obs.Profile.to_table rows in
   Alcotest.(check bool) "table leads with the biggest self time" true
     (Testlib.contains table "outer")

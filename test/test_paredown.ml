@@ -20,47 +20,40 @@ let totals g =
 (* --- Figure 5, step by step ------------------------------------------- *)
 
 let test_figure5_trace () =
-  let r = Core.Paredown.run ~record_trace:true podium in
-  let events = r.Core.Paredown.trace in
+  let _, events = Obs.Journal.record (fun () -> Core.Paredown.run podium) in
+  let pick f = List.filter_map f events in
   (* the published border ranks of the initial candidate *)
-  let first_ranks =
-    List.find_map
-      (function Core.Paredown.Ranked ranks -> Some ranks | _ -> None)
-      events
-  in
   check
     (Alcotest.option
        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)))
     "initial ranks (2:+1, 8:+1, 9:0)"
     (Some [ (2, 1); (8, 1); (9, 0) ])
-    first_ranks;
+    (List.find_map
+       (function Obs.Journal.Ranked { ranks } -> Some ranks | _ -> None)
+       events);
   (* the published removal order, including the second candidate *)
   check (Alcotest.list Alcotest.int) "removal order"
     [ 9; 8; 7; 6; 7 ]
-    (List.filter_map
-       (function Core.Paredown.Removed (id, _) -> Some id | _ -> None)
-       events);
+    (pick (function Obs.Journal.Removed { node; _ } -> Some node | _ -> None));
   (* the published partitions, in order *)
   check
-    (Alcotest.list Testlib.id_set)
+    (Alcotest.list (Alcotest.list Alcotest.int))
     "accepted partitions"
-    [ set [ 2; 3; 4; 5 ]; set [ 6; 8; 9 ] ]
-    (List.filter_map
-       (function Core.Paredown.Accepted (s, _) -> Some s | _ -> None)
-       events);
+    [ [ 2; 3; 4; 5 ]; [ 6; 8; 9 ] ]
+    (pick (function
+      | Obs.Journal.Accepted { members; _ } -> Some members
+      | _ -> None));
   (* block 7 fits alone but stays pre-defined *)
-  check (Alcotest.list Alcotest.int) "left single" [ 7 ]
-    (List.filter_map
-       (function Core.Paredown.Left_single id -> Some id | _ -> None)
-       events)
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "left single" [ (7, "left_single") ]
+    (pick (function
+      | Obs.Journal.Rejected { node; reason } -> Some (node, reason)
+      | _ -> None))
 
 let test_figure5_result () =
   check (Alcotest.pair Alcotest.int Alcotest.int)
     "8 inner blocks -> 3 (2 programmable)" (3, 2) (totals podium)
-
-let test_trace_off_by_default () =
-  check Alcotest.int "no trace recorded" 0
-    (List.length (Core.Paredown.run podium).Core.Paredown.trace)
 
 (* --- Rank and removal-choice helpers ----------------------------------- *)
 
@@ -359,8 +352,6 @@ let () =
         [
           Alcotest.test_case "trace" `Quick test_figure5_trace;
           Alcotest.test_case "result" `Quick test_figure5_result;
-          Alcotest.test_case "trace off by default" `Quick
-            test_trace_off_by_default;
         ] );
       ( "rank",
         [

@@ -49,11 +49,11 @@ let test_record_captures_work_counters () =
    | Obs.Snapshot.Int n ->
      Alcotest.(check bool) "fit checks counted" true (n > 0)
    | _ -> Alcotest.fail "fit_checks is not a counter");
-  match metric "sim.settle_ns" with
+  match metric "sim.settle_events" with
   | Obs.Snapshot.Dist s ->
-    Alcotest.(check bool) "settle latencies observed" true
+    Alcotest.(check bool) "settle sizes observed" true
       (s.Obs.Histogram.s_count > 0)
-  | _ -> Alcotest.fail "sim.settle_ns is not a histogram"
+  | _ -> Alcotest.fail "sim.settle_events is not a histogram"
 
 let test_self_compare_passes () =
   let snap = Lazy.force snap in

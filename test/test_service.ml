@@ -529,6 +529,47 @@ let test_trials_rejected_by_server () =
    | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
   Alcotest.(check int) "counted as a rejection" 1 summary.P.rejected
 
+(* A weighted request searches on the requested block shape: at λ = 0
+   no dissolution pays, so below its header line it reports what the
+   partition op reports at the same shape. *)
+let test_weighted_honours_shape () =
+  let family = Result.get_ok (Reliability.Family.of_string "drop:0.05") in
+  let request ~id ~size op =
+    P.render_request
+      {
+        P.id;
+        op;
+        design = Some "Two-Zone Security";
+        design_text = None;
+        inputs = size;
+        outputs = size;
+      }
+  in
+  List.iter
+    (fun size ->
+      let frames =
+        [
+          request ~id:"p" ~size
+            (P.Partition
+               { backend = Service.Oneshot.Paredown; deadline_s = None });
+          request ~id:"w" ~size
+            (P.Weighted { lambda = 0.; family; trials = 2; seed = 1 });
+          P.drain_frame;
+        ]
+      in
+      match responses (snd (serve frames)) with
+      | [ p; w ] ->
+        let below_header text =
+          match String.index_opt text '\n' with
+          | Some i -> String.sub text (i + 1) (String.length text - i - 1)
+          | None -> text
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "%dx%d: weighted λ=0 = partition" size size)
+          p.P.output (below_header w.P.output)
+      | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
+    [ 3; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Loader robustness: mutants of a saved store (two partition entries,
    one under each backend) load as Ok or Error, never raise. *)
@@ -586,6 +627,8 @@ let () =
             `Quick test_deadline_expiry_survives;
           Alcotest.test_case "bounded queue rejects with reason" `Quick
             test_backpressure;
+          Alcotest.test_case "weighted request honours its shape" `Quick
+            test_weighted_honours_shape;
           Alcotest.test_case "weighted trials bounded" `Quick
             test_trials_bounded;
           Alcotest.test_case "out-of-range trials rejected" `Quick

@@ -406,16 +406,20 @@ let test_vcd_fault_markers () =
 
 (* --- Disabled-path overhead ------------------------------------------- *)
 
+(* The site count is pinned: a new counting site on the unarmed path
+   changes it, and must come with a fresh look at the bound. *)
 let test_disabled_overhead () =
   let o = Experiments.Perf.telemetry_overhead ~iters:200_000 () in
+  check Alcotest.int "counting sites on the sim sweep" 4273
+    o.Experiments.Perf.sites;
   check Alcotest.bool
     (Printf.sprintf
        "disabled overhead %.5f of the sim sweep (guard %.2f ns x %d \
         counting sites) stays under 1%%"
-       o.Experiments.Perf.t_ratio o.Experiments.Perf.t_guard_ns
-       o.Experiments.Perf.t_events)
+       o.Experiments.Perf.ratio o.Experiments.Perf.guard_ns
+       o.Experiments.Perf.sites)
     true
-    (o.Experiments.Perf.t_ratio <= 0.01)
+    (o.Experiments.Perf.ratio <= 0.01)
 
 let () =
   Alcotest.run "telemetry"
