@@ -55,6 +55,20 @@ let test_figure5_result () =
   check (Alcotest.pair Alcotest.int Alcotest.int)
     "8 inner blocks -> 3 (2 programmable)" (3, 2) (totals podium)
 
+(* The decision trace is the journal, and it stays off unless asked
+   for: a plain run turns nothing on, and [record] turns off again the
+   journal it installed for its call. *)
+let test_trace_off_by_default () =
+  let off what = check Alcotest.bool what false (Obs.Journal.enabled ()) in
+  off "off before a run";
+  ignore (Core.Paredown.run podium);
+  off "off after a plain run";
+  ignore (Obs.Journal.record (fun () -> Core.Paredown.run podium));
+  off "off after a recorded run";
+  check Alcotest.bool "nothing captured" false (Obs.Journal.capturing ());
+  check Alcotest.bool "nothing installed" true
+    (Option.is_none (Obs.Journal.uninstall ()))
+
 (* --- Rank and removal-choice helpers ----------------------------------- *)
 
 let test_rank_values () =
@@ -352,6 +366,8 @@ let () =
         [
           Alcotest.test_case "trace" `Quick test_figure5_trace;
           Alcotest.test_case "result" `Quick test_figure5_result;
+          Alcotest.test_case "trace off by default" `Quick
+            test_trace_off_by_default;
         ] );
       ( "rank",
         [
