@@ -151,10 +151,12 @@ jobs-check:
 # (6x Table 1 under PareDown + 1x under aggregation) through `paredown
 # serve` twice against the same cache file.  Gates, in order: the warm
 # run is byte-identical to the cold one; the warm run recomputes
-# nothing (cache_misses=0); responses are --jobs invariant; and a
-# piped one-request round trip prints exactly what the one-shot CLI
-# prints.  The cache runs arm the flight recorder, so a mid-batch
-# failure leaves a post-mortem bundle for the CI artifact upload.
+# nothing (cache_misses=0); responses are --jobs invariant; and piped
+# one-request round trips print exactly what the one-shot CLI prints
+# (a partition, and a reliability-weighted search against the
+# header-to-cost lines of `reliability --show`).  The cache runs arm
+# the flight recorder, so a mid-batch failure leaves a post-mortem
+# bundle for the CI artifact upload.
 # PAREDOWN_STABLE_TIMES masks elapsed_ns, the one
 # legitimately nondeterministic response field.  Uses the built binary
 # directly: three dune execs sharing a shell pipe would fight over the
@@ -186,6 +188,15 @@ serve-smoke: build
 	  | ./_build/default/bin/paredown.exe serve \
 	  | ./_build/default/bin/paredown.exe submit --decode - > serve-pipe.txt
 	./_build/default/bin/paredown.exe partition "Podium Timer 3" > serve-oneshot.txt
+	diff serve-pipe.txt serve-oneshot.txt
+	./_build/default/bin/paredown.exe submit --op weighted --lambda 64 \
+	    --trials 8 "Entry Gate Detector" \
+	  | ./_build/default/bin/paredown.exe serve \
+	  | ./_build/default/bin/paredown.exe submit --decode - > serve-pipe.txt
+	./_build/default/bin/paredown.exe reliability "Entry Gate Detector" \
+	    --trials 8 --show 64 \
+	  | sed -n '/^weighted solution/,/^network cost/p' > serve-oneshot.txt
+	test -s serve-oneshot.txt
 	diff serve-pipe.txt serve-oneshot.txt
 	rm -f serve-cache.json serve-batch.txt serve-run1.txt serve-run2.txt \
 	  serve-dec1.txt serve-dec2.txt serve-j1.txt serve-j4.txt \

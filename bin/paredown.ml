@@ -546,22 +546,20 @@ let reliability_cmd =
      | Some lambda, Some d ->
        let _, g = load_network d in
        let cache = Reliability.Estimator.cache () in
-       let severity = Reliability.Estimator.scorer ~cache estimator g in
-       let wr =
-         Core.Paredown.run_weighted
-           ~weighted:{ Core.Paredown.lambda; lexicographic = false; severity }
-           g
+       let solution, report =
+         match
+           Service.Oneshot.weighted ~cache ~lambda ~family ~trials ~seed
+             ~shape:Core.Shape.default g
+         with
+         | Service.Oneshot.Done { solution; report; _ }
+         | Service.Oneshot.Expired { solution; report; _ } ->
+           (solution, report)
        in
-       Printf.printf "\nweighted solution at λ=%g (severity %.3f -> %.3f, \
-                      %d partition(s) dissolved):\n"
-         lambda wr.Core.Paredown.base_severity wr.Core.Paredown.severity
-         wr.Core.Paredown.dissolved;
-       print_solution g wr.Core.Paredown.solution;
+       Printf.printf "\n%s" report;
        (* Served from the cache the weighted search just filled, so the
           blame vector describes exactly the solution printed above. *)
        let est =
-         Reliability.Estimator.estimate_solution ~cache estimator g
-           wr.Core.Paredown.solution
+         Reliability.Estimator.estimate_solution ~cache estimator g solution
        in
        Printf.printf
          "\nblame vector (severity mass per fault site; components sum to \

@@ -19,9 +19,9 @@ let print_header title =
   Printf.printf "\n== %s ==\n\n" title
 
 (* Each table runs inside Obs.Metrics.with_scope and prints the scope's
-   own readings afterwards (counter deltas, histogram diffs), so the
-   numbers are per-table without ever zeroing the cumulative registry —
-   the reset-based version made `all` runs order-sensitive and lost the
+   own readings afterwards (counter deltas), so the numbers are
+   per-table without ever zeroing the cumulative registry — the
+   reset-based version made `all` runs order-sensitive and lost the
    process totals. *)
 let in_metrics_scope f =
   let result, entries = Obs.Metrics.with_scope f in
@@ -87,8 +87,8 @@ let run_scale jobs () =
         (fun e -> e.Obs.Metrics.name = "core.paredown.fit_checks")
         entries
     with
-    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-    | Some _ | None -> -1
+    | Some e -> e.Obs.Metrics.value
+    | None -> -1
   in
   let exact = per_run_exact && counted >= measured_total in
   Printf.printf "worst-case closed form: %s\n"
@@ -191,8 +191,8 @@ let run_fuzz seed seeds jobs csv_out show_metrics () =
         (fun e -> e.Obs.Metrics.name = "codegen.cosim.race_limited_scripts")
         entries
     with
-    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-    | Some _ | None -> 0
+    | Some e -> e.Obs.Metrics.value
+    | None -> 0
   in
   print_string (Experiments.Fuzz.to_table rows);
   print_endline (Experiments.Fuzz.summary ~race_limited rows);
@@ -310,7 +310,7 @@ let fuzz_cmd =
     Arg.(value & flag
          & info [ "metrics" ]
              ~doc:"Print the sweep's own metrics readings (counter \
-                   deltas, histogram diffs) after the table.")
+                   deltas) after the table.")
   in
   let term =
     Term.(

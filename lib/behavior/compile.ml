@@ -42,8 +42,8 @@ type state = {
   mutable in_k : int array;  (* input latch, int-encoded (see value_tag) *)
   mutable in_n : int array;  (* Int payloads where [in_k] is 2 *)
   mutable fired : int;  (* timer slot that expired, -1 for none *)
-  (* activation scratch: last-write-wins collection, flushed by
-     [activate] in canonical order *)
+  (* activation scratch: last-write-wins collection, flushed by the
+     caller in canonical order (ports, then timer slots, ascending) *)
   out_set : bool array;
   out_val : Ast.value array;
   tmr_act : int array;  (* 0 untouched, 1 set, 2 cancelled *)
@@ -386,16 +386,3 @@ let run t st ~inputs ~fired =
   run_bound t st ~fired;
   st.in_k <- [||];
   st.in_n <- [||]  (* do not retain the scratch encoding *)
-
-let activate t st ~inputs ~fired ~on_output ~on_timer_set ~on_timer_cancel =
-  run t st ~inputs ~fired;
-  let n_out = t.n_outputs and n_tmr = Array.length t.timer_ids in
-  for port = 0 to n_out - 1 do
-    if st.out_set.(port) then on_output port st.out_val.(port)
-  done;
-  for slot = 0 to n_tmr - 1 do
-    match st.tmr_act.(slot) with
-    | 1 -> on_timer_set slot st.tmr_delay.(slot)
-    | 2 -> on_timer_cancel slot
-    | _ -> ()
-  done

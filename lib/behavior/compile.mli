@@ -12,8 +12,8 @@
     [compile] lowers a program once: variables become slots in a flat
     [value array], timer indices become compact slots resolved at
     compile time, and the body becomes one [state -> unit] closure with
-    no AST left to inspect.  One {!activate} then costs a handful of
-    array reads and writes plus the user callbacks.
+    no AST left to inspect.  One {!run} then costs a handful of array
+    reads and writes.
 
     Variable slots are fixed per program: the distinct state variables
     first, in order of first declaration (a repeated declaration keeps
@@ -124,24 +124,6 @@ val run : t -> state -> inputs:Ast.value array -> fired:int -> unit
 (** Run the body once against the latched [inputs], leaving the results
     in the scratch fields of [state] (see {!state}).  The caller owns
     the flush: read [out_set]/[out_val] in ascending port order, then
-    [tmr_act]/[tmr_delay] in ascending slot order — the canonical order
-    {!activate} applies.  This is the closure-free inner loop of
-    [Sim.Engine]'s compiled kernel; {!activate} packages the same flush
-    behind callbacks. *)
-
-val activate :
-  t ->
-  state ->
-  inputs:Ast.value array ->
-  fired:int ->
-  on_output:(int -> Ast.value -> unit) ->
-  on_timer_set:(int -> int -> unit) ->
-  on_timer_cancel:(int -> unit) ->
-  unit
-(** Run the body once against the latched [inputs] ([fired] is the
-    {e timer slot} that expired, [-1] for a packet activation).  The
-    store is updated in place; then [on_output port v] is called for
-    each driven port in ascending port order, and one of
-    [on_timer_set slot delay] / [on_timer_cancel slot] for each touched
-    timer in ascending slot order.  The [inputs] array is only
-    read during the call; it is not retained. *)
+    [tmr_act]/[tmr_delay] in ascending slot order (slots ascend with the
+    raw timer index), the canonical order stated above.  This is the
+    closure-free inner loop of [Sim.Engine]'s compiled kernel. *)

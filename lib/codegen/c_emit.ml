@@ -4,9 +4,6 @@ let m_programs =
   Obs.Metrics.counter "codegen.c_programs" ~doc:"C firmware programs emitted"
 let m_bytes =
   Obs.Metrics.counter "codegen.c_bytes" ~doc:"C source bytes emitted"
-let h_program_bytes =
-  Obs.Metrics.histogram "codegen.c_bytes_per_program"
-    ~doc:"emitted C size per program"
 
 let value = function
   | Bool true -> "1"
@@ -100,7 +97,6 @@ let program ?(block_name = "programmable_eblock") ~n_inputs ~n_outputs p =
   out "}\n";
   Obs.Metrics.incr m_programs;
   Obs.Metrics.add m_bytes (Buffer.length buf);
-  Obs.Histogram.observe_int h_program_bytes (Buffer.length buf);
   Buffer.contents buf
 
 let write_file path ?block_name ~n_inputs ~n_outputs p =

@@ -16,9 +16,6 @@ let m_checks =
 let m_shrink_rechecks =
   Obs.Metrics.counter "codegen.cosim.shrink_rechecks"
     ~doc:"candidate scripts re-simulated while shrinking a counterexample"
-let h_counterexample_steps =
-  Obs.Metrics.histogram "codegen.cosim.counterexample_steps"
-    ~doc:"shrunk counterexample script lengths"
 
 type config = {
   scripts : int;
@@ -233,8 +230,6 @@ let run_against ~reference:r candidate =
                   | Error m -> m
                   | Ok () -> assert false  (* shrink keeps scripts failing *)
                 in
-                Obs.Histogram.observe_int h_counterexample_steps
-                  (List.length script);
                 raise
                   (Diverged_on
                      {

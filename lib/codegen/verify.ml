@@ -17,12 +17,6 @@ let m_failed =
 let m_skipped =
   Obs.Metrics.counter "codegen.verify.skipped"
     ~doc:"partitions with no equivalence evidence either way"
-let h_input_bits =
-  Obs.Metrics.histogram "codegen.verify.input_bits"
-    ~doc:"external input pins per checked partition"
-let h_product_states =
-  Obs.Metrics.histogram "codegen.verify.product_states"
-    ~doc:"product states visited by bounded sequential proofs"
 
 type counterexample = {
   trail : bool array list;
@@ -379,9 +373,7 @@ let tier_label = function
 let record ~members status =
   (match status with
    | Proven -> Obs.Metrics.incr m_proven
-   | Bounded_equivalent { states; _ } ->
-     Obs.Metrics.incr m_bounded;
-     Obs.Histogram.observe_int h_product_states states
+   | Bounded_equivalent _ -> Obs.Metrics.incr m_bounded
    | Cosim_passed _ -> Obs.Metrics.incr m_cosim_passed
    | Failed _ -> Obs.Metrics.incr m_failed
    | Skipped _ -> Obs.Metrics.incr m_skipped);
@@ -424,7 +416,6 @@ let verify_partition config flat d members =
          plan.Plan.members)
   in
   let n_inputs = Array.length plan.Plan.input_pins in
-  Obs.Histogram.observe_int h_input_bits n_inputs;
   let uses_timer =
     Array.exists
       (fun i -> Ast.uses_timer i.mi_desc.Eblock.Descriptor.behavior)

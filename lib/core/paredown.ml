@@ -11,9 +11,6 @@ let m_fit_checks =
     ~doc:"fits-in-a-programmable-block tests (§4.2: at most n(n+1)/2)"
 let m_removals =
   Obs.Metrics.counter "core.paredown.removals" ~doc:"border blocks evicted"
-let h_fit_checks =
-  Obs.Metrics.histogram "core.paredown.fit_checks_per_run"
-    ~doc:"fit-check batch size per run (the §4.2 quantity)"
 
 type tie_break =
   | Greatest_indegree
@@ -347,7 +344,6 @@ let run ?(config = default_config) g =
   Obs.Metrics.add m_candidates !outer;
   Obs.Metrics.add m_fit_checks !fit_checks;
   Obs.Metrics.add m_removals !removals;
-  Obs.Histogram.observe_int h_fit_checks !fit_checks;
   {
     solution = { Solution.partitions };
     stats =

@@ -248,8 +248,8 @@ let groups =
     { name = "service";
       doc = "batch server: a 105-request mixed batch drained cold then \
              warm (perf.service_ns covers both, so requests/s = 210e9 \
-             / it; hit rate and latency quantiles ride on the \
-             service.* counters and the service.request_ns histogram)";
+             / it; the hit rate rides on the service.* counters, each \
+             request's latency on its response's elapsed_ns)";
       run =
         (fun () ->
           (* Six resubmissions of Table 1 under PareDown plus one pass
@@ -435,8 +435,8 @@ let record ?(repeats = 3) ?(config = []) () =
   Obs.Metrics.reset ();
   (* One untimed pass: forces the lazy inputs, warms allocator and
      caches, and — because it is the only pass the registry snapshot
-     sees — makes every counter and histogram independent of [repeats],
-     so snapshots recorded with different repeat counts still compare
+     sees — makes every counter independent of [repeats], so snapshots
+     recorded with different repeat counts still compare
      counter-for-counter. *)
   List.iter (fun g -> g.run ()) groups;
   let metrics = Obs.Metrics.snapshot () in

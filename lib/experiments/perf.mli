@@ -52,9 +52,9 @@ val telemetry_overhead : ?iters:int -> unit -> overhead
     event, two per activation and one per sensor event. *)
 
 val record : ?repeats:int -> ?config:(string * string) list -> unit -> Obs.Snapshot.t
-(** Run every group once untimed (warmup; the pass the counters and
-    histograms are captured from, so they are independent of
-    [repeats]), then [repeats] (default 3, min 1) timed passes per
-    group keeping the minimum wall time.  Resets the metrics registry
-    first.  [config] entries are recorded into the snapshot
-    fingerprint alongside ["repeats"]. *)
+(** Run every group once untimed (warmup; the pass the counters are
+    captured from, so they are independent of [repeats]), then
+    [repeats] (default 3, min 1) timed passes per group keeping the
+    minimum wall time.  Resets the metrics registry first.  [config]
+    entries are recorded into the snapshot fingerprint alongside
+    ["repeats"]. *)

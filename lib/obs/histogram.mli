@@ -1,20 +1,19 @@
-(** Log-bucketed (HDR-style) histograms for latency and size
-    distributions.
+(** Log-bucketed (HDR-style) histograms: the per-link send-to-delivery
+    latency of a [Sim.Telemetry] collector.
 
-    Counters say how much work happened; histograms say how it was
-    distributed — a single slow [sim.settle] hides inside a total but
-    not inside a p99.  Buckets are geometric with 4 sub-buckets per
-    octave, so quantiles carry a bounded relative error of
-    [2^(1/4) - 1 ~ 19%] while [observe] stays O(1) with no allocation:
-    cheap enough to keep in hot paths permanently.
+    Counters say how much work happened; a histogram says how it was
+    distributed — one slow link hides inside a total but not inside a
+    p99.  Buckets are geometric with 4 sub-buckets per octave, so
+    quantiles carry a bounded relative error of [2^(1/4) - 1 ~ 19%]
+    while [observe] stays O(1) with no allocation.
 
     Values are nonnegative floats (negative and NaN observations clamp
-    to 0); by convention time is recorded in nanoseconds and metric
-    names carry a [_ns] suffix so renderers can humanise them.
+    to 0).
 
-    Create histograms through {!Metrics.histogram} to register them in
-    the process-wide registry; a bare {!create} is for scratch use
-    (tests, {!diff} results). *)
+    A histogram has one owner and no lock: a collector's histograms are
+    written by the one engine that runs on the collector's domain, and
+    collectors from parallel work items are summed ({!merge}) after the
+    join.  Do not observe into one histogram from two domains. *)
 
 type t
 
@@ -25,9 +24,6 @@ val observe : t -> float -> unit
 val observe_int : t -> int -> unit
 
 val clear : t -> unit
-
-val copy : t -> t
-(** Detached deep copy — the "before" snapshot used by {!diff}. *)
 
 (** {2 Statistics} *)
 
@@ -56,17 +52,12 @@ type summary = {
 
 val summary : t -> summary
 
-val diff : before:t -> t -> t
-(** [diff ~before after] — the observations present in [after] but not
-    in the {!copy} [before].  Counts and sums are exact; min/max are
-    bucket-resolution approximations unless [before] was empty. *)
-
 val bucket_counts : t -> (int * int) list
 (** The nonzero buckets as [(index, count)] pairs in index order — the
     exact distribution {!merge} sums, exposed so merge laws can be
     checked bucket for bucket (not just through quantiles). *)
 
 val merge : t -> t -> t
-(** Bucket-wise sum of two histograms (exact): associative and
-    commutative on count, sum, min, max, and every bucket count, with
-    an empty histogram as identity. *)
+(** Bucket-wise sum of two histograms into a fresh one (exact):
+    associative and commutative on count, sum, min, max, and every
+    bucket count, with an empty histogram as identity. *)

@@ -1,13 +1,15 @@
-(** Process-wide registry of named counters and histograms.
+(** Process-wide registry of named counters.
 
     Counters are the paper's work quantities made first-class: PareDown
     fit checks (§4.2's [n(n+1)/2] bound), exhaustive search nodes,
     simulator events, emitted C bytes.  Instrumented code creates its
     counters once at module initialisation and bumps them
-    unconditionally — an increment is a single unboxed int store,
-    cheap enough for hot loops.  Histograms ({!Histogram}) carry the
-    distributions behind the totals: settle latencies, fit-check batch
-    sizes, emitted program sizes.
+    unconditionally — an increment is a single atomic add, cheap
+    enough for hot loops.  A mean is a ratio of two counters (e.g.
+    [sim.settle_iterations] over [sim.settles]); a distribution is
+    either in the artifact a run already returns (verdicts, reports,
+    journal events) or, for per-link latency, in a {!Histogram} that
+    its one owner keeps ([Sim.Telemetry]).
 
     The registry is global and cumulative; harnesses that want
     per-phase numbers wrap the phase in {!with_scope} (see
@@ -27,37 +29,27 @@ val add : counter -> int -> unit
 
 val counter_value : counter -> int
 
-val histogram : ?doc:string -> string -> Histogram.t
-(** [histogram name] registers (idempotently) a log-bucketed histogram.
-    Time distributions take a [_ns] suffix by convention — renderers
-    humanise those.  Observe with {!Histogram.observe}. *)
-
 (** {2 Inspection} *)
-
-type value =
-  | Count of int
-  | Dist of Histogram.summary
 
 type entry = {
   name : string;
   doc : string;
-  value : value;
+  value : int;
 }
 
 val snapshot : ?prefix:string -> unit -> entry list
-(** All registered metrics, sorted by name; [prefix] filters by name
+(** All registered counters, sorted by name; [prefix] filters by name
     prefix. *)
 
 val find : string -> entry option
 
 val reset : unit -> unit
-(** Zero every counter and histogram (registrations persist). *)
+(** Zero every counter (registrations persist). *)
 
 val with_scope : (unit -> 'a) -> 'a * entry list
 (** [with_scope f] snapshots the registry, runs [f], and returns its
-    result together with the {e per-scope} readings: counter deltas
-    and histogram diffs ({!Histogram.diff}).  Metrics first registered
-    inside the scope appear with their full value.
+    result together with the {e per-scope} counter deltas.  Counters
+    first registered inside the scope appear with their full value.
     This is the safe replacement for the reset-then-read pattern on
     the cumulative registry: nothing is zeroed, so concurrent
     whole-process totals stay intact.  If [f] raises, the exception
@@ -65,11 +57,10 @@ val with_scope : (unit -> 'a) -> 'a * entry list
 
 (** {2 Rendering} *)
 
-val string_of_value : value -> string
-
 val is_time_name : string -> bool
-(** The [_ns] naming convention: [true] for metrics whose values are
-    nanoseconds and should render as humanised times. *)
+(** The [_ns] naming convention: [true] for quantities whose values are
+    nanoseconds and should render as humanised times (the perf
+    snapshot's [times_ns]). *)
 
 val pp_quantity : time:bool -> float -> string
 (** ["1.23ms"] when [time], ["%g"] otherwise. *)
@@ -79,9 +70,8 @@ val render_table : string list list -> string
     shared by the metric renderers and the perf-compare CLI. *)
 
 val render_entries : ?omit_zero:bool -> entry list -> string
-(** Aligned table of scalar metrics, followed by a
-    count/mean/p50/p90/p99/max table for histogram entries.
-    [omit_zero] (default [false]) drops metrics still at zero. *)
+(** Aligned name/count/doc table.  [omit_zero] (default [false]) drops
+    counters still at zero. *)
 
 val to_table : ?prefix:string -> ?omit_zero:bool -> unit -> string
 (** [render_entries] over a fresh {!snapshot}. *)

@@ -4,7 +4,6 @@ let schema_version = 1
 type value =
   | Int of int
   | Float of float
-  | Dist of Histogram.summary
 
 type t = {
   git_rev : string option;
@@ -64,10 +63,6 @@ let git_rev ?(dir = ".") () =
 (* ------------------------------------------------------------------ *)
 (* Capture *)
 
-let value_of_metric = function
-  | Metrics.Count n -> Int n
-  | Metrics.Dist s -> Dist s
-
 let make ?git_rev:rev ?(config = []) ?(times_ns = []) ~metrics () =
   {
     git_rev = (match rev with Some _ -> rev | None -> git_rev ());
@@ -75,9 +70,7 @@ let make ?git_rev:rev ?(config = []) ?(times_ns = []) ~metrics () =
     config = List.sort compare config;
     metrics =
       List.sort compare
-        (List.map
-           (fun e -> (e.Metrics.name, value_of_metric e.Metrics.value))
-           metrics);
+        (List.map (fun e -> (e.Metrics.name, Int e.Metrics.value)) metrics);
     times_ns = List.sort compare times_ns;
   }
 
@@ -87,23 +80,9 @@ let capture ?git_rev ?config ?times_ns () =
 (* ------------------------------------------------------------------ *)
 (* JSON encoding *)
 
-let json_of_summary (s : Histogram.summary) =
-  Json.Obj
-    [
-      ("count", Json.Num (float_of_int s.Histogram.s_count));
-      ("sum", Json.Num s.Histogram.s_sum);
-      ("mean", Json.Num s.Histogram.s_mean);
-      ("min", Json.Num s.Histogram.s_min);
-      ("p50", Json.Num s.Histogram.s_p50);
-      ("p90", Json.Num s.Histogram.s_p90);
-      ("p99", Json.Num s.Histogram.s_p99);
-      ("max", Json.Num s.Histogram.s_max);
-    ]
-
 let json_of_value = function
   | Int n -> Json.Num (float_of_int n)
   | Float v -> Json.Num v
-  | Dist s -> json_of_summary s
 
 let to_json t =
   Json.Obj
@@ -130,35 +109,12 @@ let require what = function
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "snapshot: missing or ill-typed %s" what)
 
-let summary_of_json j =
-  let field name =
-    require ("metrics distribution field " ^ name)
-      (Option.bind (Json.member name j) Json.to_float)
-  in
-  let* count = field "count" in
-  let* sum = field "sum" in
-  let* mean = field "mean" in
-  let* min = field "min" in
-  let* p50 = field "p50" in
-  let* p90 = field "p90" in
-  let* p99 = field "p99" in
-  let* max = field "max" in
-  Ok
-    {
-      Histogram.s_count = int_of_float count;
-      s_sum = sum; s_mean = mean; s_min = min; s_p50 = p50; s_p90 = p90;
-      s_p99 = p99; s_max = max;
-    }
-
 let value_of_json = function
   | Json.Num v ->
     if Float.is_integer v && Float.abs v < 1e15 then
       Ok (Int (int_of_float v))
     else Ok (Float v)
-  | Json.Obj _ as j ->
-    let* s = summary_of_json j in
-    Ok (Dist s)
-  | _ -> Error "snapshot: metric value is neither a number nor an object"
+  | _ -> Error "snapshot: metric value is not a number"
 
 let rec map_fields f = function
   | [] -> Ok []
@@ -208,6 +164,14 @@ let of_json j =
       let* metric_fields =
         require "metrics" (Option.bind (Json.member "metrics" j) Json.to_obj)
       in
+      (* Schema-1 snapshots recorded before the registry kept only
+         counters also hold histogram summaries, written as objects;
+         those entries are skipped, so such a snapshot still loads. *)
+      let metric_fields =
+        List.filter
+          (fun (_, v) -> match v with Json.Obj _ -> false | _ -> true)
+          metric_fields
+      in
       let* metrics = map_fields (fun _ v -> value_of_json v) metric_fields in
       Ok { git_rev; ocaml_version; config; metrics; times_ns }
 
@@ -240,9 +204,8 @@ type delta = {
 }
 
 let scalar_of_value = function
-  | Int n -> Some (float_of_int n)
-  | Float v -> Some v
-  | Dist s -> if s.Histogram.s_count = 0 then None else Some s.Histogram.s_p90
+  | Int n -> float_of_int n
+  | Float v -> v
 
 let diff ~base cur =
   let keys l = List.map fst l in
@@ -261,19 +224,15 @@ let diff ~base cur =
         d_cur = List.assoc_opt k cur.times_ns;
       })
     all_time_keys
-  @ List.filter_map
+  @ List.map
       (fun k ->
-        let scalar side = Option.bind (List.assoc_opt k side) scalar_of_value in
-        match (scalar base.metrics, scalar cur.metrics) with
-        | None, None -> None
-        | b, c ->
-          Some
-            {
-              d_name = k;
-              d_time = Metrics.is_time_name k;
-              d_base = b;
-              d_cur = c;
-            })
+        let scalar side = Option.map scalar_of_value (List.assoc_opt k side) in
+        {
+          d_name = k;
+          d_time = Metrics.is_time_name k;
+          d_base = scalar base.metrics;
+          d_cur = scalar cur.metrics;
+        })
       all_metric_keys
 
 type regression = {
@@ -326,13 +285,10 @@ let render_diff ~base cur =
   in
   let rows =
     [ "metric"; "base"; "new"; "delta" ]
-    :: List.filter_map
+    :: List.map
          (fun d ->
-           if d.d_base = None && d.d_cur = None then None
-           else
-             Some
-               [ d.d_name; fmt d.d_time d.d_base; fmt d.d_time d.d_cur;
-                 pct d.d_base d.d_cur ])
+           [ d.d_name; fmt d.d_time d.d_base; fmt d.d_time d.d_cur;
+             pct d.d_base d.d_cur ])
          deltas
   in
   Metrics.render_table rows

@@ -1,8 +1,8 @@
-(** Versioned, machine-readable perf snapshots with diff/merge and a
+(** Versioned, machine-readable perf snapshots with a diff and a
     noise-aware regression gate.
 
-    A snapshot freezes the full metrics registry (counters and
-    histogram summaries) plus named wall-times into a JSON document:
+    A snapshot freezes the full metrics registry (its counters) plus
+    named wall-times into a JSON document:
 
     {v
     { "schema": "paredown-perf-snapshot",
@@ -11,12 +11,14 @@
       "ocaml_version": "5.1.0",
       "config": { "repeats": "3", ... },
       "times_ns": { "perf.table1_ns": 1234567, ... },
-      "metrics": {
-        "core.paredown.fit_checks": 1360,
-        "sim.settle_events": { "count": 90, "sum": ..., "mean": ...,
-                               "min": ..., "p50": ..., "p90": ...,
-                               "p99": ..., "max": ... } } }
+      "metrics": { "core.paredown.fit_checks": 1360,
+                   "sim.settles": 90, ... } }
     v}
+
+    Snapshots written while the registry still kept histograms (same
+    schema version) also hold distribution summaries, as objects under
+    ["metrics"]; {!of_json} skips those entries, so such a document
+    (e.g. the committed [bench/baseline.json]) still loads.
 
     The gate ({!gate}) distinguishes the two kinds of quantity this
     tool chain produces: {e work counters} are deterministic (same
@@ -31,7 +33,6 @@ val schema_version : int
 type value =
   | Int of int
   | Float of float  (** a non-integer number read from a document *)
-  | Dist of Histogram.summary
 
 type t = {
   git_rev : string option;
@@ -82,8 +83,7 @@ type delta = {
 }
 
 val diff : base:t -> t -> delta list
-(** Every time and scalar metric present in either snapshot (histogram
-    entries compare by p90). *)
+(** Every time and metric present in either snapshot. *)
 
 type regression = {
   r_metric : string;

@@ -9,8 +9,10 @@
       [Prng.split] per item, in the same order the sequential code
       would), so no worker ever touches a shared generator;
     - per-item work only accumulates into domain-safe sinks
-      ({!Obs.Metrics} counters and histograms), whose totals are
-      order-independent sums;
+      ({!Obs.Metrics} counters), whose totals are order-independent
+      sums, or into state the item owns (a [Sim.Telemetry] collector
+      and its latency histograms), which the caller combines after
+      the join;
     - {!map} returns results {e in input order}, whatever order the
       domains finished in.
 

@@ -92,11 +92,11 @@ let partition ~backend ~shape ?deadline_s g =
     let solution = Core.Aggregation.run ~config g in
     Done { solution; report = solution_report g solution; work = [] }
 
-let weighted ~lambda ~family ~trials ~seed ~shape g =
+let weighted ?(cache = Reliability.Estimator.cache ()) ~lambda ~family ~trials
+    ~seed ~shape g =
   let estimator =
     { Reliability.Estimator.default_config with seed; trials; family }
   in
-  let cache = Reliability.Estimator.cache () in
   let severity = Reliability.Estimator.scorer ~cache estimator g in
   let wr =
     Core.Paredown.run_weighted

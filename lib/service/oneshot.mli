@@ -52,8 +52,11 @@ val partition :
     {!default_deadline_s}) only binds the exhaustive backend. *)
 
 val weighted :
+  ?cache:Reliability.Estimator.cache ->
   lambda:float -> family:Reliability.Family.t -> trials:int -> seed:int ->
   shape:Core.Shape.t -> Graph.t -> outcome
 (** The reliability-weighted search of [paredown reliability --show]
-    on [shape] blocks: header line plus {!solution_report}.  Never
-    [Expired]. *)
+    and of served [weighted] requests, on [shape] blocks: header line
+    plus {!solution_report}.  Its estimates are memoised in [cache]
+    (default: a fresh one), so a caller that passes its own can score
+    the returned solution again as a memo hit.  Never [Expired]. *)

@@ -71,70 +71,77 @@ let str_field name j = Option.bind (Json.member name j) Json.to_str
 
 let num_field name j = Option.bind (Json.member name j) Json.to_float
 
-let int_field name j = Option.map int_of_float (num_field name j)
+(* The largest magnitude up to which a float holds every integer. *)
+let max_exact = 1 lsl 53
 
-(* A weighted request's Monte-Carlo sample size.  A fraction would be
-   truncated silently, a non-positive count only fails once the
-   estimator runs, and an unbounded one lets a single frame occupy the
-   resident server indefinitely: all three are rejected here. *)
-let trials_field j =
-  match num_field "trials" j with
-  | None -> Ok default_trials
-  | Some v when Float.is_integer v && v >= 1. && v <= float_of_int max_trials
-    ->
+(* An integer field in [lo, hi], or [default] when absent.  Anything
+   else is rejected with a reason that names the field: a fraction
+   would be truncated silently, a pin count below 1 only fails once the
+   search starts, a seed beyond 2^53 is not the number the client sent,
+   and an unbounded trial count lets a single frame occupy the resident
+   server indefinitely. *)
+let int_field name ~default ?(lo = -max_exact) ?(hi = max_exact) j =
+  match Json.member name j with
+  | None -> Ok default
+  | Some (Json.Num v)
+    when Float.is_integer v && v >= float_of_int lo && v <= float_of_int hi ->
     Ok (int_of_float v)
   | Some v ->
     Error
-      (Printf.sprintf "trials must be an integer in 1..%d (got %s)" max_trials
-         (Json.to_string (Json.Num v)))
+      (Printf.sprintf "%s must be an integer in %d..%d (got %s)" name lo hi
+         (Json.to_string v))
+
+let ( let* ) = Result.bind
 
 let parse_request json =
   match Json.of_string json with
   | Error e -> Invalid { id = "?"; reason = "bad JSON: " ^ e }
   | Ok j -> (
     let id = Option.value (str_field "id" j) ~default:"?" in
-    match Option.value (str_field "op" j) ~default:"partition" with
-    | "drain" -> Drain
-    | "partition" -> (
-      let backend_name =
-        Option.value (str_field "backend" j) ~default:"paredown"
+    let parsed =
+      let* op =
+        match Option.value (str_field "op" j) ~default:"partition" with
+        | "drain" -> Ok None
+        | "partition" ->
+          let* backend =
+            Oneshot.backend_of_string
+              (Option.value (str_field "backend" j) ~default:"paredown")
+          in
+          let deadline_s = num_field "deadline_s" j in
+          Ok (Some (Partition { backend; deadline_s }))
+        | "weighted" ->
+          let* family =
+            Reliability.Family.of_string
+              (Option.value (str_field "family" j)
+                 ~default:"brownout:0.3@40,110,180")
+          in
+          let* trials =
+            int_field "trials" ~default:default_trials ~lo:1 ~hi:max_trials j
+          in
+          let* seed = int_field "seed" ~default:default_seed j in
+          let lambda = Option.value (num_field "lambda" j) ~default:1.0 in
+          Ok (Some (Weighted { lambda; family; trials; seed }))
+        | other -> Error (Printf.sprintf "unknown op %S" other)
       in
-      match Oneshot.backend_of_string backend_name with
-      | Error e -> Invalid { id; reason = e }
-      | Ok backend ->
-        Request
-          {
-            id;
-            op = Partition { backend; deadline_s = num_field "deadline_s" j };
-            design = str_field "design" j;
-            design_text = str_field "design_text" j;
-            inputs = Option.value (int_field "inputs" j) ~default:2;
-            outputs = Option.value (int_field "outputs" j) ~default:2;
-          })
-    | "weighted" -> (
-      let family_name =
-        Option.value (str_field "family" j) ~default:"brownout:0.3@40,110,180"
-      in
-      match Reliability.Family.of_string family_name, trials_field j with
-      | Error e, _ | _, Error e -> Invalid { id; reason = e }
-      | Ok family, Ok trials ->
-        Request
-          {
-            id;
-            op =
-              Weighted
-                {
-                  lambda = Option.value (num_field "lambda" j) ~default:1.0;
-                  family;
-                  trials;
-                  seed = Option.value (int_field "seed" j) ~default:default_seed;
-                };
-            design = str_field "design" j;
-            design_text = str_field "design_text" j;
-            inputs = Option.value (int_field "inputs" j) ~default:2;
-            outputs = Option.value (int_field "outputs" j) ~default:2;
-          })
-    | other -> Invalid { id; reason = Printf.sprintf "unknown op %S" other })
+      match op with
+      | None -> Ok Drain
+      | Some op ->
+        let* inputs = int_field "inputs" ~default:2 ~lo:1 j in
+        let* outputs = int_field "outputs" ~default:2 ~lo:1 j in
+        Ok
+          (Request
+             {
+               id;
+               op;
+               design = str_field "design" j;
+               design_text = str_field "design_text" j;
+               inputs;
+               outputs;
+             })
+    in
+    match parsed with
+    | Ok inbound -> inbound
+    | Error reason -> Invalid { id; reason })
 
 let render_request r =
   let base =

@@ -41,16 +41,21 @@ type inbound =
   | Request of request
   | Drain  (** the control frame that ends a batch *)
   | Invalid of { id : string; reason : string }
-      (** parseable JSON with a bad op/backend/family; answered with a
-          [rejected] response instead of killing the batch *)
+      (** parseable JSON with a bad op/backend/family or integer field;
+          answered with a [rejected] response instead of killing the
+          batch *)
 
 val default_trials : int
 val default_seed : int
 
 val max_trials : int
-(** The largest [trials] a [weighted] request may ask for (10_000).  A
-    [trials] value that is not a whole number in [1..max_trials] makes
-    the request {!Invalid}, with a reason naming the bound. *)
+(** The largest [trials] a [weighted] request may ask for (10_000).
+
+    The integer fields are never truncated: a request is {!Invalid},
+    with a reason naming the field and its range, when [trials] is not
+    a whole number in [1..max_trials], [inputs] or [outputs] is not a
+    whole number [>= 1], or [seed] is not a whole number a float holds
+    exactly ([|seed| <= 2^53]).  An absent field takes its default. *)
 
 val parse_request : string -> inbound
 val render_request : request -> string

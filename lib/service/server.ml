@@ -4,7 +4,6 @@ let m_requests = Obs.Metrics.counter "service.requests"
 let m_rejected = Obs.Metrics.counter "service.rejected"
 let m_expired = Obs.Metrics.counter "service.deadline_expired"
 let m_errors = Obs.Metrics.counter "service.errors"
-let h_request_ns = Obs.Metrics.histogram "service.request_ns"
 
 type config = {
   jobs : int;
@@ -129,9 +128,7 @@ let compute_job (j : job) =
         in
         C_done { report; work; payload })
   in
-  let ns = Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0) in
-  Obs.Histogram.observe h_request_ns ns;
-  (c, ns)
+  (c, Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0))
 
 (* ------------------------------------------------------------------ *)
 
@@ -231,7 +228,6 @@ let run ?(config = default_config) ic oc =
                 let ns =
                   Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0)
                 in
-                Obs.Histogram.observe h_request_ns ns;
                 Hit { j; report; work; ns }
               | None -> Miss j))
           admitted

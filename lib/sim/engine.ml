@@ -18,8 +18,6 @@ let m_totals =
       ("activations", "block behaviour evaluations");
       ("settles", "settle calls completed");
       ("settle_iterations", "events drained across all settles") |]
-let h_settle_events =
-  Obs.Metrics.histogram "sim.settle_events" ~doc:"events drained per settle"
 
 type value = Behavior.Ast.value
 
@@ -591,9 +589,9 @@ let cactivate t ~time ni ~fired =
   if t.c_observe then bump t.c_tel.nodes Telemetry.n_activations ni;
   let st = t.pstates.%(ni) in
   Behavior.Compile.run_bound t.progs.%(ni) st ~fired;
-  (* flush the scratch ourselves — ascending ports, then ascending
-     timer slots, exactly [Compile.activate]'s order — so an
-     activation involves no closure dispatch at all *)
+  (* flush the scratch ourselves in the canonical order — ascending
+     ports, then ascending timer slots — so an activation involves no
+     closure dispatch at all *)
   let out_set = st.Behavior.Compile.out_set in
   let out_val = st.Behavior.Compile.out_val in
   if t.c_armed then
@@ -1098,8 +1096,7 @@ let settle ?(limit = 100_000) t =
   end;
   count_one t Telemetry.k_settles;
   count_total t Telemetry.k_settle_iterations drained;
-  cflush_metrics t;
-  Obs.Histogram.observe_int h_settle_events drained
+  cflush_metrics t
 
 let require_sensor t id =
   match Graph.kind t.c_net.p_graph id with

@@ -112,9 +112,6 @@ let m_checks =
 let m_shrink_rechecks =
   Obs.Metrics.counter "codegen.cosim.shrink_rechecks"
     ~doc:"candidate scripts re-simulated while shrinking a counterexample"
-let h_counterexample_steps =
-  Obs.Metrics.histogram "codegen.cosim.counterexample_steps"
-    ~doc:"shrunk counterexample script lengths"
 
 let script_seed (config : Codegen.Cosim.config) i =
   (* one independent stream per script, stable under config.scripts *)
@@ -188,8 +185,6 @@ let run ?(config = Codegen.Cosim.default_config) ~reference candidate =
                   | Error m -> m
                   | Ok () -> assert false  (* shrink keeps scripts failing *)
                 in
-                Obs.Histogram.observe_int h_counterexample_steps
-                  (List.length script);
                 raise
                   (Diverged_on
                      {

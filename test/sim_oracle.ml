@@ -620,8 +620,6 @@ let m_settles =
 let m_settle_iterations =
   Obs.Metrics.counter "sim.settle_iterations"
     ~doc:"events drained across all settles"
-let h_settle_events =
-  Obs.Metrics.histogram "sim.settle_events" ~doc:"events drained per settle"
 
 type value = Behavior.Ast.value
 
@@ -1045,8 +1043,7 @@ let settle ?(limit = 100_000) t =
     Obs.Metrics.add m_settle_iterations drained;
     (match t.i_telemetry with
      | None -> ()
-     | Some tel -> Telemetry.note_settle tel);
-    Obs.Histogram.observe_int h_settle_events drained
+     | Some tel -> Telemetry.note_settle tel)
   end
 
 let require_sensor t id =

@@ -333,9 +333,9 @@ let test_two_domain_counters_agree () =
     in
     List.filter_map
       (fun e ->
-        match e.Obs.Metrics.value with
-        | Obs.Metrics.Count n when n <> 0 -> Some (e.Obs.Metrics.name, n)
-        | _ -> None)
+        if e.Obs.Metrics.value <> 0 then
+          Some (e.Obs.Metrics.name, e.Obs.Metrics.value)
+        else None)
       entries
   in
   let seq = counter_delta 1 and par = counter_delta 2 in

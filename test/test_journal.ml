@@ -114,8 +114,8 @@ let test_fit_check_parity () =
         (fun e -> e.Obs.Metrics.name = "core.paredown.fit_checks")
         entries
     with
-    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-    | Some _ | None -> -1
+    | Some { Obs.Metrics.value = n; _ } -> n
+    | None -> -1
   in
   let l = load_ok (Obs.Journal.load_string (Obs.Journal.to_jsonl j)) in
   let journaled = Obs.Journal.fit_check_count l in

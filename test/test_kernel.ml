@@ -363,10 +363,8 @@ let sim_deltas run =
   ( result,
     List.filter_map
       (fun (e : Obs.Metrics.entry) ->
-        match e.value with
-        | Obs.Metrics.Count n when String.starts_with ~prefix:"sim." e.name ->
-          Some (e.name, n)
-        | _ -> None)
+        if String.starts_with ~prefix:"sim." e.name then Some (e.name, e.value)
+        else None)
       entries )
 
 let compiled_k : (module KERNEL with type t = E.t) =

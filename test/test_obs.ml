@@ -8,8 +8,7 @@ let fit_checks_counter = "core.paredown.fit_checks"
 
 let counter_value name =
   match Obs.Metrics.find name with
-  | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-  | Some _ -> Alcotest.failf "%s is not a counter" name
+  | Some { Obs.Metrics.value = n; _ } -> n
   | None -> Alcotest.failf "counter %s not registered" name
 
 (* ------------------------------------------------------------------ *)
@@ -48,23 +47,16 @@ let test_registry_and_snapshot () =
   let c = Obs.Metrics.counter "test.obs.registered" ~doc:"a counter" in
   Obs.Metrics.add c 15;
   (match Obs.Metrics.find "test.obs.registered" with
-   | Some { Obs.Metrics.value = Obs.Metrics.Count n; doc; _ } ->
+   | Some { Obs.Metrics.value = n; doc; _ } ->
      Alcotest.(check int) "find sees the count" 15 n;
      Alcotest.(check string) "doc is kept" "a counter" doc
-   | Some _ | None -> Alcotest.fail "counter not found in registry");
+   | None -> Alcotest.fail "counter not found in registry");
   let names = List.map (fun e -> e.Obs.Metrics.name)
       (Obs.Metrics.snapshot ~prefix:"test.obs." ()) in
   Alcotest.(check bool) "snapshot is name-sorted" true
     (names = List.sort compare names);
   Alcotest.(check bool) "prefix filters" true
     (List.for_all (String.starts_with ~prefix:"test.obs.") names)
-
-let test_kind_clash_rejected () =
-  let _ = Obs.Metrics.counter "test.obs.clash" in
-  Alcotest.check_raises "counter name cannot become a histogram"
-    (Invalid_argument
-       "Obs.Metrics.histogram: \"test.obs.clash\" is a counter")
-    (fun () -> ignore (Obs.Metrics.histogram "test.obs.clash"))
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
@@ -589,49 +581,6 @@ let test_histogram_empty_and_clear () =
   let s = Obs.Histogram.summary h in
   Alcotest.(check int) "summary of empty" 0 s.Obs.Histogram.s_count
 
-let test_histogram_diff () =
-  let h = Obs.Histogram.create () in
-  Obs.Histogram.observe h 10.;
-  Obs.Histogram.observe h 20.;
-  let before = Obs.Histogram.copy h in
-  Obs.Histogram.observe h 30.;
-  Obs.Histogram.observe h 40.;
-  Obs.Histogram.observe h 50.;
-  let d = Obs.Histogram.diff ~before h in
-  Alcotest.(check int) "diff count" 3 (Obs.Histogram.count d);
-  Alcotest.(check (float 1e-6)) "diff sum" 120. (Obs.Histogram.sum d);
-  (* min/max of a diff are bucket-resolution approximations *)
-  let rel a b = Float.abs (a -. b) /. b in
-  Alcotest.(check bool) "diff min near 30" true
-    (rel (Obs.Histogram.min_value d) 30. < 0.19);
-  Alcotest.(check bool) "diff max near 50" true
-    (rel (Obs.Histogram.max_value d) 50. < 0.19);
-  (* an empty before diffs exactly *)
-  let d0 = Obs.Histogram.diff ~before:(Obs.Histogram.create ()) h in
-  Alcotest.(check int) "diff against empty is a copy" 5
-    (Obs.Histogram.count d0)
-
-let test_histogram_registry () =
-  let h = Obs.Metrics.histogram "test.obs.hist_ns" ~doc:"a latency" in
-  let h' = Obs.Metrics.histogram "test.obs.hist_ns" in
-  Obs.Histogram.observe h 42.;
-  Alcotest.(check int) "registration is idempotent (same cell)" 1
-    (Obs.Histogram.count h');
-  (match Obs.Metrics.find "test.obs.hist_ns" with
-   | Some { Obs.Metrics.value = Obs.Metrics.Dist s; _ } ->
-     Alcotest.(check int) "registry sees the observation" 1
-       s.Obs.Histogram.s_count
-   | Some _ | None -> Alcotest.fail "histogram not found in registry");
-  let table = Obs.Metrics.to_table ~prefix:"test.obs.hist" () in
-  Alcotest.(check bool) "table has percentile columns" true
-    (Testlib.contains table "p50" && Testlib.contains table "p99");
-  Alcotest.(check bool) "table names the histogram" true
-    (Testlib.contains table "test.obs.hist_ns");
-  Alcotest.check_raises "histogram name cannot become a counter"
-    (Invalid_argument
-       "Obs.Metrics.counter: \"test.obs.hist_ns\" is a histogram")
-    (fun () -> ignore (Obs.Metrics.counter "test.obs.hist_ns"))
-
 (* Histogram.merge laws: the telemetry collector's determinism argument
    (doc/network-telemetry.md) rests on merge being associative and
    commutative on every statistic the reports read, so fold order over
@@ -707,14 +656,11 @@ let test_histogram_merge_identity =
 
 let test_with_scope_deltas () =
   let c = Obs.Metrics.counter "test.obs.scope_counter" in
-  let h = Obs.Metrics.histogram "test.obs.scope_hist" in
   Obs.Metrics.add c 5;
-  Obs.Histogram.observe h 100.;
   let result, entries =
     Obs.Metrics.with_scope (fun () ->
         Obs.Metrics.add c 3;
-        Obs.Histogram.observe h 200.;
-        Obs.Histogram.observe h 300.;
+        Obs.Metrics.add (Obs.Metrics.counter "test.obs.scope_new") 4;
         "done")
   in
   Alcotest.(check string) "result passes through" "done" result;
@@ -723,14 +669,10 @@ let test_with_scope_deltas () =
     | Some e -> e.Obs.Metrics.value
     | None -> Alcotest.failf "scope entry %s missing" name
   in
-  (match entry "test.obs.scope_counter" with
-   | Obs.Metrics.Count n ->
-     Alcotest.(check int) "counter delta, not total" 3 n
-   | _ -> Alcotest.fail "counter entry has wrong kind");
-  (match entry "test.obs.scope_hist" with
-   | Obs.Metrics.Dist s ->
-     Alcotest.(check int) "histogram diff count" 2 s.Obs.Histogram.s_count
-   | _ -> Alcotest.fail "histogram entry has wrong kind");
+  Alcotest.(check int) "counter delta, not total" 3
+    (entry "test.obs.scope_counter");
+  Alcotest.(check int) "registered inside the scope: full value" 4
+    (entry "test.obs.scope_new");
   Alcotest.(check int) "registry total is untouched" 8
     (Obs.Metrics.counter_value c)
 
@@ -832,8 +774,6 @@ let plain_snapshot ?(metrics = []) ?(times_ns = []) () =
 let test_snapshot_round_trip () =
   let c = Obs.Metrics.counter "test.obs.snap_counter" in
   Obs.Metrics.add c 7;
-  let h = Obs.Metrics.histogram "test.obs.snap_hist_ns" in
-  Obs.Histogram.observe h 1234.;
   let snap =
     Obs.Snapshot.capture ~config:[ ("repeats", "3") ]
       ~times_ns:[ ("perf.demo_ns", 1.5e6) ] ()
@@ -912,25 +852,90 @@ let test_snapshot_gate () =
   | rs -> Alcotest.failf "expected 1 counter regression, got %d"
             (List.length rs)
 
-(* Mutants of a rendered snapshot (a counter, a histogram and a time)
-   load as Ok or Error, never raise. *)
-let test_snapshot_loader_robustness =
-  let doc =
-    Obs.Snapshot.to_string
-      (plain_snapshot
-         ~metrics:
-           [
-             ("core.paredown.fit_checks", Obs.Snapshot.Int 1360);
-             ("codegen.c_bytes", Obs.Snapshot.Float 2.5);
-             ( "sim.settle_events",
-               Obs.Snapshot.Dist
-                 (Obs.Histogram.summary (histogram_of [ 1.; 20.; 300. ])) );
-           ]
-         ~times_ns:[ ("perf.sim_ns", 1.5e6) ]
-         ())
+(* A snapshot as written while the registry still kept histograms
+   (same schema version): a counter, a non-integer number, a time, and
+   one distribution summary, an object the loader skips. *)
+let schema1_doc =
+  {|{
+  "schema": "paredown-perf-snapshot",
+  "version": 1,
+  "git_rev": null,
+  "ocaml_version": "5.1.1",
+  "config": {
+    "repeats": "3"
+  },
+  "times_ns": {
+    "perf.sim_ns": 1500000
+  },
+  "metrics": {
+    "codegen.c_bytes": 2.5,
+    "core.paredown.fit_checks": 1360,
+    "sim.settle_events": {
+      "count": 3,
+      "sum": 321,
+      "mean": 107,
+      "min": 1,
+      "p50": 19.0273,
+      "p90": 304.437,
+      "p99": 304.437,
+      "max": 300
+    }
+  }
+}
+|}
+
+let test_snapshot_skips_distributions () =
+  match Obs.Snapshot.of_string schema1_doc with
+  | Error msg -> Alcotest.failf "schema-1 snapshot does not load: %s" msg
+  | Ok snap ->
+    Alcotest.(check (list string)) "the distribution is skipped"
+      [ "codegen.c_bytes"; "core.paredown.fit_checks" ]
+      (List.map fst snap.Obs.Snapshot.metrics);
+    Alcotest.(check bool) "numbers keep their values" true
+      (snap.Obs.Snapshot.metrics
+       = [ ("codegen.c_bytes", Obs.Snapshot.Float 2.5);
+           ("core.paredown.fit_checks", Obs.Snapshot.Int 1360) ]);
+    Alcotest.(check (option (float 0.))) "time survives" (Some 1.5e6)
+      (List.assoc_opt "perf.sim_ns" snap.Obs.Snapshot.times_ns)
+
+(* The committed perf baseline predates the counter-only registry: read
+   independently as JSON, its 52 numeric metrics must load with their
+   committed values, and its 11 distribution objects must be skipped. *)
+let test_committed_baseline_loads () =
+  let path = "../bench/baseline.json" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let fields =
+    match Result.map (Obs.Json.member "metrics") (Obs.Json.of_string text) with
+    | Ok (Some (Obs.Json.Obj fields)) -> fields
+    | _ -> Alcotest.failf "%s has no metrics object" path
   in
+  let counters =
+    List.filter_map
+      (function
+        | k, Obs.Json.Num v -> Some (k, int_of_float v) | _, _ -> None)
+      fields
+  in
+  Alcotest.(check (pair int int)) "52 counters, 11 distributions" (52, 11)
+    (List.length counters, List.length fields - List.length counters);
+  match Obs.Snapshot.read_file path with
+  | Error msg -> Alcotest.failf "%s does not load: %s" path msg
+  | Ok snap ->
+    let loaded =
+      List.map
+        (function
+          | k, Obs.Snapshot.Int n -> (k, n)
+          | k, Obs.Snapshot.Float v -> Alcotest.failf "%s reads %g" k v)
+        snap.Obs.Snapshot.metrics
+    in
+    Alcotest.(check (list (pair string int)))
+      "counters read their committed values" (List.sort compare counters)
+      (List.sort compare loaded)
+
+(* Mutants of a schema-1 snapshot (a counter, a non-integer, a
+   distribution object and a time) load as Ok or Error, never raise. *)
+let test_snapshot_loader_robustness =
   Testlib.loader_never_raises ~count:20_000 ~seed:22 ~name:"mutated snapshot"
-    doc Obs.Snapshot.of_string
+    schema1_doc Obs.Snapshot.of_string
 
 (* ------------------------------------------------------------------ *)
 (* Profile *)
@@ -1053,6 +1058,26 @@ let test_sim_packet_counter_tracks_engine () =
     (Sim.Engine.packet_count engine) sent;
   Alcotest.(check bool) "some packets flowed" true (sent > 0)
 
+(* What `paredown simulate "Two-Zone Security" --steps 30 --metrics`
+   prints after its run: the settle counters, and no distributions
+   block (a mean settle size is sim.settle_iterations / sim.settles). *)
+let test_simulate_metrics_table () =
+  let design = Option.get (Designs.Library.find "Two-Zone Security") in
+  let g = design.Designs.Design.network in
+  let script =
+    Sim.Stimulus.random ~rng:(Prng.create 1)
+      ~sensors:(Netlist.Graph.sensors g) ~steps:30 ~spacing:20
+  in
+  ignore (Sim.Stimulus.settled_outputs (Sim.Engine.create g) script);
+  let table = Obs.Metrics.to_table ~omit_zero:true () in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " listed") true
+        (Testlib.contains table name))
+    [ "sim.settles"; "sim.settle_iterations" ];
+  Alcotest.(check bool) "no distributions block" false
+    (Testlib.contains table "distributions:")
+
 (* ------------------------------------------------------------------ *)
 (* Flush: re-armable exit writers.  Re-arming a slot must replace its
    hook (a long-lived process arming per batch must not accumulate
@@ -1127,8 +1152,6 @@ let () =
             test_counter_arithmetic;
           Alcotest.test_case "registry and snapshot" `Quick
             test_registry_and_snapshot;
-          Alcotest.test_case "kind clash rejected" `Quick
-            test_kind_clash_rejected;
         ] );
       ( "trace",
         [
@@ -1162,8 +1185,6 @@ let () =
           Alcotest.test_case "statistics" `Quick test_histogram_statistics;
           Alcotest.test_case "empty and clear" `Quick
             test_histogram_empty_and_clear;
-          Alcotest.test_case "diff" `Quick test_histogram_diff;
-          Alcotest.test_case "registry" `Quick test_histogram_registry;
           test_histogram_merge_commutative;
           test_histogram_merge_associative;
           test_histogram_merge_identity;
@@ -1203,6 +1224,10 @@ let () =
           Alcotest.test_case "bad documents rejected" `Quick
             test_snapshot_rejects_bad_documents;
           Alcotest.test_case "regression gate" `Quick test_snapshot_gate;
+          Alcotest.test_case "schema-1 distributions skipped" `Quick
+            test_snapshot_skips_distributions;
+          Alcotest.test_case "committed baseline loads" `Quick
+            test_committed_baseline_loads;
           test_snapshot_loader_robustness;
         ] );
       ( "profile",
@@ -1220,5 +1245,7 @@ let () =
             test_exhaustive_deadline_counter;
           Alcotest.test_case "sim packet counter" `Quick
             test_sim_packet_counter_tracks_engine;
+          Alcotest.test_case "simulate --metrics has no distributions" `Quick
+            test_simulate_metrics_table;
         ] );
     ]

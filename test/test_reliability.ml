@@ -246,8 +246,8 @@ let sweep_families =
 
 let counter_delta name entries =
   match List.find_opt (fun e -> e.Obs.Metrics.name = name) entries with
-  | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-  | Some _ | None -> 0
+  | Some { Obs.Metrics.value = n; _ } -> n
+  | None -> 0
 
 (* One settle per script step: the clean reference once, then each
    trial.  A diverged trial stops at the step that exhausted its limit,
@@ -906,8 +906,8 @@ let test_cache_hits () =
     match
       List.find_opt (fun e -> e.Obs.Metrics.name = name) entries
     with
-    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-    | _ -> Alcotest.fail ("missing counter " ^ name)
+    | Some { Obs.Metrics.value = n; _ } -> n
+    | None -> Alcotest.fail ("missing counter " ^ name)
   in
   check Alcotest.int "cache_hits counter" 1 (scoped "reliability.cache_hits");
   check Alcotest.int "cache_misses counter" 1
@@ -965,8 +965,8 @@ let test_cache_capacity_bound () =
         (fun e -> e.Obs.Metrics.name = "reliability.cache_evictions")
         entries
     with
-    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-    | _ -> Alcotest.fail "missing counter reliability.cache_evictions"
+    | Some { Obs.Metrics.value = n; _ } -> n
+    | None -> Alcotest.fail "missing counter reliability.cache_evictions"
   in
   check Alcotest.int "evictions counted on the metric"
     tight_stats.Estimator.evictions metric

@@ -529,6 +529,85 @@ let test_trials_rejected_by_server () =
    | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
   Alcotest.(check int) "counted as a rejection" 1 summary.P.rejected
 
+(* [inputs], [outputs] and [seed] are never truncated: a value that is
+   not a whole number in the field's range makes the request Invalid,
+   with a reason that names the field. *)
+let field_frame ?(op = "partition") field value =
+  Printf.sprintf {|{"id":"f","op":"%s","design":"Podium Timer 3","%s":%s}|}
+    op field value
+
+let expect_invalid field frame =
+  match P.parse_request frame with
+  | P.Invalid { id; reason } ->
+    Alcotest.(check string) (frame ^ ": id kept") "f" id;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: reason %S names %s" frame reason field)
+      true
+      (Testlib.contains reason field)
+  | P.Request _ | P.Drain -> Alcotest.failf "%s accepted" frame
+
+let expect_request frame check =
+  match P.parse_request frame with
+  | P.Request r -> check r
+  | P.Invalid { reason; _ } -> Alcotest.failf "%s rejected: %s" frame reason
+  | P.Drain -> Alcotest.failf "%s read as a drain" frame
+
+let test_fractional_pins_rejected () =
+  List.iter
+    (fun (op, field) ->
+      List.iter
+        (fun v -> expect_invalid field (field_frame ~op field v))
+        [ "2.5"; "1.000001"; "\"3\"" ])
+    [ ("partition", "inputs"); ("partition", "outputs");
+      ("weighted", "inputs"); ("weighted", "outputs") ];
+  expect_request (field_frame "inputs" "3.0") (fun r ->
+      Alcotest.(check int) "a whole float is the integer" 3 r.P.inputs)
+
+let test_nonpositive_pins_rejected () =
+  List.iter
+    (fun field ->
+      List.iter
+        (fun v -> expect_invalid field (field_frame field v))
+        [ "0"; "-2" ])
+    [ "inputs"; "outputs" ];
+  (* through the server: a rejection with the field's name, not the
+     shape constructor's error *)
+  let frames =
+    [ field_frame "inputs" "0";
+      partition_request ~id:"good" "Podium Timer 3";
+      P.drain_frame ]
+  in
+  let summary, out = serve frames in
+  (match responses out with
+   | [ bad; good ] ->
+     Alcotest.(check string) "zero inputs rejected" "rejected" (status_of bad);
+     Alcotest.(check bool) "reason names the field" true
+       (Testlib.contains bad.P.output "inputs");
+     Alcotest.(check string) "good request unaffected" "ok" (status_of good)
+   | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
+  Alcotest.(check int) "counted as a rejection" 1 summary.P.rejected
+
+let test_fractional_seed_rejected () =
+  List.iter
+    (fun v -> expect_invalid "seed" (field_frame ~op:"weighted" "seed" v))
+    [ "1.9"; "-0.5" ];
+  expect_request (field_frame ~op:"weighted" "seed" "-7") (function
+    | { P.op = P.Weighted { seed; _ }; _ } ->
+      Alcotest.(check int) "negative whole seeds are seeds" (-7) seed
+    | _ -> Alcotest.fail "not a weighted request")
+
+let test_inexact_seed_rejected () =
+  List.iter
+    (fun v -> expect_invalid "seed" (field_frame ~op:"weighted" "seed" v))
+    [ "9007199254740994"; "-9007199254740994"; "1e300" ];
+  List.iter
+    (fun (text, expected) ->
+      expect_request (field_frame ~op:"weighted" "seed" text) (function
+        | { P.op = P.Weighted { seed; _ }; _ } ->
+          Alcotest.(check int) text expected seed
+        | _ -> Alcotest.fail "not a weighted request"))
+    [ ("9007199254740992", 1 lsl 53); ("-9007199254740992", -(1 lsl 53)) ]
+
 (* A weighted request searches on the requested block shape: at λ = 0
    no dissolution pays, so below its header line it reports what the
    partition op reports at the same shape. *)
@@ -633,6 +712,14 @@ let () =
             test_trials_bounded;
           Alcotest.test_case "out-of-range trials rejected" `Quick
             test_trials_rejected_by_server;
+          Alcotest.test_case "fractional pin counts rejected" `Quick
+            test_fractional_pins_rejected;
+          Alcotest.test_case "pin counts below 1 rejected" `Quick
+            test_nonpositive_pins_rejected;
+          Alcotest.test_case "fractional seed rejected" `Quick
+            test_fractional_seed_rejected;
+          Alcotest.test_case "seed beyond 2^53 rejected" `Quick
+            test_inexact_seed_rejected;
           Alcotest.test_case "errors are per-request" `Quick
             test_error_isolated;
         ] );

@@ -358,8 +358,8 @@ let test_clean_timeline_replays_once () =
   in
   let settles =
     match List.find_opt (fun e -> e.Obs.Metrics.name = "sim.settles") entries with
-    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-    | Some _ | None -> 0
+    | Some { Obs.Metrics.value = n; _ } -> n
+    | None -> 0
   in
   check Alcotest.int "one settle per script step"
     config.Experiments.Netobs.steps settles;

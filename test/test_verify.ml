@@ -185,8 +185,8 @@ let test_latent_race_checked_at_baseline () =
         (fun e -> e.Obs.Metrics.name = "codegen.cosim.race_limited_scripts")
         entries
     with
-    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-    | Some _ | None -> 0
+    | Some { Obs.Metrics.value = n; _ } -> n
+    | None -> 0
   in
   check Alcotest.bool "race-limited scripts counted" true (race_limited >= 1)
 
@@ -255,8 +255,8 @@ let test_plan_counters_pinned () =
     match
       List.find_opt (fun e -> e.Obs.Metrics.name = name) entries
     with
-    | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-    | Some _ | None -> -1
+    | Some { Obs.Metrics.value = n; _ } -> n
+    | None -> -1
   in
   check Alcotest.int "plans built" 2 (count "codegen.plans_built");
   check Alcotest.int "merged nodes" 7 (count "codegen.merged_nodes")
@@ -298,8 +298,8 @@ let test_report_no_silent_skips () =
 
 let counter_delta name entries =
   match List.find_opt (fun e -> e.Obs.Metrics.name = name) entries with
-  | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
-  | Some _ | None -> 0
+  | Some { Obs.Metrics.value = n; _ } -> n
+  | None -> 0
 
 (* Each simulation settles once per script step.  Per usable script the
    flat side runs E+9 distinct configurations once per solution and each
@@ -464,8 +464,7 @@ let observed_run f =
       (fun e ->
         if String.starts_with ~prefix:"codegen.cosim." e.Obs.Metrics.name then
           Some
-            (Printf.sprintf "%s=%s" e.Obs.Metrics.name
-               (Obs.Metrics.string_of_value e.Obs.Metrics.value))
+            (Printf.sprintf "%s=%d" e.Obs.Metrics.name e.Obs.Metrics.value)
         else None)
       entries
   in
