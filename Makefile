@@ -154,7 +154,8 @@ jobs-check:
 # nothing (cache_misses=0); responses are --jobs invariant; and piped
 # one-request round trips print exactly what the one-shot CLI prints
 # (a partition, and a reliability-weighted search against the
-# header-to-cost lines of `reliability --show`).  The cache runs arm
+# header-to-cost lines of `reliability --show`); and a weighted request
+# whose lambda is the string "64" is answered rejected, naming lambda.  The cache runs arm
 # the flight recorder, so a mid-batch failure leaves a post-mortem
 # bundle for the CI artifact upload.
 # PAREDOWN_STABLE_TIMES masks elapsed_ns, the one
@@ -198,6 +199,12 @@ serve-smoke: build
 	  | sed -n '/^weighted solution/,/^network cost/p' > serve-oneshot.txt
 	test -s serve-oneshot.txt
 	diff serve-pipe.txt serve-oneshot.txt
+	req='{"id":"bad","op":"weighted","design":"Entry Gate Detector","lambda":"64","trials":8}'; \
+	printf '%s\n%s\n' "$${#req}" "$$req" \
+	  | ./_build/default/bin/paredown.exe serve \
+	  | ./_build/default/bin/paredown.exe submit --decode - > serve-pipe.txt
+	grep -q '^# bad rejected: .*"lambda"' serve-pipe.txt || \
+	  { echo "serve-smoke: a string lambda was not rejected by name"; exit 1; }
 	rm -f serve-cache.json serve-batch.txt serve-run1.txt serve-run2.txt \
 	  serve-dec1.txt serve-dec2.txt serve-j1.txt serve-j4.txt \
 	  serve-pipe.txt serve-oneshot.txt
@@ -266,7 +273,9 @@ netobs-smoke:
 # Provenance-journal smoke: journal a library-design partition, then
 # run every explain query over the file (doc/provenance.md).  explain
 # summary must end with the same fit-check total the run's
-# core.paredown.fit_checks counter reports.  Then Figure 5 from the
+# core.paredown.fit_checks counter reports.  The same journal with its
+# header's version rewritten to 1.5 must not load (explain exits 2): a
+# version is exactly an integer.  Then Figure 5 from the
 # CLI: partition --explain prints the journal of the run, whose first
 # border ranks are the paper's, while --journal still gets the whole
 # run (five ranked events, one per removal).
@@ -276,8 +285,13 @@ journal-smoke:
 	dune exec bin/paredown.exe -- explain summary table1-journal.jsonl
 	dune exec bin/paredown.exe -- explain why 5 table1-journal.jsonl
 	dune exec bin/paredown.exe -- explain diff table1-journal.jsonl table1-journal.jsonl
-	rm -f table1-journal.jsonl
 	dune build bin/paredown.exe
+	sed '1s/"version":1,/"version":1.5,/' table1-journal.jsonl > version-journal.jsonl
+	grep -q '"version":1.5,' version-journal.jsonl
+	$(PAREDOWN) explain summary version-journal.jsonl > /dev/null 2>&1; \
+	  code=$$?; test $$code -eq 2 || \
+	  { echo "journal-smoke: a version 1.5 header loaded (exit $$code)"; exit 1; }
+	rm -f table1-journal.jsonl version-journal.jsonl
 	$(PAREDOWN) partition "Podium Timer 3" --explain \
 	  --journal explain-journal.jsonl > explain-out.txt
 	grep -qx 'border ranks 2:+1, 8:+1, 9:+0' explain-out.txt

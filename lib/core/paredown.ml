@@ -18,22 +18,16 @@ type tie_break =
   | Highest_level
   | Highest_id
 
-type empty_candidate_policy =
-  | Stop_everything
-  | Skip_block
-
 type config = {
   shapes : Shape.t list;
   partition_config : Partition.config;
   tie_breaks : tie_break list;
-  on_empty_candidate : empty_candidate_policy;
 }
 
 let default_config = {
   shapes = [ Shape.default ];
   partition_config = Partition.default_config;
   tie_breaks = [ Greatest_indegree; Greatest_outdegree; Highest_level ];
-  on_empty_candidate = Skip_block;
 }
 
 type stats = {
@@ -234,8 +228,7 @@ let run ?(config = default_config) g =
   let removals = ref 0 in
   let eligible = Node_id.Set.of_list (Graph.partitionable_nodes g) in
   (* [pare blocks cand] is the inner loop of Figure 4; returns the new
-     working set and accumulated partitions, or [None] when the paper's
-     Stop_everything policy fires on an emptied candidate. *)
+     working set and accumulated partitions. *)
   let rec pare blocks cand partitions =
     incr fit_checks;
     let fits =
@@ -259,17 +252,16 @@ let run ?(config = default_config) g =
       match cand.card with
       | 0 ->
         (* Only reachable by paring a lone unplaceable block down to
-           nothing. *)
-        (match config.on_empty_candidate with
-         | Stop_everything -> None
-         | Skip_block -> Some (blocks, partitions))
+           nothing, which already left the working set: carry on with
+           the rest. *)
+        (blocks, partitions)
       | 1 ->
         let members = Dense.ids_of_set d cand.members in
         let id = Node_id.Set.choose members in
         if journal then
           Obs.Journal.emit
             (Obs.Journal.Rejected { node = id; reason = "left_single" });
-        Some (Node_id.Set.diff blocks members, partitions)
+        (Node_id.Set.diff blocks members, partitions)
       | _ ->
         let shape =
           match chosen_shape cand with
@@ -285,13 +277,13 @@ let run ?(config = default_config) g =
                  shape = Format.asprintf "%a" Shape.pp shape;
                });
         let partition = Partition.make ~members ~shape in
-        Some (Node_id.Set.diff blocks members, partition :: partitions)
+        (Node_id.Set.diff blocks members, partition :: partitions)
     end
     else begin
       if journal then
         Obs.Journal.emit (Obs.Journal.Ranked { ranks = border_ranks_of cand });
       match choose_victim ~keys cand with
-      | None -> Some (blocks, partitions)  (* defensive; not reachable *)
+      | None -> (blocks, partitions)  (* defensive; not reachable *)
       | Some (victim, victim_rank) ->
         incr removals;
         let victim_id = Dense.node_id d victim in
@@ -334,9 +326,8 @@ let run ?(config = default_config) g =
           (Obs.Journal.Candidate_started
              { members = Node_id.Set.elements blocks });
       let cand = candidate_of_set ~config d blocks in
-      match pare blocks cand partitions with
-      | None -> partitions
-      | Some (blocks', partitions') -> main blocks' partitions'
+      let blocks, partitions = pare blocks cand partitions in
+      main blocks partitions
     end
   in
   let partitions = List.rev (main eligible []) in

@@ -11,7 +11,14 @@
     indegree and outdegree if the block were removed); ties go to the
     greatest indegree, then greatest outdegree, then highest level, then —
     a detail the paper leaves open; this choice reproduces Figure 5 — the
-    highest node id. *)
+    highest node id.
+
+    A block that cannot fit even alone pares its candidate down to
+    nothing.  The paper's literal pseudocode then returns the partitions
+    found so far, abandoning any blocks still in the working set; this
+    implementation sets that single block aside and continues with the
+    remaining blocks, which matches the paper's complexity analysis and
+    is never worse. *)
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
@@ -22,25 +29,15 @@ type tie_break =
   | Highest_level
   | Highest_id  (** always appended implicitly to make removal total *)
 
-type empty_candidate_policy =
-  | Stop_everything
-      (** the paper's literal pseudocode: return the partitions found so
-          far, abandoning any blocks still in the working set *)
-  | Skip_block
-      (** continue with the remaining blocks after setting aside the
-          single block that could not fit on its own (matches the paper's
-          complexity analysis and is never worse); the default *)
-
 type config = {
   shapes : Shape.t list;           (** candidate fits if any shape fits *)
   partition_config : Partition.config;
   tie_breaks : tie_break list;
-  on_empty_candidate : empty_candidate_policy;
 }
 
 val default_config : config
 (** The paper's setup: one 2-in/2-out shape, per-edge pins, convexity
-    required, ties by indegree/outdegree/level, [Skip_block]. *)
+    required, ties by indegree/outdegree/level. *)
 
 type stats = {
   outer_iterations : int;  (** candidate partitions started *)

@@ -278,28 +278,6 @@ let groups =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The injected-slowdown hook: PAREDOWN_PERF_SLEEP_GROUP names a group,
-   PAREDOWN_PERF_SLEEP_MS (default 100) how long to stall inside its
-   timed region.  A busy-wait on the monotonic clock, so no unix
-   dependency and no signal interaction; used by the regression-gate
-   tests and by `make perf-smoke` demos. *)
-
-let sleep_hook name =
-  match Sys.getenv_opt "PAREDOWN_PERF_SLEEP_GROUP" with
-  | Some g when g = name ->
-    let ms =
-      match
-        Option.bind (Sys.getenv_opt "PAREDOWN_PERF_SLEEP_MS")
-          float_of_string_opt
-      with
-      | Some ms -> ms
-      | None -> 100.
-    in
-    let t0 = Obs.Clock.now_ns () in
-    while Obs.Clock.elapsed_s t0 *. 1000. < ms do () done
-  | Some _ | None -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Disabled-path overhead.  An instrumentation site that is off costs
    one guard: a load of a [false] flag and a branch (the telemetry
    sites branch on a flag of the engine record, PareDown's journal
@@ -446,7 +424,6 @@ let record ?(repeats = 3) ?(config = []) () =
         let best = ref infinity in
         for _ = 1 to repeats do
           let t0 = Obs.Clock.now_ns () in
-          sleep_hook g.name;
           g.run ();
           let dt =
             Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0)

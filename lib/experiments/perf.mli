@@ -20,12 +20,6 @@ val time_key : string -> string
 (** [time_key "table1"] = ["perf.table1_ns"] — the [times_ns] key a
     group records under. *)
 
-val sleep_hook : string -> unit
-(** Busy-wait stall injected into the named group's timed region when
-    [PAREDOWN_PERF_SLEEP_GROUP] matches it ([PAREDOWN_PERF_SLEEP_MS]
-    milliseconds, default 100).  Exists so the regression gate can be
-    demonstrated — and tested — without editing code. *)
-
 type overhead = {
   guard_ns : float;
       (** measured cost of one disabled guard, a load of a [false] flag

@@ -374,142 +374,92 @@ let write_file t path =
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field name j =
-  let* v = field name j in
-  match Json.to_float v with
-  | Some f -> Ok (int_of_float f)
-  | None -> Error (Printf.sprintf "field %S: number expected" name)
-
-let float_field name j =
-  let* v = field name j in
-  match Json.to_float v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S: number expected" name)
-
-let str_field name j =
-  let* v = field name j in
-  match Json.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S: string expected" name)
-
-let bool_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: bool expected" name)
-
-let opt_int_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Null -> Ok None
-  | Json.Num f -> Ok (Some (int_of_float f))
-  | _ -> Error (Printf.sprintf "field %S: number or null expected" name)
-
-let opt_bool_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Null -> Ok None
-  | Json.Bool b -> Ok (Some b)
-  | _ -> Error (Printf.sprintf "field %S: bool or null expected" name)
-
-let int_list_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Arr items ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | Json.Num f :: rest -> go (int_of_float f :: acc) rest
-      | _ -> Error (Printf.sprintf "field %S: int array expected" name)
-    in
-    go [] items
-  | _ -> Error (Printf.sprintf "field %S: array expected" name)
+let rank_pair v =
+  let* pair = Json.list Json.int v in
+  match pair with
+  | [ node; rank ] -> Ok (node, rank)
+  | _ -> Error "[node, rank] pair expected"
 
 let event_of_json j =
-  let* kind = str_field "kind" j in
+  let open Json in
+  let get name read = field name read j in
+  let* kind = get "kind" string in
   match kind with
   | "run_started" ->
-    let* phase = str_field "phase" j in
-    let* inner = int_field "inner" j in
+    let* phase = get "phase" string in
+    let* inner = get "inner" int in
     Ok (Run_started { phase; inner })
   | "candidate_started" ->
-    let* members = int_list_field "members" j in
+    let* members = get "members" (list int) in
     Ok (Candidate_started { members })
   | "fit_check" ->
-    let* inputs_used = int_field "inputs_used" j in
-    let* outputs_used = int_field "outputs_used" j in
-    let* pins_ok = bool_field "pins_ok" j in
-    let* convex_ok = opt_bool_field "convex_ok" j in
-    let* fits = bool_field "fits" j in
+    let* inputs_used = get "inputs_used" int in
+    let* outputs_used = get "outputs_used" int in
+    let* pins_ok = get "pins_ok" bool in
+    let* convex_ok = get "convex_ok" (nullable bool) in
+    let* fits = get "fits" bool in
     Ok (Fit_check { inputs_used; outputs_used; pins_ok; convex_ok; fits })
   | "ranked" ->
-    let* pairs = field "ranks" j in
-    let rec go acc = function
-      | [] -> Ok (Ranked { ranks = List.rev acc })
-      | Json.Arr [ Json.Num node; Json.Num rank ] :: rest ->
-        go ((int_of_float node, int_of_float rank) :: acc) rest
-      | _ -> Error "field \"ranks\": [node, rank] pairs expected"
-    in
-    (match pairs with
-     | Json.Arr items -> go [] items
-     | _ -> Error "field \"ranks\": array expected")
+    let* ranks = get "ranks" (list rank_pair) in
+    Ok (Ranked { ranks })
   | "removed" ->
-    let* node = int_field "node" j in
-    let* rank = int_field "rank" j in
-    let* d_in = opt_int_field "d_in" j in
-    let* d_out = opt_int_field "d_out" j in
+    let* node = get "node" int in
+    let* rank = get "rank" int in
+    let* d_in = get "d_in" (nullable int) in
+    let* d_out = get "d_out" (nullable int) in
     Ok (Removed { node; rank; d_in; d_out })
   | "accepted" ->
-    let* members = int_list_field "members" j in
-    let* shape = str_field "shape" j in
+    let* members = get "members" (list int) in
+    let* shape = get "shape" string in
     Ok (Accepted { members; shape })
   | "rejected" ->
-    let* node = int_field "node" j in
-    let* reason = str_field "reason" j in
+    let* node = get "node" int in
+    let* reason = get "reason" string in
     Ok (Rejected { node; reason })
   | "pruned" ->
-    let* depth = int_field "depth" j in
-    let* bins_open = int_field "bins_open" j in
-    let* bound = float_field "bound" j in
-    let* best = float_field "best" j in
+    let* depth = get "depth" int in
+    let* bins_open = get "bins_open" int in
+    let* bound = get "bound" float in
+    let* best = get "best" float in
     Ok (Pruned { depth; bins_open; bound; best })
   | "exhaustive_best" ->
-    let* total = int_field "total" j in
-    let* cost = float_field "cost" j in
+    let* total = get "total" int in
+    let* cost = get "cost" float in
     Ok (Exhaustive_best { total; cost })
   | "deadline_expired" ->
-    let* phase = str_field "phase" j in
-    let* budget_s = float_field "budget_s" j in
-    let* nodes = int_field "nodes" j in
+    let* phase = get "phase" string in
+    let* budget_s = get "budget_s" float in
+    let* nodes = get "nodes" int in
     Ok (Deadline_expired { phase; budget_s; nodes })
   | "verify_tier" ->
-    let* members = int_list_field "members" j in
-    let* tier = str_field "tier" j in
-    let* detail = str_field "detail" j in
+    let* members = get "members" (list int) in
+    let* tier = get "tier" string in
+    let* detail = get "detail" string in
     Ok (Verify_tier { members; tier; detail })
   | "cosim_shrink" ->
-    let* seed = int_field "seed" j in
-    let* round = int_field "round" j in
-    let* steps = int_field "steps" j in
+    let* seed = get "seed" int in
+    let* round = get "round" int in
+    let* steps = get "steps" int in
     Ok (Cosim_shrink { seed; round; steps })
   | "event_limit" ->
-    let* clock = int_field "clock" j in
-    let* queue_depth = int_field "queue_depth" j in
-    let* last_node = opt_int_field "last_node" j in
+    let* clock = get "clock" int in
+    let* queue_depth = get "queue_depth" int in
+    let* last_node = get "last_node" (nullable int) in
     Ok (Event_limit { clock; queue_depth; last_node })
   | "reliability_scored" ->
-    let* partitions = int_field "partitions" j in
-    let* trials = int_field "trials" j in
-    let* severity = float_field "severity" j in
-    let* cache_hit = bool_field "cache_hit" j in
+    let* partitions = get "partitions" int in
+    let* trials = get "trials" int in
+    let* severity = get "severity" float in
+    let* cache_hit = get "cache_hit" bool in
     Ok (Reliability_scored { partitions; trials; severity; cache_hit })
   | k -> Error (Printf.sprintf "unknown event kind %S" k)
+
+let entry_of_json j =
+  let* seq = Json.field "seq" Json.int j in
+  let* e = event_of_json j in
+  Ok (seq, e)
 
 (* ------------------------------------------------------------------ *)
 (* Post-mortem bundles / flight recorder *)
@@ -630,46 +580,28 @@ type loaded = {
 }
 
 let loaded_of_bundle j =
-  let* reason = str_field "reason" j in
-  let* l_total = int_field "total" j in
-  let* l_dropped = int_field "dropped" j in
-  let* entries = field "journal" j in
-  match entries with
-  | Json.Arr items ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-        let* seq = int_field "seq" item in
-        let* e = event_of_json item in
-        go ((seq, e) :: acc) rest
-    in
-    let* l_events = go [] items in
-    Ok { l_events; l_total; l_dropped; l_reason = Some reason }
-  | _ -> Error "field \"journal\": array expected"
+  let* () = Json.header ~schema:bundle_schema_name ~version:schema_version j in
+  let* reason = Json.field "reason" Json.string j in
+  let* l_total = Json.field "total" Json.int j in
+  let* l_dropped = Json.field "dropped" Json.int j in
+  let* l_events = Json.field "journal" (Json.list entry_of_json) j in
+  Ok { l_events; l_total; l_dropped; l_reason = Some reason }
 
 let loaded_of_jsonl header lines =
-  let* schema = str_field "schema" header in
-  if schema <> schema_name then
-    Error (Printf.sprintf "unexpected schema %S" schema)
-  else
-    let* version = int_field "version" header in
-    if version <> schema_version then
-      Error (Printf.sprintf "unsupported journal version %d" version)
-    else
-      let* l_total = int_field "total" header in
-      let* l_dropped = int_field "dropped" header in
-      let rec go acc lineno = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest -> (
-          match Json.of_string line with
-          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-          | Ok j ->
-            let* seq = int_field "seq" j in
-            let* e = event_of_json j in
-            go ((seq, e) :: acc) (lineno + 1) rest)
-      in
-      let* l_events = go [] 2 lines in
-      Ok { l_events; l_total; l_dropped; l_reason = None }
+  let* () = Json.header ~schema:schema_name ~version:schema_version header in
+  let* l_total = Json.field "total" Json.int header in
+  let* l_dropped = Json.field "dropped" Json.int header in
+  let rec go acc lineno = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest -> (
+      match Json.of_string line with
+      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+      | Ok j ->
+        let* entry = entry_of_json j in
+        go (entry :: acc) (lineno + 1) rest)
+  in
+  let* l_events = go [] 2 lines in
+  Ok { l_events; l_total; l_dropped; l_reason = None }
 
 let load_string s =
   let lines =
@@ -677,12 +609,12 @@ let load_string s =
     |> List.map String.trim
     |> List.filter (fun l -> l <> "")
   in
+  let schema j = Json.field "schema" Json.string j in
   match lines with
   | [] -> Error "empty journal"
   | first :: rest -> (
     match Json.of_string first with
-    | Ok header when Json.member "schema" header = Some (Json.Str schema_name)
-      ->
+    | Ok header when schema header = Ok schema_name ->
       loaded_of_jsonl header rest
     | _ -> (
       (* Not a JSONL header line: the whole document must be a
@@ -690,12 +622,10 @@ let load_string s =
       match Json.of_string s with
       | Error msg -> Error msg
       | Ok j -> (
-        match Json.member "schema" j with
-        | Some (Json.Str name) when name = bundle_schema_name ->
-          loaded_of_bundle j
-        | Some (Json.Str name) ->
-          Error (Printf.sprintf "unexpected schema %S" name)
-        | _ -> Error "not a journal or post-mortem bundle")))
+        match schema j with
+        | Ok name when name = bundle_schema_name -> loaded_of_bundle j
+        | Ok name -> Error (Printf.sprintf "unexpected schema %S" name)
+        | Error _ -> Error "not a journal or post-mortem bundle")))
 
 let load_file path =
   match In_channel.with_open_bin path In_channel.input_all with

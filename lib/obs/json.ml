@@ -258,7 +258,7 @@ let of_string ?(max_depth = default_max_depth) s =
     Error (Printf.sprintf "invalid JSON at byte %d: %s" i msg)
 
 (* ------------------------------------------------------------------ *)
-(* Accessors *)
+(* Accessors and typed readers *)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
@@ -266,4 +266,95 @@ let member key = function
 
 let to_float = function Num v -> Some v | _ -> None
 let to_str = function Str s -> Some s | _ -> None
-let to_obj = function Obj fields -> Some fields | _ -> None
+
+type 'a reader = t -> ('a, string) result
+
+let ( let* ) = Result.bind
+
+(* What was found, short enough to quote in an error. *)
+let got v =
+  let s = to_string v in
+  if String.length s <= 40 then s else String.sub s 0 37 ^ "..."
+
+let expected what v = Error (Printf.sprintf "%s expected, got %s" what (got v))
+
+(* The largest magnitude up to which a float holds every integer. *)
+let max_exact = 1 lsl 53
+
+let int ?(lo = -max_exact) ?(hi = max_exact) = function
+  | Num v when Float.is_integer v && v >= float lo && v <= float hi ->
+    Ok (Float.to_int v)
+  | v -> expected (Printf.sprintf "integer in %d..%d" lo hi) v
+
+let float ?lo ?hi = function
+  | Num v
+    when Float.is_finite v
+         && (match lo with Some lo -> v >= lo | None -> true)
+         && (match hi with Some hi -> v <= hi | None -> true) ->
+    Ok v
+  | v ->
+    expected
+      (match (lo, hi) with
+       | None, None -> "finite number"
+       | Some lo, None -> Printf.sprintf "number >= %g" lo
+       | None, Some hi -> Printf.sprintf "number <= %g" hi
+       | Some lo, Some hi -> Printf.sprintf "number in %g..%g" lo hi)
+      v
+
+let string = function Str s -> Ok s | v -> expected "string" v
+let bool = function Bool b -> Ok b | v -> expected "bool" v
+let any v = Ok v
+
+let nullable read = function
+  | Null -> Ok None
+  | v -> Result.map Option.some (read v)
+
+(* Errors are prefixed with where they arose; the prefix is only
+   formatted on the error path, so a valid document pays nothing. *)
+let in_field name = function
+  | Ok _ as r -> r
+  | Error e -> Error (Printf.sprintf "field %S: %s" name e)
+
+let list read = function
+  | Arr items ->
+    let rec go i acc = function
+      | [] -> Ok (List.rev acc)
+      | v :: rest -> (
+        match read v with
+        | Ok x -> go (i + 1) (x :: acc) rest
+        | Error e -> Error (Printf.sprintf "item %d: %s" i e))
+    in
+    go 0 [] items
+  | v -> expected "array" v
+
+let obj read = function
+  | Obj fields ->
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | (k, v) :: rest ->
+        let* x = in_field k (read v) in
+        go ((k, x) :: acc) rest
+    in
+    go [] fields
+  | v -> expected "object" v
+
+let field name read j =
+  match member name j with
+  | Some v -> in_field name (read v)
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let field_or name ~default read j =
+  match member name j with
+  | Some v -> in_field name (read v)
+  | None -> Ok default
+
+let field_opt name read j = field_or name ~default:None (nullable read) j
+
+let header ~schema ~version j =
+  let* s = field "schema" string j in
+  if s <> schema then Error (Printf.sprintf "schema %S, expected %S" s schema)
+  else
+    let* v = field "version" int j in
+    if v <> version then
+      Error (Printf.sprintf "version %d unsupported (expected %d)" v version)
+    else Ok ()

@@ -103,77 +103,38 @@ let to_string t = Json.to_string ~indent:2 (to_json t) ^ "\n"
 (* ------------------------------------------------------------------ *)
 (* JSON decoding *)
 
-let ( let* ) r f = Result.bind r f
+let ( let* ) = Result.bind
 
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "snapshot: missing or ill-typed %s" what)
+(* Integral values below 1e15 are counters (what [json_of_value] writes
+   for an [Int]); any other finite number is a [Float].  Schema-1
+   snapshots recorded before the registry kept only counters also hold
+   histogram summaries, written as objects; those read as [None] and
+   are skipped, so such a snapshot still loads. *)
+let max_counter = 999_999_999_999_999
 
-let value_of_json = function
-  | Json.Num v ->
-    if Float.is_integer v && Float.abs v < 1e15 then
-      Ok (Int (int_of_float v))
-    else Ok (Float v)
-  | _ -> Error "snapshot: metric value is not a number"
-
-let rec map_fields f = function
-  | [] -> Ok []
-  | (k, v) :: rest ->
-    let* v = f k v in
-    let* rest = map_fields f rest in
-    Ok ((k, v) :: rest)
+let metric_of_json = function
+  | Json.Obj _ -> Ok None
+  | v -> (
+    match Json.int ~lo:(-max_counter) ~hi:max_counter v with
+    | Ok n -> Ok (Some (Int n))
+    | Error _ -> Result.map (fun f -> Some (Float f)) (Json.float v))
 
 let of_json j =
-  let* schema =
-    require "schema" (Option.bind (Json.member "schema" j) Json.to_str)
+  Result.map_error (fun e -> "snapshot: " ^ e)
+  @@
+  let open Json in
+  let* () = header ~schema:schema_name ~version:schema_version j in
+  let* git_rev = field_opt "git_rev" string j in
+  let* ocaml_version = field "ocaml_version" string j in
+  let* config = field "config" (obj string) j in
+  let* times_ns = field "times_ns" (obj float) j in
+  let* metrics = field "metrics" (obj metric_of_json) j in
+  let metrics =
+    List.filter_map
+      (function k, Some v -> Some (k, v) | _, None -> None)
+      metrics
   in
-  if schema <> schema_name then
-    Error (Printf.sprintf "snapshot: schema is %S, expected %S" schema
-             schema_name)
-  else
-    let* version =
-      require "version" (Option.bind (Json.member "version" j) Json.to_float)
-    in
-    if int_of_float version <> schema_version then
-      Error
-        (Printf.sprintf "snapshot: version %d unsupported (expected %d)"
-           (int_of_float version) schema_version)
-    else
-      let git_rev = Option.bind (Json.member "git_rev" j) Json.to_str in
-      let* ocaml_version =
-        require "ocaml_version"
-          (Option.bind (Json.member "ocaml_version" j) Json.to_str)
-      in
-      let* config_fields =
-        require "config" (Option.bind (Json.member "config" j) Json.to_obj)
-      in
-      let* config =
-        map_fields
-          (fun k v -> require ("config." ^ k) (Json.to_str v))
-          config_fields
-      in
-      let* time_fields =
-        require "times_ns"
-          (Option.bind (Json.member "times_ns" j) Json.to_obj)
-      in
-      let* times_ns =
-        map_fields
-          (fun k v -> require ("times_ns." ^ k) (Json.to_float v))
-          time_fields
-      in
-      let* metric_fields =
-        require "metrics" (Option.bind (Json.member "metrics" j) Json.to_obj)
-      in
-      (* Schema-1 snapshots recorded before the registry kept only
-         counters also hold histogram summaries, written as objects;
-         those entries are skipped, so such a snapshot still loads. *)
-      let metric_fields =
-        List.filter
-          (fun (_, v) -> match v with Json.Obj _ -> false | _ -> true)
-          metric_fields
-      in
-      let* metrics = map_fields (fun _ v -> value_of_json v) metric_fields in
-      Ok { git_rev; ocaml_version; config; metrics; times_ns }
+  Ok { git_rev; ocaml_version; config; metrics; times_ns }
 
 let of_string s =
   let* j = Json.of_string s in

@@ -60,6 +60,11 @@ let save t =
     Sys.rename tmp path;
     t.unflushed <- 0
 
+let ( let* ) = Result.bind
+
+(* A bad header or a missing entries array is an error (the caller
+   starts empty); an entry without a string key and a value is skipped,
+   so it can only cost a miss. *)
 let load_into table path =
   if not (Sys.file_exists path) then Ok 0
   else begin
@@ -69,38 +74,23 @@ let load_into table path =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    match Json.of_string text with
-    | Error e -> Error (Printf.sprintf "unreadable cache file: %s" e)
-    | Ok j -> (
-      let schema_ok =
-        match Option.bind (Json.member "schema" j) Json.to_str with
-        | Some s -> s = schema
-        | None -> false
-      in
-      let version_ok =
-        match Option.bind (Json.member "version" j) Json.to_float with
-        | Some v -> int_of_float v = version
-        | None -> false
-      in
-      if not (schema_ok && version_ok) then
-        Error "cache file has a different schema or version"
-      else
-        match Json.member "entries" j with
-        | Some (Json.Arr entries) ->
-          let n = ref 0 in
-          List.iter
-            (fun e ->
-              match
-                ( Option.bind (Json.member "key" e) Json.to_str,
-                  Json.member "value" e )
-              with
-              | Some key, Some value ->
-                Obs.Lru.put table key value;
-                incr n
-              | _ -> ())
-            entries;
-          Ok !n
-        | _ -> Error "cache file has no entries array")
+    Result.map_error (fun e -> "cache file: " ^ e)
+    @@
+    let* j = Json.of_string text in
+    let* () = Json.header ~schema ~version j in
+    let* entries = Json.field "entries" (Json.list Json.any) j in
+    let n = ref 0 in
+    List.iter
+      (fun e ->
+        match
+          (Json.field "key" Json.string e, Json.field "value" Json.any e)
+        with
+        | Ok key, Ok value ->
+          Obs.Lru.put table key value;
+          incr n
+        | _ -> ())
+      entries;
+    Ok !n
   end
 
 let create ?(capacity = default_capacity) ?path () =
@@ -173,54 +163,34 @@ let partition_payload canon (solution : Core.Solution.t) work =
   in
   Json.Obj [ ("partitions", Json.Arr partitions); ("work", Json.Obj work) ]
 
-exception Malformed
+let partition_of_json canon p =
+  let open Json in
+  let* members = field "members" (list int) p in
+  let* inputs = field "inputs" int p in
+  let* outputs = field "outputs" int p in
+  let* cost = field "cost" float p in
+  let members = List.map (Canon.id_of canon) members in
+  Ok
+    (Core.Partition.make
+       ~members:(Netlist.Node_id.set_of_list members)
+       ~shape:(Core.Shape.make ~inputs ~outputs ~cost ()))
 
 let solution_of_payload canon payload =
-  let num j = match Json.to_float j with Some f -> f | None -> raise Malformed in
-  let partitions =
-    match Json.member "partitions" payload with
-    | Some (Json.Arr ps) ->
-      List.map
-        (fun p ->
-          let members =
-            match Json.member "members" p with
-            | Some (Json.Arr ms) ->
-              List.map
-                (fun m -> Canon.id_of canon (int_of_float (num m)))
-                ms
-            | _ -> raise Malformed
-          in
-          let field name =
-            match Json.member name p with
-            | Some j -> num j
-            | None -> raise Malformed
-          in
-          let shape =
-            Core.Shape.make
-              ~inputs:(int_of_float (field "inputs"))
-              ~outputs:(int_of_float (field "outputs"))
-              ~cost:(field "cost") ()
-          in
-          Core.Partition.make
-            ~members:(Netlist.Node_id.set_of_list members)
-            ~shape)
-        ps
-    | _ -> raise Malformed
-  in
-  { Core.Solution.partitions }
+  let partitions = Json.list (partition_of_json canon) in
+  match Json.field "partitions" partitions payload with
+  | Ok partitions -> { Core.Solution.partitions }
+  | Error e -> invalid_arg ("cache payload: " ^ e)
 
 let payload_work payload =
-  match Json.member "work" payload with
-  | Some (Json.Obj fields) -> fields
-  | _ -> []
+  Result.value (Json.field "work" (Json.obj Json.any) payload) ~default:[]
 
 let weighted_payload ~report work =
   Json.Obj [ ("report", Json.Str report); ("work", Json.Obj work) ]
 
 let weighted_of_payload payload =
-  match Option.bind (Json.member "report" payload) Json.to_str with
-  | Some report -> Some (report, payload_work payload)
-  | None -> None
+  match Json.field "report" Json.string payload with
+  | Ok report -> Some (report, payload_work payload)
+  | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Lookup / insert *)

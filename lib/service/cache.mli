@@ -19,8 +19,10 @@
     Persistence: [{"schema": "paredown-solution-cache", "version": 1,
     "entries": [{key, value}, ...]}], entries oldest-first, written
     atomically (tmp + rename), flushed every 32 inserts and at batch
-    drain.  A missing file starts empty; an unreadable or mismatched
-    file starts empty with a warning (never a crash). *)
+    drain.  A missing file starts empty; an unreadable file, or one
+    whose header is not exactly this schema at version 1 ([1.9] is not
+    1), starts empty with a warning (never a crash).  An entry without
+    a string key and a value is skipped, so it costs a miss. *)
 
 module Json = Obs.Json
 
@@ -53,17 +55,14 @@ val weighted_key :
 
 (** {1 Payloads} *)
 
-exception Malformed
-(** A stored payload that does not decode (foreign edits to the store
-    file); treated as a miss by the server. *)
-
 val partition_payload :
   Canon.t -> Core.Solution.t -> (string * Json.t) list -> Json.t
 
 val solution_of_payload : Canon.t -> Json.t -> Core.Solution.t
 (** Translate canonical indices back to the given canon's node ids.
-    Raises {!Malformed} or [Invalid_argument] on undecodable payloads —
-    callers fall back to a miss. *)
+    Raises [Invalid_argument] on a payload that does not decode through
+    {!Obs.Json}'s readers (e.g. a member index of [2.5]) or names an
+    index outside the canon — callers fall back to a miss. *)
 
 val payload_work : Json.t -> (string * Json.t) list
 

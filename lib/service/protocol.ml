@@ -67,81 +67,55 @@ let default_trials = 8
 let default_seed = 1
 let max_trials = 10_000
 
-let str_field name j = Option.bind (Json.member name j) Json.to_str
-
-let num_field name j = Option.bind (Json.member name j) Json.to_float
-
-(* The largest magnitude up to which a float holds every integer. *)
-let max_exact = 1 lsl 53
-
-(* An integer field in [lo, hi], or [default] when absent.  Anything
-   else is rejected with a reason that names the field: a fraction
-   would be truncated silently, a pin count below 1 only fails once the
-   search starts, a seed beyond 2^53 is not the number the client sent,
-   and an unbounded trial count lets a single frame occupy the resident
-   server indefinitely. *)
-let int_field name ~default ?(lo = -max_exact) ?(hi = max_exact) j =
-  match Json.member name j with
-  | None -> Ok default
-  | Some (Json.Num v)
-    when Float.is_integer v && v >= float_of_int lo && v <= float_of_int hi ->
-    Ok (int_of_float v)
-  | Some v ->
-    Error
-      (Printf.sprintf "%s must be an integer in %d..%d (got %s)" name lo hi
-         (Json.to_string v))
+let default_family = "brownout:0.3@40,110,180"
 
 let ( let* ) = Result.bind
 
+(* The ranges are why: a fraction would be lost silently, a pin count
+   below 1 only fails once the search starts, a seed beyond 2^53 is not
+   the number the client sent, and an unbounded trial count lets a
+   single frame occupy the resident server indefinitely. *)
 let parse_request json =
   match Json.of_string json with
   | Error e -> Invalid { id = "?"; reason = "bad JSON: " ^ e }
   | Ok j -> (
-    let id = Option.value (str_field "id" j) ~default:"?" in
+    let open Json in
+    let id = field_or "id" ~default:"?" string j in
     let parsed =
+      let* id = id in
+      let* op = field_or "op" ~default:"partition" string j in
       let* op =
-        match Option.value (str_field "op" j) ~default:"partition" with
+        match op with
         | "drain" -> Ok None
         | "partition" ->
-          let* backend =
-            Oneshot.backend_of_string
-              (Option.value (str_field "backend" j) ~default:"paredown")
-          in
-          let deadline_s = num_field "deadline_s" j in
+          let* backend = field_or "backend" ~default:"paredown" string j in
+          let* backend = Oneshot.backend_of_string backend in
+          let* deadline_s = field_opt "deadline_s" (float ~lo:0.) j in
           Ok (Some (Partition { backend; deadline_s }))
         | "weighted" ->
-          let* family =
-            Reliability.Family.of_string
-              (Option.value (str_field "family" j)
-                 ~default:"brownout:0.3@40,110,180")
-          in
+          let* family = field_or "family" ~default:default_family string j in
+          let* family = Reliability.Family.of_string family in
           let* trials =
-            int_field "trials" ~default:default_trials ~lo:1 ~hi:max_trials j
+            field_or "trials" ~default:default_trials
+              (int ~lo:1 ~hi:max_trials) j
           in
-          let* seed = int_field "seed" ~default:default_seed j in
-          let lambda = Option.value (num_field "lambda" j) ~default:1.0 in
+          let* seed = field_or "seed" ~default:default_seed int j in
+          let* lambda = field_or "lambda" ~default:1.0 (float ~lo:0.) j in
           Ok (Some (Weighted { lambda; family; trials; seed }))
         | other -> Error (Printf.sprintf "unknown op %S" other)
       in
       match op with
       | None -> Ok Drain
       | Some op ->
-        let* inputs = int_field "inputs" ~default:2 ~lo:1 j in
-        let* outputs = int_field "outputs" ~default:2 ~lo:1 j in
-        Ok
-          (Request
-             {
-               id;
-               op;
-               design = str_field "design" j;
-               design_text = str_field "design_text" j;
-               inputs;
-               outputs;
-             })
+        let* design = field_opt "design" string j in
+        let* design_text = field_opt "design_text" string j in
+        let* inputs = field_or "inputs" ~default:2 (int ~lo:1) j in
+        let* outputs = field_or "outputs" ~default:2 (int ~lo:1) j in
+        Ok (Request { id; op; design; design_text; inputs; outputs })
     in
     match parsed with
     | Ok inbound -> inbound
-    | Error reason -> Invalid { id; reason })
+    | Error reason -> Invalid { id = Result.value id ~default:"?"; reason })
 
 let render_request r =
   let base =
@@ -215,37 +189,37 @@ let render_response r =
          ("elapsed_ns", r.elapsed_ns);
        ])
 
+let status_of_string = function
+  | "ok" -> Ok_
+  | "deadline_expired" -> Deadline_expired
+  | "rejected" -> Rejected
+  | _ -> Error_
+
+let cache_of_string = function
+  | "hit" -> Hit
+  | "miss" -> Miss
+  | _ -> Uncached
+
 let parse_response json =
   match Json.of_string json with
   | Error e -> Error ("bad JSON: " ^ e)
-  | Ok j -> (
-    match
-      ( str_field "id" j,
-        str_field "status" j,
-        str_field "cache" j,
-        str_field "output" j )
-    with
-    | Some r_id, Some status, Some cache, Some output ->
-      let status =
-        match status with
-        | "ok" -> Ok_
-        | "deadline_expired" -> Deadline_expired
-        | "rejected" -> Rejected
-        | _ -> Error_
-      in
-      let cache =
-        match cache with "hit" -> Hit | "miss" -> Miss | _ -> Uncached
-      in
-      let work =
-        match Option.bind (Json.member "work" j) Json.to_obj with
-        | Some fields -> fields
-        | None -> []
-      in
-      let elapsed_ns =
-        Option.value (Json.member "elapsed_ns" j) ~default:Json.Null
-      in
-      Ok { r_id; status; cache; output; work; elapsed_ns }
-    | _ -> Error "response missing id/status/cache/output")
+  | Ok j ->
+    let open Json in
+    let* r_id = field "id" string j in
+    let* status = field "status" string j in
+    let* cache = field "cache" string j in
+    let* output = field "output" string j in
+    let* work = field_or "work" ~default:[] (obj any) j in
+    let* elapsed_ns = field_or "elapsed_ns" ~default:Null any j in
+    Ok
+      {
+        r_id;
+        status = status_of_string status;
+        cache = cache_of_string cache;
+        output;
+        work;
+        elapsed_ns;
+      }
 
 type summary = {
   requests : int;
@@ -275,23 +249,25 @@ let render_summary s =
 
 let is_summary json =
   match Json.of_string json with
-  | Ok j -> (
-    match Json.member "summary" j with Some (Json.Bool true) -> true | _ -> false)
+  | Ok j -> Json.field "summary" Json.bool j = Ok true
   | Error _ -> false
 
 let summary_line json =
   match Json.of_string json with
   | Error e -> Error ("bad JSON: " ^ e)
   | Ok j ->
-    let get name =
-      match Option.bind (Json.member name j) Json.to_float with
-      | Some f -> int_of_float f
-      | None -> 0
-    in
+    let get name = Json.field_or name ~default:0 Json.int j in
+    let* requests = get "requests" in
+    let* hits = get "cache_hits" in
+    let* misses = get "cache_misses" in
+    let* rejected = get "rejected" in
+    let* deadline_expired = get "deadline_expired" in
+    let* errors = get "errors" in
+    let* cache_entries = get "cache_entries" in
+    let* evictions = get "evictions" in
     Ok
       (Printf.sprintf
          "requests=%d cache_hits=%d cache_misses=%d rejected=%d \
           deadline_expired=%d errors=%d cache_entries=%d evictions=%d"
-         (get "requests") (get "cache_hits") (get "cache_misses")
-         (get "rejected") (get "deadline_expired") (get "errors")
-         (get "cache_entries") (get "evictions"))
+         requests hits misses rejected deadline_expired errors cache_entries
+         evictions)

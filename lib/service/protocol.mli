@@ -41,7 +41,7 @@ type inbound =
   | Request of request
   | Drain  (** the control frame that ends a batch *)
   | Invalid of { id : string; reason : string }
-      (** parseable JSON with a bad op/backend/family or integer field;
+      (** parseable JSON with a bad op, backend, family or field;
           answered with a [rejected] response instead of killing the
           batch *)
 
@@ -49,15 +49,22 @@ val default_trials : int
 val default_seed : int
 
 val max_trials : int
-(** The largest [trials] a [weighted] request may ask for (10_000).
-
-    The integer fields are never truncated: a request is {!Invalid},
-    with a reason naming the field and its range, when [trials] is not
-    a whole number in [1..max_trials], [inputs] or [outputs] is not a
-    whole number [>= 1], or [seed] is not a whole number a float holds
-    exactly ([|seed| <= 2^53]).  An absent field takes its default. *)
+(** The largest [trials] a [weighted] request may ask for (10_000). *)
 
 val parse_request : string -> inbound
+(** Every field reads through {!Obs.Json}'s typed readers, and only the
+    fields of the request's op are read; unknown fields are ignored.
+    An absent field takes its default; a present one of the wrong type
+    or range makes the request {!Invalid}, with a reason that names the
+    field (doc/service.md has the table):
+    - [id], [op], [backend], [family], [design] and [design_text] are
+      strings ([design], [design_text] may also be [null]); a request
+      whose [id] is not a string is answered under ["?"];
+    - [lambda] and [deadline_s] are finite numbers [>= 0];
+    - [trials] is a whole number in [1..max_trials], [inputs] and
+      [outputs] whole numbers [>= 1], and [seed] a whole number a float
+      holds exactly ([|seed| <= 2^53]) — never truncated. *)
+
 val render_request : request -> string
 val drain_frame : string
 

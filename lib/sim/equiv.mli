@@ -104,9 +104,14 @@ val timing_sensitive : Graph.t -> Stimulus.script -> bool
     ordering of a signal and its own reset — whose behaviour the merged
     programmable block (which evaluates members in level order with no
     transport delay) legitimately does not reproduce.  Synthesis is
-    behaviour-preserving exactly for timing-insensitive designs; all
-    library designs are timing-insensitive (asserted in the test
-    suite). *)
+    not behaviour-preserving for timing-sensitive designs, and timing
+    insensitivity alone does not make it so: a block that sees two
+    inputs change one packet apart (an xor fed twice by one splitter)
+    pulses under every ordering and latency, so the design reads as
+    insensitive, and a latch outside the partition catches the pulse
+    that the merged block, evaluating both inputs at once, never
+    emits (doc/verification.md, "Transient pulses").  All library
+    designs are timing-insensitive (asserted in the test suite). *)
 
 val timing_sensitive_random : Graph.t -> seed:int -> steps:int -> bool
 

@@ -312,6 +312,34 @@ let prop_synthesis_equivalent =
       | Ok () -> true
       | Error _ -> false)
 
+(* A verifier gap, pinned (doc/verification.md, "Transient pulses"):
+   on this random design PareDown merges {2,3,4,5}, where splitter2
+   node 2 drives both inputs of xor2 node 4.  In the flat network the
+   xor pulses for one event and trip node 6 latches the pulse; the
+   merged block evaluates its members at once, so it never pulses.  The
+   per-partition tiers compare settled pin values and miss it; the
+   whole-network check that synth --verify runs first reports it, and
+   the property above fails whenever it draws this design. *)
+let test_transient_pulse_gap () =
+  let g =
+    Randgen.Generator.generate ~rng:(Prng.create 430208) ~inner:10 ()
+  in
+  let result, pd = Codegen.Replace.synthesize g in
+  check Alcotest.bool "PareDown merges {2,3,4,5}" true
+    (List.exists
+       (fun p ->
+         Node_id.Set.equal p.Core.Partition.members (set [ 2; 3; 4; 5 ]))
+       pd.Core.Paredown.solution.Core.Solution.partitions);
+  match
+    Sim.Equiv.check_random ~reference:g
+      ~candidate:result.Codegen.Replace.network ~seed:99 ~steps:60
+  with
+  | Ok () -> Alcotest.fail "the merged network now shows the latched pulse"
+  | Error m ->
+    check Alcotest.string "the latched trip is lost"
+      "at time 18, output 17: reference shows true but candidate shows false"
+      (Format.asprintf "%a" Sim.Equiv.pp_mismatch m)
+
 let prop_synthesis_preserves_structure =
   QCheck.Test.make ~name:"synthesised networks stay valid DAGs" ~count:60
     (Testlib.network_arbitrary ~max_inner:25 ()) (fun (_, _, g) ->
@@ -391,6 +419,8 @@ let () =
           Alcotest.test_case "whole solutions" `Quick test_verify_solution;
           Alcotest.test_case "verdict rendering" `Quick
             test_verdict_rendering;
+          Alcotest.test_case "a merged block loses a transient pulse" `Quick
+            test_transient_pulse_gap;
         ] );
       ( "size",
         [

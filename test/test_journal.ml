@@ -101,6 +101,35 @@ let test_retired_kind_rejected () =
     (Result.map ignore
        (Obs.Journal.load_string (header ^ "\n" ^ anneal_move ^ "\n")))
 
+(* Fields read through Obs.Json's typed readers: a node id that is not
+   a whole number a float holds exactly, or a header version that is not
+   exactly 1, is an error naming the field, never a truncated value. *)
+let test_ill_typed_fields_rejected () =
+  let header version =
+    Printf.sprintf
+      {|{"schema":"paredown-journal","version":%s,"total":1,"dropped":0}|}
+      version
+  in
+  let rejected node =
+    Printf.sprintf
+      {|{"seq":0,"phase":"paredown","kind":"rejected","node":%s,"reason":"x"}|}
+      node
+  in
+  let load version node =
+    Obs.Journal.load_string (header version ^ "\n" ^ rejected node ^ "\n")
+  in
+  check bool "a whole node loads" true (Result.is_ok (load "1" "9"));
+  List.iter
+    (fun (what, field, loaded) ->
+      match loaded with
+      | Ok _ -> Alcotest.failf "%s loaded" what
+      | Error e -> check_contains (what ^ " names the field") e field)
+    [
+      ("node 9.7", {|"node"|}, load "1" "9.7");
+      ("node 1e300", {|"node"|}, load "1" "1e300");
+      ("version 1.5", {|"version"|}, load "1.5" "9");
+    ]
+
 (* --- Fit-check parity: journal = Paredown stats = metrics ------------------- *)
 
 let test_fit_check_parity () =
@@ -367,6 +396,8 @@ let () =
             (isolated test_retired_kind_rejected);
           test_case "a journal without ranked events loads" `Quick
             (isolated test_unranked_journal_loads);
+          test_case "ill-typed fields do not load" `Quick
+            (isolated test_ill_typed_fields_rejected);
         ] );
       ( "parity",
         [

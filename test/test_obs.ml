@@ -807,6 +807,26 @@ let test_snapshot_rejects_bad_documents () =
        \"metrics\":{}}";
     ]
 
+(* The header's version must be exactly the integer 1: 1.5 is an error
+   naming the field, not version 1. *)
+let test_snapshot_fractional_version () =
+  let doc version =
+    Printf.sprintf
+      {|{"schema":"paredown-perf-snapshot","version":%s,"ocaml_version":"5",|}
+      version
+    ^ {|"config":{},"times_ns":{},"metrics":{}}|}
+  in
+  (match Obs.Snapshot.of_string (doc "1") with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "version 1 rejected: %s" e);
+  match Obs.Snapshot.of_string (doc "1.5") with
+  | Ok _ -> Alcotest.fail "version 1.5 loaded"
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error %S names the version" e)
+      true
+      (Testlib.contains e {|"version"|})
+
 let test_snapshot_gate () =
   let base =
     plain_snapshot
@@ -1223,6 +1243,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_snapshot_round_trip;
           Alcotest.test_case "bad documents rejected" `Quick
             test_snapshot_rejects_bad_documents;
+          Alcotest.test_case "fractional version rejected" `Quick
+            test_snapshot_fractional_version;
           Alcotest.test_case "regression gate" `Quick test_snapshot_gate;
           Alcotest.test_case "schema-1 distributions skipped" `Quick
             test_snapshot_skips_distributions;

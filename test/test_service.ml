@@ -649,6 +649,123 @@ let test_weighted_honours_shape () =
       | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
     [ 3; 4 ]
 
+(* Every served field reads through one typed reader: a field present
+   with the wrong type or range makes the request Invalid with a reason
+   that names it, never its default.  Each frame below was accepted, or
+   silently defaulted, before the readers were shared. *)
+let ill_typed_frames =
+  let frame fields =
+    Printf.sprintf {|{"id":"f","design":"Podium Timer 3",%s}|} fields
+  in
+  [
+    ("lambda", frame {|"op":"weighted","lambda":"64"|});
+    ("lambda", frame {|"op":"weighted","lambda":-64|});
+    ("deadline_s", frame {|"backend":"exhaustive","deadline_s":"x"|});
+    ("deadline_s", frame {|"backend":"exhaustive","deadline_s":-1|});
+    ("op", frame {|"op":5|});
+    ("backend", frame {|"backend":7|});
+    ("family", frame {|"op":"weighted","family":3|});
+    ("design", {|{"id":"f","design":5}|});
+    ("design_text", frame {|"design_text":5|});
+  ]
+
+let test_ill_typed_field field () =
+  List.iter
+    (fun (f, frame) ->
+      if f = field then expect_invalid (Printf.sprintf "%S" field) frame)
+    ill_typed_frames
+
+(* A request whose id is not a string is answered under "?". *)
+let test_ill_typed_id () =
+  match P.parse_request {|{"id":7,"design":"Podium Timer 3"}|} with
+  | P.Invalid { id; reason } ->
+    Alcotest.(check string) "answered under ?" "?" id;
+    Alcotest.(check bool)
+      (Printf.sprintf "reason %S names id" reason)
+      true
+      (Testlib.contains reason {|"id"|})
+  | P.Request _ | P.Drain -> Alcotest.fail "a numeric id was accepted"
+
+let test_ill_typed_rejected_by_server () =
+  let frames =
+    List.map snd ill_typed_frames
+    @ [ partition_request ~id:"good" "Podium Timer 3"; P.drain_frame ]
+  in
+  let summary, out = serve frames in
+  let rs = responses out in
+  List.iter2
+    (fun (field, _) (r : P.response) ->
+      Alcotest.(check string) (field ^ ": rejected") "rejected" (status_of r);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: reason %S names it" field r.P.output)
+        true
+        (Testlib.contains r.P.output (Printf.sprintf "%S" field)))
+    ill_typed_frames
+    (List.filteri (fun i _ -> i < List.length ill_typed_frames) rs);
+  Alcotest.(check string) "good request unaffected" "ok"
+    (status_of (List.nth rs (List.length ill_typed_frames)));
+  Alcotest.(check int) "counted as rejections"
+    (List.length ill_typed_frames) summary.P.rejected
+
+(* ------------------------------------------------------------------ *)
+(* The store reads through the same readers: a header version that is
+   not exactly 1 empties the cache with a warning, and a payload member
+   that is not a whole number is a miss, never a truncated answer. *)
+
+let rewrite path f =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (f text))
+
+(* [text] with [insert] after the first number that follows [marker]. *)
+let after_first_number ~marker insert text =
+  let rec find i =
+    if String.sub text i (String.length marker) = marker then i
+    else find (i + 1)
+  in
+  let rec digit i = match text.[i] with '0' .. '9' -> i | _ -> digit (i + 1) in
+  let rec past i = match text.[i] with '0' .. '9' -> past (i + 1) | _ -> i in
+  let j = past (digit (find 0)) in
+  String.sub text 0 j ^ insert ^ String.sub text j (String.length text - j)
+
+let with_store f =
+  let store = Filename.temp_file "svc_cache" ".json" in
+  Sys.remove store;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove store with Sys_error _ -> ())
+    (fun () ->
+      let warned = ref [] in
+      let config =
+        { Service.Server.default_config with
+          cache_path = Some store;
+          log = (fun m -> warned := m :: !warned) }
+      in
+      f store config warned)
+
+let test_store_fractional_version () =
+  with_store @@ fun store config warned ->
+  let frames = [ partition_request ~id:"a" "Podium Timer 3"; P.drain_frame ] in
+  ignore (serve ~config frames);
+  rewrite store (after_first_number ~marker:{|"version"|} ".9");
+  warned := [];
+  let s, _ = serve ~config frames in
+  Alcotest.(check int) "version 1.9 starts empty" 1 s.P.misses;
+  Alcotest.(check bool) "and warns, naming the version" true
+    (List.exists (fun m -> Testlib.contains m {|"version"|}) !warned)
+
+let test_store_fractional_member () =
+  with_store @@ fun store config _ ->
+  let frames = [ partition_request ~id:"a" "Podium Timer 3"; P.drain_frame ] in
+  let _, out1 = serve ~config frames in
+  rewrite store (after_first_number ~marker:{|"members"|} ".5");
+  let s, out2 = serve ~config frames in
+  Alcotest.(check (pair int int)) "a member of 2.5 is a miss" (0, 1)
+    (s.P.hits, s.P.misses);
+  match (responses out1, responses out2) with
+  | [ a ], [ b ] ->
+    Alcotest.(check string) "the recompute answers as before" a.P.output
+      b.P.output
+  | _ -> Alcotest.fail "expected one response per run"
+
 (* ------------------------------------------------------------------ *)
 (* Loader robustness: mutants of a saved store (two partition entries,
    one under each backend) load as Ok or Error, never raise. *)
@@ -674,6 +791,33 @@ let test_cache_loader_robustness =
       Out_channel.with_open_bin store (fun oc -> output_string oc text);
       snd (Service.Cache.create ~path:store ()))
 
+(* Mutants of one frame of each kind parse as a request, a drain or an
+   Invalid answer, never raise. *)
+let test_frame_loader_robustness =
+  List.map
+    (fun (name, frame) ->
+      Testlib.loader_never_raises ~count:5000 ~seed:24
+        ~name:("mutated " ^ name ^ " frame")
+        frame
+        (fun text ->
+          match P.parse_request text with
+          | P.Request _ | P.Drain -> Ok ()
+          | P.Invalid _ -> Error ()))
+    [
+      ("partition", partition_request ~id:"p" "Podium Timer 3");
+      ( "exhaustive",
+        partition_request ~backend:Service.Oneshot.Exhaustive ~deadline_s:0.5
+          ~id:"x" "Podium Timer 3" );
+      ( "weighted",
+        {|{"op":"weighted","lambda":4.5,"family":"drop:0.05","trials":16,|}
+        ^ {|"seed":-7,"id":"w","design":"Entry Gate Detector",|}
+        ^ {|"inputs":3,"outputs":2}|} );
+      ( "design_text",
+        text_request ~id:"t"
+          (Netlist.Textio.to_string (find_design "Podium Timer 3")) );
+      ("drain", P.drain_frame);
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -689,6 +833,10 @@ let () =
             test_relabel_hits;
           Alcotest.test_case "canonical digest is label-free on Table 1"
             `Quick test_canon_relabel_digest;
+          Alcotest.test_case "store version 1.9 starts empty" `Quick
+            test_store_fractional_version;
+          Alcotest.test_case "fractional payload member is a miss" `Quick
+            test_store_fractional_member;
           test_cache_loader_robustness;
         ] );
       ( "canon",
@@ -723,6 +871,20 @@ let () =
           Alcotest.test_case "errors are per-request" `Quick
             test_error_isolated;
         ] );
+      ( "fields",
+        List.map
+          (fun field ->
+            Alcotest.test_case (field ^ " ill-typed rejected") `Quick
+              (test_ill_typed_field field))
+          [ "lambda"; "deadline_s"; "op"; "backend"; "family"; "design";
+            "design_text" ]
+        @ [
+            Alcotest.test_case "id ill-typed answered under ?" `Quick
+              test_ill_typed_id;
+            Alcotest.test_case "ill-typed fields answered rejected" `Quick
+              test_ill_typed_rejected_by_server;
+          ] );
+      ("frames", test_frame_loader_robustness);
       ( "identity",
         [
           Alcotest.test_case "served = one-shot on Table 1" `Quick
