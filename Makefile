@@ -51,10 +51,24 @@ bench:
 # Table 1 with a reduced trial count (doc/reliability.md).  The flight
 # recorder is armed so a simulation event-limit blowup inside the
 # Monte-Carlo replays leaves a post-mortem bundle CI uploads as an
-# artifact; on success no bundle is written.
+# artifact; on success no bundle is written.  Then the CLI's λ and
+# deadline arguments: each gets the rule the frame decoder applies to
+# "lambda" and "deadline_s" (a finite number >= 0), so a bad one is a
+# usage error, exit 124, nothing on stdout.
 reliability-smoke:
 	PAREDOWN_FLIGHT_RECORD=paredown-postmortem.json \
 	  dune exec bin/run_experiments.exe -- reliability --trials 8
+	dune build bin/paredown.exe
+	for args in "reliability entry_gate --trials 8 --show=-64" \
+	  "reliability entry_gate --trials 8 --lambdas=1,nan" \
+	  "submit --op weighted --lambda=-64 entry_gate" \
+	  "submit -a exhaustive --deadline=-1 entry_gate"; do \
+	  out=$$($(PAREDOWN) $$args 2>/dev/null); \
+	  code=$$?; \
+	  if [ $$code -ne 124 ] || [ -n "$$out" ]; then \
+	    echo "$$args: exit $$code, stdout '$$out' (want 124, empty)"; exit 1; \
+	  fi; \
+	done
 
 # Verification fuzzing: every partition of a batch of random designs
 # through the three-tier verifier (doc/verification.md); exits nonzero

@@ -33,3 +33,17 @@ let rate_conv =
     | Error e -> Error (`Msg e)
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* λ and deadlines get the frame decoder's rule for "lambda" and
+   "deadline_s", so the CLI admits exactly what a served request may
+   carry. *)
+let non_negative_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (`Msg ("is not a number: " ^ s))
+    | Some v -> (
+      match Service.Protocol.non_negative (Obs.Json.Num v) with
+      | Ok v -> Ok v
+      | Error _ -> Error (`Msg ("must be a finite number >= 0: " ^ s)))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)

@@ -19,3 +19,8 @@ val rate_conv : float Cmdliner.Arg.conv
 (** A per-packet drop probability, under the check
     {!Reliability.Family.of_string} applies to [drop:R]: a number in
     [[0, 1]] (so no NaN or infinity). *)
+
+val non_negative_conv : float Cmdliner.Arg.conv
+(** A weight λ or a deadline in seconds, under
+    {!Service.Protocol.non_negative}, the check the frame decoder
+    applies to [lambda] and [deadline_s]: a finite number [>= 0]. *)

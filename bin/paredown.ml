@@ -510,13 +510,13 @@ let reliability_cmd =
                    $(b,brownout:R@T1,T2,...).")
   in
   let lambdas_arg =
-    Arg.(value & opt (list float) [ 0.; 1.; 4.; 16.; 64. ]
+    Arg.(value & opt (list non_negative_conv) [ 0.; 1.; 4.; 16.; 64. ]
          & info [ "lambdas" ] ~docv:"Λ"
              ~doc:"Comma-separated λ values to sweep (blocks + λ × \
                    expected severity).")
   in
   let show_arg =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some non_negative_conv) None
          & info [ "show" ] ~docv:"λ"
              ~doc:"Also print the reliability-weighted solution at this \
                    λ (requires a single $(i,DESIGN)).")
@@ -1017,12 +1017,12 @@ let submit_cmd =
                                $(b,weighted) (reliability-weighted).")
   in
   let deadline_arg =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some non_negative_conv) None
          & info [ "deadline" ] ~docv:"SECONDS"
              ~doc:"Per-request budget for the exhaustive backend.")
   in
   let lambda_arg =
-    Arg.(value & opt float 1.0
+    Arg.(value & opt non_negative_conv 1.0
          & info [ "lambda" ] ~doc:"Severity weight of weighted requests.")
   in
   let family_arg =

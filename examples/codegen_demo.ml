@@ -26,7 +26,7 @@ let () =
   let members = Node_id.set_of_list [ 6; 8; 9 ] in
   Format.printf "merge order for partition {6, 8, 9}: %a@."
     (Format.pp_print_list ~pp_sep:Format.pp_print_space Node_id.pp)
-    (Codegen.Plan.level_order network members)
+    (Codegen.Plan.level_order (Netlist.Dense.of_graph network) members)
 
 let () = print_endline "\n=== Merged syntax tree ==="
 

@@ -19,11 +19,9 @@ exception Plan_error of string
 
 let error fmt = Format.kasprintf (fun msg -> raise (Plan_error msg)) fmt
 
-let level_order g set =
-  let levels = Graph.levels g in
-  let level id =
-    match Node_id.Map.find_opt id levels with Some l -> l | None -> 0
-  in
+let level_order d set =
+  let levels = Dense.levels d in
+  let level id = levels.(Dense.index d id) in
   Node_id.Set.elements set
   |> List.sort (fun a b ->
          match Int.compare (level a) (level b) with
@@ -61,7 +59,7 @@ let build d set =
       if not (Eblock.Kind.partitionable (Graph.kind g id)) then
         error "node %d is not a partitionable compute block" id)
     set;
-  let members = level_order g set in
+  let members = level_order d set in
   let s = Dense.set_of_ids d set in
   let in_edges = Dense.in_edges d s in
   let out_edges = Dense.out_edges d s in

@@ -34,8 +34,10 @@ val build : Netlist.Dense.t -> Node_id.Set.t -> t
     Raises {!Plan_error} when the set is empty, a member is missing or not
     partitionable, or an in-partition input port is undriven. *)
 
-val level_order : Graph.t -> Node_id.Set.t -> Node_id.t list
-(** Members sorted by (level, id); exposed for tests. *)
+val level_order : Netlist.Dense.t -> Node_id.Set.t -> Node_id.t list
+(** Members sorted by (level, id), levels from {!Netlist.Dense.levels};
+    exposed for tests.  Raises [Graph.Structural_error] on a cyclic
+    network, as {!Graph.levels} does. *)
 
 val descriptor : ?label:string -> t -> Eblock.Descriptor.t
 (** The programmable-block descriptor hosting the merged program. *)

@@ -42,58 +42,165 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Candidate state over the compiled Dense view, with incremental
-   per-edge pin accounting.
+(* Tie order.                                                          *)
 
-   All quantities PareDown consults per step are O(degree):
+(* Tie-break key among equally-ranked border blocks: the smaller key is
+   removed first.  The key depends only on the graph, and it ends in the
+   node id, so one sort per run orders all nodes totally; a node's
+   position in that order breaks rank ties.  Levels are computed whatever
+   the tie breaks, so a cyclic graph always raises. *)
+let tie_order ~config d =
+  let levels = Dense.levels d in
+  let tie_key i =
+    let id = Dense.node_id d i in
+    List.map
+      (function
+        | Greatest_indegree -> -Dense.in_degree d i
+        | Greatest_outdegree -> -Dense.out_degree d i
+        | Highest_level -> -levels.(i)
+        | Highest_id -> -id)
+      config.tie_breaks
+    @ [ -id ]
+  in
+  let keys = Array.init (Dense.length d) tie_key in
+  let order = Array.init (Dense.length d) Fun.id in
+  Array.sort (fun a b -> List.compare Int.compare keys.(a) keys.(b)) order;
+  order
 
-   rank(b) = (in + out)(P \ b) - (in + out)(P)
-           =   #(internal edges incident to b)     [they become crossing]
-             - #(crossing edges incident to b)     [they disappear]
+(* A binary min-heap of ints. *)
+module Heap = struct
+  type t = { mutable keys : int array; mutable size : int }
 
-   For the ablation-only net-based counting the deltas do not decompose
-   per edge, so that mode recomputes the counts from scratch (it is only
-   exercised on small designs). *)
+  let create () = { keys = Array.make 64 0; size = 0 }
+  let clear h = h.size <- 0
+  let is_empty h = h.size = 0
+
+  let push h (key : int) =
+    if h.size = Array.length h.keys then begin
+      let keys = Array.make (2 * h.size) 0 in
+      Array.blit h.keys 0 keys 0 h.size;
+      h.keys <- keys
+    end;
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    while !i > 0 && h.keys.((!i - 1) / 2) > key do
+      h.keys.(!i) <- h.keys.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.keys.(!i) <- key
+
+  (* The least key, removed; the heap must not be empty. *)
+  let pop h =
+    let top = h.keys.(0) in
+    h.size <- h.size - 1;
+    let last = h.keys.(h.size) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c =
+        if l + 1 < h.size && h.keys.(l + 1) < h.keys.(l) then l + 1 else l
+      in
+      if c < h.size && h.keys.(c) < last then begin
+        h.keys.(!i) <- h.keys.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    h.keys.(!i) <- last;
+    top
+end
+
+(* ------------------------------------------------------------------ *)
+(* Candidate state over the compiled Dense view.
+
+   Per member b the candidate keeps two counts: [in_int], b's fanin
+   edges that come from members, and [out_int], b's fanout edges that
+   go to members.  Everything the loop reads derives from them, per
+   edge (each of two parallel edges counts):
+
+     border(b)  iff  in_int = 0 or out_int = 0       (Dense.is_border)
+     rank(b)    =    2 (in_int + out_int) - indeg - outdeg
+                     (= (in + out)(P \ b) - (in + out)(P), the sum of
+                      Dense.removal_delta)
+     inputs     =    sum over members of indeg - in_int
+     outputs    =    sum over members of outdeg - out_int
+
+   Removing v lowers the counts of v's member neighbours, once per edge,
+   so within one candidate ranks only fall and border status only
+   switches on.  Each border block waits in a heap keyed by (rank, tie
+   position) and is offered again whenever its rank falls; an entry
+   whose node has left or whose rank has fallen since is dropped when it
+   reaches the top, so the first valid entry is the lowest-ranked border
+   block, ties to the earliest tie position.
+
+   Per-net counting (ablation only) does not decompose per edge: it
+   recounts the pins and re-offers every border member with its
+   recounted rank after each removal, a full member scan.
+
+   One candidate is made per run and restarted per outer iteration, so
+   concurrent runs share nothing. *)
 
 type candidate = {
   d : Dense.t;
   config : config;
-  members : Dense.set;
+  n : int;
+  offset : int;  (* no rank is below -offset, so heap keys are >= 0 *)
+  order : int array;  (* tie position -> node *)
+  position : int array;  (* node -> tie position *)
+  in_int : int array;
+  out_int : int array;
+  rank : int array;  (* as last offered; current for border members *)
+  heap : Heap.t;
+  mutable members : Dense.set;
   mutable card : int;
   mutable inputs_used : int;
   mutable outputs_used : int;
 }
 
-let recount cand =
-  let ins, outs =
-    Partition.count_pins cand.config.partition_config cand.d cand.members
-  in
-  cand.inputs_used <- ins;
-  cand.outputs_used <- outs
+let create ~config d =
+  let n = Dense.length d in
+  let order = tie_order ~config d in
+  let position = Array.make n 0 in
+  Array.iteri (fun p i -> position.(i) <- p) order;
+  let offset = ref 0 in
+  for i = 0 to n - 1 do
+    offset := max !offset (Dense.in_degree d i + Dense.out_degree d i)
+  done;
+  {
+    d;
+    config;
+    n;
+    offset = !offset;
+    order;
+    position;
+    in_int = Array.make n 0;
+    out_int = Array.make n 0;
+    rank = Array.make n 0;
+    heap = Heap.create ();
+    members = Dense.empty_set d;
+    card = 0;
+    inputs_used = 0;
+    outputs_used = 0;
+  }
 
-let candidate_of_set ~config d set =
-  let members = Dense.set_of_ids d set in
-  let cand =
-    {
-      d;
-      config;
-      members;
-      card = Node_id.Set.cardinal set;
-      inputs_used = 0;
-      outputs_used = 0;
-    }
-  in
-  recount cand;
-  cand
+let per_edge cand =
+  cand.config.partition_config.Partition.pin_counting = Partition.Per_edge
 
-(* rank of member [b] (compact index); per-edge counting is the O(degree)
-   removal delta, per-net counting recomputes around a temporary flip. *)
-let candidate_rank cand b =
-  match cand.config.partition_config.Partition.pin_counting with
-  | Partition.Per_edge ->
-    let d_in, d_out = Dense.removal_delta cand.d cand.members b in
+let is_border cand b = cand.in_int.(b) = 0 || cand.out_int.(b) = 0
+
+(* The [(d_inputs, d_outputs)] change of the pin counts if member [v]
+   left: [Dense.removal_delta], read off the counts. *)
+let removal_delta cand v =
+  let ext_in = Dense.in_degree cand.d v - cand.in_int.(v)
+  and ext_out = Dense.out_degree cand.d v - cand.out_int.(v) in
+  (cand.out_int.(v) - ext_in, cand.in_int.(v) - ext_out)
+
+let current_rank cand b =
+  if per_edge cand then
+    let d_in, d_out = removal_delta cand b in
     d_in + d_out
-  | Partition.Per_net ->
+  else begin
+    (* per-net counting: recount around a temporary flip *)
     let before = cand.inputs_used + cand.outputs_used in
     Dense.remove cand.members b;
     let without =
@@ -102,20 +209,87 @@ let candidate_rank cand b =
     in
     Dense.add cand.members b;
     without - before
+  end
 
-let candidate_remove cand b =
-  (match cand.config.partition_config.Partition.pin_counting with
-   | Partition.Per_edge ->
-     let d_in, d_out = Dense.removal_delta cand.d cand.members b in
-     Dense.remove cand.members b;
-     cand.inputs_used <- cand.inputs_used + d_in;
-     cand.outputs_used <- cand.outputs_used + d_out
-   | Partition.Per_net ->
-     Dense.remove cand.members b;
-     recount cand);
-  cand.card <- cand.card - 1
+let key cand b = ((cand.rank.(b) + cand.offset) * cand.n) + cand.position.(b)
 
-let candidate_is_border cand b = Dense.is_border cand.d cand.members b
+let offer cand b =
+  cand.rank.(b) <- current_rank cand b;
+  Heap.push cand.heap (key cand b)
+
+let offer_border_members cand =
+  Heap.clear cand.heap;
+  Dense.iter_members cand.members (fun b ->
+      if is_border cand b then offer cand b)
+
+let recount_nets cand =
+  cand.inputs_used <- Dense.inputs_used_nets cand.d cand.members;
+  cand.outputs_used <- Dense.outputs_used_nets cand.d cand.members
+
+(* Restart on a new member set: counts, pins and heap from scratch. *)
+let start cand set =
+  let d = cand.d in
+  let members = Dense.set_of_ids d set in
+  cand.members <- members;
+  cand.card <- Node_id.Set.cardinal set;
+  cand.inputs_used <- 0;
+  cand.outputs_used <- 0;
+  Dense.iter_members members (fun b ->
+      let inside = ref 0 in
+      Dense.iter_fanin d b (fun u -> if Dense.mem members u then incr inside);
+      cand.in_int.(b) <- !inside;
+      inside := 0;
+      Dense.iter_fanout d b (fun w -> if Dense.mem members w then incr inside);
+      cand.out_int.(b) <- !inside;
+      cand.inputs_used <-
+        cand.inputs_used + Dense.in_degree d b - cand.in_int.(b);
+      cand.outputs_used <-
+        cand.outputs_used + Dense.out_degree d b - cand.out_int.(b));
+  if not (per_edge cand) then recount_nets cand;
+  offer_border_members cand
+
+let remove cand v =
+  let d_in, d_out = removal_delta cand v in
+  let members = cand.members in
+  Dense.remove members v;
+  cand.card <- cand.card - 1;
+  let edge = per_edge cand in
+  let lowered u = if edge && is_border cand u then offer cand u in
+  Dense.iter_fanin cand.d v (fun u ->
+      if Dense.mem members u then begin
+        cand.out_int.(u) <- cand.out_int.(u) - 1;
+        lowered u
+      end);
+  Dense.iter_fanout cand.d v (fun w ->
+      if Dense.mem members w then begin
+        cand.in_int.(w) <- cand.in_int.(w) - 1;
+        lowered w
+      end);
+  if edge then begin
+    cand.inputs_used <- cand.inputs_used + d_in;
+    cand.outputs_used <- cand.outputs_used + d_out
+  end
+  else begin
+    recount_nets cand;
+    offer_border_members cand
+  end
+
+(* The lowest-ranked border block, ties to the earliest tie position;
+   [None] only on an empty candidate. *)
+let rec pop_victim cand =
+  if Heap.is_empty cand.heap then None
+  else
+    let k = Heap.pop cand.heap in
+    let b = cand.order.(k mod cand.n) in
+    if Dense.mem cand.members b && k = key cand b then Some b
+    else pop_victim cand
+
+let border_ranks cand =
+  let acc = ref [] in
+  Dense.iter_members cand.members (fun b ->
+      if is_border cand b then
+        acc := (Dense.node_id cand.d b, cand.rank.(b)) :: !acc);
+  List.rev !acc
 
 (* The fit verdict keeps the two failure modes apart so the journal can
    report them separately; convexity is only evaluated when pins pass
@@ -146,74 +320,14 @@ let chosen_shape cand =
     ~outputs_used:cand.outputs_used
 
 (* ------------------------------------------------------------------ *)
-(* Removal choice.                                                     *)
-
-(* Tie-break key among equally-ranked border blocks: the smaller key is
-   removed first.  The key depends only on the graph (not on the
-   candidate), so [run] precomputes one per node. *)
-let tie_key ~config ~levels g id =
-  let level id =
-    match Node_id.Map.find_opt id levels with Some l -> l | None -> 0
-  in
-  List.map
-    (function
-      | Greatest_indegree -> -Graph.in_degree g id
-      | Greatest_outdegree -> -Graph.out_degree g id
-      | Highest_level -> -level id
-      | Highest_id -> -id)
-    config.tie_breaks
-  @ [ -id ]
-
-let tie_keys ~config ~levels g d =
-  Array.init (Dense.length d) (fun i ->
-      tie_key ~config ~levels g (Dense.node_id d i))
-
-let border_ranks_of cand =
-  let acc = ref [] in
-  Dense.iter_members cand.members (fun i ->
-      if candidate_is_border cand i then
-        acc := (Dense.node_id cand.d i, candidate_rank cand i) :: !acc);
-  List.rev !acc
-
-let choose_victim ~keys cand =
-  let best = ref None in
-  Dense.iter_members cand.members (fun i ->
-      if candidate_is_border cand i then begin
-        let rank = candidate_rank cand i in
-        let key = (rank, keys.(i)) in
-        match !best with
-        | Some (_, _, best_key) when compare key best_key >= 0 -> ()
-        | Some _ | None -> best := Some (i, rank, key)
-      end);
-  Option.map (fun (i, rank, _) -> (i, rank)) !best
-
-(* ------------------------------------------------------------------ *)
-(* Public one-off helpers (tests, walkthroughs).                       *)
-
-let rank ?(config = default_config) g candidate b =
-  let d = Dense.of_graph g in
-  candidate_rank (candidate_of_set ~config d candidate) (Dense.index d b)
-
-let removal_choice ?(config = default_config) g candidate =
-  if Node_id.Set.is_empty candidate then None
-  else
-    let d = Dense.of_graph g in
-    let levels = Graph.levels g in
-    let keys = tie_keys ~config ~levels g d in
-    Option.map
-      (fun (i, _) -> Dense.node_id d i)
-      (choose_victim ~keys (candidate_of_set ~config d candidate))
-
-(* ------------------------------------------------------------------ *)
 (* The decomposition method (Figure 4).                                *)
 
 let run ?(config = default_config) g =
   Obs.Journal.with_span "paredown.run"
     ~args:[ ("inner", string_of_int (Graph.inner_count g)) ]
   @@ fun () ->
-  let levels = Graph.levels g in
   let d = Dense.of_graph g in
-  let keys = tie_keys ~config ~levels g d in
+  let cand = create ~config d in
   (* The journal cannot be (un)installed mid-run, so the enabled guard is
      read once; every journal emit below allocates nothing when it is
      off, and payloads (border ranks in particular) are only built when
@@ -227,9 +341,10 @@ let run ?(config = default_config) g =
   let fit_checks = ref 0 in
   let removals = ref 0 in
   let eligible = Node_id.Set.of_list (Graph.partitionable_nodes g) in
-  (* [pare blocks cand] is the inner loop of Figure 4; returns the new
-     working set and accumulated partitions. *)
-  let rec pare blocks cand partitions =
+  (* [pare blocks partitions] is the inner loop of Figure 4 on the
+     current candidate; returns the new working set and accumulated
+     partitions. *)
+  let rec pare blocks partitions =
     incr fit_checks;
     let fits =
       if journal then begin
@@ -281,28 +396,28 @@ let run ?(config = default_config) g =
     end
     else begin
       if journal then
-        Obs.Journal.emit (Obs.Journal.Ranked { ranks = border_ranks_of cand });
-      match choose_victim ~keys cand with
-      | None -> (blocks, partitions)  (* defensive; not reachable *)
-      | Some (victim, victim_rank) ->
+        Obs.Journal.emit (Obs.Journal.Ranked { ranks = border_ranks cand });
+      match pop_victim cand with
+      | None -> assert false (* a candidate that fails is nonempty, and a
+                                nonempty acyclic candidate has a border
+                                block *)
+      | Some victim ->
         incr removals;
         let victim_id = Dense.node_id d victim in
         if journal then begin
-          (* The per-edge delta must be read before the membership flips;
-             under per-net counting there is no per-edge decomposition to
-             report. *)
+          (* under per-net counting there is no per-edge decomposition
+             to report *)
           let d_in, d_out =
-            match config.partition_config.Partition.pin_counting with
-            | Partition.Per_edge ->
-              let di, dd = Dense.removal_delta d cand.members victim in
+            if per_edge cand then
+              let di, dd = removal_delta cand victim in
               (Some di, Some dd)
-            | Partition.Per_net -> (None, None)
+            else (None, None)
           in
           Obs.Journal.emit
             (Obs.Journal.Removed
-               { node = victim_id; rank = victim_rank; d_in; d_out })
+               { node = victim_id; rank = cand.rank.(victim); d_in; d_out })
         end;
-        candidate_remove cand victim;
+        remove cand victim;
         let blocks =
           if cand.card = 0 then begin
             (* The victim could not fit even alone. *)
@@ -314,7 +429,7 @@ let run ?(config = default_config) g =
           end
           else blocks
         in
-        pare blocks cand partitions
+        pare blocks partitions
     end
   in
   let rec main blocks partitions =
@@ -325,8 +440,8 @@ let run ?(config = default_config) g =
         Obs.Journal.emit
           (Obs.Journal.Candidate_started
              { members = Node_id.Set.elements blocks });
-      let cand = candidate_of_set ~config d blocks in
-      let blocks, partitions = pare blocks cand partitions in
+      start cand blocks;
+      let blocks, partitions = pare blocks partitions in
       main blocks partitions
     end
   in

@@ -50,18 +50,13 @@ type result = {
   stats : stats;
 }
 
-val rank : ?config:config -> Graph.t -> Node_id.Set.t -> Node_id.t -> int
-(** [rank g candidate b] — the io delta of removing [b] from
-    [candidate]. *)
-
-val removal_choice :
-  ?config:config -> Graph.t -> Node_id.Set.t -> Node_id.t option
-(** The border block PareDown would evict from the candidate, or [None]
-    on an empty candidate. *)
-
 val run : ?config:config -> Graph.t -> result
 (** Partition the graph's eligible inner blocks.  The graph must be
-    acyclic (levels are needed for tie-breaking).  With a journal
+    acyclic (levels are needed for tie-breaking; a cycle raises
+    [Graph.Structural_error]).  Border blocks and their ranks are kept
+    incrementally, in a heap, so choosing a victim costs O(degree ·
+    log n) under per-edge pin counting (per-net counting, an ablation,
+    rescans the candidate per removal).  With a journal
     installed ({!Obs.Journal}) the run records every decision there:
     candidates, fit checks, the border ranks before each removal, the
     removal, accepts and rejections — Figure 5 of the paper, step by

@@ -50,12 +50,9 @@ val pp_invalidity : Format.formatter -> invalidity -> unit
     member is not a node of the network, except {!check}, which reports
     it as [Unknown_node]. *)
 
-val count_pins : config -> Dense.t -> Dense.set -> int * int
-(** [(inputs_used, outputs_used)] of a member bitset under the config's
-    pin counting. *)
-
 val pins_used : ?config:config -> Dense.t -> Node_id.Set.t -> int * int
-(** {!count_pins} on a member set. *)
+(** [(inputs_used, outputs_used)] of a member set under the config's pin
+    counting. *)
 
 val fits_shape :
   ?config:config -> Dense.t -> Shape.t -> Node_id.Set.t -> bool

@@ -140,6 +140,49 @@ let index t id =
 let node_id t i = t.ids.(i)
 
 (* ------------------------------------------------------------------ *)
+(* Adjacency *)
+
+let in_degree t i = t.fanin_off.(i + 1) - t.fanin_off.(i)
+let out_degree t i = t.fanout_off.(i + 1) - t.fanout_off.(i)
+
+let iter_fanin t i f =
+  for e = t.fanin_off.(i) to t.fanin_off.(i + 1) - 1 do
+    f t.fanin_src.(e)
+  done
+
+let iter_fanout t i f =
+  for e = t.fanout_off.(i) to t.fanout_off.(i + 1) - 1 do
+    f t.fanout_dst.(e)
+  done
+
+(* Kahn's algorithm: a node's level is final once its last fanin edge
+   is consumed, so the FIFO order of ready nodes does not matter. *)
+let levels t =
+  let level = Array.make t.n 0 in
+  let pending = Array.init t.n (in_degree t) in
+  let queue = Array.make t.n 0 and tail = ref 0 in
+  for i = 0 to t.n - 1 do
+    if pending.(i) = 0 then begin
+      queue.(!tail) <- i;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let i = queue.(!head) in
+    incr head;
+    iter_fanout t i (fun j ->
+        level.(j) <- max level.(j) (level.(i) + 1);
+        pending.(j) <- pending.(j) - 1;
+        if pending.(j) = 0 then begin
+          queue.(!tail) <- j;
+          incr tail
+        end)
+  done;
+  if !tail < t.n then raise (Graph.Structural_error "graph contains a cycle");
+  level
+
+(* ------------------------------------------------------------------ *)
 (* Set conversions *)
 
 let empty_set t = Bytes.make t.n_bytes '\000'

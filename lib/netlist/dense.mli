@@ -44,6 +44,28 @@ val index : t -> Node_id.t -> int
 val node_id : t -> int -> Node_id.t
 (** Inverse of {!index}. *)
 
+(** {1 Adjacency} *)
+
+val in_degree : t -> int -> int
+(** Fanin edges of node [i], parallel ones each counted. *)
+
+val out_degree : t -> int -> int
+(** Fanout edges of node [i], parallel ones each counted. *)
+
+val iter_fanin : t -> int -> (int -> unit) -> unit
+(** [iter_fanin t i f] calls [f] on the source of each fanin edge of
+    [i], once per edge, in no particular order. *)
+
+val iter_fanout : t -> int -> (int -> unit) -> unit
+(** [iter_fanout t i f] calls [f] on the sink of each fanout edge of
+    [i], once per edge, in no particular order. *)
+
+val levels : t -> int array
+(** [Graph.levels] over compact indices: node [i]'s level is the
+    longest path to it from a fanin-free node.  Raises
+    [Graph.Structural_error "graph contains a cycle"] on a cycle, as
+    [Graph.levels] does.  O(nodes + edges). *)
+
 (** {1 Member bitsets} *)
 
 val empty_set : t -> set

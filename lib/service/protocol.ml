@@ -63,6 +63,7 @@ type inbound =
   | Drain
   | Invalid of { id : string; reason : string }
 
+let non_negative v = Json.float ~lo:0. v
 let default_trials = 8
 let default_seed = 1
 let max_trials = 10_000
@@ -90,7 +91,7 @@ let parse_request json =
         | "partition" ->
           let* backend = field_or "backend" ~default:"paredown" string j in
           let* backend = Oneshot.backend_of_string backend in
-          let* deadline_s = field_opt "deadline_s" (float ~lo:0.) j in
+          let* deadline_s = field_opt "deadline_s" non_negative j in
           Ok (Some (Partition { backend; deadline_s }))
         | "weighted" ->
           let* family = field_or "family" ~default:default_family string j in
@@ -100,7 +101,7 @@ let parse_request json =
               (int ~lo:1 ~hi:max_trials) j
           in
           let* seed = field_or "seed" ~default:default_seed int j in
-          let* lambda = field_or "lambda" ~default:1.0 (float ~lo:0.) j in
+          let* lambda = field_or "lambda" ~default:1.0 non_negative j in
           Ok (Some (Weighted { lambda; family; trials; seed }))
         | other -> Error (Printf.sprintf "unknown op %S" other)
       in

@@ -45,6 +45,11 @@ type inbound =
           answered with a [rejected] response instead of killing the
           batch *)
 
+val non_negative : float Json.reader
+(** The rule for [lambda] and [deadline_s]: a finite number [>= 0].
+    The CLI checks its λ and deadline arguments with this reader too,
+    so every value it admits is one a served request may carry. *)
+
 val default_trials : int
 val default_seed : int
 

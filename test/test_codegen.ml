@@ -13,9 +13,9 @@ let build g members = Codegen.Plan.build (Netlist.Dense.of_graph g) members
 
 let test_level_order () =
   check (Alcotest.list Alcotest.int) "partition {6,8,9}" [ 6; 8; 9 ]
-    (Codegen.Plan.level_order podium (set [ 6; 8; 9 ]));
+    (Codegen.Plan.level_order (Netlist.Dense.of_graph podium) (set [ 6; 8; 9 ]));
   check (Alcotest.list Alcotest.int) "partition {2,3,4,5}" [ 2; 3; 4; 5 ]
-    (Codegen.Plan.level_order podium (set [ 2; 3; 4; 5 ]))
+    (Codegen.Plan.level_order (Netlist.Dense.of_graph podium) (set [ 2; 3; 4; 5 ]))
 
 let test_plan_pins_match_cut () =
   List.iter

@@ -35,8 +35,30 @@ let subset_arbitrary =
 
 let prop name f = QCheck.Test.make ~count:200 ~name subset_arbitrary f
 
+(* Dense.levels against Graph.levels: the same level on every node, or
+   the same exception. *)
+let levels_agree g =
+  let d = Dense.of_graph g in
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception Graph.Structural_error msg -> Error msg
+  in
+  match
+    (outcome (fun () -> Dense.levels d), outcome (fun () -> Graph.levels g))
+  with
+  | Ok dense, Ok map ->
+    Node_id.Map.cardinal map = Dense.length d
+    && List.for_all
+         (fun id -> dense.(Dense.index d id) = Node_id.Map.find id map)
+         (Graph.node_ids g)
+  | Error a, Error b -> a = b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
 let agreement_properties =
   [
+    prop "levels agree with Graph.levels on every node"
+      (fun (_, _, g, _) -> levels_agree g);
     prop "pins agree with Cut" (fun (_, _, g, members) ->
         let d = Dense.of_graph g in
         let s = Dense.set_of_ids d members in
@@ -178,6 +200,8 @@ let cyclic_properties =
   in
   let prop name f = QCheck.Test.make ~count:300 ~name arbitrary f in
   [
+    prop "levels raise what Graph.levels raises on cyclic graphs"
+      (fun (_, _, g, _) -> levels_agree g);
     prop "is_convex agrees with Cut on cyclic graphs"
       (fun (_, _, g, members) ->
         let known = Node_id.Set.filter (Graph.mem g) members in
@@ -210,6 +234,9 @@ let test_two_gate_loop () =
   let g = Graph.connect g ~src:(or_gate, 0) ~dst:(lamp, 0) in
   check Alcotest.bool "cyclic" false (Graph.is_acyclic g);
   let d = Dense.of_graph g in
+  Alcotest.check_raises "levels"
+    (Graph.Structural_error "graph contains a cycle") (fun () ->
+      ignore (Dense.levels d));
   let verdict members =
     match
       Core.Partition.check d

@@ -185,6 +185,24 @@ let test_scale_random_points () =
         (p.Experiments.Scale.total <= p.Experiments.Scale.inner))
     points
 
+(* The default-seed sweep's rows (inner, fit checks, total, prog), as
+   EXPERIMENTS.md §5.2 prints them: a changed victim order moves them,
+   while the worst-case closed form alone would not notice. *)
+let test_scale_default_rows () =
+  let row p =
+    Experiments.Scale.(
+      Printf.sprintf "%d: %d fit checks, %d/%d" p.inner p.fit_checks p.total
+        p.prog)
+  in
+  check (Alcotest.list Alcotest.string) "inner: fit checks, total/prog"
+    [
+      "50: 931 fit checks, 41/9";
+      "100: 2251 fit checks, 72/24";
+      "200: 10165 fit checks, 150/41";
+      "465: 56669 fit checks, 348/102";
+    ]
+    (List.map row (Experiments.Scale.run_random ()))
+
 let test_power_rows () =
   let rows = Experiments.Power.run ~seed:23 ~steps:60 () in
   check Alcotest.int "one row per design"
@@ -258,6 +276,8 @@ let () =
           Alcotest.test_case "worst-case formula" `Quick
             test_scale_worst_case_formula;
           Alcotest.test_case "random points" `Quick test_scale_random_points;
+          Alcotest.test_case "default-seed rows" `Quick
+            test_scale_default_rows;
         ] );
       ( "ablation",
         [ Alcotest.test_case "variants" `Quick test_ablation_variants ] );

@@ -69,27 +69,27 @@ let test_trace_off_by_default () =
   check Alcotest.bool "nothing installed" true
     (Option.is_none (Obs.Journal.uninstall ()))
 
-(* --- Rank and removal-choice helpers ----------------------------------- *)
+(* --- Rank and removal choice, on the scan oracle -------------------------- *)
 
 let test_rank_values () =
   let candidate = set [ 2; 3; 4; 5; 6; 7; 8; 9 ] in
-  check Alcotest.int "rank 9" 0 (Core.Paredown.rank podium candidate 9);
-  check Alcotest.int "rank 8" 1 (Core.Paredown.rank podium candidate 8);
-  check Alcotest.int "rank 2" 1 (Core.Paredown.rank podium candidate 2);
+  check Alcotest.int "rank 9" 0 (Paredown_oracle.rank podium candidate 9);
+  check Alcotest.int "rank 8" 1 (Paredown_oracle.rank podium candidate 8);
+  check Alcotest.int "rank 2" 1 (Paredown_oracle.rank podium candidate 2);
   (* after removing 9 and 8: 6 and 7 become borders at rank -1 *)
   let candidate = set [ 2; 3; 4; 5; 6; 7 ] in
-  check Alcotest.int "rank 6" (-1) (Core.Paredown.rank podium candidate 6);
-  check Alcotest.int "rank 7" (-1) (Core.Paredown.rank podium candidate 7)
+  check Alcotest.int "rank 6" (-1) (Paredown_oracle.rank podium candidate 6);
+  check Alcotest.int "rank 7" (-1) (Paredown_oracle.rank podium candidate 7)
 
 let test_removal_choice () =
   check (Alcotest.option Alcotest.int) "initial victim" (Some 9)
-    (Core.Paredown.removal_choice podium (set [ 2; 3; 4; 5; 6; 7; 8; 9 ]));
+    (Paredown_oracle.removal_choice podium (set [ 2; 3; 4; 5; 6; 7; 8; 9 ]));
   check (Alcotest.option Alcotest.int) "indegree tie-break picks 8" (Some 8)
-    (Core.Paredown.removal_choice podium (set [ 2; 3; 4; 5; 6; 7; 8 ]));
+    (Paredown_oracle.removal_choice podium (set [ 2; 3; 4; 5; 6; 7; 8 ]));
   check (Alcotest.option Alcotest.int) "id tie-break picks 7" (Some 7)
-    (Core.Paredown.removal_choice podium (set [ 2; 3; 4; 5; 6; 7 ]));
+    (Paredown_oracle.removal_choice podium (set [ 2; 3; 4; 5; 6; 7 ]));
   check (Alcotest.option Alcotest.int) "empty candidate" None
-    (Core.Paredown.removal_choice podium Node_id.Set.empty)
+    (Paredown_oracle.removal_choice podium Node_id.Set.empty)
 
 (* --- Golden results for the design library ----------------------------- *)
 
@@ -281,6 +281,170 @@ let test_tie_break_orders_all_valid () =
         Designs.Library.table1)
     orders
 
+(* --- The victim sequence, checked through the journal -------------------- *)
+
+(* Every tie-break order the ablation and the tests use, a multi-shape
+   config, and both pin-counting modes. *)
+let victim_configs =
+  let open Core.Paredown in
+  let base = default_config in
+  let per_net =
+    { Core.Partition.default_config with pin_counting = Core.Partition.Per_net }
+  in
+  let shapes =
+    [ Core.Shape.default; Core.Shape.make ~inputs:4 ~outputs:4 ~cost:1.8 () ]
+  in
+  [
+    ("paper", base);
+    ("no tie-breaks", { base with tie_breaks = [] });
+    ("indegree", { base with tie_breaks = [ Greatest_indegree ] });
+    ( "outdegree, indegree",
+      { base with tie_breaks = [ Greatest_outdegree; Greatest_indegree ] } );
+    ("level", { base with tie_breaks = [ Highest_level ] });
+    ( "id, level, outdegree, indegree",
+      {
+        base with
+        tie_breaks =
+          [ Highest_id; Highest_level; Greatest_outdegree; Greatest_indegree ];
+      } );
+    ( "no convexity",
+      {
+        base with
+        partition_config =
+          { Core.Partition.default_config with require_convex = false };
+      } );
+    ("per-net pins", { base with partition_config = per_net });
+    ("shapes {2x2, 4x4}", { base with shapes });
+    ( "per-net pins, shapes {2x2, 4x4}",
+      { base with partition_config = per_net; shapes } );
+  ]
+
+let same_partitions s1 s2 =
+  List.equal
+    (fun p1 p2 ->
+      Node_id.Set.equal p1.Core.Partition.members p2.Core.Partition.members
+      && p1.Core.Partition.shape = p2.Core.Partition.shape)
+    s1.Core.Solution.partitions s2.Core.Solution.partitions
+
+(* Replays a journaled run against both oracles of test/paredown_oracle.ml
+   and returns the first disagreement, if any.  The candidate is rebuilt
+   from each candidate_started's members minus the nodes removed since.
+   Every fit check must report the set-based pin counts; every ranked
+   list must be the set-based border blocks and ranks; every removed
+   node, with its rank and pin deltas, must be the set-based minimum by
+   (rank, tie_key), and the moved scan must pick it too.  The plain run
+   must find what the journaled one found. *)
+let replay_victims ~config g =
+  let module Dense = Netlist.Dense in
+  let levels = Graph.levels g in
+  let d = Dense.of_graph g in
+  let keys = Paredown_oracle.tie_keys ~config g d in
+  let partition_config = config.Core.Paredown.partition_config in
+  let pins = Partition_oracle.pins_used ~config:partition_config g in
+  let show_ranks ranks =
+    String.concat ", "
+      (List.map (fun (b, r) -> Printf.sprintf "%d:%+d" b r) ranks)
+  in
+  let result, events =
+    Obs.Journal.record (fun () -> Core.Paredown.run ~config g)
+  in
+  let rec go candidate = function
+    | [] -> Ok ()
+    | event :: rest -> (
+      match event with
+      | Obs.Journal.Candidate_started { members } -> go (set members) rest
+      | Obs.Journal.Fit_check { inputs_used; outputs_used; _ } ->
+        let ins, outs = pins candidate in
+        if (inputs_used, outputs_used) = (ins, outs) then go candidate rest
+        else
+          Error
+            (Printf.sprintf "fit check %d/%d, oracle %d/%d" inputs_used
+               outputs_used ins outs)
+      | Obs.Journal.Ranked { ranks } ->
+        let want = Paredown_oracle.border_ranks ~config g candidate in
+        if ranks = want then go candidate rest
+        else
+          Error
+            (Printf.sprintf "ranked [%s], oracle [%s]" (show_ranks ranks)
+               (show_ranks want))
+      | Obs.Journal.Removed { node; rank; d_in; d_out } ->
+        let want = Paredown_oracle.victim ~config ~levels g candidate in
+        let scan =
+          Paredown_oracle.choose_victim ~config ~keys d
+            (Dense.set_of_ids d candidate)
+          |> Option.map (Dense.node_id d)
+        in
+        let without = Node_id.Set.remove node candidate in
+        let deltas =
+          match partition_config.Core.Partition.pin_counting with
+          | Core.Partition.Per_edge ->
+            let i0, o0 = pins candidate and i1, o1 = pins without in
+            (Some (i1 - i0), Some (o1 - o0))
+          | Core.Partition.Per_net -> (None, None)
+        in
+        if want <> Some (node, rank) then
+          Error
+            (Printf.sprintf "removed %d at %+d, oracle %s" node rank
+               (match want with
+                | Some (b, r) -> Printf.sprintf "%d at %+d" b r
+                | None -> "none"))
+        else if scan <> Some node then
+          Error
+            (Printf.sprintf "removed %d, the scan picks %s" node
+               (Option.fold ~none:"none" ~some:string_of_int scan))
+        else if (d_in, d_out) <> deltas then
+          Error (Printf.sprintf "removed %d with other pin deltas" node)
+        else go without rest
+      | _ -> go candidate rest)
+  in
+  match go Node_id.Set.empty events with
+  | Error _ as e -> e
+  | Ok () as ok ->
+    let plain = (Core.Paredown.run ~config g).Core.Paredown.solution in
+    if same_partitions plain result.Core.Paredown.solution then ok
+    else Error "the plain run found another solution"
+
+let check_victims what ~config g =
+  match replay_victims ~config g with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let victims_arbitrary ~max_inner =
+  QCheck.pair
+    (Testlib.network_arbitrary ~max_inner ())
+    (QCheck.make
+       ~print:(fun i -> fst (List.nth victim_configs i))
+       QCheck.Gen.(int_bound (List.length victim_configs - 1)))
+
+let prop_victims ~count ~max_inner =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "victims agree with the oracles (<= %d inner)" max_inner)
+    ~count (victims_arbitrary ~max_inner)
+    (fun ((_, _, g), i) ->
+      match replay_victims ~config:(snd (List.nth victim_configs i)) g with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_report e)
+
+(* The worst-case family and the parallel-edge design (splitter2 node 2
+   drives both inputs of xor2 node 4) under every config. *)
+let test_victims_fixed () =
+  let designs =
+    ( "Randgen inner 10 seed 430208",
+      Randgen.Generator.generate ~rng:(Prng.create 430208) ~inner:10 () )
+    :: List.map
+         (fun n ->
+           ( Printf.sprintf "worst case %d" n,
+             Randgen.Generator.worst_case ~inner:n ))
+         [ 1; 2; 5; 10; 25; 40 ]
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (label, config) -> check_victims (name ^ ", " ^ label) ~config g)
+        victim_configs)
+    designs
+
 (* --- Properties ----------------------------------------------------------- *)
 
 let prop_solution_valid =
@@ -307,8 +471,9 @@ let prop_never_worse_than_nothing =
       <= Graph.inner_count g)
 
 let prop_rank_matches_direct_recount =
-  (* the O(degree) incremental rank must agree with recomputing the io
-     counts from scratch, under both pin-counting modes *)
+  (* the scan oracle's rank on the Dense view must agree with
+     recomputing the io counts from scratch on sets, under both
+     pin-counting modes *)
   QCheck.Test.make ~name:"rank = io(P \\ b) - io(P)" ~count:60
     (QCheck.pair (Testlib.network_arbitrary ~max_inner:20 ())
        QCheck.(int_bound 10_000))
@@ -336,7 +501,7 @@ let prop_rank_matches_direct_recount =
                 - Partition_oracle.io_used ~config:partition_config g
                     candidate
               in
-              Core.Paredown.rank ~config g candidate b = direct)
+              Paredown_oracle.rank ~config g candidate b = direct)
             candidate)
         [ Core.Partition.Per_edge; Core.Partition.Per_net ])
 
@@ -384,6 +549,14 @@ let () =
           Alcotest.test_case "tie-break orders" `Quick
             test_tie_break_orders_all_valid;
         ] );
+      ( "victims",
+        Alcotest.test_case "worst case and parallel edges" `Quick
+          test_victims_fixed
+        :: Testlib.qtests
+             [
+               prop_victims ~count:150 ~max_inner:30;
+               prop_victims ~count:10 ~max_inner:100;
+             ] );
       ( "properties",
         Testlib.qtests
           [

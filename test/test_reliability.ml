@@ -157,6 +157,55 @@ let test_drop_rate_converter () =
       ("", "drop rate is not a number: ");
     ]
 
+(* The λ and deadline converter: the frame decoder's rule for "lambda"
+   and "deadline_s" (a finite number >= 0), so the CLI admits exactly
+   the values a request frame may carry. *)
+let test_non_negative_converter () =
+  let parse = Cmdliner.Arg.conv_parser Cli.non_negative_conv in
+  List.iter
+    (fun (s, v) ->
+      match parse s with
+      | Ok r -> check (Alcotest.float 0.) ("accepts " ^ s) v r
+      | Error (`Msg e) -> Alcotest.failf "%s rejected: %s" s e)
+    [ ("0", 0.); ("64", 64.); ("0.25", 0.25); ("1e3", 1000.) ];
+  List.iter
+    (fun (s, message) ->
+      match parse s with
+      | Ok r -> Alcotest.failf "%s accepted as %g" s r
+      | Error (`Msg e) -> check Alcotest.string ("rejects " ^ s) message e)
+    [
+      ("-64", "must be a finite number >= 0: -64");
+      ("-0.5", "must be a finite number >= 0: -0.5");
+      ("nan", "must be a finite number >= 0: nan");
+      ("inf", "must be a finite number >= 0: inf");
+      ("-inf", "must be a finite number >= 0: -inf");
+      ("abc", "is not a number: abc");
+      ("", "is not a number: ");
+    ];
+  let served field value =
+    let frame =
+      match field with
+      | `Lambda ->
+        Printf.sprintf
+          {|{"id":"x","op":"weighted","design":"Entry Gate Detector","lambda":%s}|}
+          value
+      | `Deadline ->
+        Printf.sprintf
+          {|{"id":"x","backend":"exhaustive","design":"Entry Gate Detector","deadline_s":%s}|}
+          value
+    in
+    match Service.Protocol.parse_request frame with
+    | Service.Protocol.Request _ -> true
+    | Service.Protocol.Invalid _ | Service.Protocol.Drain -> false
+  in
+  List.iter
+    (fun value ->
+      let admitted = Result.is_ok (parse value) in
+      check Alcotest.bool ("lambda " ^ value) admitted (served `Lambda value);
+      check Alcotest.bool ("deadline_s " ^ value) admitted
+        (served `Deadline value))
+    [ "0"; "1"; "64"; "0.25"; "1e300"; "-1"; "-64"; "-0.5"; "-1e-9" ]
+
 let test_family_plan_deterministic () =
   let g = Testlib.podium in
   List.iter
@@ -1122,6 +1171,8 @@ let () =
             test_family_string_round_trip;
           Alcotest.test_case "drop-rate converter" `Quick
             test_drop_rate_converter;
+          Alcotest.test_case "λ and deadline converter" `Quick
+            test_non_negative_converter;
           Alcotest.test_case "plan deterministic" `Quick
             test_family_plan_deterministic;
           Alcotest.test_case "brownout targets inner nodes" `Quick
