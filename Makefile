@@ -165,7 +165,11 @@ jobs-check:
 # (6x Table 1 under PareDown + 1x under aggregation) through `paredown
 # serve` twice against the same cache file.  Gates, in order: the warm
 # run is byte-identical to the cold one; the warm run recomputes
-# nothing (cache_misses=0); responses are --jobs invariant; and piped
+# nothing (cache_misses=0); a torn store (the warm store's last line cut
+# in half) warns on stderr and still answers as the cold run did, and
+# the run after it loads with no warning; responses and the cold store
+# are --jobs invariant (the store byte for byte); a store under a
+# missing directory exits 2 with nothing on stdout; and piped
 # one-request round trips print exactly what the one-shot CLI prints
 # (a partition, and a reliability-weighted search against the
 # header-to-cost lines of `reliability --show`); and a weighted request
@@ -193,12 +197,33 @@ serve-smoke: build
 	diff serve-dec1.txt serve-dec2.txt
 	./_build/default/bin/paredown.exe submit --decode serve-run2.txt --summary \
 	  | grep -q "cache_misses=0"
-	rm -f serve-cache.json
+	size=$$(wc -c < serve-cache.json); last=$$(tail -n 1 serve-cache.json | wc -c); \
+	head -c $$((size - last / 2)) serve-cache.json > serve-torn.json
+	mv serve-torn.json serve-cache.json
+	for run in 3 4; do \
+	  PAREDOWN_STABLE_TIMES=1 ./_build/default/bin/paredown.exe serve \
+	    --cache serve-cache.json --jobs 2 < serve-batch.txt \
+	    > serve-run$$run.txt 2> serve-err$$run.txt || exit 1; \
+	done
+	grep -q "cache: warning" serve-err3.txt || \
+	  { echo "serve-smoke: a torn store loaded without a warning"; exit 1; }
+	./_build/default/bin/paredown.exe submit --decode serve-run3.txt > serve-dec3.txt
+	diff serve-dec1.txt serve-dec3.txt
+	! grep "cache: warning" serve-err4.txt || \
+	  { echo "serve-smoke: the store still warns after a torn load"; exit 1; }
+	rm -f serve-cache.json serve-cache-j1.json serve-cache-j4.json
 	PAREDOWN_STABLE_TIMES=1 ./_build/default/bin/paredown.exe serve \
-	  --jobs 1 < serve-batch.txt > serve-j1.txt
+	  --cache serve-cache-j1.json --jobs 1 < serve-batch.txt > serve-j1.txt
 	PAREDOWN_STABLE_TIMES=1 ./_build/default/bin/paredown.exe serve \
-	  --jobs 4 < serve-batch.txt > serve-j4.txt
+	  --cache serve-cache-j4.json --jobs 4 < serve-batch.txt > serve-j4.txt
 	diff serve-j1.txt serve-j4.txt
+	cmp serve-cache-j1.json serve-cache-j4.json
+	out=$$(./_build/default/bin/paredown.exe serve \
+	  --cache serve-missing-dir/serve-cache.json < serve-batch.txt 2>/dev/null); \
+	code=$$?; \
+	if [ $$code -ne 2 ] || [ -n "$$out" ]; then \
+	  echo "serve --cache under a missing directory: exit $$code, stdout '$$out' (want 2, empty)"; exit 1; \
+	fi
 	./_build/default/bin/paredown.exe submit "Podium Timer 3" \
 	  | ./_build/default/bin/paredown.exe serve \
 	  | ./_build/default/bin/paredown.exe submit --decode - > serve-pipe.txt
@@ -219,9 +244,11 @@ serve-smoke: build
 	  | ./_build/default/bin/paredown.exe submit --decode - > serve-pipe.txt
 	grep -q '^# bad rejected: .*"lambda"' serve-pipe.txt || \
 	  { echo "serve-smoke: a string lambda was not rejected by name"; exit 1; }
-	rm -f serve-cache.json serve-batch.txt serve-run1.txt serve-run2.txt \
-	  serve-dec1.txt serve-dec2.txt serve-j1.txt serve-j4.txt \
-	  serve-pipe.txt serve-oneshot.txt
+	rm -f serve-cache.json serve-cache-j1.json serve-cache-j4.json \
+	  serve-torn.json serve-batch.txt serve-run1.txt serve-run2.txt \
+	  serve-run3.txt serve-run4.txt serve-err3.txt serve-err4.txt \
+	  serve-dec1.txt serve-dec2.txt serve-dec3.txt serve-j1.txt \
+	  serve-j4.txt serve-pipe.txt serve-oneshot.txt
 
 # Span-recording smoke (doc/observability.md): traced runs of synth,
 # a Monte-Carlo observe and a served Table 1 batch, the last two at

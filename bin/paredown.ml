@@ -970,9 +970,10 @@ let serve_cmd =
   let cache_arg =
     Arg.(value & opt (some string) None
          & info [ "cache" ] ~docv:"FILE"
-             ~doc:"Persist the solution cache to $(docv) (versioned \
-                   JSON, written atomically; loaded at boot, flushed \
-                   incrementally and at every drain).")
+             ~doc:"Persist the solution cache to $(docv): a versioned \
+                   JSON Lines log, replayed at boot, appended to at \
+                   every drain and every 32 inserts, and compacted \
+                   atomically once it holds twice the live entries.")
   in
   let capacity_arg =
     Arg.(value & opt int Service.Cache.default_capacity
@@ -980,6 +981,13 @@ let serve_cmd =
              ~doc:"Solution-cache bound (least-recently-used eviction).")
   in
   let run obs jobs queue cache capacity =
+    (* A store that cannot be written fails fast, like --journal: exit
+       2 before the first frame is read. *)
+    (match Option.map Service.Cache.writable cache with
+     | Some (Error msg) ->
+       Printf.eprintf "paredown: cannot write cache: %s\n" msg;
+       exit 2
+     | Some (Ok ()) | None -> ());
     (* stdout is the wire: --metrics must not corrupt the frame stream. *)
     with_obs ~metrics_out:stderr obs @@ fun () ->
     let config =

@@ -118,7 +118,7 @@ end
    go to members.  Everything the loop reads derives from them, per
    edge (each of two parallel edges counts):
 
-     border(b)  iff  in_int = 0 or out_int = 0       (Dense.is_border)
+     border(b)  iff  in_int = 0 or out_int = 0       (§4.2's border block)
      rank(b)    =    2 (in_int + out_int) - indeg - outdeg
                      (= (in + out)(P \ b) - (in + out)(P), the sum of
                       Dense.removal_delta)

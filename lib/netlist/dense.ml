@@ -288,13 +288,6 @@ let outputs_used_nets t s =
 (* ------------------------------------------------------------------ *)
 (* Structure tests *)
 
-let is_border t s i =
-  let rec all_outside lo hi arr =
-    lo > hi || (not (mem s arr.(lo)) && all_outside (lo + 1) hi arr)
-  in
-  all_outside t.fanin_off.(i) (t.fanin_off.(i + 1) - 1) t.fanin_src
-  || all_outside t.fanout_off.(i) (t.fanout_off.(i + 1) - 1) t.fanout_dst
-
 (* Walk forward from the set's external successors while staying outside
    the set; convexity fails iff the walk re-enters it.  A node is marked
    when pushed, so each is pushed at most once: the stack never holds

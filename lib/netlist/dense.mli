@@ -121,11 +121,6 @@ val outputs_used_nets : t -> set -> int
 
 (** {1 Structure tests} *)
 
-val is_border : t -> set -> int -> bool
-(** "A block in which every output or every input connects to a block
-    outside of the candidate partition" (§4.2).  A node with no fanin
-    (resp. no fanout) vacuously satisfies the corresponding clause. *)
-
 val is_convex : t -> set -> bool
 (** No directed path leaves the set and re-enters it — what makes a
     partition replaceable by a programmable block without introducing

@@ -1,7 +1,7 @@
 module Json = Obs.Json
 
 let schema = "paredown-solution-cache"
-let version = 1
+let version = 2
 let default_capacity = 4096
 
 (* Inserts between store writes, besides the one at batch drain. *)
@@ -11,12 +11,20 @@ let m_hits = Obs.Metrics.counter "service.cache_hits"
 let m_misses = Obs.Metrics.counter "service.cache_misses"
 let m_evictions = Obs.Metrics.counter "service.cache_evictions"
 
+(* One line of the store: an insert or a hit. *)
+type record = Put of string * Json.t | Touch of string
+
 type t = {
   table : Json.t Obs.Lru.t;
   path : string option;
+  log : string -> unit;
   mutable hits : int;
   mutable misses : int;
-  mutable unflushed : int;
+  mutable unflushed : int;  (* inserts since the last save *)
+  mutable pending : record list;  (* newest first, not yet on disk *)
+  mutable logged : int;  (* records in the file after its header *)
+  mutable compact : bool;  (* the next save rewrites the file *)
+  replayed_evictions : int;  (* evictions while loading, not serving *)
 }
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
@@ -26,88 +34,207 @@ let stats (t : t) =
     hits = t.hits;
     misses = t.misses;
     entries = Obs.Lru.length t.table;
-    evictions = Obs.Lru.evictions t.table;
+    evictions = Obs.Lru.evictions t.table - t.replayed_evictions;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Persistence.  Oldest-first entry order: re-[put]ting in file order
-   reproduces both contents and recency, so a reloaded cache evicts in
-   the same order the resident one would have. *)
+(* Persistence: a log of JSON lines after a header line.  Replaying
+   each record through the LRU in file order — a put inserts, a touch
+   promotes like a hit — reproduces both contents and recency, so a
+   reloaded cache evicts in the same order the resident one would have. *)
 
-let to_json t =
-  let entries =
-    Obs.Lru.fold_oldest_first
-      (fun acc key value ->
-        Json.Obj [ ("key", Json.Str key); ("value", value) ] :: acc)
-      t.table []
+let header_line =
+  Json.to_string
+    (Json.Obj
+       [ ("schema", Json.Str schema);
+         ("version", Json.Num (float_of_int version)) ])
+
+let add_line buf record =
+  let j =
+    match record with
+    | Put (key, value) -> Json.Obj [ ("put", Json.Str key); ("value", value) ]
+    | Touch key -> Json.Obj [ ("touch", Json.Str key) ]
   in
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("version", Json.Num (float_of_int version));
-      ("entries", Json.Arr (List.rev entries));
-    ]
+  Buffer.add_string buf (Json.to_string j);
+  Buffer.add_char buf '\n'
+
+let write_file flags path text =
+  let flags = Open_wronly :: Open_creat :: Open_binary :: flags in
+  let oc = open_out_gen flags 0o644 path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc text; flush oc)
+
+(* The header and one put per live entry, oldest first, written to a
+   temporary file renamed over [path]: the only whole-store write.  A
+   failure removes the temporary file, so [path] stays the only one. *)
+let rewrite t path =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf header_line;
+  Buffer.add_char buf '\n';
+  let n =
+    Obs.Lru.fold_oldest_first
+      (fun n key value -> add_line buf (Put (key, value)); n + 1)
+      t.table 0
+  in
+  let tmp = path ^ ".tmp" in
+  (try
+     write_file [ Open_trunc ] tmp (Buffer.contents buf);
+     Sys.rename tmp path
+   with Sys_error _ as e ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  t.logged <- n
+
+let append t path records =
+  let buf = Buffer.create 1024 in
+  List.iter (add_line buf) records;
+  write_file [ Open_append ] path (Buffer.contents buf);
+  t.logged <- t.logged + List.length records
 
 let save t =
   match t.path with
   | None -> ()
-  | Some path ->
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Json.to_string ~indent:2 (to_json t)));
-    Sys.rename tmp path;
-    t.unflushed <- 0
+  | Some path -> (
+    let records = List.rev t.pending in
+    t.pending <- [];
+    t.unflushed <- 0;
+    try
+      if t.compact
+         || t.logged + List.length records > 2 * Obs.Lru.length t.table
+      then rewrite t path
+      else if records <> [] then append t path records;
+      t.compact <- false
+    with Sys_error e ->
+      (* Whatever reached the file may end in a torn record: the next
+         save rewrites the store from the live entries. *)
+      t.compact <- true;
+      t.log
+        (Printf.sprintf
+           "cache: warning: cannot save (%s); the next save rewrites the store"
+           e))
+
+let writable path =
+  let existed = Sys.file_exists path in
+  match write_file [ Open_append ] path "" with
+  | () ->
+    if not existed then (try Sys.remove path with Sys_error _ -> ());
+    Ok ()
+  | exception Sys_error e -> Error e
 
 let ( let* ) = Result.bind
 
-(* A bad header or a missing entries array is an error (the caller
-   starts empty); an entry without a string key and a value is skipped,
-   so it can only cost a miss. *)
-let load_into table path =
-  if not (Sys.file_exists path) then Ok 0
-  else begin
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Result.map_error (fun e -> "cache file: " ^ e)
-    @@
-    let* j = Json.of_string text in
-    let* () = Json.header ~schema ~version j in
-    let* entries = Json.field "entries" (Json.list Json.any) j in
-    let n = ref 0 in
-    List.iter
-      (fun e ->
-        match
-          (Json.field "key" Json.string e, Json.field "value" Json.any e)
-        with
-        | Ok key, Ok value ->
-          Obs.Lru.put table key value;
-          incr n
-        | _ -> ())
-      entries;
-    Ok !n
-  end
+let record_of_json j =
+  match Json.member "put" j with
+  | Some _ ->
+    let* key = Json.field "put" Json.string j in
+    let* value = Json.field "value" Json.any j in
+    Ok (Put (key, value))
+  | None ->
+    let* key = Json.field "touch" Json.string j in
+    Ok (Touch key)
 
-let create ?(capacity = default_capacity) ?path () =
-  let table = Obs.Lru.create ~capacity in
-  let loaded =
-    match path with
-    | None -> Ok 0
-    | Some p -> (
-      match load_into table p with
-      | Ok n -> Ok n
-      | Error e ->
-        (* A stale or foreign file must not brick the server: warn,
-           start empty, and let the next flush overwrite it. *)
-        Error e)
+let replay table = function
+  | Put (key, value) -> Obs.Lru.put table key value
+  | Touch key -> ignore (Obs.Lru.find table key)
+
+(* Replay the lines from byte [pos] on, up to the first that is torn
+   (no newline) or malformed.  Returns the records replayed and, when
+   the loader stopped short of the end, why. *)
+let replay_log table text pos =
+  let len = String.length text in
+  let rec go pos line n =
+    if pos >= len then (n, None)
+    else
+      let dropped why =
+        Some
+          (Printf.sprintf "line %d %s; dropped the last %d bytes" line why
+             (len - pos))
+      in
+      match String.index_from_opt text pos '\n' with
+      | None -> (n, dropped "is torn")
+      | Some eol -> (
+        match
+          Result.bind
+            (Json.of_string (String.sub text pos (eol - pos)))
+            record_of_json
+        with
+        | Ok r ->
+          replay table r;
+          go (eol + 1) (line + 1) (n + 1)
+        | Error e -> (n, dropped ("is malformed (" ^ e ^ ")")))
   in
-  ( { table; path; hits = 0; misses = 0; unflushed = 0 },
-    loaded )
+  go pos 2 0
+
+(* Version 1, the format before the log: one indented document with
+   its entries oldest first.  It loads as its list of puts; an entry
+   without a string key and a value is skipped, so it can only cost a
+   miss. *)
+let replay_version1 table text =
+  let* j = Json.of_string text in
+  let* () = Json.header ~schema ~version:1 j in
+  let* entries = Json.field "entries" (Json.list Json.any) j in
+  List.iter
+    (fun e ->
+      match (Json.field "key" Json.string e, Json.field "value" Json.any e) with
+      | Ok key, Ok value -> replay table (Put (key, value))
+      | _ -> ())
+    entries;
+  Ok ()
+
+type load = { restored : int; warning : string option }
+
+(* Fill [table] from the store at [path].  Returns the record count of
+   a whole version-2 log, which the next save may append to ([None]:
+   the next save compacts), and a warning for what the load could not
+   use. *)
+let load_into table path =
+  match
+    if Sys.file_exists path then
+      Some (In_channel.with_open_bin path In_channel.input_all)
+    else None
+  with
+  | exception Sys_error e -> (None, Some ("cannot read: " ^ e))
+  | None | Some "" -> (None, None)
+  | Some text -> (
+    let version1 ~otherwise =
+      match replay_version1 table text with
+      | Ok () -> (None, None)
+      | Error e -> (None, Some (Option.value otherwise ~default:e))
+    in
+    let eol = String.index_opt text '\n' in
+    let first =
+      String.sub text 0 (Option.value eol ~default:(String.length text))
+    in
+    match Json.of_string first with
+    | Error _ -> version1 ~otherwise:None
+    | Ok h -> (
+      match (Json.header ~schema ~version h, eol) with
+      | Ok (), Some eol -> (
+        match replay_log table text (eol + 1) with
+        | n, None -> (Some n, None)
+        | _, why -> (None, why))
+      | Ok (), None -> (None, Some "line 1 is torn; dropped it")
+      | Error e, _ -> version1 ~otherwise:(Some e)))
+
+let create ?(capacity = default_capacity) ?path ?(log = ignore) () =
+  let table = Obs.Lru.create ~capacity in
+  let logged, warning =
+    match path with None -> (None, None) | Some p -> load_into table p
+  in
+  ( {
+      table; path; log; hits = 0; misses = 0; unflushed = 0; pending = [];
+      logged = Option.value logged ~default:0;
+      (* Anything but a whole version-2 log (no file, a version-1
+         document, a dropped tail, a rejected file) is rewritten by the
+         next save. *)
+      compact = Option.is_none logged;
+      replayed_evictions = Obs.Lru.evictions table;
+    },
+    {
+      restored = Obs.Lru.length table;
+      warning = Option.map (fun w -> "cache file: " ^ w) warning;
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* Keys *)
@@ -203,10 +330,14 @@ let record_miss (t : t) =
   t.misses <- t.misses + 1;
   Obs.Metrics.incr m_misses
 
+let log_record (t : t) r =
+  if Option.is_some t.path then t.pending <- r :: t.pending
+
 let find (t : t) key =
   match Obs.Lru.find t.table key with
   | Some payload ->
     record_hit t;
+    log_record t (Touch key);
     Some payload
   | None ->
     record_miss t;
@@ -218,5 +349,6 @@ let insert (t : t) key payload =
   let evicted = Obs.Lru.evictions t.table - before in
   if evicted > 0 then
     for _ = 1 to evicted do Obs.Metrics.incr m_evictions done;
+  log_record t (Put (key, payload));
   t.unflushed <- t.unflushed + 1;
   if t.unflushed >= flush_every then save t

@@ -1,6 +1,6 @@
 (** The solution cache behind the batch server: a bounded LRU of JSON
     payloads keyed by canonical request fingerprints, persisted to a
-    versioned JSON store.
+    versioned append-only log.
 
     Two key families:
 
@@ -16,13 +16,28 @@
       label-sensitive, because fault-plan draws depend on node ids.
       Reports replay verbatim.
 
-    Persistence: [{"schema": "paredown-solution-cache", "version": 1,
-    "entries": [{key, value}, ...]}], entries oldest-first, written
-    atomically (tmp + rename), flushed every 32 inserts and at batch
-    drain.  A missing file starts empty; an unreadable file, or one
-    whose header is not exactly this schema at version 1 ([1.9] is not
-    1), starts empty with a warning (never a crash).  An entry without
-    a string key and a value is skipped, so it costs a miss. *)
+    Persistence: the store at [path] is a log in JSON Lines.  Its
+    first line is the header
+    [{"schema":"paredown-solution-cache","version":2}]; each insert
+    adds a [{"put":KEY,"value":PAYLOAD}] line and each hit a
+    [{"touch":KEY}] line.  Records wait in memory and are appended with
+    one write at each {!save} (batch drain, and every 32 inserts).  A
+    save that would leave more than twice as many records as live
+    entries compacts instead: the header and one put per live entry,
+    oldest first, written to [path ^ ".tmp"] and renamed over [path] —
+    the only whole-store write, and the store stays the one file at
+    [path].  Loading replays the records through the LRU, so contents
+    and recency match the resident cache.  The loader keeps the longest
+    prefix of complete, well-formed lines and warns about what it
+    dropped (a torn last record, say).  A version-1 document (the
+    indented [{"schema", "version": 1, "entries": [{key, value}, ...]}]
+    written before the log) loads as its list of puts.  A missing or
+    empty file starts empty; an unreadable file, or one whose header is
+    not this schema at version 2 or 1 exactly ([2.9] is not 2), starts
+    empty with a warning, never a crash.  A load that dropped,
+    converted or rejected anything makes the next save compact.  A
+    failed write is logged and retried as a compaction at the next
+    save; saving never raises. *)
 
 module Json = Obs.Json
 
@@ -30,18 +45,34 @@ val default_capacity : int
 
 type t
 
+type load = {
+  restored : int;  (** entries in the cache after loading *)
+  warning : string option;
+      (** what the load could not use: the file was unreadable or
+          foreign (the cache starts empty), or a record was torn or
+          malformed (it and the rest of the file are dropped).  [None]
+          when the whole file loaded. *)
+}
+
 val create :
-  ?capacity:int -> ?path:string -> unit -> t * (int, string) result
-(** The second component reports the load: [Ok n] entries restored, or
-    [Error reason] when the file existed but could not be used (the
-    cache still works, starting empty). *)
+  ?capacity:int -> ?path:string -> ?log:(string -> unit) -> unit -> t * load
+(** Load the store at [path], if any.  [log] (default silent) receives
+    the failures of later saves. *)
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 
 val stats : t -> stats
+(** [evictions] counts capacity pressure since [create], not the
+    evictions the load replayed. *)
 
 val save : t -> unit
-(** Flush to [path] now (no-op without a path). *)
+(** Append the records since the last save to [path], or compact (no-op
+    without a path).  Never raises: a failure goes to [log]. *)
+
+val writable : string -> (unit, string) result
+(** Whether a store can be written at this path: [Error] with the
+    system's reason when its directory is missing or the path is a
+    directory.  Leaves the file system as it found it. *)
 
 (** {1 Keys} *)
 

@@ -140,12 +140,18 @@ type lookup =
 
 let run ?(config = default_config) ic oc =
   let cache, loaded =
-    Cache.create ~capacity:config.capacity ?path:config.cache_path ()
+    Cache.create ~capacity:config.capacity ?path:config.cache_path
+      ~log:config.log ()
   in
   (match loaded with
-   | Ok 0 -> ()
-   | Ok n -> config.log (Printf.sprintf "cache: restored %d entries" n)
-   | Error e -> config.log (Printf.sprintf "cache: starting empty (%s)" e));
+   | { Cache.restored = 0; warning = None } -> ()
+   | { restored; warning = None } ->
+     config.log (Printf.sprintf "cache: restored %d entries" restored)
+   | { restored; warning = Some w } ->
+     config.log
+       (Printf.sprintf "cache: warning: %s; %s" w
+          (if restored = 0 then "starting empty"
+           else Printf.sprintf "restored %d entries" restored)));
   let stable = Obs.Clock.stable_times () in
   let elapsed_json ns = if stable then Json.Null else Json.Num ns in
   let summary =
@@ -345,5 +351,4 @@ let run ?(config = default_config) ic oc =
   in
   let rec serve () = match serve_batch () with `Eof -> () | `More -> serve () in
   serve ();
-  Cache.save cache;
   !summary

@@ -4,8 +4,8 @@
     frame (or end of stream), admit at most [queue] of them, answer the
     cache hits from the {!Cache}, fan the deduplicated misses out over
     [jobs] domains with {!Parallel.map}, write one response frame per
-    request {e in request order}, then a summary frame, then flush the
-    cache to disk.  The loop repeats until end of stream, so a pipe can
+    request {e in request order}, then a summary frame, then append the
+    batch's cache records to the store.  The loop repeats until end of stream, so a pipe can
     carry several drained batches through one resident process.
 
     Determinism: responses are a pure function of (requests, seed) —

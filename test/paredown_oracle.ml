@@ -38,6 +38,18 @@ let tie_keys ~config g d =
 
 (* --- The scan ------------------------------------------------------------ *)
 
+(* "A block in which every output or every input connects to a block
+   outside of the candidate partition" (§4.2).  A node with no fanin
+   (resp. no fanout) vacuously satisfies the corresponding clause.  The
+   library reads border status off the candidate's counts instead. *)
+let is_border d members i =
+  let all_outside iter =
+    let outside = ref true in
+    iter d i (fun j -> if Dense.mem members j then outside := false);
+    !outside
+  in
+  all_outside Dense.iter_fanin || all_outside Dense.iter_fanout
+
 (* Rank of member [b] (compact index): per-edge counting is the removal
    delta, per-net counting recounts around a temporary flip. *)
 let dense_rank ~(config : Paredown.config) d members b =
@@ -58,7 +70,7 @@ let dense_rank ~(config : Paredown.config) d members b =
 let choose_victim ~config ~keys d members =
   let best = ref None in
   Dense.iter_members members (fun i ->
-      if Dense.is_border d members i then begin
+      if is_border d members i then begin
         let key = (dense_rank ~config d members i, keys.(i)) in
         match !best with
         | Some (_, best_key) when compare key best_key >= 0 -> ()

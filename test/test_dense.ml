@@ -75,7 +75,7 @@ let agreement_properties =
         let s = Dense.set_of_ids d members in
         List.for_all
           (fun id ->
-            Dense.is_border d s (Dense.index d id)
+            Paredown_oracle.is_border d s (Dense.index d id)
             = Cut.is_border g members id)
           (Graph.node_ids g));
     prop "is_convex agrees with Cut" (fun (_, _, g, members) ->

@@ -767,8 +767,262 @@ let test_store_fractional_member () =
   | _ -> Alcotest.fail "expected one response per run"
 
 (* ------------------------------------------------------------------ *)
-(* Loader robustness: mutants of a saved store (two partition entries,
-   one under each backend) load as Ok or Error, never raise. *)
+(* The store is a log: replaying it reproduces the resident cache, a
+   torn tail loads as the prefix before it, the version-1 document still
+   loads, and the store is the one file at its path. *)
+
+module Cache = Service.Cache
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_dir f =
+  let dir = Filename.temp_dir "svc_store" "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
+
+let dir_listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+(* A random stream of Table 1 requests, served by one resident server
+   and again with a restart from the store before every batch: at
+   capacity 3 it evicts and compacts, so any recency the log loses
+   shows as a different disposition.  The restarted servers' summaries
+   add up to the resident one's: a replay's evictions are not counted
+   again. *)
+let restart_pool =
+  Array.of_list
+    (List.concat_map
+       (fun (d : Designs.Design.t) ->
+         [ (Service.Oneshot.Paredown, d.Designs.Design.name);
+           (Service.Oneshot.Aggregation, d.Designs.Design.name) ])
+       (List.filteri (fun i _ -> i < 5) Designs.Library.table1))
+
+let restart_stream =
+  QCheck.make
+    ~print:QCheck.Print.(list (list int))
+    QCheck.Gen.(
+      list_size (int_range 2 5)
+        (list_size (int_range 1 6) (int_bound (Array.length restart_pool - 1))))
+
+let serve_stream ~config batches =
+  List.concat_map
+    (fun batch ->
+      List.mapi
+        (fun k i ->
+          let backend, design = restart_pool.(i) in
+          partition_request ~backend ~id:(string_of_int k) design)
+        batch
+      @ [ P.drain_frame ])
+    batches
+  |> serve ~config
+  |> fun (summary, out) -> (summary, responses out)
+
+let test_restart_replays_resident =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+    (QCheck.Test.make ~count:40
+       ~name:"restart from the store = resident server" restart_stream
+       (fun batches ->
+         with_dir @@ fun dir ->
+         let config path =
+           { Service.Server.default_config with
+             capacity = 3;
+             cache_path = Option.map (Filename.concat dir) path }
+         in
+         let summary, resident = serve_stream ~config:(config None) batches in
+         let runs =
+           List.map
+             (fun b -> serve_stream ~config:(config (Some "store")) [ b ])
+             batches
+         in
+         let answer (r : P.response) = (cache_of r, r.P.output) in
+         let total f = List.fold_left (fun a (s, _) -> a + f s) 0 runs in
+         List.map answer resident
+         = List.concat_map (fun (_, rs) -> List.map answer rs) runs
+         && (summary.P.hits, summary.P.misses, summary.P.evictions)
+            = ( total (fun s -> s.P.hits),
+                total (fun s -> s.P.misses),
+                total (fun s -> s.P.evictions) )
+         && summary.P.cache_entries
+            = (fst (List.nth runs (List.length runs - 1))).P.cache_entries
+         && dir_listing dir = [ "store" ]))
+
+(* One save per operation, at capacity 4: evictions, a compaction at
+   the overwrite of k1, then two touches. *)
+let torn_tail_log store =
+  let cache, _ = Cache.create ~capacity:4 ~path:store () in
+  List.iter
+    (fun (op, k) ->
+      let key = Printf.sprintf "k%d" k in
+      (match op with
+       | `Put ->
+         Cache.insert cache key
+           (Obs.Json.Obj [ ("n", Obs.Json.Num (float_of_int k)) ])
+       | `Find -> ignore (Cache.find cache key));
+      Cache.save cache)
+    [ (`Put, 0); (`Put, 1); (`Find, 0); (`Put, 2); (`Put, 3); (`Find, 1);
+      (`Put, 4); (`Find, 0); (`Find, 5); (`Put, 5); (`Find, 2); (`Put, 1);
+      (`Find, 4); (`Find, 3) ];
+  read_file store
+
+let test_torn_tail () =
+  with_dir @@ fun dir ->
+  let text = torn_tail_log (Filename.concat dir "store") in
+  let probe = Filename.concat dir "probe" in
+  let load text =
+    write_file probe text;
+    let cache, load = Cache.create ~capacity:4 ~path:probe () in
+    ( (Cache.stats cache).Cache.entries,
+      List.init 6 (fun k -> Cache.find cache (Printf.sprintf "k%d" k)),
+      load.Cache.warning )
+  in
+  Alcotest.(check string) "compacted at the overwrite of k1, then touched"
+    (String.concat "\n"
+       [ {|{"schema":"paredown-solution-cache","version":2}|};
+         {|{"put":"k3","value":{"n":3}}|}; {|{"put":"k4","value":{"n":4}}|};
+         {|{"put":"k5","value":{"n":5}}|}; {|{"put":"k1","value":{"n":1}}|};
+         {|{"touch":"k4"}|}; {|{"touch":"k3"}|}; "" ])
+    text;
+  (* A malformed line ends the load as a torn one does. *)
+  let lines = String.split_on_char '\n' text in
+  let broken =
+    List.mapi (fun i l -> if i = 2 then {|{"put":"k4"}|} else l) lines
+  in
+  let entries, finds, warning = load (String.concat "\n" broken) in
+  let entries', finds', _ =
+    load (String.concat "\n" (List.filteri (fun i _ -> i < 2) lines) ^ "\n")
+  in
+  Alcotest.(check int) "malformed line: entries before it" entries' entries;
+  Alcotest.(check bool) "malformed line: finds before it" true (finds = finds');
+  Alcotest.(check bool) "malformed line: warns" true (Option.is_some warning);
+  for cut = 0 to String.length text do
+    let torn = String.sub text 0 cut in
+    let whole =
+      match String.rindex_opt torn '\n' with
+      | Some i -> String.sub torn 0 (i + 1)
+      | None -> ""
+    in
+    let entries, finds, warning = load torn in
+    let entries', finds', warning' = load whole in
+    let at = Printf.sprintf "cut at %d" cut in
+    Alcotest.(check int) (at ^ ": entries") entries' entries;
+    Alcotest.(check bool) (at ^ ": finds") true (finds = finds');
+    Alcotest.(check (option string)) (at ^ ": whole lines load quietly")
+      None warning';
+    Alcotest.(check bool) (at ^ ": warns iff bytes dropped")
+      (String.length whole < cut) (Option.is_some warning)
+  done
+
+(* The store as it was written before the log: one indented document. *)
+let version1_store =
+  {|{
+  "schema": "paredown-solution-cache",
+  "version": 1,
+  "entries": [
+    {
+      "key": "a",
+      "value": {
+        "n": 1
+      }
+    },
+    {
+      "key": "b",
+      "value": {
+        "n": 2
+      }
+    },
+    {
+      "key": "c",
+      "value": {
+        "n": 3
+      }
+    }
+  ]
+}|}
+
+let test_version1_store () =
+  with_dir @@ fun dir ->
+  let store = Filename.concat dir "store" in
+  write_file store version1_store;
+  let cache, load = Cache.create ~capacity:3 ~path:store () in
+  Alcotest.(check (pair int (option string))) "loads its three entries"
+    (3, None) (load.Cache.restored, load.Cache.warning);
+  Cache.save cache;
+  Alcotest.(check string) "the next save rewrites it as a version-2 log"
+    ({|{"schema":"paredown-solution-cache","version":2}|} ^ "\n"
+     ^ {|{"put":"a","value":{"n":1}}|} ^ "\n"
+     ^ {|{"put":"b","value":{"n":2}}|} ^ "\n"
+     ^ {|{"put":"c","value":{"n":3}}|} ^ "\n")
+    (read_file store);
+  (* Recency survived: a fourth entry evicts "a", the oldest. *)
+  let cache, _ = Cache.create ~capacity:3 ~path:store () in
+  Cache.insert cache "d" Obs.Json.Null;
+  Alcotest.(check (list bool)) "a is evicted first" [ false; true; true; true ]
+    (List.map (fun k -> Cache.find cache k <> None) [ "a"; "b"; "c"; "d" ]);
+  Alcotest.(check (list string)) "one file" [ "store" ] (dir_listing dir)
+
+(* A store that cannot be written: the CLI's check rejects it, and the
+   server answers every batch anyway, warning instead of raising. *)
+let serve_unwritable store =
+  let warned = ref [] in
+  let config =
+    { Service.Server.default_config with
+      cache_path = Some store;
+      log = (fun m -> warned := m :: !warned) }
+  in
+  let frames =
+    [ partition_request ~id:"a" "Podium Timer 3"; P.drain_frame;
+      partition_request ~id:"b" "Entry Gate Detector"; P.drain_frame ]
+  in
+  let _, out = serve ~config frames in
+  Alcotest.(check (list string)) "both batches answered" [ "ok"; "ok" ]
+    (List.map status_of (responses out));
+  Alcotest.(check bool) "the CLI rejects the path" true
+    (Result.is_error (Cache.writable store));
+  List.rev !warned
+
+let test_store_missing_directory () =
+  with_dir @@ fun dir ->
+  let warned = serve_unwritable (Filename.concat dir "missing/c.json") in
+  Alcotest.(check int) "each save warns" 2
+    (List.length
+       (List.filter (fun m -> Testlib.contains m "cannot save") warned));
+  Alcotest.(check (list string)) "nothing left behind" [] (dir_listing dir)
+
+let test_store_is_directory () =
+  with_dir @@ fun dir ->
+  let store = Filename.concat dir "d" in
+  Sys.mkdir store 0o755;
+  let warned = serve_unwritable store in
+  Alcotest.(check bool) "the load warns and starts empty" true
+    (List.exists
+       (fun m ->
+         Testlib.contains m "cache: warning:"
+         && Testlib.contains m "starting empty")
+       warned);
+  Alcotest.(check (list string)) "nothing left behind" [ "d" ]
+    (dir_listing dir)
+
+let test_writable_leaves_no_file () =
+  with_dir @@ fun dir ->
+  Alcotest.(check bool) "a fresh path is writable" true
+    (Cache.writable (Filename.concat dir "c.json") = Ok ());
+  Alcotest.(check (list string)) "and the probe leaves no file" []
+    (dir_listing dir)
+
+(* ------------------------------------------------------------------ *)
+(* Loader robustness: mutants of a saved store (a two-batch log with a
+   put under each backend, a touch and a third put) load, with or
+   without a warning, and never raise. *)
 
 let test_cache_loader_robustness =
   let store = Filename.temp_file "svc_cache" ".json" in
@@ -784,12 +1038,17 @@ let test_cache_loader_robustness =
          partition_request ~backend:Service.Oneshot.Aggregation ~id:"b"
            "Podium Timer 3";
          P.drain_frame;
+         partition_request ~id:"a" "Noise At Night Detector";
+         partition_request ~id:"c" "Entry Gate Detector";
+         P.drain_frame;
        ]);
-  let doc = In_channel.with_open_bin store In_channel.input_all in
+  let doc = read_file store in
   Testlib.loader_never_raises ~count:5000 ~seed:23 ~name:"mutated store" doc
     (fun text ->
-      Out_channel.with_open_bin store (fun oc -> output_string oc text);
-      snd (Service.Cache.create ~path:store ()))
+      write_file store text;
+      match snd (Cache.create ~path:store ()) with
+      | { Cache.warning = None; restored } -> Ok restored
+      | { warning = Some w; _ } -> Error w)
 
 (* Mutants of one frame of each kind parse as a request, a drain or an
    Invalid answer, never raise. *)
@@ -838,6 +1097,20 @@ let () =
           Alcotest.test_case "fractional payload member is a miss" `Quick
             test_store_fractional_member;
           test_cache_loader_robustness;
+        ] );
+      ( "store",
+        [
+          test_restart_replays_resident;
+          Alcotest.test_case "torn tail loads as its whole lines" `Quick
+            test_torn_tail;
+          Alcotest.test_case "version-1 store loads and converts" `Quick
+            test_version1_store;
+          Alcotest.test_case "missing directory: served, warned" `Quick
+            test_store_missing_directory;
+          Alcotest.test_case "directory as store: served, warned" `Quick
+            test_store_is_directory;
+          Alcotest.test_case "writable probe leaves no file" `Quick
+            test_writable_leaves_no_file;
         ] );
       ( "canon",
         [
