@@ -51,18 +51,21 @@ bench:
 # Table 1 with a reduced trial count (doc/reliability.md).  The flight
 # recorder is armed so a simulation event-limit blowup inside the
 # Monte-Carlo replays leaves a post-mortem bundle CI uploads as an
-# artifact; on success no bundle is written.  Then the CLI's λ and
-# deadline arguments: each gets the rule the frame decoder applies to
-# "lambda" and "deadline_s" (a finite number >= 0), so a bad one is a
-# usage error, exit 124, nothing on stdout.
+# artifact; on success no bundle is written.  Then the CLI's λ,
+# deadline and trial-count arguments: each gets the rule the frame
+# decoder applies to "lambda", "deadline_s" (a finite number >= 0) and
+# "trials" (a whole number in 1..10000), so a bad one is a usage
+# error, exit 124, nothing on stdout.
 reliability-smoke:
-	PAREDOWN_FLIGHT_RECORD=paredown-postmortem.json \
-	  dune exec bin/run_experiments.exe -- reliability --trials 8
+	dune exec bin/run_experiments.exe -- reliability --trials 8 \
+	  --flight-record paredown-postmortem.json
 	dune build bin/paredown.exe
 	for args in "reliability entry_gate --trials 8 --show=-64" \
 	  "reliability entry_gate --trials 8 --lambdas=1,nan" \
 	  "submit --op weighted --lambda=-64 entry_gate" \
-	  "submit -a exhaustive --deadline=-1 entry_gate"; do \
+	  "submit -a exhaustive --deadline=-1 entry_gate" \
+	  "submit --op weighted --trials 10001 entry_gate" \
+	  "faults entry_gate --trials 10001"; do \
 	  out=$$($(PAREDOWN) $$args 2>/dev/null); \
 	  code=$$?; \
 	  if [ $$code -ne 124 ] || [ -n "$$out" ]; then \
@@ -81,8 +84,8 @@ reliability-smoke:
 # post-mortem bundle (journal tail + metrics + git rev) that CI uploads
 # as an artifact.  On success no bundle is written.
 verify-fuzz:
-	PAREDOWN_FLIGHT_RECORD=paredown-postmortem.json \
-	  dune exec bin/run_experiments.exe -- fuzz --seeds 2000
+	dune exec bin/run_experiments.exe -- fuzz --seeds 2000 \
+	  --flight-record paredown-postmortem.json
 	PAREDOWN_STABLE_TIMES=1 dune exec bin/run_experiments.exe -- fuzz --seeds 200 --jobs 1 > fuzz-j1.txt
 	PAREDOWN_STABLE_TIMES=1 dune exec bin/run_experiments.exe -- fuzz --seeds 200 --jobs 2 > fuzz-j2.txt
 	diff fuzz-j1.txt fuzz-j2.txt
@@ -254,10 +257,15 @@ serve-smoke: build
 # a Monte-Carlo observe and a served Table 1 batch, the last two at
 # --jobs 1 and 2.  test/check_trace.py asserts that every file parses,
 # that each tid's B/E events balance and nest, and that both job counts
-# record the same span-name multiset.  Last, a journal to an unwritable
-# path must exit 2 before doing any work (nothing on stdout).  Uses the
-# built binary directly, like serve-smoke.
+# record the same span-name multiset.  A run that calls exit (submit
+# --decode on a corrupt stream exits 1) still writes its trace and
+# journal, once each.  Last, a journal to an unwritable path, and a
+# flight record under a missing directory (its bundle is only written
+# on a failure, so the path is probed up front), must exit 2 before
+# doing any work (nothing on stdout), in both executables.  Uses the
+# built binaries directly, like serve-smoke.
 PAREDOWN = ./_build/default/bin/paredown.exe
+RUN_EXPERIMENTS = ./_build/default/bin/run_experiments.exe
 
 trace-smoke: build
 	$(PAREDOWN) synth "Podium Timer 3" --trace trace-synth.json --metrics > /dev/null
@@ -273,11 +281,24 @@ trace-smoke: build
 	    < trace-batch.txt > /dev/null || exit 1; \
 	done
 	python3 test/check_trace.py trace-serve-j1.json trace-serve-j2.json
+	printf 'x\n' | $(PAREDOWN) submit --decode - --journal trace-exit.jsonl \
+	  --trace trace-exit.json > /dev/null 2> trace-bad.txt; test $$? -eq 1
+	test $$(grep -c 'events written to trace-exit' trace-bad.txt) -eq 2
+	grep -q '"total":0' trace-exit.jsonl
+	python3 test/check_trace.py trace-exit.json
 	$(PAREDOWN) partition "Podium Timer 3" --journal trace-batch.txt/j.jsonl \
 	  > trace-bad.txt 2> /dev/null; test $$? -eq 2
 	test ! -s trace-bad.txt
+	$(PAREDOWN) submit -a exhaustive --deadline 0 "Two-Zone Security" \
+	  | $(PAREDOWN) serve --flight-record trace-missing-dir/pm.json \
+	  > trace-bad.txt 2> /dev/null; test $$? -eq 2
+	test ! -s trace-bad.txt
+	$(RUN_EXPERIMENTS) scale --flight-record trace-missing-dir/pm.json \
+	  > trace-bad.txt 2> /dev/null; test $$? -eq 2
+	test ! -s trace-bad.txt
 	rm -f trace-synth.json trace-observe-j1.json trace-observe-j2.json \
-	  trace-batch.txt trace-serve-j1.json trace-serve-j2.json trace-bad.txt
+	  trace-batch.txt trace-serve-j1.json trace-serve-j2.json trace-bad.txt \
+	  trace-exit.json trace-exit.jsonl
 
 # End-to-end benchmark self-test (bench/e2e/README.md, ~40 s): builds
 # the benchmark in its own workspace under .bench_build/, then checks
@@ -319,7 +340,11 @@ netobs-smoke:
 # version is exactly an integer.  Then Figure 5 from the
 # CLI: partition --explain prints the journal of the run, whose first
 # border ranks are the paper's, while --journal still gets the whole
-# run (five ranked events, one per removal).
+# run (five ranked events, one per removal).  Last, run_experiments
+# takes the same flag: a small Table 2 journals the same decisions at
+# --jobs 1 and 2, its fit-check total is the table's
+# core.paredown.fit_checks reading, and a journal under a missing
+# directory exits 2 with nothing on stdout.
 journal-smoke:
 	dune exec bin/paredown.exe -- partition "Podium Timer 3" \
 	  --journal table1-journal.jsonl --metrics
@@ -339,6 +364,25 @@ journal-smoke:
 	$(PAREDOWN) explain summary explain-journal.jsonl \
 	  | grep -Eq '^paredown +ranked +5$$'
 	rm -f explain-journal.jsonl explain-out.txt
+	dune build bin/run_experiments.exe
+	for j in 1 2; do \
+	  $(RUN_EXPERIMENTS) table2 --scale 0.01 --exhaustive-cutoff 0 \
+	    --jobs $$j --journal table2-j$$j.jsonl > table2-j$$j.txt || exit 1; \
+	done
+	$(PAREDOWN) explain diff table2-j1.jsonl table2-j2.jsonl \
+	  | grep -q '^identical'
+	checks=$$(sed -n 's/^core\.paredown\.fit_checks *\([0-9]*\) .*/\1/p' table2-j1.txt); \
+	test -n "$$checks" && \
+	  $(PAREDOWN) explain summary table2-j1.jsonl \
+	  | grep -qx "paredown fit checks: $$checks" || \
+	  { echo "journal-smoke: table2 journal and metrics disagree on fit checks"; exit 1; }
+	out=$$($(RUN_EXPERIMENTS) table2 --scale 0.01 --exhaustive-cutoff 0 \
+	  --journal table2-missing-dir/j.jsonl 2>/dev/null); \
+	code=$$?; \
+	if [ $$code -ne 2 ] || [ -n "$$out" ]; then \
+	  echo "run_experiments --journal under a missing directory: exit $$code, stdout '$$out' (want 2, empty)"; exit 1; \
+	fi
+	rm -f table2-j1.jsonl table2-j2.jsonl table2-j1.txt table2-j2.txt
 
 # Run every example; each exits nonzero when one of its assertions
 # breaks (podium_timer.exe pins Figure 5 on the journal's events).

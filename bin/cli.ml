@@ -1,16 +1,31 @@
 open Cmdliner
 
-let count_conv ~min =
+let steps_conv =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
+    | Some n when n >= 0 -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum 0" n))
     | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let trials_conv = count_conv ~min:1
-let steps_conv = count_conv ~min:0
+(* Trial counts get the frame decoder's rule for "trials", so the CLI
+   admits exactly the counts a served request may carry: an unbounded
+   one would let a single command run for hours. *)
+let trials_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (`Msg ("is not a number: " ^ s))
+    | Some v -> (
+      match Service.Protocol.trial_count (Obs.Json.Num v) with
+      | Ok n -> Ok n
+      | Error _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "must be a whole number in 1..%d: %s"
+               Service.Protocol.max_trials s)))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let family_conv =
   let parse s =
@@ -47,3 +62,89 @@ let non_negative_conv =
       | Error _ -> Error (`Msg ("must be a finite number >= 0: " ^ s)))
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* ------------------------------------------------------------------ *)
+(* Artifacts *)
+
+type artifacts = { journal : string option; flight_record : string option }
+
+let artifacts_term =
+  let journal =
+    Arg.(value & opt (some string) None
+         & info [ "journal" ] ~docv:"FILE"
+             ~doc:"Record the search provenance journal (typed decision \
+                   events, JSONL) to $(docv); query it afterwards with \
+                   $(b,paredown explain) (see doc/provenance.md).")
+  in
+  let flight_record =
+    Arg.(value & opt (some string) None
+         & info [ "flight-record" ] ~docv:"FILE"
+             ~doc:"Arm the flight recorder: keep a ring of the last 4096 \
+                   decision events and dump a post-mortem JSON bundle \
+                   (journal tail, metrics snapshot, git rev) to $(docv) \
+                   on deadline expiry, a simulation event-limit, or a \
+                   failed verification.")
+  in
+  Term.(
+    const (fun journal flight_record -> { journal; flight_record })
+    $ journal $ flight_record)
+
+let cannot_write what msg =
+  Printf.eprintf "paredown: cannot write %s: %s\n" what msg;
+  exit 2
+
+(* Open the file now, so a bad path fails before any work; the writer
+   renders and writes it at most once. *)
+let artifact what start = function
+  | None -> ignore
+  | Some path ->
+    let oc = try open_out path with Sys_error msg -> cannot_write what msg in
+    let render = start () in
+    let written = ref false in
+    fun () ->
+      if not !written then begin
+        written := true;
+        let text, events = render () in
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> output_string oc text);
+        Printf.eprintf "%s: %d events written to %s\n" what events path
+      end
+
+let with_artifacts ?trace a f =
+  let write_trace =
+    artifact "trace"
+      (fun () ->
+        Obs.Journal.start_spans ();
+        fun () ->
+          let spans = Obs.Journal.stop_spans () in
+          (Obs.Chrome.to_string (Obs.Chrome.of_spans spans), List.length spans))
+      trace
+  in
+  let write_journal =
+    artifact "journal"
+      (fun () ->
+        let j = Obs.Journal.install () in
+        fun () -> (Obs.Journal.to_jsonl j, Obs.Journal.total j))
+      a.journal
+  in
+  (* The bundle is written only on a failure, so its path is probed
+     now: a run must not lose it silently at the end. *)
+  Option.iter
+    (fun out ->
+      match Service.Cache.writable out with
+      | Ok () -> Obs.Journal.arm_post_mortem ~out ()
+      | Error msg -> cannot_write "flight record" msg)
+    a.flight_record;
+  (* [Stdlib.exit] (a failed fuzz sweep or verification exits 1) runs
+     no [Fun.protect] finaliser, so the writers also run at exit. *)
+  let write () =
+    write_trace ();
+    write_journal ()
+  in
+  at_exit write;
+  Fun.protect ~finally:write (fun () ->
+      try f ()
+      with e ->
+        Obs.Journal.note_failure (Printexc.to_string e);
+        raise e)

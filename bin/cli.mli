@@ -1,13 +1,12 @@
-(** The command-line converters both executables share.  Each checks
-    its value at the boundary, so a bad argument is a cmdliner usage
-    error (exit 124, nothing on stdout) rather than an exception or a
-    runaway deep in a sweep. *)
-
-val count_conv : min:int -> int Cmdliner.Arg.conv
-(** An integer of at least [min]. *)
+(** The command-line converters and recorder flags both executables
+    share.  Each converter checks its value at the boundary, so a bad
+    argument is a cmdliner usage error (exit 124, nothing on stdout)
+    rather than an exception or a runaway deep in a sweep. *)
 
 val trials_conv : int Cmdliner.Arg.conv
-(** A Monte-Carlo trial count: at least 1. *)
+(** A Monte-Carlo trial count, under {!Service.Protocol.trial_count},
+    the check the frame decoder applies to [trials]: a whole number in
+    [1..Service.Protocol.max_trials]. *)
 
 val steps_conv : int Cmdliner.Arg.conv
 (** A stimulus script length: at least 0. *)
@@ -24,3 +23,24 @@ val non_negative_conv : float Cmdliner.Arg.conv
 (** A weight λ or a deadline in seconds, under
     {!Service.Protocol.non_negative}, the check the frame decoder
     applies to [lambda] and [deadline_s]: a finite number [>= 0]. *)
+
+(** {1 Recorders} *)
+
+type artifacts
+(** Where a run's decision journal and flight-recorder bundle go. *)
+
+val artifacts_term : artifacts Cmdliner.Term.t
+(** [--journal FILE] (an unbounded journal, written when the run ends)
+    and [--flight-record FILE] (a ring of the last 4096 events, dumped
+    as a post-mortem bundle at the first failure; see
+    doc/provenance.md). *)
+
+val with_artifacts : ?trace:string -> artifacts -> (unit -> 'a) -> 'a
+(** [with_artifacts ?trace a f] runs [f] with the recorders [a] names
+    armed, and with span recording on when [trace] (a Chrome trace
+    file) is given.  Every path is checked before [f] runs: one that
+    cannot be written exits 2 with ["paredown: cannot write WHAT: ..."]
+    on stderr and nothing on stdout.  The trace and the journal are
+    written exactly once, when [f] returns or raises or the process
+    calls [exit]; the bundle only on a failure, and an exception
+    escaping [f] counts as one. *)

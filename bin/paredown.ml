@@ -10,14 +10,13 @@ module Graph = Netlist.Graph
 (* ------------------------------------------------------------------ *)
 (* Observability options, common to every subcommand: --trace FILE
    records a Chrome trace-event JSON file of the run, --metrics prints
-   the counter registry afterwards (see doc/observability.md). *)
+   the counter registry afterwards (see doc/observability.md), on top
+   of the recorders both executables take ({!Cli.artifacts_term}). *)
 
 type obs_opts = {
   trace_file : string option;
   metrics : bool;
-  journal_file : string option;
-  flight_record : string option;
-  journal_ring : int;
+  artifacts : artifacts;
 }
 
 let obs_term =
@@ -34,104 +33,20 @@ let obs_term =
              ~doc:"Print the observability counters (fit checks, search \
                    nodes, packets, emitted bytes, ...) after the command.")
   in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"FILE"
-             ~doc:"Record the search provenance journal (typed decision \
-                   events, JSONL) to $(docv); query it afterwards with \
-                   $(b,paredown explain) (see doc/provenance.md).")
-  in
-  let flight_record =
-    Arg.(value & opt (some string) None
-         & info [ "flight-record" ] ~docv:"FILE"
-             ~doc:"Arm the flight recorder: keep a bounded ring of \
-                   decision events and dump a post-mortem JSON bundle \
-                   (journal tail, metrics snapshot, git rev) to $(docv) \
-                   on deadline expiry, a simulation event-limit, or a \
-                   failed verification.")
-  in
-  let journal_ring =
-    Arg.(value & opt int 4096
-         & info [ "journal-ring" ] ~docv:"N"
-             ~doc:"Flight-recorder ring capacity, in events.")
-  in
   Term.(
-    const (fun trace_file metrics journal_file flight_record journal_ring ->
-        { trace_file; metrics; journal_file; flight_record; journal_ring })
-    $ trace $ metrics $ journal $ flight_record $ journal_ring)
+    const (fun trace_file metrics artifacts ->
+        { trace_file; metrics; artifacts })
+    $ trace $ metrics $ artifacts_term)
 
 let with_obs ?(metrics_out = stdout) opts f =
-  (* Open each artifact file before doing any work so a bad path fails
-     fast (exit 2), not after a long run.  Its writer must also run on
-     [Stdlib.exit] — synth --verify and fuzz exit 1 on failure, and
-     [Fun.protect] finalizers do not run then — so it is an idempotent
-     closure registered both behind a named {!Obs.Flush} slot (one
-     process-lifetime at_exit; re-arming swaps the writer instead of
-     accumulating a closure per invocation) and in the finally below:
-     the normal path and the exit path write exactly once.  The flight
-     recorder stays lazy: its bundle must not exist after a clean
-     run. *)
-  let artifact what start = function
-    | None -> ignore
-    | Some path ->
-      let oc =
-        try open_out path with
-        | Sys_error msg ->
-          Printf.eprintf "paredown: cannot write %s: %s\n" what msg;
-          exit 2
-      in
-      let render = start () in
-      let written = ref false in
-      let write () =
-        if not !written then begin
-          written := true;
-          let text, events = render () in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc text);
-          Printf.eprintf "%s: %d events written to %s\n" what events path
-        end
-      in
-      write
-  in
-  let write_trace =
-    artifact "trace"
-      (fun () ->
-        Obs.Journal.start_spans ();
-        fun () ->
-          let spans = Obs.Journal.stop_spans () in
-          (Obs.Chrome.to_string (Obs.Chrome.of_spans spans), List.length spans))
-      opts.trace_file
-  in
-  let write_journal =
-    artifact "journal"
-      (fun () ->
-        let j = Obs.Journal.install () in
-        fun () -> (Obs.Journal.to_jsonl j, Obs.Journal.total j))
-      opts.journal_file
-  in
-  (match opts.flight_record with
-   | Some out ->
-     Obs.Journal.arm_post_mortem ~capacity:opts.journal_ring ~out ()
-   | None -> ());
-  Obs.Flush.arm ~slot:"cli.trace" write_trace;
-  Obs.Flush.arm ~slot:"cli.journal" write_journal;
   Fun.protect
     ~finally:(fun () ->
-      write_trace ();
-      write_journal ();
       if opts.metrics then begin
         output_char metrics_out '\n';
         output_string metrics_out (Obs.Metrics.to_table ~omit_zero:true ());
         flush metrics_out
       end)
-    (fun () ->
-      try f ()
-      with e ->
-        (* CLI-level failures (bad netlist, rewrite errors, ...) also
-           deserve a post-mortem when the flight recorder is armed. *)
-        Obs.Journal.note_failure (Printexc.to_string e);
-        raise e)
+    (fun () -> with_artifacts ?trace:opts.trace_file opts.artifacts f)
 
 let load_network name_or_path =
   match Designs.Library.find name_or_path with
@@ -1176,7 +1091,6 @@ let submit_cmd =
       $ seed_arg $ repeat_arg $ decode_arg $ summary_arg)
 
 let () =
-  Obs.Journal.maybe_enable_from_env ();
   let info =
     Cmd.info "paredown"
       ~doc:"eBlock system synthesis: partitioning networks of pre-defined \

@@ -227,13 +227,15 @@ let seed_arg default =
   let doc = "Random seed (results are deterministic per seed)." in
   Arg.(value & opt int default & info [ "seed" ] ~doc)
 
+(* Every subcommand takes the recorder flags and runs its thunk under
+   them. *)
+let cmd name ~doc run =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const (fun a run -> with_artifacts a run) $ artifacts_term $ run)
+
 let table1_cmd =
-  let term =
-    Term.(
-      const (fun cutoff csv -> run_table1 cutoff csv ())
-      $ cutoff_arg 11 $ out_arg)
-  in
-  Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table 1.") term
+  cmd "table1" ~doc:"Regenerate Table 1."
+    Term.(const run_table1 $ cutoff_arg 11 $ out_arg)
 
 let table2_cmd =
   let scale_arg =
@@ -243,18 +245,14 @@ let table2_cmd =
     in
     Arg.(value & opt float 1.0 & info [ "scale" ] ~doc)
   in
-  let term =
+  cmd "table2" ~doc:"Regenerate Table 2."
     Term.(
-      const (fun seed scale cutoff jobs csv ->
-          run_table2 seed scale cutoff jobs csv ())
-      $ seed_arg 2005 $ scale_arg $ cutoff_arg 11 $ jobs_arg $ out_arg)
-  in
-  Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2.") term
+      const run_table2 $ seed_arg 2005 $ scale_arg $ cutoff_arg 11 $ jobs_arg
+      $ out_arg)
 
 let scale_cmd =
-  Cmd.v
-    (Cmd.info "scale" ~doc:"Regenerate the scalability and worst-case claims.")
-    Term.(const run_scale $ jobs_arg $ const ())
+  cmd "scale" ~doc:"Regenerate the scalability and worst-case claims."
+    Term.(const run_scale $ jobs_arg)
 
 let ablation_cmd =
   let count_arg =
@@ -263,43 +261,25 @@ let ablation_cmd =
   let inner_arg =
     Arg.(value & opt int 20 & info [ "inner" ] ~doc:"Inner blocks per design.")
   in
-  let term =
-    Term.(
-      const (fun seed count inner -> run_ablation seed count inner ())
-      $ seed_arg 7 $ count_arg $ inner_arg)
-  in
-  Cmd.v (Cmd.info "ablation" ~doc:"Run the ablation studies.") term
+  cmd "ablation" ~doc:"Run the ablation studies."
+    Term.(const run_ablation $ seed_arg 7 $ count_arg $ inner_arg)
 
 let power_cmd =
   let steps_arg =
     Arg.(value & opt steps_conv 200
          & info [ "steps" ] ~doc:"Random sensor changes per design.")
   in
-  let term =
-    Term.(
-      const (fun seed steps -> run_power seed steps ())
-      $ seed_arg 23 $ steps_arg)
-  in
-  Cmd.v
-    (Cmd.info "power"
-       ~doc:"Compare packet counts before and after synthesis.")
-    term
+  cmd "power" ~doc:"Compare packet counts before and after synthesis."
+    Term.(const run_power $ seed_arg 23 $ steps_arg)
 
 let faults_cmd =
   let trials_arg =
     Arg.(value & opt trials_conv 20
          & info [ "trials" ] ~doc:"Fault-plan seeds per drop rate.")
   in
-  let term =
-    Term.(
-      const (fun seed trials csv -> run_faults seed trials csv ())
-      $ seed_arg 11 $ trials_arg $ out_arg)
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:"Run the fault-injection degradation sweep (flat vs \
-             partitioned).")
-    term
+  cmd "faults"
+    ~doc:"Run the fault-injection degradation sweep (flat vs partitioned)."
+    Term.(const run_faults $ seed_arg 11 $ trials_arg $ out_arg)
 
 let fuzz_cmd =
   let seeds_arg =
@@ -312,18 +292,13 @@ let fuzz_cmd =
              ~doc:"Print the sweep's own metrics readings (counter \
                    deltas) after the table.")
   in
-  let term =
+  cmd "fuzz"
+    ~doc:"Fuzz the three-tier merge verifier over random designs; exits \
+          nonzero on any failed verdict (a found merge bug, reported with \
+          a shrunk counterexample)."
     Term.(
-      const (fun seed seeds jobs csv metrics ->
-          run_fuzz seed seeds jobs csv metrics ())
-      $ seed_arg 2005 $ seeds_arg $ jobs_arg $ out_arg $ metrics_arg)
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:"Fuzz the three-tier merge verifier over random designs; \
-             exits nonzero on any failed verdict (a found merge bug, \
-             reported with a shrunk counterexample).")
-    term
+      const run_fuzz $ seed_arg 2005 $ seeds_arg $ jobs_arg $ out_arg
+      $ metrics_arg)
 
 let reliability_cmd =
   let trials_arg =
@@ -337,17 +312,12 @@ let reliability_cmd =
                    $(b,chaos:DROP,DUP,CORRUPT,JITTER), or \
                    $(b,brownout:R@T1,T2,...).")
   in
-  let term =
+  cmd "reliability"
+    ~doc:"Sweep the reliability-weighted objective over λ and print the \
+          per-design cost/expected-degradation Pareto front."
     Term.(
-      const (fun seed trials family jobs csv ->
-          run_reliability seed trials family jobs csv ())
-      $ seed_arg 1 $ trials_arg $ family_arg $ jobs_arg $ out_arg)
-  in
-  Cmd.v
-    (Cmd.info "reliability"
-       ~doc:"Sweep the reliability-weighted objective over λ and print \
-             the per-design cost/expected-degradation Pareto front.")
-    term
+      const run_reliability $ seed_arg 1 $ trials_arg $ family_arg $ jobs_arg
+      $ out_arg)
 
 let netobs_cmd =
   let trials_arg =
@@ -373,22 +343,17 @@ let netobs_cmd =
                    a Table 1 simulation sweep and exit nonzero if it \
                    exceeds the documented 1% budget.")
   in
-  let term =
+  cmd "netobs"
+    ~doc:"Compare flat vs partitioned per-link utilization (sends, busiest \
+          link, worst p99 latency) over every Table 1 design under a \
+          seeded fault family."
     Term.(
-      const (fun seed trials family jobs overhead csv ->
-          run_netobs seed trials (Some family) jobs overhead csv ())
+      const (fun seed trials family -> run_netobs seed trials (Some family))
       $ seed_arg Experiments.Netobs.default_config.seed
       $ trials_arg $ family_arg $ jobs_arg $ overhead_arg $ out_arg)
-  in
-  Cmd.v
-    (Cmd.info "netobs"
-       ~doc:"Compare flat vs partitioned per-link utilization (sends, \
-             busiest link, worst p99 latency) over every Table 1 design \
-             under a seeded fault family.")
-    term
 
 let all_cmd =
-  let term =
+  cmd "all" ~doc:"Run every experiment."
     Term.(
       const (fun jobs () ->
           run_table1 11 None ();
@@ -403,15 +368,9 @@ let all_cmd =
             Experiments.Netobs.default_config.trials
             Experiments.Netobs.default_config.family jobs false None ();
           run_fuzz 2005 25 jobs None true ())
-      $ jobs_arg $ const ())
-  in
-  Cmd.v (Cmd.info "all" ~doc:"Run every experiment.") term
+      $ jobs_arg)
 
 let () =
-  (* PAREDOWN_JOURNAL / PAREDOWN_FLIGHT_RECORD: verify-fuzz in CI arms
-     the flight recorder so a failing sweep leaves a post-mortem bundle
-     to upload. *)
-  Obs.Journal.maybe_enable_from_env ();
   let info =
     Cmd.info "experiments"
       ~doc:"Regenerate the tables of 'System Synthesis for Networks of \

@@ -365,12 +365,6 @@ let to_jsonl t =
     (events t);
   Buffer.contents b
 
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
-
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
@@ -503,8 +497,8 @@ let uninstall () =
   armed_out := None;
   t
 
-let arm_post_mortem ?(capacity = 4096) ~out () =
-  (match !current with None -> ignore (install ~capacity ()) | Some _ -> ());
+let arm_post_mortem ~out () =
+  if Option.is_none !current then ignore (install ~capacity:4096 ());
   armed_out := Some out;
   Atomic.set dumped false
 
@@ -549,24 +543,9 @@ let record f =
   | Ok v -> (v, List.rev buf.decisions)
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-let maybe_enable_from_env () =
-  (match Sys.getenv_opt "PAREDOWN_JOURNAL" with
-  | Some file when file <> "" ->
-    let t = install () in
-    (* A named Flush slot, not a bare at_exit: calling this again (or a
-       daemon re-arming per batch) swaps the writer instead of
-       accumulating one exit closure per call. *)
-    Flush.arm ~slot:"journal.env" (fun () ->
-        try write_file t file with Sys_error _ -> ())
-  | _ -> ());
-  match Sys.getenv_opt "PAREDOWN_FLIGHT_RECORD" with
-  | Some file when file <> "" -> arm_post_mortem ~out:file ()
-  | _ -> ()
-
 let reset () =
   current := None;
   armed_out := None;
-  Flush.disarm ~slot:"journal.env";
   Atomic.set dumped false
 
 (* ------------------------------------------------------------------ *)

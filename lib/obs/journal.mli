@@ -15,19 +15,21 @@
     - {b Zero cost when disabled.}  Emit sites are guarded with
       [if Journal.enabled () then Journal.emit (...)]; the disabled
       path is one ref read and one branch — no allocation, no event
-      construction (timed by the [journal] perf group and
-      asserted ≤1% of a fit check's cost in [test/test_journal.ml]).
+      construction (timed by the [journal] perf group;
+      [test_disabled_overhead] in [test/test_journal.ml] asserts that
+      guard cost × the events a journaled table1 sweep emits ÷ that
+      sweep's time stays ≤ 1%).
     - {b Deterministic across [--jobs].}  Events carry no wall-clock
       timestamps, only logical sequence numbers assigned when they
       reach the journal.  During a {!Parallel.map} fan-out each work
       item's events are captured into a per-domain buffer ({!capture})
       and appended in {e input (seed) order} after the join, so a
       [--jobs N] journal is byte-identical to the sequential one.
-    - {b Bounded when armed as a flight recorder.}  A ring of
-      [capacity] events (default 4096) keeps the tail of the decision
-      history; on deadline expiry, [Event_limit_exceeded], or a failed
-      verification, {!note_failure} dumps a post-mortem JSON bundle
-      (journal tail + {!Snapshot.capture} metrics + git rev).
+    - {b Bounded when armed as a flight recorder.}  A ring of 4096
+      events keeps the tail of the decision history; on deadline
+      expiry, [Event_limit_exceeded], or a failed verification,
+      {!note_failure} dumps a post-mortem JSON bundle (journal tail +
+      {!Snapshot.capture} metrics + git rev).
 
     Threading contract: outside {!capture} scopes only the main domain
     may emit or record spans (the tool chain is single-threaded apart
@@ -217,8 +219,6 @@ val to_jsonl : t -> string
 (** Header line (schema, version, total, dropped) followed by one JSON
     object per retained event.  Deterministic: no timestamps. *)
 
-val write_file : t -> string -> unit
-
 (** {1 Post-mortem bundles / flight recorder} *)
 
 val bundle_schema_name : string
@@ -230,10 +230,10 @@ val post_mortem_json : reason:string -> t -> Json.t
 
 val write_post_mortem : reason:string -> out:string -> t -> unit
 
-val arm_post_mortem : ?capacity:int -> out:string -> unit -> unit
-(** Arm the flight recorder: install a ring journal of [capacity]
-    (default 4096) if none is installed, and make {!note_failure} dump
-    a bundle to [out].  Idempotent re-arming replaces the path. *)
+val arm_post_mortem : out:string -> unit -> unit
+(** Arm the flight recorder: install a ring journal of 4096 events if
+    none is installed, and make {!note_failure} dump a bundle to [out].
+    Idempotent re-arming replaces the path. *)
 
 val note_failure : string -> unit
 (** Called at the failure sites (exhaustive deadline expiry,
@@ -247,12 +247,6 @@ val note_failure : string -> unit
     [--jobs]-invariant.  Its [snapshot] reads the live metrics registry
     when the bundle is written (after the join, under a fan-out), so it
     may differ between job counts. *)
-
-val maybe_enable_from_env : unit -> unit
-(** Entry-point hook for the binaries: [PAREDOWN_JOURNAL=FILE]
-    installs an unbounded journal written to [FILE] at exit;
-    [PAREDOWN_FLIGHT_RECORD=FILE] arms the flight recorder (used by
-    [make verify-fuzz] so CI failures leave a bundle to upload). *)
 
 val reset : unit -> unit
 (** Uninstall, disarm, and forget any previous post-mortem dump (test

@@ -67,6 +67,7 @@ let non_negative v = Json.float ~lo:0. v
 let default_trials = 8
 let default_seed = 1
 let max_trials = 10_000
+let trial_count v = Json.int ~lo:1 ~hi:max_trials v
 
 let default_family = "brownout:0.3@40,110,180"
 
@@ -97,8 +98,7 @@ let parse_request json =
           let* family = field_or "family" ~default:default_family string j in
           let* family = Reliability.Family.of_string family in
           let* trials =
-            field_or "trials" ~default:default_trials
-              (int ~lo:1 ~hi:max_trials) j
+            field_or "trials" ~default:default_trials trial_count j
           in
           let* seed = field_or "seed" ~default:default_seed int j in
           let* lambda = field_or "lambda" ~default:1.0 non_negative j in

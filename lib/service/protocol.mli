@@ -56,6 +56,10 @@ val default_seed : int
 val max_trials : int
 (** The largest [trials] a [weighted] request may ask for (10_000). *)
 
+val trial_count : int Json.reader
+(** The rule for [trials]: a whole number in [1..max_trials].  The
+    CLI checks its [--trials] arguments with this reader too. *)
+
 val parse_request : string -> inbound
 (** Every field reads through {!Obs.Json}'s typed readers, and only the
     fields of the request's op are read; unknown fields are ignored.

@@ -238,12 +238,6 @@ let add ~into src =
     end
   end
 
-let merge a b =
-  let m = create () in
-  add ~into:m a;
-  add ~into:m b;
-  m
-
 (* --- Reports --------------------------------------------------------- *)
 
 let schema_name = "paredown-netobs"

@@ -9,11 +9,11 @@
     included (a fault-armed run without a collector counts its strikes
     on a block of its own, which {!Engine.fault_stats},
     {!Engine.link_strikes} and the [sim.fault.*] metrics read).  There
-    are no hooks: this module is the block, its readings, {!merge} and
+    are no hooks: this module is the block, its readings, {!add} and
     the reports.  Without a collector or a fault plan every counting
     site in the engine is one branch on a [false] flag, measured below
     1% of a Table 1 sweep ([Experiments.Perf.telemetry_overhead],
-    doc/network-telemetry.md).  Collectors {!merge} by exact array and
+    doc/network-telemetry.md).  Collectors {!add} up by exact array and
     histogram bucket sums, so Monte-Carlo aggregates are byte-identical
     across [--jobs N]. *)
 
@@ -147,14 +147,9 @@ val add : into:t -> t -> unit
     (array sums; [max] for high-water marks and the clock; exact
     histogram bucket sums), binding [into] first if it is unbound.
     [into]'s timeline, if it has one, gains the other's entries up to
-    its cap.  Raises [Invalid_argument] on collectors of different
-    networks. *)
-
-val merge : t -> t -> t
-(** A fresh collector holding both: {!add} of each into an unbound one.
-    Associative and commutative up to bit-identical readings, so
-    per-trial collectors fold into the same aggregate regardless of
-    order.  The result has no timeline. *)
+    its cap.  Collectors added into a fresh one in any order give
+    bit-identical readings.  Raises [Invalid_argument] on collectors
+    of different networks. *)
 
 (** {1 Reports} *)
 

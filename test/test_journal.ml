@@ -240,7 +240,8 @@ let test_post_mortem_bundle () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
-      Obs.Journal.arm_post_mortem ~capacity:512 ~out ();
+      ignore (Obs.Journal.install ~capacity:512 ());
+      Obs.Journal.arm_post_mortem ~out ();
       let g =
         Randgen.Generator.generate ~rng:(Prng.create 99) ~inner:20 ()
       in
@@ -270,7 +271,8 @@ let bundle_fields ~jobs =
       Obs.Journal.reset ();
       try Sys.remove out with Sys_error _ -> ())
     (fun () ->
-      Obs.Journal.arm_post_mortem ~capacity:512 ~out ();
+      ignore (Obs.Journal.install ~capacity:512 ());
+      Obs.Journal.arm_post_mortem ~out ();
       ignore
         (Parallel.map ~jobs
            (fun seed ->

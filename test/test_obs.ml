@@ -1099,36 +1099,6 @@ let test_simulate_metrics_table () =
     (Testlib.contains table "distributions:")
 
 (* ------------------------------------------------------------------ *)
-(* Flush: re-armable exit writers.  Re-arming a slot must replace its
-   hook (a long-lived process arming per batch must not accumulate
-   closures), disarm must remove it, and flushing runs hooks in slot
-   order with per-hook exception containment. *)
-
-let test_flush_rearm_no_growth () =
-  let base = Obs.Flush.armed_count () in
-  let fired = ref 0 in
-  for _ = 1 to 100 do
-    Obs.Flush.arm ~slot:"test.obs.flush" (fun () -> incr fired);
-    Obs.Flush.flush ~slot:"test.obs.flush"
-  done;
-  Alcotest.(check int) "100 arm/flush cycles keep one hook" (base + 1)
-    (Obs.Flush.armed_count ());
-  Alcotest.(check int) "each flush ran the current hook" 100 !fired;
-  Obs.Flush.disarm ~slot:"test.obs.flush";
-  Alcotest.(check int) "disarm removes it" base (Obs.Flush.armed_count ());
-  (* flushing a disarmed slot is a no-op, not an error *)
-  Obs.Flush.flush ~slot:"test.obs.flush";
-  Alcotest.(check int) "no ghost hook" 100 !fired
-
-let test_flush_rearm_replaces () =
-  let hits = ref [] in
-  Obs.Flush.arm ~slot:"test.obs.replace" (fun () -> hits := `Old :: !hits);
-  Obs.Flush.arm ~slot:"test.obs.replace" (fun () -> hits := `New :: !hits);
-  Obs.Flush.flush ~slot:"test.obs.replace";
-  Obs.Flush.disarm ~slot:"test.obs.replace";
-  Alcotest.(check bool) "only the latest hook runs" true (!hits = [ `New ])
-
-(* ------------------------------------------------------------------ *)
 (* Lru: the bounded recency map under the estimator memo cache and the
    service solution cache. *)
 
@@ -1223,13 +1193,6 @@ let () =
             test_json_escape_complete;
           Alcotest.test_case "nesting depth limit" `Quick
             test_json_depth_limit;
-        ] );
-      ( "flush",
-        [
-          Alcotest.test_case "re-arming does not grow" `Quick
-            test_flush_rearm_no_growth;
-          Alcotest.test_case "re-arm replaces the hook" `Quick
-            test_flush_rearm_replaces;
         ] );
       ( "lru",
         [

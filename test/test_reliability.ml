@@ -206,6 +206,33 @@ let test_non_negative_converter () =
         (served `Deadline value))
     [ "0"; "1"; "64"; "0.25"; "1e300"; "-1"; "-64"; "-0.5"; "-1e-9" ]
 
+(* The trial-count converter: the frame decoder's rule for "trials" (a
+   whole number in 1..max_trials), so every --trials the CLI admits is
+   a count a served weighted request may carry, and no other. *)
+let test_trials_converter () =
+  let parse = Cmdliner.Arg.conv_parser Cli.trials_conv in
+  let served value =
+    match
+      Service.Protocol.parse_request
+        (Printf.sprintf
+           {|{"id":"x","op":"weighted","design":"Entry Gate Detector","trials":%s}|}
+           value)
+    with
+    | Service.Protocol.Request _ -> true
+    | Service.Protocol.Invalid _ | Service.Protocol.Drain -> false
+  in
+  List.iter
+    (fun (value, admitted) ->
+      check Alcotest.bool ("--trials " ^ value) admitted
+        (Result.is_ok (parse value));
+      check Alcotest.bool ("\"trials\":" ^ value) admitted (served value))
+    [
+      ("0", false); ("1", true); ("10000", true); ("10001", false);
+      ("1.5", false); ("x", false);
+    ];
+  check Alcotest.bool "--trials 10000 reads 10000" true
+    (parse "10000" = Ok 10000)
+
 let test_family_plan_deterministic () =
   let g = Testlib.podium in
   List.iter
@@ -1173,6 +1200,8 @@ let () =
             test_drop_rate_converter;
           Alcotest.test_case "λ and deadline converter" `Quick
             test_non_negative_converter;
+          Alcotest.test_case "trial-count converter" `Quick
+            test_trials_converter;
           Alcotest.test_case "plan deterministic" `Quick
             test_family_plan_deterministic;
           Alcotest.test_case "brownout targets inner nodes" `Quick

@@ -151,7 +151,7 @@ let test_engine_counters_match_collector () =
     (Sim.Fault.total stats - stats.Sim.Fault.stuck_overrides)
     (sum links + sum nodes)
 
-(* --- Merge: fold order cannot matter ---------------------------------- *)
+(* --- Add: fold order cannot matter ------------------------------------ *)
 
 let test_merge_is_order_independent () =
   let g = two_zone in
@@ -164,11 +164,13 @@ let test_merge_is_order_independent () =
     telemetry
   in
   let a = collect 1 and b = collect 2 and c = collect 3 in
-  let report t = Obs.Json.to_string (Sim.Telemetry.report_json g t) in
-  let ab_c = Sim.Telemetry.merge (Sim.Telemetry.merge a b) c in
-  let c_ba = Sim.Telemetry.merge c (Sim.Telemetry.merge b a) in
-  check Alcotest.string "merge report is fold-order independent"
-    (report ab_c) (report c_ba)
+  let fold collectors =
+    let into = Sim.Telemetry.create () in
+    List.iter (Sim.Telemetry.add ~into) collectors;
+    Obs.Json.to_string (Sim.Telemetry.report_json g into)
+  in
+  check Alcotest.string "added report is fold-order independent"
+    (fold [ a; b; c ]) (fold [ c; b; a ])
 
 (* --- Blame: components sum to the estimate's severity ----------------- *)
 
