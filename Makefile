@@ -52,24 +52,37 @@ bench:
 # recorder is armed so a simulation event-limit blowup inside the
 # Monte-Carlo replays leaves a post-mortem bundle CI uploads as an
 # artifact; on success no bundle is written.  Then the CLI's λ,
-# deadline and trial-count arguments: each gets the rule the frame
-# decoder applies to "lambda", "deadline_s" (a finite number >= 0) and
-# "trials" (a whole number in 1..10000), so a bad one is a usage
-# error, exit 124, nothing on stdout.
+# deadline, trial-count and pin-count arguments: each gets the rule the
+# frame decoder applies to "lambda", "deadline_s" (a finite number
+# >= 0), "trials" (a whole number in 1..10000) and "inputs"/"outputs"
+# (a whole number >= 1); a fault family's jitter is at most 255 ticks;
+# and the block, design and cache counts have a whole-number minimum.
+# A bad one is a usage error: exit 124, nothing on stdout.
 reliability-smoke:
 	dune exec bin/run_experiments.exe -- reliability --trials 8 \
 	  --flight-record paredown-postmortem.json
-	dune build bin/paredown.exe
+	dune build bin/paredown.exe bin/run_experiments.exe
 	for args in "reliability entry_gate --trials 8 --show=-64" \
 	  "reliability entry_gate --trials 8 --lambdas=1,nan" \
 	  "submit --op weighted --lambda=-64 entry_gate" \
 	  "submit -a exhaustive --deadline=-1 entry_gate" \
 	  "submit --op weighted --trials 10001 entry_gate" \
-	  "faults entry_gate --trials 10001"; do \
-	  out=$$($(PAREDOWN) $$args 2>/dev/null); \
+	  "faults entry_gate --trials 10001" \
+	  "reliability entry_gate --trials 4 --family chaos:0,0,0,256" \
+	  "simulate entry_gate --faults chaos:0,0,0,256" \
+	  "generate --inner 0" "partition entry_gate --inputs 0" \
+	  "synth entry_gate --outputs=0" "serve --capacity 0"; do \
+	  out=$$($(PAREDOWN) $$args 2>/dev/null < /dev/null); \
 	  code=$$?; \
 	  if [ $$code -ne 124 ] || [ -n "$$out" ]; then \
 	    echo "$$args: exit $$code, stdout '$$out' (want 124, empty)"; exit 1; \
+	  fi; \
+	done
+	for args in "ablation --inner=0" "ablation --count=-1"; do \
+	  out=$$($(RUN_EXPERIMENTS) $$args 2>/dev/null); \
+	  code=$$?; \
+	  if [ $$code -ne 124 ] || [ -n "$$out" ]; then \
+	    echo "run_experiments $$args: exit $$code, stdout '$$out' (want 124, empty)"; exit 1; \
 	  fi; \
 	done
 
@@ -309,22 +322,38 @@ bench-selftest:
 	python3 bench/e2e/run.py selftest
 
 # Network-observatory smoke: `paredown observe` on two Table 1 designs,
-# Entry Gate Detector under a seeded drop plan and Podium Timer 3 under
-# brownouts, which blame node resets (utilization tables +
-# paredown-netobs JSON + Chrome timeline, uploaded as CI artifacts),
-# then the flat-vs-partitioned link-utilization comparison with the
-# disabled-telemetry overhead bound asserted (exits nonzero above 1%%;
-# see doc/network-telemetry.md).  A zero trial count and a negative
-# script length are usage errors: exit 124, nothing on stdout.
+# Entry Gate Detector under a seeded drop plan and under the chaos
+# family, whose jitter spreads each link's latencies over several
+# ticks, and Podium Timer 3 under brownouts, which blame node resets
+# (utilization tables + paredown-netobs JSON + Chrome timeline,
+# uploaded as CI artifacts), then the flat-vs-partitioned
+# link-utilization comparison with the disabled-telemetry overhead
+# bound asserted (exits nonzero above 1%%; see
+# doc/network-telemetry.md).  Every link's latency quantiles in the
+# chaos report must be whole ticks, ordered between min and max.  A
+# zero trial count, a negative script length and a jitter past 255
+# ticks are usage errors: exit 124, nothing on stdout.
+LATENCY_TICKS = python3 -c 'import json, sys; \
+  links = json.load(open(sys.argv[1]))["links"]; \
+  bad = [l["link"] for l in links if not ( \
+    all(type(l["latency_ticks"][k]) is int for k in ("p50", "p90", "p99")) \
+    and l["latency_ticks"]["min"] <= l["latency_ticks"]["p50"] \
+    <= l["latency_ticks"]["p90"] <= l["latency_ticks"]["p99"] \
+    <= l["latency_ticks"]["max"])]; \
+  sys.exit("latency quantiles not whole ordered ticks: %s" % bad \
+           if bad or not links else 0)'
 netobs-smoke:
 	dune exec bin/paredown.exe -- observe "Entry Gate Detector" \
 	  --faults drop:0.05 --netobs netobs-entry-gate.json \
 	  --timeline netobs-entry-gate-timeline.json
+	dune exec bin/paredown.exe -- observe entry_gate \
+	  --faults chaos:0.02,0.01,0.01,2 --netobs netobs-entry-gate-chaos.json
+	$(LATENCY_TICKS) netobs-entry-gate-chaos.json
 	dune exec bin/paredown.exe -- observe "Podium Timer 3" \
 	  --faults brownout:0.3@40,110,180 --netobs netobs-podium-timer-3.json
 	dune exec bin/run_experiments.exe -- netobs --trials 3 --overhead
 	dune build bin/paredown.exe
-	for flag in --trials=0 --steps=-1; do \
+	for flag in --trials=0 --steps=-1 --faults=chaos:0,0,0,256; do \
 	  out=$$($(PAREDOWN) observe entry_gate $$flag 2>/dev/null); \
 	  code=$$?; \
 	  if [ $$code -ne 124 ] || [ -n "$$out" ]; then \

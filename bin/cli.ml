@@ -1,31 +1,40 @@
 open Cmdliner
 
-let steps_conv =
+let at_least_conv lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum 0" n))
+    | Some n when n >= lo -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
     | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-(* Trial counts get the frame decoder's rule for "trials", so the CLI
-   admits exactly the counts a served request may carry: an unbounded
-   one would let a single command run for hours. *)
-let trials_conv =
+(* A value under one of the frame decoder's rules, so the CLI admits
+   exactly the values a served request may carry. *)
+let decoded_conv ~rule reader printer =
   let parse s =
     match float_of_string_opt s with
     | None -> Error (`Msg ("is not a number: " ^ s))
     | Some v -> (
-      match Service.Protocol.trial_count (Obs.Json.Num v) with
-      | Ok n -> Ok n
-      | Error _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "must be a whole number in 1..%d: %s"
-               Service.Protocol.max_trials s)))
+      match reader (Obs.Json.Num v) with
+      | Ok v -> Ok v
+      | Error _ -> Error (`Msg (Printf.sprintf "must be %s: %s" rule s)))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, printer)
+
+(* An unbounded trial count would let a single command run for hours. *)
+let trials_conv =
+  decoded_conv Service.Protocol.trial_count Format.pp_print_int
+    ~rule:
+      (Printf.sprintf "a whole number in 1..%d" Service.Protocol.max_trials)
+
+let pins_conv =
+  decoded_conv Service.Protocol.pin_count Format.pp_print_int
+    ~rule:"a whole number >= 1"
+
+let non_negative_conv =
+  decoded_conv Service.Protocol.non_negative (Arg.conv_printer Arg.float)
+    ~rule:"a finite number >= 0"
 
 let family_conv =
   let parse s =
@@ -46,20 +55,6 @@ let rate_conv =
     | Ok (Reliability.Family.Drop { rate }) -> Ok rate
     | Ok (Chaos _ | Brownout _) -> assert false
     | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, Arg.conv_printer Arg.float)
-
-(* λ and deadlines get the frame decoder's rule for "lambda" and
-   "deadline_s", so the CLI admits exactly what a served request may
-   carry. *)
-let non_negative_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | None -> Error (`Msg ("is not a number: " ^ s))
-    | Some v -> (
-      match Service.Protocol.non_negative (Obs.Json.Num v) with
-      | Ok v -> Ok v
-      | Error _ -> Error (`Msg ("must be a finite number >= 0: " ^ s)))
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 

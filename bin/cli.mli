@@ -8,8 +8,15 @@ val trials_conv : int Cmdliner.Arg.conv
     the check the frame decoder applies to [trials]: a whole number in
     [1..Service.Protocol.max_trials]. *)
 
-val steps_conv : int Cmdliner.Arg.conv
-(** A stimulus script length: at least 0. *)
+val pins_conv : int Cmdliner.Arg.conv
+(** A programmable block's input or output pin count, under
+    {!Service.Protocol.pin_count}, the check the frame decoder applies
+    to [inputs] and [outputs]: a whole number [>= 1]. *)
+
+val at_least_conv : int -> int Cmdliner.Arg.conv
+(** [at_least_conv lo]: a whole number [>= lo] — a stimulus script
+    length or a design count ([lo] 0), a block count or a cache
+    capacity ([lo] 1). *)
 
 val family_conv : Reliability.Family.t Cmdliner.Arg.conv
 (** A fault-plan family in {!Reliability.Family.of_string} syntax. *)

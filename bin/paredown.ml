@@ -69,11 +69,11 @@ let design_arg =
 
 let shape_args =
   let inputs =
-    Arg.(value & opt int 2
+    Arg.(value & opt pins_conv 2
          & info [ "inputs" ] ~doc:"Programmable block input pins.")
   in
   let outputs =
-    Arg.(value & opt int 2
+    Arg.(value & opt pins_conv 2
          & info [ "outputs" ] ~doc:"Programmable block output pins.")
   in
   Term.(
@@ -268,7 +268,7 @@ let synth_cmd =
 
 let simulate_cmd =
   let steps_arg =
-    Arg.(value & opt steps_conv 20
+    Arg.(value & opt (at_least_conv 0) 20
          & info [ "steps" ] ~doc:"Random sensor flips to apply.")
   in
   let seed_arg =
@@ -354,7 +354,7 @@ let faults_cmd =
              ~doc:"Comma-separated per-packet drop probabilities to sweep.")
   in
   let steps_arg =
-    Arg.(value & opt steps_conv 30
+    Arg.(value & opt (at_least_conv 0) 30
          & info [ "steps" ] ~doc:"Sensor flips in the stimulus script.")
   in
   let csv_arg =
@@ -526,7 +526,7 @@ let observe_cmd =
          & info [ "trials" ] ~doc:"Monte-Carlo replays to merge.")
   in
   let steps_arg =
-    Arg.(value & opt steps_conv Experiments.Netobs.default_config.steps
+    Arg.(value & opt (at_least_conv 0) Experiments.Netobs.default_config.steps
          & info [ "steps" ] ~doc:"Stimulus script length (sensor flips).")
   in
   let jobs_arg =
@@ -620,7 +620,8 @@ let observe_cmd =
 
 let generate_cmd =
   let inner_arg =
-    Arg.(value & opt int 15 & info [ "inner" ] ~doc:"Inner block count.")
+    Arg.(value & opt (at_least_conv 1) 15
+         & info [ "inner" ] ~doc:"Inner block count.")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.")
@@ -757,7 +758,7 @@ let perf_compare_cmd =
 
 let perf_profile_cmd =
   let steps_arg =
-    Arg.(value & opt steps_conv 30
+    Arg.(value & opt (at_least_conv 0) 30
          & info [ "steps" ] ~doc:"Random sensor flips to simulate.")
   in
   let seed_arg =
@@ -891,7 +892,7 @@ let serve_cmd =
                    atomically once it holds twice the live entries.")
   in
   let capacity_arg =
-    Arg.(value & opt int Service.Cache.default_capacity
+    Arg.(value & opt (at_least_conv 1) Service.Cache.default_capacity
          & info [ "capacity" ]
              ~doc:"Solution-cache bound (least-recently-used eviction).")
   in

@@ -256,17 +256,19 @@ let scale_cmd =
 
 let ablation_cmd =
   let count_arg =
-    Arg.(value & opt int 100 & info [ "count" ] ~doc:"Designs per variant.")
+    Arg.(value & opt (at_least_conv 0) 100
+         & info [ "count" ] ~doc:"Designs per variant.")
   in
   let inner_arg =
-    Arg.(value & opt int 20 & info [ "inner" ] ~doc:"Inner blocks per design.")
+    Arg.(value & opt (at_least_conv 1) 20
+         & info [ "inner" ] ~doc:"Inner blocks per design.")
   in
   cmd "ablation" ~doc:"Run the ablation studies."
     Term.(const run_ablation $ seed_arg 7 $ count_arg $ inner_arg)
 
 let power_cmd =
   let steps_arg =
-    Arg.(value & opt steps_conv 200
+    Arg.(value & opt (at_least_conv 0) 200
          & info [ "steps" ] ~doc:"Random sensor changes per design.")
   in
   cmd "power" ~doc:"Compare packet counts before and after synthesis."

@@ -158,8 +158,8 @@ type cmp_row = {
   flat_hot_sends : int;
   part_hot : string;
   part_hot_sends : int;
-  flat_p99 : float;
-  part_p99 : float;
+  flat_p99 : int;
+  part_p99 : int;
 }
 
 let utilization o =
@@ -179,9 +179,8 @@ let utilization o =
   in
   let p99 =
     List.fold_left
-      (fun acc (_, s) ->
-        Float.max acc s.Sim.Telemetry.latency.Obs.Histogram.s_p99)
-      0. links
+      (fun acc (_, s) -> Int.max acc s.Sim.Telemetry.latency.Sim.Telemetry.p99)
+      0 links
   in
   (List.length links, sends, hot, hot_sends, p99)
 
@@ -241,8 +240,8 @@ let row_cells r =
     string_of_int r.flat_hot_sends;
     r.part_hot;
     string_of_int r.part_hot_sends;
-    Printf.sprintf "%.1f" r.flat_p99;
-    Printf.sprintf "%.1f" r.part_p99;
+    Printf.sprintf "%.1f" (float_of_int r.flat_p99);
+    Printf.sprintf "%.1f" (float_of_int r.part_p99);
   ]
 
 let to_table rows =

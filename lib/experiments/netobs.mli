@@ -78,8 +78,8 @@ type cmp_row = {
   flat_hot_sends : int;  (** busiest link and its send count *)
   part_hot : string;
   part_hot_sends : int;
-  flat_p99 : float;
-  part_p99 : float;  (** worst per-link p99 delivery latency, ticks *)
+  flat_p99 : int;
+  part_p99 : int;  (** worst per-link p99 delivery latency, ticks *)
 }
 
 val compare_network :

@@ -18,18 +18,7 @@ type t = {
   nodes : node Node_id.Map.t;
   fanin_map : edge list Node_id.Map.t;
   fanout_map : edge list Node_id.Map.t;
-  port_index : edge array array Node_id.Map.t option ref;
-      (* per node: one edge array per output port, in [fanout] order —
-         built on first demand by {!fanout_on}, so [present] in the
-         simulator stops scanning and filtering the whole fanout list
-         per packet.  Every edge-mutating builder installs a {e fresh}
-         ref (never reuses the old cell through [{ g with ... }]), so a
-         cache can never describe a stale edge set.  The benign race of
-         two domains forcing it concurrently builds the same value
-         twice. *)
 }
-
-let equal_edge (a : edge) (b : edge) = a = b
 
 let compare_edge (a : edge) (b : edge) = compare a b
 
@@ -47,7 +36,6 @@ let empty = {
   nodes = Node_id.Map.empty;
   fanin_map = Node_id.Map.empty;
   fanout_map = Node_id.Map.empty;
-  port_index = ref None;
 }
 
 let mem g id = Node_id.Map.mem id g.nodes
@@ -93,51 +81,6 @@ let fanout g id =
   in
   List.sort by_target (edge_list g.fanout_map id)
 
-(* The per-(node, port) fanout index: [fanout g id] partitioned by
-   source port, preserving its order inside each port bucket. *)
-let force_port_index g =
-  match !(g.port_index) with
-  | Some idx -> idx
-  | None ->
-    let idx =
-      Node_id.Map.mapi
-        (fun id _ ->
-          let n_ports =
-            match Node_id.Map.find_opt id g.nodes with
-            | Some n -> n.descriptor.Eblock.Descriptor.n_outputs
-            | None -> 0
-          in
-          let n_ports =
-            (* tolerate out-of-descriptor edges defensively *)
-            List.fold_left
-              (fun m e -> max m (e.src.port + 1))
-              n_ports
-              (edge_list g.fanout_map id)
-          in
-          let buckets = Array.make n_ports [] in
-          List.iter
-            (fun e -> buckets.(e.src.port) <- e :: buckets.(e.src.port))
-            (fanout g id);
-          Array.map (fun es -> Array.of_list (List.rev es)) buckets)
-        g.fanout_map
-    in
-    g.port_index := Some idx;
-    idx
-
-let fanout_on g id port =
-  match Node_id.Map.find_opt id (force_port_index g) with
-  | None -> []
-  | Some ports ->
-    if port < 0 || port >= Array.length ports then []
-    else Array.to_list ports.(port)
-
-let iter_fanout_on g id port f =
-  match Node_id.Map.find_opt id (force_port_index g) with
-  | None -> ()
-  | Some ports ->
-    if port >= 0 && port < Array.length ports then
-      Array.iter f ports.(port)
-
 let driver g id port =
   List.find_opt (fun e -> e.dst.port = port) (edge_list g.fanin_map id)
   |> Option.map (fun e -> e.src)
@@ -167,7 +110,6 @@ let connect g ~src:(src_node, src_port) ~dst:(dst_node, dst_port) =
     g with
     fanin_map = cons_edge g.fanin_map dst_node;
     fanout_map = cons_edge g.fanout_map src_node;
-    port_index = ref None;
   }
 
 let remove_edge g e =
@@ -185,7 +127,6 @@ let remove_edge g e =
     g with
     fanin_map = drop g.fanin_map e.dst.node;
     fanout_map = drop g.fanout_map e.src.node;
-    port_index = ref None;
   }
 
 let remove_node g id =

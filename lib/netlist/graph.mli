@@ -23,14 +23,11 @@ type edge = {
   dst : endpoint;
 }
 
-val equal_edge : edge -> edge -> bool
-(** Structural equality.  An edge is fully identified by its two
+val compare_edge : edge -> edge -> int
+(** Total order consistent with structural equality: by source
+    endpoint, then destination.  An edge is fully identified by its two
     endpoints (an input port accepts one driver), so this is the edge
     identity used by per-connection tables such as fault plans. *)
-
-val compare_edge : edge -> edge -> int
-(** Total order consistent with {!equal_edge}: by source endpoint, then
-    destination. *)
 
 val pp_edge : Format.formatter -> edge -> unit
 (** Prints as ["src.port->dst.port"], e.g. ["2.0->5.1"]. *)
@@ -91,16 +88,6 @@ val fanout_unordered : t -> Node_id.t -> edge list
 (** Same edges as {!fanin}/{!fanout} in unspecified order, without the
     per-call sort — for counting and membership loops where order does
     not matter. *)
-
-val fanout_on : t -> Node_id.t -> int -> edge list
-(** Edges leaving the given output port, in {!fanout} order — exactly
-    [List.filter (fun e -> e.src.port = port) (fanout g id)], served
-    from a per-graph per-(node, port) index built on first use, so the
-    simulator's per-packet send loop does no list scan or filter.  An
-    out-of-range port reads as no edges. *)
-
-val iter_fanout_on : t -> Node_id.t -> int -> (edge -> unit) -> unit
-(** Allocation-free iteration over the same edges in the same order. *)
 
 val driver : t -> Node_id.t -> int -> endpoint option
 (** The endpoint driving a given input port, if connected. *)

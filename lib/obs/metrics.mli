@@ -6,10 +6,9 @@
     counters once at module initialisation and bumps them
     unconditionally — an increment is a single atomic add, cheap
     enough for hot loops.  A mean is a ratio of two counters (e.g.
-    [sim.settle_iterations] over [sim.settles]); a distribution is
-    either in the artifact a run already returns (verdicts, reports,
-    journal events) or, for per-link latency, in a {!Histogram} that
-    its one owner keeps ([Sim.Telemetry]).
+    [sim.settle_iterations] over [sim.settles]); a distribution is in
+    the artifact a run already returns (verdicts, reports, journal
+    events, a [Sim.Telemetry] collector's per-tick latency counts).
 
     The registry is global and cumulative; harnesses that want
     per-phase numbers wrap the phase in {!with_scope} (see

@@ -10,9 +10,9 @@
       would), so no worker ever touches a shared generator;
     - per-item work only accumulates into domain-safe sinks
       ({!Obs.Metrics} counters), whose totals are order-independent
-      sums, or into state the item owns (a [Sim.Telemetry] collector
-      and its latency histograms), which the caller combines after
-      the join;
+      sums, or into state the item owns (a [Sim.Telemetry] collector,
+      latency counts included), which the caller combines after the
+      join;
     - {!map} returns results {e in input order}, whatever order the
       domains finished in.
 

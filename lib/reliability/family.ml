@@ -58,9 +58,12 @@ let of_string s =
           let* duplicate = prob "duplicate rate" u in
           let* corrupt = prob "corrupt rate" c in
           (match int_of_string_opt j with
-           | Some jitter when jitter >= 0 ->
+           | Some jitter when jitter >= 0 && jitter <= Sim.Fault.max_jitter ->
              Ok (Chaos { drop; duplicate; corrupt; jitter })
-           | _ -> Error (Printf.sprintf "bad jitter: %s" j))
+           | _ ->
+             Error
+               (Printf.sprintf "jitter must be a whole number in 0..%d: %s"
+                  Sim.Fault.max_jitter j))
         | _ ->
           Error
             (Printf.sprintf "chaos wants DROP,DUP,CORRUPT,JITTER: %s" rest))

@@ -37,7 +37,9 @@ val to_string : t -> string
     Stable — partition fingerprints embed it. *)
 
 val of_string : string -> (t, string) result
-(** Parse the {!to_string} forms (the [--family] CLI syntax). *)
+(** Parse the {!to_string} forms (the [--family] CLI syntax).  Rates
+    are numbers in [[0, 1]], ticks whole numbers [>= 0], and a chaos
+    jitter a whole number in [0..Sim.Fault.max_jitter]. *)
 
 val plan : t -> seed:int -> Netlist.Graph.t -> Sim.Fault.plan
 (** Instantiate the family on a network.  All randomness (which blocks

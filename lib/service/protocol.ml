@@ -68,8 +68,13 @@ let default_trials = 8
 let default_seed = 1
 let max_trials = 10_000
 let trial_count v = Json.int ~lo:1 ~hi:max_trials v
+let pin_count v = Json.int ~lo:1 v
 
-let default_family = "brownout:0.3@40,110,180"
+(* A family is a string the family parser accepts; [field_or] then
+   names the field in either reader's error. *)
+let family v = Result.bind (Json.string v) Reliability.Family.of_string
+let default_family =
+  Reliability.Family.Brownout { rate = 0.3; ticks = [ 40; 110; 180 ] }
 
 let ( let* ) = Result.bind
 
@@ -95,8 +100,7 @@ let parse_request json =
           let* deadline_s = field_opt "deadline_s" non_negative j in
           Ok (Some (Partition { backend; deadline_s }))
         | "weighted" ->
-          let* family = field_or "family" ~default:default_family string j in
-          let* family = Reliability.Family.of_string family in
+          let* family = field_or "family" ~default:default_family family j in
           let* trials =
             field_or "trials" ~default:default_trials trial_count j
           in
@@ -110,8 +114,8 @@ let parse_request json =
       | Some op ->
         let* design = field_opt "design" string j in
         let* design_text = field_opt "design_text" string j in
-        let* inputs = field_or "inputs" ~default:2 (int ~lo:1) j in
-        let* outputs = field_or "outputs" ~default:2 (int ~lo:1) j in
+        let* inputs = field_or "inputs" ~default:2 pin_count j in
+        let* outputs = field_or "outputs" ~default:2 pin_count j in
         Ok (Request { id; op; design; design_text; inputs; outputs })
     in
     match parsed with

@@ -60,6 +60,11 @@ val trial_count : int Json.reader
 (** The rule for [trials]: a whole number in [1..max_trials].  The
     CLI checks its [--trials] arguments with this reader too. *)
 
+val pin_count : int Json.reader
+(** The rule for [inputs] and [outputs]: a whole number [>= 1].  The
+    CLI checks its [--inputs] and [--outputs] arguments with this
+    reader too. *)
+
 val parse_request : string -> inbound
 (** Every field reads through {!Obs.Json}'s typed readers, and only the
     fields of the request's op are read; unknown fields are ignored.
@@ -69,6 +74,7 @@ val parse_request : string -> inbound
     - [id], [op], [backend], [family], [design] and [design_text] are
       strings ([design], [design_text] may also be [null]); a request
       whose [id] is not a string is answered under ["?"];
+    - [family] is one {!Reliability.Family.of_string} accepts;
     - [lambda] and [deadline_s] are finite numbers [>= 0];
     - [trials] is a whole number in [1..max_trials], [inputs] and
       [outputs] whole numbers [>= 1], and [seed] a whole number a float

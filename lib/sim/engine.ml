@@ -499,7 +499,7 @@ let jitter t ei =
 
 let deliver t ~time ei extra vk vn =
   let d = t.e_delay.%(ei) + extra in
-  if t.c_observe then Obs.Histogram.observe_int t.c_tel.latency.%(ei) d;
+  if t.c_observe then Telemetry.count_latency t.c_tel ei d;
   cschedule t ~time:(time + d) ~tag:tag_deliver ~a:ei ~b:0 ~c:0 ~vk ~vn
 
 (* One packet send under the run's plan.  The draw order is the replay
@@ -767,8 +767,11 @@ let prepare g =
   let fo =
     Array.mapi
       (fun i (d : Eblock.Descriptor.t) ->
+        let fanout = Graph.fanout g ids.(i) in
         Array.init d.n_outputs (fun port ->
-            let es = Graph.fanout_on g ids.(i) port in
+            let es =
+              List.filter (fun (e : Graph.edge) -> e.src.port = port) fanout
+            in
             Array.of_list
               (List.map
                  (fun e ->
@@ -902,6 +905,8 @@ let resolve t (plan : Fault.plan) =
   t.f_jitter <- sized t.f_jitter;
   t.f_dies <- sized t.f_dies;
   let set ei (f : Fault.edge_fault) =
+    if f.jitter > Fault.max_jitter then
+      invalid_arg "Sim.Engine: a plan's jitter exceeds Fault.max_jitter";
     t.f_drop.(ei) <- Prng.threshold f.drop;
     t.f_dup.(ei) <- Prng.threshold f.duplicate;
     t.f_corrupt.(ei) <- Prng.threshold f.corrupt;

@@ -86,10 +86,11 @@ val start :
     may spuriously reset or have outputs stuck, all driven by the plan's
     own seeded PRNG so a run replays exactly.  The plan is resolved into
     dense per-edge and per-node arrays when the run starts, so the one
-    armed send path does no lookup and allocates nothing.  Without
-    [faults] (or with a plan that is {!Fault.is_trivial}) the engine
-    behaves — traces, packet counts, event order — exactly as if the
-    fault layer did not exist.
+    armed send path does no lookup and allocates nothing; a plan with
+    a jitter above {!Fault.max_jitter} raises [Invalid_argument].
+    Without [faults] (or with a plan that is {!Fault.is_trivial}) the
+    engine behaves — traces, packet counts, event order — exactly as if
+    the fault layer did not exist.
 
     [telemetry] arms a {!Telemetry.t} collector: the run counts every
     send, delivery, event, activation, queue depth and fault strike

@@ -9,6 +9,8 @@ type edge_fault = {
   dies_at : int option;
 }
 
+let max_jitter = 255
+
 let no_edge_fault =
   { drop = 0.; duplicate = 0.; corrupt = 0.; jitter = 0; dies_at = None }
 

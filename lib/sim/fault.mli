@@ -28,11 +28,18 @@ type edge_fault = {
       (** probability the carried value is corrupted in flight: booleans
           flip, integers get one low bit flipped *)
   jitter : int;
-      (** each delivery is delayed by a uniform extra [0..jitter] ticks *)
+      (** each delivery is delayed by a uniform extra [0..jitter] ticks,
+          with [jitter] in [0..max_jitter] *)
   dies_at : int option;
       (** permanent link death: packets sent at or after this tick
           vanish *)
 }
+
+val max_jitter : int
+(** The largest [jitter] a plan may carry: 255 ticks, so a delivery's
+    latency stays a small count ({!Telemetry} keeps one cell per tick)
+    and [jitter + 1] never overflows the draw.  The fault-family parser
+    rejects more, and an engine armed with more raises. *)
 
 val no_edge_fault : edge_fault
 (** All probabilities zero, no jitter, never dies. *)

@@ -18,7 +18,7 @@ type t = {
   mutable ids : Node_id.t array;
   mutable links : int array array;
   mutable nodes : int array array;
-  mutable latency : Obs.Histogram.t array;
+  mutable latency : int array array;
   totals : int array;
   mutable run_hwm : int;
   mutable clock : int;
@@ -86,14 +86,30 @@ let bind t ~edges ~dsts ~ids ~observe =
   zero t.nodes (Array.length ids);
   if observe then begin
     if Array.length t.latency = ne then
-      Array.iter Obs.Histogram.clear t.latency
-    else t.latency <- Array.init ne (fun _ -> Obs.Histogram.create ())
+      Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.latency
+    else t.latency <- Array.make ne [||]
   end;
   Array.fill t.totals 0 n_totals 0;
   t.run_hwm <- 0;
   t.clock <- 0;
   t.tl_len <- 0;
   t.tl_dropped <- 0
+
+(* The latency cells of dense edge [ei], grown to at least [n]: cell [d]
+   counts the deliveries that took [d] ticks. *)
+let latency_cells t ei n =
+  let a = t.latency.(ei) in
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    t.latency.(ei) <- b;
+    b
+  end
+
+let count_latency t ei d =
+  let a = latency_cells t ei (d + 1) in
+  a.(d) <- a.(d) + 1
 
 let timeline_push t ~time ~tag a =
   if t.tl_len >= t.timeline_cap then t.tl_dropped <- t.tl_dropped + 1
@@ -124,6 +140,17 @@ let injected t =
 
 (* --- Readings -------------------------------------------------------- *)
 
+type latency = {
+  count : int;
+  sum : int;
+  mean : float;
+  min : int;
+  p50 : int;
+  p90 : int;
+  p99 : int;
+  max : int;
+}
+
 type link_stats = {
   sends : int;
   deliveries : int;
@@ -132,7 +159,7 @@ type link_stats = {
   corruptions : int;
   jittered : int;
   dead_losses : int;
-  latency : Obs.Histogram.summary;
+  latency : latency;
 }
 
 type node_stats = {
@@ -142,6 +169,30 @@ type node_stats = {
   resets : int;
   queue_hwm : int;
 }
+
+(* Exact readings of one edge's latency cells. *)
+let latency_of cells =
+  let count = Array.fold_left ( + ) 0 cells in
+  let sum = ref 0 in
+  Array.iteri (fun d n -> sum := !sum + (d * n)) cells;
+  (* the latency of the delivery at [rank] in latency order *)
+  let rec walk rank d seen =
+    let seen = seen + cells.(d) in
+    if seen >= rank then d else walk rank (d + 1) seen
+  in
+  let at rank = if count = 0 then 0 else walk rank 0 0 in
+  (* the nearest rank, ceil (p * count / 100), at least 1 *)
+  let percentile p = at (Int.max 1 (((p * count) + 99) / 100)) in
+  {
+    count;
+    sum = !sum;
+    mean = (if count = 0 then 0. else float_of_int !sum /. float_of_int count);
+    min = at 1;
+    p50 = percentile 50;
+    p90 = percentile 90;
+    p99 = percentile 99;
+    max = at count;
+  }
 
 let link_stats t ei =
   let l row = t.links.(row).(ei) in
@@ -153,7 +204,7 @@ let link_stats t ei =
     corruptions = l l_corruptions;
     jittered = l l_jittered;
     dead_losses = l l_dead;
-    latency = Obs.Histogram.summary t.latency.(ei);
+    latency = latency_of t.latency.(ei);
   }
 
 (* Deliveries consumed per dense node: the in-edges' delivery counts. *)
@@ -205,11 +256,10 @@ let timeline_dropped t = t.tl_dropped
 
 (* --- Aggregation ----------------------------------------------------- *)
 
-(* Array sums (max for high-water marks and the clock), histogram
-   buckets merged exactly.  Every float involved is a sum of small
-   integers, so the result is independent of merge order — per-trial
-   blocks folded in any order agree bit-for-bit, which is what makes
-   the --jobs N reports byte-identical. *)
+(* Integer array sums, latency cells included (max for high-water marks
+   and the clock), so the result is independent of merge order:
+   per-trial blocks folded in any order agree bit-for-bit, which is what
+   makes the --jobs N reports byte-identical. *)
 let add ~into src =
   if src.observed then begin
     if not into.observed then
@@ -224,7 +274,7 @@ let add ~into src =
         combine (if row = n_hwm then max else ( + )) into.nodes.(row) a)
       src.nodes;
     Array.iteri
-      (fun i h -> into.latency.(i) <- Obs.Histogram.merge into.latency.(i) h)
+      (fun ei a -> combine ( + ) (latency_cells into ei (Array.length a)) a)
       src.latency;
     into.run_hwm <- max into.run_hwm src.run_hwm;
     into.clock <- max into.clock src.clock;
@@ -245,17 +295,17 @@ let schema_version = 1
 
 let num n = Obs.Json.Num (float_of_int n)
 
-let summary_json (s : Obs.Histogram.summary) =
+let latency_json s =
   Obs.Json.Obj
     [
-      ("count", num s.Obs.Histogram.s_count);
-      ("sum", Obs.Json.Num s.s_sum);
-      ("mean", Obs.Json.Num s.s_mean);
-      ("min", Obs.Json.Num s.s_min);
-      ("p50", Obs.Json.Num s.s_p50);
-      ("p90", Obs.Json.Num s.s_p90);
-      ("p99", Obs.Json.Num s.s_p99);
-      ("max", Obs.Json.Num s.s_max);
+      ("count", num s.count);
+      ("sum", num s.sum);
+      ("mean", Obs.Json.Num s.mean);
+      ("min", num s.min);
+      ("p50", num s.p50);
+      ("p90", num s.p90);
+      ("p99", num s.p99);
+      ("max", num s.max);
     ]
 
 (* The count columns of both renderings: table header, JSON key,
@@ -297,7 +347,7 @@ let report_json ?name ?(extra = []) g t =
          ("src", num e.Graph.src.Graph.node);
          ("dst", num e.Graph.dst.Graph.node) ]
       @ json_counts link_columns s
-      @ [ ("latency_ticks", summary_json s.latency) ])
+      @ [ ("latency_ticks", latency_json s.latency) ])
   in
   Obs.Json.Obj
     ([ ("schema", Obs.Json.Str schema_name); ("version", num schema_version) ]
@@ -314,12 +364,12 @@ let report_json ?name ?(extra = []) g t =
         ("links", Obs.Json.Arr (List.map link_json (link_rows t)));
       ])
 
-let tick s = Printf.sprintf "%.1f" s
+let tick d = Printf.sprintf "%.1f" (float_of_int d)
 
 let utilization_table t =
   let row (e, s) =
     (Graph.edge_to_string e :: cells link_columns s)
-    @ [ tick s.latency.Obs.Histogram.s_p50; tick s.latency.Obs.Histogram.s_p99 ]
+    @ [ tick s.latency.p50; tick s.latency.p99 ]
   in
   Obs.Metrics.render_table
     ((("link" :: headers link_columns) @ [ "p50 tk"; "p99 tk" ])

@@ -1,6 +1,6 @@
 (** Per-node / per-link runtime telemetry for the simulated network:
     event deliveries, fault strikes by kind, queue-depth high-water
-    marks, per-link delivery-latency {!Obs.Histogram}s and per-node
+    marks, per-link delivery-latency counts and per-node
     settle-iteration counts of the {e synthesized network itself}.
 
     A collector is the counter block of an engine run ({!Engine.create}
@@ -13,9 +13,9 @@
     the reports.  Without a collector or a fault plan every counting
     site in the engine is one branch on a [false] flag, measured below
     1% of a Table 1 sweep ([Experiments.Perf.telemetry_overhead],
-    doc/network-telemetry.md).  Collectors {!add} up by exact array and
-    histogram bucket sums, so Monte-Carlo aggregates are byte-identical
-    across [--jobs N]. *)
+    doc/network-telemetry.md).  Collectors {!add} up by exact integer
+    array sums, so Monte-Carlo aggregates are byte-identical across
+    [--jobs N]. *)
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
@@ -31,8 +31,10 @@ type t = {
       (** one row per link counter ([l_*]), indexed by dense edge *)
   mutable nodes : int array array;
       (** one row per node counter ([n_*]), indexed by dense node *)
-  mutable latency : Obs.Histogram.t array;
-      (** per edge: scheduled send-to-delivery ticks *)
+  mutable latency : int array array;
+      (** per edge: cell [d] counts the deliveries scheduled [d] ticks
+          after their send ({!count_latency}); grown to the largest
+          latency the edge has seen *)
   totals : int array;
       (** the run's totals, one slot each ([k_*]): strikes per fault
           class in {!Fault.counts} order (the link strike rows'
@@ -95,8 +97,14 @@ val create : ?timeline:bool -> ?timeline_cap:int -> unit -> t
 val bind : t -> edges:Graph.edge array -> dsts:int array ->
   ids:Node_id.t array -> observe:bool -> unit
 (** Size the block for a network and zero it — what an engine does when
-    a run starts.  [observe] also sizes the latency histograms and makes
-    the readings read the rows. *)
+    a run starts.  [observe] also zeroes the latency cells (keeping
+    their length, so a restarted run allocates nothing) and makes the
+    readings read the rows. *)
+
+val count_latency : t -> int -> int -> unit
+(** [count_latency t ei d] counts one delivery on dense edge [ei]
+    scheduled [d >= 0] ticks after its send, growing the edge's cells
+    to [d + 1] if they are shorter. *)
 
 val timeline_push : t -> time:int -> tag:int -> int -> unit
 (** Record one processed event (the engine's tag: 0 delivery, 1 timer,
@@ -108,6 +116,20 @@ val injected : t -> Fault.stats
 
 (** {1 Readings} *)
 
+type latency = {
+  count : int;  (** deliveries *)
+  sum : int;  (** their ticks *)
+  mean : float;  (** [sum / count], 0 when empty *)
+  min : int;
+  p50 : int;
+  p90 : int;
+  p99 : int;
+  max : int;
+}
+(** Exact send-to-delivery readings in ticks, all 0 when empty.  A
+    quantile [pP] is the nearest rank: with the deliveries in latency
+    order, the latency of the one at rank [ceil(P * count / 100)]. *)
+
 type link_stats = {
   sends : int;  (** send attempts (packets entering the link) *)
   deliveries : int;  (** Deliver events consumed at the sink *)
@@ -116,7 +138,7 @@ type link_stats = {
   corruptions : int;
   jittered : int;
   dead_losses : int;
-  latency : Obs.Histogram.summary;  (** send-to-delivery ticks *)
+  latency : latency;
 }
 
 type node_stats = {
@@ -144,8 +166,8 @@ val clock : t -> int
 
 val add : into:t -> t -> unit
 (** Add a collector's readings into another over the same network
-    (array sums; [max] for high-water marks and the clock; exact
-    histogram bucket sums), binding [into] first if it is unbound.
+    (array sums, latency cells included; [max] for high-water marks and
+    the clock), binding [into] first if it is unbound.
     [into]'s timeline, if it has one, gains the other's entries up to
     its cap.  Collectors added into a fresh one in any order give
     bit-identical readings.  Raises [Invalid_argument] on collectors

@@ -195,7 +195,7 @@ module Telemetry = struct
     mutable l_corruptions : int;
     mutable l_jittered : int;
     mutable l_dead_losses : int;
-    mutable l_latency : Obs.Histogram.t;  (* scheduled send->deliver ticks *)
+    mutable l_latencies : int list;  (* scheduled send->deliver ticks *)
   }
 
   type node = {
@@ -253,7 +253,7 @@ module Telemetry = struct
       l_corruptions = 0;
       l_jittered = 0;
       l_dead_losses = 0;
-      l_latency = Obs.Histogram.create ();
+      l_latencies = [];
     }
 
   let fresh_node () =
@@ -328,11 +328,46 @@ module Telemetry = struct
     if strike.Fault.s_corrupted then l.l_corruptions <- l.l_corruptions + 1;
     l.l_jittered <- l.l_jittered + strike.Fault.s_jittered;
     if strike.Fault.s_dead then l.l_dead_losses <- l.l_dead_losses + 1;
-    List.iter (fun d -> Obs.Histogram.observe_int l.l_latency d) latencies
+    l.l_latencies <- List.rev_append latencies l.l_latencies
 
   let note_settle t = t.t_settles <- t.t_settles + 1
 
   (* --- Readings -------------------------------------------------------- *)
+
+  (* Latency readings of a link's kept latencies, computed from the
+     sorted list rather than from per-tick counts. *)
+  type latency = {
+    count : int;
+    sum : int;
+    mean : float;
+    min : int;
+    p50 : int;
+    p90 : int;
+    p99 : int;
+    max : int;
+  }
+
+  (* The nearest-rank [p]th percentile of an ascending list: the
+     element at the smallest 1-based rank [k] with [100 k >= p n]. *)
+  let nearest_rank sorted p =
+    let n = List.length sorted in
+    let rec rank k = if 100 * k >= p * n then k else rank (k + 1) in
+    if n = 0 then 0 else List.nth sorted (rank 1 - 1)
+
+  let latency_of latencies =
+    let sorted = List.sort Int.compare latencies in
+    let count = List.length sorted in
+    let sum = List.fold_left ( + ) 0 sorted in
+    {
+      count;
+      sum;
+      mean = (if count = 0 then 0. else float_of_int sum /. float_of_int count);
+      min = (match sorted with [] -> 0 | d :: _ -> d);
+      p50 = nearest_rank sorted 50;
+      p90 = nearest_rank sorted 90;
+      p99 = nearest_rank sorted 99;
+      max = List.fold_left Int.max 0 sorted;
+    }
 
   type link_stats = {
     sends : int;
@@ -342,7 +377,7 @@ module Telemetry = struct
     corruptions : int;
     jittered : int;
     dead_losses : int;
-    latency : Obs.Histogram.summary;
+    latency : latency;
   }
 
   type node_stats = {
@@ -362,7 +397,7 @@ module Telemetry = struct
       corruptions = l.l_corruptions;
       jittered = l.l_jittered;
       dead_losses = l.l_dead_losses;
-      latency = Obs.Histogram.summary l.l_latency;
+      latency = latency_of l.l_latencies;
     }
 
   let node_stats_of n =
@@ -385,6 +420,12 @@ module Telemetry = struct
     Hashtbl.fold (fun id n acc -> (id, node_stats_of n) :: acc) t.nodes []
     |> List.sort (fun (a, _) (b, _) -> Node_id.compare a b)
 
+  (* A link's kept latencies, ascending. *)
+  let latencies t e =
+    match Hashtbl.find_opt t.links e with
+    | Some l -> List.sort Int.compare l.l_latencies
+    | None -> []
+
   let events t = t.t_events
   let settles t = t.t_settles
   let queue_hwm t = t.t_queue_hwm
@@ -394,12 +435,9 @@ module Telemetry = struct
 
   (* --- Aggregation ----------------------------------------------------- *)
 
-  (* Field-wise sums (max for high-water marks and the clock), histogram
-     buckets merged exactly.  Every float involved is a sum of small
-     integers, so the result is independent of merge order — per-trial
-     collectors folded in any order agree bit-for-bit, which is what makes
-     the --jobs N reports byte-identical.  Timelines do not merge: a
-     merged collector has none. *)
+  (* Field-wise sums (max for high-water marks and the clock), latency
+     lists concatenated.  Timelines do not merge: a merged collector has
+     none. *)
   let merge a b =
     let m = create () in
     let add_links t =
@@ -413,7 +451,7 @@ module Telemetry = struct
           dst.l_corruptions <- dst.l_corruptions + l.l_corruptions;
           dst.l_jittered <- dst.l_jittered + l.l_jittered;
           dst.l_dead_losses <- dst.l_dead_losses + l.l_dead_losses;
-          dst.l_latency <- Obs.Histogram.merge dst.l_latency l.l_latency)
+          dst.l_latencies <- List.rev_append l.l_latencies dst.l_latencies)
         t.links
     in
     let add_nodes t =
@@ -444,17 +482,17 @@ module Telemetry = struct
 
   let num n = Obs.Json.Num (float_of_int n)
 
-  let summary_json (s : Obs.Histogram.summary) =
+  let latency_json s =
     Obs.Json.Obj
       [
-        ("count", num s.Obs.Histogram.s_count);
-        ("sum", Obs.Json.Num s.s_sum);
-        ("mean", Obs.Json.Num s.s_mean);
-        ("min", Obs.Json.Num s.s_min);
-        ("p50", Obs.Json.Num s.s_p50);
-        ("p90", Obs.Json.Num s.s_p90);
-        ("p99", Obs.Json.Num s.s_p99);
-        ("max", Obs.Json.Num s.s_max);
+        ("count", num s.count);
+        ("sum", num s.sum);
+        ("mean", Obs.Json.Num s.mean);
+        ("min", num s.min);
+        ("p50", num s.p50);
+        ("p90", num s.p90);
+        ("p99", num s.p99);
+        ("max", num s.max);
       ]
 
   (* Rows cover every node and every edge of [g] — including untouched
@@ -510,7 +548,7 @@ module Telemetry = struct
           ("corruptions", num s.corruptions);
           ("jittered", num s.jittered);
           ("dead_losses", num s.dead_losses);
-          ("latency_ticks", summary_json s.latency);
+          ("latency_ticks", latency_json s.latency);
         ]
     in
     Obs.Json.Obj
@@ -528,7 +566,7 @@ module Telemetry = struct
           ("links", Obs.Json.Arr (List.map link_json (link_rows g t)));
         ])
 
-  let tick s = Printf.sprintf "%.1f" s
+  let tick d = Printf.sprintf "%.1f" (float_of_int d)
 
   let utilization_table g t =
     let header =
@@ -545,8 +583,8 @@ module Telemetry = struct
         string_of_int s.corruptions;
         string_of_int s.jittered;
         string_of_int s.dead_losses;
-        tick s.latency.Obs.Histogram.s_p50;
-        tick s.latency.Obs.Histogram.s_p99;
+        tick s.latency.p50;
+        tick s.latency.p99;
       ]
     in
     Obs.Metrics.render_table (header :: List.map row (link_rows g t))
@@ -732,6 +770,10 @@ type interp = {
   i_trace : Tbuf.t;
 }
 
+(* The connections of output [port] of [id], in {!Graph.fanout} order. *)
+let port_fanout g id port =
+  List.filter (fun e -> e.Graph.src.Graph.port = port) (Graph.fanout g id)
+
 let runtime_of_node g id =
   let d = Graph.descriptor g id in
   let open Eblock.Descriptor in
@@ -840,10 +882,11 @@ let icreate ?(tie_order = Fifo) ?(edge_delay = fun _ -> wire_delay) ?faults
           match slot with
           | Some v ->
             rt.output_latch.(port) <- v;
-            Graph.iter_fanout_on g id port
+            List.iter
               (fun e ->
                 let dst_rt = Node_id.Map.find e.Graph.dst.Graph.node states in
                 dst_rt.input_latch.(e.Graph.dst.Graph.port) <- v)
+              (port_fanout g id port)
           | None -> ())
         outcome.Eval_oracle.outputs;
       List.iter
@@ -881,7 +924,7 @@ let ipresent t ~time id port v =
   in
   if not (Behavior.Ast.equal_value rt.output_latch.(port) v) then begin
     rt.output_latch.(port) <- v;
-    Graph.iter_fanout_on t.graph id port
+    List.iter
       (fun e ->
         t.i_packets <- t.i_packets + 1;
         Obs.Metrics.incr m_packets;
@@ -903,6 +946,7 @@ let ipresent t ~time id port v =
               ~time:(time + max 1 (t.i_edge_delay e) + extra)
               (Deliver (e, v')))
           deliveries)
+      (port_fanout t.graph id port)
   end
 
 let iactivate t ~time id ~fired =

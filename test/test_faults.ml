@@ -36,6 +36,42 @@ let test_trivial_plans () =
            ];
        })
 
+(* A jitter past Fault.max_jitter would overflow the engine's draw and
+   grow a collector's latency cells without bound, so arming one
+   raises, as a default or as an override.  At the bound, with the
+   unit wire delay, a link holds at most 257 cells. *)
+let test_jitter_bound () =
+  let g = Testlib.podium in
+  let telemetry = Sim.Telemetry.create () in
+  let engine =
+    Sim.Engine.create ~faults:(F.degrade_all ~seed:4 ~jitter:F.max_jitter ())
+      ~telemetry g
+  in
+  ignore
+    (Sim.Stimulus.settled_outputs engine
+       (Sim.Stimulus.random ~rng:(Prng.create 4) ~sensors:(Graph.sensors g)
+          ~steps:20 ~spacing:300));
+  check Alcotest.bool "some delivery jittered" true
+    (Array.exists (fun cells -> Array.length cells > 2)
+       telemetry.Sim.Telemetry.latency);
+  Array.iter
+    (fun cells ->
+      check Alcotest.bool "at most 1 + max_jitter + 1 cells" true
+        (Array.length cells <= F.max_jitter + 2))
+    telemetry.Sim.Telemetry.latency;
+  let over = { F.no_edge_fault with jitter = F.max_jitter + 1 } in
+  List.iter
+    (fun (what, faults) ->
+      match Sim.Engine.create ~faults g with
+      | _ -> Alcotest.failf "%s armed" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("default jitter 256", F.degrade_all ~jitter:(F.max_jitter + 1) ());
+      ("default jitter max_int", F.degrade_all ~jitter:max_int ());
+      ( "override jitter 256",
+        { F.none with edge_overrides = [ (List.hd (Graph.edges g), over) ] } );
+    ]
+
 (* The acceptance criterion: an empty plan leaves output traces, packet
    counts, and settled observations bit-identical to an uninstrumented
    run, on every Table 1 design. *)
@@ -380,7 +416,11 @@ let test_experiment_columns_paired () =
 (* A plan that draws its drop, corruption and duplicate decisions on
    every send and scans a stuck-at entry on every presentation, but
    never strikes, with a collector armed too: its replay allocates
-   exactly what the unarmed replay does, on every Table 1 design. *)
+   exactly what the unarmed replay does, on every Table 1 design.  A
+   jittered run is another run, so its replay into a collector is held
+   against the same jittered replay without one: the first pass grows
+   each link's latency cells to the largest latency it draws, and the
+   restarted pass, drawing the same, finds them sized. *)
 let test_armed_path_allocation_free () =
   let never = 1e-300 in
   List.iter
@@ -406,14 +446,17 @@ let test_armed_path_allocation_free () =
         }
       in
       let net = Sim.Engine.prepare g in
+      let run engine =
+        Sim.Stimulus.apply engine script;
+        Sim.Engine.settle engine
+      in
       let replay ?faults ?telemetry () =
         let engine = Sim.Engine.start ?faults ?telemetry net in
         (* the first pass sizes the calendar's buckets and store *)
-        ignore (Sim.Stimulus.settled_outputs engine script);
+        run engine;
         Sim.Engine.restart ?faults engine;
         let before = Gc.minor_words () in
-        Sim.Stimulus.apply engine script;
-        Sim.Engine.settle engine;
+        run engine;
         (Gc.minor_words () -. before, Sim.Engine.packet_count engine)
       in
       let unarmed_words, unarmed_packets = replay () in
@@ -422,7 +465,22 @@ let test_armed_path_allocation_free () =
       in
       check Alcotest.int (d.name ^ ": same run") unarmed_packets armed_packets;
       check (Alcotest.float 0.) (d.name ^ ": no allocation when armed")
-        unarmed_words armed_words)
+        unarmed_words armed_words;
+      let jitter = F.degrade_all ~seed:3 ~jitter:3 () in
+      let jittered_words, jittered_packets = replay ~faults:jitter () in
+      let telemetry = Sim.Telemetry.create () in
+      let observed_words, observed_packets =
+        replay ~faults:jitter ~telemetry ()
+      in
+      check Alcotest.int (d.name ^ ": same jittered run") jittered_packets
+        observed_packets;
+      check Alcotest.bool (d.name ^ ": a latency past the wire delay") true
+        (List.exists
+           (fun (_, (l : Sim.Telemetry.link_stats)) -> l.latency.max > 1)
+           (Sim.Telemetry.links telemetry));
+      check (Alcotest.float 0.)
+        (d.name ^ ": no allocation when jittered into a collector")
+        jittered_words observed_words)
     Designs.Library.table1
 
 let () =
@@ -431,6 +489,7 @@ let () =
       ( "plans",
         [
           Alcotest.test_case "trivial detection" `Quick test_trivial_plans;
+          Alcotest.test_case "jitter bound" `Quick test_jitter_bound;
           Alcotest.test_case "empty plan transparent" `Quick
             test_empty_plan_transparent;
           Alcotest.test_case "empty plan injects nothing" `Quick

@@ -438,33 +438,28 @@ let restart_matches_fresh_start =
       in
       restarted = fresh && fresh = oracle)
 
-(* The per-(node, port) fanout index is defined as a filter of the full
-   fanout list; hold the two against each other on random graphs,
-   including one out-of-range probe per node. *)
-let fanout_index_agrees =
-  QCheck.Test.make ~count:200 ~name:"Graph.fanout_on = filtered fanout"
+(* --- dense edges ------------------------------------------------------------ *)
+
+(* The engine numbers its edges node by node in ascending id, then port
+   by port, each port's connections in {!Graph.fanout} order: what a
+   collector's rows and the fault plan's overrides index.  Read back
+   through a collector the run binds. *)
+let dense_edges_follow_fanout =
+  QCheck.Test.make ~count:200 ~name:"dense edges = filtered fanout"
     (Testlib.network_arbitrary ())
     (fun (_, _, g) ->
-      List.for_all
-        (fun id ->
-          let d = Graph.descriptor g id in
-          let full = Graph.fanout g id in
-          let ports = d.Eblock.Descriptor.n_outputs in
-          Graph.fanout_on g id ports = []
-          && List.for_all
-               (fun port ->
-                 let reference =
-                   List.filter
-                     (fun e -> e.Graph.src.Graph.port = port)
-                     full
-                 in
-                 let indexed = Graph.fanout_on g id port in
-                 let iterated = ref [] in
-                 Graph.iter_fanout_on g id port (fun e ->
-                     iterated := e :: !iterated);
-                 indexed = reference && List.rev !iterated = reference)
-               (List.init ports Fun.id))
-        (Graph.node_ids g))
+      let telemetry = Sim.Telemetry.create () in
+      ignore (E.create ~telemetry g);
+      let by_port id =
+        let fanout = Graph.fanout g id in
+        List.concat_map
+          (fun port ->
+            List.filter (fun e -> e.Graph.src.Graph.port = port) fanout)
+          (List.init (Graph.descriptor g id).Eblock.Descriptor.n_outputs
+             Fun.id)
+      in
+      Array.to_list telemetry.Sim.Telemetry.edges
+      = List.concat_map by_port (Graph.node_ids g))
 
 (* --- the Table 1 sweep ---------------------------------------------------- *)
 
@@ -601,7 +596,7 @@ let () =
     [
       ("equivalence", Testlib.qtests equivalence_properties);
       ("restart", Testlib.qtests [ restart_matches_fresh_start ]);
-      ("fanout index", Testlib.qtests [ fanout_index_agrees ]);
+      ("port fanouts", Testlib.qtests [ dense_edges_follow_fanout ]);
       ( "table 1",
         [
           Alcotest.test_case "flat and synthesized, faults + telemetry"

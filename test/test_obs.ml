@@ -543,113 +543,123 @@ let test_netobs_trace_under_jobs () =
   Alcotest.(check int) "jobs 4 traces the jobs 1 settles" seq (settles 4)
 
 (* ------------------------------------------------------------------ *)
-(* Histograms *)
+(* Latency histograms: a telemetry collector's per-link latency cells,
+   an exact histogram with one cell per tick.  The telemetry reports'
+   determinism argument (doc/network-telemetry.md) rests on adding
+   them being associative and commutative, with an empty collector as
+   the identity, so fold order over Monte-Carlo trials cannot matter. *)
+
+let one_link =
+  [| { Netlist.Graph.src = { Netlist.Graph.node = 1; port = 0 };
+       dst = { Netlist.Graph.node = 2; port = 0 } } |]
+
+let bind_one_link t =
+  Sim.Telemetry.bind t ~edges:one_link ~dsts:[| 1 |] ~ids:[| 1; 2 |]
+    ~observe:true;
+  (* one send, so [links] lists the link *)
+  t.Sim.Telemetry.links.(Sim.Telemetry.l_sends).(0) <- 1
+
+(* A collector whose one link delivered after each of [ticks]. *)
+let latency_collector ticks =
+  let t = Sim.Telemetry.create () in
+  bind_one_link t;
+  List.iter (Sim.Telemetry.count_latency t 0) ticks;
+  t
+
+let latency t =
+  match Sim.Telemetry.links t with
+  | [ (_, l) ] -> l.Sim.Telemetry.latency
+  | links -> Alcotest.failf "%d links listed, want 1" (List.length links)
+
+let no_latency =
+  { Sim.Telemetry.count = 0; sum = 0; mean = 0.; min = 0; p50 = 0; p90 = 0;
+    p99 = 0; max = 0 }
+
+let latency_testable =
+  Alcotest.testable
+    (fun ppf (s : Sim.Telemetry.latency) ->
+      Format.fprintf ppf "count %d sum %d mean %g min %d p50 %d p90 %d \
+                          p99 %d max %d"
+        s.count s.sum s.mean s.min s.p50 s.p90 s.p99 s.max)
+    ( = )
 
 let test_histogram_statistics () =
-  let h = Obs.Histogram.create () in
-  for i = 1 to 1000 do
-    Obs.Histogram.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1000 (Obs.Histogram.count h);
-  Alcotest.(check (float 1e-6)) "sum is exact" 500500. (Obs.Histogram.sum h);
-  Alcotest.(check (float 1e-6)) "mean is exact" 500.5 (Obs.Histogram.mean h);
-  Alcotest.(check (float 0.)) "min is exact" 1. (Obs.Histogram.min_value h);
-  Alcotest.(check (float 0.)) "max is exact" 1000. (Obs.Histogram.max_value h);
-  (* log buckets at 4 sub-buckets/octave: quantiles within ~19% *)
-  let within p expected =
-    let v = Obs.Histogram.percentile h p in
-    let err = Float.abs (v -. expected) /. expected in
-    if err > 0.19 then
-      Alcotest.failf "p%g = %g, more than 19%% from %g" p v expected
-  in
-  within 50. 500.;
-  within 90. 900.;
-  within 99. 990.;
-  Alcotest.(check (float 0.)) "p0 clamps to min" 1.
-    (Obs.Histogram.percentile h 0.);
-  Alcotest.(check (float 0.)) "p100 clamps to max" 1000.
-    (Obs.Histogram.percentile h 100.)
+  let s = latency (latency_collector (List.init 1000 (fun i -> i + 1))) in
+  Alcotest.(check int) "count" 1000 s.count;
+  Alcotest.(check int) "sum" 500500 s.sum;
+  Alcotest.(check (float 0.)) "mean" 500.5 s.mean;
+  Alcotest.(check int) "min" 1 s.min;
+  Alcotest.(check int) "max" 1000 s.max;
+  Alcotest.(check (list int))
+    "p50, p90, p99 at their exact ranks" [ 500; 900; 990 ]
+    [ s.p50; s.p90; s.p99 ];
+  (* rank ceil(p * count / 100): of three deliveries, p50 is the
+     second and p90 the third *)
+  let s = latency (latency_collector [ 3; 1; 2 ]) in
+  Alcotest.(check (list int))
+    "p50, p90, p99 of 1, 2, 3" [ 2; 3; 3 ] [ s.p50; s.p90; s.p99 ]
 
+(* Binding again, as a restarted run does, zeroes the cells and keeps
+   them. *)
 let test_histogram_empty_and_clear () =
-  let h = Obs.Histogram.create () in
-  Alcotest.(check int) "empty count" 0 (Obs.Histogram.count h);
-  Alcotest.(check (float 0.)) "empty percentile" 0.
-    (Obs.Histogram.percentile h 99.);
-  Obs.Histogram.observe h 5.;
-  Obs.Histogram.clear h;
-  Alcotest.(check int) "cleared" 0 (Obs.Histogram.count h);
-  let s = Obs.Histogram.summary h in
-  Alcotest.(check int) "summary of empty" 0 s.Obs.Histogram.s_count
+  Alcotest.check latency_testable "empty" no_latency
+    (latency (latency_collector []));
+  let t = latency_collector [ 5; 7 ] in
+  let cells = t.Sim.Telemetry.latency.(0) in
+  bind_one_link t;
+  Alcotest.check latency_testable "cleared" no_latency (latency t);
+  Alcotest.(check bool) "cells kept" true (t.Sim.Telemetry.latency.(0) == cells)
 
-(* Histogram.merge laws: the telemetry collector's determinism argument
-   (doc/network-telemetry.md) rests on merge being associative and
-   commutative on every statistic the reports read, so fold order over
-   Monte-Carlo trials cannot matter. *)
+let sum collectors =
+  let into = Sim.Telemetry.create () in
+  List.iter (Sim.Telemetry.add ~into) collectors;
+  into
 
-let histogram_of values =
-  let h = Obs.Histogram.create () in
-  List.iter (Obs.Histogram.observe h) values;
-  h
-
-(* Observations spanning bucket 0, the mid octaves, and values whose
-   float sums stay exact (small integers), like the collector's tick
-   latencies and packet counts. *)
-let arbitrary_observations =
-  QCheck.list_of_size (QCheck.Gen.int_range 0 40)
-    (QCheck.map float_of_int (QCheck.int_range 0 5000))
+(* The distribution itself: each nonzero cell as (tick, count). *)
+let cells (t : Sim.Telemetry.t) =
+  List.filter
+    (fun (_, n) -> n > 0)
+    (List.mapi (fun d n -> (d, n)) (Array.to_list t.latency.(0)))
 
 let same_reading label a b =
-  let eq =
-    Obs.Histogram.count a = Obs.Histogram.count b
-    && Obs.Histogram.sum a = Obs.Histogram.sum b
-    && Obs.Histogram.min_value a = Obs.Histogram.min_value b
-    && Obs.Histogram.max_value a = Obs.Histogram.max_value b
-    && Obs.Histogram.bucket_counts a = Obs.Histogram.bucket_counts b
-  in
-  if not eq then
-    QCheck.Test.fail_reportf
-      "%s: count %d/%d sum %g/%g min %g/%g max %g/%g" label
-      (Obs.Histogram.count a) (Obs.Histogram.count b)
-      (Obs.Histogram.sum a) (Obs.Histogram.sum b)
-      (Obs.Histogram.min_value a) (Obs.Histogram.min_value b)
-      (Obs.Histogram.max_value a) (Obs.Histogram.max_value b);
+  if latency a <> latency b || cells a <> cells b then
+    QCheck.Test.fail_reportf "%s: %a / %a" label
+      (Alcotest.pp latency_testable) (latency a)
+      (Alcotest.pp latency_testable) (latency b);
   true
 
+(* Latencies past the largest a parsed plan can draw, so [add] grows
+   the cells too. *)
+let arbitrary_ticks =
+  QCheck.list_of_size (QCheck.Gen.int_range 0 40) (QCheck.int_range 0 300)
+
 let test_histogram_merge_commutative =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:200 ~name:"merge is commutative"
-       QCheck.(pair arbitrary_observations arbitrary_observations)
-       (fun (xs, ys) ->
-         let a = histogram_of xs and b = histogram_of ys in
-         same_reading "a+b vs b+a" (Obs.Histogram.merge a b)
-           (Obs.Histogram.merge b a)))
+  QCheck.Test.make ~count:200 ~name:"merge is commutative"
+    QCheck.(pair arbitrary_ticks arbitrary_ticks)
+    (fun (xs, ys) ->
+      let a = latency_collector xs and b = latency_collector ys in
+      same_reading "a+b vs b+a" (sum [ a; b ]) (sum [ b; a ])
+      && same_reading "a+b vs one collector of both" (sum [ a; b ])
+           (latency_collector (xs @ ys)))
 
 let test_histogram_merge_associative =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:200 ~name:"merge is associative"
-       QCheck.(
-         triple arbitrary_observations arbitrary_observations
-           arbitrary_observations)
-       (fun (xs, ys, zs) ->
-         let a = histogram_of xs
-         and b = histogram_of ys
-         and c = histogram_of zs in
-         same_reading "(a+b)+c vs a+(b+c)"
-           (Obs.Histogram.merge (Obs.Histogram.merge a b) c)
-           (Obs.Histogram.merge a (Obs.Histogram.merge b c))))
+  QCheck.Test.make ~count:200 ~name:"merge is associative"
+    QCheck.(triple arbitrary_ticks arbitrary_ticks arbitrary_ticks)
+    (fun (xs, ys, zs) ->
+      let a = latency_collector xs
+      and b = latency_collector ys
+      and c = latency_collector zs in
+      same_reading "(a+b)+c vs a+(b+c)"
+        (sum [ sum [ a; b ]; c ])
+        (sum [ a; sum [ b; c ] ]))
 
 let test_histogram_merge_identity =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:200 ~name:"empty is the merge identity"
-       arbitrary_observations
-       (fun xs ->
-         let a = histogram_of xs in
-         same_reading "a+0 vs a"
-           (Obs.Histogram.merge a (Obs.Histogram.create ()))
-           a
-         && same_reading "merge equals single histogram of all values"
-              (Obs.Histogram.merge a (Obs.Histogram.create ()))
-              (histogram_of xs)))
+  QCheck.Test.make ~count:200 ~name:"empty is the merge identity"
+    arbitrary_ticks
+    (fun xs ->
+      let a = latency_collector xs in
+      same_reading "a+0 vs a" (sum [ a; latency_collector [] ]) a
+      && same_reading "a+unbound vs a" (sum [ a; Sim.Telemetry.create () ]) a)
 
 (* ------------------------------------------------------------------ *)
 (* with_scope *)
@@ -1175,10 +1185,13 @@ let () =
           Alcotest.test_case "statistics" `Quick test_histogram_statistics;
           Alcotest.test_case "empty and clear" `Quick
             test_histogram_empty_and_clear;
-          test_histogram_merge_commutative;
-          test_histogram_merge_associative;
-          test_histogram_merge_identity;
-        ] );
+        ]
+        @ Testlib.qtests
+            [
+              test_histogram_merge_commutative;
+              test_histogram_merge_associative;
+              test_histogram_merge_identity;
+            ] );
       ( "scope",
         [
           Alcotest.test_case "with_scope deltas" `Quick

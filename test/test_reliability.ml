@@ -233,6 +233,79 @@ let test_trials_converter () =
   check Alcotest.bool "--trials 10000 reads 10000" true
     (parse "10000" = Ok 10000)
 
+(* The pin-count converter: the frame decoder's rule for "inputs" and
+   "outputs" (a whole number >= 1), so every --inputs and --outputs the
+   CLI admits is a shape a served request may carry, and no other. *)
+let test_pins_converter () =
+  let parse = Cmdliner.Arg.conv_parser Cli.pins_conv in
+  let served field value =
+    match
+      Service.Protocol.parse_request
+        (Printf.sprintf {|{"id":"x","design":"Entry Gate Detector","%s":%s}|}
+           field value)
+    with
+    | Service.Protocol.Request _ -> true
+    | Service.Protocol.Invalid _ | Service.Protocol.Drain -> false
+  in
+  List.iter
+    (fun (value, admitted) ->
+      check Alcotest.bool ("--inputs " ^ value) admitted
+        (Result.is_ok (parse value));
+      List.iter
+        (fun field ->
+          check Alcotest.bool
+            (Printf.sprintf "%S:%s" field value)
+            admitted (served field value))
+        [ "inputs"; "outputs" ])
+    [
+      ("0", false); ("1", true); ("2", true); ("64", true); ("-1", false);
+      ("1.5", false); ("x", false);
+    ];
+  check Alcotest.bool "--inputs 3 reads 3" true (parse "3" = Ok 3)
+
+(* --faults, --family and a served "family" share one parser, so they
+   admit the same families.  A chaos jitter past Sim.Fault.max_jitter
+   is refused by both, by name: the CLI's message names jitter, the
+   decoder's reason the field. *)
+let test_family_converter () =
+  let parse = Cmdliner.Arg.conv_parser Cli.family_conv in
+  let served value =
+    Service.Protocol.parse_request
+      (Printf.sprintf
+         {|{"id":"x","op":"weighted","design":"Entry Gate Detector","family":"%s"}|}
+         value)
+  in
+  List.iter
+    (fun (value, admitted) ->
+      (match parse value with
+       | Ok _ -> check Alcotest.bool ("--family " ^ value) admitted true
+       | Error (`Msg e) ->
+         check Alcotest.bool ("--family " ^ value) admitted false;
+         if Testlib.contains value "chaos" then
+           check Alcotest.bool
+             (Printf.sprintf "%s: %S names jitter" value e)
+             true
+             (Testlib.contains e "jitter"));
+      match served value with
+      | Service.Protocol.Request _ ->
+        check Alcotest.bool ("\"family\":" ^ value) admitted true
+      | Service.Protocol.Invalid { reason; _ } ->
+        check Alcotest.bool ("\"family\":" ^ value) admitted false;
+        check Alcotest.bool
+          (Printf.sprintf "%s: %S names family" value reason)
+          true
+          (Testlib.contains reason {|"family"|})
+      | Service.Protocol.Drain -> Alcotest.fail "a request read as drain")
+    [
+      ("chaos:0,0,0,0", true);
+      ("chaos:0.02,0.01,0.01,2", true);
+      (Printf.sprintf "chaos:0,0,0,%d" F.max_jitter, true);
+      (Printf.sprintf "chaos:0,0,0,%d" (F.max_jitter + 1), false);
+      ("chaos:0,0,0,4611686018427387903", false);
+      ("chaos:0,0,0,-1", false);
+      ("drop:1.5", false);
+    ]
+
 let test_family_plan_deterministic () =
   let g = Testlib.podium in
   List.iter
@@ -1202,6 +1275,10 @@ let () =
             test_non_negative_converter;
           Alcotest.test_case "trial-count converter" `Quick
             test_trials_converter;
+          Alcotest.test_case "pin-count converter" `Quick
+            test_pins_converter;
+          Alcotest.test_case "family converter" `Quick
+            test_family_converter;
           Alcotest.test_case "plan deterministic" `Quick
             test_family_plan_deterministic;
           Alcotest.test_case "brownout targets inner nodes" `Quick

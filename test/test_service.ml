@@ -652,7 +652,9 @@ let test_weighted_honours_shape () =
 (* Every served field reads through one typed reader: a field present
    with the wrong type or range makes the request Invalid with a reason
    that names it, never its default.  Each frame below was accepted, or
-   silently defaulted, before the readers were shared. *)
+   silently defaulted, before the readers were shared; the two chaos
+   families, with a jitter past Sim.Fault.max_jitter, were accepted and
+   then failed the run. *)
 let ill_typed_frames =
   let frame fields =
     Printf.sprintf {|{"id":"f","design":"Podium Timer 3",%s}|} fields
@@ -665,6 +667,9 @@ let ill_typed_frames =
     ("op", frame {|"op":5|});
     ("backend", frame {|"backend":7|});
     ("family", frame {|"op":"weighted","family":3|});
+    ("family", frame {|"op":"weighted","family":"chaos:0,0,0,256"|});
+    ( "family",
+      frame {|"op":"weighted","family":"chaos:0,0,0,4611686018427387903"|} );
     ("design", {|{"id":"f","design":5}|});
     ("design_text", frame {|"design_text":5|});
   ]

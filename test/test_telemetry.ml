@@ -1,8 +1,8 @@
 (* The network observatory: the zero-cost-when-off contract, strike
-   conservation against Fault.stats, blame attribution summing to the
-   measured severity, jobs-invariant reports, the timeline and VCD
-   marker renderings, and the disabled-path overhead bound
-   (doc/network-telemetry.md). *)
+   conservation against Fault.stats, exact per-link latency readings,
+   blame attribution summing to the measured severity, jobs-invariant
+   reports, the timeline and VCD marker renderings, and the
+   disabled-path overhead bound (doc/network-telemetry.md). *)
 
 module Graph = Netlist.Graph
 
@@ -153,24 +153,80 @@ let test_engine_counters_match_collector () =
 
 (* --- Add: fold order cannot matter ------------------------------------ *)
 
+(* Under jitter a link's latency cells hold several ticks, so the sums
+   [add] folds are sums of whole distributions; without it every
+   delivery takes the unit wire delay. *)
 let test_merge_is_order_independent () =
   let g = two_zone in
-  let collect seed =
-    let telemetry = Sim.Telemetry.create () in
-    let engine =
-      Sim.Engine.create ~faults:(Sim.Fault.drop_all ~seed 0.1) ~telemetry g
-    in
-    ignore (Sim.Stimulus.settled_outputs engine (script g ~seed ~steps:20));
-    telemetry
-  in
-  let a = collect 1 and b = collect 2 and c = collect 3 in
-  let fold collectors =
-    let into = Sim.Telemetry.create () in
-    List.iter (Sim.Telemetry.add ~into) collectors;
-    Obs.Json.to_string (Sim.Telemetry.report_json g into)
-  in
-  check Alcotest.string "added report is fold-order independent"
-    (fold [ a; b; c ]) (fold [ c; b; a ])
+  List.iter
+    (fun (label, plan, spread) ->
+      let collect seed =
+        let telemetry = Sim.Telemetry.create () in
+        let engine = Sim.Engine.create ~faults:(plan seed) ~telemetry g in
+        ignore (Sim.Stimulus.settled_outputs engine (script g ~seed ~steps:20));
+        telemetry
+      in
+      let a = collect 1 and b = collect 2 and c = collect 3 in
+      let fold collectors =
+        let into = Sim.Telemetry.create () in
+        List.iter (Sim.Telemetry.add ~into) collectors;
+        into
+      in
+      let report t = Obs.Json.to_string (Sim.Telemetry.report_json g t) in
+      check Alcotest.string
+        (label ^ ": added report is fold-order independent")
+        (report (fold [ a; b; c ]))
+        (report (fold [ c; b; a ]));
+      check Alcotest.bool
+        (label ^ ": a link's added latencies span several ticks")
+        spread
+        (List.exists
+           (fun (_, (l : Sim.Telemetry.link_stats)) ->
+             l.latency.min < l.latency.max)
+           (Sim.Telemetry.links (fold [ a; b; c ]))))
+    [
+      ("drop", (fun seed -> Sim.Fault.drop_all ~seed 0.1), false);
+      ( "jitter",
+        (fun seed -> Sim.Fault.degrade_all ~seed ~drop:0.1 ~jitter:3 ()),
+        true );
+    ]
+
+(* --- Latency: exact ticks -------------------------------------------- *)
+
+(* Every quantile a collector reports is a whole tick: the nearest rank
+   of the link's latencies, which the oracle keeps one by one. *)
+let test_latency_quantiles_exact () =
+  let g = two_zone in
+  let script = script g ~seed:21 ~steps:30 in
+  let faults = Sim.Fault.degrade_all ~seed:13 ~jitter:3 () in
+  let telemetry = Sim.Telemetry.create () in
+  ignore
+    (Sim.Stimulus.settled_outputs (Sim.Engine.create ~faults ~telemetry g)
+       script);
+  let kept = Sim_oracle.Telemetry.create () in
+  ignore
+    (Sim_oracle.settled_outputs
+       (Sim_oracle.create ~faults ~telemetry:kept g)
+       script);
+  let links = Sim.Telemetry.links telemetry in
+  List.iter
+    (fun (e, (l : Sim.Telemetry.link_stats)) ->
+      let sorted = Sim_oracle.Telemetry.latencies kept e in
+      let rank = Sim_oracle.Telemetry.nearest_rank sorted in
+      let name = Graph.edge_to_string e in
+      check Alcotest.int (name ^ ": count") (List.length sorted)
+        l.latency.count;
+      check
+        Alcotest.(list int)
+        (name ^ ": p50, p90, p99")
+        [ rank 50; rank 90; rank 99 ]
+        [ l.latency.p50; l.latency.p90; l.latency.p99 ])
+    links;
+  check Alcotest.bool "some link's p50 and p99 differ" true
+    (List.exists
+       (fun (_, (l : Sim.Telemetry.link_stats)) ->
+         l.latency.p50 <> l.latency.p99)
+       links)
 
 (* --- Blame: components sum to the estimate's severity ----------------- *)
 
@@ -436,6 +492,8 @@ let () =
             test_engine_counters_match_collector;
           Alcotest.test_case "merge is order independent" `Quick
             test_merge_is_order_independent;
+          Alcotest.test_case "latency quantiles are exact ticks" `Quick
+            test_latency_quantiles_exact;
         ] );
       ( "blame",
         [
