@@ -128,9 +128,11 @@ perf-smoke: jobs-check
 # corrupt and jitter draws on Entry Gate Detector) and node resets
 # (brownouts on Podium Timer 3, which degrade it to severity 0.625; the
 # --jobs 1 run must print a node blame row, or the diff compares an
-# empty table).  The served batch fails on purpose
-# (every exhaustive search expires at once): the flight recorder's
-# bundle must hold the same journal at every --jobs.
+# empty table).  The served batch fails on purpose: with a zero
+# deadline, the 4 of its 15 exhaustive searches that reach the first
+# deadline poll (node 1,024) expire, and the smaller ones finish before
+# it; the flight recorder's bundle must hold the same journal at every
+# --jobs.
 BUNDLE_FIELDS = python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); print(json.dumps([b[k] for k in ("reason", "total", "dropped", "journal")], indent=1))'
 jobs-check:
 	PAREDOWN_STABLE_TIMES=1 dune exec bin/run_experiments.exe -- scale --jobs 1 > scale-j1.txt
@@ -188,8 +190,11 @@ jobs-check:
 # missing directory exits 2 with nothing on stdout; and piped
 # one-request round trips print exactly what the one-shot CLI prints
 # (a partition, and a reliability-weighted search against the
-# header-to-cost lines of `reliability --show`); and a weighted request
-# whose lambda is the string "64" is answered rejected, naming lambda.  The cache runs arm
+# header-to-cost lines of `reliability --show`); a weighted request
+# whose lambda is the string "64" is answered rejected, naming lambda;
+# and the one-shot exhaustive search finishes, with nothing on stderr,
+# at the certified optima of Timed Passage (23 -> 14) and Two-Zone
+# Security (19 -> 10) (EXPERIMENTS.md note (b)).  The cache runs arm
 # the flight recorder, so a mid-batch failure leaves a post-mortem
 # bundle for the CI artifact upload.
 # PAREDOWN_STABLE_TIMES masks elapsed_ns, the one
@@ -260,11 +265,22 @@ serve-smoke: build
 	  | ./_build/default/bin/paredown.exe submit --decode - > serve-pipe.txt
 	grep -q '^# bad rejected: .*"lambda"' serve-pipe.txt || \
 	  { echo "serve-smoke: a string lambda was not rejected by name"; exit 1; }
+	for case in "Timed Passage:23 -> 14" "Two-Zone Security:19 -> 10"; do \
+	  design=$${case%%:*}; want=$${case#*:}; \
+	  ./_build/default/bin/paredown.exe partition "$$design" -a exhaustive \
+	    > serve-exh.txt 2> serve-exh-err.txt || exit 1; \
+	  grep -q "^inner blocks: $$want " serve-exh.txt || \
+	    { echo "serve-smoke: exhaustive $$design is not $$want"; exit 1; }; \
+	  test ! -s serve-exh-err.txt || \
+	    { echo "serve-smoke: exhaustive $$design wrote to stderr"; \
+	      cat serve-exh-err.txt; exit 1; }; \
+	done
 	rm -f serve-cache.json serve-cache-j1.json serve-cache-j4.json \
 	  serve-torn.json serve-batch.txt serve-run1.txt serve-run2.txt \
 	  serve-run3.txt serve-run4.txt serve-err3.txt serve-err4.txt \
 	  serve-dec1.txt serve-dec2.txt serve-dec3.txt serve-j1.txt \
-	  serve-j4.txt serve-pipe.txt serve-oneshot.txt
+	  serve-j4.txt serve-pipe.txt serve-oneshot.txt serve-exh.txt \
+	  serve-exh-err.txt
 
 # Span-recording smoke (doc/observability.md): traced runs of synth,
 # a Monte-Carlo observe and a served Table 1 batch, the last two at

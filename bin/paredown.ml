@@ -104,8 +104,9 @@ let partition_network ~algorithm ~shape g =
     Service.Oneshot.partition ~backend:(backend_of_algorithm algorithm)
       ~shape g
   with
-  | Service.Oneshot.Done { solution; _ }
-  | Service.Oneshot.Expired { solution; _ } ->
+  | Service.Oneshot.Done { solution; _ } -> solution
+  | Service.Oneshot.Expired { solution; note; _ } ->
+    prerr_endline note;
     solution
 
 let print_solution g sol =

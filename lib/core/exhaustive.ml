@@ -56,7 +56,15 @@ type bin = {
   mutable card : int;
   mutable ins : int;
   mutable outs : int;
+  mutable fixed_ins : int;
+  mutable fixed_outs : int;
+      (* the part of [ins]/[outs] whose far end can never join the bin:
+         every leaf below keeps these edges in its cut (see [settle]) *)
 }
+
+(* Node owners for the pin cut: a bin index, or one of these. *)
+let undecided = -1
+let outside = -2
 
 let run ?(config = default_config) ?deadline_s g =
   Obs.Journal.with_span "exhaustive.run"
@@ -102,7 +110,14 @@ let run ?(config = default_config) ?deadline_s g =
   (* bins.(b) holds the members of bin b, for b < bins_open *)
   let bins =
     Array.init (max 1 (n / 2)) (fun _ ->
-        { set = Dense.empty_set d; card = 0; ins = 0; outs = 0 })
+        {
+          set = Dense.empty_set d;
+          card = 0;
+          ins = 0;
+          outs = 0;
+          fixed_ins = 0;
+          fixed_outs = 0;
+        })
   in
   let max_bins = Array.length bins in
   let bin_add bin i =
@@ -144,6 +159,98 @@ let run ?(config = default_config) ?deadline_s g =
     | Some budget when !nodes_explored land 1023 = 0 ->
       if Obs.Clock.elapsed_s start > budget then raise Deadline
     | Some _ | None -> ()
+  in
+  (* The feasibility cuts, both under [bound_pruning].  Each removes
+     only subtrees in which every leaf fails validity, so the DFS meets
+     the same valid leaves in the same order and returns the same
+     solution; only the work counters fall.
+
+     Pin cut (per-edge counting only): [owner.(i)] is the bin holding
+     node [i], or [undecided] (a block not yet assigned), or [outside]
+     for good (a node that is not partitionable, or a block left
+     pre-defined).  An edge between a bin's member and a node that can
+     never join that bin (outside for good, or in another bin) stays in
+     the bin's cut at every leaf below, so [fixed_ins]/[fixed_outs] only
+     grow on the way down and equal [ins]/[outs] at a leaf.  A bin whose
+     fixed pins fit no shape is invalid at every leaf below.
+
+     Singleton cut: a bin holding one block needs a block still to be
+     assigned, and each such block can fill at most one bin. *)
+  let pin_cut =
+    config.bound_pruning
+    && config.partition_config.Partition.pin_counting = Partition.Per_edge
+  in
+  let owner = Array.make (Dense.length d) outside in
+  (* A block's fanout and fanin, one entry per edge, copied out of the
+     view once so that [settle] is a loop over ints. *)
+  let succs = Array.make (Dense.length d) [||] in
+  let preds = Array.make (Dense.length d) [||] in
+  if pin_cut then
+    Array.iter
+      (fun i ->
+        let adjacent iter =
+          let l = ref [] in
+          iter d i (fun j -> l := j :: !l);
+          Array.of_list !l
+        in
+        owner.(i) <- undecided;
+        succs.(i) <- adjacent Dense.iter_fanout;
+        preds.(i) <- adjacent Dense.iter_fanin)
+      block_idx;
+  (* Add ([sign] = 1) or take back (-1) the fixed pins that node [i]'s
+     edges give the bins at both ends, [owner.(i)] being decided.
+     O(degree i). *)
+  let settle i sign =
+    let o = owner.(i) in
+    let out = succs.(i) and inn = preds.(i) in
+    for k = 0 to Array.length out - 1 do
+      let oj = owner.(out.(k)) in
+      if oj <> undecided && oj <> o then begin
+        if o >= 0 then bins.(o).fixed_outs <- bins.(o).fixed_outs + sign;
+        if oj >= 0 then bins.(oj).fixed_ins <- bins.(oj).fixed_ins + sign
+      end
+    done;
+    for k = 0 to Array.length inn - 1 do
+      let oj = owner.(inn.(k)) in
+      if oj <> undecided && oj <> o then begin
+        if o >= 0 then bins.(o).fixed_ins <- bins.(o).fixed_ins + sign;
+        if oj >= 0 then bins.(oj).fixed_outs <- bins.(oj).fixed_outs + sign
+      end
+    done
+  in
+  let decide i o =
+    if pin_cut then begin
+      owner.(i) <- o;
+      settle i 1
+    end
+  in
+  let undecide i =
+    if pin_cut then begin
+      settle i (-1);
+      owner.(i) <- undecided
+    end
+  in
+  let join b i =
+    bin_add bins.(b) i;
+    decide i b
+  in
+  let leave b i =
+    undecide i;
+    bin_remove bins.(b) i
+  in
+  let rec fits ins outs = function
+    | [] -> false
+    | s :: rest ->
+      Shape.fits s ~inputs_used:ins ~outputs_used:outs || fits ins outs rest
+  in
+  let rec infeasible b bins_open singletons left =
+    if b = bins_open then singletons > left
+    else
+      let bin = bins.(b) in
+      (pin_cut && not (fits bin.fixed_ins bin.fixed_outs config.shapes))
+      || infeasible (b + 1) bins_open
+           (if bin.card = 1 then singletons + 1 else singletons)
+           left
   in
   let rec all_bins_valid b bins_open =
     b = bins_open || (bin_valid bins.(b) && all_bins_valid (b + 1) bins_open)
@@ -207,24 +314,27 @@ let run ?(config = default_config) ?deadline_s g =
           (Obs.Journal.Pruned { depth = i; bins_open; bound; best = incumbent })
       end
     end
+    else if config.bound_pruning && infeasible 0 bins_open 0 (n - i) then ()
     else if i = n then consider_leaf bins_open unassigned
     else begin
       let idx = block_idx.(i) in
       (* Choice 1: leave the block pre-defined. *)
+      decide idx outside;
       assign (i + 1) bins_open (unassigned + 1)
         (unassigned_cost +. block_cost blocks.(i));
+      undecide idx;
       (* Choice 2: join an open bin. *)
       for b = 0 to bins_open - 1 do
-        bin_add bins.(b) idx;
+        join b idx;
         assign (i + 1) bins_open unassigned unassigned_cost;
-        bin_remove bins.(b) idx
+        leave b idx
       done;
       (* Choice 3: open the next bin (empty bins are interchangeable, so
          only the first empty one is tried — the paper's pruning). *)
       if bins_open < max_bins then begin
-        bin_add bins.(bins_open) idx;
+        join bins_open idx;
         assign (i + 1) (bins_open + 1) unassigned unassigned_cost;
-        bin_remove bins.(bins_open) idx
+        leave bins_open idx
       end
     end
   in

@@ -6,18 +6,36 @@
     of interchangeable bins.  As in the paper, search-tree symmetry over
     empty bins is pruned: a block may only open the single next empty bin.
 
-    Two refinements beyond the paper are available and on by default
-    (turning them off reproduces the paper's raw search):
+    Refinements beyond the paper are on by default and all ride on
+    [bound_pruning]; turning it off reproduces the paper's raw search,
+    with no extra accounting:
 
     - {e bound pruning}: abandon a branch whose partial total (bins opened
       + blocks left unassigned so far) can no longer beat the incumbent;
-    - {e pin pruning is deliberately absent}: a bin's pin usage is not
-      monotone in its membership (absorbing a neighbour can free pins), so
-      pruning on intermediate pin counts would be unsound.
+    - {e pin cut} (per-edge counting only): abandon a branch in which some
+      open bin's {e permanent} pins already fit no shape.  A bin's current
+      pin count is not monotone in its membership (absorbing a neighbour
+      can free pins), but an edge between a member and a node that can
+      never join the bin — a node that is not partitionable, a block left
+      pre-defined, or a member of another bin — stays in the cut at every
+      leaf below, and at a leaf these edges are the whole cut.  Kept in
+      O(degree) per decision and undone on backtrack;
+    - {e singleton cut}: abandon a branch with more single-block bins than
+      blocks left to assign, since a bin needs two members.
 
-    Complexity is super-exponential; the paper found eleven inner blocks
+    Both cuts remove only subtrees whose every leaf is invalid, so a
+    search that finishes returns exactly the solution of the uncut DFS
+    (the first strictly better valid leaf in the same order); only
+    [nodes_explored] and [leaves_checked] fall, and the cuts emit no
+    journal event.  Under a deadline the same budget covers more of the
+    tree, so an expired search's best solution so far can differ.
+
+    Complexity is still exponential; the paper found eleven inner blocks
     already costs a user-noticeable wait and fourteen did not finish in
-    four hours.  Use [deadline] for graceful time-outs. *)
+    four hours.  With the cuts, every library design finishes (Timed
+    Passage, 23 inner blocks, in about half a second), as do random
+    designs of 20 inner blocks, but most of 30 run past ten seconds.  Use
+    [deadline] for graceful time-outs. *)
 
 module Graph = Netlist.Graph
 module Node_id = Netlist.Node_id
@@ -39,7 +57,8 @@ type config = {
 }
 
 val default_config : config
-(** 2x2 shape, per-edge pins, convexity, bound pruning, [Fewest_blocks]. *)
+(** 2x2 shape, per-edge pins, convexity, bound pruning (with the
+    feasibility cuts), [Fewest_blocks]. *)
 
 type outcome =
   | Optimal

@@ -32,12 +32,20 @@ let escape s =
 
 (* A float rendered as a JSON number: integral values print as
    integers (so counters round-trip through Num without a spurious
-   ".0"), everything else with enough digits to round-trip. *)
+   ".0"), everything else in the fewest significant digits, of 15, 16
+   or 17, that read back as the same float: 0.1 as [0.1], not
+   [0.10000000000000001].  Seventeen always read back. *)
 let number_to_string v =
   if not (Float.is_finite v) then "0" (* JSON has no inf/nan *)
   else if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+  else
+    let exact s = Float.equal (float_of_string s) v in
+    let s15 = Printf.sprintf "%.15g" v in
+    if exact s15 then s15
+    else
+      let s16 = Printf.sprintf "%.16g" v in
+      if exact s16 then s16 else Printf.sprintf "%.17g" v
 
 let rec write ~indent ~level buf t =
   let pad n = if indent > 0 then Buffer.add_string buf (String.make (n * indent) ' ') in

@@ -53,6 +53,7 @@ type outcome =
       solution : Core.Solution.t;
       report : string;
       work : (string * Obs.Json.t) list;
+      note : string;
     }
 
 let partition ~backend ~shape ?deadline_s g =
@@ -85,7 +86,14 @@ let partition ~backend ~shape ?deadline_s g =
     let solution = r.Core.Exhaustive.solution in
     let report = solution_report g solution in
     match r.Core.Exhaustive.outcome with
-    | Core.Exhaustive.Timed_out -> Expired { solution; report; work }
+    | Core.Exhaustive.Timed_out ->
+      let note =
+        Printf.sprintf
+          "exhaustive: deadline of %gs expired after %d nodes; the partition \
+           is the best found, not proven optimal"
+          deadline_s r.Core.Exhaustive.nodes_explored
+      in
+      Expired { solution; report; work; note }
     | Core.Exhaustive.Optimal -> Done { solution; report; work })
   | Aggregation ->
     let config = { Core.Aggregation.default_config with shapes = [ shape ] } in

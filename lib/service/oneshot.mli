@@ -40,10 +40,15 @@ type outcome =
       solution : Core.Solution.t;
       report : string;
       work : (string * Obs.Json.t) list;
+      note : string;
+          (** one line for the CLI's stderr: the deadline, the nodes
+              explored, and that the solution is the best found, not
+              proven optimal *)
     }
       (** the deadline elapsed before optimality (exhaustive only); the
-          best solution found so far rides along — the CLI prints it,
-          the server reports it without caching it *)
+          best solution found so far rides along — the CLI prints it
+          after writing [note] to stderr, the server reports it without
+          caching it *)
 
 val partition :
   backend:backend -> shape:Core.Shape.t -> ?deadline_s:float -> Graph.t ->

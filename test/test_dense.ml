@@ -283,24 +283,32 @@ let test_exhaustive_matches_oracle () =
       end)
     Designs.Library.all
 
-(* The DFS control flow is untouched by the dense rewrite, so the work
-   counters are load-bearing constants: a change means the search
-   explored a different tree, not just explored it faster. *)
+(* The work counters are load-bearing constants: a change means a
+   search explored a different tree, not just explored it faster.  The
+   uncut search (test/exhaustive_oracle.ml) keeps the tree the dense
+   rewrite left untouched; the library's feasibility cuts explore a
+   subtree of it. *)
 let test_pinned_work_counters () =
   let podium = Testlib.podium in
+  let o = Exhaustive_oracle.run podium in
+  check (Alcotest.pair Alcotest.int Alcotest.int)
+    "podium uncut (nodes, leaves)" (8282, 3574)
+    (o.Exhaustive_oracle.nodes_explored, o.Exhaustive_oracle.leaves_checked);
   let r = Core.Exhaustive.run podium in
-  check Alcotest.int "podium nodes_explored" 8282
-    r.Core.Exhaustive.nodes_explored;
-  check Alcotest.int "podium leaves_checked" 3574
-    r.Core.Exhaustive.leaves_checked;
+  check (Alcotest.pair Alcotest.int Alcotest.int)
+    "podium (nodes, leaves)" (2407, 29)
+    (r.Core.Exhaustive.nodes_explored, r.Core.Exhaustive.leaves_checked);
   let g10 =
     Randgen.Generator.generate ~rng:(Prng.create 2) ~inner:10 ()
   in
+  let o10 = Exhaustive_oracle.run g10 in
+  check (Alcotest.pair Alcotest.int Alcotest.int)
+    "g10 uncut (nodes, leaves)" (715970, 558310)
+    (o10.Exhaustive_oracle.nodes_explored, o10.Exhaustive_oracle.leaves_checked);
   let r10 = Core.Exhaustive.run g10 in
-  check Alcotest.int "g10 nodes_explored" 715970
-    r10.Core.Exhaustive.nodes_explored;
-  check Alcotest.int "g10 leaves_checked" 558310
-    r10.Core.Exhaustive.leaves_checked;
+  check (Alcotest.pair Alcotest.int Alcotest.int)
+    "g10 (nodes, leaves)" (812, 16)
+    (r10.Core.Exhaustive.nodes_explored, r10.Core.Exhaustive.leaves_checked);
   check Alcotest.int "g10 total" 7
     (Core.Solution.total_inner_after g10 r10.Core.Exhaustive.solution);
   let pd =

@@ -170,6 +170,75 @@ let test_bound_pruning_preserves_optimum () =
        <= unpruned.Core.Exhaustive.nodes_explored)
   done
 
+(* --- The feasibility cuts against the uncut search ---------------------------- *)
+
+(* Three shapes of different costs: a pin-hungry design can still fit the
+   4x4, and the cost objective has a real choice to make. *)
+let three_shapes =
+  [
+    Core.Shape.make ~inputs:2 ~outputs:2 ~cost:1.5 ();
+    Core.Shape.make ~inputs:3 ~outputs:1 ~cost:2.0 ();
+    Core.Shape.make ~inputs:4 ~outputs:4 ~cost:5.0 ();
+  ]
+
+let oracle_configs =
+  let d = Core.Exhaustive.default_config in
+  let pc = Core.Partition.default_config in
+  [
+    ("default", d);
+    ( "lowest cost, three shapes",
+      { d with shapes = three_shapes; objective = Core.Exhaustive.Lowest_cost }
+    );
+    ("three shapes", { d with shapes = three_shapes });
+    ( "not convex",
+      { d with partition_config = { pc with require_convex = false } } );
+    ( "per net",
+      {
+        d with
+        partition_config = { pc with pin_counting = Core.Partition.Per_net };
+      } );
+    ("no bound pruning", { d with bound_pruning = false });
+  ]
+
+(* The cuts drop only subtrees whose every leaf is invalid, so the
+   library meets the oracle's valid leaves in the oracle's order: the
+   same partitions in the same order, with the same shapes, on a tree no
+   larger; with [bound_pruning] off it is the oracle's tree exactly. *)
+let same_as_oracle g (name, config) =
+  let lib = Core.Exhaustive.run ~config g in
+  let ora = Exhaustive_oracle.run ~config g in
+  let same_partition (p : Core.Partition.t) (q : Core.Partition.t) =
+    Node_id.Set.equal p.members q.members && Core.Shape.equal p.shape q.shape
+  in
+  let fail what =
+    QCheck.Test.fail_reportf "%s: %s (nodes %d vs oracle %d, leaves %d vs %d)"
+      name what lib.Core.Exhaustive.nodes_explored
+      ora.Exhaustive_oracle.nodes_explored lib.Core.Exhaustive.leaves_checked
+      ora.Exhaustive_oracle.leaves_checked
+  in
+  let lp = lib.Core.Exhaustive.solution.Core.Solution.partitions in
+  let op = ora.Exhaustive_oracle.solution.Core.Solution.partitions in
+  if lib.Core.Exhaustive.outcome <> Core.Exhaustive.Optimal then
+    fail "not optimal"
+  else if
+    List.compare_lengths lp op <> 0 || not (List.for_all2 same_partition lp op)
+  then fail "another solution"
+  else if config.Core.Exhaustive.bound_pruning then
+    (lib.Core.Exhaustive.nodes_explored <= ora.Exhaustive_oracle.nodes_explored
+    && lib.Core.Exhaustive.leaves_checked
+       <= ora.Exhaustive_oracle.leaves_checked)
+    || fail "a larger tree"
+  else
+    (lib.Core.Exhaustive.nodes_explored = ora.Exhaustive_oracle.nodes_explored
+    && lib.Core.Exhaustive.leaves_checked
+       = ora.Exhaustive_oracle.leaves_checked)
+    || fail "another tree"
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"same solution as the uncut search" ~count:150
+    (Testlib.network_arbitrary ~max_inner:9 ()) (fun (_, _, g) ->
+      List.for_all (same_as_oracle g) oracle_configs)
+
 (* --- Exponential growth (the paper's §4.1 observation) ----------------------- *)
 
 let test_search_space_grows () =
@@ -240,5 +309,6 @@ let () =
           [
             prop_never_worse_than_paredown;
             prop_never_worse_than_aggregation; prop_solutions_valid;
+            prop_matches_oracle;
           ] );
     ]

@@ -377,6 +377,21 @@ let test_deadline_expiry_survives () =
    | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs));
   Alcotest.(check int) "counted once" 1 summary.P.deadline_expired
 
+(* The CLI prints an expired search's best solution so far; the note
+   it writes to stderr says that is what it is.  A zero budget expires
+   Timed Passage's search at its first deadline poll, node 1024. *)
+let test_expired_note () =
+  match
+    Service.Oneshot.partition ~backend:Service.Oneshot.Exhaustive
+      ~shape:Core.Shape.default ~deadline_s:0. (find_design "Timed Passage")
+  with
+  | Service.Oneshot.Expired { note; _ } ->
+    Alcotest.(check string) "stderr note"
+      "exhaustive: deadline of 0s expired after 1024 nodes; the partition \
+       is the best found, not proven optimal"
+      note
+  | Service.Oneshot.Done _ -> Alcotest.fail "a zero budget did not expire"
+
 (* ------------------------------------------------------------------ *)
 (* Backpressure: a bounded queue rejects the overflow with a reason. *)
 
@@ -589,7 +604,11 @@ let test_nonpositive_pins_rejected () =
 
 let test_fractional_seed_rejected () =
   List.iter
-    (fun v -> expect_invalid "seed" (field_frame ~op:"weighted" "seed" v))
+    (fun v ->
+      let frame = field_frame ~op:"weighted" "seed" v in
+      expect_invalid "seed" frame;
+      (* the reason quotes the value as it was sent *)
+      expect_invalid ("got " ^ v) frame)
     [ "1.9"; "-0.5" ];
   expect_request (field_frame ~op:"weighted" "seed" "-7") (function
     | { P.op = P.Weighted { seed; _ }; _ } ->
@@ -1148,6 +1167,8 @@ let () =
             test_inexact_seed_rejected;
           Alcotest.test_case "errors are per-request" `Quick
             test_error_isolated;
+          Alcotest.test_case "expired one-shot says so" `Quick
+            test_expired_note;
         ] );
       ( "fields",
         List.map
